@@ -11,16 +11,17 @@
 //! the event value's key on that attribute's ring) and delivers matches
 //! through the shared embedded-tree splitter.
 
-use crate::common::{split_targets, to_targets, BaselineNode, BaselineWorld};
+use crate::common::{split_targets, to_targets};
 use hypersub_chord::routing::{next_hop, NextHop};
 use hypersub_chord::{in_open_closed, ChordState};
-use hypersub_core::model::{Event, SubId, SubTarget, Subscription};
+use hypersub_core::model::{Event, SchemeId, SubId, SubTarget, Subscription};
 use hypersub_core::msg::{EVENT_BYTES, HEADER_BYTES, SUBID_BYTES};
+use hypersub_core::node::TOKEN_PUBLISH_BASE;
+use hypersub_core::sim::PubSubNode;
+use hypersub_core::world::HyperWorld;
 use hypersub_lph::{rotation_offset, ContentSpace};
 use hypersub_simnet::{Node, NodeRuntime, Payload};
 use std::collections::HashMap;
-
-pub use crate::common::TOKEN_PUBLISH_BASE;
 
 /// Attribute-ring messages.
 #[derive(Debug, Clone)]
@@ -137,30 +138,9 @@ impl AttrRingNode {
         best
     }
 
-    /// Installs a subscription from this node.
-    pub fn subscribe<R: NodeRuntime<AttrMsg, BaselineWorld>>(
-        &mut self,
-        ctx: &mut R,
-        sub: Subscription,
-    ) -> SubId {
-        let iid = self.next_iid;
-        self.next_iid += 1;
-        self.local.insert(iid, sub.clone());
-        let subid = SubId {
-            nid: self.chord.id,
-            iid,
-        };
-        ctx.world().oracle.add(0, subid, sub.clone());
-        let attr = self.choose_attr(&sub);
-        let start = self.value_key(attr, sub.rect.lo[attr]);
-        let end = self.value_key(attr, sub.rect.hi[attr]);
-        self.route_register(ctx, start, end, attr as u8, subid, sub);
-        subid
-    }
-
     /// Walks the subscription's key arc, storing a replica on every
     /// responsible node (the expensive installation §2 criticizes).
-    fn route_register<R: NodeRuntime<AttrMsg, BaselineWorld>>(
+    fn route_register<R: NodeRuntime<AttrMsg, HyperWorld>>(
         &mut self,
         ctx: &mut R,
         cursor: u64,
@@ -211,7 +191,7 @@ impl AttrRingNode {
     }
 
     /// Publishes an event: one probe per attribute ring.
-    pub fn publish<R: NodeRuntime<AttrMsg, BaselineWorld>>(&mut self, ctx: &mut R, event: Event) {
+    pub fn publish<R: NodeRuntime<AttrMsg, HyperWorld>>(&mut self, ctx: &mut R, event: Event) {
         let (me, now) = (ctx.me(), ctx.now());
         let expected = ctx.world().oracle.expected_matches(0, &event.point).len();
         ctx.world()
@@ -223,7 +203,7 @@ impl AttrRingNode {
         }
     }
 
-    fn route_publish<R: NodeRuntime<AttrMsg, BaselineWorld>>(
+    fn route_publish<R: NodeRuntime<AttrMsg, HyperWorld>>(
         &mut self,
         ctx: &mut R,
         key: u64,
@@ -249,7 +229,7 @@ impl AttrRingNode {
         }
     }
 
-    fn match_and_deliver<R: NodeRuntime<AttrMsg, BaselineWorld>>(
+    fn match_and_deliver<R: NodeRuntime<AttrMsg, HyperWorld>>(
         &mut self,
         ctx: &mut R,
         attr: u8,
@@ -268,7 +248,7 @@ impl AttrRingNode {
         self.deliver(ctx, event, hops, to_targets(matched));
     }
 
-    fn deliver<R: NodeRuntime<AttrMsg, BaselineWorld>>(
+    fn deliver<R: NodeRuntime<AttrMsg, HyperWorld>>(
         &mut self,
         ctx: &mut R,
         event: Event,
@@ -300,16 +280,10 @@ impl AttrRingNode {
             );
         }
     }
-
-    /// Stored replica count (load metric; replicas of one subscription on
-    /// many nodes each count once, which is the point of the comparison).
-    pub fn load(&self) -> u64 {
-        self.store.values().map(|m| m.len() as u64).sum()
-    }
 }
 
-impl Node<AttrMsg, BaselineWorld> for AttrRingNode {
-    fn on_message<R: NodeRuntime<AttrMsg, BaselineWorld>>(
+impl Node<AttrMsg, HyperWorld> for AttrRingNode {
+    fn on_message<R: NodeRuntime<AttrMsg, HyperWorld>>(
         &mut self,
         ctx: &mut R,
         _from: usize,
@@ -337,30 +311,46 @@ impl Node<AttrMsg, BaselineWorld> for AttrRingNode {
         }
     }
 
-    fn on_timer<R: NodeRuntime<AttrMsg, BaselineWorld>>(&mut self, ctx: &mut R, token: u64) {
+    fn on_timer<R: NodeRuntime<AttrMsg, HyperWorld>>(&mut self, ctx: &mut R, token: u64) {
         if token >= TOKEN_PUBLISH_BASE {
             let idx = (token - TOKEN_PUBLISH_BASE) as usize;
-            let ev = ctx.world().script[idx]
-                .take()
-                .expect("scripted event fired twice");
+            let (_scheme, ev) = ctx.world().take_scripted(idx);
             self.publish(ctx, ev);
         }
     }
 }
 
-impl BaselineNode for AttrRingNode {
+impl PubSubNode for AttrRingNode {
     type Msg = AttrMsg;
 
-    fn subscribe<R: NodeRuntime<AttrMsg, BaselineWorld>>(
+    /// Installs a subscription from this node.
+    ///
+    /// The baselines serve one scheme, so `_scheme` goes unused.
+    fn subscribe<R: NodeRuntime<AttrMsg, HyperWorld>>(
         &mut self,
         ctx: &mut R,
+        _scheme: SchemeId,
         sub: Subscription,
     ) -> SubId {
-        AttrRingNode::subscribe(self, ctx, sub)
+        let iid = self.next_iid;
+        self.next_iid += 1;
+        self.local.insert(iid, sub.clone());
+        let subid = SubId {
+            nid: self.chord.id,
+            iid,
+        };
+        ctx.world().oracle.add(0, subid, sub.clone());
+        let attr = self.choose_attr(&sub);
+        let start = self.value_key(attr, sub.rect.lo[attr]);
+        let end = self.value_key(attr, sub.rect.hi[attr]);
+        self.route_register(ctx, start, end, attr as u8, subid, sub);
+        subid
     }
 
+    /// Stored replica count (load metric; replicas of one subscription on
+    /// many nodes each count once, which is the point of the comparison).
     fn load(&self) -> u64 {
-        AttrRingNode::load(self)
+        self.store.values().map(|m| m.len() as u64).sum()
     }
 }
 
@@ -372,7 +362,7 @@ mod tests {
     use hypersub_simnet::{Sim, SimTime, UniformTopology};
     use std::sync::Arc;
 
-    fn make_sim(n: usize) -> Sim<AttrRingNode, AttrMsg, BaselineWorld> {
+    fn make_sim(n: usize) -> Sim<AttrRingNode, AttrMsg, HyperWorld> {
         let topo = Arc::new(UniformTopology::new(n, SimTime::from_millis(10)));
         let states = build_ring(&RingConfig::default(), topo.as_ref(), 5);
         let space = ContentSpace::uniform(2, 0.0, 100.0);
@@ -380,7 +370,7 @@ mod tests {
             .into_iter()
             .map(|st| AttrRingNode::new(st, "bench", space.clone()))
             .collect();
-        Sim::new(topo, nodes, BaselineWorld::default(), 1)
+        Sim::new(topo, nodes, HyperWorld::default(), 1)
     }
 
     #[test]
@@ -399,7 +389,7 @@ mod tests {
         for i in 0..12 {
             let lo = i as f64 * 8.0;
             let sub = Subscription::new(Rect::new(vec![lo, 0.0], vec![lo + 10.0, 100.0]));
-            sim.with_node_ctx(i, |n, ctx| n.subscribe(ctx, sub));
+            sim.with_node_ctx(i, |n, ctx| n.subscribe(ctx, 0, sub));
         }
         sim.run(10_000_000);
         for (id, point) in [
@@ -431,7 +421,7 @@ mod tests {
         // Wide on both attributes; the narrower (attr 0, 80%) is chosen
         // and replicated across ~80% of the ring.
         let sub = Subscription::new(Rect::new(vec![10.0, 2.0], vec![90.0, 98.0]));
-        sim.with_node_ctx(0, |n, ctx| n.subscribe(ctx, sub));
+        sim.with_node_ctx(0, |n, ctx| n.subscribe(ctx, 0, sub));
         sim.run(10_000_000);
         let holders = (0..16).filter(|&i| sim.node(i).load() > 0).count();
         assert!(

@@ -1,335 +1,11 @@
-//! Shared plumbing for the baseline systems: the delivery-splitting helper,
-//! the common world type, and the [`BaselineNet`] driver that gives every
-//! baseline the same builder / typed-error / [`Report`] surface as
-//! HyperSub's `Network`.
+//! Delivery plumbing the baseline systems share: splitting a matched
+//! SubID list along DHT links. The driver itself is `hypersub_core`'s
+//! [`Net`](hypersub_core::sim::Net), generic over the node type.
 
-use hypersub_chord::builder::{build_ring, RingConfig};
 use hypersub_chord::routing::{next_hop, NextHop};
 use hypersub_chord::ChordState;
-use hypersub_core::digest::run_digest;
-use hypersub_core::error::{HyperSubError, Result};
-use hypersub_core::metrics::{DeliveryRecord, EventStats, Metrics};
-use hypersub_core::model::{Event, SubId, SubTarget, Subscription};
-use hypersub_core::report::{CounterSummary, EventSummary, HistSummary, NetSummary, Report};
-use hypersub_core::world::Oracle;
-use hypersub_lph::Point;
-use hypersub_simnet::{
-    KingLikeTopology, NetStats, Node, NodeRuntime, Payload, Sim, SimTime, Topology, UniformTopology,
-};
+use hypersub_core::model::{SubId, SubTarget};
 use std::collections::BTreeMap;
-use std::sync::Arc;
-
-/// Timer token base for scripted publishes — shared by every baseline
-/// node type, so one driver can script any of them.
-pub const TOKEN_PUBLISH_BASE: u64 = 1 << 32;
-
-/// Shared world for baseline simulations.
-#[derive(Debug, Default)]
-pub struct BaselineWorld {
-    /// Delivery metrics (same type as HyperSub's, for comparability).
-    pub metrics: Metrics,
-    /// Ground truth.
-    pub oracle: Oracle,
-    /// Scripted events (scheme is implicit — baselines run one scheme).
-    pub script: Vec<Option<hypersub_core::model::Event>>,
-}
-
-/// The driver-facing contract every baseline system implements on top of
-/// [`Node`]: install a subscription from this node, and report how many
-/// entries this node stores (the §5 load metric). [`BaselineNet`] is
-/// generic over this trait, which is what lets the shoot-out harness run
-/// four rival systems through one code path.
-pub trait BaselineNode: Node<Self::Msg, BaselineWorld> + 'static {
-    /// The system's message type.
-    type Msg: Payload + 'static;
-
-    /// Installs a subscription originating at this node and returns its
-    /// id. Implementations must register the subscription with the
-    /// world's oracle.
-    fn subscribe<R: NodeRuntime<Self::Msg, BaselineWorld>>(
-        &mut self,
-        ctx: &mut R,
-        sub: Subscription,
-    ) -> SubId;
-
-    /// Entries stored on this node (subscriptions, replicas, or subgroup
-    /// members — whatever the system's storage unit is).
-    fn load(&self) -> u64;
-}
-
-/// Builder for a [`BaselineNet`]: the same knobs as
-/// `Network::builder()` (size, seed, topology, ring) with the same typed
-/// [`HyperSubError`] validation, and — deliberately — the same seed
-/// derivations, so a baseline run and a HyperSub run with equal seeds get
-/// bit-identical topologies and rings.
-#[derive(Debug, Clone)]
-pub struct BaselineNetBuilder {
-    nodes: usize,
-    seed: u64,
-    ring: RingConfig,
-    topology: BaselineTopology,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum BaselineTopology {
-    Uniform(SimTime),
-    KingLike(SimTime),
-}
-
-impl BaselineNetBuilder {
-    /// Starts building an `nodes`-node baseline network. Defaults match
-    /// `Network::builder()`: uniform 10 ms links, default ring, seed 0.
-    /// The node type is fixed by the closure given to
-    /// [`Self::build_with`].
-    pub fn new(nodes: usize) -> Self {
-        Self {
-            nodes,
-            seed: 0,
-            ring: RingConfig::default(),
-            topology: BaselineTopology::Uniform(SimTime::from_millis(10)),
-        }
-    }
-
-    /// Sets the master seed (topology, ring ids, simulator RNG).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Uniform one-way latency on every link.
-    pub fn latency(mut self, one_way: SimTime) -> Self {
-        self.topology = BaselineTopology::Uniform(one_way);
-        self
-    }
-
-    /// King-dataset-like latency with the given mean RTT.
-    pub fn king_like(mut self, mean_rtt: SimTime) -> Self {
-        self.topology = BaselineTopology::KingLike(mean_rtt);
-        self
-    }
-
-    /// Overrides the ring configuration.
-    pub fn ring(mut self, ring: RingConfig) -> Self {
-        self.ring = ring;
-        self
-    }
-
-    /// Builds the network, constructing one node per ring position with
-    /// `make` (which receives the node's stabilized Chord state).
-    ///
-    /// # Errors
-    /// [`HyperSubError::InvalidConfig`] when the network would be empty.
-    pub fn build_with<N, F>(self, make: F) -> Result<BaselineNet<N>>
-    where
-        N: BaselineNode,
-        F: FnMut(ChordState) -> N,
-    {
-        let mut make = make;
-        if self.nodes == 0 {
-            return Err(HyperSubError::InvalidConfig(
-                "network needs at least one node",
-            ));
-        }
-        // Identical derivations to `Network::build`: seed ^ 0x7090 for the
-        // topology, `seed` for the ring, seed ^ 0x51ed for the simulator.
-        let topo: Arc<dyn Topology> = match self.topology {
-            BaselineTopology::Uniform(l) => Arc::new(UniformTopology::new(self.nodes, l)),
-            BaselineTopology::KingLike(rtt) => Arc::new(KingLikeTopology::generate(
-                self.nodes,
-                rtt,
-                self.seed ^ 0x7090,
-            )),
-        };
-        let states = build_ring(&self.ring, topo.as_ref(), self.seed);
-        let nodes: Vec<N> = states.into_iter().map(&mut make).collect();
-        let sim = Sim::new(topo, nodes, BaselineWorld::default(), self.seed ^ 0x51ed);
-        Ok(BaselineNet {
-            sim,
-            next_event_id: 1,
-        })
-    }
-}
-
-/// A running baseline network: the counterpart of HyperSub's `Network`
-/// for [`BaselineNode`] systems. Gives the baselines the builder API,
-/// typed errors, and full [`Report`] emission they predated.
-pub struct BaselineNet<N: BaselineNode> {
-    sim: Sim<N, N::Msg, BaselineWorld>,
-    next_event_id: u64,
-}
-
-impl<N: BaselineNode> BaselineNet<N> {
-    /// Starts building an `nodes`-node baseline network; see
-    /// [`BaselineNetBuilder::new`].
-    pub fn builder(nodes: usize) -> BaselineNetBuilder {
-        BaselineNetBuilder::new(nodes)
-    }
-
-    fn check_node(&self, node: usize) -> Result<()> {
-        let nodes = self.sim.len();
-        if node >= nodes {
-            return Err(HyperSubError::NodeOutOfRange { node, nodes });
-        }
-        Ok(())
-    }
-
-    /// Installs a subscription from `node`. Run the network afterwards to
-    /// let registration traffic settle.
-    ///
-    /// # Errors
-    /// [`HyperSubError::NodeOutOfRange`] for a bad index.
-    pub fn subscribe(&mut self, node: usize, sub: Subscription) -> Result<SubId> {
-        self.check_node(node)?;
-        Ok(self.sim.with_node_ctx(node, |n, ctx| n.subscribe(ctx, sub)))
-    }
-
-    /// Schedules an event publication at absolute simulated time `at`,
-    /// returning the allocated event id.
-    ///
-    /// # Errors
-    /// [`HyperSubError::NodeOutOfRange`] for a bad index.
-    pub fn schedule_publish(&mut self, at: SimTime, node: usize, point: Point) -> Result<u64> {
-        self.check_node(node)?;
-        let id = self.next_event_id;
-        self.next_event_id += 1;
-        let idx = self.sim.world().script.len();
-        self.sim.world_mut().script.push(Some(Event { id, point }));
-        self.sim
-            .schedule_timer(at, node, TOKEN_PUBLISH_BASE + idx as u64);
-        Ok(id)
-    }
-
-    /// Runs until no messages or timers remain.
-    pub fn run_to_quiescence(&mut self) {
-        self.sim.run(u64::MAX / 2);
-    }
-
-    /// Current simulated time.
-    pub fn time(&self) -> SimTime {
-        self.sim.time()
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.sim.len()
-    }
-
-    /// True for an empty network (never constructible via the builder).
-    pub fn is_empty(&self) -> bool {
-        self.sim.is_empty()
-    }
-
-    /// Simulator events processed.
-    pub fn steps(&self) -> u64 {
-        self.sim.steps()
-    }
-
-    /// Network counters.
-    pub fn net(&self) -> &NetStats {
-        self.sim.net()
-    }
-
-    /// Node `i`'s protocol state.
-    ///
-    /// # Errors
-    /// [`HyperSubError::NodeOutOfRange`] for a bad index.
-    pub fn node(&self, i: usize) -> Result<&N> {
-        self.check_node(i)?;
-        Ok(self.sim.node(i))
-    }
-
-    /// The shared world (oracle, metrics, script).
-    pub fn world(&self) -> &BaselineWorld {
-        self.sim.world()
-    }
-
-    /// Per-node stored-entry loads.
-    pub fn node_loads(&self) -> Vec<u64> {
-        self.sim.nodes().iter().map(|n| n.load()).collect()
-    }
-
-    /// Raw delivery records, in delivery order.
-    pub fn deliveries(&self) -> &[DeliveryRecord] {
-        self.sim.world().metrics.deliveries()
-    }
-
-    /// Per-event aggregates (total subscription count from the oracle).
-    pub fn event_stats(&self) -> Vec<EventStats> {
-        let w = self.sim.world();
-        w.metrics.event_stats(w.oracle.len(), self.sim.net())
-    }
-
-    /// The run digest: delivery trace plus network counters — the same
-    /// FNV-1a fold `Network::run_digest` uses, so baseline runs are
-    /// golden-pinnable with the same machinery.
-    pub fn run_digest(&self) -> u64 {
-        run_digest(self.deliveries(), self.sim.net())
-    }
-
-    /// Ground-truth match set for `point`.
-    pub fn expected_matches(&self, point: &Point) -> Vec<SubId> {
-        self.sim.world().oracle.expected_matches(0, point)
-    }
-
-    /// Snapshots this run into a full [`Report`] — the same document
-    /// shape `Network::report()` emits, so `report diff` can compare a
-    /// baseline run against a HyperSub run. Counters carry the shared
-    /// `ProtoMetrics` registry plus one baseline-specific namespace,
-    /// `load.stored_entries` (total and hottest-node stored entries).
-    pub fn report(&self) -> Report {
-        let stats = self.event_stats();
-        let events = EventSummary::from_stats(&stats);
-        let net = NetSummary::from_net(self.sim.net());
-        let proto = &self.sim.world().metrics.proto;
-        let mut counters: Vec<(String, CounterSummary)> = proto
-            .counters()
-            .iter()
-            .map(|&(name, c)| {
-                (
-                    name.to_string(),
-                    CounterSummary {
-                        total: c.total(),
-                        max_node: c.max(),
-                    },
-                )
-            })
-            .collect();
-        let loads = self.node_loads();
-        counters.push((
-            "load.stored_entries".to_string(),
-            CounterSummary {
-                total: loads.iter().sum(),
-                max_node: loads.iter().copied().max().unwrap_or(0),
-            },
-        ));
-        let histograms = proto
-            .histograms()
-            .iter()
-            .map(|&(name, h)| {
-                (
-                    name.to_string(),
-                    HistSummary {
-                        count: h.count(),
-                        sum: h.sum(),
-                        max: h.max(),
-                        buckets: h.buckets().to_vec(),
-                    },
-                )
-            })
-            .collect();
-        Report {
-            nodes: self.sim.len() as u64,
-            time_us: self.sim.time().as_micros(),
-            steps: self.sim.steps(),
-            digest: self.run_digest(),
-            events,
-            net,
-            counters,
-            histograms,
-            trace: None,
-        }
-    }
-}
 
 /// Splits a SubID list by next hop: targets this node is responsible for
 /// are returned as `local`, the rest grouped per neighbor, deterministic
@@ -361,8 +37,19 @@ pub fn to_targets(matched: Vec<SubId>) -> Vec<SubTarget> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attr_ring::AttrRingNode;
+    use crate::gossip::GossipNode;
     use crate::rendezvous::RendezvousNode;
-    use hypersub_lph::Rect;
+    use crate::subgroup::SubgroupNode;
+    use hypersub_chord::builder::{build_ring, RingConfig};
+    use hypersub_core::error::HyperSubError;
+    use hypersub_core::model::{Registry, SchemeDef, Subscription};
+    use hypersub_core::node::HyperSubNode;
+    use hypersub_core::report::Report;
+    use hypersub_core::sim::{Network, NetworkBuilder, PubSubNode};
+    use hypersub_lph::{ContentSpace, Point, Rect};
+    use hypersub_simnet::{SimTime, UniformTopology};
+    use std::sync::Arc;
 
     #[test]
     fn split_routes_each_target_somewhere() {
@@ -380,36 +67,46 @@ mod tests {
         assert_eq!(local[0].nid, states[0].id);
     }
 
-    #[test]
-    fn builder_rejects_empty_network() {
-        let err = BaselineNetBuilder::new(0)
-            .build_with(|st| RendezvousNode::new(st, "bench"))
-            .err()
-            .expect("empty network must be rejected");
-        assert!(matches!(err, HyperSubError::InvalidConfig(_)));
+    fn registry() -> Registry {
+        Registry::new(vec![SchemeDef::builder("bench")
+            .attribute("x", 0.0, 100.0)
+            .attribute("y", 0.0, 100.0)
+            .build(0)])
     }
 
-    #[test]
-    fn driver_end_to_end_with_report() {
-        let mut net = BaselineNetBuilder::new(12)
+    fn builder(nodes: usize) -> NetworkBuilder {
+        Network::builder(nodes)
+            .registry(registry())
+            .king_like(SimTime::from_millis(180))
             .seed(5)
-            .build_with(|st| RendezvousNode::new(st, "bench"))
-            .unwrap();
+    }
+
+    /// The driver contract, for whichever node type `make` builds: typed
+    /// errors, delivered == oracle, and a report that agrees with the run.
+    fn driver_contract<N: PubSubNode>(mut make: impl FnMut(ChordState) -> N) {
+        assert!(matches!(
+            builder(0).build_with(&mut make).err(),
+            Some(HyperSubError::InvalidConfig(_))
+        ));
+        let mut net = builder(12).build_with(&mut make).unwrap();
         for i in 0..12 {
             let lo = i as f64 * 8.0;
             let sub = Subscription::new(Rect::new(vec![lo, 0.0], vec![lo + 10.0, 100.0]));
-            net.subscribe(i, sub).unwrap();
+            net.subscribe(i, 0, sub);
         }
-        assert!(net
-            .subscribe(99, Subscription::new(Rect::new(vec![0.0], vec![1.0])))
-            .is_err());
         net.run_to_quiescence();
         let point = Point(vec![50.0, 50.0]);
-        let expected = net.expected_matches(&point).len();
+        let expected = net.expected_matches(0, &point).len();
         assert!(expected >= 1);
         let at = net.time() + SimTime::from_secs(1);
-        let id = net.schedule_publish(at, 3, point).unwrap();
-        assert_eq!(id, 1);
+        assert_eq!(
+            net.schedule_publish(at, 12, 0, point.clone()).err(),
+            Some(HyperSubError::NodeOutOfRange {
+                node: 12,
+                nodes: 12
+            })
+        );
+        assert_eq!(net.schedule_publish(at, 3, 0, point).unwrap(), 1);
         net.run_to_quiescence();
         let report = net.report();
         assert_eq!(report.nodes, 12);
@@ -417,12 +114,42 @@ mod tests {
         assert_eq!(report.events.delivered, expected as u64);
         assert_eq!(report.events.duplicates, 0);
         assert_eq!(report.digest, net.run_digest());
-        assert_eq!(
-            report.counter_total("load.stored_entries"),
-            net.node_loads().iter().sum::<u64>()
-        );
-        // The report round-trips through its JSON form.
-        let parsed = Report::from_json(&report.to_json()).unwrap();
-        assert_eq!(parsed, report);
+        // Every node-specific counter is the sum of the nodes' shares.
+        for (slot, (name, _)) in net.nodes()[0].report_counters().iter().enumerate() {
+            let total: u64 = net
+                .nodes()
+                .iter()
+                .map(|n| n.report_counters()[slot].1)
+                .sum();
+            assert_eq!(report.counter_total(name), total, "{name}");
+        }
+        assert_eq!(Report::from_json(&report.to_json()).unwrap(), report);
+    }
+
+    #[test]
+    fn driver_contract_holds_for_all_five_node_types() {
+        let space = ContentSpace::uniform(2, 0.0, 100.0);
+        let (registry, cfg) = (Arc::new(registry()), Arc::new(Default::default()));
+        driver_contract(|st| HyperSubNode::new(st, Arc::clone(&registry), Arc::clone(&cfg)));
+        driver_contract(|st| RendezvousNode::new(st, "bench"));
+        driver_contract(|st| AttrRingNode::new(st, "bench", space.clone()));
+        driver_contract(|st| SubgroupNode::new(st, "bench", space.clone()));
+        driver_contract(GossipNode::new);
+    }
+
+    #[test]
+    fn hypersub_and_a_rival_share_the_substrate() {
+        let hyper = builder(24).build().unwrap();
+        let rival = builder(24).build_with(GossipNode::new).unwrap();
+        for i in 0..24 {
+            assert_eq!(hyper.nodes()[i].chord().id, rival.nodes()[i].chord.id);
+            for j in [0, 7, 23] {
+                assert_eq!(
+                    hyper.topology().latency(i, j),
+                    rival.topology().latency(i, j),
+                    "link {i}->{j}"
+                );
+            }
+        }
     }
 }

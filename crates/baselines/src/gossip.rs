@@ -12,14 +12,14 @@
 //! design in the shoot-out must beat on bandwidth while matching on
 //! delivery.
 
-use crate::common::{BaselineNode, BaselineWorld};
 use hypersub_chord::{clockwise_distance, ChordState, Peer};
-use hypersub_core::model::{Event, SubId, Subscription};
+use hypersub_core::model::{Event, SchemeId, SubId, Subscription};
 use hypersub_core::msg::{EVENT_BYTES, HEADER_BYTES};
+use hypersub_core::node::TOKEN_PUBLISH_BASE;
+use hypersub_core::sim::PubSubNode;
+use hypersub_core::world::HyperWorld;
 use hypersub_simnet::{Node, NodeRuntime, Payload};
 use std::collections::HashMap;
-
-pub use crate::common::TOKEN_PUBLISH_BASE;
 
 /// Gossip-system messages.
 #[derive(Debug, Clone)]
@@ -68,25 +68,8 @@ impl GossipNode {
         }
     }
 
-    /// Installs a subscription: purely local, no messages.
-    pub fn subscribe<R: NodeRuntime<GossipMsg, BaselineWorld>>(
-        &mut self,
-        ctx: &mut R,
-        sub: Subscription,
-    ) -> SubId {
-        let iid = self.next_iid;
-        self.next_iid += 1;
-        self.local.insert(iid, sub.clone());
-        let subid = SubId {
-            nid: self.chord.id,
-            iid,
-        };
-        ctx.world().oracle.add(0, subid, sub);
-        subid
-    }
-
     /// Publishes an event: flood it over the whole ring.
-    pub fn publish<R: NodeRuntime<GossipMsg, BaselineWorld>>(&mut self, ctx: &mut R, event: Event) {
+    pub fn publish<R: NodeRuntime<GossipMsg, HyperWorld>>(&mut self, ctx: &mut R, event: Event) {
         let (me, now) = (ctx.me(), ctx.now());
         let expected = ctx.world().oracle.expected_matches(0, &event.point).len();
         ctx.world()
@@ -100,7 +83,7 @@ impl GossipNode {
 
     /// Delivers locally and covers the arc `(self, limit]` by delegating
     /// disjoint sub-arcs to routing-table neighbors (Chord broadcast).
-    fn flood<R: NodeRuntime<GossipMsg, BaselineWorld>>(
+    fn flood<R: NodeRuntime<GossipMsg, HyperWorld>>(
         &mut self,
         ctx: &mut R,
         event: Event,
@@ -160,15 +143,10 @@ impl GossipNode {
             );
         }
     }
-
-    /// Stored-entry count: local subscriptions only (flat by design).
-    pub fn load(&self) -> u64 {
-        self.local.len() as u64
-    }
 }
 
-impl Node<GossipMsg, BaselineWorld> for GossipNode {
-    fn on_message<R: NodeRuntime<GossipMsg, BaselineWorld>>(
+impl Node<GossipMsg, HyperWorld> for GossipNode {
+    fn on_message<R: NodeRuntime<GossipMsg, HyperWorld>>(
         &mut self,
         ctx: &mut R,
         _from: usize,
@@ -178,42 +156,53 @@ impl Node<GossipMsg, BaselineWorld> for GossipNode {
         self.flood(ctx, event, hops, limit);
     }
 
-    fn on_timer<R: NodeRuntime<GossipMsg, BaselineWorld>>(&mut self, ctx: &mut R, token: u64) {
+    fn on_timer<R: NodeRuntime<GossipMsg, HyperWorld>>(&mut self, ctx: &mut R, token: u64) {
         if token >= TOKEN_PUBLISH_BASE {
             let idx = (token - TOKEN_PUBLISH_BASE) as usize;
-            let ev = ctx.world().script[idx]
-                .take()
-                .expect("scripted event fired twice");
+            let (_scheme, ev) = ctx.world().take_scripted(idx);
             self.publish(ctx, ev);
         }
     }
 }
 
-impl BaselineNode for GossipNode {
+impl PubSubNode for GossipNode {
     type Msg = GossipMsg;
 
-    fn subscribe<R: NodeRuntime<GossipMsg, BaselineWorld>>(
+    /// Installs a subscription: purely local, no messages.
+    ///
+    /// The baselines serve one scheme, so `_scheme` goes unused.
+    fn subscribe<R: NodeRuntime<GossipMsg, HyperWorld>>(
         &mut self,
         ctx: &mut R,
+        _scheme: SchemeId,
         sub: Subscription,
     ) -> SubId {
-        GossipNode::subscribe(self, ctx, sub)
+        let iid = self.next_iid;
+        self.next_iid += 1;
+        self.local.insert(iid, sub.clone());
+        let subid = SubId {
+            nid: self.chord.id,
+            iid,
+        };
+        ctx.world().oracle.add(0, subid, sub);
+        subid
     }
 
+    /// Stored-entry count: local subscriptions only (flat by design).
     fn load(&self) -> u64 {
-        GossipNode::load(self)
+        self.local.len() as u64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::{BaselineNet, BaselineNetBuilder};
+    use hypersub_core::sim::{Net, Network};
     use hypersub_lph::{Point, Rect};
     use hypersub_simnet::SimTime;
 
-    fn make_net(n: usize) -> BaselineNet<GossipNode> {
-        BaselineNetBuilder::new(n)
+    fn make_net(n: usize) -> Net<GossipNode> {
+        Network::builder(n)
             .seed(5)
             .build_with(GossipNode::new)
             .unwrap()
@@ -224,7 +213,7 @@ mod tests {
         let mut net = make_net(16);
         for i in 0..16 {
             let sub = Subscription::new(Rect::new(vec![0.0, 0.0], vec![100.0, 100.0]));
-            net.subscribe(i, sub).unwrap();
+            net.subscribe(i, 0, sub);
         }
         net.run_to_quiescence();
         assert_eq!(net.net().total_msgs(), 0);
@@ -238,11 +227,11 @@ mod tests {
         // broadcast tree covers the ring without duplicates.
         for i in 0..32 {
             let sub = Subscription::new(Rect::new(vec![0.0, 0.0], vec![100.0, 100.0]));
-            net.subscribe(i, sub).unwrap();
+            net.subscribe(i, 0, sub);
         }
         net.run_to_quiescence();
         let at = net.time() + SimTime::from_secs(1);
-        net.schedule_publish(at, 5, Point(vec![50.0, 50.0]))
+        net.schedule_publish(at, 5, 0, Point(vec![50.0, 50.0]))
             .unwrap();
         net.run_to_quiescence();
         let stats = net.event_stats();
@@ -259,7 +248,7 @@ mod tests {
         for i in 0..12 {
             let lo = i as f64 * 8.0;
             let sub = Subscription::new(Rect::new(vec![lo, 0.0], vec![lo + 10.0, 100.0]));
-            net.subscribe(i, sub).unwrap();
+            net.subscribe(i, 0, sub);
         }
         net.run_to_quiescence();
         let mut t = net.time();
@@ -269,7 +258,7 @@ mod tests {
             (1, Point(vec![95.0, 20.0])),
         ] {
             t += SimTime::from_secs(1);
-            net.schedule_publish(t, node, point).unwrap();
+            net.schedule_publish(t, node, 0, point).unwrap();
         }
         net.run_to_quiescence();
         for s in net.event_stats() {

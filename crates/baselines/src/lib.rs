@@ -12,7 +12,7 @@
 //!   splitting as HyperSub. The paper's criticism: "it used a small set
 //!   of peers for storing subscriptions and matching events, which may
 //!   cause a serious scalability concern" — visible as extreme load
-//!   concentration in the `baseline_compare` bench.
+//!   concentration in the shoot-out's load columns.
 //! * [`attr_ring`] — a **Triantafillou/Aekaterinidis-style attribute
 //!   range** system (DEBS'04): each attribute's domain is mapped onto the
 //!   ring and a subscription is replicated onto every node whose arc
@@ -32,10 +32,11 @@
 //!   locally. Zero installation cost, O(n) bandwidth per event — the
 //!   baseline every structured design must beat.
 //!
-//! All four reuse the Chord substrate ([`hypersub_chord`]) and the metric
-//! sinks from [`hypersub_core`], and implement
-//! [`common::BaselineNode`] so [`common::BaselineNet`] can drive any of
-//! them with the builder / typed-error / `Report` API.
+//! All four reuse the Chord substrate ([`hypersub_chord`]) and the world
+//! (oracle, metric sinks, publish script) from [`hypersub_core`], and
+//! implement [`hypersub_core::sim::PubSubNode`], so the same
+//! [`hypersub_core::sim::Net`] driver that runs HyperSub runs them:
+//! `Network::builder(n).seed(s).build_with(GossipNode::new)`.
 
 pub mod attr_ring;
 pub mod common;

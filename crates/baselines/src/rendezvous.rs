@@ -7,16 +7,17 @@
 //! which HyperSub adopted). All matching/storage load concentrates on one
 //! node, which is exactly the scalability concern §2 raises about Ferry.
 
-use crate::common::{split_targets, to_targets, BaselineNode, BaselineWorld};
+use crate::common::{split_targets, to_targets};
 use hypersub_chord::routing::{next_hop, NextHop};
 use hypersub_chord::ChordState;
-use hypersub_core::model::{Event, SubId, SubTarget, Subscription};
+use hypersub_core::model::{Event, SchemeId, SubId, SubTarget, Subscription};
 use hypersub_core::msg::{EVENT_BYTES, HEADER_BYTES, SUBID_BYTES};
+use hypersub_core::node::TOKEN_PUBLISH_BASE;
+use hypersub_core::sim::PubSubNode;
+use hypersub_core::world::HyperWorld;
 use hypersub_lph::rotation_offset;
 use hypersub_simnet::{Node, NodeRuntime, Payload};
 use std::collections::HashMap;
-
-pub use crate::common::TOKEN_PUBLISH_BASE;
 
 /// Rendezvous-system messages.
 #[derive(Debug, Clone)]
@@ -95,25 +96,7 @@ impl RendezvousNode {
         }
     }
 
-    /// Installs a subscription from this node.
-    pub fn subscribe<R: NodeRuntime<RdvMsg, BaselineWorld>>(
-        &mut self,
-        ctx: &mut R,
-        sub: Subscription,
-    ) -> SubId {
-        let iid = self.next_iid;
-        self.next_iid += 1;
-        self.local.insert(iid, sub.clone());
-        let subid = SubId {
-            nid: self.chord.id,
-            iid,
-        };
-        ctx.world().oracle.add(0, subid, sub.clone());
-        self.route_register(ctx, subid, sub);
-        subid
-    }
-
-    fn route_register<R: NodeRuntime<RdvMsg, BaselineWorld>>(
+    fn route_register<R: NodeRuntime<RdvMsg, HyperWorld>>(
         &mut self,
         ctx: &mut R,
         subid: SubId,
@@ -139,7 +122,7 @@ impl RendezvousNode {
     }
 
     /// Publishes an event from this node.
-    pub fn publish<R: NodeRuntime<RdvMsg, BaselineWorld>>(&mut self, ctx: &mut R, event: Event) {
+    pub fn publish<R: NodeRuntime<RdvMsg, HyperWorld>>(&mut self, ctx: &mut R, event: Event) {
         let (me, now) = (ctx.me(), ctx.now());
         let expected = ctx.world().oracle.expected_matches(0, &event.point).len();
         ctx.world()
@@ -148,7 +131,7 @@ impl RendezvousNode {
         self.route_publish(ctx, event, 0);
     }
 
-    fn route_publish<R: NodeRuntime<RdvMsg, BaselineWorld>>(
+    fn route_publish<R: NodeRuntime<RdvMsg, HyperWorld>>(
         &mut self,
         ctx: &mut R,
         event: Event,
@@ -171,7 +154,7 @@ impl RendezvousNode {
         }
     }
 
-    fn match_and_deliver<R: NodeRuntime<RdvMsg, BaselineWorld>>(
+    fn match_and_deliver<R: NodeRuntime<RdvMsg, HyperWorld>>(
         &mut self,
         ctx: &mut R,
         event: Event,
@@ -187,7 +170,7 @@ impl RendezvousNode {
         self.deliver(ctx, event, hops, to_targets(matched));
     }
 
-    fn deliver<R: NodeRuntime<RdvMsg, BaselineWorld>>(
+    fn deliver<R: NodeRuntime<RdvMsg, HyperWorld>>(
         &mut self,
         ctx: &mut R,
         event: Event,
@@ -219,15 +202,10 @@ impl RendezvousNode {
             );
         }
     }
-
-    /// Stored-subscription count (load metric).
-    pub fn load(&self) -> u64 {
-        self.store.len() as u64
-    }
 }
 
-impl Node<RdvMsg, BaselineWorld> for RendezvousNode {
-    fn on_message<R: NodeRuntime<RdvMsg, BaselineWorld>>(
+impl Node<RdvMsg, HyperWorld> for RendezvousNode {
+    fn on_message<R: NodeRuntime<RdvMsg, HyperWorld>>(
         &mut self,
         ctx: &mut R,
         _from: usize,
@@ -244,30 +222,42 @@ impl Node<RdvMsg, BaselineWorld> for RendezvousNode {
         }
     }
 
-    fn on_timer<R: NodeRuntime<RdvMsg, BaselineWorld>>(&mut self, ctx: &mut R, token: u64) {
+    fn on_timer<R: NodeRuntime<RdvMsg, HyperWorld>>(&mut self, ctx: &mut R, token: u64) {
         if token >= TOKEN_PUBLISH_BASE {
             let idx = (token - TOKEN_PUBLISH_BASE) as usize;
-            let ev = ctx.world().script[idx]
-                .take()
-                .expect("scripted event fired twice");
+            let (_scheme, ev) = ctx.world().take_scripted(idx);
             self.publish(ctx, ev);
         }
     }
 }
 
-impl BaselineNode for RendezvousNode {
+impl PubSubNode for RendezvousNode {
     type Msg = RdvMsg;
 
-    fn subscribe<R: NodeRuntime<RdvMsg, BaselineWorld>>(
+    /// Installs a subscription from this node.
+    ///
+    /// The baselines serve one scheme, so `_scheme` goes unused.
+    fn subscribe<R: NodeRuntime<RdvMsg, HyperWorld>>(
         &mut self,
         ctx: &mut R,
+        _scheme: SchemeId,
         sub: Subscription,
     ) -> SubId {
-        RendezvousNode::subscribe(self, ctx, sub)
+        let iid = self.next_iid;
+        self.next_iid += 1;
+        self.local.insert(iid, sub.clone());
+        let subid = SubId {
+            nid: self.chord.id,
+            iid,
+        };
+        ctx.world().oracle.add(0, subid, sub.clone());
+        self.route_register(ctx, subid, sub);
+        subid
     }
 
+    /// Stored-subscription count (load metric).
     fn load(&self) -> u64 {
-        RendezvousNode::load(self)
+        self.store.len() as u64
     }
 }
 
@@ -279,14 +269,14 @@ mod tests {
     use hypersub_simnet::{Sim, SimTime, UniformTopology};
     use std::sync::Arc;
 
-    fn make_sim(n: usize) -> Sim<RendezvousNode, RdvMsg, BaselineWorld> {
+    fn make_sim(n: usize) -> Sim<RendezvousNode, RdvMsg, HyperWorld> {
         let topo = Arc::new(UniformTopology::new(n, SimTime::from_millis(10)));
         let states = build_ring(&RingConfig::default(), topo.as_ref(), 5);
         let nodes: Vec<RendezvousNode> = states
             .into_iter()
             .map(|st| RendezvousNode::new(st, "bench"))
             .collect();
-        Sim::new(topo, nodes, BaselineWorld::default(), 1)
+        Sim::new(topo, nodes, HyperWorld::default(), 1)
     }
 
     #[test]
@@ -295,7 +285,7 @@ mod tests {
         for i in 0..12 {
             let lo = i as f64 * 8.0;
             let sub = Subscription::new(Rect::new(vec![lo, 0.0], vec![lo + 10.0, 100.0]));
-            sim.with_node_ctx(i, |n, ctx| n.subscribe(ctx, sub));
+            sim.with_node_ctx(i, |n, ctx| n.subscribe(ctx, 0, sub));
         }
         sim.run(1_000_000);
         let point = Point(vec![50.0, 50.0]);
@@ -321,7 +311,7 @@ mod tests {
         let mut sim = make_sim(16);
         for i in 0..16 {
             let sub = Subscription::new(Rect::new(vec![0.0, 0.0], vec![1.0, 1.0]));
-            sim.with_node_ctx(i, |n, ctx| n.subscribe(ctx, sub));
+            sim.with_node_ctx(i, |n, ctx| n.subscribe(ctx, 0, sub));
         }
         sim.run(1_000_000);
         let loads: Vec<u64> = (0..16).map(|i| sim.node(i).load()).collect();

@@ -19,16 +19,17 @@
 //! dominant attribute and each attribute is probed in exactly one bucket,
 //! so at most one shard can match it.
 
-use crate::common::{split_targets, to_targets, BaselineNode, BaselineWorld};
+use crate::common::{split_targets, to_targets};
 use hypersub_chord::routing::{next_hop, NextHop};
 use hypersub_chord::ChordState;
-use hypersub_core::model::{Event, SubId, SubTarget, Subscription};
+use hypersub_core::model::{Event, SchemeId, SubId, SubTarget, Subscription};
 use hypersub_core::msg::{EVENT_BYTES, HEADER_BYTES, SUBID_BYTES};
+use hypersub_core::node::TOKEN_PUBLISH_BASE;
+use hypersub_core::sim::PubSubNode;
+use hypersub_core::world::HyperWorld;
 use hypersub_lph::{rotation_offset, ContentSpace};
 use hypersub_simnet::{Node, NodeRuntime, Payload};
 use std::collections::HashMap;
-
-pub use crate::common::TOKEN_PUBLISH_BASE;
 
 /// Fixed subgroup (bucket) count per attribute. Bounds installation cost:
 /// a subscription registers with at most this many subgroup homes.
@@ -154,32 +155,7 @@ impl SubgroupNode {
         best
     }
 
-    /// Installs a subscription from this node: one registration per
-    /// subgroup its dominant attribute range intersects.
-    pub fn subscribe<R: NodeRuntime<SgMsg, BaselineWorld>>(
-        &mut self,
-        ctx: &mut R,
-        sub: Subscription,
-    ) -> SubId {
-        let iid = self.next_iid;
-        self.next_iid += 1;
-        self.local.insert(iid, sub.clone());
-        let subid = SubId {
-            nid: self.chord.id,
-            iid,
-        };
-        ctx.world().oracle.add(0, subid, sub.clone());
-        let attr = self.choose_attr(&sub);
-        let lo = self.bucket(attr, sub.rect.lo[attr]);
-        let hi = self.bucket(attr, sub.rect.hi[attr]);
-        for bucket in lo..=hi {
-            let key = self.keys[attr][bucket as usize];
-            self.route_register(ctx, key, attr as u8, bucket, subid, sub.clone());
-        }
-        subid
-    }
-
-    fn route_register<R: NodeRuntime<SgMsg, BaselineWorld>>(
+    fn route_register<R: NodeRuntime<SgMsg, HyperWorld>>(
         &mut self,
         ctx: &mut R,
         key: u64,
@@ -217,7 +193,7 @@ impl SubgroupNode {
 
     /// Publishes an event: one probe per attribute, to the single
     /// subgroup whose bucket contains the event's value.
-    pub fn publish<R: NodeRuntime<SgMsg, BaselineWorld>>(&mut self, ctx: &mut R, event: Event) {
+    pub fn publish<R: NodeRuntime<SgMsg, HyperWorld>>(&mut self, ctx: &mut R, event: Event) {
         let (me, now) = (ctx.me(), ctx.now());
         let expected = ctx.world().oracle.expected_matches(0, &event.point).len();
         ctx.world()
@@ -230,7 +206,7 @@ impl SubgroupNode {
         }
     }
 
-    fn route_publish<R: NodeRuntime<SgMsg, BaselineWorld>>(
+    fn route_publish<R: NodeRuntime<SgMsg, HyperWorld>>(
         &mut self,
         ctx: &mut R,
         key: u64,
@@ -258,7 +234,7 @@ impl SubgroupNode {
         }
     }
 
-    fn match_and_deliver<R: NodeRuntime<SgMsg, BaselineWorld>>(
+    fn match_and_deliver<R: NodeRuntime<SgMsg, HyperWorld>>(
         &mut self,
         ctx: &mut R,
         attr: u8,
@@ -278,7 +254,7 @@ impl SubgroupNode {
         self.deliver(ctx, event, hops, to_targets(matched));
     }
 
-    fn deliver<R: NodeRuntime<SgMsg, BaselineWorld>>(
+    fn deliver<R: NodeRuntime<SgMsg, HyperWorld>>(
         &mut self,
         ctx: &mut R,
         event: Event,
@@ -310,15 +286,10 @@ impl SubgroupNode {
             );
         }
     }
-
-    /// Stored subgroup-member count (load metric).
-    pub fn load(&self) -> u64 {
-        self.store.values().map(|m| m.len() as u64).sum()
-    }
 }
 
-impl Node<SgMsg, BaselineWorld> for SubgroupNode {
-    fn on_message<R: NodeRuntime<SgMsg, BaselineWorld>>(
+impl Node<SgMsg, HyperWorld> for SubgroupNode {
+    fn on_message<R: NodeRuntime<SgMsg, HyperWorld>>(
         &mut self,
         ctx: &mut R,
         _from: usize,
@@ -347,43 +318,62 @@ impl Node<SgMsg, BaselineWorld> for SubgroupNode {
         }
     }
 
-    fn on_timer<R: NodeRuntime<SgMsg, BaselineWorld>>(&mut self, ctx: &mut R, token: u64) {
+    fn on_timer<R: NodeRuntime<SgMsg, HyperWorld>>(&mut self, ctx: &mut R, token: u64) {
         if token >= TOKEN_PUBLISH_BASE {
             let idx = (token - TOKEN_PUBLISH_BASE) as usize;
-            let ev = ctx.world().script[idx]
-                .take()
-                .expect("scripted event fired twice");
+            let (_scheme, ev) = ctx.world().take_scripted(idx);
             self.publish(ctx, ev);
         }
     }
 }
 
-impl BaselineNode for SubgroupNode {
+impl PubSubNode for SubgroupNode {
     type Msg = SgMsg;
 
-    fn subscribe<R: NodeRuntime<SgMsg, BaselineWorld>>(
+    /// Installs a subscription from this node: one registration per
+    /// subgroup its dominant attribute range intersects.
+    ///
+    /// The baselines serve one scheme, so `_scheme` goes unused.
+    fn subscribe<R: NodeRuntime<SgMsg, HyperWorld>>(
         &mut self,
         ctx: &mut R,
+        _scheme: SchemeId,
         sub: Subscription,
     ) -> SubId {
-        SubgroupNode::subscribe(self, ctx, sub)
+        let iid = self.next_iid;
+        self.next_iid += 1;
+        self.local.insert(iid, sub.clone());
+        let subid = SubId {
+            nid: self.chord.id,
+            iid,
+        };
+        ctx.world().oracle.add(0, subid, sub.clone());
+        let attr = self.choose_attr(&sub);
+        let lo = self.bucket(attr, sub.rect.lo[attr]);
+        let hi = self.bucket(attr, sub.rect.hi[attr]);
+        for bucket in lo..=hi {
+            let key = self.keys[attr][bucket as usize];
+            self.route_register(ctx, key, attr as u8, bucket, subid, sub.clone());
+        }
+        subid
     }
 
+    /// Stored subgroup-member count (load metric).
     fn load(&self) -> u64 {
-        SubgroupNode::load(self)
+        self.store.values().map(|m| m.len() as u64).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::{BaselineNet, BaselineNetBuilder};
+    use hypersub_core::sim::{Net, Network};
     use hypersub_lph::{Point, Rect};
     use hypersub_simnet::SimTime;
 
-    fn make_net(n: usize) -> BaselineNet<SubgroupNode> {
+    fn make_net(n: usize) -> Net<SubgroupNode> {
         let space = ContentSpace::uniform(2, 0.0, 100.0);
-        BaselineNetBuilder::new(n)
+        Network::builder(n)
             .seed(5)
             .build_with(|st| SubgroupNode::new(st, "bench", space.clone()))
             .unwrap()
@@ -409,7 +399,7 @@ mod tests {
         for i in 0..12 {
             let lo = i as f64 * 8.0;
             let sub = Subscription::new(Rect::new(vec![lo, 0.0], vec![lo + 10.0, 100.0]));
-            net.subscribe(i, sub).unwrap();
+            net.subscribe(i, 0, sub);
         }
         net.run_to_quiescence();
         let mut t = net.time();
@@ -419,7 +409,7 @@ mod tests {
             (1, Point(vec![95.0, 20.0])),
         ] {
             t += SimTime::from_secs(1);
-            net.schedule_publish(t, node, point).unwrap();
+            net.schedule_publish(t, node, 0, point).unwrap();
         }
         net.run_to_quiescence();
         for s in net.event_stats() {
@@ -435,7 +425,7 @@ mod tests {
         // at SUBGROUPS_PER_ATTR homes.
         let mut net = make_net(64);
         let sub = Subscription::new(Rect::new(vec![0.0, 0.0], vec![100.0, 100.0]));
-        net.subscribe(0, sub).unwrap();
+        net.subscribe(0, 0, sub);
         net.run_to_quiescence();
         let holders = net.node_loads().iter().filter(|&&l| l > 0).count();
         assert!(holders >= 1);

@@ -13,7 +13,10 @@
 //! | `ablation_base`    | zone base β sweep                                |
 //! | `ablation_rotation`| zone-mapping rotation on/off, multi-scheme       |
 //! | `ablation_subscheme`| §3.5 sub-scheme decomposition on/off            |
-//! | `baseline_compare` | HyperSub vs Ferry-style vs attribute-ring        |
+//!
+//! The comparison against rival systems is the `shootout` binary of
+//! `hypersub-shootout` (`--system hypersub --system rendezvous --system
+//! attr_ring` for the paper's §2 pair).
 //!
 //! All binaries accept `--quick` (scaled-down run for smoke testing) and
 //! print diffable ASCII tables via `hypersub-stats`.

@@ -72,6 +72,7 @@
 //! changes run behavior — the golden digests prove it.
 //!
 //! [`NetworkBuilder::flight_recorder`]: sim::NetworkBuilder::flight_recorder
+//! [`Network::report`]: sim::Net::report
 
 pub mod config;
 pub mod delivery;
@@ -136,7 +137,7 @@ pub mod prelude {
     pub use crate::model::{Event, Registry, SchemeDef, SchemeId, SubId, Subscription};
     pub use crate::node::HyperSubNode;
     pub use crate::report::Report;
-    pub use crate::sim::{Network, NetworkBuilder, SnapshotConfig, TopologyKind};
+    pub use crate::sim::{Net, Network, NetworkBuilder, PubSubNode, SnapshotConfig, TopologyKind};
     pub use hypersub_lph::{ContentSpace, Point, Rect, ZoneParams};
     pub use hypersub_simnet::{FaultPlane, FlightRecorder, LinkPolicy, SimTime};
     // The runtime abstraction: protocol entry points (`subscribe`,

@@ -4,6 +4,7 @@ use crate::config::SystemConfig;
 use crate::model::{Registry, SchemeId, SubId, Subscription};
 use crate::msg::HyperMsg;
 use crate::repo::{HostedRepo, RepoKey, ZoneRepo};
+use crate::sim::PubSubNode;
 use crate::world::HyperWorld;
 use hypersub_chord::proto::MaintState;
 use hypersub_chord::ChordState;
@@ -94,7 +95,8 @@ pub const TOKEN_FIX_FINGERS: u64 = 3;
 /// Timer token: soft-state lease tick (self-healing only; see `heal.rs`).
 pub const TOKEN_LEASE: u64 = 4;
 /// Timer tokens in `[PUBLISH_BASE, RETRY_BASE)` publish scripted event
-/// `token - PUBLISH_BASE`.
+/// `token - PUBLISH_BASE` — for every node type the driver runs, not only
+/// this one (see [`crate::sim::Net::schedule_publish`]).
 pub const TOKEN_PUBLISH_BASE: u64 = 1 << 32;
 /// Timer tokens at or above this fire the retransmit check for reliable
 /// send `token - RETRY_BASE` (see `retry.rs`).
@@ -324,6 +326,45 @@ impl Node<HyperMsg, HyperWorld> for HyperSubNode {
             }
             _ => {}
         }
+    }
+}
+
+impl PubSubNode for HyperSubNode {
+    type Msg = HyperMsg;
+
+    fn subscribe<R: NodeRuntime<HyperMsg, HyperWorld>>(
+        &mut self,
+        ctx: &mut R,
+        scheme: SchemeId,
+        sub: Subscription,
+    ) -> SubId {
+        HyperSubNode::subscribe(self, ctx, scheme, sub)
+    }
+
+    fn load(&self) -> u64 {
+        HyperSubNode::load(self)
+    }
+
+    /// Matching-index occupancy over this node's zone repositories. The
+    /// ratio registrations/entries is the *duplication factor* the
+    /// hotpath bench prints; exporting both sides lets `report diff`
+    /// guard its drift between pinned runs (and cap it in CI). `bytes` is
+    /// resident index memory, `covering_collapsed` the entries absorbed
+    /// under a coverer, `candidates_scanned` the cumulative verification
+    /// probes indexed queries performed.
+    fn report_counters(&self) -> Vec<(&'static str, u64)> {
+        let d = self.index_diag();
+        vec![
+            ("index.entries", d.entries),
+            ("index.registrations", d.registrations),
+            ("index.bytes", d.bytes),
+            ("index.covering_collapsed", d.covering_collapsed),
+            ("index.candidates_scanned", d.candidates_scanned),
+        ]
+    }
+
+    fn has_periodic_timers(&self) -> bool {
+        self.cfg.lb.enabled || self.maintenance || self.cfg.heal.enabled
     }
 }
 

@@ -14,7 +14,7 @@
 //! numbers.
 
 use crate::metrics::EventStats;
-use crate::sim::Network;
+use crate::sim::{Net, PubSubNode};
 use hypersub_simnet::NetStats;
 
 /// Aggregate delivery outcome over all published events.
@@ -35,9 +35,7 @@ pub struct EventSummary {
 }
 
 impl EventSummary {
-    /// Aggregates per-event statistics into one summary. Shared by
-    /// [`Network::report`] and the non-HyperSub systems of the shoot-out
-    /// harness, so every system's report row is computed identically.
+    /// Aggregates per-event statistics into one summary.
     pub fn from_stats(stats: &[EventStats]) -> Self {
         Self {
             published: stats.len() as u64,
@@ -143,12 +141,13 @@ pub struct Report {
     pub trace: Option<TraceSummary>,
 }
 
-impl Network {
-    /// Snapshots this run into a [`Report`].
+impl<N: PubSubNode> Net<N> {
+    /// Snapshots this run into a [`Report`]: the shared `ProtoMetrics`
+    /// registry plus the node type's own counters
+    /// ([`PubSubNode::report_counters`]), so `report diff` can compare
+    /// any two systems' runs.
     pub fn report(&self) -> Report {
         let stats = self.event_stats();
-        let events = EventSummary::from_stats(&stats);
-        let net = NetSummary::from_net(self.net());
         let proto = &self.metrics().proto;
         let mut counters: Vec<(String, CounterSummary)> = proto
             .counters()
@@ -163,41 +162,16 @@ impl Network {
                 )
             })
             .collect();
-        // Matching-index occupancy, summed over every node's zone repos.
-        // The ratio registrations/entries is the *duplication factor* the
-        // hotpath bench prints; exporting both sides lets `report diff`
-        // guard its drift between pinned runs (and cap it in CI).
-        // `bytes` is resident index memory, `covering_collapsed` the
-        // entries absorbed under a coverer, `candidates_scanned` the
-        // cumulative verification probes indexed queries performed.
-        let mut per_node = Vec::with_capacity(5);
-        for _ in 0..5 {
-            per_node.push(CounterSummary::default());
-        }
+        let shared = counters.len();
         for n in self.nodes() {
-            let d = n.index_diag();
-            for (slot, v) in per_node.iter_mut().zip([
-                d.entries,
-                d.registrations,
-                d.bytes,
-                d.covering_collapsed,
-                d.candidates_scanned,
-            ]) {
-                slot.total += v;
-                slot.max_node = slot.max_node.max(v);
+            for (slot, (name, v)) in n.report_counters().into_iter().enumerate() {
+                if shared + slot == counters.len() {
+                    counters.push((name.to_string(), CounterSummary::default()));
+                }
+                let summary = &mut counters[shared + slot].1;
+                summary.total += v;
+                summary.max_node = summary.max_node.max(v);
             }
-        }
-        for (name, summary) in [
-            "index.entries",
-            "index.registrations",
-            "index.bytes",
-            "index.covering_collapsed",
-            "index.candidates_scanned",
-        ]
-        .into_iter()
-        .zip(per_node)
-        {
-            counters.push((name.to_string(), summary));
         }
         let histograms = proto
             .histograms()
@@ -229,8 +203,8 @@ impl Network {
             time_us: self.time().as_micros(),
             steps: self.steps(),
             digest: self.run_digest(),
-            events,
-            net,
+            events: EventSummary::from_stats(&stats),
+            net: NetSummary::from_net(self.net()),
             counters,
             histograms,
             trace,
@@ -238,7 +212,9 @@ impl Network {
     }
 }
 
-fn push_str(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a quoted JSON string — the one escaper every
+/// hand-rolled JSON writer in the workspace shares.
+pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -295,7 +271,7 @@ impl Report {
                 o.push_str(", ");
             }
             o.push_str("\n    ");
-            push_str(&mut o, name);
+            push_json_str(&mut o, name);
             o.push_str(&format!(
                 ": {{\"total\": {}, \"max_node\": {}}}",
                 c.total, c.max_node
@@ -308,7 +284,7 @@ impl Report {
                 o.push_str(", ");
             }
             o.push_str("\n    ");
-            push_str(&mut o, name);
+            push_json_str(&mut o, name);
             o.push_str(&format!(
                 ": {{\"count\": {}, \"sum\": {}, \"max\": {}, \"buckets\": [{}]}}",
                 h.count,
@@ -334,7 +310,7 @@ impl Report {
                     if i > 0 {
                         o.push_str(", ");
                     }
-                    push_str(&mut o, k);
+                    push_json_str(&mut o, k);
                     o.push_str(&format!(": {c}"));
                 }
                 o.push_str("}}\n");

@@ -1,5 +1,6 @@
-//! High-level driver: build a HyperSub network, install subscriptions,
-//! publish events, collect metrics.
+//! The simulation driver: build a network of any [`PubSubNode`] type on
+//! the shared substrate, install subscriptions, publish events, collect
+//! metrics. [`Network`] is the driver with HyperSub's node in it.
 
 use crate::config::SystemConfig;
 use crate::error::{HyperSubError, Result};
@@ -12,10 +13,11 @@ use crate::node::{
 };
 use crate::world::HyperWorld;
 use hypersub_chord::builder::{build_ring, RingConfig};
+use hypersub_chord::ChordState;
 use hypersub_lph::Point;
 use hypersub_simnet::{
-    FlightRecorder, KingLikeTopology, NetStats, Sim, SimSnapshot, SimTime, Topology,
-    UniformTopology,
+    FlightRecorder, KingLikeTopology, NetStats, Node, NodeRuntime, Payload, Sim, SimSnapshot,
+    SimTime, Topology, UniformTopology,
 };
 use hypersub_snapshot::{Decode, Encode, Reader, Writer};
 use std::sync::Arc;
@@ -142,9 +144,44 @@ impl Decode for TopoDescriptor {
     }
 }
 
-/// Fluent constructor for [`Network`], obtained from
-/// [`Network::builder`], so
-/// `Network::builder(n).build()?` is the minimal happy path:
+/// What the driver asks of a node type. A pub/sub system is one [`Node`]
+/// state machine plus these entry points, and [`Net`] runs any of them on
+/// the same substrate: HyperSub is [`HyperSubNode`], the rival systems
+/// live in `hypersub-baselines`.
+pub trait PubSubNode: Node<Self::Msg, HyperWorld> {
+    /// The system's message type.
+    type Msg: Payload;
+
+    /// Installs a subscription originating at this node and returns its
+    /// id. Implementations register it with the world's oracle.
+    fn subscribe<R: NodeRuntime<Self::Msg, HyperWorld>>(
+        &mut self,
+        ctx: &mut R,
+        scheme: SchemeId,
+        sub: Subscription,
+    ) -> SubId;
+
+    /// Entries stored on this node — the §5 load metric, in whatever the
+    /// system's storage unit is (subscriptions, replicas, group members).
+    fn load(&self) -> u64;
+
+    /// This node's share of the system-specific report counters.
+    /// [`Net::report`] sums each name over the nodes and keeps the hottest
+    /// node's value; every node must return the same names in the same
+    /// order.
+    fn report_counters(&self) -> Vec<(&'static str, u64)> {
+        vec![("load.stored_entries", self.load())]
+    }
+
+    /// Whether this node re-arms periodic timers forever, so that the
+    /// event queue never drains (see [`Net::run_to_quiescence`]).
+    fn has_periodic_timers(&self) -> bool {
+        false
+    }
+}
+
+/// Fluent constructor for a [`Net`], obtained from [`Network::builder`],
+/// so `Network::builder(n).build()?` is the minimal happy path:
 ///
 /// ```
 /// use hypersub_core::prelude::*;
@@ -227,27 +264,11 @@ impl NetworkBuilder {
         self
     }
 
-    /// Builds the stabilized network: topology, Chord ring (with PNS
-    /// fingers), one HyperSub node per slot. Load-balancing timers are
-    /// armed (staggered) when the config enables LB.
+    /// Builds the stabilized HyperSub network: the substrate of
+    /// [`Self::build_with`] with one [`HyperSubNode`] per slot.
+    /// Load-balancing and lease timers are armed (staggered) when the
+    /// config enables them.
     pub fn build(self) -> Result<Network> {
-        if self.nodes == 0 {
-            return Err(HyperSubError::InvalidConfig(
-                "network needs at least one node",
-            ));
-        }
-        if let TopologyKind::Custom(t) = &self.topology {
-            if t.len() != self.nodes {
-                return Err(HyperSubError::InvalidConfig(
-                    "custom topology size does not match node count",
-                ));
-            }
-        }
-        if self.recorder_capacity == Some(0) {
-            return Err(HyperSubError::InvalidConfig(
-                "flight recorder capacity must be positive",
-            ));
-        }
         if self.config.lb.enabled && self.config.lb.period == SimTime::ZERO {
             return Err(HyperSubError::InvalidConfig(
                 "load balancing requires a nonzero period",
@@ -263,67 +284,85 @@ impl NetworkBuilder {
                 "self-healing requires a nonzero lease period",
             ));
         }
+        let registry = Arc::new(self.registry.clone());
+        let cfg = Arc::new(self.config.clone());
+        let mut net =
+            self.build_with(|st| HyperSubNode::new(st, Arc::clone(&registry), Arc::clone(&cfg)))?;
+        // Stagger first ticks across the period so probe and
+        // re-push/replication bursts do not synchronize across nodes.
+        let mut arm = |period: SimTime, token: u64| {
+            let period_us = period.as_micros().max(1);
+            for i in 0..net.sim.len() {
+                let offset = SimTime::from_micros((i as u64).wrapping_mul(7919) % period_us);
+                net.sim.schedule_timer(period + offset, i, token);
+            }
+        };
+        if cfg.lb.enabled {
+            arm(cfg.lb.period, TOKEN_LB);
+        }
+        if cfg.heal.enabled {
+            arm(cfg.heal.lease_period, TOKEN_LEASE);
+        }
+        Ok(net)
+    }
+
+    /// Builds the substrate every system shares — the topology, the
+    /// stabilized Chord ring (with PNS fingers) and the simulator, each
+    /// seeded from the master seed here and nowhere else — and puts the
+    /// node `make` returns for each slot's Chord state on it. Two
+    /// networks built from equal builders therefore differ only in their
+    /// node type. The registry and system configuration are HyperSub's
+    /// and go unused.
+    ///
+    /// # Errors
+    /// [`HyperSubError::InvalidConfig`] for an empty network, a custom
+    /// topology of the wrong size or a zero-capacity recorder;
+    /// [`HyperSubError::Snapshot`] for snapshots over a custom topology.
+    pub fn build_with<N: PubSubNode>(self, make: impl FnMut(ChordState) -> N) -> Result<Net<N>> {
+        if self.nodes == 0 {
+            return Err(HyperSubError::InvalidConfig(
+                "network needs at least one node",
+            ));
+        }
+        if self.recorder_capacity == Some(0) {
+            return Err(HyperSubError::InvalidConfig(
+                "flight recorder capacity must be positive",
+            ));
+        }
+        let recipe = |d: TopoDescriptor| (d.build(), Some(d));
+        let (topo, desc) = match &self.topology {
+            TopologyKind::Uniform(latency) => recipe(TopoDescriptor::Uniform {
+                nodes: self.nodes,
+                latency: *latency,
+            }),
+            TopologyKind::KingLike(mean_rtt) => recipe(TopoDescriptor::KingLike {
+                nodes: self.nodes,
+                mean_rtt: *mean_rtt,
+                seed: self.seed ^ 0x7090,
+            }),
+            TopologyKind::Custom(t) if t.len() != self.nodes => {
+                return Err(HyperSubError::InvalidConfig(
+                    "custom topology size does not match node count",
+                ))
+            }
+            TopologyKind::Custom(t) => (Arc::clone(t), None),
+        };
         let topo_desc = if self.snapshot.enabled {
-            Some(match &self.topology {
-                TopologyKind::Uniform(t) => TopoDescriptor::Uniform {
-                    nodes: self.nodes,
-                    latency: *t,
-                },
-                TopologyKind::KingLike(rtt) => TopoDescriptor::KingLike {
-                    nodes: self.nodes,
-                    mean_rtt: *rtt,
-                    seed: self.seed ^ 0x7090,
-                },
-                TopologyKind::Custom(_) => {
-                    return Err(HyperSubError::Snapshot(
-                        hypersub_snapshot::Error::Unsupported(
-                            "snapshots cannot capture a custom topology",
-                        ),
-                    ))
-                }
-            })
+            Some(desc.ok_or(HyperSubError::Snapshot(
+                hypersub_snapshot::Error::Unsupported("snapshots cannot capture a custom topology"),
+            ))?)
         } else {
             None
         };
-        let topo: Arc<dyn Topology> = match &self.topology {
-            TopologyKind::Uniform(t) => Arc::new(UniformTopology::new(self.nodes, *t)),
-            TopologyKind::KingLike(rtt) => Arc::new(KingLikeTopology::generate(
-                self.nodes,
-                *rtt,
-                self.seed ^ 0x7090,
-            )),
-            TopologyKind::Custom(t) => Arc::clone(t),
-        };
-        let states = build_ring(&self.ring, topo.as_ref(), self.seed);
-        let registry = Arc::new(self.registry);
-        let cfg = Arc::new(self.config);
-        let nodes: Vec<HyperSubNode> = states
+        let nodes: Vec<N> = build_ring(&self.ring, topo.as_ref(), self.seed)
             .into_iter()
-            .map(|st| HyperSubNode::new(st, Arc::clone(&registry), Arc::clone(&cfg)))
+            .map(make)
             .collect();
         let mut sim = Sim::new(topo, nodes, HyperWorld::default(), self.seed ^ 0x51ed);
         if let Some(capacity) = self.recorder_capacity {
             sim.enable_recording(capacity);
         }
-        if cfg.lb.enabled {
-            // Stagger first ticks across the period so probe bursts do not
-            // synchronize.
-            let period_us = cfg.lb.period.as_micros().max(1);
-            for i in 0..self.nodes {
-                let offset = SimTime::from_micros((i as u64).wrapping_mul(7919) % period_us);
-                sim.schedule_timer(cfg.lb.period + offset, i, TOKEN_LB);
-            }
-        }
-        if cfg.heal.enabled {
-            // Same stagger trick for lease ticks: a jittered start keeps
-            // re-push/replication bursts from synchronizing across nodes.
-            let period_us = cfg.heal.lease_period.as_micros().max(1);
-            for i in 0..self.nodes {
-                let offset = SimTime::from_micros((i as u64).wrapping_mul(7919) % period_us);
-                sim.schedule_timer(cfg.heal.lease_period + offset, i, TOKEN_LEASE);
-            }
-        }
-        Ok(Network {
+        Ok(Net {
             sim,
             next_event_id: 1,
             scheduled_events: 0,
@@ -332,9 +371,11 @@ impl NetworkBuilder {
     }
 }
 
-/// A running HyperSub network.
-pub struct Network {
-    pub(crate) sim: Sim<HyperSubNode, HyperMsg, HyperWorld>,
+/// A running network of `N` nodes: the one simulation driver. HyperSub
+/// ([`Network`]) and every rival system run through this type, so they
+/// share the substrate, the publish script, the oracle and the report.
+pub struct Net<N: PubSubNode> {
+    pub(crate) sim: Sim<N, N::Msg, HyperWorld>,
     next_event_id: u64,
     scheduled_events: u64,
     /// Recipe for regenerating the topology at restore time; `Some` iff
@@ -342,7 +383,186 @@ pub struct Network {
     topo_desc: Option<TopoDescriptor>,
 }
 
-impl Network {
+/// A running HyperSub network.
+pub type Network = Net<HyperSubNode>;
+
+impl<N: PubSubNode> Net<N> {
+    /// Installs a subscription from `node` (for HyperSub, Algorithm 2
+    /// starts here). Run the network afterwards to let registration
+    /// traffic settle.
+    pub fn subscribe(&mut self, node: usize, scheme: SchemeId, sub: Subscription) -> SubId {
+        self.sim
+            .with_node_ctx(node, |n, ctx| n.subscribe(ctx, scheme, sub))
+    }
+
+    /// Schedules an event publication at absolute simulated time `at`.
+    ///
+    /// # Errors
+    /// [`HyperSubError::NodeOutOfRange`] for a bad index.
+    pub fn schedule_publish(
+        &mut self,
+        at: SimTime,
+        node: usize,
+        scheme: SchemeId,
+        point: Point,
+    ) -> Result<u64> {
+        self.check_node(node)?;
+        let id = self.alloc_event_id();
+        let idx = self.sim.world().script.len();
+        self.sim
+            .world_mut()
+            .script
+            .push(Some((scheme, Event { id, point })));
+        self.sim
+            .schedule_timer(at, node, TOKEN_PUBLISH_BASE + idx as u64);
+        self.scheduled_events += 1;
+        Ok(id)
+    }
+
+    fn check_node(&self, node: usize) -> Result<()> {
+        let nodes = self.sim.len();
+        if node >= nodes {
+            return Err(HyperSubError::NodeOutOfRange { node, nodes });
+        }
+        Ok(())
+    }
+
+    fn alloc_event_id(&mut self) -> u64 {
+        let id = self.next_event_id;
+        self.next_event_id += 1;
+        id
+    }
+
+    /// Installs a fault plane on the underlying simulator (loss,
+    /// duplication, delay, partitions — see `hypersub_simnet::FaultPlane`).
+    pub fn install_fault_plane(&mut self, plane: hypersub_simnet::FaultPlane) {
+        self.sim.install_fault_plane(plane);
+    }
+
+    /// Mutable access to the installed fault plane, if any.
+    pub fn fault_plane_mut(&mut self) -> Option<&mut hypersub_simnet::FaultPlane> {
+        self.sim.fault_plane_mut()
+    }
+
+    /// Runs until the event queue drains (messages and scripted timers
+    /// all processed).
+    ///
+    /// # Panics
+    /// Panics when load balancing, Chord maintenance, or self-healing is
+    /// enabled — their periodic timers re-arm forever, so the queue never
+    /// drains; drive such networks with [`Net::run_until`] instead.
+    pub fn run_to_quiescence(&mut self) {
+        assert!(
+            !self.sim.node(0).has_periodic_timers(),
+            "run_to_quiescence would never return with periodic timers \
+             (LB/maintenance/leases) armed; use run_until"
+        );
+        self.sim.run(u64::MAX / 2);
+    }
+
+    /// Runs until simulated time `t`.
+    pub fn run_until(&mut self, t: SimTime) {
+        self.sim.run_until(t);
+    }
+
+    /// Current simulated time.
+    pub fn time(&self) -> SimTime {
+        self.sim.time()
+    }
+
+    /// Number of nodes.
+    pub fn len(&self) -> usize {
+        self.sim.len()
+    }
+
+    /// True for an empty network (never constructed in practice).
+    pub fn is_empty(&self) -> bool {
+        self.sim.is_empty()
+    }
+
+    /// Per-event statistics (Figure 2's dataset).
+    pub fn event_stats(&self) -> Vec<EventStats> {
+        let total = self.sim.world().oracle.len();
+        self.sim.world().metrics.event_stats(total, self.sim.net())
+    }
+
+    /// Per-node load (stored subscriptions) — Figure 4's dataset.
+    pub fn node_loads(&self) -> Vec<u64> {
+        self.sim.nodes().iter().map(|n| n.load()).collect()
+    }
+
+    /// Network counters (Figure 3's dataset).
+    pub fn net(&self) -> &NetStats {
+        self.sim.net()
+    }
+
+    /// Ground-truth match set for a hypothetical event (testing).
+    pub fn expected_matches(&self, scheme: SchemeId, point: &Point) -> Vec<SubId> {
+        self.sim.world().oracle.expected_matches(scheme, point)
+    }
+
+    /// Immutable access to a node.
+    ///
+    /// # Errors
+    /// [`HyperSubError::NodeOutOfRange`] for a bad index.
+    pub fn node(&self, i: usize) -> Result<&N> {
+        self.check_node(i)?;
+        Ok(self.sim.node(i))
+    }
+
+    /// All nodes, indexed by simulator slot.
+    pub fn nodes(&self) -> &[N] {
+        self.sim.nodes()
+    }
+
+    /// The metric sink (publishes, deliveries, protocol counters).
+    pub fn metrics(&self) -> &Metrics {
+        &self.sim.world().metrics
+    }
+
+    /// Raw per-subscriber delivery records, in delivery order — the trace
+    /// the run digest is computed over.
+    pub fn deliveries(&self) -> &[DeliveryRecord] {
+        self.sim.world().metrics.deliveries()
+    }
+
+    /// The run digest over the delivery trace and network counters (see
+    /// [`crate::digest`]).
+    pub fn run_digest(&self) -> u64 {
+        crate::digest::run_digest(self.deliveries(), self.sim.net())
+    }
+
+    /// Simulator events processed so far.
+    pub fn steps(&self) -> u64 {
+        self.sim.steps()
+    }
+
+    /// The latency model.
+    pub fn topology(&self) -> &Arc<dyn Topology> {
+        self.sim.topology()
+    }
+
+    /// Installs a flight recorder mid-run (capturing the most recent
+    /// `capacity` events from here on). Usually set up front via
+    /// [`NetworkBuilder::flight_recorder`].
+    pub fn enable_recording(&mut self, capacity: usize) {
+        self.sim.enable_recording(capacity);
+    }
+
+    /// The installed flight recorder, if any.
+    pub fn recorder(&self) -> Option<&FlightRecorder> {
+        self.sim.recorder()
+    }
+
+    /// Removes the flight recorder, returning the captured trace.
+    pub fn disable_recording(&mut self) -> Option<FlightRecorder> {
+        self.sim.disable_recording()
+    }
+}
+
+/// The HyperSub-only operations: everything that needs the paper's
+/// protocol state rather than the shared driver surface.
+impl Net<HyperSubNode> {
     /// Starts building an `nodes`-node network; see [`NetworkBuilder`]
     /// for the knobs. Defaults: empty registry, default
     /// [`SystemConfig`], uniform 10 ms links, default ring, seed 0, no
@@ -358,13 +578,6 @@ impl Network {
             recorder_capacity: None,
             snapshot: SnapshotConfig::default(),
         }
-    }
-
-    /// Installs a subscription from `node` (Algorithm 2 starts here).
-    /// Run the network afterwards to let registration traffic settle.
-    pub fn subscribe(&mut self, node: usize, scheme: SchemeId, sub: Subscription) -> SubId {
-        self.sim
-            .with_node_ctx(node, |n, ctx| n.subscribe(ctx, scheme, sub))
     }
 
     /// Cancels a subscription previously returned by [`Network::subscribe`].
@@ -420,44 +633,6 @@ impl Network {
             n.publish_event_owned(ctx, scheme, Event { id, point })
         });
         Ok(id)
-    }
-
-    /// Schedules an event publication at absolute simulated time `at`.
-    ///
-    /// # Errors
-    /// [`HyperSubError::NodeOutOfRange`] for a bad index.
-    pub fn schedule_publish(
-        &mut self,
-        at: SimTime,
-        node: usize,
-        scheme: SchemeId,
-        point: Point,
-    ) -> Result<u64> {
-        self.check_node(node)?;
-        let id = self.alloc_event_id();
-        let idx = self.sim.world().script.len();
-        self.sim
-            .world_mut()
-            .script
-            .push(Some((scheme, Event { id, point })));
-        self.sim
-            .schedule_timer(at, node, TOKEN_PUBLISH_BASE + idx as u64);
-        self.scheduled_events += 1;
-        Ok(id)
-    }
-
-    fn check_node(&self, node: usize) -> Result<()> {
-        let nodes = self.sim.len();
-        if node >= nodes {
-            return Err(HyperSubError::NodeOutOfRange { node, nodes });
-        }
-        Ok(())
-    }
-
-    fn alloc_event_id(&mut self) -> u64 {
-        let id = self.next_event_id;
-        self.next_event_id += 1;
-        id
     }
 
     /// Enables Chord maintenance (stabilize/fix-fingers) on every node —
@@ -568,17 +743,6 @@ impl Network {
         Ok(())
     }
 
-    /// Installs a fault plane on the underlying simulator (loss,
-    /// duplication, delay, partitions — see `hypersub_simnet::FaultPlane`).
-    pub fn install_fault_plane(&mut self, plane: hypersub_simnet::FaultPlane) {
-        self.sim.install_fault_plane(plane);
-    }
-
-    /// Mutable access to the installed fault plane, if any.
-    pub fn fault_plane_mut(&mut self) -> Option<&mut hypersub_simnet::FaultPlane> {
-        self.sim.fault_plane_mut()
-    }
-
     /// Serializes the complete network state — every node's protocol
     /// state, the world (metrics, oracle, script), and the engine
     /// (event queue, per-node liveness, RNG streams, fault plane, flight
@@ -655,122 +819,6 @@ impl Network {
             scheduled_events,
             topo_desc: Some(desc),
         })
-    }
-
-    /// Runs until the event queue drains (messages and scripted timers
-    /// all processed).
-    ///
-    /// # Panics
-    /// Panics when load balancing, Chord maintenance, or self-healing is
-    /// enabled — their periodic timers re-arm forever, so the queue never
-    /// drains; drive such networks with [`Network::run_until`] instead.
-    pub fn run_to_quiescence(&mut self) {
-        let n0 = self.sim.node(0);
-        assert!(
-            !n0.cfg.lb.enabled && !n0.maintenance && !n0.cfg.heal.enabled,
-            "run_to_quiescence would never return with periodic timers \
-             (LB/maintenance/leases) armed; use run_until"
-        );
-        self.sim.run(u64::MAX / 2);
-    }
-
-    /// Runs until simulated time `t`.
-    pub fn run_until(&mut self, t: SimTime) {
-        self.sim.run_until(t);
-    }
-
-    /// Current simulated time.
-    pub fn time(&self) -> SimTime {
-        self.sim.time()
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.sim.len()
-    }
-
-    /// True for an empty network (never constructed in practice).
-    pub fn is_empty(&self) -> bool {
-        self.sim.is_empty()
-    }
-
-    /// Per-event statistics (Figure 2's dataset).
-    pub fn event_stats(&self) -> Vec<EventStats> {
-        let total = self.sim.world().oracle.len();
-        self.sim.world().metrics.event_stats(total, self.sim.net())
-    }
-
-    /// Per-node load (stored subscriptions) — Figure 4's dataset.
-    pub fn node_loads(&self) -> Vec<u64> {
-        self.sim.nodes().iter().map(|n| n.load()).collect()
-    }
-
-    /// Network counters (Figure 3's dataset).
-    pub fn net(&self) -> &NetStats {
-        self.sim.net()
-    }
-
-    /// Ground-truth match set for a hypothetical event (testing).
-    pub fn expected_matches(&self, scheme: SchemeId, point: &Point) -> Vec<SubId> {
-        self.sim.world().oracle.expected_matches(scheme, point)
-    }
-
-    /// Immutable access to a node.
-    ///
-    /// # Errors
-    /// [`HyperSubError::NodeOutOfRange`] for a bad index.
-    pub fn node(&self, i: usize) -> Result<&HyperSubNode> {
-        self.check_node(i)?;
-        Ok(self.sim.node(i))
-    }
-
-    /// All nodes, indexed by simulator slot.
-    pub fn nodes(&self) -> &[HyperSubNode] {
-        self.sim.nodes()
-    }
-
-    /// The metric sink (publishes, deliveries, protocol counters).
-    pub fn metrics(&self) -> &Metrics {
-        &self.sim.world().metrics
-    }
-
-    /// Raw per-subscriber delivery records, in delivery order — the trace
-    /// the run digest is computed over.
-    pub fn deliveries(&self) -> &[DeliveryRecord] {
-        self.sim.world().metrics.deliveries()
-    }
-
-    /// The run digest over the delivery trace and network counters (see
-    /// [`crate::digest`]).
-    pub fn run_digest(&self) -> u64 {
-        crate::digest::run_digest(self.deliveries(), self.sim.net())
-    }
-
-    /// Simulator events processed so far.
-    pub fn steps(&self) -> u64 {
-        self.sim.steps()
-    }
-
-    /// The latency model.
-    pub fn topology(&self) -> &Arc<dyn Topology> {
-        self.sim.topology()
-    }
-
-    /// Installs a flight recorder mid-run (capturing the most recent
-    /// `capacity` events from here on). Usually set up front via
-    /// [`NetworkBuilder::flight_recorder`].
-    pub fn enable_recording(&mut self, capacity: usize) {
-        self.sim.enable_recording(capacity);
-    }
-
-    /// The installed flight recorder, if any.
-    pub fn recorder(&self) -> Option<&FlightRecorder> {
-        self.sim.recorder()
-    }
-
-    /// Removes the flight recorder, returning the captured trace.
-    pub fn disable_recording(&mut self) -> Option<FlightRecorder> {
-        self.sim.disable_recording()
     }
 }
 

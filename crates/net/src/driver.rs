@@ -11,15 +11,19 @@
 //!   is dispatched inline after already-queued work, exactly like the
 //!   simulator's zero-latency self-delivery.
 //! * **Fail-stop surfaces as `on_send_failed`.** A dial or write failure
-//!   invokes the node's failure handler inline, which is how the
-//!   simulator's `FaultPlane` reports a dead destination.
+//!   to a peer that was up invokes the node's failure handler inline,
+//!   which is how the simulator's `FaultPlane` reports a dead
+//!   destination. A peer that has never been connected in either
+//!   direction is not up *yet*, which the simulator has no counterpart
+//!   for (all its nodes exist from time zero): the message is lost
+//!   without a verdict (see `ConnMgr::send`).
 
 use crate::frame::{handshake, parse_handshake, read_frame, write_frame};
 use crate::wheel::TimerWheel;
 use hypersub_simnet::{Node, NodeRuntime, Payload, ProtoEvent, SimTime, WireMsg};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -106,10 +110,33 @@ struct ConnMgr {
     me: usize,
     peers: Vec<SocketAddr>,
     conns: HashMap<usize, TcpStream>,
+    /// Peers a connection has ever existed with: dialed successfully, or
+    /// heard from.
+    seen: HashSet<usize>,
 }
 
 impl ConnMgr {
+    /// Sends `frame` to `dst`; an error is fail-stop evidence about a peer
+    /// that was up. A failed send to a peer never yet seen reports `Ok`
+    /// and loses the frame like a datagram: at start-up processes come up
+    /// in any order, a refused first dial means "not listening yet", and
+    /// calling it fail-stop makes Chord tombstone its bootstrap contact —
+    /// a tombstone a small ring never lifts, because nobody else
+    /// introduces the two. Periodic protocol traffic (the join retry,
+    /// stabilize) covers the loss; a peer that never comes up is never in
+    /// anyone's routing state to begin with.
     fn send(&mut self, dst: usize, frame: &[u8]) -> io::Result<()> {
+        match self.transmit(dst, frame) {
+            Ok(()) => {
+                self.seen.insert(dst);
+                Ok(())
+            }
+            Err(_) if !self.seen.contains(&dst) => Ok(()),
+            Err(e) => Err(e),
+        }
+    }
+
+    fn transmit(&mut self, dst: usize, frame: &[u8]) -> io::Result<()> {
         if let Some(s) = self.conns.get_mut(&dst) {
             if write_frame(s, frame).is_ok() {
                 return Ok(());
@@ -273,7 +300,10 @@ where
                 },
             };
             match input {
-                Input::Msg { from, msg } => self.pump(Work::Deliver { from, msg }),
+                Input::Msg { from, msg } => {
+                    self.conns.seen.insert(from);
+                    self.pump(Work::Deliver { from, msg })
+                }
                 Input::Call(f) => self.call(f),
                 Input::Shutdown => return,
             }
@@ -361,6 +391,7 @@ where
             me: cfg.index,
             peers: cfg.peers,
             conns: HashMap::new(),
+            seen: HashSet::new(),
         },
         me: cfg.index,
         start: Instant::now(),

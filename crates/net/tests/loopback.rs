@@ -1,10 +1,10 @@
 //! Two live drivers talking over real loopback TCP: framing, handshake,
 //! connection reuse, timers, self-sends, and fail-stop reporting.
 
-use hypersub_net::driver::{spawn, LiveConfig};
+use hypersub_net::driver::{spawn, LiveConfig, NetHandle};
 use hypersub_simnet::{Node, NodeRuntime, Payload, SimTime, WireMsg};
 use hypersub_snapshot::{Error, Reader, Writer};
-use std::net::TcpListener;
+use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 
 #[derive(Debug, Clone, PartialEq)]
@@ -95,32 +95,30 @@ fn wait_until(mut cond: impl FnMut() -> bool) {
     }
 }
 
+fn spawn_pingpong(
+    listener: TcpListener,
+    index: usize,
+    peers: &[SocketAddr],
+) -> NetHandle<PingPong, TestMsg, TestWorld> {
+    spawn(
+        PingPong,
+        TestWorld::default(),
+        listener,
+        LiveConfig {
+            index,
+            peers: peers.to_vec(),
+            seed: 3,
+        },
+    )
+}
+
 #[test]
 fn two_drivers_deliver_over_loopback_tcp() {
     let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
     let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
-    let peers = vec![l0.local_addr().unwrap(), l1.local_addr().unwrap()];
-
-    let h0 = spawn(
-        PingPong,
-        TestWorld::default(),
-        l0,
-        LiveConfig {
-            index: 0,
-            peers: peers.clone(),
-            seed: 1,
-        },
-    );
-    let h1 = spawn(
-        PingPong,
-        TestWorld::default(),
-        l1,
-        LiveConfig {
-            index: 1,
-            peers,
-            seed: 1,
-        },
-    );
+    let peers = [l0.local_addr().unwrap(), l1.local_addr().unwrap()];
+    let h0 = spawn_pingpong(l0, 0, &peers);
+    let h1 = spawn_pingpong(l1, 1, &peers);
 
     // Node 0 pings node 1 three times over one reused connection; each
     // ping comes back as a pong on a connection node 1 dials back.
@@ -138,17 +136,8 @@ fn two_drivers_deliver_over_loopback_tcp() {
 #[test]
 fn timers_fire_and_self_sends_loop_back() {
     let l = TcpListener::bind("127.0.0.1:0").unwrap();
-    let peers = vec![l.local_addr().unwrap()];
-    let h = spawn(
-        PingPong,
-        TestWorld::default(),
-        l,
-        LiveConfig {
-            index: 0,
-            peers,
-            seed: 2,
-        },
-    );
+    let peers = [l.local_addr().unwrap()];
+    let h = spawn_pingpong(l, 0, &peers);
     h.invoke(|_n, ctx| ctx.set_timer(SimTime::from_millis(20), 77));
     // The timer handler self-sends Ping(77); the node then pongs itself.
     wait_until(|| h.query(|_n, ctx| ctx.world().pongs.clone()) == vec![77]);
@@ -158,26 +147,56 @@ fn timers_fire_and_self_sends_loop_back() {
 }
 
 #[test]
-fn unreachable_peer_surfaces_as_send_failed() {
-    let l = TcpListener::bind("127.0.0.1:0").unwrap();
-    // Peer 1's address points at a listener we bind and immediately drop:
-    // the dial is refused, which must degrade into `on_send_failed`.
-    let dead = TcpListener::bind("127.0.0.1:0").unwrap();
-    let dead_addr = dead.local_addr().unwrap();
-    drop(dead);
+fn dead_peer_surfaces_as_send_failed() {
+    let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
+    let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
+    let peers = [l0.local_addr().unwrap(), l1.local_addr().unwrap()];
+    let h0 = spawn_pingpong(l0, 0, &peers);
+    let h1 = spawn_pingpong(l1, 1, &peers);
+    h0.invoke(|_n, ctx| ctx.send(1, TestMsg::Ping(0)));
+    wait_until(|| h0.query(|_n, ctx| ctx.world().pongs.len()) == 1);
 
-    let peers = vec![l.local_addr().unwrap(), dead_addr];
-    let h = spawn(
-        PingPong,
-        TestWorld::default(),
-        l,
-        LiveConfig {
-            index: 0,
-            peers,
-            seed: 3,
-        },
-    );
-    h.invoke(|_n, ctx| ctx.send(1, TestMsg::Ping(9)));
-    wait_until(|| h.query(|_n, ctx| ctx.world().failed_sends.clone()) == vec![1]);
-    h.shutdown();
+    // Peer 1 was up and goes away: its listener closes, so once the
+    // cached connection breaks the redial is refused — fail-stop. (The
+    // first writes after the shutdown can still land in socket buffers.)
+    h1.shutdown();
+    wait_until(|| {
+        h0.invoke(|_n, ctx| ctx.send(1, TestMsg::Ping(9)));
+        !h0.query(|_n, ctx| ctx.world().failed_sends.is_empty())
+    });
+    assert!(h0
+        .query(|_n, ctx| ctx.world().failed_sends.clone())
+        .iter()
+        .all(|&dst| dst == 1));
+    h0.shutdown();
+}
+
+/// Start-up order must not matter: a peer that refuses the very first
+/// dial is not listening *yet*. Reporting that as fail-stop made Chord
+/// tombstone its bootstrap contact for good (the 4-process smoke test
+/// hung whenever a joiner out-raced node 0's `bind`).
+#[test]
+fn peer_not_yet_listening_is_not_fail_stop() {
+    let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
+    // Reserve peer 1's address, then release it: nobody listens there.
+    let addr1 = {
+        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
+        l1.local_addr().unwrap()
+    };
+    let peers = [l0.local_addr().unwrap(), addr1];
+    let h0 = spawn_pingpong(l0, 0, &peers);
+
+    // The query runs after the send was flushed (refused) on the driver
+    // thread: the ping is lost, and no failure was reported.
+    h0.invoke(|_n, ctx| ctx.send(1, TestMsg::Ping(1)));
+    assert!(h0.query(|_n, ctx| ctx.world().failed_sends.is_empty()));
+
+    // Peer 1 comes up; node 0 reaches it like any other peer.
+    let h1 = spawn_pingpong(TcpListener::bind(addr1).unwrap(), 1, &peers);
+    h0.invoke(|_n, ctx| ctx.send(1, TestMsg::Ping(2)));
+    wait_until(|| h0.query(|_n, ctx| ctx.world().pongs.clone()) == vec![2]);
+    assert_eq!(h1.query(|_n, ctx| ctx.world().pings.clone()), vec![2]);
+    assert!(h0.query(|_n, ctx| ctx.world().failed_sends.is_empty()));
+    h0.shutdown();
+    h1.shutdown();
 }

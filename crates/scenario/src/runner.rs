@@ -3,6 +3,7 @@
 
 use hypersub_core::invariant::Verdict;
 use hypersub_core::prelude::*;
+use hypersub_core::report::push_json_str;
 use hypersub_workload::{AttributeSpec, WorkloadSpec};
 
 /// How big a scenario run should be. `Quick` is sized for CI smoke
@@ -152,28 +153,14 @@ impl ScenarioOutcome {
                 o.push(',');
             }
             o.push_str("\n    {\"invariant\": ");
-            json_str(&mut o, &v.invariant);
+            push_json_str(&mut o, &v.invariant);
             o.push_str(&format!(", \"passed\": {}, \"details\": ", v.passed));
-            json_str(&mut o, &v.details);
+            push_json_str(&mut o, &v.details);
             o.push('}');
         }
         o.push_str("\n  ]\n}");
         o
     }
-}
-
-fn json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// The single-scheme content space every scenario runs over: two

@@ -15,7 +15,7 @@ use hypersub_shootout::{
 use std::process::ExitCode;
 
 struct Args {
-    systems: Vec<Box<dyn System>>,
+    systems: Vec<System>,
     quick: bool,
     seed: u64,
     out: Option<String>,

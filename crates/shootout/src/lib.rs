@@ -4,13 +4,14 @@
 //! The paper's central claim is comparative — HyperSub beats
 //! rendezvous-point and attribute-range DHT designs on load concentration
 //! and installation cost (§2, §5). This crate turns the repo into the
-//! apparatus that can actually produce that comparison. A [`System`]
-//! abstracts "build a network, install the workload's subscriptions,
-//! publish its events, emit a [`Report`]", and five implementations run
-//! over the **same** seeded workload stream and the **same** Chord
-//! substrate:
+//! apparatus that can actually produce that comparison. One function,
+//! `drive`, does "build a network, install the workload's subscriptions,
+//! publish its events, emit a [`Report`]" for any node type the core
+//! driver ([`Net`]) can run; a [`System`] is a name plus the node type it
+//! hands to that function. Five of them run over the **same** seeded
+//! workload stream and the **same** Chord substrate:
 //!
-//! * `hypersub` — the paper's system (`hypersub_core::sim::Network`).
+//! * `hypersub` — the paper's system (`HyperSubNode`).
 //! * `rendezvous` — Ferry-style single rendezvous point.
 //! * `attr_ring` — attribute-range replication on the ring (DEBS'04).
 //! * `subgroup` — subscription subgrouping (after arXiv 1611.08743).
@@ -21,11 +22,10 @@
 //! Every system sees identical inputs, enforced structurally rather than
 //! by convention:
 //!
-//! 1. **Same substrate.** All systems build the King-like topology, ring
-//!    ids, and simulator RNG from the same master seed with the same
-//!    derivations (`Network::build` and `BaselineNetBuilder::build_with`
-//!    share them), so node `i` has the same Chord id and the same link
-//!    latencies everywhere.
+//! 1. **Same substrate.** All systems are built by the one
+//!    `NetworkBuilder::build_with`, which derives the King-like topology,
+//!    ring ids, and simulator RNG from the master seed, so node `i` has
+//!    the same Chord id and the same link latencies everywhere.
 //! 2. **Same workload.** One `WorkloadGen` per run, seeded `seed ^
 //!    0xabcd`, consumed in the same call order: all subscriptions
 //!    (node-major), then per event `random_node`, `event_point`,
@@ -38,7 +38,7 @@
 //! relations: raw [`SubId`]s are not stable across systems (HyperSub's
 //! per-node iid counter also numbers zone repositories and hosted
 //! migrations, so a subscribing node that stores a zone repo interleaves
-//! those allocations with its local subscription iids). Every driver
+//! those allocations with its local subscription iids). `drive`
 //! therefore records the `SubId` each `subscribe` call returns, in the
 //! shared workload order; subscription *k* of the run is ordinal *k* in
 //! every system, and cross-system equivalence demands the identical
@@ -46,18 +46,14 @@
 //! delivered-equals-expected check still runs on `SubId`s.
 
 use hypersub_baselines::attr_ring::AttrRingNode;
-use hypersub_baselines::common::{BaselineNetBuilder, BaselineNode};
 use hypersub_baselines::gossip::GossipNode;
 use hypersub_baselines::rendezvous::RendezvousNode;
 use hypersub_baselines::subgroup::SubgroupNode;
-use hypersub_chord::ChordState;
-use hypersub_core::config::SystemConfig;
 use hypersub_core::error::Result;
 use hypersub_core::metrics::EventStats;
 use hypersub_core::model::{Registry, SubId};
 use hypersub_core::report::Report;
-use hypersub_core::sim::{Network, TopologyKind};
-use hypersub_lph::Point;
+use hypersub_core::sim::{Net, Network, NetworkBuilder, PubSubNode, TopologyKind};
 use hypersub_simnet::SimTime;
 use hypersub_stats::{LoadDist, Table};
 use hypersub_workload::{WorkloadGen, WorkloadSpec};
@@ -230,124 +226,120 @@ impl SystemRun {
     }
 }
 
-/// A pub/sub system the shoot-out can run: build a network on the shared
-/// substrate, install the shared workload, publish its events, and
-/// report. Implementations must follow the crate-level fairness rules.
-pub trait System {
+/// A pub/sub system the shoot-out can run: a name and the node type it
+/// puts on the shared substrate. Every system goes through the same
+/// `drive` function, which is what enforces the crate-level fairness
+/// rules.
+#[derive(Debug, Clone, Copy)]
+pub struct System {
     /// Short machine-readable name (JSON key, CLI argument).
-    fn name(&self) -> &'static str;
+    pub name: &'static str,
+    run_as: fn(&'static str, &ShootoutParams) -> Result<SystemRun>,
+}
 
+impl System {
     /// Runs the system once with the given parameters.
-    fn run(&self, p: &ShootoutParams) -> Result<SystemRun>;
+    pub fn run(&self, p: &ShootoutParams) -> Result<SystemRun> {
+        (self.run_as)(self.name, p)
+    }
 }
 
 /// All five systems, in canonical order (HyperSub first).
-pub fn all_systems() -> Vec<Box<dyn System>> {
+pub fn all_systems() -> Vec<System> {
     vec![
-        Box::new(HyperSubSystem),
-        Box::new(RendezvousSystem),
-        Box::new(AttrRingSystem),
-        Box::new(SubgroupSystem),
-        Box::new(GossipSystem),
+        // The paper's system.
+        System {
+            name: "hypersub",
+            run_as: |name, p| {
+                let registry = Registry::new(vec![p.spec.scheme_def(0)]);
+                drive(name, p, |b| b.registry(registry).build())
+            },
+        },
+        // Ferry-style single rendezvous point.
+        System {
+            name: "rendezvous",
+            run_as: |name, p| {
+                drive(name, p, |b| {
+                    b.build_with(|st| RendezvousNode::new(st, &p.spec.scheme_name))
+                })
+            },
+        },
+        // Attribute-range replication on the ring.
+        System {
+            name: "attr_ring",
+            run_as: |name, p| {
+                let space = p.spec.scheme_def(0).space;
+                drive(name, p, |b| {
+                    b.build_with(|st| AttrRingNode::new(st, &p.spec.scheme_name, space.clone()))
+                })
+            },
+        },
+        // Subscription subgrouping (arXiv 1611.08743 style).
+        System {
+            name: "subgroup",
+            run_as: |name, p| {
+                let space = p.spec.scheme_def(0).space;
+                drive(name, p, |b| {
+                    b.build_with(|st| SubgroupNode::new(st, &p.spec.scheme_name, space.clone()))
+                })
+            },
+        },
+        // Flood-to-all-brokers strawman (SmartPubSub style).
+        System {
+            name: "gossip",
+            run_as: |name, p| drive(name, p, |b| b.build_with(GossipNode::new)),
+        },
     ]
 }
 
 /// Looks a system up by its [`System::name`].
-pub fn system_by_name(name: &str) -> Option<Box<dyn System>> {
-    all_systems().into_iter().find(|s| s.name() == name)
+pub fn system_by_name(name: &str) -> Option<System> {
+    all_systems().into_iter().find(|s| s.name == name)
 }
 
-/// The paper's system, driven through `Network`.
-pub struct HyperSubSystem;
-
-impl System for HyperSubSystem {
-    fn name(&self) -> &'static str {
-        "hypersub"
-    }
-
-    fn run(&self, p: &ShootoutParams) -> Result<SystemRun> {
-        let start = Instant::now();
-        let registry = Registry::new(vec![p.spec.scheme_def(0)]);
-        let mut net = Network::builder(p.nodes)
-            .registry(registry)
-            .config(SystemConfig::default())
-            .topology(TopologyKind::KingLike(p.mean_rtt))
-            .seed(p.seed)
-            .build()?;
-        let mut gen = WorkloadGen::new(p.spec.clone(), p.seed ^ 0xabcd);
-        let mut sub_ids = Vec::with_capacity(p.nodes * p.spec.subs_per_node);
-        for node in 0..p.nodes {
-            for _ in 0..p.spec.subs_per_node {
-                sub_ids.push(net.subscribe(node, 0, gen.subscription()));
-            }
-        }
-        net.run_to_quiescence();
-        let install_msgs = net.net().total_msgs();
-        let install_bytes = net.net().total_bytes();
-        let mut published: Vec<(u64, Point)> = Vec::with_capacity(p.spec.events);
-        let mut t = net.time() + SimTime::from_secs(1);
-        for _ in 0..p.spec.events {
-            let node = gen.random_node(p.nodes);
-            let point = gen.event_point();
-            let id = net.schedule_publish(t, node, 0, point.clone())?;
-            published.push((id, point));
-            t += gen.interarrival();
-        }
-        net.run_to_quiescence();
-        let expected = expected_pairs(&published, |pt| net.expected_matches(0, pt));
-        let delivered = delivered_pairs(net.deliveries());
-        Ok(SystemRun {
-            system: self.name(),
-            nodes: p.nodes,
-            subs_per_node: p.spec.subs_per_node,
-            events: p.spec.events,
-            report: net.report(),
-            event_stats: net.event_stats(),
-            delivered,
-            expected,
-            sub_ids,
-            loads: net.node_loads(),
-            install_msgs,
-            install_bytes,
-            wall_secs: start.elapsed().as_secs_f64(),
-        })
-    }
-}
-
-/// Shared driver for every [`BaselineNode`] system: identical phase
-/// structure and workload call order to the HyperSub driver above.
-fn drive_baseline<N, F>(name: &'static str, p: &ShootoutParams, make: F) -> Result<SystemRun>
-where
-    N: BaselineNode,
-    F: FnMut(ChordState) -> N,
-{
+/// The one run every system goes through: build the network on the
+/// shared substrate (`build` only picks the node type), install the
+/// workload's subscriptions, publish its events, collect the result.
+fn drive<N: PubSubNode>(
+    name: &'static str,
+    p: &ShootoutParams,
+    build: impl FnOnce(NetworkBuilder) -> Result<Net<N>>,
+) -> Result<SystemRun> {
     let start = Instant::now();
-    let mut net = BaselineNetBuilder::new(p.nodes)
-        .seed(p.seed)
-        .king_like(p.mean_rtt)
-        .build_with(make)?;
+    let mut net = build(
+        Network::builder(p.nodes)
+            .topology(TopologyKind::KingLike(p.mean_rtt))
+            .seed(p.seed),
+    )?;
     let mut gen = WorkloadGen::new(p.spec.clone(), p.seed ^ 0xabcd);
     let mut sub_ids = Vec::with_capacity(p.nodes * p.spec.subs_per_node);
     for node in 0..p.nodes {
         for _ in 0..p.spec.subs_per_node {
-            sub_ids.push(net.subscribe(node, gen.subscription())?);
+            sub_ids.push(net.subscribe(node, 0, gen.subscription()));
         }
     }
     net.run_to_quiescence();
     let install_msgs = net.net().total_msgs();
     let install_bytes = net.net().total_bytes();
-    let mut published: Vec<(u64, Point)> = Vec::with_capacity(p.spec.events);
+    let mut expected: Vec<(u64, SubId)> = Vec::new();
     let mut t = net.time() + SimTime::from_secs(1);
     for _ in 0..p.spec.events {
         let node = gen.random_node(p.nodes);
         let point = gen.event_point();
-        let id = net.schedule_publish(t, node, point.clone())?;
-        published.push((id, point));
+        let matches = net.expected_matches(0, &point);
+        let id = net.schedule_publish(t, node, 0, point)?;
+        expected.extend(matches.into_iter().map(|sid| (id, sid)));
         t += gen.interarrival();
     }
     net.run_to_quiescence();
-    let expected = expected_pairs(&published, |pt| net.expected_matches(pt));
-    let delivered = delivered_pairs(net.deliveries());
+    expected.sort_unstable();
+    let mut delivered: Vec<(u64, SubId)> = net
+        .deliveries()
+        .iter()
+        .map(|d| (d.event, d.subid))
+        .collect();
+    delivered.sort_unstable();
+    delivered.dedup();
     Ok(SystemRun {
         system: name,
         nodes: p.nodes,
@@ -363,88 +355,6 @@ where
         install_bytes,
         wall_secs: start.elapsed().as_secs_f64(),
     })
-}
-
-fn expected_pairs(
-    published: &[(u64, Point)],
-    mut matches: impl FnMut(&Point) -> Vec<SubId>,
-) -> Vec<(u64, SubId)> {
-    let mut pairs = Vec::new();
-    for (id, point) in published {
-        for sid in matches(point) {
-            pairs.push((*id, sid));
-        }
-    }
-    pairs.sort_unstable();
-    pairs
-}
-
-fn delivered_pairs(deliveries: &[hypersub_core::metrics::DeliveryRecord]) -> Vec<(u64, SubId)> {
-    let mut pairs: Vec<(u64, SubId)> = deliveries.iter().map(|d| (d.event, d.subid)).collect();
-    pairs.sort_unstable();
-    pairs.dedup();
-    pairs
-}
-
-/// Ferry-style single rendezvous point.
-pub struct RendezvousSystem;
-
-impl System for RendezvousSystem {
-    fn name(&self) -> &'static str {
-        "rendezvous"
-    }
-
-    fn run(&self, p: &ShootoutParams) -> Result<SystemRun> {
-        let scheme = p.spec.scheme_name.clone();
-        drive_baseline(self.name(), p, |st| RendezvousNode::new(st, &scheme))
-    }
-}
-
-/// Attribute-range replication on the ring.
-pub struct AttrRingSystem;
-
-impl System for AttrRingSystem {
-    fn name(&self) -> &'static str {
-        "attr_ring"
-    }
-
-    fn run(&self, p: &ShootoutParams) -> Result<SystemRun> {
-        let scheme = p.spec.scheme_name.clone();
-        let space = p.spec.scheme_def(0).space.clone();
-        drive_baseline(self.name(), p, |st| {
-            AttrRingNode::new(st, &scheme, space.clone())
-        })
-    }
-}
-
-/// Subscription subgrouping (arXiv 1611.08743 style).
-pub struct SubgroupSystem;
-
-impl System for SubgroupSystem {
-    fn name(&self) -> &'static str {
-        "subgroup"
-    }
-
-    fn run(&self, p: &ShootoutParams) -> Result<SystemRun> {
-        let scheme = p.spec.scheme_name.clone();
-        let space = p.spec.scheme_def(0).space.clone();
-        drive_baseline(self.name(), p, |st| {
-            SubgroupNode::new(st, &scheme, space.clone())
-        })
-    }
-}
-
-/// Flood-to-all-brokers strawman (SmartPubSub style).
-pub struct GossipSystem;
-
-impl System for GossipSystem {
-    fn name(&self) -> &'static str {
-        "gossip"
-    }
-
-    fn run(&self, p: &ShootoutParams) -> Result<SystemRun> {
-        drive_baseline(self.name(), p, GossipNode::new)
-    }
 }
 
 /// All systems' results on one rung, plus the equivalence verdict.
@@ -470,7 +380,7 @@ impl RungOutcome {
 /// oracle: every system must deliver exactly its own ground truth, with
 /// zero duplicates, and all systems' `(event, subscriber)` relations
 /// must be identical.
-pub fn run_rung(systems: &[Box<dyn System>], rung: Rung, seed: u64) -> Result<RungOutcome> {
+pub fn run_rung(systems: &[System], rung: Rung, seed: u64) -> Result<RungOutcome> {
     let p = ShootoutParams::new(rung, seed);
     let mut runs = Vec::with_capacity(systems.len());
     for s in systems {
@@ -659,7 +569,7 @@ mod tests {
 
     #[test]
     fn five_systems_registered() {
-        let names: Vec<&str> = all_systems().iter().map(|s| s.name()).collect();
+        let names: Vec<&str> = all_systems().iter().map(|s| s.name).collect();
         assert_eq!(
             names,
             ["hypersub", "rendezvous", "attr_ring", "subgroup", "gossip"]
@@ -682,8 +592,9 @@ mod tests {
     #[test]
     fn runs_are_deterministic_for_fixed_seed() {
         let p = tiny_params();
-        let a = GossipSystem.run(&p).unwrap();
-        let b = GossipSystem.run(&p).unwrap();
+        let gossip = system_by_name("gossip").unwrap();
+        let a = gossip.run(&p).unwrap();
+        let b = gossip.run(&p).unwrap();
         assert_eq!(a.report.digest, b.report.digest);
         assert_eq!(a.delivered, b.delivered);
     }

@@ -25,7 +25,7 @@ fi
 
 FAILED=()
 SKIPPED=0
-for b in table1 table2 fig2 fig4 fig3 baseline_compare ablation_subscheme ablation_rotation ablation_base fig5; do
+for b in table1 table2 fig2 fig4 fig3 ablation_subscheme ablation_rotation ablation_base fig5; do
   if [ -f "$STAMPS/$b.done" ]; then
     echo "=== $b already done ($(cat "$STAMPS/$b.done")), skipping ==="
     SKIPPED=$((SKIPPED + 1))
@@ -127,7 +127,7 @@ fi
 if [ ${#FAILED[@]} -gt 0 ]; then
   echo "=== FAILED ==="
   printf '%s\n' "${FAILED[@]}"
-  echo "${#FAILED[@]} of 16 steps failed ($SKIPPED skipped as already done)"
+  echo "${#FAILED[@]} of 15 steps failed ($SKIPPED skipped as already done)"
   echo "rerun ./run_experiments.sh to resume from the last completed step"
   exit 1
 fi

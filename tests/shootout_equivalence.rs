@@ -38,7 +38,7 @@ proptest! {
 const GOLDEN_RUNG: (usize, usize, usize) = (48, 3, 30);
 const GOLDEN_SEED: u64 = 42;
 
-fn golden_digest(system: &dyn System) -> u64 {
+fn golden_digest(system: System) -> u64 {
     let p = ShootoutParams::new(GOLDEN_RUNG, GOLDEN_SEED);
     let run = system.run(&p).expect("golden rung runs");
     assert!(
@@ -62,7 +62,7 @@ fn baseline_golden_digests() {
     ];
     for (name, want) in expected {
         let sys = hypersub_shootout::system_by_name(name).expect("known system");
-        let got = golden_digest(sys.as_ref());
+        let got = golden_digest(sys);
         assert_eq!(
             got, *want,
             "{name}: golden digest {got:#018x}, pinned {want:#018x}"

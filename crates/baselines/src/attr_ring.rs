@@ -193,7 +193,7 @@ impl AttrRingNode {
     /// Publishes an event: one probe per attribute ring.
     pub fn publish<R: NodeRuntime<AttrMsg, HyperWorld>>(&mut self, ctx: &mut R, event: Event) {
         let (me, now) = (ctx.me(), ctx.now());
-        let expected = ctx.world().oracle.expected_matches(0, &event.point).len();
+        let expected = ctx.world().oracle.expected_count(0, &event.point);
         ctx.world()
             .metrics
             .record_publish(event.id, now, me, expected);

@@ -71,7 +71,7 @@ impl GossipNode {
     /// Publishes an event: flood it over the whole ring.
     pub fn publish<R: NodeRuntime<GossipMsg, HyperWorld>>(&mut self, ctx: &mut R, event: Event) {
         let (me, now) = (ctx.me(), ctx.now());
-        let expected = ctx.world().oracle.expected_matches(0, &event.point).len();
+        let expected = ctx.world().oracle.expected_count(0, &event.point);
         ctx.world()
             .metrics
             .record_publish(event.id, now, me, expected);

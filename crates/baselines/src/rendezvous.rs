@@ -124,7 +124,7 @@ impl RendezvousNode {
     /// Publishes an event from this node.
     pub fn publish<R: NodeRuntime<RdvMsg, HyperWorld>>(&mut self, ctx: &mut R, event: Event) {
         let (me, now) = (ctx.me(), ctx.now());
-        let expected = ctx.world().oracle.expected_matches(0, &event.point).len();
+        let expected = ctx.world().oracle.expected_count(0, &event.point);
         ctx.world()
             .metrics
             .record_publish(event.id, now, me, expected);

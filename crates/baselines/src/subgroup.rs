@@ -195,7 +195,7 @@ impl SubgroupNode {
     /// subgroup whose bucket contains the event's value.
     pub fn publish<R: NodeRuntime<SgMsg, HyperWorld>>(&mut self, ctx: &mut R, event: Event) {
         let (me, now) = (ctx.me(), ctx.now());
-        let expected = ctx.world().oracle.expected_matches(0, &event.point).len();
+        let expected = ctx.world().oracle.expected_count(0, &event.point);
         ctx.world()
             .metrics
             .record_publish(event.id, now, me, expected);

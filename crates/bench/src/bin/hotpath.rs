@@ -13,12 +13,11 @@
 //! proves an optimization changed only speed, never behavior.
 //!
 //! Usage: `hotpath [--quick] [--label NAME] [--out PATH] [--report PATH]
-//! [--index linear|grid|hybrid]`.
+//! [--index linear|bitset]`.
 //!
-//! `--index` selects the matching-index structure repositories build
-//! (the index-shape axis; default `hybrid`). Every mode produces the
-//! same digest — only timings, candidate-scan counts and index memory
-//! move.
+//! `--index linear` turns the repositories' matching index off (default
+//! `bitset`). Both modes produce the same digest — only timings,
+//! candidate-scan counts and index memory move.
 //!
 //! `--report PATH` additionally runs the workload with a flight recorder
 //! installed and writes the full run [`Report`](hypersub_core::report)
@@ -190,17 +189,11 @@ fn run_resume(bytes: &[u8]) -> Network {
 /// below can treat the file line-by-line without a JSON parser.
 fn entry_json(label: &str, mode: &str, index: IndexMode, p: &Pinned, o: &RunOutcome) -> String {
     let events_per_sec = o.sim_events as f64 / (o.publish_ms / 1e3);
-    let dup = if o.diag.entries == 0 {
-        0.0
-    } else {
-        o.diag.registrations as f64 / o.diag.entries as f64
-    };
     format!(
         "    {{ \"label\": \"{label}\", \"mode\": \"{mode}\", \"index\": \"{}\", \"nodes\": {}, \
          \"subs_per_node\": {}, \"published_events\": {}, \"seed\": {}, \"setup_ms\": {:.1}, \
          \"publish_ms\": {:.1}, \"sim_events\": {}, \"events_per_sec\": {:.0}, \"total_msgs\": {}, \
-         \"index_registrations\": {}, \"index_entries\": {}, \"index_bytes\": {}, \
-         \"covering_collapsed\": {}, \"candidates_scanned\": {}, \"duplication_factor\": {:.2}, \
+         \"index_entries\": {}, \"index_bytes\": {}, \"candidates_scanned\": {}, \
          \"digest\": \"{:#018x}\" }}",
         index.name(),
         p.nodes,
@@ -212,12 +205,9 @@ fn entry_json(label: &str, mode: &str, index: IndexMode, p: &Pinned, o: &RunOutc
         o.sim_events,
         events_per_sec,
         o.msgs,
-        o.diag.registrations,
         o.diag.entries,
         o.diag.bytes,
-        o.diag.covering_collapsed,
         o.diag.candidates_scanned,
-        dup,
         o.digest,
     )
 }
@@ -251,8 +241,9 @@ fn main() {
     let out = flag("--out").unwrap_or_else(|| "BENCH_hotpath.json".to_string());
     let report_path = flag("--report");
     let index = match flag("--index") {
-        Some(s) => IndexMode::parse(&s)
-            .unwrap_or_else(|| panic!("--index takes linear|grid|hybrid, got {s:?}")),
+        Some(s) => {
+            IndexMode::parse(&s).unwrap_or_else(|| panic!("--index takes linear|bitset, got {s:?}"))
+        }
         None => IndexMode::default(),
     };
     let mode = if quick { "quick" } else { "full" };
@@ -361,21 +352,11 @@ fn main() {
         .filter_map(|l| extract_str(l, "digest"))
         .collect();
     let digests_match = full_digests.windows(2).all(|w| w[0] == w[1]);
-    let mut tail = match speedup("baseline", "after") {
-        Some(s) => format!("\"speedup_after_vs_baseline\": {s:.2}"),
-        None => "\"speedup_after_vs_baseline\": null".to_string(),
-    };
-    // The index pair: `index-grid` re-measures the grid structure and
-    // `index` the hybrid on the *same* machine, so their ratio is free
-    // of the cross-machine drift the older baseline/after rows carry.
-    if let Some(s) = speedup("index-grid", "index") {
-        tail.push_str(&format!(", \"speedup_index_vs_grid\": {s:.2}"));
-    }
-    tail.push_str(&format!(", \"digests_match\": {digests_match}"));
+    let speedup = speedup("baseline", "after").map_or("null".to_string(), |s| format!("{s:.2}"));
     let json = format!(
-        "{{\n  \"bench\": \"hotpath\",\n  \"runs\": [\n{}\n  ],\n  {}\n}}\n",
+        "{{\n  \"bench\": \"hotpath\",\n  \"runs\": [\n{}\n  ],\n  \
+         \"speedup_after_vs_baseline\": {speedup}, \"digests_match\": {digests_match}\n}}\n",
         runs.join(",\n"),
-        tail
     );
     std::fs::write(&out, json).expect("write bench output");
     println!("wrote {out}");

@@ -8,16 +8,10 @@
 //!   report diff <BASELINE> <CANDIDATE>
 //!
 //! `diff` prints per-field deltas and exits nonzero when the two runs'
-//! digests differ, when any `repair.*` counter drifts (a counter
+//! digests differ or when any `repair.*` counter drifts (a counter
 //! absent from a report counts as zero, so baselines predating the
-//! self-healing plane remain comparable), or when the *candidate*'s
-//! matching-index duplication factor (`index.registrations` per
-//! `index.entries`) exceeds 4× — the CI gates against behavioral drift
-//! and index fan-out regressions on the pinned workload.
-//!
-//! Baselines written before the index-counter rename (`index.grid_*`)
-//! are read through a fallback, so old pinned reports stay diffable; a
-//! rename is reported as a note, never a failure.
+//! self-healing plane remain comparable) — the CI gate against
+//! behavioral drift on the pinned workload.
 
 use hypersub_core::report::Report;
 use std::collections::BTreeSet;
@@ -197,60 +191,7 @@ fn diff(pa: &str, a: &Report, pb: &str, b: &Report) -> ExitCode {
     } else {
         Vec::new()
     };
-    // The matching index's duplication factor (registrations per indexed
-    // entry) tracks how many times the average subscription is fanned
-    // into the structure. It moves only when the index geometry or the
-    // push-down logic changes, so >10% relative drift on the same
-    // workload is worth a warning even when digests match (the factor is
-    // derived state, not traffic); a candidate above the 4× hard cap is
-    // a failure — the duplication tax this index exists to kill.
-    //
-    // Reports written before the rename carry `index.grid_*` counters
-    // instead; read them through the fallback so old pinned baselines
-    // stay comparable, and say so rather than pretending they indexed
-    // nothing.
-    let factor = |r: &Report| {
-        let (entries, regs) = match counter_total(r, "index.entries") {
-            0 => (
-                counter_total(r, "index.grid_entries"),
-                counter_total(r, "index.grid_registrations"),
-            ),
-            e => (e, counter_total(r, "index.registrations")),
-        };
-        (entries > 0).then(|| regs as f64 / entries as f64)
-    };
-    let renamed = |r: &Report| {
-        counter_total(r, "index.entries") == 0 && counter_total(r, "index.grid_entries") > 0
-    };
-    if renamed(a) != renamed(b) {
-        let (old, path) = if renamed(a) { (pa, pb) } else { (pb, pa) };
-        println!(
-            "  note: {old} predates the index.* counter rename (grid_* \
-             fallback applied); {path} uses the current names"
-        );
-    }
-    if let (Some(fa), Some(fb)) = (factor(a), factor(b)) {
-        let drift = (fb - fa).abs() / fa;
-        if drift > 0.10 {
-            eprintln!(
-                "report diff: WARNING — index duplication factor drifted \
-                 {fa:.2} -> {fb:.2} ({:+.1}%)",
-                100.0 * (fb - fa) / fa
-            );
-        }
-    }
     let mut failed = false;
-    // Hard cap on the candidate's fan-out: more than 4 registrations per
-    // indexed entry means the duplication tax is back.
-    if let Some(fb) = factor(b) {
-        if fb > 4.0 {
-            eprintln!(
-                "report diff: index duplication factor {fb:.2} in {pb} \
-                 exceeds the 4x registrations-per-entry cap"
-            );
-            failed = true;
-        }
-    }
     if !drifted.is_empty() {
         eprintln!(
             "report diff: self-healing drift — counters changed: {}",

@@ -117,8 +117,8 @@ pub struct SystemConfig {
     pub retry: RetryConfig,
     /// Self-healing (replication + leases) settings.
     pub heal: HealConfig,
-    /// Which matching-index structure repositories build (the bench's
-    /// index-shape axis). Performance-only: every mode yields identical
+    /// Whether repositories build the matching index (`Linear` is the
+    /// differential oracle). Performance-only: both modes yield identical
     /// match sets and run digests. Deliberately *not* snapshot-encoded —
     /// a restored network reverts to the default mode, which cannot
     /// change results (see `core::index`).
@@ -167,7 +167,7 @@ impl SystemConfig {
         self
     }
 
-    /// Selects the matching-index structure (bench index-shape axis).
+    /// Selects whether repositories index or scan.
     pub fn with_index_mode(mut self, mode: crate::index::IndexMode) -> Self {
         self.index_mode = mode;
         self

@@ -345,20 +345,15 @@ impl PubSubNode for HyperSubNode {
         HyperSubNode::load(self)
     }
 
-    /// Matching-index occupancy over this node's zone repositories. The
-    /// ratio registrations/entries is the *duplication factor* the
-    /// hotpath bench prints; exporting both sides lets `report diff`
-    /// guard its drift between pinned runs (and cap it in CI). `bytes` is
-    /// resident index memory, `covering_collapsed` the entries absorbed
-    /// under a coverer, `candidates_scanned` the cumulative verification
-    /// probes indexed queries performed.
+    /// Matching-index occupancy over this node's zone repositories:
+    /// `entries` held in repositories with a built index, `bytes` of
+    /// resident index memory, and `candidates_scanned`, the slots indexed
+    /// queries have examined.
     fn report_counters(&self) -> Vec<(&'static str, u64)> {
         let d = self.index_diag();
         vec![
             ("index.entries", d.entries),
-            ("index.registrations", d.registrations),
             ("index.bytes", d.bytes),
-            ("index.covering_collapsed", d.covering_collapsed),
             ("index.candidates_scanned", d.candidates_scanned),
         ]
     }

@@ -15,7 +15,7 @@
 //!   points at the parent zone's repository, forming the chain events
 //!   climb during delivery.
 
-use crate::index::{GridIndex, HybridIndex, IndexDiag, IndexMode, INDEX_THRESHOLD};
+use crate::index::{BitsetIndex, IndexDiag, IndexMode, INDEX_THRESHOLD};
 use crate::model::{SchemeId, SubId, SubschemeId};
 use hypersub_lph::{Point, Rect, ZoneCode};
 use hypersub_simnet::FxHashMap;
@@ -57,14 +57,6 @@ impl StoredSub {
     }
 }
 
-/// The structure a repository built past the index threshold — chosen by
-/// [`IndexMode`], identical match results either way.
-#[derive(Debug, Clone)]
-enum BuiltIndex {
-    Grid(GridIndex),
-    Hybrid(HybridIndex),
-}
-
 /// A zone repository on a surrogate node.
 #[derive(Debug, Clone)]
 pub struct ZoneRepo {
@@ -78,17 +70,11 @@ pub struct ZoneRepo {
     /// What we last registered at each child zone (the "changed
     /// subdivision" dedup of Algorithm 3).
     pub pushed: FxHashMap<ZoneCode, Rect>,
-    /// Local matching index (§3.3), built lazily once the repository is
-    /// large. Maintained incrementally: inserts register into the
-    /// existing structure, removals unregister (hybrid) or leave stale
-    /// ids behind (grid; filtered out by the exact verification pass),
-    /// and the index is rebuilt from scratch only when the mutation
-    /// count has drifted more than 25% from the build-time entry count.
-    index: Option<BuiltIndex>,
-    /// Entry count when `index` was built.
-    index_built_at: usize,
-    /// Mutations absorbed by `index` since its build.
-    index_drift: usize,
+    /// Local matching index (§3.3), built once the repository is large
+    /// and kept in step with `entries` from then on. Boxed: most
+    /// repositories (every link of a surrogate chain) never build one,
+    /// and the `repos` table pays for this field in each of them.
+    index: Option<Box<BitsetIndex>>,
     /// Cumulative candidates examined by indexed `match_point` calls
     /// (diagnostics; not snapshot state).
     scanned: u64,
@@ -103,20 +89,7 @@ impl ZoneRepo {
             summary: None,
             pushed: FxHashMap::default(),
             index: None,
-            index_built_at: 0,
-            index_drift: 0,
             scanned: 0,
-        }
-    }
-
-    /// Counts one absorbed mutation against the live index and drops it
-    /// once cumulative drift exceeds 25% of the build-time size (the
-    /// next `match_point` rebuilds fresh, folding overflow/stale slots
-    /// back into a tight structure).
-    fn bump_drift(&mut self) {
-        self.index_drift += 1;
-        if self.index_drift * 4 > self.index_built_at.max(1) {
-            self.index = None;
         }
     }
 
@@ -124,30 +97,13 @@ impl ZoneRepo {
     /// grew (meaning subdivisions may need re-pushing).
     ///
     /// Re-inserting an id whose projected rect is unchanged (soft-state
-    /// lease refreshes, replica replays) is index-neutral: it neither
-    /// re-registers the entry nor counts as drift — the fix for the
-    /// historical double-registration bug that inflated candidate lists
-    /// and `registrations()` on every refresh.
+    /// lease refreshes, replica replays) leaves the index alone.
     pub fn insert(&mut self, id: SubId, sub: StoredSub) -> bool {
         let proj = sub.proj().clone();
         let prior = self.entries.insert(id, sub);
-        let same_rect = prior.as_ref().is_some_and(|p| p.proj() == &proj);
-        if !same_rect {
+        if prior.is_none_or(|p| p.proj() != &proj) {
             if let Some(ix) = self.index.as_mut() {
-                let mutated = match ix {
-                    // The grid cannot unregister, so a changed rect just
-                    // registers the new geometry on top (the old cells
-                    // decay into stale candidates, exactness preserved
-                    // by verification).
-                    BuiltIndex::Grid(g) => {
-                        g.register(id, &proj);
-                        true
-                    }
-                    BuiltIndex::Hybrid(h) => h.insert(id, &proj),
-                };
-                if mutated {
-                    self.bump_drift();
-                }
+                ix.insert(id, &proj);
             }
         }
         match &mut self.summary {
@@ -174,16 +130,7 @@ impl ZoneRepo {
         let removed = self.entries.remove(id);
         if removed.is_some() {
             if let Some(ix) = self.index.as_mut() {
-                match ix {
-                    // Stale grid registrations stay behind; `match_point`
-                    // filters candidates through `entries`, so they can
-                    // only cost a wasted probe, never a wrong result.
-                    BuiltIndex::Grid(_) => {}
-                    BuiltIndex::Hybrid(h) => {
-                        h.remove(id);
-                    }
-                }
-                self.bump_drift();
+                ix.remove(id);
             }
         }
         removed
@@ -199,64 +146,38 @@ impl ZoneRepo {
     /// All entries matching an event: real entries match against the full
     /// point, surrogates against the projection. Results are sorted by
     /// SubId for deterministic message construction. Large repositories
-    /// consult the index selected by `mode` (candidates are verified
-    /// exactly, so index choice never changes results — the differential
-    /// oracle proptest pins this).
+    /// consult the index unless `mode` is `Linear` (candidates are
+    /// verified exactly, so the index never changes results — the
+    /// differential oracle proptest pins this).
     pub fn match_point(&mut self, full: &Point, proj: &Point, mode: IndexMode) -> Vec<SubId> {
         if self.index.is_none()
-            && mode != IndexMode::Linear
+            && mode == IndexMode::Bitset
             && self.entries.len() >= INDEX_THRESHOLD
         {
             let entries = self.entries.iter().map(|(id, s)| (id, s.proj()));
-            self.index = match mode {
-                IndexMode::Grid => GridIndex::build(entries).map(BuiltIndex::Grid),
-                IndexMode::Hybrid => Some(BuiltIndex::Hybrid(HybridIndex::build(entries))),
-                IndexMode::Linear => unreachable!(),
-            };
-            self.index_built_at = self.entries.len();
-            self.index_drift = 0;
+            self.index = Some(Box::new(BitsetIndex::build(entries)));
         }
-        let mut scanned = 0u64;
-        let mut out: Vec<SubId> = match &self.index {
-            Some(BuiltIndex::Grid(grid)) => {
-                let cands = grid.candidates(proj);
-                scanned = cands.len() as u64;
-                cands
-                    .iter()
-                    .filter(|id| {
-                        self.entries
-                            .get(id)
-                            .is_some_and(|s| Self::check_entry(s, full, proj))
-                    })
-                    .copied()
-                    .collect()
-            }
-            Some(BuiltIndex::Hybrid(h)) => {
-                let mut v = Vec::new();
-                let entries = &self.entries;
-                scanned = h.for_candidates(proj, |id| {
+        let entries = &self.entries;
+        let mut out: Vec<SubId> = Vec::new();
+        match &self.index {
+            Some(ix) => {
+                self.scanned += ix.for_candidates(proj, |id| {
                     if entries
                         .get(&id)
                         .is_some_and(|s| Self::check_entry(s, full, proj))
                     {
-                        v.push(id);
+                        out.push(id);
                     }
                 });
-                v
             }
-            None => self
-                .entries
-                .iter()
-                .filter(|(_, sub)| Self::check_entry(sub, full, proj))
-                .map(|(&id, _)| id)
-                .collect(),
-        };
-        self.scanned += scanned;
+            None => out.extend(
+                entries
+                    .iter()
+                    .filter(|(_, sub)| Self::check_entry(sub, full, proj))
+                    .map(|(&id, _)| id),
+            ),
+        }
         out.sort_unstable();
-        // Index paths can emit an id more than once (a superseded slot
-        // plus its replacement, a stale grid registration plus a fresh
-        // one); results must stay a set.
-        out.dedup();
         out
     }
 
@@ -273,19 +194,9 @@ impl ZoneRepo {
             candidates_scanned: self.scanned,
             ..IndexDiag::default()
         };
-        match &self.index {
-            Some(BuiltIndex::Grid(g)) => {
-                d.entries = self.entries.len() as u64;
-                d.registrations = g.registrations() as u64;
-                d.bytes = g.bytes();
-            }
-            Some(BuiltIndex::Hybrid(h)) => {
-                d.entries = self.entries.len() as u64;
-                d.registrations = h.registrations() as u64;
-                d.bytes = h.bytes();
-                d.covering_collapsed = h.covering_collapsed();
-            }
-            None => {}
+        if let Some(ix) = &self.index {
+            d.entries = self.entries.len() as u64;
+            d.bytes = ix.bytes();
         }
         d
     }
@@ -443,11 +354,11 @@ impl Encode for ZoneRepo {
         encode_map_sorted(&self.entries, w);
         self.summary.encode(w);
         encode_map_sorted(&self.pushed, w);
-        // The matching index (grid or hybrid) is a lazily built,
-        // observationally neutral cache (candidates are exactly
-        // verified): restored repos start without one and rebuild on
-        // demand, which cannot change match results. The scan counter is
-        // a diagnostic and likewise resets on restore.
+        // The matching index is a lazily built, observationally neutral
+        // cache (candidates are exactly verified): restored repos start
+        // without one and rebuild on demand, which cannot change match
+        // results. The scan counter is a diagnostic and likewise resets
+        // on restore.
     }
 }
 
@@ -459,8 +370,6 @@ impl Decode for ZoneRepo {
             summary: Option::<Rect>::decode(r)?,
             pushed: decode_map(r)?,
             index: None,
-            index_built_at: 0,
-            index_drift: 0,
             scanned: 0,
         })
     }
@@ -551,10 +460,10 @@ mod tests {
         );
         // Full point (0.7, 5.0): real entry fails on dim 1 (5.0 > 1.0),
         // surrogate matches on projection 0.7.
-        let m = r.match_point(&Point(vec![0.7, 5.0]), &Point(vec![0.7]), IndexMode::Hybrid);
+        let m = r.match_point(&Point(vec![0.7, 5.0]), &Point(vec![0.7]), IndexMode::Bitset);
         assert_eq!(m, vec![sid(2)]);
         // Full point inside both.
-        let m = r.match_point(&Point(vec![0.7, 0.5]), &Point(vec![0.7]), IndexMode::Hybrid);
+        let m = r.match_point(&Point(vec![0.7, 0.5]), &Point(vec![0.7]), IndexMode::Bitset);
         assert_eq!(m, vec![sid(1), sid(2)]);
     }
 
@@ -573,101 +482,97 @@ mod tests {
         assert_eq!(r.real_count(), 0);
     }
 
-    fn drift_rebuild_scenario(mode: IndexMode) {
-        let surrogate = |lo: f64| StoredSub::Surrogate {
+    fn surrogate(lo: f64) -> StoredSub {
+        StoredSub::Surrogate {
             proj: Rect::new(vec![lo], vec![lo + 3.0]),
-        };
+        }
+    }
+
+    /// `match_point` through the index against a scan of `entries`.
+    fn assert_exact(r: &mut ZoneRepo, xs: &[f64]) {
+        for &x in xs {
+            let p = Point(vec![x]);
+            let got = r.match_point(&p, &p, IndexMode::Bitset);
+            let mut expect: Vec<SubId> = r
+                .entries
+                .iter()
+                .filter(|(_, s)| s.proj().contains_point(&p))
+                .map(|(&id, _)| id)
+                .collect();
+            expect.sort_unstable();
+            assert_eq!(got, expect, "indexed path diverged at x={x}");
+        }
+    }
+
+    /// The index is built once and then follows `entries`: no amount of
+    /// drift drops it. The only rebuild left is the re-bucketing when the
+    /// slots outgrow the rows (here 80 entries → 128 slots → 256).
+    #[test]
+    fn incremental_index_stays_exact_until_drift_rebuild() {
         let mut r = ZoneRepo::new(1);
         for i in 0..80 {
             r.insert(sid(i), surrogate((i as f64 * 1.1) % 50.0));
         }
-        let _ = r.match_point(&Point(vec![10.0]), &Point(vec![10.0]), mode);
-        assert!(
-            r.index_diag().registrations > 0,
-            "{mode:?}: index built past the threshold"
-        );
+        assert_eq!(r.index_diag().entries, 0, "nothing built before a query");
+        assert_exact(&mut r, &[10.0]);
+        assert_eq!(r.index_diag().entries, 80, "built past the threshold");
 
-        // A few inserts (≤25% drift), some beyond the built dim-0 range:
-        // the index absorbs them in place.
+        // Inserts beyond the built range on dim 0, then far more
+        // mutations than the build-time size, across a capacity doubling.
         for i in 100..110 {
             r.insert(sid(i), surrogate(40.0 + (i - 100) as f64 * 2.0));
         }
-        assert!(
-            r.index_diag().registrations > 0,
-            "{mode:?}: index survived small drift"
-        );
-        for x in [0.0, 10.0, 45.0, 57.5] {
-            let full = Point(vec![x]);
-            let got = r.match_point(&full, &full, mode);
-            let mut expect: Vec<SubId> = r
-                .entries
-                .iter()
-                .filter(|(_, s)| s.proj().contains_point(&full))
-                .map(|(&id, _)| id)
-                .collect();
-            expect.sort_unstable();
-            assert_eq!(got, expect, "{mode:?}: indexed path diverged at x={x}");
+        assert_exact(&mut r, &[0.0, 10.0, 45.0, 57.5]);
+        let bytes = r.index_diag().bytes;
+        for i in 200..400 {
+            r.insert(sid(i), surrogate((i as f64 * 0.7) % 90.0));
         }
+        assert_eq!(r.index_diag().entries, 290, "still indexed, every entry");
+        assert!(r.index_diag().bytes > bytes, "the tables grew");
+        assert_exact(&mut r, &[0.0, 10.0, 45.0, 57.5, 89.0, 93.0]);
 
-        // Enough mutations to exceed 25% of the build-time size: the
-        // index is dropped and rebuilt fresh on the next query.
-        for i in 200..230 {
-            r.insert(sid(i), surrogate((i as f64 * 0.7) % 50.0));
+        // Removing most of it keeps the index and keeps it exact, as do
+        // the inserts that take over the freed slots.
+        for i in 0..80 {
+            assert!(r.remove(&sid(i)).is_some());
         }
-        assert_eq!(
-            r.index_diag().registrations,
-            0,
-            "{mode:?}: drift threshold dropped the index"
-        );
-        let _ = r.match_point(&Point(vec![10.0]), &Point(vec![10.0]), mode);
-        assert!(
-            r.index_diag().registrations > 0,
-            "{mode:?}: rebuilt on demand"
-        );
-    }
-
-    #[test]
-    fn incremental_index_stays_exact_until_drift_rebuild() {
-        drift_rebuild_scenario(IndexMode::Grid);
-        drift_rebuild_scenario(IndexMode::Hybrid);
+        for i in 200..380 {
+            r.remove(&sid(i));
+        }
+        assert_eq!(r.index_diag().entries, 30);
+        assert_exact(&mut r, &[0.0, 10.0, 45.0, 57.5, 89.0]);
+        for i in 500..700 {
+            r.insert(sid(i), surrogate((i as f64 * 0.3) % 90.0));
+        }
+        assert_eq!(r.index_diag().entries, 230);
+        assert_exact(&mut r, &[0.0, 10.0, 45.0, 57.5, 89.0]);
     }
 
     #[test]
     fn reinsert_same_rect_does_not_reregister() {
         // Regression test for the historical double-registration bug:
         // re-inserting an existing id (lease refresh, replica replay)
-        // used to register it into the index again, inflating both the
-        // candidate lists and the registration counter.
-        let surrogate = |lo: f64| StoredSub::Surrogate {
-            proj: Rect::new(vec![lo], vec![lo + 3.0]),
-        };
-        for mode in [IndexMode::Grid, IndexMode::Hybrid] {
-            let mut r = ZoneRepo::new(1);
-            for i in 0..80 {
-                r.insert(sid(i), surrogate(i as f64));
-            }
-            let _ = r.match_point(&Point(vec![10.0]), &Point(vec![10.0]), mode);
-            let before = r.index_diag().registrations;
-            assert!(before > 0, "{mode:?}: index built");
-            // Refresh every entry with its identical rect.
-            for i in 0..80 {
-                r.insert(sid(i), surrogate(i as f64));
-            }
-            assert_eq!(
-                r.index_diag().registrations,
-                before,
-                "{mode:?}: same-rect re-insert must not re-register"
-            );
-            let got = r.match_point(&Point(vec![10.0]), &Point(vec![10.0]), mode);
-            let mut expect: Vec<SubId> = r
-                .entries
-                .iter()
-                .filter(|(_, s)| s.proj().contains_point(&Point(vec![10.0])))
-                .map(|(&id, _)| id)
-                .collect();
-            expect.sort_unstable();
-            assert_eq!(got, expect, "{mode:?}: refresh left results exact");
+        // used to register it into the index again, inflating the
+        // candidate lists.
+        let mut r = ZoneRepo::new(1);
+        for i in 0..80 {
+            r.insert(sid(i), surrogate(i as f64));
         }
+        assert_exact(&mut r, &[10.0]);
+        let before = r.index_diag();
+        assert_eq!(before.entries, 80, "index built");
+        // Refresh every entry with its identical rect.
+        for i in 0..80 {
+            r.insert(sid(i), surrogate(i as f64));
+        }
+        assert_exact(&mut r, &[10.0]);
+        let after = r.index_diag();
+        assert_eq!(after.bytes, before.bytes, "no slot appended");
+        assert_eq!(
+            after.candidates_scanned,
+            2 * before.candidates_scanned,
+            "the same query examines the same slots"
+        );
     }
 
     #[test]
@@ -682,8 +587,7 @@ mod tests {
             );
         }
         let _ = r.match_point(&Point(vec![10.5]), &Point(vec![10.5]), IndexMode::Linear);
-        assert_eq!(r.index_diag().registrations, 0);
-        assert_eq!(r.index_diag().bytes, 0);
+        assert_eq!(r.index_diag(), IndexDiag::default());
     }
 
     #[test]

@@ -4,186 +4,275 @@
 use crate::metrics::Metrics;
 use crate::model::{Event, SchemeId, SubId, Subscription};
 use hypersub_lph::Point;
+use hypersub_simnet::FxHashMap;
 use hypersub_snapshot::{Decode, Encode, Error, Reader, Writer};
 
 /// Ground truth: every subscription in the system, for computing expected
 /// match sets (tests) and the matched-percentage metric (Figure 2a/5a).
+///
+/// The publish path asks it for a count once per event, so it is laid out
+/// for that question: bounds in one flat array, a grid of candidate lists
+/// kept up to date as subscriptions come and go, removal by tombstone.
+/// It shares no code with [`crate::index`] — it is the reference the
+/// delivery check compares the protocol against.
+///
+/// A subscription matches a point when the scheme agrees, the arity
+/// agrees, and every coordinate lies within its closed range.
+/// Re-adding an id replaces its subscription.
 #[derive(Debug, Default)]
 pub struct Oracle {
-    subs: Vec<(SchemeId, SubId, Subscription)>,
-    /// Lazy bucketing of `subs` by their leading attribute intervals,
-    /// rebuilt on demand after any add/remove. The oracle is
-    /// consulted once per published event; without this the linear scan
-    /// over every subscription dominated the publish hot path.
-    grid: Option<OracleGrid>,
+    /// Registration order; a removed subscription stays as a dead slot
+    /// until the next compaction.
+    slots: Vec<Slot>,
+    /// Slot `s` owns `bounds[s.at..][..2 * s.arity]`, laid out
+    /// `[lo₀, hi₀, lo₁, hi₁, …]`.
+    bounds: Vec<f64>,
+    by_id: FxHashMap<SubId, u32>,
+    dead: usize,
+    /// One grid per `(scheme, arity)` queried so far.
+    grids: FxHashMap<(SchemeId, usize), Grid>,
 }
 
-/// Buckets subscription indices by their intervals on the first one or
-/// two attributes (two when every registered rect has ≥ 2 dimensions). A
-/// point query reads exactly one cell, so a subscription registered into
-/// several cells can never produce a duplicate candidate.
 #[derive(Debug)]
-struct OracleGrid {
-    /// Cells per axis; `dims` axes are active, the rest are single-cell.
-    dims: usize,
-    lo: [f64; 2],
-    width: [f64; 2],
-    cells: Vec<Vec<u32>>,
+struct Slot {
+    id: SubId,
+    scheme: SchemeId,
+    arity: u32,
+    at: u32,
+    live: bool,
 }
 
-impl OracleGrid {
-    /// Cells per active axis (32² = 1024 cells in the 2-D case).
-    const AXIS_CELLS: usize = 32;
+/// Is `p` inside the interleaved `[lo, hi]` pairs of `b`? Same arity
+/// assumed; false under any NaN.
+fn inside(b: &[f64], p: &[f64]) -> bool {
+    b.chunks_exact(2)
+        .zip(p)
+        .all(|(b, &x)| b[0] <= x && x <= b[1])
+}
 
-    fn axis(subs: &[(SchemeId, SubId, Subscription)], d: usize) -> (f64, f64) {
-        let lo = subs
+/// Buckets slot indices by their intervals on up to four leading axes. A
+/// point query reads one cell plus the `wide` list, so a subscription
+/// registered in several cells is never counted twice. Coordinates
+/// outside the build-time box clamp to the edge cells, for rects and
+/// points alike, so the cell read is always a superset of the matches.
+#[derive(Debug)]
+struct Grid {
+    /// Active axes; the rest have a single cell.
+    dims: usize,
+    lo: [f64; Grid::MAX_DIMS],
+    /// Cells per unit length (0 on an axis with no finite positive span).
+    scale: [f64; Grid::MAX_DIMS],
+    cells: Vec<Vec<u32>>,
+    /// Subscriptions spanning more than [`Grid::MAX_CELLS`] cells: always
+    /// scanned instead of registered everywhere.
+    wide: Vec<u32>,
+    /// Subscriptions registered so far and when the grid was built: at
+    /// twice as many the box no longer describes them and `add` drops the
+    /// grid for the next query to rebuild.
+    members: usize,
+    built: usize,
+}
+
+impl Grid {
+    const MAX_DIMS: usize = 4;
+    /// Cells per active axis by active-axis count: 64, 32², 16³, 8⁴.
+    const AXIS_CELLS: [usize; Grid::MAX_DIMS + 1] = [1, 64, 32, 16, 8];
+    /// Most cells one subscription may be registered in.
+    const MAX_CELLS: usize = 256;
+
+    /// A grid over the box of the live `(scheme, arity)` slots.
+    fn build(slots: &[Slot], bounds: &[f64], scheme: SchemeId, arity: usize) -> Grid {
+        let members: Vec<(u32, &[f64])> = slots
             .iter()
-            .map(|(_, _, s)| s.rect.lo[d])
-            .fold(f64::INFINITY, f64::min);
-        let hi = subs
-            .iter()
-            .map(|(_, _, s)| s.rect.hi[d])
-            .fold(f64::NEG_INFINITY, f64::max);
-        let span = hi - lo;
-        // Degenerate spans (no subs, one value) collapse to one bucket.
-        let width = if span.is_finite() && span > 0.0 {
-            span / Self::AXIS_CELLS as f64
-        } else {
-            1.0
+            .enumerate()
+            .filter(|(_, s)| s.live && s.scheme == scheme && s.arity as usize == arity)
+            .map(|(i, s)| (i as u32, &bounds[s.at as usize..][..2 * arity]))
+            .collect();
+        let dims = arity.min(Grid::MAX_DIMS);
+        let per_axis = Grid::AXIS_CELLS[dims];
+        let mut grid = Grid {
+            dims,
+            lo: [0.0; Grid::MAX_DIMS],
+            scale: [0.0; Grid::MAX_DIMS],
+            cells: vec![Vec::new(); per_axis.pow(dims as u32)],
+            wide: Vec::new(),
+            members: 0,
+            built: members.len(),
         };
-        (if lo.is_finite() { lo } else { 0.0 }, width)
+        for d in 0..dims {
+            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+            for (_, b) in &members {
+                if b[2 * d].is_finite() {
+                    lo = lo.min(b[2 * d]);
+                }
+                if b[2 * d + 1].is_finite() {
+                    hi = hi.max(b[2 * d + 1]);
+                }
+            }
+            let scale = per_axis as f64 / (hi - lo);
+            if scale.is_finite() && scale > 0.0 {
+                (grid.lo[d], grid.scale[d]) = (lo, scale);
+            }
+        }
+        for (i, b) in members {
+            grid.register(i, b);
+        }
+        grid
     }
 
-    fn build(subs: &[(SchemeId, SubId, Subscription)]) -> Self {
-        let min_rect_dims = subs
-            .iter()
-            .map(|(_, _, s)| s.rect.lo.len())
-            .min()
-            .unwrap_or(0);
-        let dims = min_rect_dims.min(2);
-        let mut lo = [0.0; 2];
-        let mut width = [1.0; 2];
-        let mut n = [1usize; 2];
-        for d in 0..dims {
-            let (l, w) = Self::axis(subs, d);
-            lo[d] = l;
-            width[d] = w;
-            n[d] = Self::AXIS_CELLS;
+    /// Cells on each active axis.
+    fn per_axis(&self) -> usize {
+        Grid::AXIS_CELLS[self.dims]
+    }
+
+    /// The cell coordinate of `x` on axis `d`: monotone in `x`, and the
+    /// float-to-int cast saturates (negatives and NaN to 0), which is the
+    /// clamp to the edge cells.
+    fn coord(&self, d: usize, x: f64) -> usize {
+        (((x - self.lo[d]) * self.scale[d]) as usize).min(self.per_axis() - 1)
+    }
+
+    /// The cell holding `p`.
+    fn cell(&self, p: &[f64]) -> usize {
+        (0..self.dims).fold(0, |i, d| i * self.per_axis() + self.coord(d, p[d]))
+    }
+
+    /// Adds slot `i` with interleaved bounds `b` to every cell it
+    /// overlaps, or to `wide` when those are too many.
+    fn register(&mut self, i: u32, b: &[f64]) {
+        self.members += 1;
+        // Inactive axes get the one-cell range 0..=0 and a stride of 1.
+        let mut range = [(0, 0); Grid::MAX_DIMS];
+        let mut n = [1; Grid::MAX_DIMS];
+        let mut count = 1;
+        for d in 0..self.dims {
+            range[d] = (self.coord(d, b[2 * d]), self.coord(d, b[2 * d + 1]));
+            n[d] = self.per_axis();
+            // Empty when a NaN bound inverts the range: matches nothing.
+            count *= (range[d].1 + 1).saturating_sub(range[d].0);
         }
-        let clamp = |x: f64, d: usize| {
-            // Negative-to-usize casts saturate to 0, clamping
-            // out-of-range coordinates to the edge cells.
-            (((x - lo[d]) / width[d]) as usize).min(n[d] - 1)
-        };
-        let mut cells: Vec<Vec<u32>> = vec![Vec::new(); n[0] * n[1]];
-        for (i, (_, _, s)) in subs.iter().enumerate() {
-            let i = u32::try_from(i).expect("oracle sub index exceeds u32");
-            let (x0, x1) = if dims >= 1 {
-                (clamp(s.rect.lo[0], 0), clamp(s.rect.hi[0], 0))
-            } else {
-                (0, 0)
-            };
-            let (y0, y1) = if dims == 2 {
-                (clamp(s.rect.lo[1], 1), clamp(s.rect.hi[1], 1))
-            } else {
-                (0, 0)
-            };
-            for x in x0..=x1 {
-                for cell in cells.iter_mut().skip(x * n[1] + y0).take(y1 - y0 + 1) {
-                    cell.push(i);
+        if count > Grid::MAX_CELLS {
+            self.wide.push(i);
+            return;
+        }
+        for x in range[0].0..=range[0].1 {
+            for y in range[1].0..=range[1].1 {
+                for z in range[2].0..=range[2].1 {
+                    for w in range[3].0..=range[3].1 {
+                        self.cells[((x * n[1] + y) * n[2] + z) * n[3] + w].push(i);
+                    }
                 }
             }
         }
-        Self {
-            dims,
-            lo,
-            width,
-            cells,
-        }
-    }
-
-    /// The candidate cell for `point`, or `None` when the point has fewer
-    /// dimensions than the grid axes (caller falls back to the scan).
-    fn cell(&self, point: &Point) -> Option<&[u32]> {
-        if point.0.len() < self.dims {
-            return None;
-        }
-        if self.dims == 0 {
-            return Some(&self.cells[0]);
-        }
-        let c = |x: f64, d: usize| ((x - self.lo[d]) / self.width[d]) as usize;
-        let x = c(point.0[0], 0).min(Self::AXIS_CELLS - 1);
-        let y = if self.dims == 2 {
-            c(point.0[1], 1).min(Self::AXIS_CELLS - 1)
-        } else {
-            0
-        };
-        let ny = if self.dims == 2 { Self::AXIS_CELLS } else { 1 };
-        Some(&self.cells[x * ny + y])
     }
 }
 
 impl Oracle {
     /// Registers a subscription.
     pub fn add(&mut self, scheme: SchemeId, subid: SubId, sub: Subscription) {
-        self.subs.push((scheme, subid, sub));
-        self.grid = None;
+        self.remove(subid);
+        let i = u32::try_from(self.slots.len()).expect("oracle slot index exceeds u32");
+        let at = u32::try_from(self.bounds.len()).expect("oracle bounds offset exceeds u32");
+        for (&lo, &hi) in sub.rect.lo.iter().zip(&sub.rect.hi) {
+            self.bounds.extend([lo, hi]);
+        }
+        let arity = (self.bounds.len() - at as usize) / 2;
+        self.slots.push(Slot {
+            id: subid,
+            scheme,
+            arity: arity as u32,
+            at,
+            live: true,
+        });
+        self.by_id.insert(subid, i);
+        if let Some(grid) = self.grids.get_mut(&(scheme, arity)) {
+            grid.register(i, &self.bounds[at as usize..]);
+            if grid.members >= 2 * grid.built.max(1) {
+                self.grids.remove(&(scheme, arity));
+            }
+        }
     }
 
     /// Removes a subscription (unsubscribe). Returns whether it existed.
     pub fn remove(&mut self, subid: SubId) -> bool {
-        let before = self.subs.len();
-        self.subs.retain(|(_, id, _)| *id != subid);
-        self.grid = None;
-        self.subs.len() != before
+        let Some(i) = self.by_id.remove(&subid) else {
+            return false;
+        };
+        self.bury(i);
+        true
+    }
+
+    /// Marks slot `i` dead; once a quarter of the slots are, the live ones
+    /// close ranks in registration order and the grids are dropped (their
+    /// cells hold slot indices), to be rebuilt by the next query.
+    fn bury(&mut self, i: u32) {
+        self.slots[i as usize].live = false;
+        self.dead += 1;
+        if self.dead * 4 <= self.slots.len() {
+            return;
+        }
+        let old = std::mem::take(&mut self.bounds);
+        self.slots.retain_mut(|s| {
+            if s.live {
+                let at = self.bounds.len() as u32;
+                self.bounds
+                    .extend_from_slice(&old[s.at as usize..][..2 * s.arity as usize]);
+                s.at = at;
+            }
+            s.live
+        });
+        for (i, s) in self.slots.iter().enumerate() {
+            self.by_id.insert(s.id, i as u32);
+        }
+        self.dead = 0;
+        self.grids.clear();
     }
 
     /// Total subscriptions across all schemes.
     pub fn len(&self) -> usize {
-        self.subs.len()
+        self.slots.len() - self.dead
     }
 
     /// True when no subscriptions exist.
     pub fn is_empty(&self) -> bool {
-        self.subs.is_empty()
+        self.len() == 0
     }
 
-    /// The exact set of subscriptions matching `point` in `scheme`.
+    /// The exact set of subscriptions matching `point` in `scheme`: a
+    /// scan of every slot, the slow reference `expected_count` is tested
+    /// against.
     pub fn expected_matches(&self, scheme: SchemeId, point: &Point) -> Vec<SubId> {
-        let ev = Event {
-            id: 0,
-            point: point.clone(),
-        };
+        let arity = point.0.len();
         let mut out: Vec<SubId> = self
-            .subs
+            .slots
             .iter()
-            .filter(|(s, _, sub)| *s == scheme && sub.matches(&ev))
-            .map(|(_, id, _)| *id)
+            .filter(|s| s.live && s.scheme == scheme && s.arity as usize == arity)
+            .filter(|s| inside(&self.bounds[s.at as usize..][..2 * arity], &point.0))
+            .map(|s| s.id)
             .collect();
         out.sort_unstable();
         out
     }
 
-    /// `expected_matches(..).len()` without materializing the id list:
-    /// candidates come from the grid cell covering `point`
-    /// and each is verified with the exact containment test, so the count
-    /// is identical to the linear scan's. `&mut self` only because the
-    /// grid builds lazily on first use.
+    /// `expected_matches(..).len()` without the scan: candidates come
+    /// from the grid cell covering `point` and each is verified with the
+    /// exact containment test, so the count is identical. `&mut self`
+    /// only because a grid is built on its first use.
     pub fn expected_count(&mut self, scheme: SchemeId, point: &Point) -> usize {
-        if self.grid.is_none() {
-            self.grid = Some(OracleGrid::build(&self.subs));
-        }
-        let grid = self.grid.as_ref().expect("just built");
-        match grid.cell(point) {
-            Some(cell) => cell
-                .iter()
-                .filter(|&&i| {
-                    let (s, _, sub) = &self.subs[i as usize];
-                    *s == scheme && sub.rect.contains_point(point)
-                })
-                .count(),
-            None => self.expected_matches(scheme, point).len(),
-        }
+        let arity = point.0.len();
+        let (slots, bounds) = (&self.slots, &self.bounds);
+        let grid = self
+            .grids
+            .entry((scheme, arity))
+            .or_insert_with(|| Grid::build(slots, bounds, scheme, arity));
+        grid.cells[grid.cell(&point.0)]
+            .iter()
+            .chain(&grid.wide)
+            .filter(|&&i| {
+                let s = &slots[i as usize];
+                s.live && inside(&bounds[s.at as usize..][..2 * arity], &point.0)
+            })
+            .count()
     }
 }
 
@@ -211,13 +300,18 @@ impl HyperWorld {
 
 impl Encode for Oracle {
     fn encode(&self, w: &mut Writer) {
-        // Registration order matters (`expected_count` indexes into it);
-        // the lazy grid is a derived cache and rebuilds on demand.
-        w.put_u64(self.subs.len() as u64);
-        for (scheme, subid, sub) in &self.subs {
-            w.put_u32(*scheme);
-            subid.encode(w);
-            sub.encode(w);
+        // The live subscriptions in registration order, as they were
+        // handed to `add`; slots, offsets and grids are derived.
+        w.put_u64(self.len() as u64);
+        for s in self.slots.iter().filter(|s| s.live) {
+            w.put_u32(s.scheme);
+            s.id.encode(w);
+            let b = &self.bounds[s.at as usize..][..2 * s.arity as usize];
+            let rect = hypersub_lph::Rect {
+                lo: b.iter().step_by(2).copied().collect(),
+                hi: b.iter().skip(1).step_by(2).copied().collect(),
+            };
+            Subscription { rect }.encode(w);
         }
     }
 }
@@ -225,14 +319,13 @@ impl Encode for Oracle {
 impl Decode for Oracle {
     fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
         let n = r.take_u64()? as usize;
-        let mut subs = Vec::with_capacity(n);
+        let mut oracle = Oracle::default();
         for _ in 0..n {
             let scheme = r.take_u32()?;
             let subid = SubId::decode(r)?;
-            let sub = Subscription::decode(r)?;
-            subs.push((scheme, subid, sub));
+            oracle.add(scheme, subid, Subscription::decode(r)?);
         }
-        Ok(Oracle { subs, grid: None })
+        Ok(oracle)
     }
 }
 
@@ -279,6 +372,7 @@ impl Decode for HyperWorld {
 mod tests {
     use super::*;
     use hypersub_lph::{ContentSpace, Rect};
+    use proptest::prelude::*;
 
     #[test]
     fn oracle_matches_brute_force() {
@@ -331,14 +425,152 @@ mod tests {
             }
         };
         probe(&mut o);
-        // Mutations invalidate the grid; counts must stay exact after.
+        // The grids built above follow mutations; counts stay exact.
         assert!(o.remove(SubId { nid: 7, iid: 1 }));
+        assert!(!o.remove(SubId { nid: 7, iid: 1 }));
         o.add(
             0,
             SubId { nid: 99, iid: 1 },
             Subscription::new(Rect::new(vec![0.0, 0.0], vec![100.0, 100.0])),
         );
+        assert_eq!(o.len(), 50);
         probe(&mut o);
+        // Re-adding an id replaces its subscription.
+        o.add(
+            0,
+            SubId { nid: 99, iid: 1 },
+            Subscription::new(Rect::new(vec![0.0, 0.0], vec![1.0, 1.0])),
+        );
+        assert_eq!(o.len(), 50);
+        assert_eq!(o.expected_count(0, &Point(vec![120.0, 88.8])), 0);
+        probe(&mut o);
+    }
+
+    fn encoded(o: &Oracle) -> Vec<u8> {
+        let mut w = Writer::new();
+        o.encode(&mut w);
+        w.into_vec()
+    }
+
+    /// Scheme 0 has two attributes on [0, 100], scheme 1 five on [-1, 1].
+    fn arb_sub() -> impl Strategy<Value = (SchemeId, Subscription)> {
+        let axis = (0.0f64..=1.0, 0.0f64..=1.0).prop_map(|(a, b)| (a.min(b), a.max(b)));
+        (any::<bool>(), prop::collection::vec(axis, 5..6)).prop_map(|(wide, axes)| {
+            let (scheme, arity, lo, span) = if wide {
+                (1, 5, -1.0, 2.0)
+            } else {
+                (0, 2, 0.0, 100.0)
+            };
+            let at = |x: f64| lo + x * span;
+            let rect = Rect::new(
+                axes[..arity].iter().map(|a| at(a.0)).collect(),
+                axes[..arity].iter().map(|a| at(a.1)).collect(),
+            );
+            (scheme, Subscription::new(rect))
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+        /// Random add/remove histories, queried throughout (so the grids
+        /// exist and must follow), with enough removals to cross
+        /// compactions: the grid count equals the scan for points
+        /// inside, on the edge of and outside the box, in both schemes,
+        /// and the encoding is that of a fresh oracle fed the survivors.
+        #[test]
+        fn prop_count_equals_scan_across_compactions(
+            subs in prop::collection::vec(arb_sub(), 40..160),
+            removes in prop::collection::vec(any::<u16>(), 30..120),
+            coords in prop::collection::vec(0.0f64..=1.0, 5..6),
+        ) {
+            let id = |i: usize| SubId { nid: i as u64, iid: 1 };
+            let mut o = Oracle::default();
+            let mut alive: Vec<usize> = Vec::new();
+            let mut compactions = 0;
+            let mut removes = removes.into_iter();
+            for (i, (scheme, sub)) in subs.iter().enumerate() {
+                o.add(*scheme, id(i), sub.clone());
+                alive.push(i);
+                if i % 2 == 1 {
+                    if let Some(r) = removes.next() {
+                        let slots = o.slots.len();
+                        let gone = alive.swap_remove(r as usize % alive.len());
+                        prop_assert!(o.remove(id(gone)));
+                        compactions += usize::from(o.slots.len() < slots);
+                    }
+                }
+                if i % 8 != 0 {
+                    continue;
+                }
+                prop_assert_eq!(o.len(), alive.len());
+                for (scheme, arity, lo, span) in [(0, 2, 0.0, 100.0), (1, 5, -1.0, 2.0)] {
+                    // Inside the domain, at its corner, beyond it on either
+                    // side, and on the corner of a live rect.
+                    let mut probes: Vec<Point> = [1.0, 0.0, 3.0, -2.0]
+                        .iter()
+                        .map(|stretch| {
+                            let at = |&c: &f64| lo + c * stretch * span;
+                            Point(coords[..arity].iter().map(at).collect())
+                        })
+                        .collect();
+                    let corner = alive.iter().find(|&&j| subs[j].0 == scheme);
+                    probes.extend(corner.map(|&j| Point(subs[j].1.rect.hi.clone())));
+                    for p in probes {
+                        let listed = o.expected_matches(scheme, &p);
+                        prop_assert_eq!(o.expected_count(scheme, &p), listed.len());
+                        let mut brute: Vec<SubId> = alive
+                            .iter()
+                            .filter(|&&j| subs[j].0 == scheme && subs[j].1.rect.contains_point(&p))
+                            .map(|&j| id(j))
+                            .collect();
+                        brute.sort_unstable();
+                        prop_assert_eq!(listed, brute);
+                    }
+                }
+            }
+            prop_assert!(compactions > 0, "the history never compacted");
+            alive.sort_unstable();
+            let mut fresh = Oracle::default();
+            for &j in &alive {
+                fresh.add(subs[j].0, id(j), subs[j].1.clone());
+            }
+            prop_assert_eq!(encoded(&o), encoded(&fresh));
+        }
+    }
+
+    #[test]
+    fn domain_spanning_subscription_stays_under_the_cell_cap() {
+        let mut o = Oracle::default();
+        let whole = Rect::new(vec![0.0; 4], vec![100.0; 4]);
+        o.add(
+            0,
+            SubId { nid: 0, iid: 1 },
+            Subscription::new(whole.clone()),
+        );
+        for i in 1..200u64 {
+            let lo = (i % 90) as f64;
+            let r = Rect::new(vec![lo; 4], vec![lo + 10.0; 4]);
+            o.add(0, SubId { nid: i, iid: 1 }, Subscription::new(r));
+        }
+        let p = Point(vec![55.0; 4]);
+        assert_eq!(o.expected_count(0, &p), o.expected_matches(0, &p).len());
+        // Added after the grid exists: the incremental path, same cap.
+        o.add(0, SubId { nid: 500, iid: 1 }, Subscription::new(whole));
+        assert_eq!(o.expected_count(0, &p), o.expected_matches(0, &p).len());
+
+        let grid = &o.grids[&(0, 4)];
+        assert_eq!(grid.cells.len(), 8 * 8 * 8 * 8);
+        assert_eq!(grid.wide.len(), 2, "the two domain-spanning ones");
+        let mut per_slot = vec![0usize; o.slots.len()];
+        for cell in &grid.cells {
+            for &i in cell {
+                per_slot[i as usize] += 1;
+            }
+        }
+        assert_eq!((per_slot[0], per_slot[200]), (0, 0));
+        assert!(per_slot.iter().all(|&n| n <= Grid::MAX_CELLS));
+        assert!(per_slot[1..200].iter().all(|&n| n > 0));
     }
 
     #[test]

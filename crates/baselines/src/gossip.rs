@@ -118,10 +118,10 @@ impl GossipNode {
         // node in the arc can be skipped.
         let mut children: Vec<(u64, Peer)> = self
             .chord
-            .fingers
+            .fingers()
             .iter()
             .flatten()
-            .chain(self.chord.successors.iter())
+            .chain(self.chord.successors())
             .map(|p| (clockwise_distance(self.chord.id, p.id), *p))
             .filter(|&(d, _)| d >= 1 && d <= span)
             .collect();

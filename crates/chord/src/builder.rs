@@ -81,73 +81,82 @@ pub fn build_ring_with_ids(
         .collect();
     order.sort_by_key(|p| p.id);
 
-    let mut states: Vec<ChordState> = ids
-        .iter()
-        .enumerate()
-        .map(|(idx, &id)| ChordState::new(id, idx, cfg.succ_list_len))
+    // Built in ring order — neighbouring nodes search the same stretch of
+    // `order` and weigh the same candidates — then put in index order.
+    let mut states: Vec<ChordState> = (0..n)
+        .map(|pos| {
+            let me = order[pos];
+            // Predecessor and successor list straight off the sorted ring.
+            let pred = order[(pos + n - 1) % n];
+            let predecessor = (pred.idx != me.idx).then_some(pred);
+            let successors: Vec<Peer> = (1..=cfg.succ_list_len.min(n - 1))
+                .map(|k| order[(pos + k) % n])
+                .collect();
+            let fingers = (0..NUM_FINGERS)
+                .map(|i| finger(cfg, topo, &order, me, i))
+                .collect();
+            ChordState::from_parts(me, cfg.succ_list_len, predecessor, successors, fingers)
+        })
         .collect();
+    states.sort_unstable_by_key(|st| st.idx);
+    states
+}
 
-    for (pos, &me) in order.iter().enumerate() {
-        let st = &mut states[me.idx];
-        // Predecessor and successor list straight off the sorted ring.
-        let pred = order[(pos + n - 1) % n];
-        if pred.idx != me.idx {
-            st.predecessor = Some(pred);
+/// Finger `i` of `me` on the stabilized ring `order`. With PNS the
+/// *correct* entry is any node in [start_i, start_{i+1}) (all give
+/// progress guarantees); standard Chord takes successor(start_i), PNS
+/// takes the lowest-latency of the first `pns_candidates` such nodes.
+fn finger(
+    cfg: &RingConfig,
+    topo: &dyn Topology,
+    order: &[Peer],
+    me: Peer,
+    i: usize,
+) -> Option<Peer> {
+    let n = order.len();
+    let start = me.id.wrapping_add(1u64 << i);
+    let next_start = me.id.wrapping_add(
+        (1u128 << (i + 1)).min(u64::MAX as u128 + 1) as u64, // wraps to id for i=63
+    );
+    // First node clockwise at or after `start`.
+    let first = successor_position(order, start);
+    let candidate0 = order[first];
+    // Skip degenerate fingers that land on ourselves.
+    if candidate0.idx == me.idx {
+        return None;
+    }
+    if !cfg.pns {
+        return Some(candidate0);
+    }
+    let mut best = candidate0;
+    // Measured only once there is a second candidate to weigh it against:
+    // most intervals hold none, and a latency is computed, not looked up.
+    let mut best_lat = None;
+    let mut pos2 = first;
+    for _ in 1..cfg.pns_candidates {
+        pos2 = (pos2 + 1) % n;
+        let cand = order[pos2];
+        if cand.idx == me.idx {
+            break;
         }
-        for k in 1..=cfg.succ_list_len.min(n - 1) {
-            st.add_successor(order[(pos + k) % n]);
+        // Candidate must stay inside this finger's interval
+        // [start, next_start) to preserve routing progress.
+        let in_interval = if i == 63 {
+            // Interval covers half the ring ending at id.
+            clockwise_distance(start, cand.id) < clockwise_distance(start, me.id)
+        } else {
+            clockwise_distance(start, cand.id) < clockwise_distance(start, next_start)
+        };
+        if !in_interval {
+            break;
         }
-        // Fingers with PNS: for finger i the *correct* entry is any node in
-        // [start_i, start_{i+1}) (all give progress guarantees); standard
-        // Chord takes successor(start_i), PNS takes the lowest-latency of
-        // the first `pns_candidates` such nodes.
-        for i in 0..NUM_FINGERS {
-            let start = st.finger_start(i);
-            let next_start = st.id.wrapping_add(
-                (1u128 << (i + 1)).min(u64::MAX as u128 + 1) as u64, // wraps to id for i=63
-            );
-            // First node clockwise at or after `start`.
-            let first = successor_position(&order, start);
-            let candidate0 = order[first];
-            // Skip degenerate fingers that land on ourselves.
-            if candidate0.idx == me.idx {
-                continue;
-            }
-            let chosen = if cfg.pns {
-                let mut best = candidate0;
-                let mut best_lat = topo.latency(me.idx, candidate0.idx);
-                let mut pos2 = first;
-                for _ in 1..cfg.pns_candidates {
-                    pos2 = (pos2 + 1) % n;
-                    let cand = order[pos2];
-                    if cand.idx == me.idx {
-                        break;
-                    }
-                    // Candidate must stay inside this finger's interval
-                    // [start, next_start) to preserve routing progress.
-                    let in_interval = if i == 63 {
-                        // Interval covers half the ring ending at id.
-                        clockwise_distance(start, cand.id) < clockwise_distance(start, st.id)
-                    } else {
-                        clockwise_distance(start, cand.id) < clockwise_distance(start, next_start)
-                    };
-                    if !in_interval {
-                        break;
-                    }
-                    let lat = topo.latency(me.idx, cand.idx);
-                    if lat < best_lat {
-                        best = cand;
-                        best_lat = lat;
-                    }
-                }
-                best
-            } else {
-                candidate0
-            };
-            st.fingers[i] = Some(chosen);
+        let lat = topo.latency(me.idx, cand.idx);
+        if lat < *best_lat.get_or_insert_with(|| topo.latency(me.idx, candidate0.idx)) {
+            best = cand;
+            best_lat = Some(lat);
         }
     }
-    states
+    Some(best)
 }
 
 /// Index in `order` (sorted by id) of the successor of `key`: the first
@@ -194,7 +203,7 @@ mod tests {
         let topo = UniformTopology::new(64, SimTime::from_millis(5));
         let states = build_ring(&RingConfig::default(), &topo, 11);
         for st in &states {
-            for (i, f) in st.fingers.iter().enumerate() {
+            for (i, f) in st.fingers().iter().enumerate() {
                 if let Some(p) = f {
                     let start = st.finger_start(i);
                     // The finger must not precede its interval start
@@ -233,7 +242,7 @@ mod tests {
             let mut total = 0u64;
             let mut count = 0u64;
             for st in states {
-                for f in st.fingers[58..].iter().flatten() {
+                for f in st.fingers()[58..].iter().flatten() {
                     total += topo.latency(st.idx, f.idx).as_micros();
                     count += 1;
                 }

@@ -159,7 +159,11 @@ impl MaintState {
         if peer.idx == self.chord.idx {
             return;
         }
-        self.dead.remove(&peer.idx);
+        // Nearly every delivery message lands here with no tombstone to
+        // lift: skip the hash.
+        if !self.dead.is_empty() {
+            self.dead.remove(&peer.idx);
+        }
         self.chord.consider_predecessor(peer);
         self.chord.add_successor(peer);
     }
@@ -290,7 +294,7 @@ impl MaintState {
         self.next_finger = (self.next_finger + 1) % NUM_FINGERS;
         let start = self.chord.finger_start(i);
         if self.chord.responsible_for(start) {
-            self.chord.fingers[i] = None;
+            self.chord.set_finger(i, None);
             return Vec::new();
         }
         match next_hop(&self.chord, start) {
@@ -323,7 +327,7 @@ impl MaintState {
                 // Bootstrap: a node with no successors (ring of one) adopts
                 // any live contact as its first successor candidate so the
                 // two-node ring can form.
-                if self.chord.successors.is_empty() {
+                if self.chord.successors().is_empty() {
                     self.add_successor_checked(origin);
                 }
                 let st = &self.chord;
@@ -376,7 +380,7 @@ impl MaintState {
                     ));
                 }
                 LookupPurpose::Finger(i) => {
-                    self.chord.fingers[i as usize] = Some(owner);
+                    self.chord.set_finger(i as usize, Some(owner));
                 }
                 LookupPurpose::App(token) => {
                     let _ = key;
@@ -388,7 +392,7 @@ impl MaintState {
                     from,
                     ChordMsg::NeighborsReply {
                         pred: self.chord.predecessor,
-                        succs: self.chord.successors.clone(),
+                        succs: self.chord.successors().to_vec(),
                     },
                 ));
             }
@@ -436,7 +440,7 @@ impl MaintState {
                     // *replace* semantics). Merging instead would let
                     // stale dead entries linger forever.
                     let succ = self.chord.successor().expect("checked above");
-                    self.chord.successors.clear();
+                    self.chord.clear_successors();
                     self.chord.add_successor(succ);
                     for s in succs {
                         if s.idx != self.chord.idx {
@@ -463,7 +467,7 @@ impl MaintState {
                 self.chord.consider_predecessor(peer);
                 // Bootstrap symmetry: a successor-less node forming a
                 // two-node ring adopts its notifier as successor.
-                if self.chord.successors.is_empty() {
+                if self.chord.successors().is_empty() {
                     self.add_successor_checked(peer);
                 }
             }
@@ -790,7 +794,7 @@ mod tests {
         for &i in &alive {
             let st = &sim.node(i).maint.chord;
             assert!(
-                st.successors.iter().all(|p| p.idx != dead),
+                st.successors().iter().all(|p| p.idx != dead),
                 "node {i} still lists dead successor"
             );
         }
@@ -812,7 +816,7 @@ mod tests {
                 succs: vec![p],
             },
         );
-        assert!(m.chord.successors.contains(&p));
+        assert!(m.chord.successors().contains(&p));
         // Self-observation is a no-op.
         m.observe_peer(Peer { id: 100, idx: 0 });
         assert_eq!(m.chord.predecessor, Some(p));
@@ -836,7 +840,7 @@ mod tests {
             },
         );
         assert!(
-            !m.chord.successors.contains(&ghost),
+            !m.chord.successors().contains(&ghost),
             "gossip alone must not revive a tombstoned peer"
         );
         assert!(
@@ -862,7 +866,7 @@ mod tests {
             },
         );
         assert!(
-            m.chord.successors.contains(&ghost),
+            m.chord.successors().contains(&ghost),
             "after a live reply the rejoined peer is adopted"
         );
     }
@@ -887,7 +891,7 @@ mod tests {
                 succs: vec![],
             },
         );
-        assert!(m.chord.successors.contains(&ghost));
+        assert!(m.chord.successors().contains(&ghost));
     }
 
     #[test]

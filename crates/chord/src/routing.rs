@@ -7,7 +7,7 @@
 //! rule implemented here: deliver locally if responsible, otherwise forward
 //! to the closest preceding routing-table entry.
 
-use crate::id::{in_open_closed, NodeId};
+use crate::id::{clockwise_distance, in_open_closed, NodeId};
 use crate::state::{ChordState, Peer};
 
 /// Routing decision for a key at some node.
@@ -23,28 +23,18 @@ pub enum NextHop {
 /// successors) whose id most immediately precedes `key`, strictly within
 /// `(state.id, key)`.
 pub fn closest_preceding(state: &ChordState, key: NodeId) -> Option<Peer> {
-    // One distance computation per entry. `p.id ∈ (id, key)` is exactly
-    // `0 < d < dk` (with `(id, id)` the full ring minus `id`, i.e. any
-    // `d ≠ 0` when `dk == 0`), and "closer to key" is "larger d" — so
-    // tracking the running max distance reproduces the in_open_open +
-    // pairwise-compare scan verbatim, including first-wins ties.
-    let dk = crate::id::clockwise_distance(state.id, key);
-    let mut best: Option<Peer> = None;
-    let mut best_d = 0u64;
-    let mut consider = |p: Peer| {
-        let d = crate::id::clockwise_distance(state.id, p.id);
-        if d > best_d && (d < dk || dk == 0) {
-            best_d = d;
-            best = Some(p);
-        }
-    };
-    for f in state.fingers.iter().flatten() {
-        consider(*f);
+    // `p.id ∈ (id, key)` is exactly `0 < d < dk` in clockwise distances
+    // from `id` (with `(id, id)` the full ring minus `id`, i.e. any
+    // `d ≠ 0` when `dk == 0`), and "closer to key" is "larger d". The
+    // route table holds each such peer once, sorted by `d`, so the answer
+    // is the last entry below `dk`.
+    let table = state.route_table();
+    let dk = clockwise_distance(state.id, key);
+    if dk == 0 {
+        return table.last().copied();
     }
-    for s in &state.successors {
-        consider(*s);
-    }
-    best
+    let below = table.partition_point(|p| clockwise_distance(state.id, p.id) < dk);
+    below.checked_sub(1).map(|i| table[i])
 }
 
 /// Decides where `key` goes from `state`'s point of view.
@@ -100,6 +90,8 @@ mod tests {
     use super::*;
     use crate::builder::{build_ring, RingConfig};
     use hypersub_simnet::{SimTime, UniformTopology};
+    use hypersub_snapshot::{Decode, Encode};
+    use proptest::prelude::*;
 
     fn ring(n: usize) -> Vec<ChordState> {
         let topo = UniformTopology::new(n, SimTime::from_millis(10));
@@ -162,6 +154,179 @@ mod tests {
             let key = s.id.wrapping_add(1u64 << shift);
             if let Some(p) = closest_preceding(s, key) {
                 assert!(crate::id::in_open_open(s.id, p.id, key));
+            }
+        }
+    }
+
+    /// The scan the route table replaced, kept as the reference: one
+    /// distance per finger slot and successor, the running maximum below
+    /// `dk`, the first entry winning a tie.
+    fn closest_preceding_scan(state: &ChordState, key: NodeId) -> Option<Peer> {
+        let dk = clockwise_distance(state.id, key);
+        let mut best: Option<Peer> = None;
+        let mut best_d = 0u64;
+        for p in state.fingers().iter().flatten().chain(state.successors()) {
+            let d = clockwise_distance(state.id, p.id);
+            if d > best_d && (d < dk || dk == 0) {
+                best_d = d;
+                best = Some(*p);
+            }
+        }
+        best
+    }
+
+    /// `next_hop` as it read before the table, over the reference scan.
+    fn next_hop_scan(state: &ChordState, key: NodeId) -> NextHop {
+        if state.responsible_for(key) {
+            return NextHop::Local;
+        }
+        match state.successor() {
+            Some(succ) if in_open_closed(state.id, key, succ.id) => NextHop::Forward(succ),
+            succ => closest_preceding_scan(state, key)
+                .or(succ)
+                .map_or(NextHop::Local, NextHop::Forward),
+        }
+    }
+
+    /// The table picks the hop the scan picked: for the node's own id,
+    /// every known peer's id, one before and one past each, and `extra`.
+    fn assert_routes_like_scan(state: &ChordState, extra: &[NodeId]) {
+        let mut keys = vec![state.id, state.id.wrapping_sub(1), state.id.wrapping_add(1)];
+        for p in state.neighbors() {
+            keys.extend([p.id.wrapping_sub(1), p.id, p.id.wrapping_add(1)]);
+        }
+        keys.extend_from_slice(extra);
+        for key in keys {
+            assert_eq!(
+                closest_preceding(state, key),
+                closest_preceding_scan(state, key),
+                "closest_preceding({key:#x}) at {state:?}"
+            );
+            assert_eq!(
+                next_hop(state, key),
+                next_hop_scan(state, key),
+                "next_hop({key:#x}) at {state:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn table_routes_like_scan_on_edge_states() {
+        let extra = [0u64, 1, 150, 250, u64::MAX];
+        // Singleton ring: no table at all.
+        let mut s = ChordState::new(100, 0, 4);
+        assert!(s.route_table().is_empty());
+        assert_routes_like_scan(&s, &extra);
+        // Mid-join: a successor but no predecessor yet.
+        let succ = Peer { id: 200, idx: 1 };
+        s.add_successor(succ);
+        assert_eq!(next_hop(&s, 100), NextHop::Local);
+        assert_eq!(next_hop(&s, 99), NextHop::Forward(succ));
+        assert_routes_like_scan(&s, &extra);
+        // A finger equal to a successor is one table entry, and of two
+        // entries sharing an id the finger, scanned first, is the one kept.
+        s.set_finger(7, Some(succ));
+        s.set_finger(9, Some(Peer { id: 300, idx: 2 }));
+        s.add_successor(Peer { id: 300, idx: 9 });
+        assert_eq!(s.route_table(), [succ, Peer { id: 300, idx: 2 }]);
+        assert_routes_like_scan(&s, &extra);
+    }
+
+    #[test]
+    fn table_routes_like_scan_on_built_rings() {
+        let topo = hypersub_simnet::KingLikeTopology::generate(96, SimTime::from_millis(180), 5);
+        for pns in [true, false] {
+            let cfg = RingConfig {
+                pns,
+                ..RingConfig::default()
+            };
+            let states = build_ring(&cfg, &topo, 17);
+            let extra: Vec<NodeId> = (0..64).map(|i| 0x9e37_79b9_7f4a_7c15u64 << i).collect();
+            for st in &states {
+                assert_routes_like_scan(st, &extra);
+            }
+        }
+    }
+
+    /// Peers at offsets from the node that collide, wrap and straddle the
+    /// finger boundaries; `a >= 24` re-uses an id under another index.
+    fn history_peer(me: NodeId, a: u64) -> Peer {
+        const OFFSETS: [u64; 24] = [
+            0,
+            1,
+            2,
+            3,
+            7,
+            8,
+            1 << 10,
+            (1 << 10) + 1,
+            1 << 20,
+            1 << 32,
+            (1 << 32) - 1,
+            1 << 40,
+            3 << 40,
+            1 << 62,
+            (1 << 62) + 5,
+            1 << 63,
+            (1 << 63) - 1,
+            (1 << 63) + 1,
+            3 << 62,
+            u64::MAX - 1000,
+            u64::MAX - 2,
+            u64::MAX - 1,
+            u64::MAX,
+            12345,
+        ];
+        let slot = (a % 24) as usize;
+        Peer {
+            id: me.wrapping_add(OFFSETS[slot]),
+            idx: if a < 24 { slot } else { 100 + slot },
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_table_routes_like_scan_through_any_history(
+            me in any::<u64>(),
+            succ_list_len in 1usize..6,
+            ops in prop::collection::vec((0u8..6, 0u64..30, 0usize..64), 1..60),
+            keys in prop::collection::vec(any::<u64>(), 4..5),
+        ) {
+            let mut s = ChordState::new(me, 24, succ_list_len);
+            // The successor list as `add_successor` makes it with no
+            // shortcut: append, sort, cut.
+            let mut list: Vec<Peer> = Vec::new();
+            for (op, a, slot) in ops {
+                let p = history_peer(me, a);
+                match op {
+                    0 => {
+                        s.add_successor(p);
+                        if p.id != me && !list.contains(&p) {
+                            list.push(p);
+                            list.sort_by_key(|q| clockwise_distance(me, q.id));
+                            list.truncate(succ_list_len);
+                        }
+                    }
+                    1 => {
+                        s.evict(p.idx);
+                        list.retain(|q| q.idx != p.idx);
+                    }
+                    2 => s.set_finger(slot, Some(p)),
+                    3 => s.set_finger(slot, None),
+                    4 => {
+                        s.clear_successors();
+                        list.clear();
+                    }
+                    _ => {
+                        let mut w = hypersub_snapshot::Writer::new();
+                        s.encode(&mut w);
+                        let bytes = w.into_vec();
+                        s = ChordState::decode(&mut hypersub_snapshot::Reader::new(&bytes))
+                            .expect("a state decodes from its own bytes");
+                    }
+                }
+                prop_assert_eq!(s.successors(), list.as_slice());
+                assert_routes_like_scan(&s, &keys);
             }
         }
     }

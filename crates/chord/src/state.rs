@@ -1,6 +1,6 @@
 //! Per-node Chord routing state.
 
-use crate::id::{in_open_closed, in_open_open, NodeId};
+use crate::id::{clockwise_distance, in_open_closed, in_open_open, NodeId};
 use hypersub_snapshot::{Decode, Encode, Error, Reader, Writer};
 
 /// A reference to another node: its ring identifier plus its simulator
@@ -22,7 +22,10 @@ pub const NUM_FINGERS: usize = 64;
 /// * `successors` is sorted by clockwise distance from `id` and never
 ///   contains `id` itself;
 /// * `fingers[i]`, when set, is the node the protocol currently believes
-///   to be `successor(id + 2^i)`.
+///   to be `successor(id + 2^i)`;
+/// * `route_table` and `succ_reach` are derived from the two. Both lists
+///   are private so that only this module's mutators, each of which ends
+///   in [`Self::rebuild_derived`], can change them: neither can go stale.
 #[derive(Debug, Clone)]
 pub struct ChordState {
     /// This node's ring identifier.
@@ -32,28 +35,110 @@ pub struct ChordState {
     /// Immediate predecessor on the ring, if known.
     pub predecessor: Option<Peer>,
     /// Successor list, closest first.
-    pub successors: Vec<Peer>,
+    successors: Vec<Peer>,
     /// Finger table; entry `i` targets `id + 2^i`.
-    pub fingers: Vec<Option<Peer>>,
+    fingers: Vec<Option<Peer>>,
     /// Maximum successor-list length.
-    pub succ_list_len: usize,
+    succ_list_len: usize,
+    /// What a routing decision reads instead of the 64 finger slots and
+    /// the successor list (see [`Self::route_table`]): one exact-size
+    /// allocation.
+    route_table: Box<[Peer]>,
+    /// The farthest clockwise distance a new successor may have: one short
+    /// of the tail's once the list is full. Kept beside `id` so that
+    /// turning a candidate away reads nothing the node does not already
+    /// have in cache.
+    succ_reach: u64,
 }
 
 impl ChordState {
     /// Fresh state for a node that has not joined any ring.
     pub fn new(id: NodeId, idx: usize, succ_list_len: usize) -> Self {
+        let me = Peer { id, idx };
+        Self::from_parts(me, succ_list_len, None, Vec::new(), vec![None; NUM_FINGERS])
+    }
+
+    /// State whose lists are already known — the ring builder's fixed
+    /// point — so the route table is built once, not once per entry.
+    /// `successors` must already be what [`Self::add_successor`] would
+    /// have made of them.
+    pub(crate) fn from_parts(
+        me: Peer,
+        succ_list_len: usize,
+        predecessor: Option<Peer>,
+        successors: Vec<Peer>,
+        fingers: Vec<Option<Peer>>,
+    ) -> Self {
         assert!(
             succ_list_len >= 1,
             "successor list must hold at least one entry"
         );
-        Self {
-            id,
-            idx,
-            predecessor: None,
-            successors: Vec::new(),
-            fingers: vec![None; NUM_FINGERS],
+        assert!(fingers.len() == NUM_FINGERS && successors.len() <= succ_list_len);
+        debug_assert!(
+            successors.iter().all(|p| p.id != me.id)
+                && successors.windows(2).all(|w| {
+                    clockwise_distance(me.id, w[0].id) < clockwise_distance(me.id, w[1].id)
+                }),
+            "successors must be distinct and sorted clockwise from the node"
+        );
+        let mut st = Self {
+            id: me.id,
+            idx: me.idx,
+            predecessor,
+            successors,
+            fingers,
             succ_list_len,
+            route_table: Box::default(),
+            succ_reach: u64::MAX,
+        };
+        st.rebuild_derived();
+        st
+    }
+
+    /// Successor list, closest first.
+    pub fn successors(&self) -> &[Peer] {
+        &self.successors
+    }
+
+    /// Finger table; entry `i` targets `id + 2^i`.
+    pub fn fingers(&self) -> &[Option<Peer>] {
+        &self.fingers
+    }
+
+    /// The distinct peers of fingers-then-successors at non-zero clockwise
+    /// distance, sorted by that distance. Where two entries share an id
+    /// the first in that scan order is the one kept, which is the entry a
+    /// scan with a strict "closer" comparison would have returned.
+    pub(crate) fn route_table(&self) -> &[Peer] {
+        &self.route_table
+    }
+
+    fn rebuild_derived(&mut self) {
+        let dist = |p: &Peer| clockwise_distance(self.id, p.id);
+        self.succ_reach = match self.successors.last() {
+            Some(tail) if self.successors.len() >= self.succ_list_len => {
+                dist(tail).saturating_sub(1)
+            }
+            _ => u64::MAX,
+        };
+        // An insertion sort in scan order, so an id already placed wins.
+        // It searches from the back because on a stabilized ring both
+        // lists arrive in clockwise order: a finger repeats or extends the
+        // tail, a successor lands among the few entries nearest the node.
+        let mut table: Vec<Peer> = Vec::with_capacity(NUM_FINGERS + self.successors.len());
+        for p in self.fingers.iter().flatten().chain(&self.successors) {
+            if dist(p) == 0 {
+                continue;
+            }
+            let at = table
+                .iter()
+                .rposition(|q| dist(q) < dist(p))
+                .map_or(0, |i| i + 1);
+            if table.get(at).map(|q| q.id) != Some(p.id) {
+                table.insert(at, *p);
+            }
         }
+        self.route_table = table.into_boxed_slice();
     }
 
     /// This node as a [`Peer`].
@@ -92,26 +177,39 @@ impl ChordState {
         if peer.id == self.id {
             return;
         }
-        if self.successors.contains(&peer) {
-            return;
-        }
         let me = self.id;
         // Full list and `peer` no closer than the current tail: the
         // push/sort/truncate below would drop it again, so skip the work
         // (distances from `me` are unique per id, making this exact).
-        if self.successors.len() >= self.succ_list_len {
-            if let Some(last) = self.successors.last() {
-                if crate::id::clockwise_distance(me, peer.id)
-                    >= crate::id::clockwise_distance(me, last.id)
-                {
-                    return;
-                }
-            }
+        // This turns away nearly every sender a delivery message names,
+        // so it comes first and does not look at the list; a member at
+        // the tail's distance is the tail, so the order changes no result.
+        if clockwise_distance(me, peer.id) > self.succ_reach {
+            return;
+        }
+        if self.successors.contains(&peer) {
+            return;
         }
         self.successors.push(peer);
         self.successors
-            .sort_by_key(|p| crate::id::clockwise_distance(me, p.id));
+            .sort_by_key(|p| clockwise_distance(me, p.id));
         self.successors.truncate(self.succ_list_len);
+        self.rebuild_derived();
+    }
+
+    /// Empties the successor list (stabilize adopts its successor's list
+    /// wholesale and refills from it).
+    pub fn clear_successors(&mut self) {
+        self.successors.clear();
+        self.rebuild_derived();
+    }
+
+    /// Sets or clears finger-table entry `i`.
+    pub fn set_finger(&mut self, i: usize, finger: Option<Peer>) {
+        if self.fingers[i] != finger {
+            self.fingers[i] = finger;
+            self.rebuild_derived();
+        }
     }
 
     /// Removes a peer (by simulator index) from successors and fingers —
@@ -126,6 +224,7 @@ impl ChordState {
         if self.predecessor.map(|p| p.idx) == Some(idx) {
             self.predecessor = None;
         }
+        self.rebuild_derived();
     }
 
     /// Offers `peer` as a predecessor candidate (Chord `notify`). Accepts
@@ -214,17 +313,20 @@ impl Encode for ChordState {
 
 impl Decode for ChordState {
     fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        let st = ChordState {
+        let mut st = ChordState {
             id: r.take_u64()?,
             idx: usize::decode(r)?,
             predecessor: Option::<Peer>::decode(r)?,
             successors: Vec::<Peer>::decode(r)?,
             fingers: Vec::<Option<Peer>>::decode(r)?,
             succ_list_len: usize::decode(r)?,
+            route_table: Box::default(),
+            succ_reach: u64::MAX,
         };
         if st.fingers.len() != NUM_FINGERS || st.succ_list_len == 0 {
             return Err(Error::InvalidValue("chord state shape"));
         }
+        st.rebuild_derived();
         Ok(st)
     }
 }
@@ -246,7 +348,7 @@ mod tests {
         for id in [500, 200, 900, 101, 300] {
             s.add_successor(peer(id));
         }
-        let ids: Vec<NodeId> = s.successors.iter().map(|p| p.id).collect();
+        let ids: Vec<NodeId> = s.successors().iter().map(|p| p.id).collect();
         assert_eq!(ids, vec![101, 200, 300]);
     }
 
@@ -256,7 +358,7 @@ mod tests {
         s.add_successor(peer(5));
         s.add_successor(peer(u64::MAX - 2));
         s.add_successor(peer(1000));
-        let ids: Vec<NodeId> = s.successors.iter().map(|p| p.id).collect();
+        let ids: Vec<NodeId> = s.successors().iter().map(|p| p.id).collect();
         assert_eq!(ids, vec![u64::MAX - 2, 5, 1000]);
     }
 
@@ -266,7 +368,7 @@ mod tests {
         s.add_successor(peer(10));
         s.add_successor(peer(20));
         s.add_successor(peer(20));
-        assert_eq!(s.successors.len(), 1);
+        assert_eq!(s.successors().len(), 1);
     }
 
     #[test]
@@ -301,11 +403,11 @@ mod tests {
     fn evict_scrubs_everything() {
         let mut s = ChordState::new(100, 0, 4);
         s.add_successor(Peer { id: 200, idx: 7 });
-        s.fingers[3] = Some(Peer { id: 200, idx: 7 });
+        s.set_finger(3, Some(Peer { id: 200, idx: 7 }));
         s.predecessor = Some(Peer { id: 50, idx: 7 });
         s.evict(7);
-        assert!(s.successors.is_empty());
-        assert!(s.fingers[3].is_none());
+        assert!(s.successors().is_empty());
+        assert!(s.fingers()[3].is_none());
         assert!(s.predecessor.is_none());
     }
 
@@ -321,7 +423,7 @@ mod tests {
         let mut s = ChordState::new(100, 0, 4);
         let p = Peer { id: 200, idx: 2 };
         s.add_successor(p);
-        s.fingers[5] = Some(p);
+        s.set_finger(5, Some(p));
         s.predecessor = Some(Peer { id: 50, idx: 3 });
         let n = s.neighbors();
         assert_eq!(n.len(), 2);

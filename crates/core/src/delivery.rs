@@ -33,8 +33,12 @@ const TARGET_POOL_CAP: usize = 8;
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DeliveryScratch {
     /// Dedup of SubID-list entries merged during phase 1. Membership-only
-    /// (never iterated), so the fixed-seed fast hasher is safe.
+    /// (never iterated), so the fixed-seed fast hasher is safe. Empty
+    /// until a match merges something: nine messages in ten only transit
+    /// or deliver, and those never hash a target.
     seen: FxHashSet<SubTarget>,
+    /// Targets merged in by local matches and not yet consumed.
+    merged: Vec<SubTarget>,
     /// Targets grouped by next-hop neighbor index; a linear scan over the
     /// handful of distinct DHT links replaces the `BTreeMap`.
     groups: Vec<(usize, Vec<SubTarget>)>,
@@ -127,17 +131,28 @@ impl HyperSubNode {
         };
 
         // Phase 1: consume targets we are responsible for; matching may
-        // produce new targets (the merged matched SubID list). The working
-        // queue reuses the incoming message's target buffer; the seen-set
-        // and hop groups are per-node scratch (taken out of `self` so
-        // `consume_target` can borrow `self` mutably alongside them).
-        let mut queue: Vec<SubTarget> = std::mem::take(&mut msg.targets);
+        // produce new targets (the merged matched SubID list). The queue
+        // is the incoming list, read from the back and left whole, under a
+        // stack of merged targets that is drained first — the order one
+        // `pop`ped vector holding both would give, since a merge only ever
+        // pushes above what is left of the incoming list. The scratch is
+        // taken out of `self` so `consume_target` can borrow `self`
+        // mutably alongside it.
         let mut seen = std::mem::take(&mut self.scratch.seen);
+        let mut merged = std::mem::take(&mut self.scratch.merged);
         let mut groups = std::mem::take(&mut self.scratch.groups);
         let mut pool = std::mem::take(&mut self.scratch.pool);
-        debug_assert!(seen.is_empty() && groups.is_empty());
-        seen.extend(queue.iter().copied());
-        while let Some(t) = queue.pop() {
+        debug_assert!(seen.is_empty() && merged.is_empty() && groups.is_empty());
+        let mut unread = msg.targets.len();
+        loop {
+            let t = match merged.pop() {
+                Some(t) => t,
+                None if unread == 0 => break,
+                None => {
+                    unread -= 1;
+                    msg.targets[unread]
+                }
+            };
             // `next_hop` already starts with the responsibility check, so
             // a single call decides consume-vs-forward (`Local` also
             // covers the degenerate no-routing-state ring).
@@ -150,7 +165,7 @@ impl HyperSubNode {
                         groups.push((p.idx, v));
                     }
                 },
-                NextHop::Local => self.consume_target(ctx, &msg, proj, t, &mut queue, &mut seen),
+                NextHop::Local => self.consume_target(ctx, &msg, proj, t, &mut merged, &mut seen),
             }
         }
 
@@ -186,14 +201,19 @@ impl HyperSubNode {
             );
         }
 
-        // Hand the buffers back for the next message; the drained working
-        // queue refills the target pool.
-        seen.clear();
+        // Hand the buffers back for the next message; the incoming target
+        // buffer refills the pool. Clearing the set costs its capacity,
+        // not its length, so only a set that was filled is cleared.
+        if !seen.is_empty() {
+            seen.clear();
+        }
         if pool.len() < TARGET_POOL_CAP {
-            queue.clear();
-            pool.push(queue);
+            let mut incoming = msg.targets;
+            incoming.clear();
+            pool.push(incoming);
         }
         self.scratch.seen = seen;
+        self.scratch.merged = merged;
         self.scratch.groups = groups;
         self.scratch.pool = pool;
     }
@@ -205,14 +225,20 @@ impl HyperSubNode {
         msg: &DeliveryMsg,
         proj: &hypersub_lph::Point,
         t: SubTarget,
-        queue: &mut Vec<SubTarget>,
+        merged: &mut Vec<SubTarget>,
         seen: &mut FxHashSet<SubTarget>,
     ) {
-        let mut merge = |matched: Vec<SubId>, queue: &mut Vec<SubTarget>| {
+        let mut merge = |matched: Vec<SubId>| {
+            // The first match to merge anything is what pays for hashing
+            // the incoming list (`t` came from it or from an earlier
+            // merge, so a filled set is never empty).
+            if seen.is_empty() && !matched.is_empty() {
+                seen.extend(msg.targets.iter().copied());
+            }
             for sid in matched {
                 let nt = SubTarget::sub(sid);
                 if seen.insert(nt) {
-                    queue.push(nt);
+                    merged.push(nt);
                 }
             }
         };
@@ -233,7 +259,7 @@ impl HyperSubNode {
                         if self.dedup.insert((msg.event.id, repo.iid)) {
                             let ids = repo.match_point(&msg.event.point, proj, self.cfg.index_mode);
                             matched += ids.len() as u64;
-                            merge(ids, queue);
+                            merge(ids);
                         }
                     }
                     match z.parent(&self.cfg.zone) {
@@ -281,15 +307,12 @@ impl HyperSubNode {
                     }
                     Some(IidTarget::Repo(key)) => {
                         if let Some(repo) = self.repos.get_mut(&key) {
-                            merge(
-                                repo.match_point(&msg.event.point, proj, self.cfg.index_mode),
-                                queue,
-                            );
+                            merge(repo.match_point(&msg.event.point, proj, self.cfg.index_mode));
                         }
                     }
                     Some(IidTarget::Hosted) => {
                         if let Some(h) = self.hosted.get(&iid) {
-                            merge(h.match_point(&msg.event.point), queue);
+                            merge(h.match_point(&msg.event.point));
                         }
                     }
                     // Stale target (e.g. responsibility shifted after
@@ -300,5 +323,202 @@ impl HyperSubNode {
             // Duplicate (event, iid): already handled above.
             Some(_) => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::SystemConfig;
+    use crate::node::test_registry;
+    use crate::repo::{StoredSub, ZoneRepo};
+    use hypersub_chord::{ChordState, Peer};
+    use hypersub_lph::{Point, Rect, ZoneCode};
+    use hypersub_simnet::SimTime;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+
+    /// This node's ring id; it owns `(500, 1000]` and every other key
+    /// leaves through its one successor, node 1.
+    const ME: u64 = 1000;
+
+    /// A runtime that keeps what the node sends.
+    struct Recording {
+        world: HyperWorld,
+        rng: SmallRng,
+        sent: Vec<(usize, HyperMsg)>,
+    }
+
+    impl NodeRuntime<HyperMsg, HyperWorld> for Recording {
+        fn me(&self) -> usize {
+            0
+        }
+        fn now(&self) -> SimTime {
+            SimTime::ZERO
+        }
+        fn world(&mut self) -> &mut HyperWorld {
+            &mut self.world
+        }
+        fn rng(&mut self) -> &mut SmallRng {
+            &mut self.rng
+        }
+        fn send(&mut self, dst: usize, msg: HyperMsg) {
+            self.sent.push((dst, msg));
+        }
+        fn set_timer(&mut self, _delay: SimTime, _token: u64) {}
+        fn tracing(&self) -> bool {
+            false
+        }
+        fn trace(&mut self, _f: impl FnOnce() -> ProtoEvent) {}
+    }
+
+    fn node() -> (HyperSubNode, Recording) {
+        let mut chord = ChordState::new(ME, 0, 4);
+        chord.predecessor = Some(Peer { id: 500, idx: 9 });
+        chord.add_successor(Peer { id: 2000, idx: 1 });
+        let node = HyperSubNode::new(chord, test_registry(), Arc::new(SystemConfig::default()));
+        let rt = Recording {
+            world: HyperWorld::default(),
+            rng: SmallRng::seed_from_u64(1),
+            sent: Vec::new(),
+        };
+        (node, rt)
+    }
+
+    /// A subscription held on another node.
+    fn remote(iid: u32) -> SubTarget {
+        SubTarget::sub(SubId { nid: 2500, iid })
+    }
+
+    /// Gives the node a zone repository whose entries all match the test
+    /// event; returns the target that names it.
+    fn add_repo(node: &mut HyperSubNode, level: u8, matching: &[SubTarget]) -> SubTarget {
+        let key = (0, 0, ZoneCode { level, code: 0 });
+        let iid = node.alloc_iid(IidTarget::Repo(key));
+        let mut repo = ZoneRepo::new(iid);
+        let everything = Rect::new(vec![0.0, 0.0], vec![100.0, 100.0]);
+        for t in matching {
+            let id = SubId {
+                nid: t.nid,
+                iid: t.iid.expect("a subscription, not a rendezvous marker"),
+            };
+            repo.insert(
+                id,
+                StoredSub::Surrogate {
+                    proj: everything.clone(),
+                },
+            );
+        }
+        node.repos.insert(key, repo);
+        SubTarget::sub(SubId { nid: ME, iid })
+    }
+
+    fn deliver(node: &mut HyperSubNode, rt: &mut Recording, targets: Vec<SubTarget>) {
+        let msg = DeliveryMsg {
+            scheme: 0,
+            ss: 0,
+            event: Arc::new(Event {
+                id: 7,
+                point: Point(vec![50.0, 50.0]),
+            }),
+            hops: 1,
+            sender: None,
+            targets,
+        };
+        node.handle_delivery(rt, msg);
+    }
+
+    /// The SubID list of the one message the node forwarded.
+    fn forwarded(rt: &Recording) -> &[SubTarget] {
+        match rt.sent.as_slice() {
+            [(1, HyperMsg::Delivery(d))] => &d.targets,
+            other => panic!("expected one message to node 1, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn incoming_target_the_repository_also_matches_is_forwarded_once() {
+        let (mut node, mut rt) = node();
+        let repo = add_repo(&mut node, 0, &[remote(1), remote(2)]);
+        deliver(&mut node, &mut rt, vec![remote(1), repo]);
+        assert_eq!(forwarded(&rt), [remote(2), remote(1)]);
+    }
+
+    #[test]
+    fn seen_set_is_untouched_unless_a_match_merges() {
+        let (mut node, mut rt) = node();
+        let local = node.alloc_iid(IidTarget::Local);
+        let empty = add_repo(&mut node, 0, &[]);
+        // Transit only, local delivery only, and a match that finds nothing.
+        deliver(&mut node, &mut rt, vec![remote(1), remote(2)]);
+        deliver(
+            &mut node,
+            &mut rt,
+            vec![SubTarget::sub(SubId {
+                nid: ME,
+                iid: local,
+            })],
+        );
+        deliver(&mut node, &mut rt, vec![empty]);
+        assert_eq!(rt.sent.len(), 1, "only the transit message is forwarded");
+        assert_eq!(rt.world.metrics.deliveries().len(), 1);
+        assert_eq!(
+            node.scratch.seen.capacity(),
+            0,
+            "no message merged anything, so none may have hashed a target"
+        );
+        // A merge fills it, and it is handed back empty.
+        let repo = add_repo(&mut node, 1, &[remote(3)]);
+        deliver(&mut node, &mut rt, vec![repo]);
+        assert!(node.scratch.seen.capacity() > 0 && node.scratch.seen.is_empty());
+        assert!(node.scratch.merged.is_empty());
+    }
+
+    #[test]
+    fn merges_dedupe_against_each_other_and_the_incoming_list() {
+        let (mut node, mut rt) = node();
+        let first = add_repo(&mut node, 0, &[remote(1), remote(2)]);
+        let second = add_repo(&mut node, 1, &[remote(1), remote(3)]);
+        deliver(&mut node, &mut rt, vec![remote(3), first, second]);
+        let mut got = forwarded(&rt).to_vec();
+        got.sort_unstable_by_key(|t| t.iid);
+        assert_eq!(got, [remote(1), remote(2), remote(3)]);
+    }
+
+    #[test]
+    fn split_queue_consumes_in_single_queue_order() {
+        let (mut node, mut rt) = node();
+        // `outer` matches a repository the message does not name, so a
+        // merge happens while merged targets are still waiting.
+        let inner_matches = [remote(6), remote(2)];
+        let inner = add_repo(&mut node, 2, &inner_matches);
+        let outer_matches = [remote(4), inner, remote(5), remote(1)];
+        let outer = add_repo(&mut node, 1, &outer_matches);
+        let plain_matches = [remote(3), remote(7)];
+        let plain = add_repo(&mut node, 0, &plain_matches);
+        let incoming = vec![remote(1), plain, remote(2), outer, remote(3)];
+        deliver(&mut node, &mut rt, incoming.clone());
+
+        // The one `pop`ped queue this replaced: merged targets pushed, in
+        // SubId order, on top of what is left of the incoming list.
+        let mut queue = incoming.clone();
+        let mut seen: FxHashSet<SubTarget> = incoming.into_iter().collect();
+        let mut expected = Vec::new();
+        while let Some(t) = queue.pop() {
+            let matches: &[SubTarget] = match t {
+                t if t == plain => &plain_matches,
+                t if t == outer => &outer_matches,
+                t if t == inner => &inner_matches,
+                _ => {
+                    expected.push(t);
+                    continue;
+                }
+            };
+            let mut matches = matches.to_vec();
+            matches.sort_unstable_by_key(|t| (t.nid, t.iid));
+            queue.extend(matches.into_iter().filter(|&m| seen.insert(m)));
+        }
+        assert_eq!(expected.len(), 7);
+        assert_eq!(forwarded(&rt), expected);
     }
 }

@@ -91,7 +91,7 @@ impl HyperSubNode {
         let me = self.maint.chord.idx;
         self.maint
             .chord
-            .successors
+            .successors()
             .iter()
             .filter(|p| p.idx != me)
             .take(self.cfg.heal.replication_factor)

@@ -402,7 +402,7 @@ impl HyperSubNode {
         let st = &self.maint.chord;
         let Some(pred) = st.predecessor else {
             // Singleton ring owns everything.
-            return st.successors.is_empty();
+            return st.successors().is_empty();
         };
         let params = &self.cfg.zone;
         let lb = zone.level as u32 * params.base_bits as u32;

@@ -294,7 +294,7 @@ fn handle_command(handle: &Handle, line: &str, next_event: &mut u64) -> (String,
         ["status"] => {
             let s = handle.query(|node, ctx| {
                 let c = node.chord();
-                let succs: Vec<String> = c.successors.iter().map(|p| p.idx.to_string()).collect();
+                let succs: Vec<String> = c.successors().iter().map(|p| p.idx.to_string()).collect();
                 format!(
                     "ok status me={} id={:#018x} succ=[{}] pred={} load={} now={}us",
                     ctx.me(),

@@ -132,22 +132,11 @@ pub struct KingLikeTopology {
     scale: f64,
     /// Per-pair jitter seed.
     seed: u64,
-    /// Precomputed row-major one-way latency matrix, populated for
-    /// topologies up to [`Self::MATRIX_MAX_NODES`] nodes. Every message
-    /// send does a latency lookup, so for paper-scale networks (the King
-    /// dataset's 1740 nodes ≈ 24 MB of matrix) a table load replaces a
-    /// 5-d distance + jitter-hash computation. Larger topologies fall
-    /// back to computing on the fly.
-    matrix: Option<Vec<SimTime>>,
 }
 
 impl KingLikeTopology {
     /// Dimensionality of the synthetic embedding.
     const DIMS: usize = 5;
-
-    /// Largest node count for which the full latency matrix is cached
-    /// (2048² × 8 B ≈ 34 MB; the paper's 1740-node network fits).
-    pub const MATRIX_MAX_NODES: usize = 2048;
 
     /// Generates `n` nodes whose mean pairwise RTT is calibrated to
     /// `target_mean_rtt`. Deterministic in `(n, seed, target)`.
@@ -166,7 +155,6 @@ impl KingLikeTopology {
             coords,
             scale: 1.0,
             seed,
-            matrix: None,
         };
         if n >= 2 {
             // Calibrate: measure the mean jittered distance, then choose the
@@ -197,25 +185,7 @@ impl KingLikeTopology {
             let target_one_way_us = target_mean_rtt.as_micros() as f64 / 2.0;
             topo.scale = target_one_way_us / mean.max(1e-9);
         }
-        if (2..=Self::MATRIX_MAX_NODES).contains(&n) {
-            // Jitter is symmetric, so one computation fills both triangles
-            // with exactly the value the on-the-fly path would produce.
-            let mut m = vec![SimTime::ZERO; n * n];
-            for a in 0..n {
-                for b in (a + 1)..n {
-                    let l = topo.compute_latency(a, b);
-                    m[a * n + b] = l;
-                    m[b * n + a] = l;
-                }
-            }
-            topo.matrix = Some(m);
-        }
         topo
-    }
-
-    fn compute_latency(&self, src: usize, dst: usize) -> SimTime {
-        let us = self.jittered_distance(src, dst) * self.scale;
-        SimTime::from_micros(us.round().max(1.0) as u64)
     }
 
     fn distance(&self, a: usize, b: usize) -> f64 {
@@ -260,10 +230,11 @@ impl Topology for KingLikeTopology {
         if src == dst {
             return SimTime::ZERO;
         }
-        match &self.matrix {
-            Some(m) => m[src * self.coords.len() + dst],
-            None => self.compute_latency(src, dst),
-        }
+        // Computed per send from two 40-byte coordinate rows that stay in
+        // cache; a table of all pairs (8 MB at 1 024 nodes) costs a miss
+        // per send instead.
+        let us = self.jittered_distance(src, dst) * self.scale;
+        SimTime::from_micros(us.round().max(1.0) as u64)
     }
 }
 
@@ -326,19 +297,28 @@ mod tests {
         assert!(max / min.max(1.0) > 3.0, "expected wide latency spread");
     }
 
+    /// One latency path serves every size: what held with and without the
+    /// old precomputed matrix holds at two nodes, at the paper's scale and
+    /// past it.
     #[test]
-    fn kinglike_matrix_matches_on_the_fly() {
-        let t = KingLikeTopology::generate(64, SimTime::from_millis(180), 5);
-        assert!(t.matrix.is_some(), "small topology caches its matrix");
-        for a in 0..64 {
-            for b in 0..64 {
-                let expect = if a == b {
-                    SimTime::ZERO
-                } else {
-                    t.compute_latency(a, b)
-                };
-                assert_eq!(t.latency(a, b), expect, "pair ({a}, {b})");
+    fn kinglike_properties_hold_at_every_size() {
+        let target = SimTime::from_millis(180);
+        for n in [2usize, 1024, 4096] {
+            let t = KingLikeTopology::generate(n, target, 11);
+            let again = KingLikeTopology::generate(n, target, 11);
+            let other = KingLikeTopology::generate(n, target, 12);
+            let mut differs = false;
+            for i in 0..512 {
+                let (a, b) = (i * 7 % n, (i * 13 + 1) % n);
+                assert_eq!(t.latency(a, a), SimTime::ZERO, "n={n}: self latency");
+                assert_eq!(t.latency(a, b), t.latency(b, a), "n={n}: symmetric");
+                assert_eq!(t.latency(a, b), again.latency(a, b), "n={n}: deterministic");
+                differs |= t.latency(a, b) != other.latency(a, b);
             }
+            assert!(differs || n == 2, "n={n}: the seed moves the latencies");
+            let avg = t.avg_rtt_sampled(20_000, 7).as_micros() as f64;
+            let err = (avg - target.as_micros() as f64).abs() / target.as_micros() as f64;
+            assert!(err < 0.05, "n={n}: mean RTT {avg} us too far from {target}");
         }
     }
 

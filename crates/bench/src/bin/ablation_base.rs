@@ -3,11 +3,10 @@
 //! zone tree (fewer climb hops, less delivery latency/bandwidth) but
 //! concentrate load — the Figure 2/4 trade-off, extended one step.
 
-use hypersub_bench::{is_quick, print_summary, run_experiment, ExperimentConfig};
+use hypersub_bench::{is_quick, par_map, print_summary, run_experiment, ExperimentConfig};
 use hypersub_core::config::SystemConfig;
 use hypersub_lph::ZoneParams;
 use hypersub_stats::Table;
-use rayon::prelude::*;
 
 fn main() {
     let quick = is_quick();
@@ -32,7 +31,7 @@ fn main() {
             c
         })
         .collect();
-    let results: Vec<_> = configs.par_iter().map(run_experiment).collect();
+    let results = par_map(&configs, run_experiment);
     print_summary(&results);
 
     let mut t = Table::new(

@@ -8,13 +8,9 @@
 //! {0,1} and {2,3}, each subscription installs into the subscheme it
 //! actually constrains.
 
-use hypersub_bench::{is_quick, ExperimentConfig};
-use hypersub_core::model::Registry;
-use hypersub_core::sim::{Network, TopologyKind};
-use hypersub_simnet::SimTime;
+use hypersub_bench::{is_quick, par_map, ExperimentConfig};
 use hypersub_stats::Table;
 use hypersub_workload::WorkloadGen;
-use rayon::prelude::*;
 
 struct Outcome {
     label: String,
@@ -35,23 +31,10 @@ fn run(label: &str, subschemes: Option<Vec<Vec<usize>>>, quick: bool) -> Outcome
         cfg.spec.events = 3000;
     }
     cfg.subschemes = subschemes;
-    let scheme = match &cfg.subschemes {
-        Some(ss) => {
-            let refs: Vec<&[usize]> = ss.iter().map(|v| v.as_slice()).collect();
-            cfg.spec.scheme_def_with_subschemes(0, &refs)
-        }
-        None => cfg.spec.scheme_def(0),
-    };
-    let registry = Registry::new(vec![scheme]);
-    let mut net = Network::builder(cfg.nodes)
-        .registry(registry)
-        .config(cfg.system.clone())
-        .topology(TopologyKind::KingLike(cfg.mean_rtt))
-        .seed(cfg.seed)
-        .build()
-        .expect("valid ablation configuration");
+    let mut net = cfg.network();
     let mut gen = WorkloadGen::new(cfg.spec.clone(), cfg.seed ^ 0x55);
-    // Partial subscriptions: half constrain {0,1}, half {2,3}.
+    // Partial subscriptions: half constrain {0,1}, half {2,3} — a
+    // different draw per (node, k), so not `WorkloadGen::install`.
     for node in 0..cfg.nodes {
         for k in 0..cfg.spec.subs_per_node {
             let dims: &[usize] = if (node + k) % 2 == 0 {
@@ -64,13 +47,7 @@ fn run(label: &str, subschemes: Option<Vec<Vec<usize>>>, quick: bool) -> Outcome
     }
     net.run_to_quiescence();
     let install_msgs = net.net().total_msgs();
-    let mut t = net.time() + SimTime::from_secs(1);
-    for _ in 0..cfg.spec.events {
-        let node = gen.random_node(cfg.nodes);
-        net.schedule_publish(t, node, 0, gen.event_point())
-            .expect("publisher index in range");
-        t += gen.interarrival();
-    }
+    gen.schedule(&mut net, cfg.spec.events);
     net.run_to_quiescence();
     let events = net.event_stats();
     let loads = net.node_loads();
@@ -102,10 +79,7 @@ fn main() {
             Some(vec![vec![0, 1], vec![2, 3]]),
         ),
     ];
-    let outcomes: Vec<Outcome> = runs
-        .par_iter()
-        .map(|(label, ss)| run(label, ss.clone(), quick))
-        .collect();
+    let outcomes = par_map(&runs, |(label, ss)| run(label, ss.clone(), quick));
     let mut t = Table::new(
         "Ablation A3: sub-scheme decomposition (partial subscriptions on 2 of 4 attrs)",
         &[

@@ -3,12 +3,11 @@
 //! cost per event, for the four configurations {base 2 level 20, base 4
 //! level 10} × {no LB, LB}.
 
-use hypersub_bench::{cdf_table, fig2_configs, is_quick, print_summary, run_experiment};
-use rayon::prelude::*;
+use hypersub_bench::{cdf_table, fig2_configs, is_quick, par_map, print_summary, run_experiment};
 
 fn main() {
     let configs = fig2_configs(is_quick());
-    let results: Vec<_> = configs.par_iter().map(run_experiment).collect();
+    let results = par_map(&configs, run_experiment);
 
     // (a) matched percentage — workload property, identical across
     // configurations; plotted from the first run as the paper does.

@@ -2,13 +2,12 @@
 //! (b) out-node bandwidth over the whole simulation, for the four
 //! configurations of Figure 2. Load balancing should cut the maxima.
 
-use hypersub_bench::{cdf_table, fig2_configs, is_quick, print_summary, run_experiment};
+use hypersub_bench::{cdf_table, fig2_configs, is_quick, par_map, print_summary, run_experiment};
 use hypersub_stats::Table;
-use rayon::prelude::*;
 
 fn main() {
     let configs = fig2_configs(is_quick());
-    let results: Vec<_> = configs.par_iter().map(run_experiment).collect();
+    let results = par_map(&configs, run_experiment);
 
     let in_bw: Vec<(String, Vec<f64>)> = results
         .iter()

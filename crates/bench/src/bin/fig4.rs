@@ -2,13 +2,12 @@
 //! subscriptions), first 100 shown. Larger bases concentrate load; the
 //! dynamic subscription-migration mechanism cuts the maxima.
 
-use hypersub_bench::{fig2_configs, is_quick, print_summary, run_experiment};
+use hypersub_bench::{fig2_configs, is_quick, par_map, print_summary, run_experiment};
 use hypersub_stats::Table;
-use rayon::prelude::*;
 
 fn main() {
     let configs = fig2_configs(is_quick());
-    let results: Vec<_> = configs.par_iter().map(run_experiment).collect();
+    let results = par_map(&configs, run_experiment);
 
     let ranked: Vec<Vec<u64>> = results
         .iter()

@@ -2,10 +2,9 @@
 //! (a) average % matched subscriptions, (b) max hops, (c) max latency,
 //! (d) bandwidth cost per event; base 2 / level 20, with and without LB.
 
-use hypersub_bench::{is_quick, run_experiment, ExperimentConfig};
+use hypersub_bench::{is_quick, par_map, run_experiment, ExperimentConfig};
 use hypersub_core::config::SystemConfig;
 use hypersub_stats::Table;
-use rayon::prelude::*;
 
 fn main() {
     let quick = is_quick();
@@ -38,10 +37,7 @@ fn main() {
             configs.push((n, lb, c));
         }
     }
-    let results: Vec<_> = configs
-        .par_iter()
-        .map(|(n, lb, c)| (*n, *lb, run_experiment(c)))
-        .collect();
+    let results = par_map(&configs, |(n, lb, c)| (*n, *lb, run_experiment(c)));
 
     let mut t = Table::new(
         "Fig 5: Performance vs network size (base 2, level 20)",

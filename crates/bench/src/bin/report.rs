@@ -87,14 +87,6 @@ fn delta_line(name: &str, a: u64, b: u64) {
     }
 }
 
-fn counter_total(r: &Report, name: &str) -> u64 {
-    r.counters
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, c)| c.total)
-        .unwrap_or(0)
-}
-
 /// A counter's namespace: the prefix before the first dot (`retry` for
 /// `retry.attempts`).
 fn namespace(name: &str) -> &str {
@@ -137,13 +129,7 @@ fn diff(pa: &str, a: &Report, pb: &str, b: &Report) -> ExitCode {
             );
             continue;
         }
-        let cb = b
-            .counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, c)| c.total)
-            .unwrap_or(0);
-        delta_line(name, ca.total, cb);
+        delta_line(name, ca.total, b.counter_total(name));
     }
     for (name, _) in &b.counters {
         if !a.counters.iter().any(|(n, _)| n == name) {
@@ -186,7 +172,7 @@ fn diff(pa: &str, a: &Report, pb: &str, b: &Report) -> ExitCode {
     let drifted: Vec<&str> = if repair_comparable {
         repair
             .into_iter()
-            .filter(|n| counter_total(a, n) != counter_total(b, n))
+            .filter(|n| a.counter_total(n) != b.counter_total(n))
             .collect()
     } else {
         Vec::new()

@@ -19,24 +19,18 @@
 //! an uninterrupted run. Without `--stamp-dir` every scenario (including
 //! the soak, via in-process checkpoint/restore) completes in one call.
 //!
-//! Exit status: 0 when every invariant of every run passed, 2 when any
-//! verdict failed, 1 on usage errors. `--no-defense` runs are expected
-//! to fail their designated invariant — the harness still exits 2, which
-//! is the point: a disabled defense must be *visible*.
+//! Exit status: 0 when every invariant of every run passed, 1 when any
+//! verdict failed, 2 on usage errors (an argument nobody takes is one).
+//! `--no-defense` runs are expected to fail their designated invariant —
+//! the harness still exits 1, which is the point: a disabled defense
+//! must be *visible*.
 
+use hypersub_bench::Args;
 use hypersub_scenario::{RunConfig, Scenario, ScenarioOutcome, SoakStep, Tier};
 use std::path::{Path, PathBuf};
 
-fn flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
-}
-
-fn opt(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+const USAGE: &str = "list [--names] | run (--scenario NAME | --all) [--seed S] [--quick] \
+    [--no-defense] [--out-dir DIR] [--stamp-dir DIR]";
 
 fn list(names_only: bool) {
     for s in Scenario::ALL {
@@ -96,79 +90,73 @@ fn run_soak_stamped(cfg: &RunConfig, stamps: &Path) -> Option<ScenarioOutcome> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("list") => list(flag(&args, "--names")),
-        Some("run") => {
-            let tier = if flag(&args, "--quick") {
-                Tier::Quick
-            } else {
-                Tier::Full
-            };
-            let seed = opt(&args, "--seed")
-                .map(|s| s.parse().expect("--seed takes an integer"))
-                .unwrap_or(7);
-            let cfg = RunConfig {
-                tier,
-                seed,
-                defense: !flag(&args, "--no-defense"),
-            };
-            let out_dir = PathBuf::from(opt(&args, "--out-dir").unwrap_or("results".into()));
-            let stamp_dir = opt(&args, "--stamp-dir").map(PathBuf::from);
-
-            let scenarios: Vec<Scenario> = if flag(&args, "--all") {
-                Scenario::ALL.to_vec()
-            } else {
-                let name = opt(&args, "--scenario").unwrap_or_else(|| {
-                    eprintln!("usage: scenario run --scenario NAME | --all");
-                    std::process::exit(1);
-                });
-                vec![Scenario::from_name(&name).unwrap_or_else(|| {
-                    eprintln!("unknown scenario {name:?}; try `scenario list`");
-                    std::process::exit(1);
-                })]
-            };
-
-            std::fs::create_dir_all(&out_dir).expect("create output dir");
-            let mut all_passed = true;
-            for s in scenarios {
-                let outcome = match (&stamp_dir, s) {
-                    (Some(stamps), Scenario::ChurnSoak) => match run_soak_stamped(&cfg, stamps) {
-                        Some(o) => o,
-                        None => continue, // mid-soak segment: no verdict yet
-                    },
-                    _ => s.run(&cfg).expect("scenario run"),
-                };
-                let path = out_dir.join(format!("SCENARIO_{}.json", outcome.scenario));
-                std::fs::write(&path, outcome.to_json()).expect("write verdict JSON");
-                let status = if outcome.passed() { "PASS" } else { "FAIL" };
-                println!(
-                    "{:22} {} seed={} tier={} defense={} digest={:#018x} -> {}",
-                    outcome.scenario,
-                    status,
-                    outcome.seed,
-                    outcome.tier.as_str(),
-                    outcome.defense,
-                    outcome.digest,
-                    path.display()
-                );
-                for v in &outcome.verdicts {
-                    println!(
-                        "    [{}] {:28} {}",
-                        if v.passed { "ok" } else { "FAIL" },
-                        v.invariant,
-                        v.details
-                    );
-                }
-                all_passed &= outcome.passed();
-            }
-            if !all_passed {
-                std::process::exit(2);
-            }
+    let mut args = Args::from_env(USAGE);
+    if args.flag("list") {
+        let names_only = args.flag("--names");
+        args.finish();
+        return list(names_only);
+    }
+    if !args.flag("run") {
+        args.fail("expected subcommand `list` or `run`");
+    }
+    let cfg = RunConfig {
+        tier: if args.quick() {
+            Tier::Quick
+        } else {
+            Tier::Full
+        },
+        seed: args.parsed("--seed").unwrap_or(7),
+        defense: !args.flag("--no-defense"),
+    };
+    let out_dir = PathBuf::from(args.value("--out-dir").unwrap_or("results".into()));
+    let stamp_dir = args.value("--stamp-dir").map(PathBuf::from);
+    let scenarios: Vec<Scenario> = if args.flag("--all") {
+        Scenario::ALL.to_vec()
+    } else {
+        match args.value("--scenario") {
+            Some(name) => match Scenario::from_name(&name) {
+                Some(s) => vec![s],
+                None => args.fail(&format!("unknown scenario {name:?}; try `scenario list`")),
+            },
+            None => args.fail("pick --scenario NAME or --all"),
         }
-        _ => {
-            eprintln!("usage: scenario list [--names] | scenario run --scenario NAME | --all");
-            std::process::exit(1);
+    };
+    args.finish();
+
+    std::fs::create_dir_all(&out_dir).expect("create output dir");
+    let mut all_passed = true;
+    for s in scenarios {
+        let outcome = match (&stamp_dir, s) {
+            (Some(stamps), Scenario::ChurnSoak) => match run_soak_stamped(&cfg, stamps) {
+                Some(o) => o,
+                None => continue, // mid-soak segment: no verdict yet
+            },
+            _ => s.run(&cfg).expect("scenario run"),
+        };
+        let path = out_dir.join(format!("SCENARIO_{}.json", outcome.scenario));
+        std::fs::write(&path, outcome.to_json()).expect("write verdict JSON");
+        let status = if outcome.passed() { "PASS" } else { "FAIL" };
+        println!(
+            "{:22} {} seed={} tier={} defense={} digest={:#018x} -> {}",
+            outcome.scenario,
+            status,
+            outcome.seed,
+            outcome.tier.as_str(),
+            outcome.defense,
+            outcome.digest,
+            path.display()
+        );
+        for v in &outcome.verdicts {
+            println!(
+                "    [{}] {:28} {}",
+                if v.passed { "ok" } else { "FAIL" },
+                v.invariant,
+                v.details
+            );
         }
+        all_passed &= outcome.passed();
+    }
+    if !all_passed {
+        std::process::exit(1);
     }
 }

@@ -5,12 +5,12 @@
 //! same sizes from the King-like topology model and report measured mean
 //! RTTs (all calibrated to the ~180 ms King average).
 
+use hypersub_bench::is_quick;
 use hypersub_simnet::{KingLikeTopology, SimTime, Topology};
 use hypersub_stats::Table;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let sizes: &[usize] = if quick {
+    let sizes: &[usize] = if is_quick() {
         &[1000, 2000]
     } else {
         &[1000, 2000, 3000, 4000, 5000, 6000]

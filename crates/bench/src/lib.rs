@@ -13,18 +13,23 @@
 //! | `ablation_base`    | zone base β sweep                                |
 //! | `ablation_rotation`| zone-mapping rotation on/off, multi-scheme       |
 //! | `ablation_subscheme`| §3.5 sub-scheme decomposition on/off            |
+//! | `hotpath`          | the pinned digest run: the repo's behaviour contract, also split by checkpoint/resume |
+//! | `report`           | summarizes one run report or diffs two           |
+//! | `scenario`         | runs the adversity scenario pack, writes verdict JSONs |
 //!
 //! The comparison against rival systems is the `shootout` binary of
 //! `hypersub-shootout` (`--system hypersub --system rendezvous --system
 //! attr_ring` for the paper's §2 pair).
 //!
-//! All binaries accept `--quick` (scaled-down run for smoke testing) and
-//! print diffable ASCII tables via `hypersub-stats`.
+//! The table and figure binaries accept `--quick` (scaled-down run for
+//! smoke testing) and print diffable ASCII tables via `hypersub-stats`;
+//! they, `hotpath` and `scenario` reject an argument they do not know
+//! ([`Args`]) instead of running some other experiment.
 
 use hypersub_core::config::SystemConfig;
 use hypersub_core::metrics::EventStats;
 use hypersub_core::model::Registry;
-use hypersub_core::sim::{Network, TopologyKind};
+use hypersub_core::sim::Network;
 use hypersub_simnet::stats::NodeTraffic;
 use hypersub_simnet::SimTime;
 use hypersub_stats::{Cdf, Table};
@@ -75,6 +80,25 @@ impl ExperimentConfig {
     pub fn with_label(mut self, label: &str) -> Self {
         self.label = label.to_string();
         self
+    }
+
+    /// Builds the network this configuration describes: its scheme (with
+    /// its subschemes, if any) on a King-like topology.
+    pub fn network(&self) -> Network {
+        let scheme = match &self.subschemes {
+            Some(ss) => {
+                let refs: Vec<&[usize]> = ss.iter().map(|v| v.as_slice()).collect();
+                self.spec.scheme_def_with_subschemes(0, &refs)
+            }
+            None => self.spec.scheme_def(0),
+        };
+        Network::builder(self.nodes)
+            .registry(Registry::new(vec![scheme]))
+            .config(self.system.clone())
+            .king_like(self.mean_rtt)
+            .seed(self.seed)
+            .build()
+            .expect("valid experiment configuration")
     }
 }
 
@@ -155,29 +179,11 @@ fn mean(iter: impl Iterator<Item = f64>) -> f64 {
 /// inter-arrival from random nodes, and collect every metric the figures
 /// need.
 pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
-    let scheme = match &cfg.subschemes {
-        Some(ss) => {
-            let refs: Vec<&[usize]> = ss.iter().map(|v| v.as_slice()).collect();
-            cfg.spec.scheme_def_with_subschemes(0, &refs)
-        }
-        None => cfg.spec.scheme_def(0),
-    };
-    let registry = Registry::new(vec![scheme]);
-    let mut net = Network::builder(cfg.nodes)
-        .registry(registry)
-        .config(cfg.system.clone())
-        .topology(TopologyKind::KingLike(cfg.mean_rtt))
-        .seed(cfg.seed)
-        .build()
-        .expect("valid experiment configuration");
+    let mut net = cfg.network();
     let mut gen = WorkloadGen::new(cfg.spec.clone(), cfg.seed ^ 0xabcd);
 
     // Phase 1: install subscriptions on every node.
-    for node in 0..cfg.nodes {
-        for _ in 0..cfg.spec.subs_per_node {
-            net.subscribe(node, 0, gen.subscription());
-        }
-    }
+    gen.install(&mut net, cfg.spec.subs_per_node);
     let install_end = net.time() + SimTime::from_secs(300);
     if cfg.system.lb.enabled {
         net.run_until(install_end);
@@ -190,16 +196,10 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
     // Phase 2: schedule all events, exponential inter-arrival, random
     // publishers (§5.1: "20,000 events generated on randomly chosen
     // nodes" with 100 ms mean inter-arrival).
-    let mut t = net.time() + SimTime::from_secs(1);
-    for _ in 0..cfg.spec.events {
-        let node = gen.random_node(cfg.nodes);
-        net.schedule_publish(t, node, 0, gen.event_point())
-            .expect("publisher index in range");
-        t += gen.interarrival();
-    }
+    let (_, end) = gen.schedule(&mut net, cfg.spec.events);
     let grace = SimTime::from_secs(120);
     if cfg.system.lb.enabled {
-        net.run_until(t + grace);
+        net.run_until(end + grace);
     } else {
         net.run_to_quiescence();
     }
@@ -280,9 +280,99 @@ pub fn cdf_table(
     table
 }
 
-/// Parses the common `--quick` flag.
+/// The process's command-line arguments, taken one by one: each `flag`,
+/// `value` or `parsed` call removes what it matched, and [`Args::finish`]
+/// rejects whatever is left — so a misspelt option, or one without a
+/// usable value, is a usage error (exit 2) instead of a run of the wrong
+/// experiment.
+#[derive(Debug)]
+pub struct Args {
+    usage: &'static str,
+    rest: Vec<String>,
+}
+
+impl Args {
+    /// The arguments after the program name; `usage` is the synopsis
+    /// printed (after the program name) on a usage error.
+    pub fn from_env(usage: &'static str) -> Self {
+        let rest = std::env::args().skip(1).collect();
+        Self { usage, rest }
+    }
+
+    /// Takes the switch `name`; true if it was given.
+    pub fn flag(&mut self, name: &str) -> bool {
+        let at = self.rest.iter().position(|a| a == name);
+        at.map(|i| self.rest.remove(i)).is_some()
+    }
+
+    /// Takes the common `--quick` (or `-q`) switch.
+    pub fn quick(&mut self) -> bool {
+        self.flag("--quick") | self.flag("-q")
+    }
+
+    /// Takes the option `name` and the value after it.
+    pub fn value(&mut self, name: &str) -> Option<String> {
+        self.parsed(name)
+    }
+
+    /// Takes the option `name` and the value after it, parsed. An option
+    /// whose value is missing or does not parse stays where it is, for
+    /// `finish` to reject.
+    pub fn parsed<T: std::str::FromStr>(&mut self, name: &str) -> Option<T> {
+        let i = self.rest.iter().position(|a| a == name)?;
+        let v = self.rest.get(i + 1)?.parse().ok()?;
+        self.rest.drain(i..i + 2);
+        Some(v)
+    }
+
+    /// Ends parsing: an argument still here is a usage error. Call it
+    /// before the run starts.
+    pub fn finish(self) {
+        if let Some(a) = self.rest.first() {
+            self.fail(&format!("cannot use argument {a:?}"));
+        }
+    }
+
+    /// A usage error: prints `problem` and the usage line, exits 2.
+    pub fn fail(&self, problem: &str) -> ! {
+        let prog = std::env::args().next().unwrap_or_default();
+        let prog = prog.rsplit('/').next().unwrap_or_default();
+        eprintln!("{prog}: {problem}\nusage: {prog} {}", self.usage);
+        std::process::exit(2);
+    }
+}
+
+/// Parses the command line of a binary whose only option is `--quick`.
 pub fn is_quick() -> bool {
-    std::env::args().any(|a| a == "--quick" || a == "-q")
+    let mut args = Args::from_env("[--quick]");
+    let quick = args.quick();
+    args.finish();
+    quick
+}
+
+/// Maps `f` over `items` on scoped threads and returns the results in
+/// input order. At most the machine's available parallelism run at a
+/// time: a dozen concurrent thousand-node simulations exhaust memory on
+/// small machines, which is how the fig5 sweep used to die at its
+/// largest network sizes.
+pub fn par_map<T: Sync, O: Send>(items: &[T], f: impl Fn(&T) -> O + Sync) -> Vec<O> {
+    let width = std::thread::available_parallelism().map_or(4, |n| n.get());
+    let f = &f;
+    let mut out = Vec::with_capacity(items.len());
+    for chunk in items.chunks(width) {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = chunk
+                .iter()
+                .map(|item| scope.spawn(move || f(item)))
+                .collect();
+            out.extend(
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("parallel task panicked")),
+            );
+        });
+    }
+    out
 }
 
 /// Prints a standard per-configuration summary block (averages the paper
@@ -354,6 +444,53 @@ mod tests {
             r.delivery_completeness() >= 0.95,
             "LB must not lose deliveries"
         );
+    }
+
+    fn args(list: &[&str]) -> Args {
+        let rest = list.iter().map(|a| a.to_string()).collect();
+        Args { usage: "", rest }
+    }
+
+    #[test]
+    fn args_take_what_is_named_and_leave_the_rest_for_finish() {
+        let mut a = args(&["run", "--seed", "3", "--quick", "--out", "x.json"]);
+        assert!(a.flag("run") && a.quick() && !a.flag("--all"));
+        assert_eq!(a.parsed::<u64>("--seed"), Some(3));
+        assert_eq!(a.value("--out").as_deref(), Some("x.json"));
+        assert!(a.rest.is_empty());
+
+        let mut a = args(&["--quik"]);
+        assert!(!a.quick());
+        assert_eq!(a.rest, ["--quik"], "a leftover");
+
+        let mut a = args(&["--all", "--seed"]);
+        assert_eq!(a.parsed::<u64>("--seed"), None);
+        assert!(a.flag("--all"));
+        assert_eq!(a.rest, ["--seed"], "a missing value");
+
+        let mut a = args(&["--seed", "seven"]);
+        assert_eq!(a.parsed::<u64>("--seed"), None);
+        assert_eq!(a.rest, ["--seed", "seven"], "an unparsable value");
+    }
+
+    #[test]
+    fn maps_in_order() {
+        let v = vec![1u64, 2, 3, 4];
+        assert_eq!(par_map(&v, |x| x * 10), vec![10, 20, 30, 40]);
+    }
+
+    #[test]
+    fn works_on_slices() {
+        assert_eq!(par_map(&[5u32, 6], |x| x + 1), vec![6, 7]);
+    }
+
+    #[test]
+    fn bounded_concurrency_preserves_order() {
+        // More items than any plausible parallelism cap: order must hold
+        // across chunk boundaries.
+        let v: Vec<u64> = (0..257).collect();
+        let want: Vec<u64> = (0..257).map(|x| x * 2).collect();
+        assert_eq!(par_map(&v, |x| x * 2), want);
     }
 
     #[test]

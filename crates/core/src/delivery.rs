@@ -55,31 +55,6 @@ impl HyperSubNode {
         scheme_id: SchemeId,
         event: Event,
     ) {
-        self.publish_impl(ctx, scheme_id, event, true);
-    }
-
-    /// Reference implementation of Algorithm 4 for differential testing:
-    /// every subscheme copy gets its own deep-cloned event body instead of
-    /// sharing one `Arc` allocation. A run driven through this path must
-    /// be observationally identical to one driven through
-    /// [`Self::publish_event`] — the property tests assert their run
-    /// digests match.
-    pub fn publish_event_owned<R: NodeRuntime<HyperMsg, HyperWorld>>(
-        &mut self,
-        ctx: &mut R,
-        scheme_id: SchemeId,
-        event: Event,
-    ) {
-        self.publish_impl(ctx, scheme_id, event, false);
-    }
-
-    fn publish_impl<R: NodeRuntime<HyperMsg, HyperWorld>>(
-        &mut self,
-        ctx: &mut R,
-        scheme_id: SchemeId,
-        event: Event,
-        share: bool,
-    ) {
         let (me, now) = (ctx.me(), ctx.now());
         let expected = ctx.world().oracle.expected_count(scheme_id, &event.point);
         ctx.world()
@@ -97,11 +72,7 @@ impl HyperSubNode {
             let msg = DeliveryMsg {
                 scheme: scheme_id,
                 ss,
-                event: if share {
-                    Arc::clone(&event)
-                } else {
-                    Arc::new((*event).clone())
-                },
+                event: Arc::clone(&event),
                 hops: 0,
                 sender: None,
                 targets: vec![target],

@@ -47,9 +47,6 @@ pub enum HyperSubError {
     },
     /// A builder was given an inconsistent or unusable configuration.
     InvalidConfig(&'static str),
-    /// [`crate::sim::Network::snapshot`] was called on a network built
-    /// without [`crate::sim::SnapshotConfig`] enabled.
-    SnapshotsDisabled,
     /// A snapshot could not be encoded or decoded (corrupt bytes, a
     /// version mismatch, or state the format cannot capture).
     Snapshot(hypersub_snapshot::Error),
@@ -81,13 +78,6 @@ impl fmt::Display for HyperSubError {
                 write!(f, "subscription {sub:?} does not belong to node {node}")
             }
             HyperSubError::InvalidConfig(why) => write!(f, "invalid configuration: {why}"),
-            HyperSubError::SnapshotsDisabled => {
-                write!(
-                    f,
-                    "snapshots are not enabled on this network \
-                     (build with SnapshotConfig::enabled())"
-                )
-            }
             HyperSubError::Snapshot(e) => write!(f, "snapshot error: {e}"),
         }
     }

@@ -41,25 +41,6 @@ pub enum IndexMode {
     Bitset,
 }
 
-impl IndexMode {
-    /// Parses a CLI name (`linear` / `bitset`).
-    pub fn parse(s: &str) -> Option<IndexMode> {
-        match s {
-            "linear" => Some(IndexMode::Linear),
-            "bitset" => Some(IndexMode::Bitset),
-            _ => None,
-        }
-    }
-
-    /// The CLI/report name of this mode.
-    pub fn name(self) -> &'static str {
-        match self {
-            IndexMode::Linear => "linear",
-            IndexMode::Bitset => "bitset",
-        }
-    }
-}
-
 /// Index occupancy and cost diagnostics, summable across repositories.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexDiag {

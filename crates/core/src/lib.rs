@@ -137,7 +137,7 @@ pub mod prelude {
     pub use crate::model::{Event, Registry, SchemeDef, SchemeId, SubId, Subscription};
     pub use crate::node::HyperSubNode;
     pub use crate::report::Report;
-    pub use crate::sim::{Net, Network, NetworkBuilder, PubSubNode, SnapshotConfig, TopologyKind};
+    pub use crate::sim::{Net, Network, NetworkBuilder, PubSubNode, TopologyKind};
     pub use hypersub_lph::{ContentSpace, Point, Rect, ZoneParams};
     pub use hypersub_simnet::{FaultPlane, FlightRecorder, LinkPolicy, SimTime};
     // The runtime abstraction: protocol entry points (`subscribe`,

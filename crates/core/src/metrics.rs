@@ -74,11 +74,6 @@ impl PerNodeCounter {
     pub fn max(&self) -> u64 {
         self.v.iter().copied().max().unwrap_or(0)
     }
-
-    /// Per-node counts, indexed by node (trailing untouched nodes absent).
-    pub fn per_node(&self) -> &[u64] {
-        &self.v
-    }
 }
 
 /// A log2-bucketed histogram of `u64` samples: bucket `i` counts samples

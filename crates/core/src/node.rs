@@ -188,14 +188,6 @@ impl HyperSubNode {
         (repo_subs + hosted_subs) as u64
     }
 
-    /// Total stored entries including surrogate subscriptions (for memory
-    /// accounting and ablations).
-    pub fn stored_entries(&self) -> u64 {
-        let repo_entries: usize = self.repos.values().map(|r| r.entries.len()).sum();
-        let hosted: usize = self.hosted.values().map(|h| h.entries.len()).sum();
-        (repo_entries + hosted) as u64
-    }
-
     /// Matching-index diagnostics summed over this node's zone
     /// repositories — see [`crate::repo::ZoneRepo::index_diag`].
     pub fn index_diag(&self) -> crate::index::IndexDiag {
@@ -204,20 +196,6 @@ impl HyperSubNode {
             d.merge(&repo.index_diag());
         }
         d
-    }
-
-    /// The subscription ids of this node's local subscriptions.
-    pub fn local_sub_ids(&self) -> Vec<SubId> {
-        let mut v: Vec<SubId> = self
-            .local_subs
-            .keys()
-            .map(|&iid| SubId {
-                nid: self.maint.chord.id,
-                iid,
-            })
-            .collect();
-        v.sort_unstable();
-        v
     }
 }
 
@@ -512,7 +490,6 @@ mod tests {
         let chord = ChordState::new(42, 0, 4);
         let n = HyperSubNode::new(chord, test_registry(), Arc::new(SystemConfig::default()));
         assert_eq!(n.load(), 0);
-        assert_eq!(n.stored_entries(), 0);
     }
 
     #[test]

@@ -326,10 +326,9 @@ impl Report {
     /// # Errors
     /// A human-readable description of the first syntax or shape problem.
     pub fn from_json(s: &str) -> Result<Report, String> {
-        let v = Json::parse(s)?;
-        let top = v.obj("report")?;
+        let top = &Json::parse(s)?;
         let events = {
-            let e = get(top, "events")?.obj("events")?;
+            let e = top.get("events")?;
             EventSummary {
                 published: num(e, "published")?,
                 expected: num(e, "expected")?,
@@ -340,7 +339,7 @@ impl Report {
             }
         };
         let net = {
-            let n = get(top, "net")?.obj("net")?;
+            let n = top.get("net")?;
             NetSummary {
                 total_msgs: num(n, "total_msgs")?,
                 total_bytes: num(n, "total_bytes")?,
@@ -350,11 +349,11 @@ impl Report {
                 duplicated: num(n, "duplicated")?,
             }
         };
-        let counters = get(top, "counters")?
+        let counters = top
+            .get("counters")?
             .obj("counters")?
             .iter()
-            .map(|(name, v)| {
-                let c = v.obj(name)?;
+            .map(|(name, c)| {
                 Ok((
                     name.clone(),
                     CounterSummary {
@@ -364,18 +363,19 @@ impl Report {
                 ))
             })
             .collect::<Result<Vec<_>, String>>()?;
-        let histograms = get(top, "histograms")?
+        let histograms = top
+            .get("histograms")?
             .obj("histograms")?
             .iter()
-            .map(|(name, v)| {
-                let h = v.obj(name)?;
+            .map(|(name, h)| {
                 Ok((
                     name.clone(),
                     HistSummary {
                         count: num(h, "count")?,
                         sum: num(h, "sum")?,
                         max: num(h, "max")?,
-                        buckets: get(h, "buckets")?
+                        buckets: h
+                            .get("buckets")?
                             .arr("buckets")?
                             .iter()
                             .map(|b| b.num("bucket"))
@@ -384,23 +384,21 @@ impl Report {
                 ))
             })
             .collect::<Result<Vec<_>, String>>()?;
-        let trace = match get(top, "trace")? {
+        let trace = match top.get("trace")? {
             Json::Null => None,
-            v => {
-                let t = v.obj("trace")?;
-                Some(TraceSummary {
-                    capacity: num(t, "capacity")?,
-                    recorded: num(t, "recorded")?,
-                    evicted: num(t, "evicted")?,
-                    kinds: get(t, "kinds")?
-                        .obj("kinds")?
-                        .iter()
-                        .map(|(k, c)| Ok((k.clone(), c.num(k)?)))
-                        .collect::<Result<Vec<_>, String>>()?,
-                })
-            }
+            t => Some(TraceSummary {
+                capacity: num(t, "capacity")?,
+                recorded: num(t, "recorded")?,
+                evicted: num(t, "evicted")?,
+                kinds: t
+                    .get("kinds")?
+                    .obj("kinds")?
+                    .iter()
+                    .map(|(k, c)| Ok((k.clone(), c.num(k)?)))
+                    .collect::<Result<Vec<_>, String>>()?,
+            }),
         };
-        let digest_s = get(top, "digest")?.str("digest")?;
+        let digest_s = top.get("digest")?.str("digest")?;
         let digest = u64::from_str_radix(digest_s.trim_start_matches("0x"), 16)
             .map_err(|e| format!("bad digest {digest_s:?}: {e}"))?;
         Ok(Report {
@@ -417,61 +415,80 @@ impl Report {
     }
 }
 
-/// Minimal JSON value for [`Report::from_json`]. Objects keep insertion
-/// order (a `Vec` of pairs) so round-trips preserve registry ordering.
+/// Minimal JSON value: what [`Report::from_json`] and the shoot-out's
+/// `--expect` reference are read through. Objects keep insertion order
+/// (a `Vec` of pairs) so round-trips preserve registry ordering.
 #[derive(Debug, Clone, PartialEq)]
-enum Json {
+pub enum Json {
+    /// `null`.
     Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A non-negative integer, kept exact (counters exceed 2^53).
     Num(u64),
+    /// Any other number (sign, fraction or exponent).
+    Dec(f64),
+    /// A string.
     Str(String),
+    /// An array.
     Arr(Vec<Json>),
+    /// An object, in document order.
     Obj(Vec<(String, Json)>),
 }
 
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn num(obj: &[(String, Json)], key: &str) -> Result<u64, String> {
-    get(obj, key)?.num(key)
+fn num(obj: &Json, key: &str) -> Result<u64, String> {
+    obj.get(key)?.num(key)
 }
 
 impl Json {
-    fn obj(&self, what: &str) -> Result<&[(String, Json)], String> {
+    /// The member `key` of this object.
+    pub fn get(&self, key: &str) -> Result<&Json, String> {
+        self.obj(key)?
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+            .ok_or_else(|| format!("missing field {key:?}"))
+    }
+
+    /// This value as an object; `what` names it in the error.
+    pub fn obj(&self, what: &str) -> Result<&[(String, Json)], String> {
         match self {
             Json::Obj(o) => Ok(o),
             other => Err(format!("{what}: expected object, got {other:?}")),
         }
     }
 
-    fn arr(&self, what: &str) -> Result<&[Json], String> {
+    /// This value as an array.
+    pub fn arr(&self, what: &str) -> Result<&[Json], String> {
         match self {
             Json::Arr(a) => Ok(a),
             other => Err(format!("{what}: expected array, got {other:?}")),
         }
     }
 
-    fn num(&self, what: &str) -> Result<u64, String> {
+    /// This value as a non-negative integer.
+    pub fn num(&self, what: &str) -> Result<u64, String> {
         match self {
             Json::Num(n) => Ok(*n),
             other => Err(format!("{what}: expected number, got {other:?}")),
         }
     }
 
-    fn str(&self, what: &str) -> Result<&str, String> {
+    /// This value as a string.
+    pub fn str(&self, what: &str) -> Result<&str, String> {
         match self {
             Json::Str(s) => Ok(s),
             other => Err(format!("{what}: expected string, got {other:?}")),
         }
     }
 
-    /// Recursive-descent parser over the subset of JSON reports use:
-    /// objects, arrays, strings (with the escapes `to_json` emits),
-    /// non-negative integers, and `null`.
-    fn parse(s: &str) -> Result<Json, String> {
+    /// Recursive-descent parser over the JSON this workspace writes:
+    /// objects, arrays, strings (with the escapes `push_json_str`
+    /// emits), numbers, `true`, `false` and `null`.
+    ///
+    /// # Errors
+    /// A description of the first syntax problem, with its byte offset.
+    pub fn parse(s: &str) -> Result<Json, String> {
         let b = s.as_bytes();
         let mut pos = 0;
         let v = Self::value(b, &mut pos)?;
@@ -547,24 +564,35 @@ impl Json {
                 }
             }
             Some(b'"') => Ok(Json::Str(Self::string(b, pos)?)),
-            Some(b'n') => {
-                if b[*pos..].starts_with(b"null") {
-                    *pos += 4;
-                    Ok(Json::Null)
-                } else {
-                    Err(format!("bad literal at byte {pos}"))
+            Some(b'n' | b't' | b'f') => {
+                let literals = [
+                    ("null", Json::Null),
+                    ("true", Json::Bool(true)),
+                    ("false", Json::Bool(false)),
+                ];
+                for (word, v) in literals {
+                    if b[*pos..].starts_with(word.as_bytes()) {
+                        *pos += word.len();
+                        return Ok(v);
+                    }
                 }
+                Err(format!("bad literal at byte {pos}"))
             }
-            Some(c) if c.is_ascii_digit() => {
+            Some(c) if c.is_ascii_digit() || *c == b'-' => {
                 let start = *pos;
-                while *pos < b.len() && b[*pos].is_ascii_digit() {
+                while *pos < b.len()
+                    && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+                {
                     *pos += 1;
                 }
-                std::str::from_utf8(&b[start..*pos])
-                    .unwrap()
-                    .parse()
-                    .map(Json::Num)
-                    .map_err(|e| format!("bad number at byte {start}: {e}"))
+                let text = std::str::from_utf8(&b[start..*pos]).expect("ASCII number");
+                match text.parse() {
+                    Ok(n) => Ok(Json::Num(n)),
+                    Err(_) => text
+                        .parse()
+                        .map(Json::Dec)
+                        .map_err(|e| format!("bad number at byte {start}: {e}")),
+                }
             }
             _ => Err(format!("unexpected input at byte {pos}")),
         }

@@ -44,29 +44,12 @@ impl std::fmt::Debug for TopologyKind {
     }
 }
 
-/// Opt-in checkpoint/restore support (see `DESIGN.md`,
-/// "Checkpoint/restore"). Off by default: a network built without it
-/// refuses [`Network::snapshot`], and nothing about the run changes
-/// either way — enabling snapshots only stashes the topology descriptor
-/// needed to rebuild the latency model at restore time.
-#[derive(Debug, Clone, Default)]
-pub struct SnapshotConfig {
-    /// Master switch.
-    pub enabled: bool,
-}
-
-impl SnapshotConfig {
-    /// Snapshots on.
-    pub fn enabled() -> Self {
-        Self { enabled: true }
-    }
-}
-
-/// How to regenerate the topology at restore time. Uniform and King-like
-/// topologies are pure functions of their parameters, so the snapshot
-/// records the recipe instead of the full latency matrix; custom
-/// topologies have no recipe and are rejected at build time when
-/// snapshots are enabled.
+/// How to regenerate the topology at restore time (see `DESIGN.md`,
+/// "Checkpoint/restore"). Uniform and King-like topologies are pure
+/// functions of their parameters, so every network built over one keeps
+/// this recipe and the snapshot records it instead of the latency model;
+/// custom topologies have no recipe and [`Network::snapshot`] refuses
+/// them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TopoDescriptor {
     /// `UniformTopology::new(nodes, latency)`.
@@ -203,7 +186,6 @@ pub struct NetworkBuilder {
     ring: RingConfig,
     seed: u64,
     recorder_capacity: Option<usize>,
-    snapshot: SnapshotConfig,
 }
 
 impl NetworkBuilder {
@@ -254,13 +236,6 @@ impl NetworkBuilder {
     /// recording never changes run behavior.
     pub fn flight_recorder(mut self, capacity: usize) -> Self {
         self.recorder_capacity = Some(capacity);
-        self
-    }
-
-    /// Checkpoint/restore support (see [`SnapshotConfig`]). Off by
-    /// default; enabling it never changes run behavior or digests.
-    pub fn snapshots(mut self, snapshot: SnapshotConfig) -> Self {
-        self.snapshot = snapshot;
         self
     }
 
@@ -316,8 +291,7 @@ impl NetworkBuilder {
     ///
     /// # Errors
     /// [`HyperSubError::InvalidConfig`] for an empty network, a custom
-    /// topology of the wrong size or a zero-capacity recorder;
-    /// [`HyperSubError::Snapshot`] for snapshots over a custom topology.
+    /// topology of the wrong size or a zero-capacity recorder.
     pub fn build_with<N: PubSubNode>(self, make: impl FnMut(ChordState) -> N) -> Result<Net<N>> {
         if self.nodes == 0 {
             return Err(HyperSubError::InvalidConfig(
@@ -330,7 +304,7 @@ impl NetworkBuilder {
             ));
         }
         let recipe = |d: TopoDescriptor| (d.build(), Some(d));
-        let (topo, desc) = match &self.topology {
+        let (topo, topo_desc) = match &self.topology {
             TopologyKind::Uniform(latency) => recipe(TopoDescriptor::Uniform {
                 nodes: self.nodes,
                 latency: *latency,
@@ -346,13 +320,6 @@ impl NetworkBuilder {
                 ))
             }
             TopologyKind::Custom(t) => (Arc::clone(t), None),
-        };
-        let topo_desc = if self.snapshot.enabled {
-            Some(desc.ok_or(HyperSubError::Snapshot(
-                hypersub_snapshot::Error::Unsupported("snapshots cannot capture a custom topology"),
-            ))?)
-        } else {
-            None
         };
         let nodes: Vec<N> = build_ring(&self.ring, topo.as_ref(), self.seed)
             .into_iter()
@@ -378,8 +345,8 @@ pub struct Net<N: PubSubNode> {
     pub(crate) sim: Sim<N, N::Msg, HyperWorld>,
     next_event_id: u64,
     scheduled_events: u64,
-    /// Recipe for regenerating the topology at restore time; `Some` iff
-    /// the network was built with [`SnapshotConfig`] enabled.
+    /// Recipe for regenerating the topology at restore time; `None` over
+    /// a [`TopologyKind::Custom`] topology.
     topo_desc: Option<TopoDescriptor>,
 }
 
@@ -576,7 +543,6 @@ impl Net<HyperSubNode> {
             ring: RingConfig::default(),
             seed: 0,
             recorder_capacity: None,
-            snapshot: SnapshotConfig::default(),
         }
     }
 
@@ -615,22 +581,6 @@ impl Net<HyperSubNode> {
         let id = self.alloc_event_id();
         self.sim.with_node_ctx(node, |n, ctx| {
             n.publish_event(ctx, scheme, Event { id, point })
-        });
-        Ok(id)
-    }
-
-    /// Publishes through the deep-cloning reference path
-    /// ([`HyperSubNode::publish_event_owned`]) instead of the shared-`Arc`
-    /// fast path. Exists for differential tests proving the two paths are
-    /// observationally identical.
-    ///
-    /// # Errors
-    /// [`HyperSubError::NodeOutOfRange`] for a bad index.
-    pub fn publish_owned(&mut self, node: usize, scheme: SchemeId, point: Point) -> Result<u64> {
-        self.check_node(node)?;
-        let id = self.alloc_event_id();
-        self.sim.with_node_ctx(node, |n, ctx| {
-            n.publish_event_owned(ctx, scheme, Event { id, point })
         });
         Ok(id)
     }
@@ -755,10 +705,12 @@ impl Net<HyperSubNode> {
     /// bit-identical deliveries, network counters, digests and reports.
     ///
     /// # Errors
-    /// [`HyperSubError::SnapshotsDisabled`] when the network was built
-    /// without [`SnapshotConfig`] enabled.
+    /// [`HyperSubError::Snapshot`] over a [`TopologyKind::Custom`]
+    /// topology, which has no recipe to rebuild it from.
     pub fn snapshot(&self) -> Result<Vec<u8>> {
-        let desc = self.topo_desc.ok_or(HyperSubError::SnapshotsDisabled)?;
+        let desc = self.topo_desc.ok_or(HyperSubError::Snapshot(
+            hypersub_snapshot::Error::Unsupported("snapshots cannot capture a custom topology"),
+        ))?;
         let mut w = Writer::new();
         desc.encode(&mut w);
         // The registry and config are shared by every node: encode them
@@ -777,7 +729,7 @@ impl Net<HyperSubNode> {
     }
 
     /// Reconstructs a network from bytes produced by
-    /// [`Network::snapshot`], with snapshots still enabled on the result.
+    /// [`Network::snapshot`].
     ///
     /// # Errors
     /// [`HyperSubError::Snapshot`] when the bytes are corrupt, truncated,
@@ -1125,26 +1077,14 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_requires_opt_in() {
-        let net = small_net(4, 15);
-        assert_eq!(net.snapshot().err(), Some(HyperSubError::SnapshotsDisabled));
-        let net = Network::builder(4)
-            .registry(registry())
-            .snapshots(SnapshotConfig::enabled())
-            .build()
-            .unwrap();
-        assert!(net.snapshot().is_ok());
-    }
-
-    #[test]
     fn snapshot_rejects_custom_topology() {
         let topo: Arc<dyn Topology> = Arc::new(UniformTopology::new(4, SimTime::from_millis(1)));
+        let net = Network::builder(4)
+            .topology(TopologyKind::Custom(topo))
+            .build()
+            .expect("a custom topology builds; only its snapshot is refused");
         assert_eq!(
-            Network::builder(4)
-                .topology(TopologyKind::Custom(topo))
-                .snapshots(SnapshotConfig::enabled())
-                .build()
-                .err(),
+            net.snapshot().err(),
             Some(HyperSubError::Snapshot(
                 hypersub_snapshot::Error::Unsupported("snapshots cannot capture a custom topology")
             ))
@@ -1153,14 +1093,7 @@ mod tests {
 
     #[test]
     fn snapshot_restore_round_trips_mid_run() {
-        let build = || {
-            Network::builder(12)
-                .registry(registry())
-                .seed(31)
-                .snapshots(SnapshotConfig::enabled())
-                .build()
-                .unwrap()
-        };
+        let build = || small_net(12, 31);
         let drive = |net: &mut Network, from: usize| {
             for i in from..6 {
                 net.schedule_publish(
@@ -1208,12 +1141,7 @@ mod tests {
 
     #[test]
     fn restore_rejects_corrupt_bytes() {
-        let net = Network::builder(4)
-            .registry(registry())
-            .snapshots(SnapshotConfig::enabled())
-            .build()
-            .unwrap();
-        let mut bytes = net.snapshot().unwrap();
+        let mut bytes = small_net(4, 0).snapshot().unwrap();
         let last = bytes.len() - 9; // flip a payload bit, not the checksum
         bytes[last] ^= 0x40;
         assert!(matches!(

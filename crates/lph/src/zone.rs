@@ -143,11 +143,6 @@ impl ZoneCode {
         }
         rect
     }
-
-    /// The splitting dimension used to go from this zone to its children.
-    pub fn split_dim(&self, space: &ContentSpace) -> usize {
-        self.level as usize % space.dims()
-    }
 }
 
 impl Encode for ZoneParams {

@@ -39,7 +39,7 @@ pub(crate) fn run(cfg: &RunConfig) -> hypersub_core::error::Result<ScenarioOutco
     } else {
         SystemConfig::default()
     };
-    let mut net = scenario_network(NODES, cfg.seed, config, false)?;
+    let mut net = scenario_network(NODES, cfg.seed, config)?;
     net.enable_maintenance();
     subscribe_staggered_bands(&mut net, SUBSCRIBERS);
     net.run_until(net.time() + SimTime::from_secs(10));

@@ -38,7 +38,7 @@ pub(crate) fn run(cfg: &RunConfig) -> hypersub_core::error::Result<ScenarioOutco
         SystemConfig::default()
     };
     let lb_period = SystemConfig::default().with_lb().lb.period;
-    let mut net = scenario_network(NODES, cfg.seed, config, false)?;
+    let mut net = scenario_network(NODES, cfg.seed, config)?;
 
     // 1. The crowd: subscriptions packed into the hot sliver.
     let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0xf1a5_4c20_3d00_0001);

@@ -47,7 +47,7 @@ pub(crate) fn run(cfg: &RunConfig) -> hypersub_core::error::Result<ScenarioOutco
         // span 0.25 s * (2^8 - 1) = 63.75 s > 30 s.
         config.retry.max_attempts = 8;
     }
-    let mut net = scenario_network(NODES, cfg.seed, config, false)?;
+    let mut net = scenario_network(NODES, cfg.seed, config)?;
 
     for i in 0..NODES {
         net.subscribe(i, 0, Subscription::new(rect_for(i)));

@@ -175,22 +175,14 @@ pub(crate) fn scenario_registry() -> Registry {
 
 /// Builds a scenario network: the `scn` scheme, uniform 10 ms links, and
 /// a flight recorder big enough that quick-tier traces never evict.
-pub(crate) fn scenario_network(
-    nodes: usize,
-    seed: u64,
-    config: SystemConfig,
-    snapshots: bool,
-) -> Result<Network> {
-    let mut b = Network::builder(nodes)
+pub(crate) fn scenario_network(nodes: usize, seed: u64, config: SystemConfig) -> Result<Network> {
+    Network::builder(nodes)
         .registry(scenario_registry())
         .config(config)
         .latency(SimTime::from_millis(10))
         .flight_recorder(1 << 20)
-        .seed(seed);
-    if snapshots {
-        b = b.snapshots(SnapshotConfig::enabled());
-    }
-    b.build()
+        .seed(seed)
+        .build()
 }
 
 /// The workload template scenarios draw publishes from: Zipf-skewed

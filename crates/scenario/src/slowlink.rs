@@ -38,7 +38,7 @@ pub(crate) fn run(cfg: &RunConfig) -> hypersub_core::error::Result<ScenarioOutco
         // comfortably past the worst bloated round trip.
         config.retry.max_attempts = 6;
     }
-    let mut net = scenario_network(NODES, cfg.seed, config, false)?;
+    let mut net = scenario_network(NODES, cfg.seed, config)?;
 
     for i in 0..NODES {
         net.subscribe(i, 0, Subscription::new(rect_for(i)));

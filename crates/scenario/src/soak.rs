@@ -131,7 +131,7 @@ pub fn run_segment(
         }
         None => {
             assert_eq!(segment, 0, "segment {segment} needs a checkpoint");
-            let mut net = scenario_network(NODES, cfg.seed, config_for(cfg), true)?;
+            let mut net = scenario_network(NODES, cfg.seed, config_for(cfg))?;
             net.enable_maintenance();
             subscribe_staggered_bands(&mut net, SUBSCRIBERS);
             net.run_until(SETTLE);

@@ -6,7 +6,8 @@
 //! ```
 //!
 //! Exit codes: 0 success, 1 equivalence violation or digest drift
-//! against `--expect`, 2 usage error.
+//! against `--expect`, 2 usage error (an `--expect` reference that
+//! does not parse or pins no run is one).
 
 use hypersub_shootout::{
     all_systems, digests_from_json, render_table, run_rung, shootout_json, system_by_name,
@@ -79,10 +80,11 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// Compares this run's deterministic digests against a pinned reference
-/// document; returns drift descriptions.
-fn digest_drift(doc: &str, reference: &str) -> Vec<String> {
-    let got = digests_from_json(doc);
-    let want = digests_from_json(reference);
+/// document; returns drift descriptions, or why the reference cannot be
+/// compared against.
+fn digest_drift(doc: &str, reference: &str) -> Result<Vec<String>, String> {
+    let got = digests_from_json(doc).expect("this run's own document");
+    let want = digests_from_json(reference)?;
     let mut drift = Vec::new();
     for (sys, nodes, d) in &want {
         match got.iter().find(|(s, n, _)| s == sys && n == nodes) {
@@ -91,7 +93,7 @@ fn digest_drift(doc: &str, reference: &str) -> Vec<String> {
             None => drift.push(format!("{sys} @ {nodes} nodes: missing from this run")),
         }
     }
-    drift
+    Ok(drift)
 }
 
 fn main() -> ExitCode {
@@ -151,20 +153,19 @@ fn main() -> ExitCode {
     }
     let mut failed = !outcomes.iter().all(|o| o.ok());
     if let Some(refpath) = &args.expect {
-        match std::fs::read_to_string(refpath) {
-            Ok(reference) => {
-                let drift = digest_drift(&doc, &reference);
-                if drift.is_empty() {
-                    println!("digests match pinned reference {refpath}");
-                } else {
-                    for d in drift {
-                        eprintln!("DIGEST DRIFT: {d}");
-                    }
-                    failed = true;
+        let reference = std::fs::read_to_string(refpath).map_err(|e| e.to_string());
+        match reference.and_then(|r| digest_drift(&doc, &r)) {
+            Ok(drift) if drift.is_empty() => {
+                println!("digests match pinned reference {refpath}");
+            }
+            Ok(drift) => {
+                for d in drift {
+                    eprintln!("DIGEST DRIFT: {d}");
                 }
+                failed = true;
             }
             Err(e) => {
-                eprintln!("shootout: cannot read --expect {refpath}: {e}");
+                eprintln!("shootout: cannot use --expect {refpath}: {e}");
                 return ExitCode::from(2);
             }
         }

@@ -27,9 +27,9 @@
 //!    ring ids, and simulator RNG from the master seed, so node `i` has
 //!    the same Chord id and the same link latencies everywhere.
 //! 2. **Same workload.** One `WorkloadGen` per run, seeded `seed ^
-//!    0xabcd`, consumed in the same call order: all subscriptions
-//!    (node-major), then per event `random_node`, `event_point`,
-//!    `interarrival`.
+//!    0xabcd`, consumed by the same two calls: `install` (all
+//!    subscriptions, node-major), then `schedule` (per event a node, a
+//!    point, a gap).
 //! 3. **Same cost model.** Wire sizes come from the shared
 //!    `hypersub_core::msg` constants (header 20 B, event 100 B, SubID
 //!    9 B), pinned by `tests/wire_golden.rs`.
@@ -52,7 +52,7 @@ use hypersub_baselines::subgroup::SubgroupNode;
 use hypersub_core::error::Result;
 use hypersub_core::metrics::EventStats;
 use hypersub_core::model::{Registry, SubId};
-use hypersub_core::report::Report;
+use hypersub_core::report::{Json, Report};
 use hypersub_core::sim::{Net, Network, NetworkBuilder, PubSubNode, TopologyKind};
 use hypersub_simnet::SimTime;
 use hypersub_stats::{LoadDist, Table};
@@ -312,24 +312,15 @@ fn drive<N: PubSubNode>(
             .seed(p.seed),
     )?;
     let mut gen = WorkloadGen::new(p.spec.clone(), p.seed ^ 0xabcd);
-    let mut sub_ids = Vec::with_capacity(p.nodes * p.spec.subs_per_node);
-    for node in 0..p.nodes {
-        for _ in 0..p.spec.subs_per_node {
-            sub_ids.push(net.subscribe(node, 0, gen.subscription()));
-        }
-    }
+    let sub_ids = gen.install(&mut net, p.spec.subs_per_node);
     net.run_to_quiescence();
     let install_msgs = net.net().total_msgs();
     let install_bytes = net.net().total_bytes();
+    let (events, _) = gen.schedule(&mut net, p.spec.events);
     let mut expected: Vec<(u64, SubId)> = Vec::new();
-    let mut t = net.time() + SimTime::from_secs(1);
-    for _ in 0..p.spec.events {
-        let node = gen.random_node(p.nodes);
-        let point = gen.event_point();
-        let matches = net.expected_matches(0, &point);
-        let id = net.schedule_publish(t, node, 0, point)?;
-        expected.extend(matches.into_iter().map(|sid| (id, sid)));
-        t += gen.interarrival();
+    for (id, point) in &events {
+        let matches = net.expected_matches(0, point);
+        expected.extend(matches.into_iter().map(|sid| (*id, sid)));
     }
     net.run_to_quiescence();
     expected.sort_unstable();
@@ -499,26 +490,28 @@ pub fn shootout_json(seed: u64, tier: &str, outcomes: &[RungOutcome]) -> String 
 }
 
 /// Extracts the deterministic `(system, nodes, digest)` triples from a
-/// `SHOOTOUT.json` document (this crate's own format), for digest-drift
-/// comparison against a pinned reference.
-pub fn digests_from_json(doc: &str) -> Vec<(String, u64, String)> {
-    let mut out = Vec::new();
-    let (mut system, mut nodes) = (None::<String>, None::<u64>);
-    for line in doc.lines() {
-        let line = line.trim();
-        if let Some(v) = line.strip_prefix("\"system\": \"") {
-            system = v.strip_suffix("\",").map(str::to_string);
-        } else if let Some(v) = line.strip_prefix("\"nodes\": ") {
-            nodes = v.trim_end_matches(',').parse().ok();
-        } else if let Some(v) = line.strip_prefix("\"digest\": \"") {
-            if let (Some(sys), Some(n)) = (system.take(), nodes.take()) {
-                if let Some(d) = v.strip_suffix("\",") {
-                    out.push((sys, n, d.to_string()));
-                }
-            }
-        }
+/// `SHOOTOUT.json` document, for digest-drift comparison against a
+/// pinned reference. Key order and layout are free.
+///
+/// # Errors
+/// The document does not parse, or it has no run, or a run lacks one of
+/// the three fields: a reference that pins nothing must not compare as
+/// "no drift".
+pub fn digests_from_json(doc: &str) -> Result<Vec<(String, u64, String)>, String> {
+    let doc = Json::parse(doc)?;
+    let runs = doc.get("runs")?.arr("runs")?;
+    if runs.is_empty() {
+        return Err("no runs".to_string());
     }
-    out
+    runs.iter()
+        .map(|r| {
+            Ok((
+                r.get("system")?.str("system")?.to_string(),
+                r.get("nodes")?.num("nodes")?,
+                r.get("digest")?.str("digest")?.to_string(),
+            ))
+        })
+        .collect()
 }
 
 /// Renders one rung's side-by-side comparison table.
@@ -603,10 +596,41 @@ mod tests {
     fn json_roundtrips_digests() {
         let out = run_rung(&all_systems(), (24, 2, 6), 3).unwrap();
         let doc = shootout_json(3, "test", &[out]);
-        let digests = digests_from_json(&doc);
+        let digests = digests_from_json(&doc).unwrap();
         assert_eq!(digests.len(), 5);
         assert_eq!(digests[0].0, "hypersub");
         assert_eq!(digests[0].1, 24);
         assert!(digests.iter().all(|(_, _, d)| d.starts_with("0x")));
+
+        // Layout and key order are free: the same triples come out of a
+        // minified copy, a re-indented one and one with every run's keys
+        // reversed.
+        let minified: String = doc.split_whitespace().collect();
+        assert_eq!(digests_from_json(&minified).unwrap(), digests);
+        let reindented = doc.replace("\n", "\n\t ").replace(": ", " :  ");
+        assert_eq!(digests_from_json(&reindented).unwrap(), digests);
+        let reordered: String = doc
+            .split("    {\n")
+            .enumerate()
+            .map(|(i, part)| match part.split_once("\n    }") {
+                Some((fields, rest)) if i > 0 => {
+                    let mut lines: Vec<&str> =
+                        fields.lines().map(|l| l.trim_end_matches(',')).collect();
+                    lines.reverse();
+                    format!("    {{\n{}\n    }}{rest}", lines.join(",\n"))
+                }
+                _ => part.to_string(),
+            })
+            .collect();
+        assert_ne!(reordered, doc);
+        assert_eq!(digests_from_json(&reordered).unwrap(), digests);
+    }
+
+    #[test]
+    fn a_reference_that_pins_nothing_is_an_error() {
+        assert!(digests_from_json("{}").is_err());
+        assert!(digests_from_json("{\"runs\": []}").is_err());
+        assert!(digests_from_json("{\"runs\": [{\"system\": \"gossip\"}]}").is_err());
+        assert!(digests_from_json("not json").is_err());
     }
 }

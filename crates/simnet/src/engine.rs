@@ -232,11 +232,6 @@ impl<N, M: Payload, W> Sim<N, M, W> {
         self.recorder.as_ref()
     }
 
-    /// Mutable access to the installed flight recorder, if any.
-    pub fn recorder_mut(&mut self) -> Option<&mut FlightRecorder> {
-        self.recorder.as_mut()
-    }
-
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -325,16 +320,6 @@ impl<N, M: Payload, W> Sim<N, M, W> {
     /// it. Replaces any previously installed plane.
     pub fn install_fault_plane(&mut self, plane: FaultPlane) {
         self.fault = Some(plane);
-    }
-
-    /// Removes the fault plane, restoring an ideal network.
-    pub fn clear_fault_plane(&mut self) -> Option<FaultPlane> {
-        self.fault.take()
-    }
-
-    /// The installed fault plane, if any.
-    pub fn fault_plane(&self) -> Option<&FaultPlane> {
-        self.fault.as_ref()
     }
 
     /// Mutable access to the installed fault plane (e.g. to schedule a

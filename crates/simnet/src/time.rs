@@ -33,12 +33,6 @@ impl SimTime {
         SimTime(s * 1_000_000)
     }
 
-    /// Constructs from fractional milliseconds, rounding to microseconds.
-    pub fn from_millis_f64(ms: f64) -> Self {
-        assert!(ms >= 0.0 && ms.is_finite(), "invalid duration: {ms} ms");
-        SimTime((ms * 1_000.0).round() as u64)
-    }
-
     /// The raw microsecond count.
     pub const fn as_micros(self) -> u64 {
         self.0
@@ -110,7 +104,6 @@ mod tests {
     fn conversions_round_trip() {
         assert_eq!(SimTime::from_millis(5).as_micros(), 5_000);
         assert_eq!(SimTime::from_secs(2).as_millis_f64(), 2_000.0);
-        assert_eq!(SimTime::from_millis_f64(1.5).as_micros(), 1_500);
     }
 
     #[test]

@@ -98,57 +98,6 @@ impl Cdf {
         assert!(!self.samples.is_empty(), "mean of empty CDF");
         self.samples.iter().sum::<f64>() / self.samples.len() as f64
     }
-
-    /// Returns `(x, F(x))` pairs at every distinct sample value — the exact
-    /// staircase of the empirical CDF, suitable for plotting or diffing.
-    pub fn staircase(&mut self) -> Vec<(f64, f64)> {
-        self.ensure_sorted();
-        let n = self.samples.len();
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < n {
-            let x = self.samples[i];
-            let mut j = i + 1;
-            while j < n && self.samples[j] == x {
-                j += 1;
-            }
-            out.push((x, j as f64 / n as f64));
-            i = j;
-        }
-        out
-    }
-
-    /// Returns `points` evenly spaced `(x, F(x))` pairs spanning
-    /// `[min, max]`, the form the figure binaries print. Empty CDFs return
-    /// an empty vector.
-    pub fn plot_points(&mut self, points: usize) -> Vec<(f64, f64)> {
-        if self.samples.is_empty() || points == 0 {
-            return Vec::new();
-        }
-        self.ensure_sorted();
-        let lo = self.samples[0];
-        let hi = *self.samples.last().expect("nonempty");
-        if points == 1 || hi == lo {
-            return vec![(hi, 1.0)];
-        }
-        let step = (hi - lo) / (points - 1) as f64;
-        (0..points)
-            .map(|i| {
-                let x = lo + step * i as f64;
-                let f = {
-                    let idx = self.samples.partition_point(|&s| s <= x);
-                    idx as f64 / self.samples.len() as f64
-                };
-                (x, f)
-            })
-            .collect()
-    }
-
-    /// Consumes the CDF and returns the sorted samples.
-    pub fn into_sorted(mut self) -> Vec<f64> {
-        self.ensure_sorted();
-        self.samples
-    }
 }
 
 impl Extend<f64> for Cdf {
@@ -190,31 +139,10 @@ mod tests {
     }
 
     #[test]
-    fn staircase_collapses_duplicates() {
-        let mut c = Cdf::from_samples([1.0, 1.0, 2.0, 2.0, 2.0, 5.0]);
-        let st = c.staircase();
-        assert_eq!(st, vec![(1.0, 2.0 / 6.0), (2.0, 5.0 / 6.0), (5.0, 1.0)]);
-    }
-
-    #[test]
-    fn plot_points_spans_range_and_ends_at_one() {
-        let mut c = Cdf::from_samples((0..100).map(|i| i as f64));
-        let pts = c.plot_points(11);
-        assert_eq!(pts.len(), 11);
-        assert_eq!(pts[0].0, 0.0);
-        assert_eq!(pts[10].0, 99.0);
-        assert_eq!(pts[10].1, 1.0);
-        for w in pts.windows(2) {
-            assert!(w[0].1 <= w[1].1, "CDF must be monotone");
-        }
-    }
-
-    #[test]
     fn empty_cdf_behaviour() {
         let mut c = Cdf::new();
         assert!(c.is_empty());
         assert_eq!(c.fraction_le(1.0), 0.0);
-        assert!(c.plot_points(5).is_empty());
     }
 
     #[test]

@@ -2,7 +2,8 @@
 
 use crate::spec::WorkloadSpec;
 use crate::zipf::ZipfSampler;
-use hypersub_core::model::Subscription;
+use hypersub_core::model::{SubId, Subscription};
+use hypersub_core::sim::{Net, PubSubNode};
 use hypersub_lph::{Point, Rect};
 use hypersub_simnet::SimTime;
 use rand::rngs::SmallRng;
@@ -146,13 +147,53 @@ impl WorkloadGen {
     pub fn random_node(&mut self, n: usize) -> usize {
         self.rng.gen_range(0..n)
     }
+
+    /// §5.1's first phase: every node of `net` installs `subs_per_node`
+    /// subscriptions on scheme 0, drawn node-major. Returns the ids in
+    /// draw order; the caller runs the network to settle the traffic.
+    pub fn install<N: PubSubNode>(&mut self, net: &mut Net<N>, subs_per_node: usize) -> Vec<SubId> {
+        let mut ids = Vec::with_capacity(net.len() * subs_per_node);
+        for node in 0..net.len() {
+            for _ in 0..subs_per_node {
+                ids.push(net.subscribe(node, 0, self.subscription()));
+            }
+        }
+        ids
+    }
+
+    /// §5.1's second phase: schedules `events` publications on scheme 0,
+    /// each from a randomly chosen node, the first one second from now
+    /// and the rest at exponentially distributed gaps. Draws node, point
+    /// and gap per event, in that order. Returns each event's id and
+    /// point, and the time after the last gap.
+    pub fn schedule<N: PubSubNode>(
+        &mut self,
+        net: &mut Net<N>,
+        events: usize,
+    ) -> (Vec<(u64, Point)>, SimTime) {
+        let mut t = net.time() + SimTime::from_secs(1);
+        let mut scheduled = Vec::with_capacity(events);
+        for _ in 0..events {
+            let node = self.random_node(net.len());
+            let point = self.event_point();
+            let id = net
+                .schedule_publish(t, node, 0, point.clone())
+                .expect("publisher index in range");
+            scheduled.push((id, point));
+            t += self.interarrival();
+        }
+        (scheduled, t)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::WorkloadSpec;
-    use hypersub_core::model::Event;
+    use hypersub_baselines::gossip::GossipNode;
+    use hypersub_core::metrics::EventStats;
+    use hypersub_core::model::{Event, Registry};
+    use hypersub_core::sim::{Network, NetworkBuilder};
 
     fn gen() -> WorkloadGen {
         WorkloadGen::new(WorkloadSpec::paper_table1(), 42)
@@ -286,6 +327,57 @@ mod tests {
             assert_eq!(a.event_point(), b.event_point());
             assert_eq!(a.subscription().rect, b.subscription().rect);
         }
+    }
+
+    /// Runs `install` + `schedule` on a 12-node network of whatever node
+    /// type `build` picks, checking what each promises.
+    fn recipe<N: PubSubNode>(build: impl FnOnce(NetworkBuilder) -> Net<N>) -> Net<N> {
+        let spec = WorkloadSpec::paper_table1();
+        let mut net = build(Network::builder(12).registry(Registry::new(vec![spec.scheme_def(0)])));
+        let mut g = WorkloadGen::new(spec, 42);
+        let subs = g.install(&mut net, 3);
+        assert_eq!(subs.len(), 12 * 3);
+        // Node-major: ids come back in blocks of three per node, and
+        // every system numbers a node's own subscriptions upwards.
+        for (node, block) in subs.chunks(3).enumerate() {
+            assert!(block.iter().all(|s| s.nid == block[0].nid), "node {node}");
+            assert!(block.windows(2).all(|w| w[0].iid < w[1].iid), "node {node}");
+        }
+        net.run_to_quiescence();
+        let now = net.time();
+        let (events, end) = g.schedule(&mut net, 40);
+        let ids: Vec<u64> = events.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, (1..=40).collect::<Vec<u64>>());
+        net.run_to_quiescence();
+        let stats = net.event_stats();
+        assert_eq!(stats[0].publish_time, now + SimTime::from_secs(1));
+        assert!(stats
+            .windows(2)
+            .all(|w| w[0].publish_time < w[1].publish_time));
+        assert!(stats[39].publish_time < end);
+        for (s, (id, point)) in stats.iter().zip(&events) {
+            assert_eq!(s.event, *id);
+            assert_eq!(s.expected, net.expected_matches(0, point).len());
+            assert_eq!(s.delivered, s.expected, "event {id}");
+        }
+        assert!(stats.iter().any(|s| s.expected > 0), "nothing matched");
+        net
+    }
+
+    #[test]
+    fn install_and_schedule_keep_their_order_on_any_driver() {
+        let hyper = recipe(|b| b.build().unwrap());
+        let gossip = recipe(|b| b.build_with(GossipNode::new).unwrap());
+        // Same generator: the rival saw the same publishers, gaps and
+        // points (its installation settles sooner, so not the same clock).
+        let script = |stats: Vec<EventStats>| -> Vec<(usize, SimTime, usize)> {
+            let first = stats[0].publish_time;
+            stats
+                .iter()
+                .map(|s| (s.publish_node, s.publish_time - first, s.expected))
+                .collect()
+        };
+        assert_eq!(script(hyper.event_stats()), script(gossip.event_stats()));
     }
 
     #[test]

@@ -46,7 +46,6 @@ impl Scenario {
             .config(self.config.clone())
             .latency(SimTime::from_millis(10))
             .seed(self.seed)
-            .snapshots(SnapshotConfig::enabled())
             .build()
             .expect("valid scenario network");
         if let Some(p) = self.loss {

@@ -91,6 +91,33 @@ fn golden_scenarios_are_deterministic() {
     assert_eq!(run(), run());
 }
 
+/// The contract digest of the quick pinned run — `hotpath --quick`'s
+/// recipe, spelled with the two calls every §5.1 run in the repo makes:
+/// 192 King-like nodes, `install` 4 subscriptions a node, settle,
+/// `schedule` 600 events, run. Tier-1's view of the digest CI and
+/// `results/REPORT_hotpath_quick.json` pin (`0x420a6a1ef6408bbe`); the
+/// 1024-node digest stays with CI and `perf selftest`.
+#[test]
+fn golden_pinned_quick_run() {
+    const SEED: u64 = 0xbe9c_2007;
+    let spec = WorkloadSpec::paper_table1();
+    let mut net = Network::builder(192)
+        .registry(Registry::new(vec![spec.scheme_def(0)]))
+        .king_like(SimTime::from_millis(180))
+        .seed(SEED)
+        .build()
+        .expect("valid pinned configuration");
+    let mut gen = WorkloadGen::new(spec, SEED ^ 0xabcd);
+    gen.install(&mut net, 4);
+    net.run_to_quiescence();
+    gen.schedule(&mut net, 600);
+    net.run_to_quiescence();
+    let d = net.run_digest();
+    assert_eq!(d, GOLDEN_PINNED_QUICK, "observed {d:#018x}");
+}
+
+const GOLDEN_PINNED_QUICK: u64 = 0x420a_6a1e_f640_8bbe;
+
 // Captured from the pre-optimization tree (PR 2, commit introducing this
 // file); see module docs for the re-capture procedure.
 const GOLDEN_BASIC: u64 = 0x7453_5f99_5236_44ab;

@@ -170,36 +170,6 @@ proptest! {
         prop_assert_eq!(net_a, net_b);
     }
 
-    /// The shared-`Arc` event fast path and the deep-cloning reference
-    /// path must be observationally identical: same delivery trace, same
-    /// network counters, bit for bit (compared via the run digest).
-    #[test]
-    fn prop_arc_and_owned_event_paths_match(
-        rects in prop::collection::vec(arb_rect(), 2..12),
-        points in prop::collection::vec((0.0f64..=100.0, 0.0f64..=100.0), 1..6),
-        nodes in 8usize..32,
-        seed in 0u64..500,
-    ) {
-        let run = |owned: bool| {
-            let mut net = test_network(nodes, seed, SystemConfig::default());
-            for (i, r) in rects.iter().enumerate() {
-                net.subscribe(i % nodes, 0, Subscription::new(r.clone()));
-            }
-            net.run_to_quiescence();
-            for (i, &(x, y)) in points.iter().enumerate() {
-                let p = Point(vec![x, y]);
-                if owned {
-                    net.publish_owned((i * 7) % nodes, 0, p).unwrap();
-                } else {
-                    net.publish((i * 7) % nodes, 0, p).unwrap();
-                }
-                net.run_to_quiescence();
-            }
-            net.run_digest()
-        };
-        prop_assert_eq!(run(false), run(true));
-    }
-
     /// The self-healing plane is provably inert while disabled: tweaking
     /// its knobs (replication factor, lease period) without flipping
     /// `enabled` never changes the run digest or the event schedule.

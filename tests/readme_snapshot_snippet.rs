@@ -1,7 +1,6 @@
 //! Compile-and-run check for the README checkpoint/restore snippet:
-//! opt-in snapshots, mid-run pause to bytes, restore in a "fresh
-//! process" (a new `Network` with no shared state), and digest-identical
-//! completion.
+//! mid-run pause to bytes, restore in a "fresh process" (a new `Network`
+//! with no shared state), and digest-identical completion.
 
 use hypersub_core::prelude::*;
 
@@ -16,7 +15,6 @@ fn readme_snapshot_snippet_runs() -> Result<()> {
             .registry(Registry::new(vec![scheme.clone()]))
             .seed(7)
             .latency(SimTime::from_millis(10))
-            .snapshots(SnapshotConfig::enabled()) // opt in; default off
             .build()
     };
     let scenario = |net: &mut Network| -> Result<()> {
@@ -55,15 +53,5 @@ fn readme_snapshot_snippet_runs() -> Result<()> {
 
     assert_eq!(resumed.run_digest(), reference.run_digest());
     assert_eq!(resumed.deliveries(), reference.deliveries());
-
-    // And the advertised opt-in rule: a default build refuses to snapshot.
-    let default_net = Network::builder(8)
-        .registry(Registry::new(vec![scheme]))
-        .seed(7)
-        .build()?;
-    assert_eq!(
-        default_net.snapshot().unwrap_err(),
-        HyperSubError::SnapshotsDisabled
-    );
     Ok(())
 }

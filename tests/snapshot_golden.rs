@@ -37,7 +37,6 @@ fn pinned_snapshot() -> Vec<u8> {
         .config(SystemConfig::default().with_retries())
         .latency(SimTime::from_millis(10))
         .seed(0x90_1d_e4)
-        .snapshots(SnapshotConfig::enabled())
         .build()
         .expect("valid golden network");
     let mut gen = WorkloadGen::new(WorkloadSpec::paper_table1(), 0x90_1d_e4 ^ 0x60_1d);

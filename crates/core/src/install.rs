@@ -37,7 +37,7 @@ impl HyperSubNode {
             iid,
         };
         self.local_subs.insert(iid, (scheme_id, sub.clone()));
-        ctx.world().oracle.add(scheme_id, subid, sub.clone());
+        ctx.world().oracle.add(scheme_id, subid, &sub);
         self.install(ctx, scheme_id, sub, iid);
         subid
     }
@@ -163,35 +163,48 @@ impl HyperSubNode {
     }
 
     /// Routes `inner` toward the successor of `key`, handling it locally
-    /// when this node is already responsible.
+    /// when this node is already responsible. Boxes it only to forward.
     pub(crate) fn route_or_local<R: NodeRuntime<HyperMsg, HyperWorld>>(
         &mut self,
         ctx: &mut R,
         key: u64,
         inner: Routed,
     ) {
-        if self.maint.chord.responsible_for(key) {
-            self.handle_routed(ctx, inner);
-        } else {
-            match next_hop(&self.maint.chord, key) {
-                NextHop::Forward(p) => {
-                    self.send_reliable(ctx, p.idx, HyperMsg::Route { key, inner })
-                }
-                // `responsible_for` was false, so a Local verdict can only
-                // mean a singleton/degenerate ring: handle locally.
-                NextHop::Local => self.handle_routed(ctx, inner),
+        match self.route_hop(key) {
+            Some(idx) => {
+                let inner = Box::new(inner);
+                self.send_reliable(ctx, idx, HyperMsg::Route { key, inner })
             }
+            None => self.handle_routed(ctx, inner),
         }
     }
 
-    /// Handles an incoming `Route` message: consume or forward greedily.
+    /// Handles an incoming `Route` message: consume or forward greedily,
+    /// in the box it arrived in.
     pub(crate) fn handle_route<R: NodeRuntime<HyperMsg, HyperWorld>>(
         &mut self,
         ctx: &mut R,
         key: u64,
-        inner: Routed,
+        inner: Box<Routed>,
     ) {
-        self.route_or_local(ctx, key, inner);
+        match self.route_hop(key) {
+            Some(idx) => self.send_reliable(ctx, idx, HyperMsg::Route { key, inner }),
+            None => self.handle_routed(ctx, *inner),
+        }
+    }
+
+    /// The neighbor a payload routed to `key` leaves through, or `None`
+    /// when this node handles it.
+    fn route_hop(&self, key: u64) -> Option<usize> {
+        if self.maint.chord.responsible_for(key) {
+            return None;
+        }
+        match next_hop(&self.maint.chord, key) {
+            NextHop::Forward(p) => Some(p.idx),
+            // `responsible_for` was false, so a Local verdict can only
+            // mean a singleton/degenerate ring: handle locally.
+            NextHop::Local => None,
+        }
     }
 
     fn handle_routed<R: NodeRuntime<HyperMsg, HyperWorld>>(&mut self, ctx: &mut R, inner: Routed) {
@@ -249,12 +262,12 @@ impl HyperSubNode {
                         acceptor.idx,
                         HyperMsg::Route {
                             key: acceptor.id,
-                            inner: Routed::Unregister {
+                            inner: Box::new(Routed::Unregister {
                                 scheme,
                                 ss,
                                 zone,
                                 subid,
-                            },
+                            }),
                         },
                     );
                 }

@@ -444,7 +444,7 @@ impl Encode for Metrics {
 impl Decode for Metrics {
     fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
         let n = r.take_u64()? as usize;
-        let mut publishes = HashMap::with_capacity(n);
+        let mut publishes = HashMap::with_capacity(n.min(r.remaining()));
         for _ in 0..n {
             let e = r.take_u64()?;
             if publishes.insert(e, PublishRecord::decode(r)?).is_some() {

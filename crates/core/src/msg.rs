@@ -155,8 +155,9 @@ pub enum HyperMsg {
     Route {
         /// Destination key (already rotation-adjusted).
         key: u64,
-        /// The payload.
-        inner: Routed,
+        /// The payload. Boxed: it is the one fat variant (136 B), and
+        /// unboxed it would size every message the queue moves.
+        inner: Box<Routed>,
     },
     /// Event delivery (Algorithm 5).
     Delivery(DeliveryMsg),
@@ -502,7 +503,7 @@ impl Decode for HyperMsg {
         Ok(match r.take_u8()? {
             0 => HyperMsg::Route {
                 key: r.take_u64()?,
-                inner: Routed::decode(r)?,
+                inner: Box::new(Routed::decode(r)?),
             },
             1 => HyperMsg::Delivery(DeliveryMsg::decode(r)?),
             2 => HyperMsg::LoadProbe {
@@ -593,17 +594,27 @@ mod tests {
         let r4 = Rect::new(vec![0.0; 4], vec![1.0; 4]);
         let msg = HyperMsg::Route {
             key: 0,
-            inner: Routed::Register {
+            inner: Box::new(Routed::Register {
                 scheme: 0,
                 ss: 0,
                 zone: ZoneCode::ROOT,
                 subid: SubId { nid: 1, iid: 2 },
                 full: r4.clone(),
                 proj: r4,
-            },
+            }),
         };
         // 20 + 8 + (4 + 1 + 9 + 9 + 64 + 64)
         assert_eq!(msg.wire_size(), 179);
+    }
+
+    /// Every hop moves a message about six times (send, queue push, sift,
+    /// pop, dispatch, handler), so its size is a per-hop cost: no variant
+    /// may grow the enum past the delivery message.
+    #[test]
+    fn message_stays_within_its_per_hop_byte_budget() {
+        use hypersub_simnet::SimEvent;
+        assert!(std::mem::size_of::<HyperMsg>() <= 72);
+        assert!(std::mem::size_of::<SimEvent<HyperMsg>>() <= 96);
     }
 
     #[test]

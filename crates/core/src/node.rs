@@ -8,20 +8,20 @@ use crate::sim::PubSubNode;
 use crate::world::HyperWorld;
 use hypersub_chord::proto::MaintState;
 use hypersub_chord::ChordState;
-use hypersub_simnet::{FxHashMap, Node, NodeRuntime};
+use hypersub_simnet::{FxHashMap, FxHashSet, Node, NodeRuntime};
 use hypersub_snapshot::{Decode, Encode, Error, Reader, Writer};
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
-/// A capacity-bounded first-in-first-out set used to process each
-/// `(event, repository)` pair at most once per node.
-///
-/// In the paper's literal design an event climbs the zone tree strictly
-/// level by level, touching each zone once. Our chain-collapse
-/// optimization (see `install.rs`) lets a surrogate chain re-enter a node
-/// whose rendezvous walk already matched an ancestor repository; this
-/// cache restores the visit-once invariant. Entries age out FIFO — events
-/// finish delivery within seconds of simulated time, so a bounded window
-/// is safe.
+/// Pairs a node remembers before the oldest ages out — of `(token,
+/// sender)` in [`DedupCache`], of `(event, internal id)` in
+/// [`EventDedup`].
+const DEDUP_CAPACITY: usize = 1 << 17;
+
+/// A capacity-bounded first-in-first-out set of `(u64, u32)` pairs: the
+/// reliable layer's `(token, sender)` memory (see `retry.rs`). Entries age
+/// out FIFO — a retransmission follows its original within seconds of
+/// simulated time, so a bounded window is safe.
 #[derive(Debug, Clone)]
 pub struct DedupCache {
     // Membership-only (never iterated), so the fixed-seed fast hasher is
@@ -69,11 +69,162 @@ impl DedupCache {
 
 impl Default for DedupCache {
     fn default() -> Self {
-        Self::new(1 << 17)
+        Self::new(DEDUP_CAPACITY)
     }
 }
 
-use hypersub_simnet::FxHashSet;
+/// The visit-once guard of Algorithm 5: each `(event, internal id)` pair
+/// is processed at most once per node.
+///
+/// In the paper's literal design an event climbs the zone tree strictly
+/// level by level, touching each zone once. Our chain-collapse
+/// optimization (see `install.rs`) lets a surrogate chain re-enter a node
+/// whose rendezvous walk already matched an ancestor repository, and
+/// retransmission or fault-injected duplication can replay a whole
+/// message; this guard restores the visit-once invariant.
+///
+/// Keyed by event, because that is how the pairs arrive: one message
+/// names one event and a handful of internal ids, so one probe finds the
+/// event's id list and the rest is a scan of a few words. Pairs age
+/// out oldest event first — events finish delivery within seconds of
+/// simulated time, so a bounded window is safe.
+#[derive(Debug, Clone)]
+pub struct EventDedup {
+    // Lookups only (never iterated), so the fixed-seed fast hasher is
+    // safe; age is carried by `order`.
+    by_event: FxHashMap<u64, IidList>,
+    /// The events in `by_event`, in first-seen order.
+    order: std::collections::VecDeque<u64>,
+    /// Pairs held over all events.
+    pairs: usize,
+    capacity: usize,
+}
+
+/// One event's internal ids in insertion order. Sixteen bytes, so that a
+/// map entry is 24: on the routing workloads nine lists in ten hold one
+/// id, and there the entry is the whole cost of the guard.
+#[derive(Debug, Clone)]
+enum IidList {
+    /// Up to [`IidList::INLINE`] ids in place.
+    Inline {
+        len: u8,
+        ids: [u32; IidList::INLINE],
+    },
+    /// Every id, once there are more. The `Vec` is boxed to keep the
+    /// variant at one pointer.
+    #[allow(clippy::box_collection)]
+    Spilled(Box<Vec<u32>>),
+}
+
+impl IidList {
+    const INLINE: usize = 3;
+
+    const EMPTY: IidList = IidList::Inline {
+        len: 0,
+        ids: [0; IidList::INLINE],
+    };
+
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            IidList::Inline { len, ids } => &ids[..*len as usize],
+            IidList::Spilled(ids) => ids,
+        }
+    }
+
+    /// Appends `iid` unless it is already listed; returns whether it was
+    /// new.
+    fn insert(&mut self, iid: u32) -> bool {
+        if self.as_slice().contains(&iid) {
+            return false;
+        }
+        match self {
+            IidList::Inline { len, ids } => match ids.get_mut(*len as usize) {
+                Some(slot) => {
+                    *slot = iid;
+                    *len += 1;
+                }
+                None => {
+                    let mut all = Vec::with_capacity(4 * IidList::INLINE);
+                    all.extend_from_slice(ids);
+                    all.push(iid);
+                    *self = IidList::Spilled(Box::new(all));
+                }
+            },
+            IidList::Spilled(ids) => ids.push(iid),
+        }
+        true
+    }
+
+    /// Drops the oldest id.
+    fn pop_front(&mut self) {
+        match self {
+            IidList::Inline { len, ids } => {
+                ids.copy_within(1.., 0);
+                *len -= 1;
+            }
+            IidList::Spilled(ids) => {
+                ids.remove(0);
+            }
+        }
+    }
+}
+
+impl EventDedup {
+    /// Creates a guard remembering up to `capacity` pairs.
+    pub fn new(capacity: usize) -> Self {
+        assert!(capacity > 0);
+        Self {
+            by_event: FxHashMap::default(),
+            order: std::collections::VecDeque::new(),
+            pairs: 0,
+            capacity,
+        }
+    }
+
+    /// Records `(event, iid)`; returns `true` if it was new. Over
+    /// capacity the oldest pair of the oldest event is forgotten.
+    pub fn insert(&mut self, event: u64, iid: u32) -> bool {
+        let list = match self.by_event.entry(event) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                self.order.push_back(event);
+                e.insert(IidList::EMPTY)
+            }
+        };
+        if !list.insert(iid) {
+            return false;
+        }
+        self.pairs += 1;
+        if self.pairs > self.capacity {
+            // `capacity > 0`, so the pair just added is not the one dropped.
+            let oldest = *self.order.front().expect("pairs are held");
+            let list = self.by_event.get_mut(&oldest).expect("listed in order");
+            list.pop_front();
+            if list.as_slice().is_empty() {
+                self.by_event.remove(&oldest);
+                self.order.pop_front();
+            }
+            self.pairs -= 1;
+        }
+        true
+    }
+
+    /// Number of remembered pairs.
+    pub fn len(&self) -> usize {
+        self.pairs
+    }
+
+    /// True when nothing is remembered.
+    pub fn is_empty(&self) -> bool {
+        self.pairs == 0
+    }
+}
+
+impl Default for EventDedup {
+    fn default() -> Self {
+        Self::new(DEDUP_CAPACITY)
+    }
+}
 
 /// What a node-local internal id refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,8 +279,8 @@ pub struct HyperSubNode {
     pub lb: crate::loadbal::LbState,
     /// Whether Chord maintenance timers self-rearm (churn scenarios).
     pub maintenance: bool,
-    /// Visit-once guard for `(event, repository)` pairs.
-    pub dedup: DedupCache,
+    /// Visit-once guard for `(event, internal id)` pairs.
+    pub dedup: EventDedup,
     /// Reusable Algorithm 5 buffers (see `delivery.rs`).
     pub(crate) scratch: crate::delivery::DeliveryScratch,
     /// Ack/retransmit state for reliable sends (see `retry.rs`).
@@ -157,7 +308,7 @@ impl HyperSubNode {
             hosted: FxHashMap::default(),
             lb: crate::loadbal::LbState::default(),
             maintenance: false,
-            dedup: DedupCache::default(),
+            dedup: EventDedup::default(),
             scratch: crate::delivery::DeliveryScratch::default(),
             rel: crate::retry::RelState::default(),
             replicas: FxHashMap::default(),
@@ -353,30 +504,62 @@ impl Encode for DedupCache {
     }
 }
 
+/// Reads the `capacity, n` both dedup structures lead with: at least
+/// one pair of room, no more pairs than room.
+fn decode_dedup_header(r: &mut Reader<'_>) -> Result<(usize, usize), Error> {
+    let capacity = usize::decode(r)?;
+    if capacity == 0 {
+        return Err(Error::InvalidValue("dedup cache capacity"));
+    }
+    let n = usize::decode(r)?;
+    if n > capacity {
+        return Err(Error::InvalidValue("dedup cache overfull"));
+    }
+    Ok((capacity, n))
+}
+
 impl Decode for DedupCache {
     fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        let capacity = usize::decode(r)?;
-        if capacity == 0 {
-            return Err(Error::InvalidValue("dedup cache capacity"));
-        }
-        let n = r.take_u64()? as usize;
-        if n > capacity {
-            return Err(Error::InvalidValue("dedup cache overfull"));
-        }
-        let mut order = std::collections::VecDeque::with_capacity(n);
-        let mut set = FxHashSet::default();
+        let (capacity, n) = decode_dedup_header(r)?;
+        // Grown by insertion, so a hostile `n` allocates nothing.
+        let mut cache = DedupCache::new(capacity);
         for _ in 0..n {
-            let pair = <(u64, u32)>::decode(r)?;
-            if !set.insert(pair) {
+            if !cache.insert(<(u64, u32)>::decode(r)?) {
                 return Err(Error::InvalidValue("dedup cache duplicate"));
             }
-            order.push_back(pair);
         }
-        Ok(DedupCache {
-            set,
-            order,
-            capacity,
-        })
+        Ok(cache)
+    }
+}
+
+/// The layout [`DedupCache`] writes — `capacity, n, pairs` — with the
+/// pairs event by event in first-seen order, so a snapshot written by
+/// either decodes into the other.
+impl Encode for EventDedup {
+    fn encode(&self, w: &mut Writer) {
+        self.capacity.encode(w);
+        w.put_u64(self.pairs as u64);
+        for &event in &self.order {
+            for &iid in self.by_event[&event].as_slice() {
+                (event, iid).encode(w);
+            }
+        }
+    }
+}
+
+/// Accepts the pairs in any order: an event's age is that of its first
+/// pair.
+impl Decode for EventDedup {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let (capacity, n) = decode_dedup_header(r)?;
+        let mut dedup = EventDedup::new(capacity);
+        for _ in 0..n {
+            let (event, iid) = <(u64, u32)>::decode(r)?;
+            if !dedup.insert(event, iid) {
+                return Err(Error::InvalidValue("dedup cache duplicate"));
+            }
+        }
+        Ok(dedup)
     }
 }
 
@@ -441,7 +624,7 @@ impl HyperSubNode {
             hosted: crate::repo::decode_map(r)?,
             lb: crate::loadbal::LbState::decode(r)?,
             maintenance: bool::decode(r)?,
-            dedup: DedupCache::decode(r)?,
+            dedup: EventDedup::decode(r)?,
             scratch: crate::delivery::DeliveryScratch::default(),
             rel: crate::retry::RelState::decode(r)?,
             replicas: crate::repo::decode_map(r)?,
@@ -511,5 +694,53 @@ mod tests {
         assert!(d.insert((1, 3))); // evicts (1, 1)
         assert!(d.insert((1, 1)), "evicted pair is insertable again");
         assert_eq!(d.len(), 2);
+    }
+
+    #[test]
+    fn event_dedup_forgets_the_oldest_pair_of_the_oldest_event() {
+        let mut d = EventDedup::new(3);
+        assert!(d.insert(7, 1));
+        assert!(d.insert(9, 1));
+        assert!(d.insert(7, 2));
+        assert!(!d.insert(7, 1) && !d.insert(9, 1) && !d.insert(7, 2));
+        // Event 7 was seen first, so its pairs go first, oldest first —
+        // although (9, 1) is older than (7, 2).
+        assert!(d.insert(9, 2)); // forgets (7, 1)
+        assert_eq!(d.len(), 3);
+        assert!(!d.insert(7, 2), "event 7's younger pair is still held");
+        assert!(d.insert(9, 3)); // forgets (7, 2): event 7 is empty
+        assert!(
+            !d.by_event.contains_key(&7),
+            "an emptied event leaves the map"
+        );
+        assert_eq!(d.order, [9]);
+        assert_eq!(d.len(), 3);
+        assert!(d.insert(7, 1), "a forgotten pair is insertable again");
+        assert_eq!(d.order, [9, 7], "and its event is now the youngest");
+    }
+
+    #[test]
+    fn event_dedup_entry_stays_three_words() {
+        assert!(std::mem::size_of::<(u64, IidList)>() <= 24);
+    }
+
+    #[test]
+    fn event_dedup_rejects_duplicates_past_the_inline_length() {
+        let n = 3 * IidList::INLINE as u32;
+        let mut d = EventDedup::new(n as usize);
+        for iid in 1..=n {
+            assert!(d.insert(5, iid));
+        }
+        for iid in 1..=n {
+            assert!(!d.insert(5, iid), "iid {iid} is already listed");
+        }
+        assert_eq!(d.len(), n as usize);
+        // Forgetting from a spilled list keeps insertion order.
+        for iid in n + 1..=n + 4 {
+            assert!(d.insert(5, iid));
+        }
+        assert_eq!(d.len(), n as usize);
+        let left = d.by_event[&5].as_slice();
+        assert_eq!(left, (5..=n + 4).collect::<Vec<_>>());
     }
 }

@@ -281,7 +281,8 @@ where
     S: std::hash::BuildHasher + Default,
 {
     let n = r.take_u64()? as usize;
-    let mut map = std::collections::HashMap::with_capacity_and_hasher(n, S::default());
+    let mut map =
+        std::collections::HashMap::with_capacity_and_hasher(n.min(r.remaining()), S::default());
     for _ in 0..n {
         let k = K::decode(r)?;
         let v = V::decode(r)?;
@@ -310,7 +311,8 @@ where
     S: std::hash::BuildHasher + Default,
 {
     let n = r.take_u64()? as usize;
-    let mut set = std::collections::HashSet::with_capacity_and_hasher(n, S::default());
+    let mut set =
+        std::collections::HashSet::with_capacity_and_hasher(n.min(r.remaining()), S::default());
     for _ in 0..n {
         set.insert(T::decode(r)?);
     }

@@ -746,7 +746,7 @@ impl Net<HyperSubNode> {
                 hypersub_snapshot::Error::InvalidValue("snapshot node count"),
             ));
         }
-        let mut nodes = Vec::with_capacity(n);
+        let mut nodes = Vec::with_capacity(n.min(r.remaining()));
         for _ in 0..n {
             nodes.push(HyperSubNode::snapshot_decode(
                 &mut r,
@@ -1151,6 +1151,48 @@ mod tests {
             ))
         ));
         assert!(Network::restore(&[]).is_err());
+    }
+
+    /// The FNV seal is a checksum, not a MAC: whoever can write a snapshot
+    /// can seal one that claims any count. Every count in a real snapshot
+    /// is tried (along with every other field: the sweep writes 2⁶⁰ at
+    /// each payload offset), and a decoder that sized an allocation from
+    /// it would panic on capacity overflow or abort.
+    #[test]
+    fn hostile_counts_are_errors_not_allocations() {
+        const HUGE: [u8; 8] = (1u64 << 60).to_le_bytes();
+        let mut net = small_net(4, 3);
+        net.subscribe(
+            1,
+            0,
+            Subscription::new(Rect::new(vec![10.0, 10.0], vec![20.0, 20.0])),
+        );
+        net.run_to_quiescence();
+        net.publish(2, 0, Point(vec![15.0, 15.0])).unwrap();
+        net.run_to_quiescence();
+        let sealed = net.snapshot().unwrap();
+        let payload = hypersub_snapshot::unseal(&sealed).unwrap();
+        let mut refused = 0;
+        for at in 0..payload.len() - HUGE.len() {
+            let mut hostile = payload.to_vec();
+            hostile[at..at + HUGE.len()].copy_from_slice(&HUGE);
+            refused += usize::from(Network::restore(&hypersub_snapshot::seal(hostile)).is_err());
+        }
+        assert!(refused > 100, "only {refused} offsets held a count");
+
+        // The node count is checked against the topology recipe's, so a
+        // hostile snapshot states it twice: uniform topology of 2⁶⁰
+        // nodes, empty registry, default configuration, 2⁶⁰ nodes.
+        let mut w = Writer::new();
+        TopoDescriptor::Uniform {
+            nodes: 1 << 60,
+            latency: SimTime::from_millis(10),
+        }
+        .encode(&mut w);
+        Registry::new(Vec::new()).encode(&mut w);
+        SystemConfig::default().encode(&mut w);
+        w.put_u64(1 << 60);
+        assert!(Network::restore(&hypersub_snapshot::seal(w.into_vec())).is_err());
     }
 
     #[test]

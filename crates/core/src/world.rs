@@ -6,6 +6,7 @@ use crate::model::{Event, SchemeId, SubId, Subscription};
 use hypersub_lph::Point;
 use hypersub_simnet::FxHashMap;
 use hypersub_snapshot::{Decode, Encode, Error, Reader, Writer};
+use std::borrow::Borrow;
 
 /// Ground truth: every subscription in the system, for computing expected
 /// match sets (tests) and the matched-percentage metric (Figure 2a/5a).
@@ -13,6 +14,9 @@ use hypersub_snapshot::{Decode, Encode, Error, Reader, Writer};
 /// The publish path asks it for a count once per event, so it is laid out
 /// for that question: bounds in one flat array, a grid of candidate lists
 /// kept up to date as subscriptions come and go, removal by tombstone.
+/// The candidate lists name bounds, not slots, and a removed
+/// subscription's bounds are overwritten with NaN, so the count reads one
+/// array and never learns which subscription a candidate was.
 /// It shares no code with [`crate::index`] — it is the reference the
 /// delivery check compares the protocol against.
 ///
@@ -43,14 +47,17 @@ struct Slot {
 }
 
 /// Is `p` inside the interleaved `[lo, hi]` pairs of `b`? Same arity
-/// assumed; false under any NaN.
+/// assumed; false under any NaN. Every axis is compared, with no early
+/// exit: which axis rejects a grid candidate is unpredictable, and the
+/// mispredicted branch cost more than the comparisons it saved.
 fn inside(b: &[f64], p: &[f64]) -> bool {
     b.chunks_exact(2)
         .zip(p)
-        .all(|(b, &x)| b[0] <= x && x <= b[1])
+        .fold(true, |ok, (b, &x)| ok & (b[0] <= x) & (x <= b[1]))
 }
 
-/// Buckets slot indices by their intervals on up to four leading axes. A
+/// Buckets subscriptions — by the offset of their bounds, [`Slot::at`] —
+/// on their intervals on up to four leading axes. A
 /// point query reads one cell plus the `wide` list, so a subscription
 /// registered in several cells is never counted twice. Coordinates
 /// outside the build-time box clamp to the edge cells, for rects and
@@ -84,9 +91,8 @@ impl Grid {
     fn build(slots: &[Slot], bounds: &[f64], scheme: SchemeId, arity: usize) -> Grid {
         let members: Vec<(u32, &[f64])> = slots
             .iter()
-            .enumerate()
-            .filter(|(_, s)| s.live && s.scheme == scheme && s.arity as usize == arity)
-            .map(|(i, s)| (i as u32, &bounds[s.at as usize..][..2 * arity]))
+            .filter(|s| s.live && s.scheme == scheme && s.arity as usize == arity)
+            .map(|s| (s.at, &bounds[s.at as usize..][..2 * arity]))
             .collect();
         let dims = arity.min(Grid::MAX_DIMS);
         let per_axis = Grid::AXIS_CELLS[dims];
@@ -114,8 +120,8 @@ impl Grid {
                 (grid.lo[d], grid.scale[d]) = (lo, scale);
             }
         }
-        for (i, b) in members {
-            grid.register(i, b);
+        for (at, b) in members {
+            grid.register(at, b);
         }
         grid
     }
@@ -137,9 +143,10 @@ impl Grid {
         (0..self.dims).fold(0, |i, d| i * self.per_axis() + self.coord(d, p[d]))
     }
 
-    /// Adds slot `i` with interleaved bounds `b` to every cell it
-    /// overlaps, or to `wide` when those are too many.
-    fn register(&mut self, i: u32, b: &[f64]) {
+    /// Adds the subscription whose interleaved bounds `b` start at offset
+    /// `at` to every cell it overlaps, or to `wide` when those are too
+    /// many.
+    fn register(&mut self, at: u32, b: &[f64]) {
         self.members += 1;
         // Inactive axes get the one-cell range 0..=0 and a stride of 1.
         let mut range = [(0, 0); Grid::MAX_DIMS];
@@ -152,14 +159,14 @@ impl Grid {
             count *= (range[d].1 + 1).saturating_sub(range[d].0);
         }
         if count > Grid::MAX_CELLS {
-            self.wide.push(i);
+            self.wide.push(at);
             return;
         }
         for x in range[0].0..=range[0].1 {
             for y in range[1].0..=range[1].1 {
                 for z in range[2].0..=range[2].1 {
                     for w in range[3].0..=range[3].1 {
-                        self.cells[((x * n[1] + y) * n[2] + z) * n[3] + w].push(i);
+                        self.cells[((x * n[1] + y) * n[2] + z) * n[3] + w].push(at);
                     }
                 }
             }
@@ -169,7 +176,8 @@ impl Grid {
 
 impl Oracle {
     /// Registers a subscription.
-    pub fn add(&mut self, scheme: SchemeId, subid: SubId, sub: Subscription) {
+    pub fn add(&mut self, scheme: SchemeId, subid: SubId, sub: impl Borrow<Subscription>) {
+        let sub = sub.borrow();
         self.remove(subid);
         let i = u32::try_from(self.slots.len()).expect("oracle slot index exceeds u32");
         let at = u32::try_from(self.bounds.len()).expect("oracle bounds offset exceeds u32");
@@ -186,7 +194,7 @@ impl Oracle {
         });
         self.by_id.insert(subid, i);
         if let Some(grid) = self.grids.get_mut(&(scheme, arity)) {
-            grid.register(i, &self.bounds[at as usize..]);
+            grid.register(at, &self.bounds[at as usize..]);
             if grid.members >= 2 * grid.built.max(1) {
                 self.grids.remove(&(scheme, arity));
             }
@@ -202,11 +210,20 @@ impl Oracle {
         true
     }
 
-    /// Marks slot `i` dead; once a quarter of the slots are, the live ones
-    /// close ranks in registration order and the grids are dropped (their
-    /// cells hold slot indices), to be rebuilt by the next query.
+    /// Marks slot `i` dead and poisons its bounds, which is how the grid
+    /// cells naming them learn of it: `inside` is false under any NaN.
+    /// Once a quarter of the slots are dead, the live ones close ranks in
+    /// registration order and the grids are dropped (their cells hold
+    /// bounds offsets), to be rebuilt by the next query.
     fn bury(&mut self, i: u32) {
-        self.slots[i as usize].live = false;
+        let s = &mut self.slots[i as usize];
+        s.live = false;
+        self.bounds[s.at as usize..][..2 * s.arity as usize].fill(f64::NAN);
+        if s.arity == 0 {
+            // No bound to poison, and a point of no coordinates is inside
+            // bounds of none: drop the grid, to be rebuilt without it.
+            self.grids.remove(&(s.scheme, 0));
+        }
         self.dead += 1;
         if self.dead * 4 <= self.slots.len() {
             return;
@@ -268,10 +285,7 @@ impl Oracle {
         grid.cells[grid.cell(&point.0)]
             .iter()
             .chain(&grid.wide)
-            .filter(|&&i| {
-                let s = &slots[i as usize];
-                s.live && inside(&bounds[s.at as usize..][..2 * arity], &point.0)
-            })
+            .filter(|&&at| inside(&bounds[at as usize..][..2 * arity], &point.0))
             .count()
     }
 }
@@ -352,7 +366,7 @@ impl Decode for HyperWorld {
         let metrics = Metrics::decode(r)?;
         let oracle = Oracle::decode(r)?;
         let n = r.take_u64()? as usize;
-        let mut script = Vec::with_capacity(n);
+        let mut script = Vec::with_capacity(n.min(r.remaining()));
         for _ in 0..n {
             script.push(match r.take_u8()? {
                 0 => None,
@@ -562,15 +576,75 @@ mod tests {
         let grid = &o.grids[&(0, 4)];
         assert_eq!(grid.cells.len(), 8 * 8 * 8 * 8);
         assert_eq!(grid.wide.len(), 2, "the two domain-spanning ones");
+        // Cells name bounds offsets; every slot here owns 2 × 4 bounds.
         let mut per_slot = vec![0usize; o.slots.len()];
         for cell in &grid.cells {
-            for &i in cell {
-                per_slot[i as usize] += 1;
+            for &at in cell {
+                per_slot[at as usize / 8] += 1;
             }
         }
         assert_eq!((per_slot[0], per_slot[200]), (0, 0));
         assert!(per_slot.iter().all(|&n| n <= Grid::MAX_CELLS));
         assert!(per_slot[1..200].iter().all(|&n| n > 0));
+    }
+
+    /// One history through every state a candidate list can be in: grid
+    /// built, entry removed under it, same id re-added, the ¼-dead
+    /// compaction that moves every bounds offset, an add after it.
+    #[test]
+    fn count_follows_remove_readd_and_compaction() {
+        let id = |n: u64| SubId { nid: n, iid: 1 };
+        let sub = |lo: f64| Subscription::new(Rect::new(vec![lo, lo], vec![lo + 30.0, lo + 30.0]));
+        let mut o = Oracle::default();
+        let check = |o: &mut Oracle| {
+            for x in [0.0, 15.0, 40.0, 65.0, 100.0] {
+                let p = Point(vec![x, x]);
+                assert_eq!(o.expected_count(0, &p), o.expected_matches(0, &p).len());
+            }
+        };
+        for n in 0..12 {
+            o.add(0, id(n), sub(5.0 * n as f64));
+            check(&mut o);
+        }
+        assert!(o.remove(id(2)));
+        check(&mut o);
+        assert_eq!(o.expected_count(0, &Point(vec![12.0, 12.0])), 2, "0 and 1");
+        o.add(0, id(2), sub(60.0));
+        check(&mut o);
+        o.add(0, id(2), sub(10.0));
+        check(&mut o);
+        assert_eq!(o.expected_count(0, &Point(vec![12.0, 12.0])), 3);
+        let mut compacted = false;
+        for n in 3..9 {
+            let slots = o.slots.len();
+            assert!(o.remove(id(n)));
+            compacted |= o.slots.len() < slots;
+            check(&mut o);
+        }
+        assert!(compacted, "the history never crossed the compaction");
+        o.add(0, id(20), sub(35.0));
+        check(&mut o);
+        assert_eq!(o.len(), 7);
+    }
+
+    /// A subscription of no attributes (`Rect::new` refuses one, a decoded
+    /// snapshot may hold one) has no bound to poison.
+    #[test]
+    fn removed_subscription_of_no_attributes_is_not_counted() {
+        let mut o = Oracle::default();
+        let nothing = || Subscription {
+            rect: Rect {
+                lo: Vec::new(),
+                hi: Vec::new(),
+            },
+        };
+        o.add(0, SubId { nid: 1, iid: 1 }, nothing());
+        o.add(0, SubId { nid: 2, iid: 1 }, nothing());
+        let p = Point(vec![]);
+        assert_eq!(o.expected_count(0, &p), 2);
+        assert!(o.remove(SubId { nid: 1, iid: 1 }));
+        assert_eq!(o.expected_matches(0, &p), [SubId { nid: 2, iid: 1 }]);
+        assert_eq!(o.expected_count(0, &p), 1);
     }
 
     #[test]

@@ -2,10 +2,18 @@
 //! delivered set equals the brute-force matched set, on arbitrary ring
 //! sizes and zone bases.
 
+use hypersub_core::node::{DedupCache, EventDedup};
 use hypersub_core::prelude::*;
 use hypersub_simnet::{FaultPlane, LinkPolicy};
+use hypersub_snapshot::{Decode, Encode, Reader, Writer};
 use hypersub_tests::test_network;
 use proptest::prelude::*;
+
+fn encoded(v: &impl Encode) -> Vec<u8> {
+    let mut w = Writer::new();
+    v.encode(&mut w);
+    w.into_vec()
+}
 
 fn arb_rect() -> impl Strategy<Value = Rect> {
     (0.0f64..100.0, 0.0f64..100.0, 0.0f64..25.0, 0.0f64..25.0).prop_map(|(x, y, wx, wy)| {
@@ -375,5 +383,42 @@ proptest! {
         };
 
         prop_assert_eq!(direct, indirect, "runtime adapters must be digest-neutral");
+    }
+}
+
+proptest! {
+    /// The per-event visit-once guard against the per-pair cache it
+    /// replaced on the delivery path: below capacity nothing ages out, so
+    /// the two must agree on every pair; and the two share a snapshot
+    /// layout, so each one's bytes decode into the other.
+    #[test]
+    fn prop_event_dedup_agrees_with_the_pair_cache(
+        // Few events and ids, so that histories repeat pairs, interleave
+        // events and run lists past their inline length.
+        history in prop::collection::vec((0u64..6, 0u32..24), 0..200),
+    ) {
+        let mut by_event = EventDedup::new(256);
+        let mut by_pair = DedupCache::new(256);
+        for &(event, iid) in &history {
+            prop_assert_eq!(by_event.insert(event, iid), by_pair.insert((event, iid)));
+        }
+        prop_assert_eq!(by_event.len(), by_pair.len());
+
+        // encode -> decode -> encode is byte-stable, and the decoded guard
+        // remembers the same pairs.
+        let bytes = encoded(&by_event);
+        let mut back = EventDedup::decode(&mut Reader::new(&bytes)).unwrap();
+        prop_assert_eq!(encoded(&back), bytes);
+        for &(event, iid) in &history {
+            prop_assert!(!back.insert(event, iid));
+        }
+
+        // The pair cache writes the same pairs in arrival order, events
+        // interleaved: that decodes too, into the grouped order.
+        let interleaved = encoded(&by_pair);
+        let mut r = Reader::new(&interleaved);
+        let regrouped = EventDedup::decode(&mut r).unwrap();
+        prop_assert_eq!(r.remaining(), 0);
+        prop_assert_eq!(encoded(&regrouped), bytes);
     }
 }

@@ -22,14 +22,14 @@ fn representative_messages() -> Vec<HyperMsg> {
     vec![
         HyperMsg::Route {
             key: 0x0123_4567_89ab_cdef,
-            inner: Routed::Register {
+            inner: Box::new(Routed::Register {
                 scheme: 2,
                 ss: 1,
                 zone: ZoneCode::ROOT,
                 subid: SubId { nid: 7, iid: 3 },
                 full: Rect::new(vec![0.0, 10.0], vec![25.0, 50.0]),
                 proj: Rect::new(vec![0.0], vec![25.0]),
-            },
+            }),
         },
         HyperMsg::Delivery(DeliveryMsg {
             scheme: 0,

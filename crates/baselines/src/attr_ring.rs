@@ -10,108 +10,29 @@
 //! messages". An event probes one node per attribute (the successor of
 //! the event value's key on that attribute's ring) and delivers matches
 //! through the shared embedded-tree splitter.
+//!
+//! Completeness: a matching subscription indexed under attribute `a`
+//! covers the event's value on `a`, [`AttrRing::value_key`] is monotone,
+//! so the `a`-probe's key lies on the subscription's arc and its owner
+//! holds a replica. Duplicate-freedom: a subscription lives only in its
+//! chosen attribute's shard, and each attribute is probed at one node.
 
-use crate::common::{split_targets, to_targets};
-use hypersub_chord::routing::{next_hop, NextHop};
-use hypersub_chord::{in_open_closed, ChordState};
-use hypersub_core::model::{Event, SchemeId, SubId, SubTarget, Subscription};
-use hypersub_core::msg::{EVENT_BYTES, HEADER_BYTES, SUBID_BYTES};
-use hypersub_core::node::TOKEN_PUBLISH_BASE;
-use hypersub_core::sim::PubSubNode;
-use hypersub_core::world::HyperWorld;
-use hypersub_lph::{rotation_offset, ContentSpace};
-use hypersub_simnet::{Node, NodeRuntime, Payload};
-use std::collections::HashMap;
+use crate::dht::{choose_attr, DhtNode, Home, Placement};
+use hypersub_chord::ChordState;
+use hypersub_core::model::Subscription;
+use hypersub_lph::{rotation_offset, ContentSpace, Point};
 
-/// Attribute-ring messages.
+/// One ring per attribute; a subscription is an arc on its most selective
+/// attribute's ring. The shard is the attribute index.
 #[derive(Debug, Clone)]
-pub enum AttrMsg {
-    /// Subscription replication along its attribute arc.
-    Register {
-        /// Next key on the walk (routing target).
-        cursor: u64,
-        /// Last key of the subscription's arc.
-        end: u64,
-        /// Attribute index the subscription is indexed under.
-        attr: u8,
-        /// Subscriber.
-        subid: SubId,
-        /// Full subscription rect.
-        sub: Subscription,
-    },
-    /// Event probe on one attribute ring.
-    Publish {
-        /// The event value's key on the attribute ring.
-        key: u64,
-        /// The attribute being probed.
-        attr: u8,
-        /// The event.
-        event: Event,
-        /// Hops so far.
-        hops: u32,
-    },
-    /// Matched-result fan-out.
-    Delivery {
-        /// The event.
-        event: Event,
-        /// Hops so far.
-        hops: u32,
-        /// SubID list.
-        targets: Vec<SubTarget>,
-    },
-}
-
-impl Payload for AttrMsg {
-    fn wire_size(&self) -> usize {
-        match self {
-            AttrMsg::Register { sub, .. } => HEADER_BYTES + 17 + SUBID_BYTES + 16 * sub.rect.dims(),
-            AttrMsg::Publish { .. } => HEADER_BYTES + EVENT_BYTES + SUBID_BYTES,
-            AttrMsg::Delivery { targets, .. } => {
-                HEADER_BYTES + EVENT_BYTES + SUBID_BYTES * targets.len()
-            }
-        }
-    }
-
-    fn flow(&self) -> Option<u64> {
-        match self {
-            AttrMsg::Publish { event, .. } | AttrMsg::Delivery { event, .. } => Some(event.id),
-            AttrMsg::Register { .. } => None,
-        }
-    }
-}
-
-/// A node of the attribute-ring baseline.
-#[derive(Debug, Clone)]
-pub struct AttrRingNode {
-    /// Chord routing state.
-    pub chord: ChordState,
+pub struct AttrRing {
     /// The scheme's content space (shared by all nodes).
     pub space: ContentSpace,
     /// Per-attribute ring offsets.
     pub offsets: Vec<u64>,
-    /// Stored replicas: attribute → subid → subscription.
-    pub store: HashMap<u8, HashMap<SubId, Subscription>>,
-    /// Local subscriptions by internal id.
-    pub local: HashMap<u32, Subscription>,
-    next_iid: u32,
 }
 
-impl AttrRingNode {
-    /// Creates a node for the given scheme space.
-    pub fn new(chord: ChordState, scheme_name: &str, space: ContentSpace) -> Self {
-        let offsets = (0..space.dims())
-            .map(|j| rotation_offset(&format!("{scheme_name}/attr{j}")))
-            .collect();
-        Self {
-            chord,
-            space,
-            offsets,
-            store: HashMap::new(),
-            local: HashMap::new(),
-            next_iid: 1,
-        }
-    }
-
+impl AttrRing {
     /// Maps an attribute value onto its ring.
     pub fn value_key(&self, attr: usize, v: f64) -> u64 {
         let d = self.space.domain(attr);
@@ -121,248 +42,59 @@ impl AttrRingNode {
         let scaled = (frac * (u64::MAX as f64)) as u64;
         scaled.wrapping_add(self.offsets[attr])
     }
+}
 
-    /// The attribute a subscription is indexed under: the one with the
-    /// narrowest relative range (most selective).
-    pub fn choose_attr(&self, sub: &Subscription) -> usize {
-        let mut best = 0;
-        let mut best_frac = f64::INFINITY;
-        for j in 0..self.space.dims() {
-            let d = self.space.domain(j);
-            let frac = (sub.rect.hi[j] - sub.rect.lo[j]) / d.width();
-            if frac < best_frac {
-                best = j;
-                best_frac = frac;
-            }
-        }
-        best
+impl Placement for AttrRing {
+    type Shard = u8;
+    /// Walk cursor, arc end and attribute index.
+    const REGISTER_BYTES: usize = 17;
+    const PUBLISH_BYTES: usize = 0;
+
+    /// One home: the arc of the chosen attribute's interval, walked node
+    /// by node (the expensive installation §2 criticizes).
+    fn homes(&self, sub: &Subscription) -> Vec<Home<u8>> {
+        let attr = choose_attr(&self.space, sub);
+        vec![Home {
+            key: self.value_key(attr, sub.rect.lo[attr]),
+            shard: attr as u8,
+            arc_end: Some(self.value_key(attr, sub.rect.hi[attr])),
+        }]
     }
 
-    /// Walks the subscription's key arc, storing a replica on every
-    /// responsible node (the expensive installation §2 criticizes).
-    fn route_register<R: NodeRuntime<AttrMsg, HyperWorld>>(
-        &mut self,
-        ctx: &mut R,
-        cursor: u64,
-        end: u64,
-        attr: u8,
-        subid: SubId,
-        sub: Subscription,
-    ) {
-        if self.chord.responsible_for(cursor) {
-            self.store
-                .entry(attr)
-                .or_default()
-                .insert(subid, sub.clone());
-            // Continue the walk if the arc extends beyond my segment.
-            let covered_to = self.chord.id;
-            let arc_done = in_open_closed(cursor.wrapping_sub(1), end, covered_to);
-            if !arc_done {
-                if let Some(succ) = self.chord.successor() {
-                    ctx.send(
-                        succ.idx,
-                        AttrMsg::Register {
-                            cursor: covered_to.wrapping_add(1),
-                            end,
-                            attr,
-                            subid,
-                            sub,
-                        },
-                    );
-                }
-            }
-        } else {
-            match next_hop(&self.chord, cursor) {
-                NextHop::Forward(p) => ctx.send(
-                    p.idx,
-                    AttrMsg::Register {
-                        cursor,
-                        end,
-                        attr,
-                        subid,
-                        sub,
-                    },
-                ),
-                NextHop::Local => {
-                    self.store.entry(attr).or_default().insert(subid, sub);
-                }
-            }
-        }
+    /// One probe per attribute ring.
+    fn probes(&self, point: &Point) -> Vec<(u64, u8)> {
+        (0..self.space.dims())
+            .map(|attr| (self.value_key(attr, point.0[attr]), attr as u8))
+            .collect()
     }
+}
 
-    /// Publishes an event: one probe per attribute ring.
-    pub fn publish<R: NodeRuntime<AttrMsg, HyperWorld>>(&mut self, ctx: &mut R, event: Event) {
-        let (me, now) = (ctx.me(), ctx.now());
-        let expected = ctx.world().oracle.expected_count(0, &event.point);
-        ctx.world()
-            .metrics
-            .record_publish(event.id, now, me, expected);
-        for attr in 0..self.space.dims() {
-            let key = self.value_key(attr, event.point.0[attr]);
-            self.route_publish(ctx, key, attr as u8, event.clone(), 0);
-        }
-    }
+/// A node of the attribute-ring baseline.
+pub type AttrRingNode = DhtNode<AttrRing>;
 
-    fn route_publish<R: NodeRuntime<AttrMsg, HyperWorld>>(
-        &mut self,
-        ctx: &mut R,
-        key: u64,
-        attr: u8,
-        event: Event,
-        hops: u32,
-    ) {
-        if self.chord.responsible_for(key) {
-            self.match_and_deliver(ctx, attr, event, hops);
-        } else {
-            match next_hop(&self.chord, key) {
-                NextHop::Forward(p) => ctx.send(
-                    p.idx,
-                    AttrMsg::Publish {
-                        key,
-                        attr,
-                        event,
-                        hops: hops + 1,
-                    },
-                ),
-                NextHop::Local => self.match_and_deliver(ctx, attr, event, hops),
-            }
-        }
-    }
-
-    fn match_and_deliver<R: NodeRuntime<AttrMsg, HyperWorld>>(
-        &mut self,
-        ctx: &mut R,
-        attr: u8,
-        event: Event,
-        hops: u32,
-    ) {
-        let Some(shard) = self.store.get(&attr) else {
-            return;
-        };
-        let mut matched: Vec<SubId> = shard
-            .iter()
-            .filter(|(_, s)| s.matches(&event))
-            .map(|(&id, _)| id)
+impl AttrRingNode {
+    /// Creates a node for the given scheme space.
+    pub fn new(chord: ChordState, scheme_name: &str, space: ContentSpace) -> Self {
+        let offsets = (0..space.dims())
+            .map(|j| rotation_offset(&format!("{scheme_name}/attr{j}")))
             .collect();
-        matched.sort_unstable();
-        self.deliver(ctx, event, hops, to_targets(matched));
-    }
-
-    fn deliver<R: NodeRuntime<AttrMsg, HyperWorld>>(
-        &mut self,
-        ctx: &mut R,
-        event: Event,
-        hops: u32,
-        targets: Vec<SubTarget>,
-    ) {
-        let (local, by_hop) = split_targets(&self.chord, targets);
-        for t in local {
-            if let Some(iid) = t.iid {
-                if self.local.contains_key(&iid) {
-                    let now = ctx.now();
-                    ctx.world().metrics.record_delivery(
-                        event.id,
-                        SubId { nid: t.nid, iid },
-                        now,
-                        hops,
-                    );
-                }
-            }
-        }
-        for (idx, targets) in by_hop {
-            ctx.send(
-                idx,
-                AttrMsg::Delivery {
-                    event: event.clone(),
-                    hops: hops + 1,
-                    targets,
-                },
-            );
-        }
-    }
-}
-
-impl Node<AttrMsg, HyperWorld> for AttrRingNode {
-    fn on_message<R: NodeRuntime<AttrMsg, HyperWorld>>(
-        &mut self,
-        ctx: &mut R,
-        _from: usize,
-        msg: AttrMsg,
-    ) {
-        match msg {
-            AttrMsg::Register {
-                cursor,
-                end,
-                attr,
-                subid,
-                sub,
-            } => self.route_register(ctx, cursor, end, attr, subid, sub),
-            AttrMsg::Publish {
-                key,
-                attr,
-                event,
-                hops,
-            } => self.route_publish(ctx, key, attr, event, hops),
-            AttrMsg::Delivery {
-                event,
-                hops,
-                targets,
-            } => self.deliver(ctx, event, hops, targets),
-        }
-    }
-
-    fn on_timer<R: NodeRuntime<AttrMsg, HyperWorld>>(&mut self, ctx: &mut R, token: u64) {
-        if token >= TOKEN_PUBLISH_BASE {
-            let idx = (token - TOKEN_PUBLISH_BASE) as usize;
-            let (_scheme, ev) = ctx.world().take_scripted(idx);
-            self.publish(ctx, ev);
-        }
-    }
-}
-
-impl PubSubNode for AttrRingNode {
-    type Msg = AttrMsg;
-
-    /// Installs a subscription from this node.
-    ///
-    /// The baselines serve one scheme, so `_scheme` goes unused.
-    fn subscribe<R: NodeRuntime<AttrMsg, HyperWorld>>(
-        &mut self,
-        ctx: &mut R,
-        _scheme: SchemeId,
-        sub: Subscription,
-    ) -> SubId {
-        let iid = self.next_iid;
-        self.next_iid += 1;
-        self.local.insert(iid, sub.clone());
-        let subid = SubId {
-            nid: self.chord.id,
-            iid,
-        };
-        ctx.world().oracle.add(0, subid, sub.clone());
-        let attr = self.choose_attr(&sub);
-        let start = self.value_key(attr, sub.rect.lo[attr]);
-        let end = self.value_key(attr, sub.rect.hi[attr]);
-        self.route_register(ctx, start, end, attr as u8, subid, sub);
-        subid
-    }
-
-    /// Stored replica count (load metric; replicas of one subscription on
-    /// many nodes each count once, which is the point of the comparison).
-    fn load(&self) -> u64 {
-        self.store.values().map(|m| m.len() as u64).sum()
+        Self::with_placement(chord, AttrRing { space, offsets })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dht::DhtMsg;
     use hypersub_chord::builder::{build_ring, RingConfig};
-    use hypersub_lph::{Point, Rect};
+    use hypersub_core::model::Event;
+    use hypersub_core::sim::PubSubNode;
+    use hypersub_core::world::HyperWorld;
+    use hypersub_lph::Rect;
     use hypersub_simnet::{Sim, SimTime, UniformTopology};
     use std::sync::Arc;
 
-    fn make_sim(n: usize) -> Sim<AttrRingNode, AttrMsg, HyperWorld> {
+    fn make_sim(n: usize) -> Sim<AttrRingNode, DhtMsg<AttrRing>, HyperWorld> {
         let topo = Arc::new(UniformTopology::new(n, SimTime::from_millis(10)));
         let states = build_ring(&RingConfig::default(), topo.as_ref(), 5);
         let space = ContentSpace::uniform(2, 0.0, 100.0);
@@ -375,12 +107,11 @@ mod tests {
 
     #[test]
     fn chooses_most_selective_attribute() {
-        let mut sim = make_sim(4);
-        let node = sim.node_mut(0);
+        let space = ContentSpace::uniform(2, 0.0, 100.0);
         let sub = Subscription::new(Rect::new(vec![10.0, 0.0], vec![12.0, 100.0]));
-        assert_eq!(node.choose_attr(&sub), 0);
+        assert_eq!(choose_attr(&space, &sub), 0);
         let sub = Subscription::new(Rect::new(vec![0.0, 50.0], vec![100.0, 51.0]));
-        assert_eq!(node.choose_attr(&sub), 1);
+        assert_eq!(choose_attr(&space, &sub), 1);
     }
 
     #[test]

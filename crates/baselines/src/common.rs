@@ -4,7 +4,7 @@
 
 use hypersub_chord::routing::{next_hop, NextHop};
 use hypersub_chord::ChordState;
-use hypersub_core::model::{SubId, SubTarget};
+use hypersub_core::model::SubTarget;
 use std::collections::BTreeMap;
 
 /// Splits a SubID list by next hop: targets this node is responsible for
@@ -17,21 +17,12 @@ pub fn split_targets(
     let mut local = Vec::new();
     let mut by_hop: BTreeMap<usize, Vec<SubTarget>> = BTreeMap::new();
     for t in targets {
-        if chord.responsible_for(t.nid) {
-            local.push(t);
-        } else {
-            match next_hop(chord, t.nid) {
-                NextHop::Forward(p) => by_hop.entry(p.idx).or_default().push(t),
-                NextHop::Local => local.push(t),
-            }
+        match next_hop(chord, t.nid) {
+            NextHop::Forward(p) => by_hop.entry(p.idx).or_default().push(t),
+            NextHop::Local => local.push(t),
         }
     }
     (local, by_hop)
-}
-
-/// Converts a matched [`SubId`] list to targets.
-pub fn to_targets(matched: Vec<SubId>) -> Vec<SubTarget> {
-    matched.into_iter().map(SubTarget::sub).collect()
 }
 
 #[cfg(test)]
@@ -43,7 +34,7 @@ mod tests {
     use crate::subgroup::SubgroupNode;
     use hypersub_chord::builder::{build_ring, RingConfig};
     use hypersub_core::error::HyperSubError;
-    use hypersub_core::model::{Registry, SchemeDef, Subscription};
+    use hypersub_core::model::{Registry, SchemeDef, SubId, Subscription};
     use hypersub_core::node::HyperSubNode;
     use hypersub_core::report::Report;
     use hypersub_core::sim::{Network, NetworkBuilder, PubSubNode};

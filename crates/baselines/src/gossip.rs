@@ -12,7 +12,7 @@
 //! design in the shoot-out must beat on bandwidth while matching on
 //! delivery.
 
-use hypersub_chord::{clockwise_distance, ChordState, Peer};
+use hypersub_chord::{clockwise_distance, ChordState};
 use hypersub_core::model::{Event, SchemeId, SubId, Subscription};
 use hypersub_core::msg::{EVENT_BYTES, HEADER_BYTES};
 use hypersub_core::node::TOKEN_PUBLISH_BASE;
@@ -109,36 +109,23 @@ impl GossipNode {
                 hops,
             );
         }
+        // Children: every known neighbor inside the arc, nearest first —
+        // a prefix of the route table, which is sorted by distance and
+        // distinct. It includes the immediate successor, so no node in
+        // the arc can be skipped; an empty arc (a leaf of the broadcast
+        // tree) has none.
         let span = clockwise_distance(self.chord.id, limit);
-        if span == 0 {
-            return; // Arc is empty: leaf of the broadcast tree.
-        }
-        // Children: every known neighbor inside the arc, nearest first,
-        // deduplicated by id. Includes the immediate successor, so no
-        // node in the arc can be skipped.
-        let mut children: Vec<(u64, Peer)> = self
-            .chord
-            .fingers()
-            .iter()
-            .flatten()
-            .chain(self.chord.successors())
-            .map(|p| (clockwise_distance(self.chord.id, p.id), *p))
-            .filter(|&(d, _)| d >= 1 && d <= span)
-            .collect();
-        children.sort_unstable_by_key(|&(d, _)| d);
-        children.dedup_by_key(|&mut (d, _)| d);
-        for i in 0..children.len() {
-            let sub_limit = if i + 1 < children.len() {
-                children[i + 1].1.id.wrapping_sub(1)
-            } else {
-                limit
-            };
+        let table = self.chord.route_table();
+        let inside = table.partition_point(|p| clockwise_distance(self.chord.id, p.id) <= span);
+        let children = &table[..inside];
+        for (i, child) in children.iter().enumerate() {
+            let next = children.get(i + 1);
             ctx.send(
-                children[i].1.idx,
+                child.idx,
                 GossipMsg::Flood {
                     event: event.clone(),
                     hops: hops + 1,
-                    limit: sub_limit,
+                    limit: next.map_or(limit, |n| n.id.wrapping_sub(1)),
                 },
             );
         }

@@ -32,6 +32,11 @@
 //!   locally. Zero installation cost, O(n) bandwidth per event — the
 //!   baseline every structured design must beat.
 //!
+//! The first three are one node, [`dht::DhtNode`], under three
+//! [`dht::Placement`]s: a rival says only where a subscription is stored
+//! and which homes an event probes, and owes completeness and
+//! duplicate-freedom (see [`dht`]). The flood keeps its own node.
+//!
 //! All four reuse the Chord substrate ([`hypersub_chord`]) and the world
 //! (oracle, metric sinks, publish script) from [`hypersub_core`], and
 //! implement [`hypersub_core::sim::PubSubNode`], so the same
@@ -40,6 +45,7 @@
 
 pub mod attr_ring;
 pub mod common;
+pub mod dht;
 pub mod gossip;
 pub mod rendezvous;
 pub mod subgroup;

@@ -4,8 +4,8 @@
 //! `Network::report()` generally) produce — see `hypersub_core::report`.
 //!
 //! Usage:
-//!   report summarize <FILE>
-//!   report diff <BASELINE> <CANDIDATE>
+//!   report summarize FILE
+//!   report diff BASELINE CANDIDATE
 //!
 //! `diff` prints per-field deltas and exits nonzero when the two runs'
 //! digests differ or when any `repair.*` counter drifts (a counter
@@ -13,6 +13,7 @@
 //! self-healing plane remain comparable) — the CI gate against
 //! behavioral drift on the pinned workload.
 
+use hypersub_bench::Args;
 use hypersub_core::report::Report;
 use std::collections::BTreeSet;
 use std::process::ExitCode;
@@ -202,37 +203,29 @@ fn diff(pa: &str, a: &Report, pb: &str, b: &Report) -> ExitCode {
     }
 }
 
-fn usage() -> ExitCode {
-    eprintln!("usage: report summarize <FILE> | report diff <BASELINE> <CANDIDATE>");
-    ExitCode::FAILURE
-}
-
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    match args.get(1).map(String::as_str) {
-        Some("summarize") => match args.get(2) {
-            Some(path) => match load(path) {
-                Ok(r) => {
-                    summarize(path, &r);
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("report: {e}");
-                    ExitCode::FAILURE
-                }
-            },
-            None => usage(),
-        },
-        Some("diff") => match (args.get(2), args.get(3)) {
-            (Some(pa), Some(pb)) => match (load(pa), load(pb)) {
-                (Ok(a), Ok(b)) => diff(pa, &a, pb, &b),
-                (Err(e), _) | (_, Err(e)) => {
-                    eprintln!("report: {e}");
-                    ExitCode::FAILURE
-                }
-            },
-            _ => usage(),
-        },
-        _ => usage(),
+    let mut args = Args::from_env("summarize FILE | diff BASELINE CANDIDATE");
+    let want = match args.positional().as_deref() {
+        Some("summarize") => 1,
+        Some("diff") => 2,
+        _ => args.fail("expected `summarize` or `diff`"),
+    };
+    let paths: Vec<String> = (0..want).map_while(|_| args.positional()).collect();
+    if paths.len() < want {
+        args.fail("missing a report file");
+    }
+    args.finish();
+    let reports: Result<Vec<Report>, String> = paths.iter().map(|p| load(p)).collect();
+    match reports.as_deref() {
+        Ok([r]) => {
+            summarize(&paths[0], r);
+            ExitCode::SUCCESS
+        }
+        Ok([a, b]) => diff(&paths[0], a, &paths[1], b),
+        Ok(_) => unreachable!("one or two paths were taken"),
+        Err(e) => {
+            eprintln!("report: {e}");
+            ExitCode::FAILURE
+        }
     }
 }

@@ -6,9 +6,7 @@
 //! |--------------------|--------------------------------------------------|
 //! | `table1`           | Table 1 — pub/sub scheme & workload properties   |
 //! | `table2`           | Table 2 — simulated networks & average RTTs      |
-//! | `fig2`             | Fig 2a–d — event CDFs (matched %, hops, latency, bandwidth) |
-//! | `fig3`             | Fig 3a–b — node CDFs (in/out bandwidth)          |
-//! | `fig4`             | Fig 4 — load on the 100 most loaded nodes        |
+//! | `fig2to4`          | Fig 2a–d event CDFs, Fig 3a–b node bandwidth CDFs, Fig 4 load on the 100 most loaded nodes — one set of four runs |
 //! | `fig5`             | Fig 5a–d — scaling with network size             |
 //! | `ablation_base`    | zone base β sweep                                |
 //! | `ablation_rotation`| zone-mapping rotation on/off, multi-scheme       |
@@ -23,8 +21,8 @@
 //!
 //! The table and figure binaries accept `--quick` (scaled-down run for
 //! smoke testing) and print diffable ASCII tables via `hypersub-stats`;
-//! they, `hotpath` and `scenario` reject an argument they do not know
-//! ([`Args`]) instead of running some other experiment.
+//! they, `hotpath`, `scenario` and `report` reject an argument they do
+//! not know ([`Args`]) instead of running some other experiment.
 
 use hypersub_core::config::SystemConfig;
 use hypersub_core::metrics::EventStats;
@@ -325,6 +323,12 @@ impl Args {
         Some(v)
     }
 
+    /// Takes the first argument that is not an option (a positional).
+    pub fn positional(&mut self) -> Option<String> {
+        let at = self.rest.iter().position(|a| !a.starts_with('-'))?;
+        Some(self.rest.remove(at))
+    }
+
     /// Ends parsing: an argument still here is a usage error. Call it
     /// before the run starts.
     pub fn finish(self) {
@@ -471,6 +475,12 @@ mod tests {
         let mut a = args(&["--seed", "seven"]);
         assert_eq!(a.parsed::<u64>("--seed"), None);
         assert_eq!(a.rest, ["--seed", "seven"], "an unparsable value");
+
+        let mut a = args(&["diff", "--x", "a.json"]);
+        assert_eq!(a.positional().as_deref(), Some("diff"));
+        assert_eq!(a.positional().as_deref(), Some("a.json"));
+        assert_eq!(a.positional(), None);
+        assert_eq!(a.rest, ["--x"], "an option is not a positional");
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub const NUM_FINGERS: usize = 64;
 ///   to be `successor(id + 2^i)`;
 /// * `route_table` and `succ_reach` are derived from the two. Both lists
 ///   are private so that only this module's mutators, each of which ends
-///   in [`Self::rebuild_derived`], can change them: neither can go stale.
+///   in `rebuild_derived`, can change them: neither can go stale.
 #[derive(Debug, Clone)]
 pub struct ChordState {
     /// This node's ring identifier.
@@ -109,7 +109,7 @@ impl ChordState {
     /// distance, sorted by that distance. Where two entries share an id
     /// the first in that scan order is the one kept, which is the entry a
     /// scan with a strict "closer" comparison would have returned.
-    pub(crate) fn route_table(&self) -> &[Peer] {
+    pub fn route_table(&self) -> &[Peer] {
         &self.route_table
     }
 

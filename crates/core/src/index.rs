@@ -76,7 +76,7 @@ const MAX_DIMS: usize = 8;
 /// `benchmark` PR drops this alias.
 pub type HybridIndex = BitsetIndex;
 
-/// The matching index: per indexed dimension, [`BUCKETS`] equal-width
+/// The matching index: per indexed dimension, `BUCKETS` (64) equal-width
 /// buckets over the bounding box of the entries present when the rows
 /// were last laid out, and per *(dimension, bucket)* a bitset over slots.
 ///

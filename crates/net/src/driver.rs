@@ -311,8 +311,8 @@ where
     }
 }
 
-/// Handle to a running [`NetDriver`] node: enqueue work onto the driver
-/// thread and shut it down.
+/// Handle to a node running on a [`spawn`]ed driver thread: enqueue work
+/// onto that thread and shut it down.
 pub struct NetHandle<N, M, W> {
     tx: Sender<Input<N, M, W>>,
     local: SocketAddr,

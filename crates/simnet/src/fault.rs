@@ -82,12 +82,6 @@ impl LinkPolicy {
         self
     }
 
-    /// Adds a fixed extra one-way delay to this policy.
-    pub fn with_extra_delay(mut self, d: SimTime) -> Self {
-        self.extra_delay = d;
-        self
-    }
-
     /// Adds a uniform random extra delay in `[0, jitter)` to this policy.
     pub fn with_jitter(mut self, jitter: SimTime) -> Self {
         self.jitter = jitter;

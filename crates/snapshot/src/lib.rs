@@ -17,7 +17,7 @@
 //! * Hash maps/sets MUST be encoded in sorted key order by callers —
 //!   std's per-process random SipHash seed makes iteration order
 //!   unstable across processes, and the golden test pins exact bytes.
-//! * A snapshot file is a self-checking [envelope]: magic `HSNP`, a
+//! * A snapshot file is a self-checking envelope: magic `HSNP`, a
 //!   `u32` format version, a length-prefixed payload, and an FNV-1a
 //!   checksum of the payload. Decoders reject bad magic, unknown
 //!   versions, corrupt payloads, and trailing garbage.

@@ -54,7 +54,7 @@ step() {
   echo "=== $b done $(date +%T) ==="
 }
 
-for b in table1 table2 fig2 fig4 fig3 ablation_subscheme ablation_rotation ablation_base fig5; do
+for b in table1 table2 fig2to4 ablation_subscheme ablation_rotation ablation_base fig5; do
   step $b $BIN/$b
 done
 

@@ -13,7 +13,7 @@ use crate::id::{in_open_closed, NodeId};
 use crate::routing::{closest_preceding, next_hop, NextHop};
 use crate::state::{ChordState, Peer, NUM_FINGERS};
 use hypersub_simnet::{FxHashSet, Node, NodeRuntime, Payload, SimTime};
-use hypersub_snapshot::{Decode, Encode, Error, Reader, Writer};
+use hypersub_snapshot::codec;
 
 /// Why a lookup was issued; determines what happens with the answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,6 +25,11 @@ pub enum LookupPurpose {
     /// An application lookup; the token is returned with the answer.
     App(u64),
 }
+codec!(enum LookupPurpose as "lookup purpose tag" {
+    0 => Join,
+    1 => Finger(i),
+    2 => App(token),
+});
 
 /// Chord maintenance wire messages.
 #[derive(Debug, Clone)]
@@ -62,6 +67,13 @@ pub enum ChordMsg {
         peer: Peer,
     },
 }
+codec!(enum ChordMsg as "chord msg tag" {
+    0 => FindSuccessor { key, origin, purpose },
+    1 => FoundSuccessor { key, owner, purpose },
+    2 => GetNeighbors,
+    3 => NeighborsReply { pred, succs },
+    4 => Notify { peer },
+});
 
 /// Serialized peer size: 8-byte id + 4-byte address.
 const PEER_BYTES: usize = 12;
@@ -130,6 +142,16 @@ pub struct MaintState {
     /// nodes leak straight back in and the ring never heals.
     dead: FxHashSet<usize>,
 }
+// Every private cursor steers future traffic, so all of them are captured.
+codec!(struct MaintState {
+    chord,
+    strike_limit,
+    awaiting_stab,
+    awaiting_pred,
+    next_finger,
+    bootstrap,
+    dead,
+});
 
 impl MaintState {
     /// Wraps existing routing state.
@@ -475,128 +497,6 @@ impl MaintState {
         out.neighborhood_changed =
             neighborhood_before != (self.chord.predecessor, self.chord.successor());
         out
-    }
-}
-
-impl Encode for LookupPurpose {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            LookupPurpose::Join => w.put_u8(0),
-            LookupPurpose::Finger(i) => {
-                w.put_u8(1);
-                w.put_u8(*i);
-            }
-            LookupPurpose::App(token) => {
-                w.put_u8(2);
-                w.put_u64(*token);
-            }
-        }
-    }
-}
-
-impl Decode for LookupPurpose {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(match r.take_u8()? {
-            0 => LookupPurpose::Join,
-            1 => LookupPurpose::Finger(r.take_u8()?),
-            2 => LookupPurpose::App(r.take_u64()?),
-            _ => return Err(Error::InvalidValue("lookup purpose tag")),
-        })
-    }
-}
-
-impl Encode for ChordMsg {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            ChordMsg::FindSuccessor {
-                key,
-                origin,
-                purpose,
-            } => {
-                w.put_u8(0);
-                w.put_u64(*key);
-                origin.encode(w);
-                purpose.encode(w);
-            }
-            ChordMsg::FoundSuccessor {
-                key,
-                owner,
-                purpose,
-            } => {
-                w.put_u8(1);
-                w.put_u64(*key);
-                owner.encode(w);
-                purpose.encode(w);
-            }
-            ChordMsg::GetNeighbors => w.put_u8(2),
-            ChordMsg::NeighborsReply { pred, succs } => {
-                w.put_u8(3);
-                pred.encode(w);
-                succs.encode(w);
-            }
-            ChordMsg::Notify { peer } => {
-                w.put_u8(4);
-                peer.encode(w);
-            }
-        }
-    }
-}
-
-impl Decode for ChordMsg {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(match r.take_u8()? {
-            0 => ChordMsg::FindSuccessor {
-                key: r.take_u64()?,
-                origin: Peer::decode(r)?,
-                purpose: LookupPurpose::decode(r)?,
-            },
-            1 => ChordMsg::FoundSuccessor {
-                key: r.take_u64()?,
-                owner: Peer::decode(r)?,
-                purpose: LookupPurpose::decode(r)?,
-            },
-            2 => ChordMsg::GetNeighbors,
-            3 => ChordMsg::NeighborsReply {
-                pred: Option::<Peer>::decode(r)?,
-                succs: Vec::<Peer>::decode(r)?,
-            },
-            4 => ChordMsg::Notify {
-                peer: Peer::decode(r)?,
-            },
-            _ => return Err(Error::InvalidValue("chord msg tag")),
-        })
-    }
-}
-
-// Maintenance bookkeeping includes private cursors (probe strikes, the
-// finger round-robin, the bootstrap contact and the tombstone set), all of
-// which steer future traffic — so all are captured. The tombstone set is
-// sorted for stable bytes.
-impl Encode for MaintState {
-    fn encode(&self, w: &mut Writer) {
-        self.chord.encode(w);
-        w.put_u32(self.strike_limit);
-        self.awaiting_stab.encode(w);
-        self.awaiting_pred.encode(w);
-        self.next_finger.encode(w);
-        self.bootstrap.encode(w);
-        let mut dead: Vec<usize> = self.dead.iter().copied().collect();
-        dead.sort_unstable();
-        dead.encode(w);
-    }
-}
-
-impl Decode for MaintState {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(MaintState {
-            chord: ChordState::decode(r)?,
-            strike_limit: r.take_u32()?,
-            awaiting_stab: Option::<(usize, u32)>::decode(r)?,
-            awaiting_pred: Option::<(usize, u32)>::decode(r)?,
-            next_finger: usize::decode(r)?,
-            bootstrap: Option::<usize>::decode(r)?,
-            dead: Vec::<usize>::decode(r)?.into_iter().collect(),
-        })
     }
 }
 

@@ -1,7 +1,7 @@
 //! Per-node Chord routing state.
 
 use crate::id::{clockwise_distance, in_open_closed, in_open_open, NodeId};
-use hypersub_snapshot::{Decode, Encode, Error, Reader, Writer};
+use hypersub_snapshot::{codec, Decode, Encode, Error, Reader, Writer};
 
 /// A reference to another node: its ring identifier plus its simulator
 /// index (the "network address").
@@ -12,6 +12,7 @@ pub struct Peer {
     /// Simulator node index (stands in for an IP address).
     pub idx: usize,
 }
+codec!(struct Peer { id, idx });
 
 /// Number of finger-table entries (one per identifier bit).
 pub const NUM_FINGERS: usize = 64;
@@ -284,22 +285,8 @@ impl ChordState {
     }
 }
 
-impl Encode for Peer {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.id);
-        self.idx.encode(w);
-    }
-}
-
-impl Decode for Peer {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(Peer {
-            id: r.take_u64()?,
-            idx: usize::decode(r)?,
-        })
-    }
-}
-
+// Hand-written codec: the decoder validates and derives state (the route
+// table is rebuilt).
 impl Encode for ChordState {
     fn encode(&self, w: &mut Writer) {
         w.put_u64(self.id);

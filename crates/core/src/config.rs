@@ -2,7 +2,7 @@
 
 use hypersub_lph::ZoneParams;
 use hypersub_simnet::SimTime;
-use hypersub_snapshot::{Decode, Encode, Error, Reader, Writer};
+use hypersub_snapshot::{codec, Decode, Encode, Error, Reader, Writer};
 
 /// Load-balancing configuration (§4, "Dynamic Subscriptions Migration").
 #[derive(Debug, Clone)]
@@ -24,6 +24,14 @@ pub struct LbConfig {
     /// trivially small loads.
     pub min_load: u64,
 }
+codec!(struct LbConfig {
+    enabled,
+    period,
+    delta,
+    probe_level,
+    max_targets,
+    min_load,
+});
 
 impl Default for LbConfig {
     fn default() -> Self {
@@ -63,6 +71,7 @@ pub struct RetryConfig {
     /// Total transmission attempts (first send included) before giving up.
     pub max_attempts: u32,
 }
+codec!(struct RetryConfig { enabled, base_timeout, max_attempts });
 
 impl Default for RetryConfig {
     fn default() -> Self {
@@ -94,6 +103,7 @@ pub struct HealConfig {
     /// synchronize.
     pub lease_period: SimTime,
 }
+codec!(struct HealConfig { enabled, replication_factor, lease_period });
 
 impl Default for HealConfig {
     fn default() -> Self {
@@ -174,66 +184,7 @@ impl SystemConfig {
     }
 }
 
-impl Encode for LbConfig {
-    fn encode(&self, w: &mut Writer) {
-        self.enabled.encode(w);
-        self.period.encode(w);
-        self.delta.encode(w);
-        w.put_u8(self.probe_level);
-        self.max_targets.encode(w);
-        w.put_u64(self.min_load);
-    }
-}
-
-impl Decode for LbConfig {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(LbConfig {
-            enabled: bool::decode(r)?,
-            period: SimTime::decode(r)?,
-            delta: f64::decode(r)?,
-            probe_level: r.take_u8()?,
-            max_targets: usize::decode(r)?,
-            min_load: r.take_u64()?,
-        })
-    }
-}
-
-impl Encode for RetryConfig {
-    fn encode(&self, w: &mut Writer) {
-        self.enabled.encode(w);
-        self.base_timeout.encode(w);
-        w.put_u32(self.max_attempts);
-    }
-}
-
-impl Decode for RetryConfig {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(RetryConfig {
-            enabled: bool::decode(r)?,
-            base_timeout: SimTime::decode(r)?,
-            max_attempts: r.take_u32()?,
-        })
-    }
-}
-
-impl Encode for HealConfig {
-    fn encode(&self, w: &mut Writer) {
-        self.enabled.encode(w);
-        self.replication_factor.encode(w);
-        self.lease_period.encode(w);
-    }
-}
-
-impl Decode for HealConfig {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(HealConfig {
-            enabled: bool::decode(r)?,
-            replication_factor: usize::decode(r)?,
-            lease_period: SimTime::decode(r)?,
-        })
-    }
-}
-
+// Hand-written codec: skips a field (`index_mode`).
 impl Encode for SystemConfig {
     fn encode(&self, w: &mut Writer) {
         self.zone.encode(w);

@@ -53,7 +53,7 @@ use crate::repo::{RepoKey, StoredSub};
 use crate::world::HyperWorld;
 use hypersub_chord::Peer;
 use hypersub_simnet::{FxHashMap, NodeRuntime, ProtoEvent};
-use hypersub_snapshot::{Decode, Encode, Error, Reader, Writer};
+use hypersub_snapshot::codec;
 
 /// One origin's replicated rendezvous state, held by a successor.
 #[derive(Debug, Clone)]
@@ -63,6 +63,7 @@ pub struct ReplicaSet {
     /// Its repositories' entries, keyed like the origin's own `repos`.
     pub repos: FxHashMap<RepoKey, FxHashMap<SubId, StoredSub>>,
 }
+codec!(struct ReplicaSet { origin, repos });
 
 impl ReplicaSet {
     /// An empty replica set for `origin`.
@@ -398,32 +399,6 @@ impl HyperSubNode {
             a: dst as u64,
             b: rehomed,
         });
-    }
-}
-
-impl Encode for ReplicaSet {
-    fn encode(&self, w: &mut Writer) {
-        self.origin.encode(w);
-        let mut keys: Vec<RepoKey> = self.repos.keys().copied().collect();
-        keys.sort_unstable();
-        w.put_u64(keys.len() as u64);
-        for k in keys {
-            k.encode(w);
-            crate::repo::encode_map_sorted(&self.repos[&k], w);
-        }
-    }
-}
-
-impl Decode for ReplicaSet {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        let origin = Peer::decode(r)?;
-        let n = r.take_u64()? as usize;
-        let mut repos = FxHashMap::default();
-        for _ in 0..n {
-            let k = RepoKey::decode(r)?;
-            repos.insert(k, crate::repo::decode_map(r)?);
-        }
-        Ok(ReplicaSet { origin, repos })
     }
 }
 

@@ -21,7 +21,7 @@ use crate::world::HyperWorld;
 use hypersub_chord::Peer;
 use hypersub_lph::Rect;
 use hypersub_simnet::{NodeRuntime, ProtoEvent};
-use hypersub_snapshot::{Decode, Encode, Error, Reader, Writer};
+use hypersub_snapshot::codec;
 use std::collections::{HashMap, HashSet};
 
 /// Where an offered subscription currently lives on this node.
@@ -34,6 +34,10 @@ pub enum SubOrigin {
     /// implies (migrated subscriptions are ordinary stored subscriptions).
     Hosted(u32),
 }
+codec!(enum SubOrigin as "sub origin tag" {
+    0 => OwnRepo,
+    1 => Hosted(iid),
+});
 
 /// One subscription in an outstanding migration offer.
 #[derive(Debug, Clone)]
@@ -45,6 +49,7 @@ pub struct OfferItem {
     /// Its full-space rect (needed to build forwarding covers on ack).
     pub full: Rect,
 }
+codec!(struct OfferItem { origin, subid, full });
 
 /// Per-node load-balancer state.
 #[derive(Debug, Clone, Default)]
@@ -62,6 +67,30 @@ pub struct LbState {
     /// Where each migrated subscription now lives, so unsubscribes can
     /// chase it: `(source repo, subid) → acceptor`.
     pub migrated_index: HashMap<(RepoKey, SubId), Peer>,
+}
+codec!(struct LbState {
+    samples,
+    pending,
+    in_flight,
+    rounds,
+    migrated_out,
+    migrated_index,
+});
+
+impl LbState {
+    /// Aborts the offer of `batches` to `dst` (the acceptor died, or never
+    /// acknowledged): the entries were not removed yet — removal happens
+    /// on `MigrateAck` — so clearing the bookkeeping returns them to the
+    /// migratable pool.
+    pub(crate) fn abort_offer(&mut self, dst: usize, batches: &[MigBatch]) {
+        for b in batches {
+            if let Some(items) = self.in_flight.remove(&(dst, b.source)) {
+                for item in items {
+                    self.pending.remove(&(b.source, item.subid));
+                }
+            }
+        }
+    }
 }
 
 impl HyperSubNode {
@@ -444,70 +473,6 @@ impl HyperSubNode {
                 }
             }
         }
-    }
-}
-
-impl Encode for SubOrigin {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            SubOrigin::OwnRepo => w.put_u8(0),
-            SubOrigin::Hosted(iid) => {
-                w.put_u8(1);
-                w.put_u32(*iid);
-            }
-        }
-    }
-}
-
-impl Decode for SubOrigin {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(match r.take_u8()? {
-            0 => SubOrigin::OwnRepo,
-            1 => SubOrigin::Hosted(r.take_u32()?),
-            _ => return Err(Error::InvalidValue("sub origin tag")),
-        })
-    }
-}
-
-impl Encode for OfferItem {
-    fn encode(&self, w: &mut Writer) {
-        self.origin.encode(w);
-        self.subid.encode(w);
-        self.full.encode(w);
-    }
-}
-
-impl Decode for OfferItem {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(OfferItem {
-            origin: SubOrigin::decode(r)?,
-            subid: SubId::decode(r)?,
-            full: Rect::decode(r)?,
-        })
-    }
-}
-
-impl Encode for LbState {
-    fn encode(&self, w: &mut Writer) {
-        crate::repo::encode_map_sorted(&self.samples, w);
-        crate::repo::encode_set_sorted(&self.pending, w);
-        crate::repo::encode_map_sorted(&self.in_flight, w);
-        w.put_u64(self.rounds);
-        w.put_u64(self.migrated_out);
-        crate::repo::encode_map_sorted(&self.migrated_index, w);
-    }
-}
-
-impl Decode for LbState {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(LbState {
-            samples: crate::repo::decode_map(r)?,
-            pending: crate::repo::decode_set(r)?,
-            in_flight: crate::repo::decode_map(r)?,
-            rounds: r.take_u64()?,
-            migrated_out: r.take_u64()?,
-            migrated_index: crate::repo::decode_map(r)?,
-        })
     }
 }
 

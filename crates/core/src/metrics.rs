@@ -10,7 +10,7 @@
 
 use crate::model::SubId;
 use hypersub_simnet::{NetStats, SimTime};
-use hypersub_snapshot::{Decode, Encode, Error, Reader, Writer};
+use hypersub_snapshot::{codec, Decode, Encode, Error, Reader, Writer};
 use std::collections::HashMap;
 
 /// One recorded publish.
@@ -23,6 +23,7 @@ pub struct PublishRecord {
     /// Ground-truth number of matching subscriptions at publish time.
     pub expected: usize,
 }
+codec!(struct PublishRecord { time, node, expected });
 
 /// One recorded delivery to a subscriber.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,6 +37,7 @@ pub struct DeliveryRecord {
     /// Network hops the delivering message copy traversed.
     pub hops: u32,
 }
+codec!(struct DeliveryRecord { event, subid, time, hops });
 
 /// A named per-node counter that grows on demand (the world does not know
 /// the network size up front). Index by simulator node index.
@@ -43,6 +45,7 @@ pub struct DeliveryRecord {
 pub struct PerNodeCounter {
     v: Vec<u64>,
 }
+codec!(struct PerNodeCounter { v });
 
 impl PerNodeCounter {
     /// Adds `k` to node `i`'s count.
@@ -186,6 +189,23 @@ pub struct ProtoMetrics {
     /// Migrated-away subscriptions re-homed after their host died.
     pub rehomed_subs: PerNodeCounter,
 }
+codec!(struct ProtoMetrics {
+    retry_attempts,
+    retry_give_ups,
+    acks,
+    ack_latency_us,
+    delivery_splits,
+    delivery_fanout,
+    rendezvous_matches,
+    sub_registers,
+    chain_pushes,
+    migration_rounds,
+    migrated_subs,
+    lease_refreshes,
+    replica_entries,
+    promotions,
+    rehomed_subs,
+});
 
 impl ProtoMetrics {
     /// All counters with their registry names, for export.
@@ -224,6 +244,9 @@ pub struct Metrics {
     /// Protocol counters and histograms (see [`ProtoMetrics`]).
     pub proto: ProtoMetrics,
 }
+// Delivery records stay in arrival order: `event_stats` output and digest
+// inputs depend on it.
+codec!(struct Metrics { publishes, deliveries, proto });
 
 impl Metrics {
     /// Records an event publication.
@@ -307,58 +330,7 @@ impl Metrics {
     }
 }
 
-impl Encode for PublishRecord {
-    fn encode(&self, w: &mut Writer) {
-        self.time.encode(w);
-        self.node.encode(w);
-        self.expected.encode(w);
-    }
-}
-
-impl Decode for PublishRecord {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(PublishRecord {
-            time: SimTime::decode(r)?,
-            node: usize::decode(r)?,
-            expected: usize::decode(r)?,
-        })
-    }
-}
-
-impl Encode for DeliveryRecord {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.event);
-        self.subid.encode(w);
-        self.time.encode(w);
-        w.put_u32(self.hops);
-    }
-}
-
-impl Decode for DeliveryRecord {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(DeliveryRecord {
-            event: r.take_u64()?,
-            subid: SubId::decode(r)?,
-            time: SimTime::decode(r)?,
-            hops: r.take_u32()?,
-        })
-    }
-}
-
-impl Encode for PerNodeCounter {
-    fn encode(&self, w: &mut Writer) {
-        self.v.encode(w);
-    }
-}
-
-impl Decode for PerNodeCounter {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(PerNodeCounter {
-            v: Vec::<u64>::decode(r)?,
-        })
-    }
-}
-
+// Hand-written codec: the decoder validates (buckets sum to the count).
 impl Encode for LogHistogram {
     fn encode(&self, w: &mut Writer) {
         self.buckets.encode(w);
@@ -380,82 +352,6 @@ impl Decode for LogHistogram {
             return Err(Error::InvalidValue("histogram bucket/count mismatch"));
         }
         Ok(h)
-    }
-}
-
-impl Encode for ProtoMetrics {
-    fn encode(&self, w: &mut Writer) {
-        self.retry_attempts.encode(w);
-        self.retry_give_ups.encode(w);
-        self.acks.encode(w);
-        self.ack_latency_us.encode(w);
-        self.delivery_splits.encode(w);
-        self.delivery_fanout.encode(w);
-        self.rendezvous_matches.encode(w);
-        self.sub_registers.encode(w);
-        self.chain_pushes.encode(w);
-        self.migration_rounds.encode(w);
-        self.migrated_subs.encode(w);
-        self.lease_refreshes.encode(w);
-        self.replica_entries.encode(w);
-        self.promotions.encode(w);
-        self.rehomed_subs.encode(w);
-    }
-}
-
-impl Decode for ProtoMetrics {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(ProtoMetrics {
-            retry_attempts: PerNodeCounter::decode(r)?,
-            retry_give_ups: PerNodeCounter::decode(r)?,
-            acks: PerNodeCounter::decode(r)?,
-            ack_latency_us: LogHistogram::decode(r)?,
-            delivery_splits: PerNodeCounter::decode(r)?,
-            delivery_fanout: LogHistogram::decode(r)?,
-            rendezvous_matches: PerNodeCounter::decode(r)?,
-            sub_registers: PerNodeCounter::decode(r)?,
-            chain_pushes: PerNodeCounter::decode(r)?,
-            migration_rounds: PerNodeCounter::decode(r)?,
-            migrated_subs: PerNodeCounter::decode(r)?,
-            lease_refreshes: PerNodeCounter::decode(r)?,
-            replica_entries: PerNodeCounter::decode(r)?,
-            promotions: PerNodeCounter::decode(r)?,
-            rehomed_subs: PerNodeCounter::decode(r)?,
-        })
-    }
-}
-
-impl Encode for Metrics {
-    fn encode(&self, w: &mut Writer) {
-        let mut events: Vec<u64> = self.publishes.keys().copied().collect();
-        events.sort_unstable();
-        w.put_u64(events.len() as u64);
-        for e in events {
-            w.put_u64(e);
-            self.publishes[&e].encode(w);
-        }
-        // Delivery records in arrival order — `event_stats` output and
-        // digest inputs depend on it.
-        self.deliveries.encode(w);
-        self.proto.encode(w);
-    }
-}
-
-impl Decode for Metrics {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        let n = r.take_u64()? as usize;
-        let mut publishes = HashMap::with_capacity(n.min(r.remaining()));
-        for _ in 0..n {
-            let e = r.take_u64()?;
-            if publishes.insert(e, PublishRecord::decode(r)?).is_some() {
-                return Err(Error::InvalidValue("duplicate publish record"));
-            }
-        }
-        Ok(Metrics {
-            publishes,
-            deliveries: Vec::<DeliveryRecord>::decode(r)?,
-            proto: ProtoMetrics::decode(r)?,
-        })
     }
 }
 

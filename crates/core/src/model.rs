@@ -14,7 +14,7 @@
 //! rendezvous zone per subscheme.
 
 use hypersub_lph::{rotation_offset, ContentSpace, Point, Rect};
-use hypersub_snapshot::{Decode, Encode, Error, Reader, Writer};
+use hypersub_snapshot::{codec, Decode, Encode, Error, Reader, Writer};
 use serde::{Deserialize, Serialize};
 
 /// Identifies a pub/sub scheme within a [`Registry`].
@@ -34,6 +34,7 @@ pub struct SubId {
     /// Internal id distinguishing subscriptions of one node.
     pub iid: u32,
 }
+codec!(struct SubId { nid, iid });
 
 /// One entry of an event message's SubID list: either a concrete
 /// subscription target or the `(key(cz), NULL)` rendezvous marker that
@@ -45,6 +46,7 @@ pub struct SubTarget {
     /// Internal id; `None` is the paper's NULL rendezvous marker.
     pub iid: Option<u32>,
 }
+codec!(struct SubTarget { nid, iid });
 
 impl SubTarget {
     /// The rendezvous marker for a zone key.
@@ -73,6 +75,7 @@ pub struct Event {
     /// One value per attribute of the scheme.
     pub point: Point,
 }
+codec!(struct Event { id, point });
 
 /// A subscription: a hypercuboid over the *full* scheme space.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -80,6 +83,7 @@ pub struct Subscription {
     /// Closed per-attribute ranges; unspecified attributes span the domain.
     pub rect: Rect,
 }
+codec!(struct Subscription { rect });
 
 impl Subscription {
     /// Creates a subscription from its hypercuboid.
@@ -123,6 +127,7 @@ pub struct SubschemeDef {
     /// Zone-mapping rotation offset φ (0 when rotation is disabled).
     pub rotation: u64,
 }
+codec!(struct SubschemeDef { attrs, space, rotation });
 
 /// A pub/sub scheme definition.
 #[derive(Debug, Clone)]
@@ -139,6 +144,7 @@ pub struct SchemeDef {
     /// attributes).
     pub subschemes: Vec<SubschemeDef>,
 }
+codec!(struct SchemeDef { id, name, attr_names, space, subschemes });
 
 impl SchemeDef {
     /// Starts building a scheme.
@@ -328,108 +334,7 @@ impl Registry {
     }
 }
 
-impl Encode for SubId {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.nid);
-        w.put_u32(self.iid);
-    }
-}
-
-impl Decode for SubId {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(SubId {
-            nid: r.take_u64()?,
-            iid: r.take_u32()?,
-        })
-    }
-}
-
-impl Encode for SubTarget {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.nid);
-        self.iid.encode(w);
-    }
-}
-
-impl Decode for SubTarget {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(SubTarget {
-            nid: r.take_u64()?,
-            iid: Option::<u32>::decode(r)?,
-        })
-    }
-}
-
-impl Encode for Event {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.id);
-        self.point.encode(w);
-    }
-}
-
-impl Decode for Event {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(Event {
-            id: r.take_u64()?,
-            point: Point::decode(r)?,
-        })
-    }
-}
-
-impl Encode for Subscription {
-    fn encode(&self, w: &mut Writer) {
-        self.rect.encode(w);
-    }
-}
-
-impl Decode for Subscription {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(Subscription {
-            rect: Rect::decode(r)?,
-        })
-    }
-}
-
-impl Encode for SubschemeDef {
-    fn encode(&self, w: &mut Writer) {
-        self.attrs.encode(w);
-        self.space.encode(w);
-        w.put_u64(self.rotation);
-    }
-}
-
-impl Decode for SubschemeDef {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(SubschemeDef {
-            attrs: Vec::<usize>::decode(r)?,
-            space: ContentSpace::decode(r)?,
-            rotation: r.take_u64()?,
-        })
-    }
-}
-
-impl Encode for SchemeDef {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u32(self.id);
-        self.name.encode(w);
-        self.attr_names.encode(w);
-        self.space.encode(w);
-        self.subschemes.encode(w);
-    }
-}
-
-impl Decode for SchemeDef {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(SchemeDef {
-            id: r.take_u32()?,
-            name: String::decode(r)?,
-            attr_names: Vec::<String>::decode(r)?,
-            space: ContentSpace::decode(r)?,
-            subschemes: Vec::<SubschemeDef>::decode(r)?,
-        })
-    }
-}
-
+// Hand-written codec: the decoder validates (scheme id equals index).
 impl Encode for Registry {
     fn encode(&self, w: &mut Writer) {
         self.schemes.encode(w);

@@ -13,7 +13,7 @@ use hypersub_chord::proto::ChordMsg;
 use hypersub_chord::Peer;
 use hypersub_lph::{Rect, ZoneCode};
 use hypersub_simnet::{Payload, WireMsg};
-use hypersub_snapshot::{Decode, Encode, Error, Reader, Writer};
+use hypersub_snapshot::{codec, Decode, Encode, Error, Reader, Writer};
 use std::sync::Arc;
 
 /// 20-byte packet header (paper's model).
@@ -77,6 +77,11 @@ pub enum Routed {
         proj: Rect,
     },
 }
+codec!(enum Routed as "routed tag" {
+    0 => Register { scheme, ss, zone, subid, full, proj },
+    1 => Unregister { scheme, ss, zone, subid },
+    2 => RegisterSurrogate { scheme, ss, zone, owner, proj },
+});
 
 impl Routed {
     fn body_size(&self) -> usize {
@@ -117,6 +122,7 @@ pub struct DeliveryMsg {
     /// The SubID list.
     pub targets: Vec<SubTarget>,
 }
+codec!(struct DeliveryMsg { scheme, ss, event, hops, sender, targets });
 
 /// One batch of a migration: entries leaving a specific zone repository.
 #[derive(Debug, Clone)]
@@ -126,6 +132,7 @@ pub struct MigBatch {
     /// `(subid, full rect)` pairs.
     pub entries: Vec<(SubId, Rect)>,
 }
+codec!(struct MigBatch { source, entries });
 
 /// Acknowledgement for one accepted batch.
 #[derive(Debug, Clone)]
@@ -138,6 +145,7 @@ pub struct MigAck {
     /// origin as a surrogate subscription.
     pub proj_summary: Rect,
 }
+codec!(struct MigAck { source, iid, proj_summary });
 
 /// One zone repository's worth of replicated entries (self-healing plane).
 #[derive(Debug, Clone)]
@@ -147,6 +155,7 @@ pub struct ReplicaBatch {
     /// The replicated entries, sorted by id for deterministic iteration.
     pub entries: Vec<(SubId, StoredSub)>,
 }
+codec!(struct ReplicaBatch { key, entries });
 
 /// All HyperSub traffic.
 #[derive(Debug, Clone)]
@@ -218,6 +227,18 @@ pub enum HyperMsg {
         token: u64,
     },
 }
+codec!(enum HyperMsg as "hypermsg tag" {
+    0 => Route { key, inner },
+    1 => Delivery(d),
+    2 => LoadProbe { origin, ttl },
+    3 => LoadReply { load },
+    4 => Migrate { origin, batches },
+    5 => MigrateAck { me, acks },
+    6 => ReplicaUpdate { origin, full, repos },
+    7 => Chord(m),
+    8 => Reliable { token, inner },
+    9 => Ack { token },
+});
 
 impl Payload for HyperMsg {
     fn wire_size(&self) -> usize {
@@ -285,257 +306,6 @@ impl Payload for HyperMsg {
             HyperMsg::Reliable { inner, .. } => inner.flow(),
             _ => None,
         }
-    }
-}
-
-impl Encode for Routed {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Routed::Register {
-                scheme,
-                ss,
-                zone,
-                subid,
-                full,
-                proj,
-            } => {
-                w.put_u8(0);
-                w.put_u32(*scheme);
-                w.put_u8(*ss);
-                zone.encode(w);
-                subid.encode(w);
-                full.encode(w);
-                proj.encode(w);
-            }
-            Routed::Unregister {
-                scheme,
-                ss,
-                zone,
-                subid,
-            } => {
-                w.put_u8(1);
-                w.put_u32(*scheme);
-                w.put_u8(*ss);
-                zone.encode(w);
-                subid.encode(w);
-            }
-            Routed::RegisterSurrogate {
-                scheme,
-                ss,
-                zone,
-                owner,
-                proj,
-            } => {
-                w.put_u8(2);
-                w.put_u32(*scheme);
-                w.put_u8(*ss);
-                zone.encode(w);
-                owner.encode(w);
-                proj.encode(w);
-            }
-        }
-    }
-}
-
-impl Decode for Routed {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(match r.take_u8()? {
-            0 => Routed::Register {
-                scheme: r.take_u32()?,
-                ss: r.take_u8()?,
-                zone: ZoneCode::decode(r)?,
-                subid: SubId::decode(r)?,
-                full: Rect::decode(r)?,
-                proj: Rect::decode(r)?,
-            },
-            1 => Routed::Unregister {
-                scheme: r.take_u32()?,
-                ss: r.take_u8()?,
-                zone: ZoneCode::decode(r)?,
-                subid: SubId::decode(r)?,
-            },
-            2 => Routed::RegisterSurrogate {
-                scheme: r.take_u32()?,
-                ss: r.take_u8()?,
-                zone: ZoneCode::decode(r)?,
-                owner: SubId::decode(r)?,
-                proj: Rect::decode(r)?,
-            },
-            _ => return Err(Error::InvalidValue("routed tag")),
-        })
-    }
-}
-
-impl Encode for DeliveryMsg {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u32(self.scheme);
-        w.put_u8(self.ss);
-        self.event.as_ref().encode(w);
-        w.put_u32(self.hops);
-        self.sender.encode(w);
-        self.targets.encode(w);
-    }
-}
-
-impl Decode for DeliveryMsg {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(DeliveryMsg {
-            scheme: r.take_u32()?,
-            ss: r.take_u8()?,
-            event: Arc::new(Event::decode(r)?),
-            hops: r.take_u32()?,
-            sender: Option::<Peer>::decode(r)?,
-            targets: Vec::<SubTarget>::decode(r)?,
-        })
-    }
-}
-
-impl Encode for MigBatch {
-    fn encode(&self, w: &mut Writer) {
-        self.source.encode(w);
-        self.entries.encode(w);
-    }
-}
-
-impl Decode for MigBatch {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(MigBatch {
-            source: RepoKey::decode(r)?,
-            entries: Vec::<(SubId, Rect)>::decode(r)?,
-        })
-    }
-}
-
-impl Encode for MigAck {
-    fn encode(&self, w: &mut Writer) {
-        self.source.encode(w);
-        w.put_u32(self.iid);
-        self.proj_summary.encode(w);
-    }
-}
-
-impl Decode for MigAck {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(MigAck {
-            source: RepoKey::decode(r)?,
-            iid: r.take_u32()?,
-            proj_summary: Rect::decode(r)?,
-        })
-    }
-}
-
-impl Encode for ReplicaBatch {
-    fn encode(&self, w: &mut Writer) {
-        self.key.encode(w);
-        self.entries.encode(w);
-    }
-}
-
-impl Decode for ReplicaBatch {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(ReplicaBatch {
-            key: RepoKey::decode(r)?,
-            entries: Vec::<(SubId, StoredSub)>::decode(r)?,
-        })
-    }
-}
-
-impl Encode for HyperMsg {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            HyperMsg::Route { key, inner } => {
-                w.put_u8(0);
-                w.put_u64(*key);
-                inner.encode(w);
-            }
-            HyperMsg::Delivery(d) => {
-                w.put_u8(1);
-                d.encode(w);
-            }
-            HyperMsg::LoadProbe { origin, ttl } => {
-                w.put_u8(2);
-                origin.encode(w);
-                w.put_u8(*ttl);
-            }
-            HyperMsg::LoadReply { load } => {
-                w.put_u8(3);
-                w.put_u64(*load);
-            }
-            HyperMsg::Migrate { origin, batches } => {
-                w.put_u8(4);
-                origin.encode(w);
-                batches.encode(w);
-            }
-            HyperMsg::MigrateAck { me, acks } => {
-                w.put_u8(5);
-                me.encode(w);
-                acks.encode(w);
-            }
-            HyperMsg::ReplicaUpdate {
-                origin,
-                full,
-                repos,
-            } => {
-                w.put_u8(6);
-                origin.encode(w);
-                full.encode(w);
-                repos.encode(w);
-            }
-            HyperMsg::Chord(m) => {
-                w.put_u8(7);
-                m.encode(w);
-            }
-            HyperMsg::Reliable { token, inner } => {
-                w.put_u8(8);
-                w.put_u64(*token);
-                inner.as_ref().encode(w);
-            }
-            HyperMsg::Ack { token } => {
-                w.put_u8(9);
-                w.put_u64(*token);
-            }
-        }
-    }
-}
-
-impl Decode for HyperMsg {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(match r.take_u8()? {
-            0 => HyperMsg::Route {
-                key: r.take_u64()?,
-                inner: Box::new(Routed::decode(r)?),
-            },
-            1 => HyperMsg::Delivery(DeliveryMsg::decode(r)?),
-            2 => HyperMsg::LoadProbe {
-                origin: Peer::decode(r)?,
-                ttl: r.take_u8()?,
-            },
-            3 => HyperMsg::LoadReply {
-                load: r.take_u64()?,
-            },
-            4 => HyperMsg::Migrate {
-                origin: Peer::decode(r)?,
-                batches: Vec::<MigBatch>::decode(r)?,
-            },
-            5 => HyperMsg::MigrateAck {
-                me: Peer::decode(r)?,
-                acks: Vec::<MigAck>::decode(r)?,
-            },
-            6 => HyperMsg::ReplicaUpdate {
-                origin: Peer::decode(r)?,
-                full: bool::decode(r)?,
-                repos: Vec::<ReplicaBatch>::decode(r)?,
-            },
-            7 => HyperMsg::Chord(ChordMsg::decode(r)?),
-            8 => HyperMsg::Reliable {
-                token: r.take_u64()?,
-                inner: Box::new(HyperMsg::decode(r)?),
-            },
-            9 => HyperMsg::Ack {
-                token: r.take_u64()?,
-            },
-            _ => return Err(Error::InvalidValue("hypermsg tag")),
-        })
     }
 }
 

@@ -9,7 +9,7 @@ use crate::world::HyperWorld;
 use hypersub_chord::proto::MaintState;
 use hypersub_chord::ChordState;
 use hypersub_simnet::{FxHashMap, FxHashSet, Node, NodeRuntime};
-use hypersub_snapshot::{Decode, Encode, Error, Reader, Writer};
+use hypersub_snapshot::{codec, Decode, Encode, Error, Reader, Writer};
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
@@ -236,6 +236,11 @@ pub enum IidTarget {
     /// A repository of subscriptions accepted via migration.
     Hosted,
 }
+codec!(enum IidTarget as "iid target tag" {
+    0 => Local,
+    1 => Repo(key),
+    2 => Hosted,
+});
 
 /// Timer token: load-balancing round (probe + evaluate).
 pub const TOKEN_LB: u64 = 1;
@@ -375,18 +380,8 @@ impl Node<HyperMsg, HyperWorld> for HyperSubNode {
             }
             HyperMsg::Delivery(d) => self.handle_delivery(ctx, d),
             HyperMsg::Route { key, inner } => self.handle_route(ctx, key, inner),
-            HyperMsg::Migrate { batches, .. } => {
-                // Abort the offer: entries were not yet removed (removal
-                // happens on ack), so just clear the bookkeeping and let a
-                // later round retry with a live target.
-                for b in batches {
-                    if let Some(items) = self.lb.in_flight.remove(&(dst, b.source)) {
-                        for item in items {
-                            self.lb.pending.remove(&(b.source, item.subid));
-                        }
-                    }
-                }
-            }
+            // A later round retries with a live target.
+            HyperMsg::Migrate { batches, .. } => self.lb.abort_offer(dst, &batches),
             // Periodic (probes, maintenance) or origin-dead (acks): drop.
             _ => {}
         }
@@ -492,6 +487,8 @@ impl PubSubNode for HyperSubNode {
     }
 }
 
+// Hand-written codec: the decoder validates (capacity, fill, duplicates)
+// and derives the membership set.
 impl Encode for DedupCache {
     fn encode(&self, w: &mut Writer) {
         self.capacity.encode(w);
@@ -532,6 +529,8 @@ impl Decode for DedupCache {
     }
 }
 
+// Hand-written codec: the decoder validates like [`DedupCache`]'s and
+// rebuilds the per-event lists.
 /// The layout [`DedupCache`] writes — `capacity, n, pairs` — with the
 /// pairs event by event in first-seen order, so a snapshot written by
 /// either decodes into the other.
@@ -563,45 +562,21 @@ impl Decode for EventDedup {
     }
 }
 
-impl Encode for IidTarget {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            IidTarget::Local => w.put_u8(0),
-            IidTarget::Repo(key) => {
-                w.put_u8(1);
-                key.encode(w);
-            }
-            IidTarget::Hosted => w.put_u8(2),
-        }
-    }
-}
-
-impl Decode for IidTarget {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(match r.take_u8()? {
-            0 => IidTarget::Local,
-            1 => IidTarget::Repo(RepoKey::decode(r)?),
-            2 => IidTarget::Hosted,
-            _ => return Err(Error::InvalidValue("iid target tag")),
-        })
-    }
-}
-
 impl HyperSubNode {
     /// Encodes this node's complete protocol state. The shared `registry`
     /// and `cfg` are *not* written here — the network snapshot encodes
     /// them once and hands the shared `Arc`s back in on decode.
     pub fn snapshot_encode(&self, w: &mut Writer) {
         self.maint.encode(w);
-        crate::repo::encode_map_sorted(&self.repos, w);
-        crate::repo::encode_map_sorted(&self.iids, w);
-        crate::repo::encode_map_sorted(&self.local_subs, w);
-        crate::repo::encode_map_sorted(&self.hosted, w);
+        self.repos.encode(w);
+        self.iids.encode(w);
+        self.local_subs.encode(w);
+        self.hosted.encode(w);
         self.lb.encode(w);
         self.maintenance.encode(w);
         self.dedup.encode(w);
         self.rel.encode(w);
-        crate::repo::encode_map_sorted(&self.replicas, w);
+        self.replicas.encode(w);
         self.capacity.encode(w);
         w.put_u32(self.next_iid);
         // Delivery scratch buffers are transient per-`step` storage and
@@ -618,16 +593,16 @@ impl HyperSubNode {
             maint: MaintState::decode(r)?,
             registry,
             cfg,
-            repos: crate::repo::decode_map(r)?,
-            iids: crate::repo::decode_map(r)?,
-            local_subs: crate::repo::decode_map(r)?,
-            hosted: crate::repo::decode_map(r)?,
+            repos: Decode::decode(r)?,
+            iids: Decode::decode(r)?,
+            local_subs: Decode::decode(r)?,
+            hosted: Decode::decode(r)?,
             lb: crate::loadbal::LbState::decode(r)?,
             maintenance: bool::decode(r)?,
             dedup: EventDedup::decode(r)?,
             scratch: crate::delivery::DeliveryScratch::default(),
             rel: crate::retry::RelState::decode(r)?,
-            replicas: crate::repo::decode_map(r)?,
+            replicas: Decode::decode(r)?,
             capacity: f64::decode(r)?,
             next_iid: r.take_u32()?,
         })

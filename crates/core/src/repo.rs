@@ -19,7 +19,7 @@ use crate::index::{BitsetIndex, IndexDiag, IndexMode, INDEX_THRESHOLD};
 use crate::model::{SchemeId, SubId, SubschemeId};
 use hypersub_lph::{Point, Rect, ZoneCode};
 use hypersub_simnet::FxHashMap;
-use hypersub_snapshot::{Decode, Encode, Error, Reader, Writer};
+use hypersub_snapshot::{codec, Decode, Encode, Error, Reader, Writer};
 
 /// Identifies one zone repository: `(scheme, subscheme, zone)`.
 pub type RepoKey = (SchemeId, SubschemeId, ZoneCode);
@@ -41,6 +41,10 @@ pub enum StoredSub {
         proj: Rect,
     },
 }
+codec!(enum StoredSub as "stored sub tag" {
+    0 => Real { full, proj },
+    1 => Surrogate { proj },
+});
 
 impl StoredSub {
     /// The projected rect (present for both kinds).
@@ -221,6 +225,7 @@ pub struct HostedRepo {
     /// are filtered by exact matching downstream).
     pub forwards: FxHashMap<SubId, Rect>,
 }
+codec!(struct HostedRepo { iid, origin, source, entries, forwards });
 
 impl HostedRepo {
     /// A fresh hosted repo.
@@ -255,107 +260,14 @@ impl HostedRepo {
     }
 }
 
-/// Encodes a hash map's entries sorted by key — snapshot bytes must not
-/// depend on hash iteration order.
-pub(crate) fn encode_map_sorted<K, V, S>(map: &std::collections::HashMap<K, V, S>, w: &mut Writer)
-where
-    K: Ord + Copy + Encode + std::hash::Hash + Eq,
-    V: Encode,
-    S: std::hash::BuildHasher,
-{
-    let mut keys: Vec<K> = map.keys().copied().collect();
-    keys.sort_unstable();
-    w.put_u64(keys.len() as u64);
-    for k in keys {
-        k.encode(w);
-        map[&k].encode(w);
-    }
-}
-
-pub(crate) fn decode_map<K, V, S>(
-    r: &mut Reader<'_>,
-) -> Result<std::collections::HashMap<K, V, S>, Error>
-where
-    K: std::hash::Hash + Eq + Decode,
-    V: Decode,
-    S: std::hash::BuildHasher + Default,
-{
-    let n = r.take_u64()? as usize;
-    let mut map =
-        std::collections::HashMap::with_capacity_and_hasher(n.min(r.remaining()), S::default());
-    for _ in 0..n {
-        let k = K::decode(r)?;
-        let v = V::decode(r)?;
-        map.insert(k, v);
-    }
-    Ok(map)
-}
-
-/// Encodes a hash set's elements in sorted order.
-pub(crate) fn encode_set_sorted<T, S>(set: &std::collections::HashSet<T, S>, w: &mut Writer)
-where
-    T: Ord + Copy + Encode + std::hash::Hash + Eq,
-    S: std::hash::BuildHasher,
-{
-    let mut items: Vec<T> = set.iter().copied().collect();
-    items.sort_unstable();
-    w.put_u64(items.len() as u64);
-    for t in items {
-        t.encode(w);
-    }
-}
-
-pub(crate) fn decode_set<T, S>(r: &mut Reader<'_>) -> Result<std::collections::HashSet<T, S>, Error>
-where
-    T: std::hash::Hash + Eq + Decode,
-    S: std::hash::BuildHasher + Default,
-{
-    let n = r.take_u64()? as usize;
-    let mut set =
-        std::collections::HashSet::with_capacity_and_hasher(n.min(r.remaining()), S::default());
-    for _ in 0..n {
-        set.insert(T::decode(r)?);
-    }
-    Ok(set)
-}
-
-impl Encode for StoredSub {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            StoredSub::Real { full, proj } => {
-                w.put_u8(0);
-                full.encode(w);
-                proj.encode(w);
-            }
-            StoredSub::Surrogate { proj } => {
-                w.put_u8(1);
-                proj.encode(w);
-            }
-        }
-    }
-}
-
-impl Decode for StoredSub {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(match r.take_u8()? {
-            0 => StoredSub::Real {
-                full: Rect::decode(r)?,
-                proj: Rect::decode(r)?,
-            },
-            1 => StoredSub::Surrogate {
-                proj: Rect::decode(r)?,
-            },
-            _ => return Err(Error::InvalidValue("stored sub tag")),
-        })
-    }
-}
-
+// Hand-written codec: the decoder derives state (index and scan counter
+// start afresh).
 impl Encode for ZoneRepo {
     fn encode(&self, w: &mut Writer) {
         w.put_u32(self.iid);
-        encode_map_sorted(&self.entries, w);
+        self.entries.encode(w);
         self.summary.encode(w);
-        encode_map_sorted(&self.pushed, w);
+        self.pushed.encode(w);
         // The matching index is a lazily built, observationally neutral
         // cache (candidates are exactly verified): restored repos start
         // without one and rebuild on demand, which cannot change match
@@ -368,33 +280,11 @@ impl Decode for ZoneRepo {
     fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
         Ok(ZoneRepo {
             iid: r.take_u32()?,
-            entries: decode_map(r)?,
+            entries: Decode::decode(r)?,
             summary: Option::<Rect>::decode(r)?,
-            pushed: decode_map(r)?,
+            pushed: Decode::decode(r)?,
             index: None,
             scanned: 0,
-        })
-    }
-}
-
-impl Encode for HostedRepo {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u32(self.iid);
-        self.origin.encode(w);
-        self.source.encode(w);
-        encode_map_sorted(&self.entries, w);
-        encode_map_sorted(&self.forwards, w);
-    }
-}
-
-impl Decode for HostedRepo {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(HostedRepo {
-            iid: r.take_u32()?,
-            origin: usize::decode(r)?,
-            source: RepoKey::decode(r)?,
-            entries: decode_map(r)?,
-            forwards: decode_map(r)?,
         })
     }
 }

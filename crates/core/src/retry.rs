@@ -29,7 +29,7 @@ use crate::msg::HyperMsg;
 use crate::node::{DedupCache, HyperSubNode, TOKEN_RETRY_BASE};
 use crate::world::HyperWorld;
 use hypersub_simnet::{FxHashMap, NodeRuntime, ProtoEvent, SimTime};
-use hypersub_snapshot::{Decode, Encode, Error, Reader, Writer};
+use hypersub_snapshot::codec;
 
 /// One unacked reliable transmission.
 #[derive(Debug, Clone)]
@@ -44,6 +44,7 @@ pub struct PendingSend {
     /// here, spanning any retransmissions in between).
     pub sent_at: SimTime,
 }
+codec!(struct PendingSend { dst, msg, attempts, sent_at });
 
 /// Per-node reliable-transmission state.
 #[derive(Debug, Clone)]
@@ -56,6 +57,7 @@ pub struct RelState {
     pub seen: DedupCache,
     next_token: u64,
 }
+codec!(struct RelState { pending, seen, next_token });
 
 impl Default for RelState {
     fn default() -> Self {
@@ -207,16 +209,7 @@ impl HyperSubNode {
             b: p.attempts as u64,
         });
         if let HyperMsg::Migrate { batches, .. } = &p.msg {
-            // Abort the offer like a dead-acceptor abort: entries were not
-            // removed yet (removal happens on MigrateAck), so clearing the
-            // bookkeeping returns them to the migratable pool.
-            for b in batches {
-                if let Some(items) = self.lb.in_flight.remove(&(p.dst, b.source)) {
-                    for item in items {
-                        self.lb.pending.remove(&(b.source, item.subid));
-                    }
-                }
-            }
+            self.lb.abort_offer(p.dst, batches);
         }
         // A silent host (dead but never fail-stop-detected, e.g. behind a
         // partition) holding subscriptions we migrated to it: re-home them
@@ -229,44 +222,6 @@ impl HyperSubNode {
     fn rel_seen_insert(&mut self, token: u64, from: usize) -> bool {
         // The dedup cache stores (u64, u32) pairs; node indices fit u32.
         self.rel.seen.insert((token, from as u32))
-    }
-}
-
-impl Encode for PendingSend {
-    fn encode(&self, w: &mut Writer) {
-        self.dst.encode(w);
-        self.msg.encode(w);
-        w.put_u32(self.attempts);
-        self.sent_at.encode(w);
-    }
-}
-
-impl Decode for PendingSend {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(PendingSend {
-            dst: usize::decode(r)?,
-            msg: HyperMsg::decode(r)?,
-            attempts: r.take_u32()?,
-            sent_at: SimTime::decode(r)?,
-        })
-    }
-}
-
-impl Encode for RelState {
-    fn encode(&self, w: &mut Writer) {
-        crate::repo::encode_map_sorted(&self.pending, w);
-        self.seen.encode(w);
-        w.put_u64(self.next_token);
-    }
-}
-
-impl Decode for RelState {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(RelState {
-            pending: crate::repo::decode_map(r)?,
-            seen: DedupCache::decode(r)?,
-            next_token: r.take_u64()?,
-        })
     }
 }
 

@@ -19,7 +19,7 @@ use hypersub_simnet::{
     FlightRecorder, KingLikeTopology, NetStats, Node, NodeRuntime, Payload, Sim, SimSnapshot,
     SimTime, Topology, UniformTopology,
 };
-use hypersub_snapshot::{Decode, Encode, Reader, Writer};
+use hypersub_snapshot::{codec, Decode, Encode, Reader, Writer};
 use std::sync::Arc;
 
 /// How to build the latency model.
@@ -61,6 +61,10 @@ enum TopoDescriptor {
         seed: u64,
     },
 }
+codec!(enum TopoDescriptor as "topology descriptor tag" {
+    0 => Uniform { nodes, latency },
+    1 => KingLike { nodes, mean_rtt, seed },
+});
 
 impl TopoDescriptor {
     fn nodes(&self) -> usize {
@@ -81,49 +85,6 @@ impl TopoDescriptor {
                 seed,
             } => Arc::new(KingLikeTopology::generate(*nodes, *mean_rtt, *seed)),
         }
-    }
-}
-
-impl Encode for TopoDescriptor {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            TopoDescriptor::Uniform { nodes, latency } => {
-                w.put_u8(0);
-                nodes.encode(w);
-                latency.encode(w);
-            }
-            TopoDescriptor::KingLike {
-                nodes,
-                mean_rtt,
-                seed,
-            } => {
-                w.put_u8(1);
-                nodes.encode(w);
-                mean_rtt.encode(w);
-                w.put_u64(*seed);
-            }
-        }
-    }
-}
-
-impl Decode for TopoDescriptor {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, hypersub_snapshot::Error> {
-        Ok(match r.take_u8()? {
-            0 => TopoDescriptor::Uniform {
-                nodes: usize::decode(r)?,
-                latency: SimTime::decode(r)?,
-            },
-            1 => TopoDescriptor::KingLike {
-                nodes: usize::decode(r)?,
-                mean_rtt: SimTime::decode(r)?,
-                seed: r.take_u64()?,
-            },
-            _ => {
-                return Err(hypersub_snapshot::Error::InvalidValue(
-                    "topology descriptor tag",
-                ))
-            }
-        })
     }
 }
 
@@ -779,6 +740,7 @@ mod tests {
     use super::*;
     use crate::model::SchemeDef;
     use hypersub_lph::Rect;
+    use hypersub_simnet::FxHashMap;
 
     fn registry() -> Registry {
         Registry::new(vec![SchemeDef::builder("t")
@@ -1153,14 +1115,9 @@ mod tests {
         assert!(Network::restore(&[]).is_err());
     }
 
-    /// The FNV seal is a checksum, not a MAC: whoever can write a snapshot
-    /// can seal one that claims any count. Every count in a real snapshot
-    /// is tried (along with every other field: the sweep writes 2⁶⁰ at
-    /// each payload offset), and a decoder that sized an allocation from
-    /// it would panic on capacity overflow or abort.
-    #[test]
-    fn hostile_counts_are_errors_not_allocations() {
-        const HUGE: [u8; 8] = (1u64 << 60).to_le_bytes();
+    /// The network the hostile-snapshot tests start from: every map of a
+    /// snapshot that a delivery fills has an entry.
+    fn net_after_one_delivery() -> Network {
         let mut net = small_net(4, 3);
         net.subscribe(
             1,
@@ -1170,7 +1127,18 @@ mod tests {
         net.run_to_quiescence();
         net.publish(2, 0, Point(vec![15.0, 15.0])).unwrap();
         net.run_to_quiescence();
-        let sealed = net.snapshot().unwrap();
+        net
+    }
+
+    /// The FNV seal is a checksum, not a MAC: whoever can write a snapshot
+    /// can seal one that claims any count. Every count in a real snapshot
+    /// is tried (along with every other field: the sweep writes 2⁶⁰ at
+    /// each payload offset), and a decoder that sized an allocation from
+    /// it would panic on capacity overflow or abort.
+    #[test]
+    fn hostile_counts_are_errors_not_allocations() {
+        const HUGE: [u8; 8] = (1u64 << 60).to_le_bytes();
+        let sealed = net_after_one_delivery().snapshot().unwrap();
         let payload = hypersub_snapshot::unseal(&sealed).unwrap();
         let mut refused = 0;
         for at in 0..payload.len() - HUGE.len() {
@@ -1193,6 +1161,55 @@ mod tests {
         SystemConfig::default().encode(&mut w);
         w.put_u64(1 << 60);
         assert!(Network::restore(&hypersub_snapshot::seal(w.into_vec())).is_err());
+    }
+
+    /// A count and its entries are stated separately, so a snapshot can
+    /// claim a map larger than the distinct keys it lists. Every map and
+    /// set refuses the repeated key; none keeps the last writer.
+    #[test]
+    fn a_key_stated_twice_is_an_error() {
+        /// `sealed` with `map`'s bytes — which must occur in it once —
+        /// restated as one entry more: its smallest key a second time.
+        fn repeat_a_key<K, V>(sealed: &[u8], map: &FxHashMap<K, V>) -> Vec<u8>
+        where
+            K: Encode + Ord + Copy + std::hash::Hash,
+            V: Encode + Clone,
+        {
+            let bytes = |m: &FxHashMap<K, V>| {
+                let mut w = Writer::new();
+                m.encode(&mut w);
+                w.into_vec()
+            };
+            let smallest = *map.keys().min().expect("a non-empty map");
+            let again = bytes(&[(smallest, map[&smallest].clone())].into_iter().collect());
+            let honest = bytes(map);
+            let payload = hypersub_snapshot::unseal(sealed).unwrap();
+            let at: Vec<usize> = (0..=payload.len() - honest.len())
+                .filter(|&i| payload[i..].starts_with(&honest))
+                .collect();
+            assert_eq!(at.len(), 1, "the map's bytes occur once in the snapshot");
+            let mut hostile = payload[..at[0]].to_vec();
+            hostile.extend_from_slice(&(map.len() as u64 + 1).to_le_bytes());
+            hostile.extend_from_slice(&honest[8..]);
+            hostile.extend_from_slice(&again[8..]);
+            hostile.extend_from_slice(&payload[at[0] + honest.len()..]);
+            hypersub_snapshot::seal(hostile)
+        }
+
+        let net = net_after_one_delivery();
+        let sealed = net.snapshot().unwrap();
+        let host = net.nodes().iter().find(|n| !n.repos.is_empty()).unwrap();
+        for hostile in [
+            repeat_a_key(&sealed, &host.repos),
+            repeat_a_key(&sealed, net.net().flows()),
+        ] {
+            assert_eq!(
+                Network::restore(&hostile).map(|_| ()),
+                Err(HyperSubError::Snapshot(
+                    hypersub_snapshot::Error::InvalidValue("duplicate map key")
+                ))
+            );
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::metrics::Metrics;
 use crate::model::{Event, SchemeId, SubId, Subscription};
 use hypersub_lph::Point;
 use hypersub_simnet::FxHashMap;
-use hypersub_snapshot::{Decode, Encode, Error, Reader, Writer};
+use hypersub_snapshot::{codec, Decode, Encode, Error, Reader, Writer};
 use std::borrow::Borrow;
 
 /// Ground truth: every subscription in the system, for computing expected
@@ -301,6 +301,7 @@ pub struct HyperWorld {
     /// token's low bits).
     pub script: Vec<Option<(SchemeId, Event)>>,
 }
+codec!(struct HyperWorld { metrics, oracle, script });
 
 impl HyperWorld {
     /// Takes scripted event `idx` (panics if fired twice — each scripted
@@ -312,6 +313,8 @@ impl HyperWorld {
     }
 }
 
+// Hand-written codec: the decoder derives state (slots, offsets and grids
+// are rebuilt through `add`).
 impl Encode for Oracle {
     fn encode(&self, w: &mut Writer) {
         // The live subscriptions in registration order, as they were
@@ -340,45 +343,6 @@ impl Decode for Oracle {
             oracle.add(scheme, subid, Subscription::decode(r)?);
         }
         Ok(oracle)
-    }
-}
-
-impl Encode for HyperWorld {
-    fn encode(&self, w: &mut Writer) {
-        self.metrics.encode(w);
-        self.oracle.encode(w);
-        w.put_u64(self.script.len() as u64);
-        for slot in &self.script {
-            match slot {
-                Some((scheme, event)) => {
-                    w.put_u8(1);
-                    w.put_u32(*scheme);
-                    event.encode(w);
-                }
-                None => w.put_u8(0),
-            }
-        }
-    }
-}
-
-impl Decode for HyperWorld {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        let metrics = Metrics::decode(r)?;
-        let oracle = Oracle::decode(r)?;
-        let n = r.take_u64()? as usize;
-        let mut script = Vec::with_capacity(n.min(r.remaining()));
-        for _ in 0..n {
-            script.push(match r.take_u8()? {
-                0 => None,
-                1 => Some((r.take_u32()?, Event::decode(r)?)),
-                _ => return Err(Error::InvalidValue("script slot tag")),
-            });
-        }
-        Ok(HyperWorld {
-            metrics,
-            oracle,
-            script,
-        })
     }
 }
 

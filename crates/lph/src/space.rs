@@ -11,7 +11,7 @@
 //! predicates, which the paper converts to numeric ranges, produce exactly
 //! such closed ranges).
 
-use hypersub_snapshot::{Decode, Encode, Error, Reader, Writer};
+use hypersub_snapshot::{codec, Decode, Encode, Error, Reader, Writer};
 use serde::{Deserialize, Serialize};
 
 /// The domain of one attribute: the closed interval `[lo, hi]`.
@@ -22,6 +22,7 @@ pub struct Domain {
     /// Upper bound.
     pub hi: f64,
 }
+codec!(struct Domain { lo, hi });
 
 impl Domain {
     /// Creates a domain, validating `lo < hi` and finiteness.
@@ -85,6 +86,7 @@ impl ContentSpace {
 /// of equalities on all attributes in the scheme").
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Point(pub Vec<f64>);
+codec!(struct Point { 0 });
 
 impl Point {
     /// Number of coordinates.
@@ -198,26 +200,7 @@ impl Rect {
     }
 }
 
-// Geometry codecs round-trip raw IEEE-754 bits (see the snapshot crate's
-// f64 rule), so decoded values are bit-identical and re-validation of the
-// constructor invariants is unnecessary for data we wrote ourselves; the
-// envelope checksum covers corruption.
-impl Encode for Domain {
-    fn encode(&self, w: &mut Writer) {
-        self.lo.encode(w);
-        self.hi.encode(w);
-    }
-}
-
-impl Decode for Domain {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(Domain {
-            lo: f64::decode(r)?,
-            hi: f64::decode(r)?,
-        })
-    }
-}
-
+// Hand-written codec: the decoder validates (at least one dimension).
 impl Encode for ContentSpace {
     fn encode(&self, w: &mut Writer) {
         self.dims.encode(w);
@@ -234,18 +217,7 @@ impl Decode for ContentSpace {
     }
 }
 
-impl Encode for Point {
-    fn encode(&self, w: &mut Writer) {
-        self.0.encode(w);
-    }
-}
-
-impl Decode for Point {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(Point(Vec::<f64>::decode(r)?))
-    }
-}
-
+// Hand-written codec: the decoder validates (`lo` and `hi` of one arity).
 impl Encode for Rect {
     fn encode(&self, w: &mut Writer) {
         self.lo.encode(w);

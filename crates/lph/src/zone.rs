@@ -6,7 +6,7 @@
 //! subrange picked on the splitting dimension `i mod d`.
 
 use crate::space::{ContentSpace, Rect};
-use hypersub_snapshot::{Decode, Encode, Error, Reader, Writer};
+use hypersub_snapshot::{codec, Decode, Encode, Error, Reader, Writer};
 use serde::{Deserialize, Serialize};
 
 /// Identifier-space geometry: digit base and how much of the 64-bit key is
@@ -68,6 +68,7 @@ pub struct ZoneCode {
     /// Number of digits.
     pub level: u8,
 }
+codec!(struct ZoneCode { code, level });
 
 impl ZoneCode {
     /// The root zone (whole content space).
@@ -145,6 +146,7 @@ impl ZoneCode {
     }
 }
 
+// Hand-written codec: the decoder validates (the bounds `new` asserts).
 impl Encode for ZoneParams {
     fn encode(&self, w: &mut Writer) {
         w.put_u8(self.base_bits);
@@ -166,22 +168,6 @@ impl Decode for ZoneParams {
         Ok(ZoneParams {
             base_bits,
             zone_bits,
-        })
-    }
-}
-
-impl Encode for ZoneCode {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.code);
-        w.put_u8(self.level);
-    }
-}
-
-impl Decode for ZoneCode {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(ZoneCode {
-            code: r.take_u64()?,
-            level: r.take_u8()?,
         })
     }
 }

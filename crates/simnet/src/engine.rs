@@ -136,6 +136,7 @@ pub struct SimSnapshot<M> {
     pub queue_next_seq: u64,
 }
 
+// Hand-written codec: generic over the message type.
 impl<M: Encode> Encode for SimSnapshot<M> {
     fn encode(&self, w: &mut Writer) {
         self.time.encode(w);

@@ -31,7 +31,7 @@
 //! byte-identical to a run without one.
 
 use crate::time::SimTime;
-use hypersub_snapshot::{Decode, Encode, Error, Reader, Writer};
+use hypersub_snapshot::{codec, Decode, Encode, Error, Reader, Writer};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
@@ -50,6 +50,7 @@ pub struct LinkPolicy {
     /// drawn independently per copy.
     pub jitter: SimTime,
 }
+codec!(struct LinkPolicy { drop_prob, dup_prob, extra_delay, jitter });
 
 impl LinkPolicy {
     /// The do-nothing policy.
@@ -100,6 +101,7 @@ struct Partition {
     from: SimTime,
     until: SimTime,
 }
+codec!(struct Partition { side_a, from, until });
 
 impl Partition {
     fn separates(&self, src: usize, dst: usize, now: SimTime) -> bool {
@@ -116,6 +118,7 @@ struct PolicyWindow {
     from: SimTime,
     until: SimTime,
 }
+codec!(struct PolicyWindow { policy, from, until });
 
 impl PolicyWindow {
     fn active(&self, now: SimTime) -> bool {
@@ -272,77 +275,15 @@ impl FaultPlane {
     }
 }
 
-impl Encode for LinkPolicy {
-    fn encode(&self, w: &mut Writer) {
-        self.drop_prob.encode(w);
-        self.dup_prob.encode(w);
-        self.extra_delay.encode(w);
-        self.jitter.encode(w);
-    }
-}
-
-impl Decode for LinkPolicy {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(LinkPolicy {
-            drop_prob: f64::decode(r)?,
-            dup_prob: f64::decode(r)?,
-            extra_delay: SimTime::decode(r)?,
-            jitter: SimTime::decode(r)?,
-        })
-    }
-}
-
-impl Encode for PolicyWindow {
-    fn encode(&self, w: &mut Writer) {
-        self.policy.encode(w);
-        self.from.encode(w);
-        self.until.encode(w);
-    }
-}
-
-impl Decode for PolicyWindow {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(PolicyWindow {
-            policy: LinkPolicy::decode(r)?,
-            from: SimTime::decode(r)?,
-            until: SimTime::decode(r)?,
-        })
-    }
-}
-
-impl Encode for Partition {
-    fn encode(&self, w: &mut Writer) {
-        // HashSet iteration order is process-random: sort for stable bytes.
-        let mut side: Vec<usize> = self.side_a.iter().copied().collect();
-        side.sort_unstable();
-        side.encode(w);
-        self.from.encode(w);
-        self.until.encode(w);
-    }
-}
-
-impl Decode for Partition {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(Partition {
-            side_a: Vec::<usize>::decode(r)?.into_iter().collect(),
-            from: SimTime::decode(r)?,
-            until: SimTime::decode(r)?,
-        })
-    }
-}
-
-// The partition *list* keeps its original order (`is_partitioned` uses
-// `any`, so order only changes short-circuiting, but byte stability
-// wants the insertion order preserved verbatim). The link map is sorted
-// by key for the same stable-bytes reason as every other hash map.
+// Hand-written codec: the RNG is rebuilt from its raw state. The
+// partition *list* keeps its original order (`is_partitioned` uses `any`,
+// so order only changes short-circuiting, but byte stability wants the
+// insertion order preserved verbatim).
 impl Encode for FaultPlane {
     fn encode(&self, w: &mut Writer) {
         self.rng.state().encode(w);
         self.global.encode(w);
-        let mut links: Vec<((usize, usize), LinkPolicy)> =
-            self.links.iter().map(|(&k, &v)| (k, v)).collect();
-        links.sort_unstable_by_key(|&(k, _)| k);
-        links.encode(w);
+        self.links.encode(w);
         self.partitions.encode(w);
         // Policy windows keep insertion order verbatim: "last added wins"
         // is part of the resolution semantics, not just byte stability.
@@ -355,9 +296,7 @@ impl Decode for FaultPlane {
         Ok(FaultPlane {
             rng: SmallRng::from_state(<[u64; 4]>::decode(r)?),
             global: LinkPolicy::decode(r)?,
-            links: Vec::<((usize, usize), LinkPolicy)>::decode(r)?
-                .into_iter()
-                .collect(),
+            links: Decode::decode(r)?,
             partitions: Vec::<Partition>::decode(r)?,
             windows: Vec::<PolicyWindow>::decode(r)?,
         })

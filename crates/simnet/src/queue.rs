@@ -48,6 +48,7 @@ pub enum SimEvent<M> {
     },
 }
 
+// Hand-written codec: generic over the message type.
 impl<M: Encode> Encode for SimEvent<M> {
     fn encode(&self, w: &mut Writer) {
         match self {

@@ -7,7 +7,7 @@
 //! (the HyperSub layer tags every delivery message with its event id).
 
 use crate::fxhash::FxHashMap;
-use hypersub_snapshot::{Decode, Encode, Error, Reader, Writer};
+use hypersub_snapshot::codec;
 
 /// Per-node traffic counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -21,6 +21,7 @@ pub struct NodeTraffic {
     /// Messages sent.
     pub msgs_out: u64,
 }
+codec!(struct NodeTraffic { bytes_in, bytes_out, msgs_in, msgs_out });
 
 /// Per-flow traffic counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -30,6 +31,7 @@ pub struct FlowTraffic {
     /// Total messages sent carrying this flow id.
     pub msgs: u64,
 }
+codec!(struct FlowTraffic { bytes, msgs });
 
 /// Aggregate network statistics for one simulation run.
 ///
@@ -50,6 +52,16 @@ pub struct NetStats {
     total_msgs: u64,
     total_bytes: u64,
 }
+codec!(struct NetStats {
+    nodes,
+    flows,
+    dropped,
+    fault_dropped,
+    partition_dropped,
+    duplicated,
+    total_msgs,
+    total_bytes,
+});
 
 impl NetStats {
     /// Creates counters for `n` nodes.
@@ -158,82 +170,10 @@ impl NetStats {
     }
 }
 
-impl Encode for NodeTraffic {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.bytes_in);
-        w.put_u64(self.bytes_out);
-        w.put_u64(self.msgs_in);
-        w.put_u64(self.msgs_out);
-    }
-}
-
-impl Decode for NodeTraffic {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(NodeTraffic {
-            bytes_in: r.take_u64()?,
-            bytes_out: r.take_u64()?,
-            msgs_in: r.take_u64()?,
-            msgs_out: r.take_u64()?,
-        })
-    }
-}
-
-impl Encode for FlowTraffic {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.bytes);
-        w.put_u64(self.msgs);
-    }
-}
-
-impl Decode for FlowTraffic {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(FlowTraffic {
-            bytes: r.take_u64()?,
-            msgs: r.take_u64()?,
-        })
-    }
-}
-
-// The flow map is encoded in sorted key order: FxHashMap iteration order
-// depends on insertion history, and the golden byte-stability test pins
-// exact snapshot bytes.
-impl Encode for NetStats {
-    fn encode(&self, w: &mut Writer) {
-        self.nodes.encode(w);
-        let mut flows: Vec<(u64, FlowTraffic)> = self.flows.iter().map(|(&k, &v)| (k, v)).collect();
-        flows.sort_unstable_by_key(|&(k, _)| k);
-        flows.encode(w);
-        w.put_u64(self.dropped);
-        w.put_u64(self.fault_dropped);
-        w.put_u64(self.partition_dropped);
-        w.put_u64(self.duplicated);
-        w.put_u64(self.total_msgs);
-        w.put_u64(self.total_bytes);
-    }
-}
-
-impl Decode for NetStats {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        let nodes = Vec::<NodeTraffic>::decode(r)?;
-        let flows = Vec::<(u64, FlowTraffic)>::decode(r)?
-            .into_iter()
-            .collect::<FxHashMap<_, _>>();
-        Ok(NetStats {
-            nodes,
-            flows,
-            dropped: r.take_u64()?,
-            fault_dropped: r.take_u64()?,
-            partition_dropped: r.take_u64()?,
-            duplicated: r.take_u64()?,
-            total_msgs: r.take_u64()?,
-            total_bytes: r.take_u64()?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hypersub_snapshot::{Decode, Encode, Reader, Writer};
 
     #[test]
     fn snapshot_round_trip_is_exact() {

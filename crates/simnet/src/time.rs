@@ -13,6 +13,7 @@ use std::ops::{Add, AddAssign, Sub};
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
 pub struct SimTime(pub u64);
+hypersub_snapshot::codec!(struct SimTime { 0 });
 
 impl SimTime {
     /// Time zero.
@@ -51,18 +52,6 @@ impl SimTime {
     /// Saturating difference `self - other`.
     pub fn saturating_sub(self, other: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(other.0))
-    }
-}
-
-impl hypersub_snapshot::Encode for SimTime {
-    fn encode(&self, w: &mut hypersub_snapshot::Writer) {
-        w.put_u64(self.0);
-    }
-}
-
-impl hypersub_snapshot::Decode for SimTime {
-    fn decode(r: &mut hypersub_snapshot::Reader<'_>) -> Result<Self, hypersub_snapshot::Error> {
-        Ok(SimTime(r.take_u64()?))
     }
 }
 

@@ -25,7 +25,7 @@
 //! kept so consumers can tell a truncated trace from a complete one.
 
 use crate::time::SimTime;
-use hypersub_snapshot::{Decode, Encode, Error, Reader, Writer};
+use hypersub_snapshot::{codec, Decode, Encode, Error, Reader, Writer};
 use std::collections::VecDeque;
 use std::sync::{Mutex, OnceLock};
 
@@ -127,6 +127,18 @@ pub enum TraceEvent {
     /// A protocol-emitted event (see [`ProtoEvent`]).
     Proto(ProtoEvent),
 }
+codec!(enum TraceEvent as "trace event tag" {
+    0 => MsgSend { dst, bytes, flow },
+    1 => MsgDeliver { src, bytes, flow },
+    2 => MsgDropDead { src, flow },
+    3 => MsgDropLoss { dst, flow },
+    4 => MsgDropPartition { dst, flow },
+    5 => MsgDuplicate { dst, flow },
+    6 => SendFailed { dst, flow },
+    7 => NodeFail,
+    8 => NodeRevive,
+    9 => Proto(event),
+});
 
 impl TraceEvent {
     /// Stable, dot-namespaced tag for summaries and reports. Protocol
@@ -173,6 +185,7 @@ pub struct TraceRecord {
     /// The event itself.
     pub event: TraceEvent,
 }
+codec!(struct TraceRecord { time, node, event });
 
 /// Bounded ring buffer of [`TraceRecord`]s.
 #[derive(Debug, Clone)]
@@ -259,6 +272,7 @@ impl FlightRecorder {
     }
 }
 
+// Hand-written codec: the decoder derives state (`kind` is interned).
 impl Encode for ProtoEvent {
     fn encode(&self, w: &mut Writer) {
         w.put_u64(self.kind.len() as u64);
@@ -281,116 +295,8 @@ impl Decode for ProtoEvent {
     }
 }
 
-impl Encode for TraceEvent {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            TraceEvent::MsgSend { dst, bytes, flow } => {
-                w.put_u8(0);
-                dst.encode(w);
-                bytes.encode(w);
-                flow.encode(w);
-            }
-            TraceEvent::MsgDeliver { src, bytes, flow } => {
-                w.put_u8(1);
-                src.encode(w);
-                bytes.encode(w);
-                flow.encode(w);
-            }
-            TraceEvent::MsgDropDead { src, flow } => {
-                w.put_u8(2);
-                src.encode(w);
-                flow.encode(w);
-            }
-            TraceEvent::MsgDropLoss { dst, flow } => {
-                w.put_u8(3);
-                dst.encode(w);
-                flow.encode(w);
-            }
-            TraceEvent::MsgDropPartition { dst, flow } => {
-                w.put_u8(4);
-                dst.encode(w);
-                flow.encode(w);
-            }
-            TraceEvent::MsgDuplicate { dst, flow } => {
-                w.put_u8(5);
-                dst.encode(w);
-                flow.encode(w);
-            }
-            TraceEvent::SendFailed { dst, flow } => {
-                w.put_u8(6);
-                dst.encode(w);
-                flow.encode(w);
-            }
-            TraceEvent::NodeFail => w.put_u8(7),
-            TraceEvent::NodeRevive => w.put_u8(8),
-            TraceEvent::Proto(p) => {
-                w.put_u8(9);
-                p.encode(w);
-            }
-        }
-    }
-}
-
-impl Decode for TraceEvent {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(match r.take_u8()? {
-            0 => TraceEvent::MsgSend {
-                dst: usize::decode(r)?,
-                bytes: usize::decode(r)?,
-                flow: Option::decode(r)?,
-            },
-            1 => TraceEvent::MsgDeliver {
-                src: usize::decode(r)?,
-                bytes: usize::decode(r)?,
-                flow: Option::decode(r)?,
-            },
-            2 => TraceEvent::MsgDropDead {
-                src: usize::decode(r)?,
-                flow: Option::decode(r)?,
-            },
-            3 => TraceEvent::MsgDropLoss {
-                dst: usize::decode(r)?,
-                flow: Option::decode(r)?,
-            },
-            4 => TraceEvent::MsgDropPartition {
-                dst: usize::decode(r)?,
-                flow: Option::decode(r)?,
-            },
-            5 => TraceEvent::MsgDuplicate {
-                dst: usize::decode(r)?,
-                flow: Option::decode(r)?,
-            },
-            6 => TraceEvent::SendFailed {
-                dst: usize::decode(r)?,
-                flow: Option::decode(r)?,
-            },
-            7 => TraceEvent::NodeFail,
-            8 => TraceEvent::NodeRevive,
-            9 => TraceEvent::Proto(ProtoEvent::decode(r)?),
-            _ => return Err(Error::InvalidValue("trace event tag")),
-        })
-    }
-}
-
-impl Encode for TraceRecord {
-    fn encode(&self, w: &mut Writer) {
-        self.time.encode(w);
-        self.node.encode(w);
-        self.event.encode(w);
-    }
-}
-
-impl Decode for TraceRecord {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(TraceRecord {
-            time: SimTime::decode(r)?,
-            node: usize::decode(r)?,
-            event: TraceEvent::decode(r)?,
-        })
-    }
-}
-
-// The ring buffer is captured verbatim — retained window, capacity, and
+// Hand-written codec: the decoder validates (capacity, fill). The ring
+// buffer is captured verbatim — retained window, capacity, and
 // both lifetime counters — so a restored run's report (which embeds the
 // trace summary) is byte-identical to the uninterrupted run's.
 impl Encode for FlightRecorder {

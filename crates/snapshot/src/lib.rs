@@ -14,9 +14,12 @@
 //! * `f64` is encoded as its IEEE-754 bit pattern (`to_bits`), so the
 //!   round-trip is exact for every value including NaNs.
 //! * `Option<T>` is a strict `0u8`/`1u8` tag followed by the payload.
-//! * Hash maps/sets MUST be encoded in sorted key order by callers —
-//!   std's per-process random SipHash seed makes iteration order
-//!   unstable across processes, and the golden test pins exact bytes.
+//! * `HashMap`/`HashSet` are a count followed by the entries in `Ord`
+//!   order of the key — hash iteration order differs between processes
+//!   and the golden tests pin exact bytes, so the codec sorts, never the
+//!   caller. A key stated twice is a decode error.
+//! * A plain struct or tagged enum states its layout once, as a
+//!   [`codec!`] field list; both impls are generated from it.
 //! * A snapshot file is a self-checking envelope: magic `HSNP`, a
 //!   `u32` format version, a length-prefixed payload, and an FNV-1a
 //!   checksum of the payload. Decoders reject bad magic, unknown
@@ -27,6 +30,10 @@
 //! short-lived artifact tied to the binary that wrote it, so old
 //! versions are rejected with [`Error::UnsupportedVersion`] rather than
 //! upgraded.
+
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, Hash};
+use std::sync::Arc;
 
 /// File magic for snapshot envelopes.
 pub const MAGIC: [u8; 4] = *b"HSNP";
@@ -392,6 +399,170 @@ impl<T: Decode + Copy + Default, const N: usize> Decode for [T; N] {
     }
 }
 
+impl<T: Encode + ?Sized> Encode for Box<T> {
+    fn encode(&self, w: &mut Writer) {
+        (**self).encode(w);
+    }
+}
+impl<T: Decode> Decode for Box<T> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
+        T::decode(r).map(Box::new)
+    }
+}
+
+impl<T: Encode + ?Sized> Encode for Arc<T> {
+    fn encode(&self, w: &mut Writer) {
+        (**self).encode(w);
+    }
+}
+impl<T: Decode> Decode for Arc<T> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
+        T::decode(r).map(Arc::new)
+    }
+}
+
+impl<K: Encode + Ord, V: Encode, S> Encode for HashMap<K, V, S> {
+    fn encode(&self, w: &mut Writer) {
+        let mut entries: Vec<(&K, &V)> = self.iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        w.put_u64(entries.len() as u64);
+        for (k, v) in entries {
+            k.encode(w);
+            v.encode(w);
+        }
+    }
+}
+impl<K: Decode + Eq + Hash, V: Decode, S: BuildHasher + Default> Decode for HashMap<K, V, S> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let n = usize::decode(r)?;
+        let mut out = HashMap::with_capacity_and_hasher(n.min(r.remaining()), S::default());
+        for _ in 0..n {
+            if out.insert(K::decode(r)?, V::decode(r)?).is_some() {
+                return Err(Error::InvalidValue("duplicate map key"));
+            }
+        }
+        Ok(out)
+    }
+}
+
+impl<T: Encode + Ord, S> Encode for HashSet<T, S> {
+    fn encode(&self, w: &mut Writer) {
+        let mut items: Vec<&T> = self.iter().collect();
+        items.sort_unstable();
+        w.put_u64(items.len() as u64);
+        for t in items {
+            t.encode(w);
+        }
+    }
+}
+impl<T: Decode + Eq + Hash, S: BuildHasher + Default> Decode for HashSet<T, S> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let n = usize::decode(r)?;
+        let mut out = HashSet::with_capacity_and_hasher(n.min(r.remaining()), S::default());
+        for _ in 0..n {
+            if !out.insert(T::decode(r)?) {
+                return Err(Error::InvalidValue("duplicate set element"));
+            }
+        }
+        Ok(out)
+    }
+}
+
+/// States a type's byte layout once and generates both [`Encode`] and
+/// [`Decode`] from it, so the two cannot disagree. Invoke it beside the
+/// type's definition; fields are written and read in the order listed,
+/// each through its own `Encode`/`Decode`.
+///
+/// There are exactly two forms and no per-field modifiers: a type whose
+/// decoder validates, derives state, skips a field or is generic keeps a
+/// hand-written pair.
+///
+/// A struct lists its fields (a tuple struct lists `0`, `1`, …):
+///
+/// ```
+/// use hypersub_snapshot::{codec, from_sealed_bytes, to_sealed_bytes};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Lease {
+///     holder: u64,
+///     renewals: Vec<u32>,
+/// }
+/// codec!(struct Lease { holder, renewals });
+///
+/// let lease = Lease { holder: 7, renewals: vec![1, 2] };
+/// assert_eq!(from_sealed_bytes::<Lease>(&to_sealed_bytes(&lease)), Ok(lease));
+/// ```
+///
+/// An enum gives each variant its `u8` tag, and names what an unknown tag
+/// is reported as ([`Error::InvalidValue`]):
+///
+/// ```
+/// use hypersub_snapshot::{codec, Decode, Encode, Error, Reader, Writer};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Probe {
+///     Ping { ttl: u8 },
+///     Pong(u64, bool),
+///     Stop,
+/// }
+/// codec!(enum Probe as "probe tag" {
+///     0 => Ping { ttl },
+///     1 => Pong(load, last),
+///     2 => Stop,
+/// });
+///
+/// let mut w = Writer::new();
+/// Probe::Pong(9, true).encode(&mut w);
+/// let bytes = w.into_vec();
+/// assert_eq!(bytes, [1, 9, 0, 0, 0, 0, 0, 0, 0, 1]);
+/// assert_eq!(Probe::decode(&mut Reader::new(&bytes)), Ok(Probe::Pong(9, true)));
+/// assert_eq!(Probe::decode(&mut Reader::new(&[3])), Err(Error::InvalidValue("probe tag")));
+/// ```
+#[macro_export]
+macro_rules! codec {
+    (struct $name:ident { $($field:tt),* $(,)? }) => {
+        impl $crate::Encode for $name {
+            fn encode(&self, w: &mut $crate::Writer) {
+                $( $crate::Encode::encode(&self.$field, w); )*
+            }
+        }
+        impl $crate::Decode for $name {
+            fn decode(r: &mut $crate::Reader<'_>) -> ::core::result::Result<Self, $crate::Error> {
+                Ok($name { $( $field: $crate::Decode::decode(r)?, )* })
+            }
+        }
+    };
+    (enum $name:ident as $what:literal { $(
+        $tag:literal => $variant:ident
+            $( { $($field:ident),* $(,)? } )?
+            $( ( $($item:ident),* $(,)? ) )?
+    ),* $(,)? }) => {
+        impl $crate::Encode for $name {
+            fn encode(&self, w: &mut $crate::Writer) {
+                match self { $(
+                    $name::$variant $( { $($field),* } )? $( ( $($item),* ) )? => {
+                        w.put_u8($tag);
+                        $( $( $crate::Encode::encode($field, w); )* )?
+                        $( $( $crate::Encode::encode($item, w); )* )?
+                    }
+                )* }
+            }
+        }
+        impl $crate::Decode for $name {
+            fn decode(r: &mut $crate::Reader<'_>) -> ::core::result::Result<Self, $crate::Error> {
+                match r.take_u8()? {
+                    $( $tag => {
+                        $( $( let $field = $crate::Decode::decode(r)?; )* )?
+                        $( $( let $item = $crate::Decode::decode(r)?; )* )?
+                        Ok($name::$variant $( { $($field),* } )? $( ( $($item),* ) )?)
+                    } )*
+                    _ => Err($crate::Error::InvalidValue($what)),
+                }
+            }
+        }
+    };
+}
+
 /// FNV-1a 64-bit hash — same function the run digests use, so the
 /// envelope checksum needs no extra dependency.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -507,6 +678,56 @@ mod tests {
         round_trip((1u32, String::from("x"), false));
         round_trip([1u64, 2, 3, 4]);
         round_trip(vec![(0usize, Some(3.5f64)), (1, None)]);
+    }
+
+    #[test]
+    fn maps_and_sets_are_written_in_key_order() {
+        let map: HashMap<u8, u16> = [(9, 1), (2, 7), (5, 3)].into();
+        let mut w = Writer::new();
+        map.encode(&mut w);
+        let mut want = 3u64.to_le_bytes().to_vec();
+        want.extend([2, 7, 0, 5, 3, 0, 9, 1, 0]);
+        assert_eq!(w.into_vec(), want);
+        round_trip(map);
+
+        let set: HashSet<(u8, u8)> = [(3, 0), (1, 9), (1, 2)].into();
+        let mut w = Writer::new();
+        set.encode(&mut w);
+        let mut want = 3u64.to_le_bytes().to_vec();
+        want.extend([1, 2, 1, 9, 3, 0]);
+        assert_eq!(w.into_vec(), want);
+        round_trip(set);
+
+        round_trip(Box::new(5u32));
+        round_trip(Arc::new(String::from("shared")));
+    }
+
+    #[test]
+    fn a_key_written_twice_is_rejected() {
+        let mut twice = 2u64.to_le_bytes().to_vec();
+        twice.extend([4, 1, 4, 2]);
+        assert_eq!(
+            HashMap::<u8, u8>::decode(&mut Reader::new(&twice)),
+            Err(Error::InvalidValue("duplicate map key"))
+        );
+        twice[11] = 1;
+        assert_eq!(
+            HashSet::<(u8, u8)>::decode(&mut Reader::new(&twice)),
+            Err(Error::InvalidValue("duplicate set element"))
+        );
+    }
+
+    #[test]
+    fn hostile_counts_allocate_nothing() {
+        let huge = (1u64 << 60).to_le_bytes();
+        assert!(matches!(
+            HashMap::<u64, u64>::decode(&mut Reader::new(&huge)),
+            Err(Error::UnexpectedEof { .. })
+        ));
+        assert!(matches!(
+            HashSet::<u64>::decode(&mut Reader::new(&huge)),
+            Err(Error::UnexpectedEof { .. })
+        ));
     }
 
     #[test]

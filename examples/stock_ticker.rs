@@ -11,7 +11,7 @@
 //! Run with: `cargo run --release -p hypersub-examples --bin stock_ticker`
 
 use hypersub_core::prelude::*;
-use hypersub_stats::Summary;
+use hypersub_stats::Cdf;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -78,9 +78,9 @@ fn main() {
     net.run_to_quiescence();
 
     let stats = net.event_stats();
-    let mut hops = Summary::new();
-    let mut latency = Summary::new();
-    let mut matched = Summary::new();
+    let mut hops = Cdf::new();
+    let mut latency = Cdf::new();
+    let mut matched = Cdf::new();
     let mut incomplete = 0;
     for s in &stats {
         hops.push(s.max_hops as f64);
@@ -99,9 +99,9 @@ fn main() {
     println!(
         "delivery: max-hops mean {:.1} p99 {}, max-latency mean {:.0} ms p99 {:.0} ms",
         hops.mean(),
-        hops.percentile(0.99),
+        hops.quantile(0.99),
         latency.mean(),
-        latency.percentile(0.99)
+        latency.quantile(0.99)
     );
     assert_eq!(incomplete, 0, "every matched trader must get every trade");
     println!(

@@ -27,7 +27,7 @@ use hypersub_core::node::TOKEN_PUBLISH_BASE;
 use hypersub_core::sim::PubSubNode;
 use hypersub_core::world::HyperWorld;
 use hypersub_lph::{ContentSpace, Point};
-use hypersub_simnet::{Node, NodeRuntime, Payload};
+use hypersub_simnet::{Ctx, Node, Payload};
 use std::collections::HashMap;
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -133,6 +133,8 @@ impl<P: Placement> Payload for DhtMsg<P> {
     }
 }
 
+type Cx<'a, P> = Ctx<'a, DhtMsg<P>, HyperWorld>;
+
 /// A node of a DHT rival: Chord routing, the shards it owns, and its own
 /// subscriptions.
 #[derive(Debug, Clone)]
@@ -168,9 +170,9 @@ impl<P: Placement> DhtNode<P> {
         }
     }
 
-    fn register<R: NodeRuntime<DhtMsg<P>, HyperWorld>>(
+    fn register(
         &mut self,
-        ctx: &mut R,
+        ctx: &mut Cx<'_, P>,
         home: Home<P::Shard>,
         subid: SubId,
         sub: Subscription,
@@ -200,7 +202,7 @@ impl<P: Placement> DhtNode<P> {
 
     /// Publishes an event from this node: one probe per home the
     /// placement names.
-    pub fn publish<R: NodeRuntime<DhtMsg<P>, HyperWorld>>(&mut self, ctx: &mut R, event: Event) {
+    pub fn publish(&mut self, ctx: &mut Cx<'_, P>, event: Event) {
         let (me, now) = (ctx.me(), ctx.now());
         let expected = ctx.world().oracle.expected_count(0, &event.point);
         ctx.world()
@@ -211,14 +213,7 @@ impl<P: Placement> DhtNode<P> {
         }
     }
 
-    fn probe<R: NodeRuntime<DhtMsg<P>, HyperWorld>>(
-        &mut self,
-        ctx: &mut R,
-        key: u64,
-        shard: P::Shard,
-        event: Event,
-        hops: u32,
-    ) {
+    fn probe(&mut self, ctx: &mut Cx<'_, P>, key: u64, shard: P::Shard, event: Event, hops: u32) {
         if let Some(p) = self.towards(key) {
             let hops = hops + 1;
             return ctx.send(
@@ -244,13 +239,7 @@ impl<P: Placement> DhtNode<P> {
         self.deliver(ctx, event, hops, targets);
     }
 
-    fn deliver<R: NodeRuntime<DhtMsg<P>, HyperWorld>>(
-        &mut self,
-        ctx: &mut R,
-        event: Event,
-        hops: u32,
-        targets: Vec<SubTarget>,
-    ) {
+    fn deliver(&mut self, ctx: &mut Cx<'_, P>, event: Event, hops: u32, targets: Vec<SubTarget>) {
         let (local, by_hop) = split_targets(&self.chord, targets);
         for t in local {
             if let Some(iid) = t.iid {
@@ -279,12 +268,7 @@ impl<P: Placement> DhtNode<P> {
 }
 
 impl<P: Placement> Node<DhtMsg<P>, HyperWorld> for DhtNode<P> {
-    fn on_message<R: NodeRuntime<DhtMsg<P>, HyperWorld>>(
-        &mut self,
-        ctx: &mut R,
-        _from: usize,
-        msg: DhtMsg<P>,
-    ) {
+    fn on_message(&mut self, ctx: &mut Cx<'_, P>, _from: usize, msg: DhtMsg<P>) {
         match msg {
             DhtMsg::Register { home, subid, sub } => self.register(ctx, home, subid, sub),
             DhtMsg::Publish {
@@ -301,7 +285,7 @@ impl<P: Placement> Node<DhtMsg<P>, HyperWorld> for DhtNode<P> {
         }
     }
 
-    fn on_timer<R: NodeRuntime<DhtMsg<P>, HyperWorld>>(&mut self, ctx: &mut R, token: u64) {
+    fn on_timer(&mut self, ctx: &mut Cx<'_, P>, token: u64) {
         if token >= TOKEN_PUBLISH_BASE {
             let idx = (token - TOKEN_PUBLISH_BASE) as usize;
             let (_scheme, ev) = ctx.world().take_scripted(idx);
@@ -316,12 +300,7 @@ impl<P: Placement> PubSubNode for DhtNode<P> {
     /// Installs a subscription from this node: one registration per home.
     ///
     /// The baselines serve one scheme, so `_scheme` goes unused.
-    fn subscribe<R: NodeRuntime<DhtMsg<P>, HyperWorld>>(
-        &mut self,
-        ctx: &mut R,
-        _scheme: SchemeId,
-        sub: Subscription,
-    ) -> SubId {
+    fn subscribe(&mut self, ctx: &mut Cx<'_, P>, _scheme: SchemeId, sub: Subscription) -> SubId {
         let iid = self.next_iid;
         self.next_iid += 1;
         self.local.insert(iid, sub.clone());

@@ -18,7 +18,7 @@ use hypersub_core::msg::{EVENT_BYTES, HEADER_BYTES};
 use hypersub_core::node::TOKEN_PUBLISH_BASE;
 use hypersub_core::sim::PubSubNode;
 use hypersub_core::world::HyperWorld;
-use hypersub_simnet::{Node, NodeRuntime, Payload};
+use hypersub_simnet::{Ctx, Node, Payload};
 use std::collections::HashMap;
 
 /// Gossip-system messages.
@@ -48,6 +48,8 @@ impl Payload for GossipMsg {
     }
 }
 
+type Cx<'a> = Ctx<'a, GossipMsg, HyperWorld>;
+
 /// A node of the gossip/flood baseline.
 #[derive(Debug, Clone)]
 pub struct GossipNode {
@@ -69,7 +71,7 @@ impl GossipNode {
     }
 
     /// Publishes an event: flood it over the whole ring.
-    pub fn publish<R: NodeRuntime<GossipMsg, HyperWorld>>(&mut self, ctx: &mut R, event: Event) {
+    pub fn publish(&mut self, ctx: &mut Cx<'_>, event: Event) {
         let (me, now) = (ctx.me(), ctx.now());
         let expected = ctx.world().oracle.expected_count(0, &event.point);
         ctx.world()
@@ -83,13 +85,7 @@ impl GossipNode {
 
     /// Delivers locally and covers the arc `(self, limit]` by delegating
     /// disjoint sub-arcs to routing-table neighbors (Chord broadcast).
-    fn flood<R: NodeRuntime<GossipMsg, HyperWorld>>(
-        &mut self,
-        ctx: &mut R,
-        event: Event,
-        hops: u32,
-        limit: u64,
-    ) {
+    fn flood(&mut self, ctx: &mut Cx<'_>, event: Event, hops: u32, limit: u64) {
         let now = ctx.now();
         let mut matched: Vec<u32> = self
             .local
@@ -133,17 +129,12 @@ impl GossipNode {
 }
 
 impl Node<GossipMsg, HyperWorld> for GossipNode {
-    fn on_message<R: NodeRuntime<GossipMsg, HyperWorld>>(
-        &mut self,
-        ctx: &mut R,
-        _from: usize,
-        msg: GossipMsg,
-    ) {
+    fn on_message(&mut self, ctx: &mut Cx<'_>, _from: usize, msg: GossipMsg) {
         let GossipMsg::Flood { event, hops, limit } = msg;
         self.flood(ctx, event, hops, limit);
     }
 
-    fn on_timer<R: NodeRuntime<GossipMsg, HyperWorld>>(&mut self, ctx: &mut R, token: u64) {
+    fn on_timer(&mut self, ctx: &mut Cx<'_>, token: u64) {
         if token >= TOKEN_PUBLISH_BASE {
             let idx = (token - TOKEN_PUBLISH_BASE) as usize;
             let (_scheme, ev) = ctx.world().take_scripted(idx);
@@ -158,12 +149,7 @@ impl PubSubNode for GossipNode {
     /// Installs a subscription: purely local, no messages.
     ///
     /// The baselines serve one scheme, so `_scheme` goes unused.
-    fn subscribe<R: NodeRuntime<GossipMsg, HyperWorld>>(
-        &mut self,
-        ctx: &mut R,
-        _scheme: SchemeId,
-        sub: Subscription,
-    ) -> SubId {
+    fn subscribe(&mut self, ctx: &mut Cx<'_>, _scheme: SchemeId, sub: Subscription) -> SubId {
         let iid = self.next_iid;
         self.next_iid += 1;
         self.local.insert(iid, sub.clone());

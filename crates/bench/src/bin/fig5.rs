@@ -23,17 +23,9 @@ fn main() {
                 .with_label(&format!("n={n} {}", if lb { "LB" } else { "no LB" }));
             c.nodes = n;
             c.system = system;
-            if quick {
-                c.spec.events = 500;
-            }
             // The scaling *trend* stabilizes with a few thousand events;
-            // the full 20,000 (several CPU-hours across 12 runs) can be
-            // requested explicitly.
-            if let Ok(ev) = std::env::var("HYPERSUB_FIG5_EVENTS") {
-                c.spec.events = ev.parse().expect("HYPERSUB_FIG5_EVENTS must be a number");
-            } else if !quick {
-                c.spec.events = 2_000;
-            }
+            // the paper's full 20,000 is several CPU-hours across 12 runs.
+            c.spec.events = if quick { 500 } else { 2_000 };
             configs.push((n, lb, c));
         }
     }

@@ -20,7 +20,7 @@
 //! * [`proto`] — the dynamic protocol (join, stabilize, notify,
 //!   fix-fingers, failure eviction) expressed as effect-returning
 //!   functions so higher layers can embed Chord maintenance inside their
-//!   own message enums, plus a standalone simnet node for churn tests.
+//!   own message enums.
 
 pub mod builder;
 pub mod id;

@@ -5,14 +5,14 @@
 //! the underlying DHT to deal with nodes join/departure/failure" (§6), so
 //! the maintenance machinery lives here in the DHT layer. It is written as
 //! *effect-returning functions* over [`MaintState`] — handlers return the
-//! messages to send instead of sending them — so that both the standalone
-//! [`ChordNode`] (used for churn tests) and HyperSub's node (which embeds
-//! Chord maintenance inside its own message enum) share one implementation.
+//! messages to send instead of sending them — so that HyperSub's node can
+//! embed Chord maintenance inside its own message enum (and this module's
+//! tests can drive it from a bare standalone node).
 
 use crate::id::{in_open_closed, NodeId};
 use crate::routing::{closest_preceding, next_hop, NextHop};
 use crate::state::{ChordState, Peer, NUM_FINGERS};
-use hypersub_simnet::{FxHashSet, Node, NodeRuntime, Payload, SimTime};
+use hypersub_simnet::{FxHashSet, Payload, SimTime};
 use hypersub_snapshot::codec;
 
 /// Why a lookup was issued; determines what happens with the answer.
@@ -500,94 +500,85 @@ impl MaintState {
     }
 }
 
-/// Default stabilize period for the standalone node.
+/// Default stabilize period.
 pub const STABILIZE_PERIOD: SimTime = SimTime::from_millis(500);
-/// Default fix-fingers period for the standalone node.
+/// Default fix-fingers period.
 pub const FIX_FINGERS_PERIOD: SimTime = SimTime::from_millis(250);
-
-/// Timer token: run a stabilize tick and re-arm.
-pub const TOKEN_STABILIZE: u64 = 1;
-/// Timer token: run a fix-fingers tick and re-arm.
-pub const TOKEN_FIX_FINGERS: u64 = 2;
-
-/// World state for the standalone Chord node: completed app lookups.
-#[derive(Debug, Default)]
-pub struct ChordWorld {
-    /// `(token, owner peer)` pairs in completion order.
-    pub lookups: Vec<(u64, Peer)>,
-}
-
-/// A self-maintaining Chord node runnable directly on `hypersub-simnet`,
-/// used by the churn tests and the churn example.
-#[derive(Debug, Clone)]
-pub struct ChordNode {
-    /// Protocol state.
-    pub maint: MaintState,
-}
-
-impl ChordNode {
-    /// A node that considers itself a singleton ring.
-    pub fn new(id: NodeId, idx: usize, succ_list_len: usize) -> Self {
-        Self {
-            maint: MaintState::new(ChordState::new(id, idx, succ_list_len)),
-        }
-    }
-
-    /// Arms the periodic maintenance timers; call once after creation.
-    pub fn arm_timers<W, R: NodeRuntime<ChordMsg, W>>(ctx: &mut R) {
-        ctx.set_timer(STABILIZE_PERIOD, TOKEN_STABILIZE);
-        ctx.set_timer(FIX_FINGERS_PERIOD, TOKEN_FIX_FINGERS);
-    }
-}
-
-impl Node<ChordMsg, ChordWorld> for ChordNode {
-    fn on_send_failed<R: NodeRuntime<ChordMsg, ChordWorld>>(
-        &mut self,
-        _ctx: &mut R,
-        dst: usize,
-        _msg: ChordMsg,
-    ) {
-        self.maint.note_dead(dst);
-    }
-
-    fn on_message<R: NodeRuntime<ChordMsg, ChordWorld>>(
-        &mut self,
-        ctx: &mut R,
-        from: usize,
-        msg: ChordMsg,
-    ) {
-        let out = self.maint.handle(from, msg);
-        if let Some(done) = out.app_lookup {
-            ctx.world().lookups.push(done);
-        }
-        for (dst, m) in out.sends {
-            ctx.send(dst, m);
-        }
-    }
-
-    fn on_timer<R: NodeRuntime<ChordMsg, ChordWorld>>(&mut self, ctx: &mut R, token: u64) {
-        let sends = match token {
-            TOKEN_STABILIZE => {
-                ctx.set_timer(STABILIZE_PERIOD, TOKEN_STABILIZE);
-                self.maint.stabilize_tick()
-            }
-            TOKEN_FIX_FINGERS => {
-                ctx.set_timer(FIX_FINGERS_PERIOD, TOKEN_FIX_FINGERS);
-                self.maint.fix_fingers_tick()
-            }
-            _ => Vec::new(),
-        };
-        for (dst, m) in sends {
-            ctx.send(dst, m);
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hypersub_simnet::{Sim, SimTime, UniformTopology};
+    use hypersub_simnet::{Ctx, Node, Sim, SimTime, UniformTopology};
     use std::sync::Arc;
+
+    type Cx<'a> = Ctx<'a, ChordMsg, ChordWorld>;
+
+    /// Timer token: run a stabilize tick and re-arm.
+    const TOKEN_STABILIZE: u64 = 1;
+    /// Timer token: run a fix-fingers tick and re-arm.
+    const TOKEN_FIX_FINGERS: u64 = 2;
+
+    /// World state for the standalone Chord node: completed app lookups.
+    #[derive(Debug, Default)]
+    struct ChordWorld {
+        /// `(token, owner peer)` pairs in completion order.
+        lookups: Vec<(u64, Peer)>,
+    }
+
+    /// A self-maintaining Chord node runnable directly on `hypersub-simnet`.
+    #[derive(Debug, Clone)]
+    struct ChordNode {
+        /// Protocol state.
+        maint: MaintState,
+    }
+
+    impl ChordNode {
+        /// A node that considers itself a singleton ring.
+        fn new(id: NodeId, idx: usize, succ_list_len: usize) -> Self {
+            Self {
+                maint: MaintState::new(ChordState::new(id, idx, succ_list_len)),
+            }
+        }
+
+        /// Arms the periodic maintenance timers; call once after creation.
+        fn arm_timers(ctx: &mut Cx<'_>) {
+            ctx.set_timer(STABILIZE_PERIOD, TOKEN_STABILIZE);
+            ctx.set_timer(FIX_FINGERS_PERIOD, TOKEN_FIX_FINGERS);
+        }
+    }
+
+    impl Node<ChordMsg, ChordWorld> for ChordNode {
+        fn on_send_failed(&mut self, _ctx: &mut Cx<'_>, dst: usize, _msg: ChordMsg) {
+            self.maint.note_dead(dst);
+        }
+
+        fn on_message(&mut self, ctx: &mut Cx<'_>, from: usize, msg: ChordMsg) {
+            let out = self.maint.handle(from, msg);
+            if let Some(done) = out.app_lookup {
+                ctx.world().lookups.push(done);
+            }
+            for (dst, m) in out.sends {
+                ctx.send(dst, m);
+            }
+        }
+
+        fn on_timer(&mut self, ctx: &mut Cx<'_>, token: u64) {
+            let sends = match token {
+                TOKEN_STABILIZE => {
+                    ctx.set_timer(STABILIZE_PERIOD, TOKEN_STABILIZE);
+                    self.maint.stabilize_tick()
+                }
+                TOKEN_FIX_FINGERS => {
+                    ctx.set_timer(FIX_FINGERS_PERIOD, TOKEN_FIX_FINGERS);
+                    self.maint.fix_fingers_tick()
+                }
+                _ => Vec::new(),
+            };
+            for (dst, m) in sends {
+                ctx.send(dst, m);
+            }
+        }
+    }
 
     fn make_sim(n: usize) -> Sim<ChordNode, ChordMsg, ChordWorld> {
         let topo = Arc::new(UniformTopology::new(n, SimTime::from_millis(10)));
@@ -663,7 +654,7 @@ mod tests {
         for &(token, key) in &targets {
             sim.with_node_ctx(3, |node, ctx| {
                 if node.maint.chord.responsible_for(key) {
-                    ctx.world.lookups.push((token, node.maint.chord.me()));
+                    ctx.world().lookups.push((token, node.maint.chord.me()));
                 } else {
                     for (dst, m) in node.maint.start_lookup(key, token) {
                         ctx.send(dst, m);

@@ -17,10 +17,9 @@
 
 use crate::model::{Event, SchemeId, SubId, SubTarget};
 use crate::msg::{DeliveryMsg, HyperMsg};
-use crate::node::{HyperSubNode, IidTarget};
-use crate::world::HyperWorld;
+use crate::node::{Cx, HyperSubNode, IidTarget};
 use hypersub_chord::routing::{next_hop, NextHop};
-use hypersub_simnet::{FxHashSet, NodeRuntime, ProtoEvent};
+use hypersub_simnet::{FxHashSet, ProtoEvent};
 use std::sync::Arc;
 
 /// Cap on pooled per-hop target buffers kept by a node between messages.
@@ -49,12 +48,7 @@ pub(crate) struct DeliveryScratch {
 impl HyperSubNode {
     /// Algorithm 4: publish an event from this node. The event id must be
     /// globally unique (it tags the event's bandwidth flow).
-    pub fn publish_event<R: NodeRuntime<HyperMsg, HyperWorld>>(
-        &mut self,
-        ctx: &mut R,
-        scheme_id: SchemeId,
-        event: Event,
-    ) {
+    pub fn publish_event(&mut self, ctx: &mut Cx<'_>, scheme_id: SchemeId, event: Event) {
         let (me, now) = (ctx.me(), ctx.now());
         let expected = ctx.world().oracle.expected_count(scheme_id, &event.point);
         ctx.world()
@@ -82,11 +76,7 @@ impl HyperSubNode {
     }
 
     /// Algorithm 5: process an event message.
-    pub(crate) fn handle_delivery<R: NodeRuntime<HyperMsg, HyperWorld>>(
-        &mut self,
-        ctx: &mut R,
-        mut msg: DeliveryMsg,
-    ) {
+    pub(crate) fn handle_delivery(&mut self, ctx: &mut Cx<'_>, mut msg: DeliveryMsg) {
         // Piggybacked DHT maintenance: the forwarding node is evidently
         // alive and a valid routing candidate.
         if let Some(sender) = msg.sender.take() {
@@ -190,9 +180,9 @@ impl HyperSubNode {
     }
 
     /// Consumes one SubID-list entry this node is responsible for.
-    fn consume_target<R: NodeRuntime<HyperMsg, HyperWorld>>(
+    fn consume_target(
         &mut self,
-        ctx: &mut R,
+        ctx: &mut Cx<'_>,
         msg: &DeliveryMsg,
         proj: &hypersub_lph::Point,
         t: SubTarget,
@@ -303,9 +293,10 @@ mod tests {
     use crate::config::SystemConfig;
     use crate::node::test_registry;
     use crate::repo::{StoredSub, ZoneRepo};
+    use crate::world::HyperWorld;
     use hypersub_chord::{ChordState, Peer};
     use hypersub_lph::{Point, Rect, ZoneCode};
-    use hypersub_simnet::SimTime;
+    use hypersub_simnet::{Ctx, SimTime};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -313,34 +304,11 @@ mod tests {
     /// leaves through its one successor, node 1.
     const ME: u64 = 1000;
 
-    /// A runtime that keeps what the node sends.
+    /// A host that keeps what the node sends.
     struct Recording {
         world: HyperWorld,
         rng: SmallRng,
         sent: Vec<(usize, HyperMsg)>,
-    }
-
-    impl NodeRuntime<HyperMsg, HyperWorld> for Recording {
-        fn me(&self) -> usize {
-            0
-        }
-        fn now(&self) -> SimTime {
-            SimTime::ZERO
-        }
-        fn world(&mut self) -> &mut HyperWorld {
-            &mut self.world
-        }
-        fn rng(&mut self) -> &mut SmallRng {
-            &mut self.rng
-        }
-        fn send(&mut self, dst: usize, msg: HyperMsg) {
-            self.sent.push((dst, msg));
-        }
-        fn set_timer(&mut self, _delay: SimTime, _token: u64) {}
-        fn tracing(&self) -> bool {
-            false
-        }
-        fn trace(&mut self, _f: impl FnOnce() -> ProtoEvent) {}
     }
 
     fn node() -> (HyperSubNode, Recording) {
@@ -396,7 +364,17 @@ mod tests {
             sender: None,
             targets,
         };
-        node.handle_delivery(rt, msg);
+        let mut timers = Vec::new();
+        let mut ctx = Ctx::new(
+            0,
+            SimTime::ZERO,
+            &mut rt.world,
+            &mut rt.rng,
+            &mut rt.sent,
+            &mut timers,
+            None,
+        );
+        node.handle_delivery(&mut ctx, msg);
     }
 
     /// The SubID list of the one message the node forwarded.

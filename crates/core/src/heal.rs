@@ -48,11 +48,10 @@
 
 use crate::model::SubId;
 use crate::msg::{HyperMsg, ReplicaBatch};
-use crate::node::{HyperSubNode, TOKEN_LEASE};
+use crate::node::{Cx, HyperSubNode, TOKEN_LEASE};
 use crate::repo::{RepoKey, StoredSub};
-use crate::world::HyperWorld;
 use hypersub_chord::Peer;
-use hypersub_simnet::{FxHashMap, NodeRuntime, ProtoEvent};
+use hypersub_simnet::{FxHashMap, ProtoEvent};
 use hypersub_snapshot::codec;
 
 /// One origin's replicated rendezvous state, held by a successor.
@@ -105,7 +104,7 @@ impl HyperSubNode {
     /// repositories, and sweep replicas for due promotions (anti-entropy:
     /// an ownership change whose chord signal was missed is caught here at
     /// the latest).
-    pub(crate) fn lease_tick<R: NodeRuntime<HyperMsg, HyperWorld>>(&mut self, ctx: &mut R) {
+    pub(crate) fn lease_tick(&mut self, ctx: &mut Cx<'_>) {
         ctx.set_timer(self.cfg.heal.lease_period, TOKEN_LEASE);
         let me = ctx.me();
         ctx.world().metrics.proto.lease_refreshes.inc(me);
@@ -139,7 +138,7 @@ impl HyperSubNode {
     /// Skipped while the predecessor is unknown (mid-join view):
     /// `responsible_for` then claims only our own id, and scrubbing on
     /// that view would drop everything we legitimately hold.
-    fn scrub_foreign_repos<R: NodeRuntime<HyperMsg, HyperWorld>>(&mut self, ctx: &mut R) {
+    fn scrub_foreign_repos(&mut self, ctx: &mut Cx<'_>) {
         if self.maint.chord.predecessor.is_none() {
             return;
         }
@@ -175,7 +174,7 @@ impl HyperSubNode {
 
     /// Sends a full snapshot of every owned repository to the replica
     /// targets (replace semantics at the receiver).
-    fn replicate_snapshot<R: NodeRuntime<HyperMsg, HyperWorld>>(&mut self, ctx: &mut R) {
+    fn replicate_snapshot(&mut self, ctx: &mut Cx<'_>) {
         let targets = self.replica_targets();
         if targets.is_empty() || self.repos.is_empty() {
             return;
@@ -219,12 +218,7 @@ impl HyperSubNode {
 
     /// Incrementally replicates one just-registered entry (merge semantics
     /// at the receiver). No-op when self-healing is off.
-    pub(crate) fn replicate_entry<R: NodeRuntime<HyperMsg, HyperWorld>>(
-        &mut self,
-        ctx: &mut R,
-        key: RepoKey,
-        id: SubId,
-    ) {
+    pub(crate) fn replicate_entry(&mut self, ctx: &mut Cx<'_>, key: RepoKey, id: SubId) {
         if !self.cfg.heal.enabled {
             return;
         }
@@ -260,9 +254,9 @@ impl HyperSubNode {
     /// Receiver side of [`HyperMsg::ReplicaUpdate`]: store (replace or
     /// merge) the origin's entries, then check whether the origin's keys
     /// already belong to us (it may have died before this message drained).
-    pub(crate) fn handle_replica<R: NodeRuntime<HyperMsg, HyperWorld>>(
+    pub(crate) fn handle_replica(
         &mut self,
-        ctx: &mut R,
+        ctx: &mut Cx<'_>,
         origin: Peer,
         full: bool,
         repos: Vec<ReplicaBatch>,
@@ -303,10 +297,7 @@ impl HyperSubNode {
     /// every other node), so promotion triggers exactly when the origin
     /// died *and* stabilization extended our arc over it — at which point
     /// its entire former arc is ours and all of its entries belong here.
-    pub(crate) fn heal_check_promotions<R: NodeRuntime<HyperMsg, HyperWorld>>(
-        &mut self,
-        ctx: &mut R,
-    ) {
+    pub(crate) fn heal_check_promotions(&mut self, ctx: &mut Cx<'_>) {
         if !self.cfg.heal.enabled || self.replicas.is_empty() {
             return;
         }
@@ -356,11 +347,7 @@ impl HyperSubNode {
     /// covers, so matching stops producing targets at the dead host. The
     /// subscribers' own leases re-install the real entries here within one
     /// lease period.
-    pub(crate) fn heal_on_peer_dead<R: NodeRuntime<HyperMsg, HyperWorld>>(
-        &mut self,
-        ctx: &mut R,
-        dst: usize,
-    ) {
+    pub(crate) fn heal_on_peer_dead(&mut self, ctx: &mut Cx<'_>, dst: usize) {
         if !self.cfg.heal.enabled {
             return;
         }

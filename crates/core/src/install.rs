@@ -15,22 +15,16 @@
 
 use crate::model::{SchemeId, SubId, SubTarget, SubschemeId, Subscription};
 use crate::msg::{HyperMsg, Routed};
-use crate::node::{HyperSubNode, IidTarget};
+use crate::node::{Cx, HyperSubNode, IidTarget};
 use crate::repo::{RepoKey, StoredSub, ZoneRepo};
-use crate::world::HyperWorld;
 use hypersub_chord::routing::{next_hop, NextHop};
 use hypersub_lph::{lph_rect, rotation::rotate_key, ZoneCode};
-use hypersub_simnet::{NodeRuntime, ProtoEvent};
+use hypersub_simnet::ProtoEvent;
 
 impl HyperSubNode {
     /// Algorithm 2: install a subscription originating at this node.
     /// Returns the new subscription's id.
-    pub fn subscribe<R: NodeRuntime<HyperMsg, HyperWorld>>(
-        &mut self,
-        ctx: &mut R,
-        scheme_id: SchemeId,
-        sub: Subscription,
-    ) -> SubId {
+    pub fn subscribe(&mut self, ctx: &mut Cx<'_>, scheme_id: SchemeId, sub: Subscription) -> SubId {
         let iid = self.alloc_iid(IidTarget::Local);
         let subid = SubId {
             nid: self.maint.chord.id,
@@ -45,13 +39,7 @@ impl HyperSubNode {
     /// Routes the registration for one local subscription to its zone's
     /// surrogate node (the network half of Algorithm 2). Idempotent: used
     /// both by fresh subscriptions and by soft-state refresh.
-    fn install<R: NodeRuntime<HyperMsg, HyperWorld>>(
-        &mut self,
-        ctx: &mut R,
-        scheme_id: SchemeId,
-        sub: Subscription,
-        iid: u32,
-    ) {
+    fn install(&mut self, ctx: &mut Cx<'_>, scheme_id: SchemeId, sub: Subscription, iid: u32) {
         let subid = SubId {
             nid: self.maint.chord.id,
             iid,
@@ -83,11 +71,7 @@ impl HyperSubNode {
     /// correctness.
     ///
     /// Returns `false` if `iid` does not name a live local subscription.
-    pub fn unsubscribe<R: NodeRuntime<HyperMsg, HyperWorld>>(
-        &mut self,
-        ctx: &mut R,
-        iid: u32,
-    ) -> bool {
+    pub fn unsubscribe(&mut self, ctx: &mut Cx<'_>, iid: u32) -> bool {
         let Some((scheme_id, sub)) = self.local_subs.remove(&iid) else {
             return false;
         };
@@ -127,7 +111,7 @@ impl HyperSubNode {
     /// surrogate nodes failed (the "reinforcement" such systems rely on —
     /// the paper defers churn handling to the underlying DHT plus
     /// re-registration).
-    pub fn refresh_subscriptions<R: NodeRuntime<HyperMsg, HyperWorld>>(&mut self, ctx: &mut R) {
+    pub fn refresh_subscriptions(&mut self, ctx: &mut Cx<'_>) {
         // Sorted by internal id: the registration messages this emits must
         // not depend on HashMap iteration order, or same-seed runs with
         // refresh would diverge.
@@ -147,7 +131,7 @@ impl HyperSubNode {
     /// zone keys that belonged to failed nodes now map to their
     /// successors, and surrogate chains through those zones must be
     /// re-established there.
-    pub fn rebuild_chains<R: NodeRuntime<HyperMsg, HyperWorld>>(&mut self, ctx: &mut R) {
+    pub fn rebuild_chains(&mut self, ctx: &mut Cx<'_>) {
         // Sorted for the same reason as `refresh_subscriptions`: push-down
         // message order must be a function of state, not of hashing.
         let mut keys: Vec<RepoKey> = self.repos.keys().copied().collect();
@@ -164,12 +148,7 @@ impl HyperSubNode {
 
     /// Routes `inner` toward the successor of `key`, handling it locally
     /// when this node is already responsible. Boxes it only to forward.
-    pub(crate) fn route_or_local<R: NodeRuntime<HyperMsg, HyperWorld>>(
-        &mut self,
-        ctx: &mut R,
-        key: u64,
-        inner: Routed,
-    ) {
+    pub(crate) fn route_or_local(&mut self, ctx: &mut Cx<'_>, key: u64, inner: Routed) {
         match self.route_hop(key) {
             Some(idx) => {
                 let inner = Box::new(inner);
@@ -181,12 +160,7 @@ impl HyperSubNode {
 
     /// Handles an incoming `Route` message: consume or forward greedily,
     /// in the box it arrived in.
-    pub(crate) fn handle_route<R: NodeRuntime<HyperMsg, HyperWorld>>(
-        &mut self,
-        ctx: &mut R,
-        key: u64,
-        inner: Box<Routed>,
-    ) {
+    pub(crate) fn handle_route(&mut self, ctx: &mut Cx<'_>, key: u64, inner: Box<Routed>) {
         match self.route_hop(key) {
             Some(idx) => self.send_reliable(ctx, idx, HyperMsg::Route { key, inner }),
             None => self.handle_routed(ctx, *inner),
@@ -207,7 +181,7 @@ impl HyperSubNode {
         }
     }
 
-    fn handle_routed<R: NodeRuntime<HyperMsg, HyperWorld>>(&mut self, ctx: &mut R, inner: Routed) {
+    fn handle_routed(&mut self, ctx: &mut Cx<'_>, inner: Routed) {
         match inner {
             Routed::Register {
                 scheme,
@@ -277,9 +251,9 @@ impl HyperSubNode {
 
     /// Algorithm 3: store an entry in a zone repository and propagate
     /// changed summary subdivisions to child zones.
-    pub(crate) fn register_entry<R: NodeRuntime<HyperMsg, HyperWorld>>(
+    pub(crate) fn register_entry(
         &mut self,
-        ctx: &mut R,
+        ctx: &mut Cx<'_>,
         repo_key: RepoKey,
         id: SubId,
         sub: StoredSub,
@@ -320,7 +294,7 @@ impl HyperSubNode {
     /// the owner pointing directly at this repository. This computes the
     /// same matched sets as the literal per-zone recursion while visiting
     /// `O(β · levels + node crossings)` zones instead of `O(β^levels)`.
-    fn push_down<R: NodeRuntime<HyperMsg, HyperWorld>>(&mut self, ctx: &mut R, repo_key: RepoKey) {
+    fn push_down(&mut self, ctx: &mut Cx<'_>, repo_key: RepoKey) {
         let (scheme_id, ss, zone) = repo_key;
         let zone_params = self.cfg.zone;
         if zone.level >= zone_params.max_level() {

@@ -15,12 +15,11 @@
 
 use crate::model::SubId;
 use crate::msg::{HyperMsg, MigAck, MigBatch};
-use crate::node::{in_closed_open, HyperSubNode, IidTarget, TOKEN_LB};
+use crate::node::{in_closed_open, Cx, HyperSubNode, IidTarget, TOKEN_LB};
 use crate::repo::{HostedRepo, RepoKey, StoredSub};
-use crate::world::HyperWorld;
 use hypersub_chord::Peer;
 use hypersub_lph::Rect;
-use hypersub_simnet::{NodeRuntime, ProtoEvent};
+use hypersub_simnet::ProtoEvent;
 use hypersub_snapshot::codec;
 use std::collections::{HashMap, HashSet};
 
@@ -97,7 +96,7 @@ impl HyperSubNode {
     /// One load-balancing round: evaluate the previous round's samples
     /// (migrating if overloaded), then probe neighbors afresh. Driven by
     /// the `TOKEN_LB` timer; re-arms itself while enabled.
-    pub(crate) fn lb_tick<R: NodeRuntime<HyperMsg, HyperWorld>>(&mut self, ctx: &mut R) {
+    pub(crate) fn lb_tick(&mut self, ctx: &mut Cx<'_>) {
         if !self.cfg.lb.enabled {
             return;
         }
@@ -115,12 +114,7 @@ impl HyperSubNode {
 
     /// Answers a probe; forwards it one level deeper when `ttl > 1`
     /// (probing level P_l > 1 samples neighbors' neighbors).
-    pub(crate) fn handle_load_probe<R: NodeRuntime<HyperMsg, HyperWorld>>(
-        &mut self,
-        ctx: &mut R,
-        origin: Peer,
-        ttl: u8,
-    ) {
+    pub(crate) fn handle_load_probe(&mut self, ctx: &mut Cx<'_>, origin: Peer, ttl: u8) {
         ctx.send(origin.idx, HyperMsg::LoadReply { load: self.load() });
         if ttl > 1 {
             for p in self.maint.chord.close_neighbors() {
@@ -156,7 +150,7 @@ impl HyperSubNode {
     }
 
     /// The migration decision (§4): overloaded ⇔ `L_N > avg(1+δ)`.
-    fn evaluate_and_migrate<R: NodeRuntime<HyperMsg, HyperWorld>>(&mut self, ctx: &mut R) {
+    fn evaluate_and_migrate(&mut self, ctx: &mut Cx<'_>) {
         if self.lb.samples.is_empty() {
             return;
         }
@@ -210,12 +204,7 @@ impl HyperSubNode {
     /// per-target share — without the per-target cap the wrap-around arc
     /// `[A_k, N)` covers most of the ring and everything would dump onto
     /// one neighbor.
-    fn offer_migration<R: NodeRuntime<HyperMsg, HyperWorld>>(
-        &mut self,
-        ctx: &mut R,
-        targets: &[Peer],
-        budget: u64,
-    ) {
+    fn offer_migration(&mut self, ctx: &mut Cx<'_>, targets: &[Peer], budget: u64) {
         let my_id = self.maint.chord.id;
         let k = targets.len();
         // Range for target i: [A_i, A_{i+1}), last range [A_k, N).
@@ -348,9 +337,9 @@ impl HyperSubNode {
 
     /// Acceptor side: store the migrated subscriptions in hosted repos and
     /// acknowledge with a projected summary per batch.
-    pub(crate) fn handle_migrate<R: NodeRuntime<HyperMsg, HyperWorld>>(
+    pub(crate) fn handle_migrate(
         &mut self,
-        ctx: &mut R,
+        ctx: &mut Cx<'_>,
         origin: Peer,
         batches: Vec<MigBatch>,
     ) {
@@ -397,9 +386,9 @@ impl HyperSubNode {
 
     /// Origin side: on acknowledgment, replace the migrated entries with
     /// one surrogate subscription pointing at the acceptor.
-    pub(crate) fn handle_migrate_ack<R: NodeRuntime<HyperMsg, HyperWorld>>(
+    pub(crate) fn handle_migrate_ack(
         &mut self,
-        ctx: &mut R,
+        ctx: &mut Cx<'_>,
         from: usize,
         acceptor: Peer,
         acks: Vec<MigAck>,

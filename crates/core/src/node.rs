@@ -8,7 +8,7 @@ use crate::sim::PubSubNode;
 use crate::world::HyperWorld;
 use hypersub_chord::proto::MaintState;
 use hypersub_chord::ChordState;
-use hypersub_simnet::{FxHashMap, FxHashSet, Node, NodeRuntime};
+use hypersub_simnet::{Ctx, FxHashMap, FxHashSet, Node};
 use hypersub_snapshot::{codec, Decode, Encode, Error, Reader, Writer};
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
@@ -258,6 +258,9 @@ pub const TOKEN_PUBLISH_BASE: u64 = 1 << 32;
 /// send `token - RETRY_BASE` (see `retry.rs`).
 pub const TOKEN_RETRY_BASE: u64 = 1 << 48;
 
+/// The context a HyperSub handler runs under, from either host.
+pub type Cx<'a> = Ctx<'a, HyperMsg, HyperWorld>;
+
 /// A HyperSub node.
 #[derive(Debug, Clone)]
 pub struct HyperSubNode {
@@ -360,12 +363,7 @@ impl Node<HyperMsg, HyperWorld> for HyperSubNode {
     /// re-route traffic that must not be lost (deliveries and
     /// registrations take the next-best hop; probes and maintenance are
     /// periodic and simply retry next round).
-    fn on_send_failed<R: NodeRuntime<HyperMsg, HyperWorld>>(
-        &mut self,
-        ctx: &mut R,
-        dst: usize,
-        msg: HyperMsg,
-    ) {
+    fn on_send_failed(&mut self, ctx: &mut Cx<'_>, dst: usize, msg: HyperMsg) {
         self.maint.note_dead(dst);
         // Fail-stop evidence of a dead peer: re-home any subscriptions we
         // migrated to it (no-op unless self-healing is on).
@@ -387,12 +385,7 @@ impl Node<HyperMsg, HyperWorld> for HyperSubNode {
         }
     }
 
-    fn on_message<R: NodeRuntime<HyperMsg, HyperWorld>>(
-        &mut self,
-        ctx: &mut R,
-        from: usize,
-        msg: HyperMsg,
-    ) {
+    fn on_message(&mut self, ctx: &mut Cx<'_>, from: usize, msg: HyperMsg) {
         match msg {
             HyperMsg::Route { key, inner } => self.handle_route(ctx, key, inner),
             HyperMsg::Delivery(d) => self.handle_delivery(ctx, d),
@@ -422,7 +415,7 @@ impl Node<HyperMsg, HyperWorld> for HyperSubNode {
         }
     }
 
-    fn on_timer<R: NodeRuntime<HyperMsg, HyperWorld>>(&mut self, ctx: &mut R, token: u64) {
+    fn on_timer(&mut self, ctx: &mut Cx<'_>, token: u64) {
         if token >= TOKEN_RETRY_BASE {
             self.retry_fire(ctx, token - TOKEN_RETRY_BASE);
             return;
@@ -456,12 +449,7 @@ impl Node<HyperMsg, HyperWorld> for HyperSubNode {
 impl PubSubNode for HyperSubNode {
     type Msg = HyperMsg;
 
-    fn subscribe<R: NodeRuntime<HyperMsg, HyperWorld>>(
-        &mut self,
-        ctx: &mut R,
-        scheme: SchemeId,
-        sub: Subscription,
-    ) -> SubId {
+    fn subscribe(&mut self, ctx: &mut Cx<'_>, scheme: SchemeId, sub: Subscription) -> SubId {
         HyperSubNode::subscribe(self, ctx, scheme, sub)
     }
 

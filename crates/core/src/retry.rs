@@ -26,9 +26,8 @@
 //! its bookkeeping exactly like a dead-acceptor abort.
 
 use crate::msg::HyperMsg;
-use crate::node::{DedupCache, HyperSubNode, TOKEN_RETRY_BASE};
-use crate::world::HyperWorld;
-use hypersub_simnet::{FxHashMap, NodeRuntime, ProtoEvent, SimTime};
+use crate::node::{Cx, DedupCache, HyperSubNode, TOKEN_RETRY_BASE};
+use hypersub_simnet::{FxHashMap, ProtoEvent, SimTime};
 use hypersub_snapshot::codec;
 
 /// One unacked reliable transmission.
@@ -81,12 +80,7 @@ impl HyperSubNode {
     /// Sends `msg` to `dst` with ack/retransmit protection when retries
     /// are enabled; plain send otherwise (and always for self-sends,
     /// which cannot be lost).
-    pub(crate) fn send_reliable<R: NodeRuntime<HyperMsg, HyperWorld>>(
-        &mut self,
-        ctx: &mut R,
-        dst: usize,
-        msg: HyperMsg,
-    ) {
+    pub(crate) fn send_reliable(&mut self, ctx: &mut Cx<'_>, dst: usize, msg: HyperMsg) {
         if !self.cfg.retry.enabled || dst == ctx.me() {
             ctx.send(dst, msg);
             return;
@@ -113,9 +107,9 @@ impl HyperSubNode {
 
     /// Receiver side: ack the transmission, then process the payload
     /// exactly once per `(sender, token)`.
-    pub(crate) fn handle_reliable<R: NodeRuntime<HyperMsg, HyperWorld>>(
+    pub(crate) fn handle_reliable(
         &mut self,
-        ctx: &mut R,
+        ctx: &mut Cx<'_>,
         from: usize,
         token: u64,
         inner: HyperMsg,
@@ -128,11 +122,7 @@ impl HyperSubNode {
     }
 
     /// Sender side: the destination confirmed receipt.
-    pub(crate) fn handle_ack<R: NodeRuntime<HyperMsg, HyperWorld>>(
-        &mut self,
-        ctx: &mut R,
-        token: u64,
-    ) {
+    pub(crate) fn handle_ack(&mut self, ctx: &mut Cx<'_>, token: u64) {
         if let Some(p) = self.rel.pending.remove(&token) {
             let latency = ctx.now().saturating_sub(p.sent_at);
             let me = ctx.me();
@@ -150,11 +140,7 @@ impl HyperSubNode {
 
     /// Retransmit-timer expiry for `token`: re-send with doubled timeout,
     /// or give up after the configured attempts.
-    pub(crate) fn retry_fire<R: NodeRuntime<HyperMsg, HyperWorld>>(
-        &mut self,
-        ctx: &mut R,
-        token: u64,
-    ) {
+    pub(crate) fn retry_fire(&mut self, ctx: &mut Cx<'_>, token: u64) {
         let Some(p) = self.rel.pending.get_mut(&token) else {
             return; // acked (or resolved via SendFailed) in the meantime
         };
@@ -194,12 +180,7 @@ impl HyperSubNode {
     }
 
     /// All retransmissions exhausted without an ack.
-    fn give_up<R: NodeRuntime<HyperMsg, HyperWorld>>(
-        &mut self,
-        ctx: &mut R,
-        p: PendingSend,
-        token: u64,
-    ) {
+    fn give_up(&mut self, ctx: &mut Cx<'_>, p: PendingSend, token: u64) {
         let me = ctx.me();
         ctx.world().metrics.proto.retry_give_ups.inc(me);
         ctx.trace(|| ProtoEvent {

@@ -16,8 +16,8 @@ use hypersub_chord::builder::{build_ring, RingConfig};
 use hypersub_chord::ChordState;
 use hypersub_lph::Point;
 use hypersub_simnet::{
-    FlightRecorder, KingLikeTopology, NetStats, Node, NodeRuntime, Payload, Sim, SimSnapshot,
-    SimTime, Topology, UniformTopology,
+    Ctx, FlightRecorder, KingLikeTopology, NetStats, Node, Payload, Sim, SimSnapshot, SimTime,
+    Topology, UniformTopology,
 };
 use hypersub_snapshot::{codec, Decode, Encode, Reader, Writer};
 use std::sync::Arc;
@@ -98,9 +98,9 @@ pub trait PubSubNode: Node<Self::Msg, HyperWorld> {
 
     /// Installs a subscription originating at this node and returns its
     /// id. Implementations register it with the world's oracle.
-    fn subscribe<R: NodeRuntime<Self::Msg, HyperWorld>>(
+    fn subscribe(
         &mut self,
-        ctx: &mut R,
+        ctx: &mut Ctx<'_, Self::Msg, HyperWorld>,
         scheme: SchemeId,
         sub: Subscription,
     ) -> SubId;
@@ -622,7 +622,7 @@ impl Net<HyperSubNode> {
                 n.lb.in_flight.clear();
                 n.lb.migrated_index.clear();
                 n.rel.pending.clear();
-                let me = ctx.me as u64;
+                let me = ctx.me() as u64;
                 ctx.trace(|| hypersub_simnet::ProtoEvent {
                     kind: "repair.rejoin",
                     flow: None,

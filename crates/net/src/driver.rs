@@ -1,26 +1,29 @@
 //! The live driver: one thread owning a protocol node, its world, and a
 //! timer wheel, fed by listener/reader threads over real TCP sockets.
 //!
-//! The driver is the live-network counterpart of `simnet::Sim::step`. The
+//! The driver is the live-network counterpart of `simnet::Sim::step`:
+//! every handler — message, timer, send failure, control-plane call — runs
+//! under a `simnet::Ctx` built in one place, `Driver::dispatch`. The
 //! parity rules it preserves (see DESIGN.md "Transport & runtime"):
 //!
 //! * **Single-threaded protocol state.** Handlers run only on the driver
 //!   thread; socket threads never touch the node. A handler sees the same
-//!   exclusive `&mut self` + runtime world it sees under the simulator.
+//!   exclusive `&mut self` + context it sees under the simulator.
 //! * **Self-sends loop back in order.** A message a node sends to itself
-//!   is dispatched inline after already-queued work, exactly like the
-//!   simulator's zero-latency self-delivery.
+//!   joins the driver's one work queue behind already-queued work and
+//!   behind the rest of the handler's outbox, whichever way the handler
+//!   was entered, exactly like the simulator's zero-latency
+//!   self-delivery.
 //! * **Fail-stop surfaces as `on_send_failed`.** A dial or write failure
-//!   to a peer that was up invokes the node's failure handler inline,
-//!   which is how the simulator's `FaultPlane` reports a dead
-//!   destination. A peer that has never been connected in either
-//!   direction is not up *yet*, which the simulator has no counterpart
-//!   for (all its nodes exist from time zero): the message is lost
-//!   without a verdict (see `ConnMgr::send`).
+//!   to a peer that was up queues the node's failure handler, which is
+//!   how the simulator reports a dead destination. A peer that has never
+//!   been connected in either direction is not up *yet*, which the
+//!   simulator has no counterpart for (all its nodes exist from time
+//!   zero): the message is lost without a verdict (see `ConnMgr::send`).
 
 use crate::frame::{handshake, parse_handshake, read_frame, write_frame};
 use crate::wheel::TimerWheel;
-use hypersub_simnet::{Node, NodeRuntime, Payload, ProtoEvent, SimTime, WireMsg};
+use hypersub_simnet::{Ctx, Node, Payload, SimTime, WireMsg};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -46,57 +49,13 @@ pub struct LiveConfig {
     pub seed: u64,
 }
 
-/// The runtime handed to protocol handlers on the driver thread.
-///
-/// Implements [`NodeRuntime`] over wall-clock time: `now()` is the
-/// duration since the driver started, expressed as [`SimTime`] so
-/// protocol-level arithmetic (timeouts, lease periods) is unchanged from
-/// the simulator. Tracing is off — live observability goes through the
-/// world's metric sinks instead of a flight recorder.
-pub struct LiveCtx<'a, M, W> {
-    me: usize,
-    now: SimTime,
-    world: &'a mut W,
-    rng: &'a mut SmallRng,
-    outbox: &'a mut Vec<(usize, M)>,
-    timers: &'a mut Vec<(SimTime, u64)>,
-}
-
-impl<M, W> NodeRuntime<M, W> for LiveCtx<'_, M, W> {
-    fn me(&self) -> usize {
-        self.me
-    }
-
-    fn now(&self) -> SimTime {
-        self.now
-    }
-
-    fn world(&mut self) -> &mut W {
-        self.world
-    }
-
-    fn rng(&mut self) -> &mut SmallRng {
-        self.rng
-    }
-
-    fn send(&mut self, dst: usize, msg: M) {
-        self.outbox.push((dst, msg));
-    }
-
-    fn set_timer(&mut self, delay: SimTime, token: u64) {
-        self.timers.push((delay, token));
-    }
-
-    fn tracing(&self) -> bool {
-        false
-    }
-
-    fn trace(&mut self, _f: impl FnOnce() -> ProtoEvent) {}
-}
-
 /// A closure run on the driver thread with exclusive access to the node
-/// and its runtime — the control plane's doorway into protocol state.
-pub type Call<N, M, W> = Box<dyn for<'a> FnOnce(&mut N, &mut LiveCtx<'a, M, W>) + Send>;
+/// and a context — the control plane's doorway into protocol state.
+///
+/// The context's `now()` is the wall-clock duration since the driver
+/// started, expressed as [`SimTime`] so protocol-level arithmetic
+/// (timeouts, lease periods) is unchanged from the simulator.
+pub type Call<N, M, W> = Box<dyn for<'a> FnOnce(&mut N, &mut Ctx<'a, M, W>) + Send>;
 
 enum Input<N, M, W> {
     Msg { from: usize, msg: M },
@@ -158,7 +117,7 @@ impl ConnMgr {
     }
 }
 
-/// What a dispatched handler produced, applied by the driver afterwards.
+/// A handler the driver owes its node, queued behind earlier work.
 enum Work<M> {
     Deliver { from: usize, msg: M },
     Failed { dst: usize, msg: M },
@@ -173,6 +132,9 @@ struct Driver<N, M, W> {
     me: usize,
     start: Instant,
     rx: Receiver<Input<N, M, W>>,
+    /// Self-sends and send failures waiting for their handler, in the
+    /// order they were produced.
+    queue: VecDeque<Work<M>>,
 }
 
 impl<N, M, W> Driver<N, M, W>
@@ -184,93 +146,45 @@ where
         SimTime::from_micros(self.start.elapsed().as_micros() as u64)
     }
 
-    /// Runs one handler and everything it transitively causes: timers are
-    /// armed, remote sends are transmitted (failures re-enter as
-    /// `on_send_failed`), and self-sends are delivered inline in FIFO
-    /// order — mirroring the simulator's flush semantics.
-    fn pump(&mut self, first: Work<M>) {
-        let mut queue: VecDeque<Work<M>> = VecDeque::new();
-        queue.push_back(first);
-        while let Some(work) = queue.pop_front() {
-            let now = self.elapsed();
-            let mut outbox = Vec::new();
-            let mut timers = Vec::new();
-            {
-                let mut ctx = LiveCtx {
-                    me: self.me,
-                    now,
-                    world: &mut self.world,
-                    rng: &mut self.rng,
-                    outbox: &mut outbox,
-                    timers: &mut timers,
-                };
-                match work {
-                    Work::Deliver { from, msg } => self.node.on_message(&mut ctx, from, msg),
-                    Work::Failed { dst, msg } => self.node.on_send_failed(&mut ctx, dst, msg),
-                }
-            }
-            for (delay, token) in timers {
-                self.wheel.arm(now + delay, token);
-            }
-            for (dst, msg) in outbox {
-                if dst == self.me {
-                    queue.push_back(Work::Deliver { from: dst, msg });
-                } else if self.conns.send(dst, &msg.to_wire_bytes()).is_err() {
-                    queue.push_back(Work::Failed { dst, msg });
-                }
-            }
-        }
-    }
-
-    fn fire_timer(&mut self, token: u64) {
+    /// Runs `f` under a fresh context, then applies what it asked for:
+    /// timers are armed, remote sends are transmitted in outbox order (a
+    /// failed one queues `on_send_failed`), and self-sends queue behind
+    /// already-queued work — mirroring the simulator's flush.
+    fn dispatch(&mut self, f: impl FnOnce(&mut N, &mut Ctx<'_, M, W>)) {
         let now = self.elapsed();
         let mut outbox = Vec::new();
         let mut timers = Vec::new();
-        {
-            let mut ctx = LiveCtx {
-                me: self.me,
-                now,
-                world: &mut self.world,
-                rng: &mut self.rng,
-                outbox: &mut outbox,
-                timers: &mut timers,
-            };
-            self.node.on_timer(&mut ctx, token);
+        // No recorder: live tracing is ROADMAP item 4's to wire.
+        let mut ctx = Ctx::new(
+            self.me,
+            now,
+            &mut self.world,
+            &mut self.rng,
+            &mut outbox,
+            &mut timers,
+            None,
+        );
+        f(&mut self.node, &mut ctx);
+        for (delay, token) in timers {
+            self.wheel.arm(now + delay, token);
         }
-        for (delay, t) in timers {
-            self.wheel.arm(now + delay, t);
-        }
-        self.flush(outbox);
-    }
-
-    fn call(&mut self, f: Call<N, M, W>) {
-        let now = self.elapsed();
-        let mut outbox = Vec::new();
-        let mut timers = Vec::new();
-        {
-            let mut ctx = LiveCtx {
-                me: self.me,
-                now,
-                world: &mut self.world,
-                rng: &mut self.rng,
-                outbox: &mut outbox,
-                timers: &mut timers,
-            };
-            f(&mut self.node, &mut ctx);
-        }
-        for (delay, t) in timers {
-            self.wheel.arm(now + delay, t);
-        }
-        self.flush(outbox);
-    }
-
-    fn flush(&mut self, outbox: Vec<(usize, M)>) {
         for (dst, msg) in outbox {
             if dst == self.me {
-                self.pump(Work::Deliver { from: dst, msg });
+                self.queue.push_back(Work::Deliver { from: dst, msg });
             } else if self.conns.send(dst, &msg.to_wire_bytes()).is_err() {
-                self.pump(Work::Failed { dst, msg });
+                self.queue.push_back(Work::Failed { dst, msg });
             }
+        }
+    }
+
+    /// Runs one entry handler and everything it transitively queues.
+    fn enter(&mut self, f: impl FnOnce(&mut N, &mut Ctx<'_, M, W>)) {
+        self.dispatch(f);
+        while let Some(work) = self.queue.pop_front() {
+            self.dispatch(|n, ctx| match work {
+                Work::Deliver { from, msg } => n.on_message(ctx, from, msg),
+                Work::Failed { dst, msg } => n.on_send_failed(ctx, dst, msg),
+            });
         }
     }
 
@@ -280,7 +194,7 @@ where
             loop {
                 let now = self.elapsed();
                 match self.wheel.pop_due(now) {
-                    Some(token) => self.fire_timer(token),
+                    Some(token) => self.enter(|n, ctx| n.on_timer(ctx, token)),
                     None => break,
                 }
             }
@@ -302,9 +216,9 @@ where
             match input {
                 Input::Msg { from, msg } => {
                     self.conns.seen.insert(from);
-                    self.pump(Work::Deliver { from, msg })
+                    self.enter(|n, ctx| n.on_message(ctx, from, msg))
                 }
-                Input::Call(f) => self.call(f),
+                Input::Call(f) => self.enter(f),
                 Input::Shutdown => return,
             }
         }
@@ -331,9 +245,9 @@ where
         self.local
     }
 
-    /// Runs `f` on the driver thread with exclusive node + runtime access;
+    /// Runs `f` on the driver thread with exclusive node + context access;
     /// sends and timers it issues are flushed like any handler's.
-    pub fn invoke(&self, f: impl for<'a> FnOnce(&mut N, &mut LiveCtx<'a, M, W>) + Send + 'static) {
+    pub fn invoke(&self, f: impl for<'a> FnOnce(&mut N, &mut Ctx<'a, M, W>) + Send + 'static) {
         let _ = self.tx.send(Input::Call(Box::new(f)));
     }
 
@@ -341,7 +255,7 @@ where
     /// driver thread.
     pub fn query<R: Send + 'static>(
         &self,
-        f: impl for<'a> FnOnce(&mut N, &mut LiveCtx<'a, M, W>) -> R + Send + 'static,
+        f: impl for<'a> FnOnce(&mut N, &mut Ctx<'a, M, W>) -> R + Send + 'static,
     ) -> R {
         let (tx, rx) = mpsc::channel();
         self.invoke(move |node, ctx| {
@@ -396,6 +310,7 @@ where
         me: cfg.index,
         start: Instant::now(),
         rx,
+        queue: VecDeque::new(),
     };
     let driver = thread::spawn(move || driver.run());
 

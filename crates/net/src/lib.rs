@@ -1,9 +1,9 @@
 //! Real-socket runtime for HyperSub protocol nodes.
 //!
 //! The protocol crates (`hypersub-core`, `hypersub-chord`) are written
-//! against [`hypersub_simnet::NodeRuntime`], not against the simulator —
-//! this crate is the second implementation of that contract. It hosts the
-//! very same [`hypersub_simnet::Node`] state machines over TCP:
+//! against [`hypersub_simnet::Ctx`], a context any host can build — this
+//! crate is the second host, after the simulator. It runs the very same
+//! [`hypersub_simnet::Node`] state machines over TCP:
 //!
 //! * [`frame`] — 4-byte length-prefixed frames carrying
 //!   [`hypersub_simnet::WireMsg`] encodings, plus the connection
@@ -21,6 +21,6 @@ pub mod driver;
 pub mod frame;
 pub mod wheel;
 
-pub use driver::{spawn, Call, LiveConfig, LiveCtx, NetHandle};
+pub use driver::{spawn, Call, LiveConfig, NetHandle};
 pub use frame::{read_frame, write_frame, MAX_FRAME};
 pub use wheel::TimerWheel;

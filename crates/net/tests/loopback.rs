@@ -2,7 +2,7 @@
 //! connection reuse, timers, self-sends, and fail-stop reporting.
 
 use hypersub_net::driver::{spawn, LiveConfig, NetHandle};
-use hypersub_simnet::{Node, NodeRuntime, Payload, SimTime, WireMsg};
+use hypersub_simnet::{Ctx, Node, Payload, SimTime, WireMsg};
 use hypersub_snapshot::{Error, Reader, Writer};
 use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
@@ -55,13 +55,10 @@ struct TestWorld {
 /// Replies `Pong(n)` to every `Ping(n)`; on a timer, self-sends one ping.
 struct PingPong;
 
+type Cx<'a> = Ctx<'a, TestMsg, TestWorld>;
+
 impl Node<TestMsg, TestWorld> for PingPong {
-    fn on_message<R: NodeRuntime<TestMsg, TestWorld>>(
-        &mut self,
-        ctx: &mut R,
-        from: usize,
-        msg: TestMsg,
-    ) {
+    fn on_message(&mut self, ctx: &mut Cx<'_>, from: usize, msg: TestMsg) {
         match msg {
             TestMsg::Ping(n) => {
                 ctx.world().pings.push(n);
@@ -71,19 +68,40 @@ impl Node<TestMsg, TestWorld> for PingPong {
         }
     }
 
-    fn on_timer<R: NodeRuntime<TestMsg, TestWorld>>(&mut self, ctx: &mut R, token: u64) {
+    fn on_timer(&mut self, ctx: &mut Cx<'_>, token: u64) {
         ctx.world().timer_fired = true;
         let me = ctx.me();
         ctx.send(me, TestMsg::Ping(token));
     }
 
-    fn on_send_failed<R: NodeRuntime<TestMsg, TestWorld>>(
-        &mut self,
-        ctx: &mut R,
-        dst: usize,
-        _msg: TestMsg,
-    ) {
+    fn on_send_failed(&mut self, ctx: &mut Cx<'_>, dst: usize, _msg: TestMsg) {
         ctx.world().failed_sends.push(dst);
+    }
+}
+
+/// Sends itself `Ping(100)` and then peer 1 `Ping(2)`; handling the
+/// `Ping(100)` sends peer 1 `Ping(3)`. Any other ping is recorded.
+struct SelfThenPeer;
+
+impl SelfThenPeer {
+    fn kick(ctx: &mut Cx<'_>) {
+        let me = ctx.me();
+        ctx.send(me, TestMsg::Ping(100));
+        ctx.send(1, TestMsg::Ping(2));
+    }
+}
+
+impl Node<TestMsg, TestWorld> for SelfThenPeer {
+    fn on_message(&mut self, ctx: &mut Cx<'_>, _from: usize, msg: TestMsg) {
+        match msg {
+            TestMsg::Ping(100) => ctx.send(1, TestMsg::Ping(3)),
+            TestMsg::Ping(n) => ctx.world().pings.push(n),
+            TestMsg::Pong(_) => {}
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Cx<'_>, _token: u64) {
+        Self::kick(ctx);
     }
 }
 
@@ -95,13 +113,14 @@ fn wait_until(mut cond: impl FnMut() -> bool) {
     }
 }
 
-fn spawn_pingpong(
+fn spawn_node<N: Node<TestMsg, TestWorld> + Send + 'static>(
+    node: N,
     listener: TcpListener,
     index: usize,
     peers: &[SocketAddr],
-) -> NetHandle<PingPong, TestMsg, TestWorld> {
+) -> NetHandle<N, TestMsg, TestWorld> {
     spawn(
-        PingPong,
+        node,
         TestWorld::default(),
         listener,
         LiveConfig {
@@ -117,8 +136,8 @@ fn two_drivers_deliver_over_loopback_tcp() {
     let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
     let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
     let peers = [l0.local_addr().unwrap(), l1.local_addr().unwrap()];
-    let h0 = spawn_pingpong(l0, 0, &peers);
-    let h1 = spawn_pingpong(l1, 1, &peers);
+    let h0 = spawn_node(PingPong, l0, 0, &peers);
+    let h1 = spawn_node(PingPong, l1, 1, &peers);
 
     // Node 0 pings node 1 three times over one reused connection; each
     // ping comes back as a pong on a connection node 1 dials back.
@@ -137,7 +156,7 @@ fn two_drivers_deliver_over_loopback_tcp() {
 fn timers_fire_and_self_sends_loop_back() {
     let l = TcpListener::bind("127.0.0.1:0").unwrap();
     let peers = [l.local_addr().unwrap()];
-    let h = spawn_pingpong(l, 0, &peers);
+    let h = spawn_node(PingPong, l, 0, &peers);
     h.invoke(|_n, ctx| ctx.set_timer(SimTime::from_millis(20), 77));
     // The timer handler self-sends Ping(77); the node then pongs itself.
     wait_until(|| h.query(|_n, ctx| ctx.world().pongs.clone()) == vec![77]);
@@ -146,13 +165,41 @@ fn timers_fire_and_self_sends_loop_back() {
     h.shutdown();
 }
 
+/// Parity rule 2: a self-send waits behind the handler's other sends
+/// whichever way the handler was entered. The simulator delivers
+/// `Ping(2)` and `Ping(3)` to peer 1 at the same instant, `Ping(2)` first
+/// (lower sequence number); a driver that ran the self-send's handler
+/// before transmitting the rest of the outbox would deliver `[3, 2]`.
+#[test]
+fn self_send_queues_behind_the_rest_of_the_outbox_from_any_entry() {
+    let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
+    let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
+    let peers = [l0.local_addr().unwrap(), l1.local_addr().unwrap()];
+    let h0 = spawn_node(SelfThenPeer, l0, 0, &peers);
+    let h1 = spawn_node(SelfThenPeer, l1, 1, &peers);
+
+    h0.invoke(|_n, ctx| ctx.set_timer(SimTime::from_millis(5), 0));
+    wait_until(|| h1.query(|_n, ctx| ctx.world().pings.len()) == 2);
+    assert_eq!(h1.query(|_n, ctx| ctx.world().pings.clone()), vec![2, 3]);
+
+    h0.invoke(|_n, ctx| SelfThenPeer::kick(ctx));
+    wait_until(|| h1.query(|_n, ctx| ctx.world().pings.len()) == 4);
+    assert_eq!(
+        h1.query(|_n, ctx| ctx.world().pings.clone()),
+        vec![2, 3, 2, 3]
+    );
+
+    h0.shutdown();
+    h1.shutdown();
+}
+
 #[test]
 fn dead_peer_surfaces_as_send_failed() {
     let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
     let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
     let peers = [l0.local_addr().unwrap(), l1.local_addr().unwrap()];
-    let h0 = spawn_pingpong(l0, 0, &peers);
-    let h1 = spawn_pingpong(l1, 1, &peers);
+    let h0 = spawn_node(PingPong, l0, 0, &peers);
+    let h1 = spawn_node(PingPong, l1, 1, &peers);
     h0.invoke(|_n, ctx| ctx.send(1, TestMsg::Ping(0)));
     wait_until(|| h0.query(|_n, ctx| ctx.world().pongs.len()) == 1);
 
@@ -184,7 +231,7 @@ fn peer_not_yet_listening_is_not_fail_stop() {
         l1.local_addr().unwrap()
     };
     let peers = [l0.local_addr().unwrap(), addr1];
-    let h0 = spawn_pingpong(l0, 0, &peers);
+    let h0 = spawn_node(PingPong, l0, 0, &peers);
 
     // The query runs after the send was flushed (refused) on the driver
     // thread: the ping is lost, and no failure was reported.
@@ -192,7 +239,7 @@ fn peer_not_yet_listening_is_not_fail_stop() {
     assert!(h0.query(|_n, ctx| ctx.world().failed_sends.is_empty()));
 
     // Peer 1 comes up; node 0 reaches it like any other peer.
-    let h1 = spawn_pingpong(TcpListener::bind(addr1).unwrap(), 1, &peers);
+    let h1 = spawn_node(PingPong, TcpListener::bind(addr1).unwrap(), 1, &peers);
     h0.invoke(|_n, ctx| ctx.send(1, TestMsg::Ping(2)));
     wait_until(|| h0.query(|_n, ctx| ctx.world().pongs.clone()) == vec![2]);
     assert_eq!(h1.query(|_n, ctx| ctx.world().pings.clone()), vec![2]);

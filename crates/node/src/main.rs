@@ -39,7 +39,6 @@ use hypersub_core::node::{HyperSubNode, TOKEN_FIX_FINGERS, TOKEN_STABILIZE};
 use hypersub_core::world::HyperWorld;
 use hypersub_lph::{Point, Rect};
 use hypersub_net::driver::{spawn, LiveConfig, NetHandle};
-use hypersub_simnet::NodeRuntime;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::ExitCode;

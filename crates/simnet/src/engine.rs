@@ -5,7 +5,9 @@
 //! and the network counters. Protocols implement [`Node`]; all their
 //! interaction with the outside goes through [`Ctx`], which records sends
 //! and timers that the engine then schedules with topology latency and
-//! charges to [`crate::NetStats`].
+//! charges to [`crate::NetStats`]. A `Ctx` borrows nothing of the engine
+//! but buffers, so any other host — `hypersub-net`'s TCP driver — builds
+//! one with [`Ctx::new`] and runs the same handlers.
 //!
 //! Determinism: all randomness flows from one seeded `SmallRng`, and the
 //! event queue breaks ties by insertion order, so a run is a pure function
@@ -13,7 +15,6 @@
 
 use crate::fault::{FaultPlane, Verdict};
 use crate::queue::{EventQueue, SimEvent};
-use crate::runtime::NodeRuntime;
 use crate::stats::NetStats;
 use crate::time::SimTime;
 use crate::topology::Topology;
@@ -43,51 +44,97 @@ impl Payload for () {
     }
 }
 
-/// Per-node protocol logic, generic over the hosting runtime.
-///
-/// Handlers receive an `&mut R` where `R:`[`NodeRuntime`]`<M, W>`: the
-/// simulator passes its [`Ctx`], a live transport passes its own runtime.
-/// Dispatch is static (monomorphized per runtime), so the abstraction
-/// costs the simulator hot path nothing.
+/// Per-node protocol logic. Every handler is handed a [`Ctx`] by whichever
+/// host runs the node: the simulator, or a live transport.
 pub trait Node<M: Payload, W>: Sized {
     /// Called when a message from node `from` arrives.
-    fn on_message<R: NodeRuntime<M, W>>(&mut self, ctx: &mut R, from: usize, msg: M);
+    fn on_message(&mut self, ctx: &mut Ctx<'_, M, W>, from: usize, msg: M);
 
-    /// Called when a timer scheduled with [`NodeRuntime::set_timer`] (or
+    /// Called when a timer scheduled with [`Ctx::set_timer`] (or
     /// externally via [`Sim::schedule_timer`]) fires.
-    fn on_timer<R: NodeRuntime<M, W>>(&mut self, _ctx: &mut R, _token: u64) {}
+    fn on_timer(&mut self, _ctx: &mut Ctx<'_, M, W>, _token: u64) {}
 
     /// Called when a message this node sent could not be delivered because
     /// the destination is down (fail-stop model: the notification arrives
     /// one propagation delay after the send, like a refused connection).
     /// Default: ignore.
-    fn on_send_failed<R: NodeRuntime<M, W>>(&mut self, _ctx: &mut R, _dst: usize, _msg: M) {}
+    fn on_send_failed(&mut self, _ctx: &mut Ctx<'_, M, W>, _dst: usize, _msg: M) {}
 }
 
-/// The API surface a node sees while handling an event.
+/// The API surface a node sees while handling an event: who it is, the
+/// time, the shared world, randomness, and buffers for what it sends and
+/// arms. Sends and timers are queued, never blocking; the host applies
+/// them after the handler returns, so delivery latency and timer dispatch
+/// are the host's concern.
 pub struct Ctx<'a, M, W> {
-    /// Index of the node currently executing.
-    pub me: usize,
-    /// Current simulation time.
-    pub now: SimTime,
-    /// Mutable access to the shared world (metrics sinks, scenario state).
-    pub world: &'a mut W,
-    /// Deterministic randomness.
-    pub rng: &'a mut SmallRng,
+    me: usize,
+    now: SimTime,
+    world: &'a mut W,
+    rng: &'a mut SmallRng,
     outbox: &'a mut Vec<(usize, M)>,
     timers: &'a mut Vec<(SimTime, u64)>,
     recorder: Option<&'a mut FlightRecorder>,
 }
 
-impl<M, W> Ctx<'_, M, W> {
-    /// Sends `msg` to node `dst`; it arrives after the topology latency.
-    /// Sending to self is allowed and arrives at the current time (after
-    /// already-queued same-time events).
+impl<'a, M, W> Ctx<'a, M, W> {
+    /// A context for node `me` at time `now` over the host's state. The
+    /// host reads `outbox` (`(dst, msg)` in send order) and `timers`
+    /// (`(delay, token)`) back once the handler has returned; `recorder`
+    /// is where [`Ctx::trace`] writes, `None` for no tracing.
+    pub fn new(
+        me: usize,
+        now: SimTime,
+        world: &'a mut W,
+        rng: &'a mut SmallRng,
+        outbox: &'a mut Vec<(usize, M)>,
+        timers: &'a mut Vec<(SimTime, u64)>,
+        recorder: Option<&'a mut FlightRecorder>,
+    ) -> Self {
+        Ctx {
+            me,
+            now,
+            world,
+            rng,
+            outbox,
+            timers,
+            recorder,
+        }
+    }
+
+    /// Index of the node currently executing.
+    #[inline]
+    pub fn me(&self) -> usize {
+        self.me
+    }
+
+    /// The current time.
+    #[inline]
+    pub fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// Mutable access to the shared world (metric sinks, scenario state).
+    #[inline]
+    pub fn world(&mut self) -> &mut W {
+        self.world
+    }
+
+    /// Deterministic randomness owned by the host.
+    #[inline]
+    pub fn rng(&mut self) -> &mut SmallRng {
+        self.rng
+    }
+
+    /// Sends `msg` to node `dst`; under the simulator it arrives after the
+    /// topology latency. Sending to self is allowed; the message is handed
+    /// back to the node after already-queued work.
+    #[inline]
     pub fn send(&mut self, dst: usize, msg: M) {
         self.outbox.push((dst, msg));
     }
 
     /// Arms a timer to fire on this node after `delay`.
+    #[inline]
     pub fn set_timer(&mut self, delay: SimTime, token: u64) {
         self.timers.push((delay, token));
     }
@@ -345,15 +392,15 @@ impl<N, M: Payload, W> Sim<N, M, W> {
         i: usize,
         f: impl FnOnce(&mut N, &mut Ctx<'_, M, W>) -> R,
     ) -> R {
-        let mut ctx = Ctx {
-            me: i,
-            now: self.time,
-            world: &mut self.world,
-            rng: &mut self.rng,
-            outbox: &mut self.outbox,
-            timers: &mut self.timers,
-            recorder: self.recorder.as_mut(),
-        };
+        let mut ctx = Ctx::new(
+            i,
+            self.time,
+            &mut self.world,
+            &mut self.rng,
+            &mut self.outbox,
+            &mut self.timers,
+            self.recorder.as_mut(),
+        );
         let r = f(&mut self.nodes[i], &mut ctx);
         self.flush(i);
         r
@@ -506,33 +553,13 @@ impl<N, M: Payload, W> Sim<N, M, W> {
                         },
                     );
                 }
-                let mut ctx = Ctx {
-                    me: dst,
-                    now: at,
-                    world: &mut self.world,
-                    rng: &mut self.rng,
-                    outbox: &mut self.outbox,
-                    timers: &mut self.timers,
-                    recorder: self.recorder.as_mut(),
-                };
-                self.nodes[dst].on_message(&mut ctx, src, msg);
-                self.flush(dst);
+                self.with_node_ctx(dst, |n, ctx| n.on_message(ctx, src, msg));
             }
             SimEvent::Timer { node, token } => {
                 if !self.alive[node] {
                     return true;
                 }
-                let mut ctx = Ctx {
-                    me: node,
-                    now: at,
-                    world: &mut self.world,
-                    rng: &mut self.rng,
-                    outbox: &mut self.outbox,
-                    timers: &mut self.timers,
-                    recorder: self.recorder.as_mut(),
-                };
-                self.nodes[node].on_timer(&mut ctx, token);
-                self.flush(node);
+                self.with_node_ctx(node, |n, ctx| n.on_timer(ctx, token));
             }
             SimEvent::SendFailed { origin, dst, msg } => {
                 if !self.alive[origin] {
@@ -548,17 +575,7 @@ impl<N, M: Payload, W> Sim<N, M, W> {
                         },
                     );
                 }
-                let mut ctx = Ctx {
-                    me: origin,
-                    now: at,
-                    world: &mut self.world,
-                    rng: &mut self.rng,
-                    outbox: &mut self.outbox,
-                    timers: &mut self.timers,
-                    recorder: self.recorder.as_mut(),
-                };
-                self.nodes[origin].on_send_failed(&mut ctx, dst, msg);
-                self.flush(origin);
+                self.with_node_ctx(origin, |n, ctx| n.on_send_failed(ctx, dst, msg));
             }
         }
         true
@@ -706,7 +723,7 @@ mod tests {
     }
 
     impl Node<Hop, World> for RingNode {
-        fn on_message<R: NodeRuntime<Hop, World>>(&mut self, ctx: &mut R, _from: usize, msg: Hop) {
+        fn on_message(&mut self, ctx: &mut Ctx<'_, Hop, World>, _from: usize, msg: Hop) {
             let (me, now) = (ctx.me(), ctx.now());
             ctx.world().delivered.push((me, now));
             if msg.ttl > 0 {
@@ -715,7 +732,7 @@ mod tests {
             }
         }
 
-        fn on_timer<R: NodeRuntime<Hop, World>>(&mut self, ctx: &mut R, token: u64) {
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, Hop, World>, token: u64) {
             ctx.send((ctx.me() + 1) % 4, Hop { ttl: token as u32 });
         }
     }
@@ -794,22 +811,11 @@ mod tests {
             failed: Vec<(usize, SimTime)>,
         }
         impl Node<Hop, W> for Retry {
-            fn on_message<R: NodeRuntime<Hop, W>>(
-                &mut self,
-                _ctx: &mut R,
-                _from: usize,
-                _msg: Hop,
-            ) {
-            }
-            fn on_timer<R: NodeRuntime<Hop, W>>(&mut self, ctx: &mut R, _token: u64) {
+            fn on_message(&mut self, _ctx: &mut Ctx<'_, Hop, W>, _from: usize, _msg: Hop) {}
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, Hop, W>, _token: u64) {
                 ctx.send(2, Hop { ttl: 0 });
             }
-            fn on_send_failed<R: NodeRuntime<Hop, W>>(
-                &mut self,
-                ctx: &mut R,
-                dst: usize,
-                _msg: Hop,
-            ) {
+            fn on_send_failed(&mut self, ctx: &mut Ctx<'_, Hop, W>, dst: usize, _msg: Hop) {
                 let now = ctx.now();
                 ctx.world().failed.push((dst, now));
             }
@@ -974,6 +980,60 @@ mod tests {
             assert!(!ctx.tracing());
             ctx.trace(|| unreachable!("trace closure ran with recording off"));
         });
+    }
+
+    /// Any host can run a handler: a `Ctx` over plain buffers, no `Sim`.
+    #[test]
+    fn ctx_new_hosts_a_handler_over_plain_buffers() {
+        use rand::Rng;
+        struct Probe;
+        impl Node<Hop, World> for Probe {
+            fn on_message(&mut self, _ctx: &mut Ctx<'_, Hop, World>, _from: usize, _msg: Hop) {}
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, Hop, World>, token: u64) {
+                let (me, now) = (ctx.me(), ctx.now());
+                ctx.world().delivered.push((me, now));
+                let ttl = ctx.rng().gen_range(5..6);
+                ctx.send(me, Hop { ttl });
+                ctx.send(3, Hop { ttl: 1 });
+                ctx.set_timer(SimTime::from_millis(7), token + 1);
+                ctx.trace(|| ProtoEvent {
+                    kind: "test.mark",
+                    flow: None,
+                    a: token,
+                    b: 0,
+                });
+            }
+        }
+        let at = SimTime::from_millis(40);
+        let run = |mut recorder: Option<FlightRecorder>| {
+            let mut world = World::default();
+            let mut rng = SmallRng::seed_from_u64(1);
+            let (mut outbox, mut timers) = (Vec::new(), Vec::new());
+            let mut ctx = Ctx::new(
+                2,
+                at,
+                &mut world,
+                &mut rng,
+                &mut outbox,
+                &mut timers,
+                recorder.as_mut(),
+            );
+            Probe.on_timer(&mut ctx, 9);
+            if !ctx.tracing() {
+                ctx.trace(|| unreachable!("trace closure ran with no recorder"));
+            }
+            assert_eq!(world.delivered, [(2, at)]);
+            let sent: Vec<(usize, u32)> = outbox.iter().map(|(d, m)| (*d, m.ttl)).collect();
+            assert_eq!(sent, [(2, 5), (3, 1)], "the outbox keeps send order");
+            assert_eq!(timers, [(SimTime::from_millis(7), 10)]);
+            recorder
+        };
+        let rec = run(Some(FlightRecorder::new(4))).expect("the recorder handed in");
+        let got: Vec<_> = rec.iter().collect();
+        assert_eq!(got.len(), 1);
+        assert_eq!((got[0].time, got[0].node), (at, 2));
+        assert!(matches!(got[0].event, TraceEvent::Proto(p) if p.kind == "test.mark" && p.a == 9));
+        assert!(run(None).is_none());
     }
 
     #[test]

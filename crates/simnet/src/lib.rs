@@ -16,27 +16,28 @@
 //!
 //! Protocols are written as [`engine::Node`] implementations: the engine
 //! calls `on_message`/`on_timer`, the node emits sends and timers through
-//! its [`runtime::NodeRuntime`] (here, [`engine::Ctx`]), and the engine
-//! charges latency and bandwidth. A whole simulation is reproducible from
-//! a single `u64` seed. The same `Node` implementations run unchanged over
-//! any other [`runtime::NodeRuntime`] host — e.g. a real-socket transport.
+//! the [`engine::Ctx`] it is handed, and the engine charges latency and
+//! bandwidth. A whole simulation is reproducible from a single `u64` seed.
+//! `Ctx` is a concrete type any host can build ([`engine::Ctx::new`]), so
+//! the same `Node` implementations run unchanged over a real-socket
+//! transport (`hypersub-net`), whose messages frame as [`wire::WireMsg`].
 
 pub mod engine;
 pub mod fault;
 pub mod fxhash;
 pub mod queue;
-pub mod runtime;
 pub mod stats;
 pub mod time;
 pub mod topology;
 pub mod trace;
+pub mod wire;
 
 pub use engine::{Ctx, Node, Payload, Sim, SimSnapshot};
 pub use fault::{FaultPlane, LinkPolicy, Verdict};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use queue::SimEvent;
-pub use runtime::{NodeRuntime, WireMsg};
 pub use stats::NetStats;
 pub use time::SimTime;
 pub use topology::{KingLikeTopology, MatrixTopology, Topology, UniformTopology};
 pub use trace::{FlightRecorder, ProtoEvent, TraceEvent, TraceRecord};
+pub use wire::WireMsg;

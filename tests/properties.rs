@@ -294,98 +294,6 @@ proptest! {
     }
 }
 
-/// One extra statically-dispatched trait layer over any runtime: protocol
-/// code must behave identically however many `NodeRuntime` adapters sit
-/// between it and the engine — the contract the live transport's own
-/// runtime stands on.
-struct Indirect<'a, R>(&'a mut R);
-
-impl<M, W, R: hypersub_simnet::NodeRuntime<M, W>> hypersub_simnet::NodeRuntime<M, W>
-    for Indirect<'_, R>
-{
-    fn me(&self) -> usize {
-        self.0.me()
-    }
-    fn now(&self) -> SimTime {
-        self.0.now()
-    }
-    fn world(&mut self) -> &mut W {
-        self.0.world()
-    }
-    fn rng(&mut self) -> &mut rand::rngs::SmallRng {
-        self.0.rng()
-    }
-    fn send(&mut self, dst: usize, msg: M) {
-        self.0.send(dst, msg)
-    }
-    fn set_timer(&mut self, delay: SimTime, token: u64) {
-        self.0.set_timer(delay, token)
-    }
-    fn tracing(&self) -> bool {
-        self.0.tracing()
-    }
-    fn trace(&mut self, f: impl FnOnce() -> hypersub_simnet::ProtoEvent) {
-        self.0.trace(f)
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 8, // each case runs two full network simulations
-        .. ProptestConfig::default()
-    })]
-
-    /// The runtime abstraction is semantics-free: driving every subscribe
-    /// and publish through an extra `NodeRuntime` adapter layer (doubly
-    /// wrapped, statically dispatched) reproduces the plain run's digest
-    /// bit for bit. This is the sim-side half of the sim-vs-live parity
-    /// argument — the trait boundary itself cannot change behavior.
-    #[test]
-    fn prop_runtime_abstraction_never_changes_run_digest(
-        rects in prop::collection::vec(arb_rect(), 2..10),
-        points in prop::collection::vec((0.0f64..=100.0, 0.0f64..=100.0), 1..6),
-        nodes in 8usize..32,
-        seed in 0u64..500,
-    ) {
-        use hypersub_core::advanced::SimAccess;
-
-        let direct = {
-            let mut net = test_network(nodes, seed, SystemConfig::default());
-            for (i, r) in rects.iter().enumerate() {
-                net.subscribe(i % nodes, 0, Subscription::new(r.clone()));
-            }
-            net.run_to_quiescence();
-            for (i, &(x, y)) in points.iter().enumerate() {
-                net.publish((i * 7) % nodes, 0, Point(vec![x, y])).unwrap();
-            }
-            net.run_to_quiescence();
-            net.run_digest()
-        };
-
-        let indirect = {
-            let mut net = test_network(nodes, seed, SystemConfig::default());
-            for (i, r) in rects.iter().enumerate() {
-                let sub = Subscription::new(r.clone());
-                net.sim_mut().with_node_ctx(i % nodes, |n, ctx| {
-                    n.subscribe(&mut Indirect(&mut Indirect(ctx)), 0, sub)
-                });
-            }
-            net.run_to_quiescence();
-            // Mirror Network::publish's id allocation (ids start at 1).
-            for (i, &(x, y)) in points.iter().enumerate() {
-                let event = Event { id: i as u64 + 1, point: Point(vec![x, y]) };
-                net.sim_mut().with_node_ctx((i * 7) % nodes, |n, ctx| {
-                    n.publish_event(&mut Indirect(&mut Indirect(ctx)), 0, event)
-                });
-            }
-            net.run_to_quiescence();
-            net.run_digest()
-        };
-
-        prop_assert_eq!(direct, indirect, "runtime adapters must be digest-neutral");
-    }
-}
-
 proptest! {
     /// The per-event visit-once guard against the per-pair cache it
     /// replaced on the delivery path: below capacity nothing ages out, so

@@ -3,7 +3,7 @@
 //! zone tree (fewer climb hops, less delivery latency/bandwidth) but
 //! concentrate load — the Figure 2/4 trade-off, extended one step.
 
-use hypersub_bench::{is_quick, par_map, print_summary, run_experiment, ExperimentConfig};
+use hypersub_bench::{is_quick, par_map, print_summary, ExperimentConfig};
 use hypersub_core::config::SystemConfig;
 use hypersub_lph::ZoneParams;
 use hypersub_stats::Table;
@@ -26,23 +26,23 @@ fn main() {
             if quick {
                 c = c.quick();
             } else {
-                c.spec.events = 5000;
+                c.params.spec.events = 5000;
             }
             c
         })
         .collect();
-    let results = par_map(&configs, run_experiment);
-    print_summary(&results);
+    let runs = par_map(&configs, ExperimentConfig::run);
+    print_summary(&configs, &runs);
 
     let mut t = Table::new(
         "Ablation A1: zone base vs load concentration",
         &["config", "max load", "mean load", "max/mean"],
     );
-    for r in &results {
-        let max = r.node_loads.iter().copied().max().unwrap_or(0);
-        let mean = r.node_loads.iter().sum::<u64>() as f64 / r.node_loads.len().max(1) as f64;
+    for (c, r) in configs.iter().zip(&runs) {
+        let max = r.loads.iter().copied().max().unwrap_or(0);
+        let mean = r.loads.iter().sum::<u64>() as f64 / r.loads.len().max(1) as f64;
         t.row(&[
-            r.label.clone(),
+            c.label.clone(),
             max.to_string(),
             format!("{mean:.1}"),
             format!("{:.1}", max as f64 / mean.max(1e-9)),

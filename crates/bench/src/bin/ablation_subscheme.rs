@@ -27,16 +27,16 @@ fn run(label: &str, subschemes: Option<Vec<Vec<usize>>>, quick: bool) -> Outcome
     if quick {
         cfg = cfg.quick();
     } else {
-        cfg.nodes = 1000;
-        cfg.spec.events = 3000;
+        cfg.params.nodes = 1000;
+        cfg.params.spec.events = 3000;
     }
     cfg.subschemes = subschemes;
-    let mut net = cfg.network();
-    let mut gen = WorkloadGen::new(cfg.spec.clone(), cfg.seed ^ 0x55);
+    let (p, mut net) = (&cfg.params, cfg.network());
+    let mut gen = WorkloadGen::new(p.spec.clone(), p.seed ^ 0x55);
     // Partial subscriptions: half constrain {0,1}, half {2,3} — a
     // different draw per (node, k), so not `WorkloadGen::install`.
-    for node in 0..cfg.nodes {
-        for k in 0..cfg.spec.subs_per_node {
+    for node in 0..p.nodes {
+        for k in 0..p.spec.subs_per_node {
             let dims: &[usize] = if (node + k) % 2 == 0 {
                 &[0, 1]
             } else {
@@ -47,7 +47,7 @@ fn run(label: &str, subschemes: Option<Vec<Vec<usize>>>, quick: bool) -> Outcome
     }
     net.run_to_quiescence();
     let install_msgs = net.net().total_msgs();
-    gen.schedule(&mut net, cfg.spec.events);
+    gen.schedule(&mut net, p.spec.events);
     net.run_to_quiescence();
     let events = net.event_stats();
     let loads = net.node_loads();

@@ -12,51 +12,54 @@
 //!   subscriptions), first 100 shown. Larger bases concentrate load; the
 //!   dynamic subscription-migration mechanism cuts the maxima.
 
-use hypersub_bench::{
-    cdf_table, fig2_configs, is_quick, par_map, print_summary, run_experiment, ExperimentResult,
-};
+use hypersub_bench::{cdf_table, fig2_configs, is_quick, par_map, print_summary, ExperimentConfig};
+use hypersub_shootout::SystemRun;
 use hypersub_simnet::stats::NodeTraffic;
 use hypersub_stats::Table;
 
+/// One configuration and its run.
+type Run<'a> = (&'a ExperimentConfig, &'a SystemRun);
+
 fn main() {
     let configs = fig2_configs(is_quick());
-    let results = par_map(&configs, run_experiment);
+    let runs = par_map(&configs, ExperimentConfig::run);
+    let results: Vec<Run> = configs.iter().zip(&runs).collect();
     fig2(&results);
     fig3(&results);
     fig4(&results);
-    print_summary(&results);
+    print_summary(&configs, &runs);
 }
 
 /// Prints one 25-point CDF table with a `(legend, samples)` series a run.
 fn print_cdfs(
-    results: &[ExperimentResult],
+    results: &[Run],
     title: &str,
     x_label: &str,
-    series: impl Fn(&ExperimentResult) -> (String, Vec<f64>),
+    series: impl Fn(&ExperimentConfig, &SystemRun) -> (String, Vec<f64>),
 ) {
-    let series: Vec<(String, Vec<f64>)> = results.iter().map(series).collect();
+    let series: Vec<(String, Vec<f64>)> = results.iter().map(|&(c, r)| series(c, r)).collect();
     println!("{}", cdf_table(title, x_label, &series, 25));
 }
 
-fn fig2(results: &[ExperimentResult]) {
+fn fig2(results: &[Run]) {
     // (a) matched percentage — workload property, identical across
     // configurations; plotted from the first run as the paper does.
     let title = format!(
         "Fig 2(a): CDF of events vs % matched subscriptions (avg {:.3}%)",
-        results[0].avg_matched_pct()
+        results[0].1.avg_matched_pct()
     );
-    print_cdfs(&results[..1], &title, "matched %", |r| {
-        let matched = r.events.iter().map(|e| 100.0 * e.matched_fraction);
+    print_cdfs(&results[..1], &title, "matched %", |_, r| {
+        let matched = r.event_stats.iter().map(|e| 100.0 * e.matched_fraction);
         ("all configs".to_string(), matched.collect())
     });
     print_cdfs(
         results,
         "Fig 2(b): CDF of events vs max hops",
         "max hops",
-        |r| {
+        |c, r| {
             (
-                format!("{} (avg {:.0})", r.label, r.avg_max_hops()),
-                r.events.iter().map(|e| e.max_hops as f64).collect(),
+                format!("{} (avg {:.0})", c.label, r.avg_max_hops()),
+                r.event_stats.iter().map(|e| e.max_hops as f64).collect(),
             )
         },
     );
@@ -64,10 +67,10 @@ fn fig2(results: &[ExperimentResult]) {
         results,
         "Fig 2(c): CDF of events vs max latency (ms)",
         "max latency (ms)",
-        |r| {
-            let lat = r.events.iter().map(|e| e.max_latency.as_millis_f64());
+        |c, r| {
+            let lat = r.event_stats.iter().map(|e| e.max_latency.as_millis_f64());
             (
-                format!("{} (avg {:.0}ms)", r.label, r.avg_max_latency_ms()),
+                format!("{} (avg {:.0}ms)", c.label, r.avg_max_latency_ms()),
                 lat.collect(),
             )
         },
@@ -76,37 +79,40 @@ fn fig2(results: &[ExperimentResult]) {
         results,
         "Fig 2(d): CDF of events vs bandwidth cost per event (KB)",
         "bandwidth (KB)",
-        |r| {
-            let bw = r.events.iter().map(|e| e.bandwidth_bytes as f64 / 1024.0);
+        |c, r| {
+            let bw = r
+                .event_stats
+                .iter()
+                .map(|e| e.bandwidth_bytes as f64 / 1024.0);
             (
-                format!("{} (avg {:.1}KB)", r.label, r.avg_bandwidth_kb()),
+                format!("{} (avg {:.1}KB)", c.label, r.avg_bandwidth_kb()),
                 bw.collect(),
             )
         },
     );
 }
 
-fn fig3(results: &[ExperimentResult]) {
-    let per_node = |r: &ExperimentResult, bytes: fn(&NodeTraffic) -> u64| {
+fn fig3(results: &[Run]) {
+    let per_node = |c: &ExperimentConfig, r: &SystemRun, bytes: fn(&NodeTraffic) -> u64| {
         let v: Vec<f64> = r
             .node_traffic
             .iter()
             .map(|t| bytes(t) as f64 / 1024.0)
             .collect();
         let max = v.iter().copied().fold(0.0f64, f64::max);
-        (format!("{} (max {:.0}KB)", r.label, max), v)
+        (format!("{} (max {:.0}KB)", c.label, max), v)
     };
     print_cdfs(
         results,
         "Fig 3(a): CDF of nodes vs in-node bandwidth (KB)",
         "in bandwidth (KB)",
-        |r| per_node(r, |t| t.bytes_in),
+        |c, r| per_node(c, r, |t| t.bytes_in),
     );
     print_cdfs(
         results,
         "Fig 3(b): CDF of nodes vs out-node bandwidth (KB)",
         "out bandwidth (KB)",
-        |r| per_node(r, |t| t.bytes_out),
+        |c, r| per_node(c, r, |t| t.bytes_out),
     );
 
     // Maxima table: the numbers the paper quotes in the legend.
@@ -114,7 +120,7 @@ fn fig3(results: &[ExperimentResult]) {
         "Per-node bandwidth maxima",
         &["config", "max in (KB)", "max out (KB)"],
     );
-    for r in results {
+    for (c, r) in results {
         let max_in = r.node_traffic.iter().map(|x| x.bytes_in).max().unwrap_or(0);
         let max_out = r
             .node_traffic
@@ -123,7 +129,7 @@ fn fig3(results: &[ExperimentResult]) {
             .max()
             .unwrap_or(0);
         t.row(&[
-            r.label.clone(),
+            c.label.clone(),
             format!("{}", max_in / 1024),
             format!("{}", max_out / 1024),
         ]);
@@ -131,21 +137,21 @@ fn fig3(results: &[ExperimentResult]) {
     println!("{t}");
 }
 
-fn fig4(results: &[ExperimentResult]) {
+fn fig4(results: &[Run]) {
     let ranked: Vec<Vec<u64>> = results
         .iter()
-        .map(|r| {
-            let mut v = r.node_loads.clone();
+        .map(|(_, r)| {
+            let mut v = r.loads.clone();
             v.sort_unstable_by(|a, b| b.cmp(a));
             v
         })
         .collect();
 
     let mut header: Vec<String> = vec!["rank".to_string()];
-    for (r, loads) in results.iter().zip(&ranked) {
+    for ((c, _), loads) in results.iter().zip(&ranked) {
         header.push(format!(
             "{} (max {})",
-            r.label,
+            c.label,
             loads.first().copied().unwrap_or(0)
         ));
     }
@@ -171,15 +177,16 @@ fn fig4(results: &[ExperimentResult]) {
         "Load statistics",
         &["config", "max", "p99", "mean", "migrated subs exist"],
     );
-    for (r, loads) in results.iter().zip(&ranked) {
+    for ((c, r), loads) in results.iter().zip(&ranked) {
         let n = loads.len().max(1);
         let mean: f64 = loads.iter().sum::<u64>() as f64 / n as f64;
+        let migrated = r.report.counter_total("lb.migrated_subs") > 0;
         t.row(&[
-            r.label.clone(),
+            c.label.clone(),
             loads.first().copied().unwrap_or(0).to_string(),
             loads[(n / 100).min(n - 1)].to_string(),
             format!("{mean:.1}"),
-            (r.label.contains(", LB")).to_string(),
+            migrated.to_string(),
         ]);
     }
     println!("{t}");

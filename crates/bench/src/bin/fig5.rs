@@ -2,7 +2,7 @@
 //! (a) average % matched subscriptions, (b) max hops, (c) max latency,
 //! (d) bandwidth cost per event; base 2 / level 20, with and without LB.
 
-use hypersub_bench::{is_quick, par_map, run_experiment, ExperimentConfig};
+use hypersub_bench::{is_quick, par_map, ExperimentConfig};
 use hypersub_core::config::SystemConfig;
 use hypersub_stats::Table;
 
@@ -21,15 +21,15 @@ fn main() {
         ] {
             let mut c = ExperimentConfig::paper_default()
                 .with_label(&format!("n={n} {}", if lb { "LB" } else { "no LB" }));
-            c.nodes = n;
+            c.params.nodes = n;
             c.system = system;
             // The scaling *trend* stabilizes with a few thousand events;
             // the paper's full 20,000 is several CPU-hours across 12 runs.
-            c.spec.events = if quick { 500 } else { 2_000 };
+            c.params.spec.events = if quick { 500 } else { 2_000 };
             configs.push((n, lb, c));
         }
     }
-    let results = par_map(&configs, |(n, lb, c)| (*n, *lb, run_experiment(c)));
+    let results = par_map(&configs, |(n, lb, c)| (*n, *lb, c.run()));
 
     let mut t = Table::new(
         "Fig 5: Performance vs network size (base 2, level 20)",
@@ -46,12 +46,13 @@ fn main() {
         ],
     );
     for (n, lb, r) in &results {
-        let avg_matched_abs: f64 = if r.events.is_empty() {
+        let events = &r.event_stats;
+        let avg_matched_abs: f64 = if events.is_empty() {
             0.0
         } else {
-            r.events.iter().map(|e| e.expected as f64).sum::<f64>() / r.events.len() as f64
+            events.iter().map(|e| e.expected as f64).sum::<f64>() / events.len() as f64
         };
-        let mut hops: Vec<u32> = r.events.iter().map(|e| e.max_hops).collect();
+        let mut hops: Vec<u32> = events.iter().map(|e| e.max_hops).collect();
         hops.sort_unstable();
         let p99 = hops
             .get(hops.len().saturating_sub(1 + hops.len() / 100))

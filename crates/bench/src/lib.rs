@@ -14,42 +14,39 @@
 //! | `hotpath`          | the pinned digest run: the repo's behaviour contract, also split by checkpoint/resume |
 //! | `report`           | summarizes one run report or diffs two           |
 //! | `scenario`         | runs the adversity scenario pack, writes verdict JSONs |
+//! | `shootout`         | §2's comparison: HyperSub and four rivals on one workload, writes `SHOOTOUT.json` (`--system hypersub --system rendezvous --system attr_ring` for the paper's pair) |
 //!
-//! The comparison against rival systems is the `shootout` binary of
-//! `hypersub-shootout` (`--system hypersub --system rendezvous --system
-//! attr_ring` for the paper's §2 pair).
+//! `fig2to4`, `fig5`, `ablation_base` and `shootout` run the same §5.1
+//! recipe, `hypersub_shootout::drive`; an [`ExperimentConfig`] is the
+//! shoot-out's parameters plus HyperSub's configuration.
 //!
 //! The table and figure binaries accept `--quick` (scaled-down run for
 //! smoke testing) and print diffable ASCII tables via `hypersub-stats`;
-//! they, `hotpath`, `scenario` and `report` reject an argument they do
-//! not know ([`Args`]) instead of running some other experiment.
+//! they, `hotpath`, `scenario`, `report` and `shootout` reject an
+//! argument they do not know ([`Args`]) instead of running some other
+//! experiment.
 
 use hypersub_core::config::SystemConfig;
-use hypersub_core::metrics::EventStats;
+use hypersub_core::error::Result;
 use hypersub_core::model::Registry;
-use hypersub_core::sim::Network;
-use hypersub_simnet::stats::NodeTraffic;
+use hypersub_core::sim::{Network, NetworkBuilder};
+use hypersub_shootout::{drive, ShootoutParams, SystemRun};
 use hypersub_simnet::SimTime;
 use hypersub_stats::{Cdf, Table};
-use hypersub_workload::{WorkloadGen, WorkloadSpec};
+use hypersub_workload::WorkloadSpec;
 
-/// One experiment's configuration.
+/// One HyperSub experiment: the shoot-out's parameters plus what only
+/// HyperSub has — a configuration and §3.5 subschemes — and a label.
 #[derive(Debug, Clone)]
 pub struct ExperimentConfig {
     /// Human-readable label ("Base 2, level 20, no LB").
     pub label: String,
-    /// Network size.
-    pub nodes: usize,
-    /// Workload.
-    pub spec: WorkloadSpec,
+    /// Network size, seed, topology and workload.
+    pub params: ShootoutParams,
     /// System configuration (zone base, LB).
     pub system: SystemConfig,
     /// §3.5 subschemes, if any.
     pub subschemes: Option<Vec<Vec<usize>>>,
-    /// Target mean RTT of the King-like topology.
-    pub mean_rtt: SimTime,
-    /// Master seed.
-    pub seed: u64,
 }
 
 impl ExperimentConfig {
@@ -58,19 +55,21 @@ impl ExperimentConfig {
     pub fn paper_default() -> Self {
         Self {
             label: "Base 2, level 20, no LB".to_string(),
-            nodes: 1740,
-            spec: WorkloadSpec::paper_table1(),
+            params: ShootoutParams {
+                nodes: 1740,
+                seed: 20070101,
+                mean_rtt: SimTime::from_millis(180),
+                spec: WorkloadSpec::paper_table1(),
+            },
             system: SystemConfig::default(),
             subschemes: None,
-            mean_rtt: SimTime::from_millis(180),
-            seed: 20070101,
         }
     }
 
     /// Scales the experiment down for smoke runs (`--quick`).
     pub fn quick(mut self) -> Self {
-        self.nodes = (self.nodes / 10).max(64);
-        self.spec.events = (self.spec.events / 20).max(100);
+        self.params.nodes = (self.params.nodes / 10).max(64);
+        self.params.spec.events = (self.params.spec.events / 20).max(100);
         self
     }
 
@@ -80,138 +79,33 @@ impl ExperimentConfig {
         self
     }
 
-    /// Builds the network this configuration describes: its scheme (with
-    /// its subschemes, if any) on a King-like topology.
-    pub fn network(&self) -> Network {
+    /// Builds this configuration's HyperSub network on `b`: its scheme
+    /// (with its subschemes, if any) and its system configuration.
+    fn build(&self, b: NetworkBuilder) -> Result<Network> {
+        let spec = &self.params.spec;
         let scheme = match &self.subschemes {
             Some(ss) => {
                 let refs: Vec<&[usize]> = ss.iter().map(|v| v.as_slice()).collect();
-                self.spec.scheme_def_with_subschemes(0, &refs)
+                spec.scheme_def_with_subschemes(0, &refs)
             }
-            None => self.spec.scheme_def(0),
+            None => spec.scheme_def(0),
         };
-        Network::builder(self.nodes)
-            .registry(Registry::new(vec![scheme]))
+        b.registry(Registry::new(vec![scheme]))
             .config(self.system.clone())
-            .king_like(self.mean_rtt)
-            .seed(self.seed)
             .build()
+    }
+
+    /// The network this configuration describes, on the shoot-out's
+    /// substrate, for experiments that drive it themselves.
+    pub fn network(&self) -> Network {
+        self.build(self.params.builder())
             .expect("valid experiment configuration")
     }
-}
 
-/// Everything a figure needs from one run.
-#[derive(Debug, Clone)]
-pub struct ExperimentResult {
-    /// Configuration label.
-    pub label: String,
-    /// Per-event statistics.
-    pub events: Vec<EventStats>,
-    /// Per-node stored-subscription loads.
-    pub node_loads: Vec<u64>,
-    /// Per-node traffic counters.
-    pub node_traffic: Vec<NodeTraffic>,
-    /// Messages spent on subscription installation (pre-publish).
-    pub install_msgs: u64,
-    /// Installation bytes.
-    pub install_bytes: u64,
-    /// Total subscriptions installed.
-    pub total_subs: usize,
-    /// Measured average RTT of the topology.
-    pub avg_rtt: SimTime,
-}
-
-impl ExperimentResult {
-    /// Mean percentage of subscriptions matched per event.
-    pub fn avg_matched_pct(&self) -> f64 {
-        if self.events.is_empty() {
-            return 0.0;
-        }
-        100.0 * self.events.iter().map(|e| e.matched_fraction).sum::<f64>()
-            / self.events.len() as f64
-    }
-
-    /// Mean of max hops per event.
-    pub fn avg_max_hops(&self) -> f64 {
-        mean(self.events.iter().map(|e| e.max_hops as f64))
-    }
-
-    /// Mean of max latency per event, in ms.
-    pub fn avg_max_latency_ms(&self) -> f64 {
-        mean(self.events.iter().map(|e| e.max_latency.as_millis_f64()))
-    }
-
-    /// Mean bandwidth per event, in KB.
-    pub fn avg_bandwidth_kb(&self) -> f64 {
-        mean(
-            self.events
-                .iter()
-                .map(|e| e.bandwidth_bytes as f64 / 1024.0),
-        )
-    }
-
-    /// Fraction of events fully delivered (delivered == expected).
-    pub fn delivery_completeness(&self) -> f64 {
-        if self.events.is_empty() {
-            return 1.0;
-        }
-        self.events
-            .iter()
-            .filter(|e| e.delivered == e.expected)
-            .count() as f64
-            / self.events.len() as f64
-    }
-}
-
-fn mean(iter: impl Iterator<Item = f64>) -> f64 {
-    let v: Vec<f64> = iter.collect();
-    if v.is_empty() {
-        0.0
-    } else {
-        v.iter().sum::<f64>() / v.len() as f64
-    }
-}
-
-/// Runs one full experiment: build the network, install the workload's
-/// subscriptions, publish the workload's events with exponential
-/// inter-arrival from random nodes, and collect every metric the figures
-/// need.
-pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
-    let mut net = cfg.network();
-    let mut gen = WorkloadGen::new(cfg.spec.clone(), cfg.seed ^ 0xabcd);
-
-    // Phase 1: install subscriptions on every node.
-    gen.install(&mut net, cfg.spec.subs_per_node);
-    let install_end = net.time() + SimTime::from_secs(300);
-    if cfg.system.lb.enabled {
-        net.run_until(install_end);
-    } else {
-        net.run_to_quiescence();
-    }
-    let install_msgs = net.net().total_msgs();
-    let install_bytes = net.net().total_bytes();
-
-    // Phase 2: schedule all events, exponential inter-arrival, random
-    // publishers (§5.1: "20,000 events generated on randomly chosen
-    // nodes" with 100 ms mean inter-arrival).
-    let (_, end) = gen.schedule(&mut net, cfg.spec.events);
-    let grace = SimTime::from_secs(120);
-    if cfg.system.lb.enabled {
-        net.run_until(end + grace);
-    } else {
-        net.run_to_quiescence();
-    }
-
-    let events = net.event_stats();
-    ExperimentResult {
-        label: cfg.label.clone(),
-        events,
-        node_loads: net.node_loads(),
-        node_traffic: net.net().nodes().to_vec(),
-        install_msgs,
-        install_bytes,
-        total_subs: cfg.nodes * cfg.spec.subs_per_node,
-        avg_rtt: net.topology().avg_rtt_sampled(50_000, cfg.seed ^ 0xfeed),
+    /// Runs the §5.1 experiment: the shoot-out's `drive` on this
+    /// configuration's network.
+    pub fn run(&self) -> SystemRun {
+        drive("hypersub", &self.params, |b| self.build(b)).expect("valid experiment configuration")
     }
 }
 
@@ -380,8 +274,8 @@ pub fn par_map<T: Sync, O: Send>(items: &[T], f: impl Fn(&T) -> O + Sync) -> Vec
 }
 
 /// Prints a standard per-configuration summary block (averages the paper
-/// quotes in figure legends).
-pub fn print_summary(results: &[ExperimentResult]) {
+/// quotes in figure legends), one row per configuration and its run.
+pub fn print_summary(configs: &[ExperimentConfig], runs: &[SystemRun]) {
     let mut t = Table::new(
         "Run summary (figure-legend averages)",
         &[
@@ -395,10 +289,10 @@ pub fn print_summary(results: &[ExperimentResult]) {
             "install msgs",
         ],
     );
-    for r in results {
+    for (c, r) in configs.iter().zip(runs) {
         t.row(&[
-            r.label.clone(),
-            r.events.len().to_string(),
+            c.label.clone(),
+            r.event_stats.len().to_string(),
             format!("{:.3}", r.avg_matched_pct()),
             format!("{:.1}", r.avg_max_hops()),
             format!("{:.0}", r.avg_max_latency_ms()),
@@ -418,16 +312,16 @@ mod tests {
     #[test]
     fn tiny_experiment_runs_and_delivers() {
         let mut cfg = ExperimentConfig::paper_default().quick();
-        cfg.nodes = 48;
-        cfg.spec.events = 30;
-        cfg.spec.subs_per_node = 3;
-        let r = run_experiment(&cfg);
-        assert_eq!(r.events.len(), 30);
-        assert_eq!(r.total_subs, 144);
+        cfg.params.nodes = 48;
+        cfg.params.spec.events = 30;
+        cfg.params.spec.subs_per_node = 3;
+        let r = cfg.run();
+        assert_eq!(r.event_stats.len(), 30);
+        assert_eq!(r.sub_ids.len(), 144);
         assert!(
-            r.delivery_completeness() == 1.0,
+            r.delivery_completeness() == 1.0 && r.equivalent(),
             "all events must deliver fully: {:?}",
-            r.events
+            r.event_stats
                 .iter()
                 .filter(|e| e.delivered != e.expected)
                 .collect::<Vec<_>>()
@@ -435,19 +329,22 @@ mod tests {
         assert!(r.install_msgs > 0);
     }
 
+    /// Load balancing arms timers that never drain: the run settles on
+    /// its graces instead of at quiescence, and still delivers.
     #[test]
     fn lb_experiment_converges() {
         let mut cfg = ExperimentConfig::paper_default().quick();
-        cfg.nodes = 48;
-        cfg.spec.events = 20;
-        cfg.spec.subs_per_node = 4;
+        cfg.params.nodes = 48;
+        cfg.params.spec.events = 20;
+        cfg.params.spec.subs_per_node = 4;
         cfg.system = SystemConfig::default().with_lb();
-        let r = run_experiment(&cfg);
-        assert_eq!(r.events.len(), 20);
+        let r = cfg.run();
+        assert_eq!(r.event_stats.len(), 20);
         assert!(
             r.delivery_completeness() >= 0.95,
             "LB must not lose deliveries"
         );
+        assert!(r.report.time_us >= 120_000_000, "settled past the grace");
     }
 
     fn args(list: &[&str]) -> Args {

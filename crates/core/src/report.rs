@@ -6,16 +6,18 @@
 //! counters, the [`ProtoMetrics`](crate::metrics::ProtoMetrics) registry,
 //! and — when a flight recorder was installed — the trace summary.
 //!
-//! The vendored `serde` shim is a no-op marker-trait stand-in, so JSON is
-//! hand-rolled: [`Report::to_json`] emits a stable, human-diffable
-//! document and [`Report::from_json`] parses it back with a minimal
-//! recursive-descent parser. The digest is serialized as a hex *string*
-//! (`"0x…"`) because u64 exceeds the f64-safe integer range of JSON
-//! numbers.
+//! [`Json`] is the workspace's one JSON value, read and written: every
+//! document — this run report, the shoot-out's `SHOOTOUT.json`, the
+//! scenario verdicts — is built as a `Json` and printed by its one
+//! layout (`Display`), and every document read back ([`Report::from_json`],
+//! `shootout --expect`) is parsed into one. The digest is written as a hex
+//! *string* (`"0x…"`) because u64 exceeds the f64-safe integer range of
+//! JSON numbers.
 
 use crate::metrics::EventStats;
 use crate::sim::{Net, PubSubNode};
 use hypersub_simnet::NetStats;
+use std::fmt::{self, Write as _};
 
 /// Aggregate delivery outcome over all published events.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -212,20 +214,27 @@ impl<N: PubSubNode> Net<N> {
     }
 }
 
-/// Appends `s` to `out` as a quoted JSON string — the one escaper every
-/// hand-rolled JSON writer in the workspace shares.
-pub fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// One field list per all-`u64` summary, for both directions: `json`
+/// writes each field under its own name, in order, and `read` reads it
+/// back from there.
+macro_rules! u64_fields {
+    ($($t:ident { $($f:ident),* })*) => {$(
+        impl $t {
+            fn json(&self) -> Json {
+                Json::object([$((stringify!($f), self.$f.into())),*])
+            }
+
+            fn read(v: &Json) -> Result<Self, String> {
+                Ok(Self { $($f: num(v, stringify!($f))?),* })
+            }
         }
-    }
-    out.push('"');
+    )*};
+}
+
+u64_fields! {
+    EventSummary { published, expected, delivered, duplicates, max_hops, max_latency_us }
+    NetSummary { total_msgs, total_bytes, dropped, fault_dropped, partition_dropped, duplicated }
+    CounterSummary { total, max_node }
 }
 
 impl Report {
@@ -239,85 +248,44 @@ impl Report {
             .unwrap_or(0)
     }
 
-    /// Serializes to a pretty-printed JSON document.
+    /// Serializes to a JSON document (the [`Json`] layout).
     pub fn to_json(&self) -> String {
-        let mut o = String::with_capacity(2048);
-        o.push_str("{\n");
-        o.push_str("  \"version\": 1,\n");
-        o.push_str(&format!("  \"nodes\": {},\n", self.nodes));
-        o.push_str(&format!("  \"time_us\": {},\n", self.time_us));
-        o.push_str(&format!("  \"steps\": {},\n", self.steps));
-        o.push_str(&format!("  \"digest\": \"{:#018x}\",\n", self.digest));
-        let e = &self.events;
-        o.push_str(&format!(
-            "  \"events\": {{\"published\": {}, \"expected\": {}, \"delivered\": {}, \
-             \"duplicates\": {}, \"max_hops\": {}, \"max_latency_us\": {}}},\n",
-            e.published, e.expected, e.delivered, e.duplicates, e.max_hops, e.max_latency_us
-        ));
-        let n = &self.net;
-        o.push_str(&format!(
-            "  \"net\": {{\"total_msgs\": {}, \"total_bytes\": {}, \"dropped\": {}, \
-             \"fault_dropped\": {}, \"partition_dropped\": {}, \"duplicated\": {}}},\n",
-            n.total_msgs,
-            n.total_bytes,
-            n.dropped,
-            n.fault_dropped,
-            n.partition_dropped,
-            n.duplicated
-        ));
-        o.push_str("  \"counters\": {");
-        for (i, (name, c)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                o.push_str(", ");
-            }
-            o.push_str("\n    ");
-            push_json_str(&mut o, name);
-            o.push_str(&format!(
-                ": {{\"total\": {}, \"max_node\": {}}}",
-                c.total, c.max_node
-            ));
-        }
-        o.push_str("\n  },\n");
-        o.push_str("  \"histograms\": {");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                o.push_str(", ");
-            }
-            o.push_str("\n    ");
-            push_json_str(&mut o, name);
-            o.push_str(&format!(
-                ": {{\"count\": {}, \"sum\": {}, \"max\": {}, \"buckets\": [{}]}}",
-                h.count,
-                h.sum,
-                h.max,
-                h.buckets
-                    .iter()
-                    .map(|b| b.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ));
-        }
-        o.push_str("\n  },\n");
-        match &self.trace {
-            None => o.push_str("  \"trace\": null\n"),
-            Some(t) => {
-                o.push_str(&format!(
-                    "  \"trace\": {{\"capacity\": {}, \"recorded\": {}, \"evicted\": {}, \
-                     \"kinds\": {{",
-                    t.capacity, t.recorded, t.evicted
-                ));
-                for (i, (k, c)) in t.kinds.iter().enumerate() {
-                    if i > 0 {
-                        o.push_str(", ");
-                    }
-                    push_json_str(&mut o, k);
-                    o.push_str(&format!(": {c}"));
-                }
-                o.push_str("}}\n");
-            }
-        }
-        o.push('}');
-        o
+        let counters = self
+            .counters
+            .iter()
+            .map(|(name, c)| (name.as_str(), c.json()));
+        let histograms = self.histograms.iter().map(|(name, h)| {
+            let buckets = h.buckets.iter().map(|&b| b.into()).collect();
+            let fields = [
+                ("count", h.count.into()),
+                ("sum", h.sum.into()),
+                ("max", h.max.into()),
+                ("buckets", Json::Arr(buckets)),
+            ];
+            (name.as_str(), Json::object(fields))
+        });
+        let trace = self.trace.as_ref().map_or(Json::Null, |t| {
+            let kinds = t.kinds.iter().map(|(k, c)| (k.as_str(), (*c).into()));
+            Json::object([
+                ("capacity", t.capacity.into()),
+                ("recorded", t.recorded.into()),
+                ("evicted", t.evicted.into()),
+                ("kinds", Json::object(kinds)),
+            ])
+        });
+        Json::object([
+            ("version", Json::Num(1)),
+            ("nodes", self.nodes.into()),
+            ("time_us", self.time_us.into()),
+            ("steps", self.steps.into()),
+            ("digest", Json::hex(self.digest)),
+            ("events", self.events.json()),
+            ("net", self.net.json()),
+            ("counters", Json::object(counters)),
+            ("histograms", Json::object(histograms)),
+            ("trace", trace),
+        ])
+        .to_string()
     }
 
     /// Parses a document produced by [`Report::to_json`] (any JSON with
@@ -327,41 +295,11 @@ impl Report {
     /// A human-readable description of the first syntax or shape problem.
     pub fn from_json(s: &str) -> Result<Report, String> {
         let top = &Json::parse(s)?;
-        let events = {
-            let e = top.get("events")?;
-            EventSummary {
-                published: num(e, "published")?,
-                expected: num(e, "expected")?,
-                delivered: num(e, "delivered")?,
-                duplicates: num(e, "duplicates")?,
-                max_hops: num(e, "max_hops")?,
-                max_latency_us: num(e, "max_latency_us")?,
-            }
-        };
-        let net = {
-            let n = top.get("net")?;
-            NetSummary {
-                total_msgs: num(n, "total_msgs")?,
-                total_bytes: num(n, "total_bytes")?,
-                dropped: num(n, "dropped")?,
-                fault_dropped: num(n, "fault_dropped")?,
-                partition_dropped: num(n, "partition_dropped")?,
-                duplicated: num(n, "duplicated")?,
-            }
-        };
         let counters = top
             .get("counters")?
             .obj("counters")?
             .iter()
-            .map(|(name, c)| {
-                Ok((
-                    name.clone(),
-                    CounterSummary {
-                        total: num(c, "total")?,
-                        max_node: num(c, "max_node")?,
-                    },
-                ))
-            })
+            .map(|(name, c)| Ok((name.clone(), CounterSummary::read(c)?)))
             .collect::<Result<Vec<_>, String>>()?;
         let histograms = top
             .get("histograms")?
@@ -406,8 +344,8 @@ impl Report {
             time_us: num(top, "time_us")?,
             steps: num(top, "steps")?,
             digest,
-            events,
-            net,
+            events: EventSummary::read(top.get("events")?)?,
+            net: NetSummary::read(top.get("net")?)?,
             counters,
             histograms,
             trace,
@@ -415,9 +353,10 @@ impl Report {
     }
 }
 
-/// Minimal JSON value: what [`Report::from_json`] and the shoot-out's
-/// `--expect` reference are read through. Objects keep insertion order
-/// (a `Vec` of pairs) so round-trips preserve registry ordering.
+/// Minimal JSON value: every document the workspace writes is built as
+/// one and printed by `Display`; every document it reads is parsed into
+/// one ([`Json::parse`]). Objects keep insertion order (a `Vec` of pairs)
+/// so round-trips preserve registry ordering.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
@@ -440,7 +379,108 @@ fn num(obj: &Json, key: &str) -> Result<u64, String> {
     obj.get(key)?.num(key)
 }
 
+impl From<u64> for Json {
+    fn from(n: u64) -> Self {
+        Json::Num(n)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(n: usize) -> Self {
+        Json::Num(n as u64)
+    }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Self {
+        Json::Bool(b)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Self {
+        Json::Str(s.to_string())
+    }
+}
+
+/// The one layout: a container holding an object at any depth puts each
+/// member on its own line, indented two spaces a level; any other
+/// container sits on one line. Members are separated by `,` (plus a space
+/// on one line), keys from values by `: `. A `Dec` is written so that it
+/// parses back to the same `Dec` (always with a fraction or exponent);
+/// JSON has no NaN or infinity, so those are written as `null`.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, 0)
+    }
+}
+
 impl Json {
+    /// The object with `fields`, in order.
+    pub fn object<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
+    /// A digest as the string `"0x…"`: JSON numbers are not exact past
+    /// 2^53.
+    pub fn hex(digest: u64) -> Json {
+        Json::Str(format!("{digest:#018x}"))
+    }
+
+    /// Whether an object sits anywhere inside this value.
+    fn holds_object(&self) -> bool {
+        let inner = |v: &Json| matches!(v, Json::Obj(_)) || v.holds_object();
+        match self {
+            Json::Arr(a) => a.iter().any(inner),
+            Json::Obj(o) => o.iter().any(|(_, v)| inner(v)),
+            _ => false,
+        }
+    }
+
+    fn write(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
+        let (open, close, members): (char, char, Vec<(Option<&str>, &Json)>) = match self {
+            Json::Null => return f.write_str("null"),
+            Json::Bool(b) => return write!(f, "{b}"),
+            Json::Num(n) => return write!(f, "{n}"),
+            // `{:?}` is the shortest text that reads back to `x`, and it
+            // keeps a `.0` on whole numbers, so the text is not a `Num`.
+            Json::Dec(x) if x.is_finite() => return write!(f, "{x:?}"),
+            Json::Dec(_) => return f.write_str("null"),
+            Json::Str(s) => return write_str(f, s),
+            Json::Arr(a) => ('[', ']', a.iter().map(|v| (None, v)).collect()),
+            Json::Obj(o) => (
+                '{',
+                '}',
+                o.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
+            ),
+        };
+        let lines = self.holds_object();
+        f.write_char(open)?;
+        for (i, (key, v)) in members.into_iter().enumerate() {
+            if i > 0 {
+                f.write_char(',')?;
+            }
+            if lines {
+                write!(f, "\n{:1$}", "", 2 * depth + 2)?;
+            } else if i > 0 {
+                f.write_char(' ')?;
+            }
+            if let Some(k) = key {
+                write_str(f, k)?;
+                f.write_str(": ")?;
+            }
+            v.write(f, depth + 1)?;
+        }
+        if lines {
+            write!(f, "\n{:1$}", "", 2 * depth)?;
+        }
+        f.write_char(close)
+    }
     /// The member `key` of this object.
     pub fn get(&self, key: &str) -> Result<&Json, String> {
         self.obj(key)?
@@ -483,8 +523,8 @@ impl Json {
     }
 
     /// Recursive-descent parser over the JSON this workspace writes:
-    /// objects, arrays, strings (with the escapes `push_json_str`
-    /// emits), numbers, `true`, `false` and `null`.
+    /// objects, arrays, strings (with the escapes the printer emits),
+    /// numbers, `true`, `false` and `null`.
     ///
     /// # Errors
     /// A description of the first syntax problem, with its byte offset.
@@ -617,8 +657,12 @@ impl Json {
                             let hex = b
                                 .get(*pos + 1..*pos + 5)
                                 .ok_or_else(|| format!("truncated \\u at byte {pos}"))?;
-                            let cp = u32::from_str_radix(std::str::from_utf8(hex).unwrap(), 16)
-                                .map_err(|e| format!("bad \\u escape at byte {pos}: {e}"))?;
+                            // The four bytes may end inside a multi-byte
+                            // character: not hex, and not a `str` either.
+                            let cp = std::str::from_utf8(hex)
+                                .ok()
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
                             out.push(
                                 char::from_u32(cp)
                                     .ok_or_else(|| format!("bad codepoint at byte {pos}"))?,
@@ -649,9 +693,26 @@ impl Json {
     }
 }
 
+/// Writes `s` as a quoted JSON string: the escapes [`Json::parse`] reads.
+fn write_str(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_char('"')?;
+    for c in s.chars() {
+        match c {
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+            c => f.write_char(c)?,
+        }
+    }
+    f.write_char('"')
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::rng::TestRng;
 
     fn sample() -> Report {
         Report {
@@ -760,5 +821,100 @@ mod tests {
             },
         ));
         assert_eq!(Report::from_json(&r.to_json()).unwrap(), r);
+    }
+
+    #[test]
+    fn a_u_escape_ending_inside_a_character_is_an_error() {
+        let err = Json::parse("\"\\u00€\"").unwrap_err();
+        assert!(err.contains("byte 2"), "{err}");
+    }
+
+    fn assert_round_trips(v: &Json) {
+        let text = v.to_string();
+        assert_eq!(Json::parse(&text).as_ref(), Ok(v), "printed as {text}");
+    }
+
+    #[test]
+    fn printed_values_parse_back_equal() {
+        let decs = [3.0, -2.5, -0.0, 1e-9, 1e300, -1e-300, 0.1, 123456.789];
+        let strs = [
+            "",
+            "quote\" back\\slash",
+            "line\nfeed\ttab\u{1}\u{1f}",
+            "é€𝄞",
+        ];
+        let scalars: Vec<Json> = [Json::Null, Json::Bool(true), Json::Num(0)]
+            .into_iter()
+            .chain([Json::Num(u64::MAX)])
+            .chain(decs.map(Json::Dec))
+            .chain(strs.map(Json::from))
+            .collect();
+        let nested = Json::object([
+            ("empty_obj", Json::object([])),
+            ("empty_arr", Json::Arr(vec![])),
+            ("flat", Json::Arr(scalars.clone())),
+            (
+                "arrs",
+                Json::Arr(vec![Json::Arr(vec![]), Json::Arr(scalars.clone())]),
+            ),
+            (
+                "objs",
+                Json::Arr(vec![Json::object([]), Json::object([("k\"", Json::Null)])]),
+            ),
+            (
+                "deep",
+                Json::object([("a", Json::object([("b", Json::Arr(scalars.clone()))]))]),
+            ),
+        ]);
+        for v in scalars.iter().chain([&nested]) {
+            assert_round_trips(v);
+        }
+        assert_eq!(Json::Dec(3.0).to_string(), "3.0", "a whole Dec stays a Dec");
+        assert_eq!(Json::Dec(f64::NAN).to_string(), "null");
+    }
+
+    #[test]
+    fn one_layout_lines_only_around_objects() {
+        let v = Json::object([
+            ("a", Json::Arr(vec![1u64.into(), 2u64.into()])),
+            ("b", Json::object([("c", Json::Null)])),
+            ("d", Json::Arr(vec![Json::object([])])),
+        ]);
+        let want = "{\n  \"a\": [1, 2],\n  \"b\": {\"c\": null},\n  \"d\": [\n    {}\n  ]\n}";
+        assert_eq!(v.to_string(), want);
+    }
+
+    /// A random value `depth` levels deep at most, from `rng`.
+    fn arb_json(rng: &mut TestRng, depth: u32) -> Json {
+        const CHARS: [char; 10] = ['a', 'Z', '0', '"', '\\', '\n', '\u{7}', ' ', 'é', '𝄞'];
+        let len = rng.below(4) as usize;
+        match rng.below(if depth == 0 { 5 } else { 7 }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.below(2) == 1),
+            2 => Json::Num(rng.next_u64() >> rng.below(64)),
+            3 => {
+                let x = f64::from_bits(rng.next_u64());
+                Json::Dec(if x.is_finite() { x } else { rng.unit_f64() })
+            }
+            4 => Json::Str(
+                (0..len * 3)
+                    .map(|_| CHARS[rng.below(10) as usize])
+                    .collect(),
+            ),
+            5 => Json::Arr((0..len).map(|_| arb_json(rng, depth - 1)).collect()),
+            _ => Json::Obj(
+                (0..len)
+                    .map(|i| (format!("k{i}\"\n"), arb_json(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_print_then_parse_is_identity(seed in any::<u64>()) {
+            let v = arb_json(&mut TestRng::new(seed), 4);
+            assert_round_trips(&v);
+        }
     }
 }

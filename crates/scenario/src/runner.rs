@@ -3,7 +3,7 @@
 
 use hypersub_core::invariant::Verdict;
 use hypersub_core::prelude::*;
-use hypersub_core::report::push_json_str;
+use hypersub_core::report::Json;
 use hypersub_workload::{AttributeSpec, WorkloadSpec};
 
 /// How big a scenario run should be. `Quick` is sized for CI smoke
@@ -128,38 +128,38 @@ impl ScenarioOutcome {
         self.verdicts.iter().find(|v| v.invariant == invariant)
     }
 
-    /// Serializes the outcome as a stable, human-diffable JSON document.
+    /// Serializes the outcome as a JSON document (the `Json` layout).
     pub fn to_json(&self) -> String {
-        let mut o = String::with_capacity(1024);
-        o.push_str("{\n");
-        o.push_str("  \"version\": 1,\n");
-        o.push_str(&format!("  \"scenario\": \"{}\",\n", self.scenario));
-        o.push_str(&format!("  \"tier\": \"{}\",\n", self.tier.as_str()));
-        o.push_str(&format!("  \"seed\": {},\n", self.seed));
-        o.push_str(&format!("  \"defense\": {},\n", self.defense));
-        o.push_str(&format!("  \"nodes\": {},\n", self.nodes));
-        o.push_str(&format!("  \"sim_time_us\": {},\n", self.sim_time_us));
-        o.push_str(&format!("  \"steps\": {},\n", self.steps));
-        o.push_str(&format!("  \"digest\": \"{:#018x}\",\n", self.digest));
-        o.push_str(&format!(
-            "  \"events\": {{\"published\": {}, \"expected\": {}, \"delivered\": {}, \
-             \"duplicates\": {}}},\n",
-            self.published, self.expected, self.delivered, self.duplicates
-        ));
-        o.push_str(&format!("  \"passed\": {},\n", self.passed()));
-        o.push_str("  \"verdicts\": [");
-        for (i, v) in self.verdicts.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            o.push_str("\n    {\"invariant\": ");
-            push_json_str(&mut o, &v.invariant);
-            o.push_str(&format!(", \"passed\": {}, \"details\": ", v.passed));
-            push_json_str(&mut o, &v.details);
-            o.push('}');
-        }
-        o.push_str("\n  ]\n}");
-        o
+        let verdicts = self.verdicts.iter().map(|v| {
+            Json::object([
+                ("invariant", v.invariant.as_str().into()),
+                ("passed", v.passed.into()),
+                ("details", v.details.as_str().into()),
+            ])
+        });
+        Json::object([
+            ("version", Json::Num(1)),
+            ("scenario", self.scenario.into()),
+            ("tier", self.tier.as_str().into()),
+            ("seed", self.seed.into()),
+            ("defense", self.defense.into()),
+            ("nodes", self.nodes.into()),
+            ("sim_time_us", self.sim_time_us.into()),
+            ("steps", self.steps.into()),
+            ("digest", Json::hex(self.digest)),
+            (
+                "events",
+                Json::object([
+                    ("published", self.published.into()),
+                    ("expected", self.expected.into()),
+                    ("delivered", self.delivered.into()),
+                    ("duplicates", self.duplicates.into()),
+                ]),
+            ),
+            ("passed", self.passed().into()),
+            ("verdicts", Json::Arr(verdicts.collect())),
+        ])
+        .to_string()
     }
 }
 

@@ -54,11 +54,11 @@ use hypersub_core::metrics::EventStats;
 use hypersub_core::model::{Registry, SubId};
 use hypersub_core::report::{Json, Report};
 use hypersub_core::sim::{Net, Network, NetworkBuilder, PubSubNode, TopologyKind};
+use hypersub_simnet::stats::NodeTraffic;
 use hypersub_simnet::SimTime;
 use hypersub_stats::{LoadDist, Table};
 use hypersub_workload::{WorkloadGen, WorkloadSpec};
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// One rung of the size ladder: (nodes, subs per node, events).
@@ -100,6 +100,14 @@ impl ShootoutParams {
             spec,
         }
     }
+
+    /// The shared substrate every system is built on: `nodes` nodes on a
+    /// King-like topology, everything derived from `seed`.
+    pub fn builder(&self) -> NetworkBuilder {
+        Network::builder(self.nodes)
+            .topology(TopologyKind::KingLike(self.mean_rtt))
+            .seed(self.seed)
+    }
 }
 
 /// The outcome of running one system on one rung.
@@ -128,6 +136,8 @@ pub struct SystemRun {
     pub sub_ids: Vec<SubId>,
     /// Per-node stored-entry loads.
     pub loads: Vec<u64>,
+    /// Per-node traffic over the whole run (Fig 3).
+    pub node_traffic: Vec<NodeTraffic>,
     /// Messages spent before the first event (subscription installation).
     pub install_msgs: u64,
     /// Installation bytes.
@@ -179,16 +189,51 @@ impl SystemRun {
         LoadDist::from_loads(&self.loads)
     }
 
-    /// Mean of per-event max hops.
-    pub fn avg_max_hops(&self) -> f64 {
+    /// Mean of `f` over the events (0 with none).
+    fn per_event_mean(&self, f: impl Fn(&EventStats) -> f64) -> f64 {
         if self.event_stats.is_empty() {
             return 0.0;
         }
-        self.event_stats
+        self.event_stats.iter().map(f).sum::<f64>() / self.event_stats.len() as f64
+    }
+
+    /// Mean percentage of subscriptions matched per event.
+    pub fn avg_matched_pct(&self) -> f64 {
+        if self.event_stats.is_empty() {
+            return 0.0;
+        }
+        let matched: f64 = self.event_stats.iter().map(|e| e.matched_fraction).sum();
+        // Scaled before the division: the rounding every printed figure has.
+        100.0 * matched / self.event_stats.len() as f64
+    }
+
+    /// Mean of per-event max hops.
+    pub fn avg_max_hops(&self) -> f64 {
+        self.per_event_mean(|e| e.max_hops as f64)
+    }
+
+    /// Mean of per-event max latency, in ms.
+    pub fn avg_max_latency_ms(&self) -> f64 {
+        self.per_event_mean(|e| e.max_latency.as_millis_f64())
+    }
+
+    /// Mean of each event's own flow bytes, in KB. Unlike
+    /// [`SystemRun::bytes_per_event`] it counts only traffic attributed to
+    /// an event, not everything sent after installation.
+    pub fn avg_bandwidth_kb(&self) -> f64 {
+        self.per_event_mean(|e| e.bandwidth_bytes as f64 / 1024.0)
+    }
+
+    /// Fraction of events fully delivered (delivered == expected).
+    pub fn delivery_completeness(&self) -> f64 {
+        if self.event_stats.is_empty() {
+            return 1.0;
+        }
+        let complete = self
+            .event_stats
             .iter()
-            .map(|e| e.max_hops as f64)
-            .sum::<f64>()
-            / self.event_stats.len() as f64
+            .filter(|e| e.delivered == e.expected);
+        complete.count() as f64 / self.event_stats.len() as f64
     }
 
     /// Max hops over all deliveries.
@@ -208,7 +253,8 @@ impl SystemRun {
             .saturating_sub(self.install_bytes)
     }
 
-    /// Event-phase bytes per published event.
+    /// Event-phase bytes per published event: everything sent after
+    /// installation (maintenance and migration included) over the events.
     pub fn bytes_per_event(&self) -> f64 {
         if self.events == 0 {
             return 0.0;
@@ -297,32 +343,40 @@ pub fn system_by_name(name: &str) -> Option<System> {
     all_systems().into_iter().find(|s| s.name == name)
 }
 
-/// The one run every system goes through: build the network on the
-/// shared substrate (`build` only picks the node type), install the
-/// workload's subscriptions, publish its events, collect the result.
-fn drive<N: PubSubNode>(
+/// The one §5.1 run, for every system and every experiment binary: build
+/// the network on the shared substrate (`build` only picks the node type
+/// and its configuration), install the workload's subscriptions, settle,
+/// publish its events, settle, collect the result. A network whose
+/// periodic timers never drain (load balancing) settles for 300 s after
+/// installing and until 120 s after the last publish gap.
+pub fn drive<N: PubSubNode>(
     name: &'static str,
     p: &ShootoutParams,
     build: impl FnOnce(NetworkBuilder) -> Result<Net<N>>,
 ) -> Result<SystemRun> {
     let start = Instant::now();
-    let mut net = build(
-        Network::builder(p.nodes)
-            .topology(TopologyKind::KingLike(p.mean_rtt))
-            .seed(p.seed),
-    )?;
+    let mut net = build(p.builder())?;
+    let periodic = net.node(0)?.has_periodic_timers();
+    let settle = |net: &mut Net<N>, until: SimTime| {
+        if periodic {
+            net.run_until(until);
+        } else {
+            net.run_to_quiescence();
+        }
+    };
     let mut gen = WorkloadGen::new(p.spec.clone(), p.seed ^ 0xabcd);
     let sub_ids = gen.install(&mut net, p.spec.subs_per_node);
-    net.run_to_quiescence();
+    let installed = net.time() + SimTime::from_secs(300);
+    settle(&mut net, installed);
     let install_msgs = net.net().total_msgs();
     let install_bytes = net.net().total_bytes();
-    let (events, _) = gen.schedule(&mut net, p.spec.events);
+    let (events, end) = gen.schedule(&mut net, p.spec.events);
     let mut expected: Vec<(u64, SubId)> = Vec::new();
     for (id, point) in &events {
         let matches = net.expected_matches(0, point);
         expected.extend(matches.into_iter().map(|sid| (*id, sid)));
     }
-    net.run_to_quiescence();
+    settle(&mut net, end + SimTime::from_secs(120));
     expected.sort_unstable();
     let mut delivered: Vec<(u64, SubId)> = net
         .deliveries()
@@ -342,6 +396,7 @@ fn drive<N: PubSubNode>(
         expected,
         sub_ids,
         loads: net.node_loads(),
+        node_traffic: net.net().nodes().to_vec(),
         install_msgs,
         install_bytes,
         wall_secs: start.elapsed().as_secs_f64(),
@@ -419,74 +474,63 @@ pub fn run_rung(systems: &[System], rung: Rung, seed: u64) -> Result<RungOutcome
     })
 }
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "0.0".to_string()
-    }
-}
-
 /// Renders the unified `SHOOTOUT.json` document. Everything in it is
 /// deterministic for a fixed seed except each run's `"timing"` object
 /// (wall-clock throughput), which exists for context and is ignored by
-/// [`digests_from_json`] comparisons.
+/// [`digests_from_json`] comparisons. Fractional values carry six
+/// decimals.
 pub fn shootout_json(seed: u64, tier: &str, outcomes: &[RungOutcome]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"version\": 1,");
-    let _ = writeln!(s, "  \"seed\": {seed},");
-    let _ = writeln!(s, "  \"tier\": \"{tier}\",");
-    let all_ok = outcomes.iter().all(|o| o.ok());
-    let _ = writeln!(s, "  \"equivalence_ok\": {all_ok},");
-    s.push_str("  \"runs\": [\n");
-    let total = outcomes.iter().map(|o| o.runs.len()).sum::<usize>();
-    let mut i = 0;
-    for o in outcomes {
-        for r in &o.runs {
-            i += 1;
-            let load = r.load_dist();
-            s.push_str("    {\n");
-            let _ = writeln!(s, "      \"system\": \"{}\",", r.system);
-            let _ = writeln!(s, "      \"nodes\": {},", r.nodes);
-            let _ = writeln!(s, "      \"subs_per_node\": {},", r.subs_per_node);
-            let _ = writeln!(s, "      \"events\": {},", r.events);
-            let _ = writeln!(s, "      \"digest\": \"{:#018x}\",", r.report.digest);
-            let _ = writeln!(s, "      \"equivalence\": {},", r.equivalent());
-            let _ = writeln!(s, "      \"expected_pairs\": {},", r.expected.len());
-            let _ = writeln!(s, "      \"delivered_pairs\": {},", r.delivered.len());
-            let dups: usize = r.event_stats.iter().map(|e| e.duplicates).sum();
-            let _ = writeln!(s, "      \"duplicates\": {dups},");
-            let _ = writeln!(s, "      \"avg_max_hops\": {},", json_f64(r.avg_max_hops()));
-            let _ = writeln!(s, "      \"max_hops\": {},", r.max_hops());
-            let _ = writeln!(s, "      \"install_msgs\": {},", r.install_msgs);
-            let _ = writeln!(s, "      \"install_bytes\": {},", r.install_bytes);
-            let _ = writeln!(s, "      \"total_msgs\": {},", r.report.net.total_msgs);
-            let _ = writeln!(s, "      \"total_bytes\": {},", r.report.net.total_bytes);
-            let _ = writeln!(
-                s,
-                "      \"bytes_per_event\": {},",
-                json_f64(r.bytes_per_event())
-            );
-            let _ = writeln!(
-                s,
-                "      \"load\": {{ \"p50\": {}, \"p99\": {}, \"max\": {}, \"gini\": {} }},",
-                json_f64(load.p50),
-                json_f64(load.p99),
-                json_f64(load.max),
-                json_f64(load.gini)
-            );
-            let _ = writeln!(
-                s,
-                "      \"timing\": {{ \"wall_secs\": {}, \"sim_events_per_sec\": {} }}",
-                json_f64(r.wall_secs),
-                json_f64(r.sim_events_per_sec())
-            );
-            s.push_str(if i == total { "    }\n" } else { "    },\n" });
-        }
-    }
-    s.push_str("  ]\n}\n");
-    s
+    let six = |v: f64| match v.is_finite() {
+        true => Json::Dec(format!("{v:.6}").parse().expect("a formatted f64")),
+        false => Json::Dec(0.0),
+    };
+    let run = |r: &SystemRun| {
+        let load = r.load_dist();
+        let dups: usize = r.event_stats.iter().map(|e| e.duplicates).sum();
+        Json::object([
+            ("system", r.system.into()),
+            ("nodes", r.nodes.into()),
+            ("subs_per_node", r.subs_per_node.into()),
+            ("events", r.events.into()),
+            ("digest", Json::hex(r.report.digest)),
+            ("equivalence", r.equivalent().into()),
+            ("expected_pairs", r.expected.len().into()),
+            ("delivered_pairs", r.delivered.len().into()),
+            ("duplicates", dups.into()),
+            ("avg_max_hops", six(r.avg_max_hops())),
+            ("max_hops", u64::from(r.max_hops()).into()),
+            ("install_msgs", r.install_msgs.into()),
+            ("install_bytes", r.install_bytes.into()),
+            ("total_msgs", r.report.net.total_msgs.into()),
+            ("total_bytes", r.report.net.total_bytes.into()),
+            ("bytes_per_event", six(r.bytes_per_event())),
+            (
+                "load",
+                Json::object([
+                    ("p50", six(load.p50)),
+                    ("p99", six(load.p99)),
+                    ("max", six(load.max)),
+                    ("gini", six(load.gini)),
+                ]),
+            ),
+            (
+                "timing",
+                Json::object([
+                    ("wall_secs", six(r.wall_secs)),
+                    ("sim_events_per_sec", six(r.sim_events_per_sec())),
+                ]),
+            ),
+        ])
+    };
+    let runs = outcomes.iter().flat_map(|o| &o.runs).map(run).collect();
+    let doc = Json::object([
+        ("version", Json::Num(1)),
+        ("seed", seed.into()),
+        ("tier", tier.into()),
+        ("equivalence_ok", outcomes.iter().all(|o| o.ok()).into()),
+        ("runs", Json::Arr(runs)),
+    ]);
+    format!("{doc}\n")
 }
 
 /// Extracts the deterministic `(system, nodes, digest)` triples from a

@@ -22,13 +22,10 @@ use hypersub_chord::routing::{next_hop, NextHop};
 use hypersub_simnet::{FxHashSet, ProtoEvent};
 use std::sync::Arc;
 
-/// Cap on pooled per-hop target buffers kept by a node between messages.
-const TARGET_POOL_CAP: usize = 8;
-
-/// Per-node reusable scratch for Algorithm 5. `handle_delivery` used to
-/// allocate a fresh `HashSet` and `BTreeMap` per message; these buffers
-/// persist across messages instead (cleared, capacity retained), making
-/// the steady-state hot path allocation-free.
+/// Per-node reusable scratch for Algorithm 5: taken out of the node for
+/// one message and handed back empty, capacity retained. In steady state
+/// zone-repository matching and the split allocate only the SubID lists
+/// a message forwards, each once at its final size.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DeliveryScratch {
     /// Dedup of SubID-list entries merged during phase 1. Membership-only
@@ -38,11 +35,24 @@ pub(crate) struct DeliveryScratch {
     seen: FxHashSet<SubTarget>,
     /// Targets merged in by local matches and not yet consumed.
     merged: Vec<SubTarget>,
-    /// Targets grouped by next-hop neighbor index; a linear scan over the
-    /// handful of distinct DHT links replaces the `BTreeMap`.
-    groups: Vec<(usize, Vec<SubTarget>)>,
-    /// Recycled target buffers for `groups` entries.
-    pool: Vec<Vec<SubTarget>>,
+    /// One repository's matches; every match of the message refills it.
+    matches: Vec<SubId>,
+    /// Targets to forward beside their next-hop neighbor index, in the
+    /// order phase 1 met them.
+    hops: Vec<(usize, SubTarget)>,
+    /// Per distinct next-hop neighbor, how many `hops` go to it; a linear
+    /// scan over the handful of DHT links.
+    links: Vec<(usize, usize)>,
+}
+
+impl DeliveryScratch {
+    fn is_empty(&self) -> bool {
+        self.seen.is_empty()
+            && self.merged.is_empty()
+            && self.matches.is_empty()
+            && self.hops.is_empty()
+            && self.links.is_empty()
+    }
 }
 
 impl HyperSubNode {
@@ -99,14 +109,11 @@ impl HyperSubNode {
         // pushes above what is left of the incoming list. The scratch is
         // taken out of `self` so `consume_target` can borrow `self`
         // mutably alongside it.
-        let mut seen = std::mem::take(&mut self.scratch.seen);
-        let mut merged = std::mem::take(&mut self.scratch.merged);
-        let mut groups = std::mem::take(&mut self.scratch.groups);
-        let mut pool = std::mem::take(&mut self.scratch.pool);
-        debug_assert!(seen.is_empty() && merged.is_empty() && groups.is_empty());
+        let mut s = std::mem::take(&mut self.scratch);
+        debug_assert!(s.is_empty());
         let mut unread = msg.targets.len();
         loop {
-            let t = match merged.pop() {
+            let t = match s.merged.pop() {
                 Some(t) => t,
                 None if unread == 0 => break,
                 None => {
@@ -118,36 +125,38 @@ impl HyperSubNode {
             // a single call decides consume-vs-forward (`Local` also
             // covers the degenerate no-routing-state ring).
             match next_hop(&self.maint.chord, t.nid) {
-                NextHop::Forward(p) => match groups.iter_mut().find(|(idx, _)| *idx == p.idx) {
-                    Some((_, v)) => v.push(t),
-                    None => {
-                        let mut v = pool.pop().unwrap_or_default();
-                        v.push(t);
-                        groups.push((p.idx, v));
+                NextHop::Forward(p) => {
+                    s.hops.push((p.idx, t));
+                    match s.links.iter_mut().find(|(idx, _)| *idx == p.idx) {
+                        Some((_, n)) => *n += 1,
+                        None => s.links.push((p.idx, 1)),
                     }
-                },
-                NextHop::Local => self.consume_target(ctx, &msg, proj, t, &mut merged, &mut seen),
+                }
+                NextHop::Local => self.consume_target(ctx, &msg, proj, t, &mut s),
             }
         }
 
         // Phase 2: forward one aggregated message per DHT link, in
         // ascending neighbor order — the deterministic send order the
         // previous BTreeMap-based implementation produced (neighbor
-        // indices are unique keys, so unstable sort is exact).
-        groups.sort_unstable_by_key(|&(idx, _)| idx);
-        if !groups.is_empty() {
+        // indices are unique keys, so unstable sort is exact). Each list
+        // holds its link's targets in the order phase 1 met them.
+        s.links.sort_unstable_by_key(|&(idx, _)| idx);
+        if !s.links.is_empty() {
             let me = ctx.me();
             let m = &mut ctx.world().metrics.proto;
             m.delivery_splits.inc(me);
-            m.delivery_fanout.observe(groups.len() as u64);
+            m.delivery_fanout.observe(s.links.len() as u64);
             ctx.trace(|| ProtoEvent {
                 kind: "delivery.split",
                 flow: Some(msg.event.id),
-                a: groups.len() as u64,
-                b: groups.iter().map(|(_, v)| v.len() as u64).sum(),
+                a: s.links.len() as u64,
+                b: s.hops.len() as u64,
             });
         }
-        for (idx, targets) in groups.drain(..) {
+        for &(idx, n) in &s.links {
+            let mut targets = Vec::with_capacity(n);
+            targets.extend(s.hops.iter().filter(|&&(l, _)| l == idx).map(|&(_, t)| t));
             self.send_reliable(
                 ctx,
                 idx,
@@ -162,21 +171,16 @@ impl HyperSubNode {
             );
         }
 
-        // Hand the buffers back for the next message; the incoming target
-        // buffer refills the pool. Clearing the set costs its capacity,
-        // not its length, so only a set that was filled is cleared.
-        if !seen.is_empty() {
-            seen.clear();
+        // Hand the buffers back empty for the next message. Clearing the
+        // set costs its capacity, not its length, so only a set that was
+        // filled is cleared.
+        if !s.seen.is_empty() {
+            s.seen.clear();
         }
-        if pool.len() < TARGET_POOL_CAP {
-            let mut incoming = msg.targets;
-            incoming.clear();
-            pool.push(incoming);
-        }
-        self.scratch.seen = seen;
-        self.scratch.merged = merged;
-        self.scratch.groups = groups;
-        self.scratch.pool = pool;
+        s.matches.clear();
+        s.hops.clear();
+        s.links.clear();
+        self.scratch = s;
     }
 
     /// Consumes one SubID-list entry this node is responsible for.
@@ -186,17 +190,22 @@ impl HyperSubNode {
         msg: &DeliveryMsg,
         proj: &hypersub_lph::Point,
         t: SubTarget,
-        merged: &mut Vec<SubTarget>,
-        seen: &mut FxHashSet<SubTarget>,
+        scratch: &mut DeliveryScratch,
     ) {
-        let mut merge = |matched: Vec<SubId>| {
+        let DeliveryScratch {
+            seen,
+            merged,
+            matches,
+            ..
+        } = scratch;
+        let mut merge = |matched: &[SubId]| {
             // The first match to merge anything is what pays for hashing
             // the incoming list (`t` came from it or from an earlier
             // merge, so a filled set is never empty).
             if seen.is_empty() && !matched.is_empty() {
                 seen.extend(msg.targets.iter().copied());
             }
-            for sid in matched {
+            for &sid in matched {
                 let nt = SubTarget::sub(sid);
                 if seen.insert(nt) {
                     merged.push(nt);
@@ -218,9 +227,9 @@ impl HyperSubNode {
                 loop {
                     if let Some(repo) = self.repos.get_mut(&(msg.scheme, msg.ss, z)) {
                         if self.dedup.insert(msg.event.id, repo.iid) {
-                            let ids = repo.match_point(&msg.event.point, proj, self.cfg.index_mode);
-                            matched += ids.len() as u64;
-                            merge(ids);
+                            repo.match_into(&msg.event.point, proj, self.cfg.index_mode, matches);
+                            matched += matches.len() as u64;
+                            merge(matches);
                         }
                     }
                     match z.parent(&self.cfg.zone) {
@@ -268,12 +277,13 @@ impl HyperSubNode {
                     }
                     Some(IidTarget::Repo(key)) => {
                         if let Some(repo) = self.repos.get_mut(&key) {
-                            merge(repo.match_point(&msg.event.point, proj, self.cfg.index_mode));
+                            repo.match_into(&msg.event.point, proj, self.cfg.index_mode, matches);
+                            merge(matches);
                         }
                     }
                     Some(IidTarget::Hosted) => {
                         if let Some(h) = self.hosted.get(&iid) {
-                            merge(h.match_point(&msg.event.point));
+                            merge(&h.match_point(&msg.event.point));
                         }
                     }
                     // Stale target (e.g. responsibility shifted after
@@ -421,6 +431,60 @@ mod tests {
         deliver(&mut node, &mut rt, vec![repo]);
         assert!(node.scratch.seen.capacity() > 0 && node.scratch.seen.is_empty());
         assert!(node.scratch.merged.is_empty());
+    }
+
+    /// A node with a second link: keys past 5096 leave through node 2.
+    fn two_link_node() -> (HyperSubNode, Recording) {
+        let (mut node, rt) = node();
+        node.maint
+            .chord
+            .set_finger(12, Some(Peer { id: 5096, idx: 2 }));
+        (node, rt)
+    }
+
+    /// A subscription held beyond the second link.
+    fn far(iid: u32) -> SubTarget {
+        SubTarget::sub(SubId { nid: 9000, iid })
+    }
+
+    /// A repository past the index threshold whose matches split across
+    /// both links, under an incoming list that names both links too.
+    fn split_message(node: &mut HyperSubNode) -> Vec<SubTarget> {
+        let matching: Vec<SubTarget> = (0..70)
+            .map(|i| if i % 3 == 0 { far(i) } else { remote(i) })
+            .collect();
+        let repo = add_repo(node, 0, &matching);
+        vec![far(100), remote(100), repo]
+    }
+
+    #[test]
+    fn forwarded_lists_are_allocated_at_their_final_size() {
+        let (mut node, mut rt) = two_link_node();
+        let incoming = split_message(&mut node);
+        deliver(&mut node, &mut rt, incoming);
+        let lists: Vec<(usize, usize, usize)> = rt
+            .sent
+            .iter()
+            .map(|(to, m)| match m {
+                HyperMsg::Delivery(d) => (*to, d.targets.len(), d.targets.capacity()),
+                other => panic!("expected a delivery, got {other:?}"),
+            })
+            .collect();
+        // 46 + 1 targets for node 1, 24 + 1 for node 2, in link order.
+        assert_eq!(lists, [(1, 47, 47), (2, 25, 25)]);
+    }
+
+    #[test]
+    fn scratch_buffers_are_handed_back_empty() {
+        let (mut node, mut rt) = two_link_node();
+        let incoming = split_message(&mut node);
+        deliver(&mut node, &mut rt, incoming);
+        let s = &node.scratch;
+        assert!(s.is_empty(), "{s:?}");
+        assert!(
+            s.seen.capacity() > 0 && s.matches.capacity() > 0 && s.hops.capacity() > 0,
+            "kept for the next message"
+        );
     }
 
     #[test]

@@ -11,10 +11,13 @@
 //! (the real-time matching half of Shi et al., arXiv 1811.07088: cheap
 //! per-attribute pruning first).
 //!
-//! The index only ever *prunes*: a point query yields a candidate
-//! superset, and the caller verifies every candidate exactly against the
-//! authoritative entry table, so an index bug short of dropping a true
-//! match cannot change delivery results.
+//! A point query yields a candidate superset whose stored bounds hold.
+//! When those bounds are the whole rect the caller checks — every
+//! projected dimension is indexed and the projection keeps every
+//! attribute — that test *is* the exact one and `ZoneRepo::match_into`
+//! takes the candidate as a match; otherwise it verifies each candidate
+//! exactly against the authoritative entry table, so there the index
+//! only ever prunes.
 //!
 //! Repositories build an index lazily once they reach
 //! [`INDEX_THRESHOLD`] entries (hot zones under skewed workloads collect
@@ -272,7 +275,10 @@ impl BitsetIndex {
     /// Visits every candidate whose entry may match the projected point
     /// and returns the number of slots examined (those the row AND let
     /// through). The visited set is a superset of all truly matching
-    /// entries; exact verification is the caller's job.
+    /// entries, and every visited slot's stored bounds contain the point
+    /// — so when [`Self::dims`] equals the point's length and every rect
+    /// has that many dimensions, the visited set is exactly the entries
+    /// whose rect contains it.
     pub fn for_candidates(&self, p: &Point, mut visit: impl FnMut(SubId)) -> u64 {
         let dims = self.dims;
         if dims == 0 || p.0.len() < dims {
@@ -306,6 +312,12 @@ impl BitsetIndex {
             }
         }
         scanned
+    }
+
+    /// Leading projected dimensions indexed: the shortest rect's arity at
+    /// build time, capped at eight.
+    pub fn dims(&self) -> usize {
+        self.dims
     }
 
     /// Registered entries.

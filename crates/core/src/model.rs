@@ -265,8 +265,12 @@ impl SchemeBuilder {
             .enumerate()
             .map(|(i, attrs)| {
                 assert!(!attrs.is_empty(), "subscheme {i} is empty");
-                for &a in attrs {
+                for (j, &a) in attrs.iter().enumerate() {
                     assert!(a < self.attrs.len(), "subscheme {i}: bad attribute {a}");
+                    assert!(
+                        !attrs[..j].contains(&a),
+                        "subscheme {i}: attribute {a} named twice"
+                    );
                 }
                 let space = ContentSpace::new(
                     attrs
@@ -463,5 +467,17 @@ mod tests {
         Registry::new(vec![SchemeDef::builder("x")
             .attribute("a", 0.0, 1.0)
             .build(5)]);
+    }
+
+    /// A subscheme as long as the scheme must be a permutation of it:
+    /// repeating an attribute would make it neither.
+    #[test]
+    #[should_panic(expected = "subscheme 1: attribute 0 named twice")]
+    fn subscheme_names_each_attribute_once() {
+        let mut b = SchemeDef::builder("x").subscheme(&[3, 2, 1, 0]);
+        for name in ["a", "b", "c", "d"] {
+            b = b.attribute(name, 0.0, 1.0);
+        }
+        b.subscheme(&[0, 0, 1, 2]).build(0);
     }
 }

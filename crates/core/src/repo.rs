@@ -9,7 +9,10 @@
 //! A repository stores two kinds of entries:
 //! * **Real** subscriptions, installed by Algorithm 2 — these carry the
 //!   full-space rect (for exact matching) and its subscheme projection
-//!   (for zone geometry);
+//!   (for zone geometry and the matching index; when the projection keeps
+//!   every attribute it is the full rect with its axes permuted, so an
+//!   index over all of its dimensions tests it exactly — see
+//!   [`ZoneRepo::match_into`]);
 //! * **Surrogate** subscriptions, pushed down from the parent zone by
 //!   Algorithm 3 — these carry only a projected rect, and their [`SubId`]
 //!   points at the parent zone's repository, forming the chain events
@@ -31,7 +34,8 @@ pub enum StoredSub {
     Real {
         /// Full-space hypercuboid (exact matching).
         full: Rect,
-        /// Projection onto the subscheme space (zone geometry).
+        /// Projection onto the subscheme space (zone geometry and the
+        /// matching index).
         proj: Rect,
     },
     /// A summary-filter subdivision registered by the parent zone (or by a
@@ -147,13 +151,31 @@ impl ZoneRepo {
         }
     }
 
-    /// All entries matching an event: real entries match against the full
-    /// point, surrogates against the projection. Results are sorted by
-    /// SubId for deterministic message construction. Large repositories
-    /// consult the index unless `mode` is `Linear` (candidates are
-    /// verified exactly, so the index never changes results — the
-    /// differential oracle proptest pins this).
-    pub fn match_point(&mut self, full: &Point, proj: &Point, mode: IndexMode) -> Vec<SubId> {
+    /// All entries matching an event, written into `out` (cleared first)
+    /// sorted by SubId for deterministic message construction: real
+    /// entries match against the full point, surrogates against the
+    /// projection. Large repositories consult the index unless `mode` is
+    /// `Linear`, and the index never changes results — the differential
+    /// oracle proptest pins this.
+    ///
+    /// When the index covers every projected dimension and the projection
+    /// keeps every attribute, its bounds test is the exact check and a
+    /// candidate is taken as it comes: a surrogate's exact check *is*
+    /// `proj ∈ proj_rect`, and a real entry's projected rect is its full
+    /// rect with the axes permuted (a subscheme names each attribute at
+    /// most once), so `full ∈ full_rect ⇔ proj ∈ proj_rect`. That rests
+    /// on a real entry's `proj` being the projection of its `full` under
+    /// the subscheme `proj` was projected by, which `subscribe`
+    /// guarantees. Any other repository verifies each candidate against
+    /// `entries`.
+    pub fn match_into(
+        &mut self,
+        full: &Point,
+        proj: &Point,
+        mode: IndexMode,
+        out: &mut Vec<SubId>,
+    ) {
+        out.clear();
         if self.index.is_none()
             && mode == IndexMode::Bitset
             && self.entries.len() >= INDEX_THRESHOLD
@@ -162,8 +184,10 @@ impl ZoneRepo {
             self.index = Some(Box::new(BitsetIndex::build(entries)));
         }
         let entries = &self.entries;
-        let mut out: Vec<SubId> = Vec::new();
         match &self.index {
+            Some(ix) if ix.dims() == proj.0.len() && proj.0.len() == full.0.len() => {
+                self.scanned += ix.for_candidates(proj, |id| out.push(id));
+            }
             Some(ix) => {
                 self.scanned += ix.for_candidates(proj, |id| {
                     if entries
@@ -182,6 +206,12 @@ impl ZoneRepo {
             ),
         }
         out.sort_unstable();
+    }
+
+    /// [`Self::match_into`] a fresh `Vec`.
+    pub fn match_point(&mut self, full: &Point, proj: &Point, mode: IndexMode) -> Vec<SubId> {
+        let mut out = Vec::new();
+        self.match_into(full, proj, mode, &mut out);
         out
     }
 
@@ -269,7 +299,7 @@ impl Encode for ZoneRepo {
         self.summary.encode(w);
         self.pushed.encode(w);
         // The matching index is a lazily built, observationally neutral
-        // cache (candidates are exactly verified): restored repos start
+        // cache (it yields exactly the matches): restored repos start
         // without one and rebuild on demand, which cannot change match
         // results. The scan counter is a diagnostic and likewise resets
         // on restore.
@@ -480,6 +510,135 @@ mod tests {
         }
         let _ = r.match_point(&Point(vec![10.5]), &Point(vec![10.5]), IndexMode::Linear);
         assert_eq!(r.index_diag(), IndexDiag::default());
+    }
+
+    /// A `d`-dimensional rect per `i`, spread so that the index prunes.
+    fn spread(i: u64, d: usize) -> Rect {
+        let lo: Vec<f64> = (0..d as u64)
+            .map(|k| ((i * (3 + 2 * k)) % 50) as f64)
+            .collect();
+        let hi = lo.iter().map(|l| l + 10.0 + (i % 7) as f64).collect();
+        Rect::new(lo, hi)
+    }
+
+    /// One repository per index mode, each holding `entries`.
+    fn twins(entries: &[(SubId, StoredSub)]) -> [ZoneRepo; 2] {
+        let mut repos = [ZoneRepo::new(1), ZoneRepo::new(1)];
+        for r in &mut repos {
+            for (id, s) in entries {
+                r.insert(*id, s.clone());
+            }
+        }
+        repos
+    }
+
+    /// The bitset repository's matches, asserted equal to the linear one's.
+    fn agreed(repos: &mut [ZoneRepo; 2], full: &Point, proj: &Point) -> Vec<SubId> {
+        let got = repos[0].match_point(full, proj, IndexMode::Bitset);
+        let want = repos[1].match_point(full, proj, IndexMode::Linear);
+        assert_eq!(got, want, "index diverged at {:?} / {:?}", full.0, proj.0);
+        assert!(repos[0].index_diag().entries > 0, "the index was consulted");
+        got
+    }
+
+    fn indexed_dims(r: &ZoneRepo) -> usize {
+        r.index.as_ref().expect("an index was built").dims()
+    }
+
+    /// The fast path: four indexed dimensions, nothing projected away,
+    /// so the index's verdict is taken without the exact check. Real
+    /// entries and surrogates alike come back exactly, on rect edges,
+    /// outside the box and under NaN; so they do when the subscheme
+    /// permutes the axes.
+    #[test]
+    fn whole_rect_index_verdict_is_exact() {
+        for perm in [[0, 1, 2, 3], [2, 0, 3, 1]] {
+            let project = |v: &[f64]| perm.iter().map(|&a| v[a]).collect::<Vec<f64>>();
+            let entries: Vec<(SubId, StoredSub)> = (0..100)
+                .map(|i| {
+                    let full = spread(i, 4);
+                    let proj = Rect::new(project(&full.lo), project(&full.hi));
+                    let s = if i % 3 == 0 {
+                        StoredSub::Surrogate { proj }
+                    } else {
+                        StoredSub::Real { full, proj }
+                    };
+                    (sid(i), s)
+                })
+                .collect();
+            let mut repos = twins(&entries);
+            let mut points: Vec<Vec<f64>> = Vec::new();
+            for i in [0, 1, 5, 42, 99] {
+                let r = spread(i, 4);
+                points.push(r.lo.clone());
+                points.push(r.hi.clone());
+            }
+            points.push(vec![-5.0, 20.0, 20.0, 20.0]);
+            points.push(vec![20.0, 20.0, 20.0, 200.0]);
+            for d in 0..4 {
+                let mut p = vec![20.0; 4];
+                p[d] = f64::NAN;
+                points.push(p);
+            }
+            for v in points {
+                let (full, proj) = (Point(v.clone()), Point(project(&v)));
+                let got = agreed(&mut repos, &full, &proj);
+                if v.iter().any(|x| x.is_nan()) {
+                    assert!(got.is_empty(), "NaN matches nothing");
+                }
+            }
+            // A real entry is found at its own corner.
+            let corner = spread(1, 4).lo;
+            let got = agreed(&mut repos, &Point(corner.clone()), &Point(project(&corner)));
+            assert!(got.contains(&sid(1)));
+            assert_eq!(indexed_dims(&repos[0]), 4, "every dimension indexed");
+        }
+    }
+
+    /// A subscheme that drops an attribute: the index tests the kept two,
+    /// and a real entry that misses on the dropped third is not returned.
+    #[test]
+    fn dropped_attribute_is_still_checked() {
+        let entries: Vec<(SubId, StoredSub)> = (0..80)
+            .map(|i| {
+                let full = spread(i, 3);
+                let proj = Rect::new(full.lo[..2].to_vec(), full.hi[..2].to_vec());
+                (sid(i), StoredSub::Real { full, proj })
+            })
+            .collect();
+        let mut repos = twins(&entries);
+        let r = spread(7, 3);
+        let inside = Point(r.lo[..2].to_vec());
+        let hit = agreed(&mut repos, &Point(r.lo.clone()), &inside);
+        assert!(hit.contains(&sid(7)));
+        let miss = Point(vec![r.lo[0], r.lo[1], r.hi[2] + 1.0]);
+        assert!(!agreed(&mut repos, &miss, &inside).contains(&sid(7)));
+        assert_eq!(indexed_dims(&repos[0]), 2);
+    }
+
+    /// Nine dimensions, one past what the index holds: it tests the
+    /// leading eight, and the ninth is left to the exact check.
+    #[test]
+    fn dimensions_past_the_index_are_still_checked() {
+        let entries: Vec<(SubId, StoredSub)> = (0..80)
+            .map(|i| {
+                let full = spread(i, 9);
+                let s = StoredSub::Real {
+                    full: full.clone(),
+                    proj: full,
+                };
+                (sid(i), s)
+            })
+            .collect();
+        let mut repos = twins(&entries);
+        let r = spread(7, 9);
+        let p = Point(r.lo.clone());
+        assert!(agreed(&mut repos, &p, &p).contains(&sid(7)));
+        let mut v = r.lo.clone();
+        v[8] = r.hi[8] + 1.0;
+        let p = Point(v);
+        assert!(!agreed(&mut repos, &p, &p).contains(&sid(7)));
+        assert_eq!(indexed_dims(&repos[0]), 8);
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! Differential oracle for the matching index: the linear scan and the
-//! bucketed-bitset index must produce identical verified match sets on
-//! arbitrary repositories, queries, and mutation histories — and the
-//! network-level index mode must be digest-neutral.
+//! bucketed-bitset index must produce identical match sets on arbitrary
+//! repositories, queries, and mutation histories — and the network-level
+//! index mode must be digest-neutral.
 //!
-//! The index only prunes candidates (every survivor is exactly
-//! verified), so it can move timings and scan counts but never a
-//! delivery. Two ways to get it wrong are told apart below: a bit
-//! wrongly cleared is a lost delivery (candidates ⊉ matches), a bit left
-//! set is a wasted candidate (the examined-slot count does not come back
-//! down).
+//! The index can move timings and scan counts but never a delivery:
+//! where its bounds are the whole rect its verdict is the exact one, and
+//! elsewhere every survivor is exactly verified. Both regimes are run
+//! here — entries whose projection keeps every attribute, and real
+//! entries whose projection drops one. Two ways to get it wrong are told
+//! apart below: a bit wrongly cleared is a lost delivery (candidates ⊉
+//! matches), a bit left set is a wasted candidate (the examined-slot
+//! count does not come back down).
 
 use hypersub_core::index::{BitsetIndex, IndexMode};
 use hypersub_core::prelude::*;
@@ -31,6 +33,16 @@ fn arb_rect2() -> impl Strategy<Value = Rect> {
     })
 }
 
+/// A 3-D rect: an [`arb_rect2`] with a third side up to 40 wide.
+fn arb_rect3() -> impl Strategy<Value = Rect> {
+    (arb_rect2(), 0.0f64..100.0, 0.0f64..40.0).prop_map(|(r, z, wz)| {
+        let (mut lo, mut hi) = (r.lo, r.hi);
+        lo.push(z);
+        hi.push((z + wz).min(100.0));
+        Rect::new(lo, hi)
+    })
+}
+
 /// One repository mutation: insert/overwrite an id, refresh it with the
 /// identical rect, or remove it. Ids are drawn from a small pool so the
 /// same id is hit repeatedly (re-insert and remove-then-reinsert paths).
@@ -41,29 +53,37 @@ enum Op {
     Remove(u64),
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
-    (0u64..200, arb_rect2(), 0u32..10, any::<bool>()).prop_map(|(id, r, kind, real)| match kind {
+fn arb_op(rect: impl Strategy<Value = Rect>) -> impl Strategy<Value = Op> {
+    (0u64..200, rect, 0u32..10, any::<bool>()).prop_map(|(id, r, kind, real)| match kind {
         0 => Op::Remove(id),
         1 => Op::Refresh(id),
         _ => Op::Insert(id, r, real),
     })
 }
 
+/// The subscheme every repository here projects by: the first two
+/// attributes, which for a 2-D rect or point is the identity.
+fn project(v: &[f64]) -> Vec<f64> {
+    v[..2].to_vec()
+}
+
 fn stored(r: &Rect, real: bool) -> StoredSub {
+    let proj = Rect::new(project(&r.lo), project(&r.hi));
     if real {
         StoredSub::Real {
             full: r.clone(),
-            proj: r.clone(),
+            proj,
         }
     } else {
-        StoredSub::Surrogate { proj: r.clone() }
+        StoredSub::Surrogate { proj }
     }
 }
 
 /// Applies the same mutation history to one repo per index mode, then
 /// compares `match_point` across them after every query — matching
 /// through the index must be indistinguishable from the linear scan.
-fn assert_modes_agree(ops: &[Op], queries: &[(f64, f64)], queries_between: bool) {
+/// Rects and query points have `dims` attributes.
+fn assert_modes_agree(ops: &[Op], queries: &[Point], dims: usize, queries_between: bool) {
     let modes = [IndexMode::Linear, IndexMode::Bitset];
     let mut repos: Vec<ZoneRepo> = (0..modes.len()).map(|_| ZoneRepo::new(1)).collect();
     let mut last_rect: std::collections::HashMap<u64, (Rect, bool)> = Default::default();
@@ -90,23 +110,27 @@ fn assert_modes_agree(ops: &[Op], queries: &[(f64, f64)], queries_between: bool)
         // incrementally, so agreement must hold at every state it passes
         // through, not just at the end.
         if queries_between && step % 7 == 0 {
-            let p = Point(vec![(step * 13 % 100) as f64, (step * 31 % 100) as f64]);
-            compare_all(&mut repos, &modes, &p);
+            let p = [13, 31, 47][..dims]
+                .iter()
+                .map(|k| (step * k % 100) as f64)
+                .collect();
+            compare_all(&mut repos, &modes, &Point(p));
         }
     }
-    for &(x, y) in queries {
-        compare_all(&mut repos, &modes, &Point(vec![x, y]));
+    for p in queries {
+        compare_all(&mut repos, &modes, p);
     }
 }
 
-fn compare_all(repos: &mut [ZoneRepo], modes: &[IndexMode], p: &Point) {
-    let oracle = repos[0].match_point(p, p, modes[0]);
+fn compare_all(repos: &mut [ZoneRepo], modes: &[IndexMode], full: &Point) {
+    let proj = Point(project(&full.0));
+    let oracle = repos[0].match_point(full, &proj, modes[0]);
     for (repo, &mode) in repos.iter_mut().zip(modes).skip(1) {
-        let got = repo.match_point(p, p, mode);
+        let got = repo.match_point(full, &proj, mode);
         assert_eq!(
             got, oracle,
             "{mode:?} diverged from linear scan at {:?}",
-            p.0
+            full.0
         );
     }
 }
@@ -123,10 +147,27 @@ proptest! {
     /// agree on every match set.
     #[test]
     fn prop_index_modes_are_match_equivalent(
-        ops in prop::collection::vec(arb_op(), 1..260),
+        ops in prop::collection::vec(arb_op(arb_rect2()), 1..260),
         queries in prop::collection::vec((0.0f64..=100.0, 0.0f64..=100.0), 1..12),
     ) {
-        assert_modes_agree(&ops, &queries, true);
+        let queries: Vec<Point> = queries.iter().map(|&(x, y)| Point(vec![x, y])).collect();
+        assert_modes_agree(&ops, &queries, 2, true);
+    }
+
+    /// The same over a 3-D full space projected onto its first two
+    /// attributes: the index cannot see the third, so the bitset
+    /// repository must fall back to the exact check, and a real entry
+    /// that misses only on the dropped attribute must not come back.
+    #[test]
+    fn prop_index_modes_agree_when_the_projection_drops_an_attribute(
+        ops in prop::collection::vec(arb_op(arb_rect3()), 1..260),
+        queries in prop::collection::vec(
+            (0.0f64..=100.0, 0.0f64..=100.0, 0.0f64..=100.0),
+            1..12,
+        ),
+    ) {
+        let queries: Vec<Point> = queries.iter().map(|&(x, y, z)| Point(vec![x, y, z])).collect();
+        assert_modes_agree(&ops, &queries, 3, true);
     }
 
     /// Superset-under-mutation: after any history, every entry whose
@@ -134,7 +175,7 @@ proptest! {
     /// candidate pass may over-approximate but never drops a match).
     #[test]
     fn prop_hybrid_candidates_superset_under_mutation(
-        ops in prop::collection::vec(arb_op(), 80..200),
+        ops in prop::collection::vec(arb_op(arb_rect2()), 80..200),
         queries in prop::collection::vec((0.0f64..=100.0, 0.0f64..=100.0), 1..10),
     ) {
         let mut repo = ZoneRepo::new(1);

@@ -9,6 +9,7 @@
 //! actually constrains.
 
 use hypersub_bench::{is_quick, par_map, ExperimentConfig};
+use hypersub_core::metrics::EventStats;
 use hypersub_stats::Table;
 use hypersub_workload::WorkloadGen;
 
@@ -53,20 +54,16 @@ fn run(label: &str, subschemes: Option<Vec<Vec<usize>>>, quick: bool) -> Outcome
     let loads = net.node_loads();
     let max_load = loads.iter().copied().max().unwrap_or(0);
     let mean_load = loads.iter().sum::<u64>() as f64 / loads.len().max(1) as f64;
+    let mean =
+        |f: fn(&EventStats) -> f64| events.iter().map(f).sum::<f64>() / events.len().max(1) as f64;
     Outcome {
         label: label.to_string(),
         install_msgs,
         max_load,
         mean_load,
-        complete: events.iter().filter(|e| e.delivered == e.expected).count() as f64
-            / events.len().max(1) as f64,
-        avg_hops: events.iter().map(|e| e.max_hops as f64).sum::<f64>()
-            / events.len().max(1) as f64,
-        avg_bw_kb: events
-            .iter()
-            .map(|e| e.bandwidth_bytes as f64 / 1024.0)
-            .sum::<f64>()
-            / events.len().max(1) as f64,
+        complete: mean(|e| f64::from(u8::from(e.delivered == e.expected))),
+        avg_hops: mean(|e| e.max_hops as f64),
+        avg_bw_kb: mean(|e| e.bandwidth_bytes as f64 / 1024.0),
     }
 }
 

@@ -121,18 +121,12 @@ fn fig3(results: &[Run]) {
         &["config", "max in (KB)", "max out (KB)"],
     );
     for (c, r) in results {
-        let max_in = r.node_traffic.iter().map(|x| x.bytes_in).max().unwrap_or(0);
-        let max_out = r
-            .node_traffic
-            .iter()
-            .map(|x| x.bytes_out)
-            .max()
-            .unwrap_or(0);
-        t.row(&[
-            c.label.clone(),
-            format!("{}", max_in / 1024),
-            format!("{}", max_out / 1024),
-        ]);
+        let max_kb = |bytes: fn(&NodeTraffic) -> u64| {
+            let max = r.node_traffic.iter().map(bytes).max().unwrap_or(0);
+            format!("{}", max / 1024)
+        };
+        let (max_in, max_out) = (max_kb(|x| x.bytes_in), max_kb(|x| x.bytes_out));
+        t.row(&[c.label.clone(), max_in, max_out]);
     }
     println!("{t}");
 }
@@ -147,13 +141,10 @@ fn fig4(results: &[Run]) {
         })
         .collect();
 
+    let max = |loads: &[u64]| loads.first().copied().unwrap_or(0);
     let mut header: Vec<String> = vec!["rank".to_string()];
     for ((c, _), loads) in results.iter().zip(&ranked) {
-        header.push(format!(
-            "{} (max {})",
-            c.label,
-            loads.first().copied().unwrap_or(0)
-        ));
+        header.push(format!("{} (max {})", c.label, max(loads)));
     }
     let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
     let mut t = Table::new(
@@ -183,7 +174,7 @@ fn fig4(results: &[Run]) {
         let migrated = r.report.counter_total("lb.migrated_subs") > 0;
         t.row(&[
             c.label.clone(),
-            loads.first().copied().unwrap_or(0).to_string(),
+            max(loads).to_string(),
             loads[(n / 100).min(n - 1)].to_string(),
             format!("{mean:.1}"),
             migrated.to_string(),

@@ -47,11 +47,7 @@ fn main() {
     );
     for (n, lb, r) in &results {
         let events = &r.event_stats;
-        let avg_matched_abs: f64 = if events.is_empty() {
-            0.0
-        } else {
-            events.iter().map(|e| e.expected as f64).sum::<f64>() / events.len() as f64
-        };
+        let avg_matched_abs = r.report.events.expected as f64 / events.len().max(1) as f64;
         let mut hops: Vec<u32> = events.iter().map(|e| e.max_hops).collect();
         hops.sort_unstable();
         let p99 = hops

@@ -98,7 +98,7 @@ fn main() -> ExitCode {
         }
         for o in &outcomes {
             for r in &o.runs {
-                let path = format!("{dir}/REPORT_{}_{}.json", r.system, r.nodes);
+                let path = format!("{dir}/REPORT_{}_{}.json", r.system, r.report.nodes);
                 if let Err(e) = std::fs::write(&path, r.report.to_json()) {
                     eprintln!("shootout: cannot write {path}: {e}");
                     return ExitCode::from(2);

@@ -24,7 +24,9 @@
 //! smoke testing) and print diffable ASCII tables via `hypersub-stats`;
 //! they, `hotpath`, `scenario`, `report` and `shootout` reject an
 //! argument they do not know ([`Args`]) instead of running some other
-//! experiment.
+//! experiment. `tests/quick_outputs.rs` pins each table, figure and
+//! ablation binary's `--quick` stdout byte for byte against
+//! `tests/golden/<binary>_quick.txt` at the workspace root.
 
 use hypersub_core::config::SystemConfig;
 use hypersub_core::error::Result;
@@ -142,14 +144,10 @@ pub fn cdf_table(
     let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
     let mut table = Table::new(title, &header_refs);
     // Common x-grid spanning all series.
-    let lo = series
-        .iter()
-        .flat_map(|(_, v)| v.iter().copied())
-        .fold(f64::INFINITY, f64::min);
-    let hi = series
-        .iter()
-        .flat_map(|(_, v)| v.iter().copied())
-        .fold(f64::NEG_INFINITY, f64::max);
+    let samples = series.iter().flat_map(|(_, v)| v.iter().copied());
+    let (lo, hi) = samples.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), x| {
+        (lo.min(x), hi.max(x))
+    });
     if !lo.is_finite() || !hi.is_finite() {
         return table;
     }
@@ -317,7 +315,6 @@ mod tests {
         cfg.params.spec.subs_per_node = 3;
         let r = cfg.run();
         assert_eq!(r.event_stats.len(), 30);
-        assert_eq!(r.sub_ids.len(), 144);
         assert!(
             r.delivery_completeness() == 1.0 && r.equivalent(),
             "all events must deliver fully: {:?}",

@@ -34,23 +34,37 @@
 //!    `hypersub_core::msg` constants (header 20 B, event 100 B, SubID
 //!    9 B), pinned by `tests/wire_golden.rs`.
 //!
-//! The delivery-equivalence oracle is exact but compares *canonical*
-//! relations: raw [`SubId`]s are not stable across systems (HyperSub's
-//! per-node iid counter also numbers zone repositories and hosted
-//! migrations, so a subscribing node that stores a zone repo interleaves
-//! those allocations with its local subscription iids). `drive`
-//! therefore records the `SubId` each `subscribe` call returns, in the
-//! shared workload order; subscription *k* of the run is ordinal *k* in
-//! every system, and cross-system equivalence demands the identical
-//! event → ordinal relation. Within one system the raw
-//! delivered-equals-expected check still runs on `SubId`s.
+//! ## The equivalence oracle
+//!
+//! Every system must deliver exactly the brute-force oracle's matches,
+//! once each, and all systems must deliver the same thing. Raw
+//! [`SubId`]s cannot be compared across systems (HyperSub's per-node iid
+//! counter also numbers zone repositories and hosted migrations, so a
+//! subscribing node that stores a zone repo interleaves those
+//! allocations with its local subscription iids), so `drive` maps the
+//! `SubId` each `subscribe` call returns to its position in the shared
+//! workload order: subscription *k* of the run is ordinal *k* in every
+//! system.
+//!
+//! The verdict is then **one [`EventFold`] per event**: the wrapping sum
+//! of a fixed 64-bit mix of each `(event, ordinal)` pair, once over the
+//! oracle's matches (taken when the event is scheduled) and once over the
+//! *distinct* pairs delivered (taken after settling). A sum does not
+//! depend on the order the pairs arrive in, and two different pair sets
+//! of one event agree with probability ≈ 2⁻⁶⁴. Duplicates are not folded
+//! — a second copy of a pair leaves the sum unchanged — but counted apart,
+//! in [`EventStats::duplicates`]. [`equivalence_failures`] compares the
+//! two sums of every event within a run, and each run's sums with the
+//! first run's; each failure names the first event that differs. No
+//! whole-run pair list is kept: a run holds one 24-byte record per event
+//! next to its [`EventStats`].
 
 use hypersub_baselines::attr_ring::AttrRingNode;
 use hypersub_baselines::gossip::GossipNode;
 use hypersub_baselines::rendezvous::RendezvousNode;
 use hypersub_baselines::subgroup::SubgroupNode;
 use hypersub_core::error::Result;
-use hypersub_core::metrics::EventStats;
+use hypersub_core::metrics::{DeliveryRecord, EventStats};
 use hypersub_core::model::{Registry, SubId};
 use hypersub_core::report::{Json, Report};
 use hypersub_core::sim::{Net, Network, NetworkBuilder, PubSubNode, TopologyKind};
@@ -108,6 +122,64 @@ impl ShootoutParams {
             .topology(TopologyKind::KingLike(self.mean_rtt))
             .seed(self.seed)
     }
+
+    /// The shared workload stream every system consumes: one generator,
+    /// seeded `seed ^ 0xabcd`.
+    pub fn workload(&self) -> WorkloadGen {
+        WorkloadGen::new(self.spec.clone(), self.seed ^ 0xabcd)
+    }
+}
+
+/// One event's delivery verdict in system-independent form: the fold of
+/// its ground-truth `(event, subscription ordinal)` pairs and the fold of
+/// the distinct pairs delivered (see the crate docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EventFold {
+    /// The event.
+    pub event: u64,
+    /// The fold of the oracle's matches when the event was scheduled.
+    pub expected: u64,
+    /// The fold of the distinct subscriptions it was delivered to.
+    pub delivered: u64,
+}
+
+/// One `(event, ordinal)` pair's share of a fold: the splitmix64
+/// finalizer, a bijection on `u64`, so distinct ordinals of one event mix
+/// to distinct values.
+fn mix(event: u64, ordinal: u32) -> u64 {
+    let mut z = event.rotate_left(32) ^ u64::from(ordinal);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// A run's subscription ordinals: the `SubId` the *k*-th `subscribe` call
+/// returned maps to *k*.
+pub type Ordinals = HashMap<SubId, u32>;
+
+/// `sid`'s subscription ordinal; `u32::MAX` for a `SubId` no `subscribe`
+/// call returned, which is in no ground truth.
+fn ordinal(ordinals: &Ordinals, sid: &SubId) -> u32 {
+    ordinals.get(sid).copied().unwrap_or(u32::MAX)
+}
+
+/// Sets each record's `delivered` to the fold of the distinct
+/// `(event, ordinal)` pairs among `deliveries`; `folds` is sorted by
+/// event. This is the fold `drive` applies to a settled network's
+/// deliveries.
+pub fn fold_delivered(folds: &mut [EventFold], ordinals: &Ordinals, deliveries: &[DeliveryRecord]) {
+    let mut pairs: Vec<(u64, u32)> = deliveries
+        .iter()
+        .map(|d| (d.event, ordinal(ordinals, &d.subid)))
+        .collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    folds.iter_mut().for_each(|f| f.delivered = 0);
+    for (event, k) in pairs {
+        if let Ok(i) = folds.binary_search_by_key(&event, |f| f.event) {
+            folds[i].delivered = folds[i].delivered.wrapping_add(mix(event, k));
+        }
+    }
 }
 
 /// The outcome of running one system on one rung.
@@ -115,25 +187,16 @@ impl ShootoutParams {
 pub struct SystemRun {
     /// System name.
     pub system: &'static str,
-    /// Network size.
-    pub nodes: usize,
     /// Subscriptions per node.
     pub subs_per_node: usize,
-    /// Events published.
-    pub events: usize,
-    /// Full observability report (digest, counters, histograms).
+    /// Full observability report: digest, network size, events
+    /// published and their delivery sums, counters, histograms.
     pub report: Report,
-    /// Per-event statistics.
+    /// Per-event statistics, sorted by event: the expected, distinct
+    /// delivered and duplicate counts among them.
     pub event_stats: Vec<EventStats>,
-    /// Distinct `(event, subscriber)` pairs actually delivered, sorted.
-    pub delivered: Vec<(u64, SubId)>,
-    /// Ground-truth `(event, subscriber)` pairs, sorted.
-    pub expected: Vec<(u64, SubId)>,
-    /// The `SubId` each `subscribe` call returned, in workload order.
-    /// Index *k* is subscription ordinal *k*; because every system
-    /// consumes the same workload stream, ordinals align across systems
-    /// even where raw iid numbering does not.
-    pub sub_ids: Vec<SubId>,
+    /// Per-event verdicts, parallel to `event_stats`.
+    pub folds: Vec<EventFold>,
     /// Per-node stored-entry loads.
     pub loads: Vec<u64>,
     /// Per-node traffic over the whole run (Fig 3).
@@ -148,40 +211,18 @@ pub struct SystemRun {
 }
 
 impl SystemRun {
-    /// Whether this run delivered exactly the ground-truth relation.
+    /// Whether every event was delivered to exactly its ground truth
+    /// (duplicates aside: [`equivalence_failures`] reports those).
     pub fn equivalent(&self) -> bool {
-        self.delivered == self.expected
+        self.mismatched().next().is_none()
     }
 
-    /// Rewrites an `(event, SubId)` relation into the system-independent
-    /// `(event, subscription ordinal)` form, using this run's
-    /// [`SystemRun::sub_ids`]. A pair whose `SubId` was never returned by
-    /// a `subscribe` call maps to `u32::MAX` (it cannot match any other
-    /// system's relation, so it surfaces as an equivalence failure rather
-    /// than being silently dropped).
-    fn canonicalize(&self, pairs: &[(u64, SubId)]) -> Vec<(u64, u32)> {
-        let ordinals: HashMap<SubId, u32> = self
-            .sub_ids
-            .iter()
-            .enumerate()
-            .map(|(k, &sid)| (sid, k as u32))
-            .collect();
-        let mut out: Vec<(u64, u32)> = pairs
-            .iter()
-            .map(|&(ev, sid)| (ev, ordinals.get(&sid).copied().unwrap_or(u32::MAX)))
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
-    /// The delivered relation in canonical `(event, ordinal)` form.
-    pub fn delivered_canonical(&self) -> Vec<(u64, u32)> {
-        self.canonicalize(&self.delivered)
-    }
-
-    /// The ground-truth relation in canonical `(event, ordinal)` form.
-    pub fn expected_canonical(&self) -> Vec<(u64, u32)> {
-        self.canonicalize(&self.expected)
+    /// The events whose distinct deliveries are not their ground truth.
+    fn mismatched(&self) -> impl Iterator<Item = &EventStats> {
+        let folds = self.event_stats.iter().zip(&self.folds);
+        folds
+            .filter(|(s, f)| f.delivered != f.expected || s.delivered != s.expected)
+            .map(|(s, _)| s)
     }
 
     /// Per-node load distribution summary.
@@ -229,37 +270,18 @@ impl SystemRun {
         if self.event_stats.is_empty() {
             return 1.0;
         }
-        let complete = self
-            .event_stats
-            .iter()
-            .filter(|e| e.delivered == e.expected);
-        complete.count() as f64 / self.event_stats.len() as f64
-    }
-
-    /// Max hops over all deliveries.
-    pub fn max_hops(&self) -> u32 {
-        self.event_stats
-            .iter()
-            .map(|e| e.max_hops)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Bytes spent after installation (event routing + delivery).
-    pub fn event_bytes(&self) -> u64 {
-        self.report
-            .net
-            .total_bytes
-            .saturating_sub(self.install_bytes)
+        self.per_event_mean(|e| f64::from(u8::from(e.delivered == e.expected)))
     }
 
     /// Event-phase bytes per published event: everything sent after
-    /// installation (maintenance and migration included) over the events.
+    /// installation (event routing and delivery, maintenance and
+    /// migration) over the events.
     pub fn bytes_per_event(&self) -> f64 {
-        if self.events == 0 {
+        let (sent, events) = (self.report.net.total_bytes, self.report.events.published);
+        if events == 0 {
             return 0.0;
         }
-        self.event_bytes() as f64 / self.events as f64
+        sent.saturating_sub(self.install_bytes) as f64 / events as f64
     }
 
     /// Simulator events processed per wall-clock second
@@ -364,37 +386,32 @@ pub fn drive<N: PubSubNode>(
             net.run_to_quiescence();
         }
     };
-    let mut gen = WorkloadGen::new(p.spec.clone(), p.seed ^ 0xabcd);
+    let mut gen = p.workload();
     let sub_ids = gen.install(&mut net, p.spec.subs_per_node);
+    let ordinals: Ordinals = sub_ids.into_iter().zip(0..).collect();
     let installed = net.time() + SimTime::from_secs(300);
     settle(&mut net, installed);
     let install_msgs = net.net().total_msgs();
     let install_bytes = net.net().total_bytes();
     let (events, end) = gen.schedule(&mut net, p.spec.events);
-    let mut expected: Vec<(u64, SubId)> = Vec::new();
-    for (id, point) in &events {
-        let matches = net.expected_matches(0, point);
-        expected.extend(matches.into_iter().map(|sid| (*id, sid)));
-    }
-    settle(&mut net, end + SimTime::from_secs(120));
-    expected.sort_unstable();
-    let mut delivered: Vec<(u64, SubId)> = net
-        .deliveries()
+    let mut folds: Vec<EventFold> = events
         .iter()
-        .map(|d| (d.event, d.subid))
+        .map(|(event, point)| EventFold {
+            event: *event,
+            expected: net.expected_matches(0, point).iter().fold(0, |h, sid| {
+                h.wrapping_add(mix(*event, ordinal(&ordinals, sid)))
+            }),
+            delivered: 0,
+        })
         .collect();
-    delivered.sort_unstable();
-    delivered.dedup();
+    settle(&mut net, end + SimTime::from_secs(120));
+    fold_delivered(&mut folds, &ordinals, net.deliveries());
     Ok(SystemRun {
         system: name,
-        nodes: p.nodes,
         subs_per_node: p.spec.subs_per_node,
-        events: p.spec.events,
         report: net.report(),
         event_stats: net.event_stats(),
-        delivered,
-        expected,
-        sub_ids,
+        folds,
         loads: net.node_loads(),
         node_traffic: net.net().nodes().to_vec(),
         install_msgs,
@@ -423,55 +440,48 @@ impl RungOutcome {
 }
 
 /// Runs `systems` on one rung and checks the delivery-equivalence
-/// oracle: every system must deliver exactly its own ground truth, with
-/// zero duplicates, and all systems' `(event, subscriber)` relations
-/// must be identical.
+/// oracle ([`equivalence_failures`]).
 pub fn run_rung(systems: &[System], rung: Rung, seed: u64) -> Result<RungOutcome> {
     let p = ShootoutParams::new(rung, seed);
-    let mut runs = Vec::with_capacity(systems.len());
-    for s in systems {
-        runs.push(s.run(&p)?);
-    }
-    let mut failures = Vec::new();
-    for r in &runs {
-        if !r.equivalent() {
-            failures.push(format!(
-                "{}: delivered {} pairs, ground truth {}",
-                r.system,
-                r.delivered.len(),
-                r.expected.len()
-            ));
-        }
-        let dups: usize = r.event_stats.iter().map(|e| e.duplicates).sum();
-        if dups > 0 {
-            failures.push(format!("{}: {dups} duplicate deliveries", r.system));
-        }
-    }
-    // Cross-system comparison runs on the canonical (event, ordinal)
-    // form — raw SubIds legitimately differ (see crate docs).
-    if let Some(first) = runs.first() {
-        let first_expected = first.expected_canonical();
-        let first_delivered = first.delivered_canonical();
-        for r in &runs[1..] {
-            if r.expected_canonical() != first_expected {
-                failures.push(format!(
-                    "{}: ground-truth relation differs from {} (substrate divergence)",
-                    r.system, first.system
-                ));
-            }
-            if r.delivered_canonical() != first_delivered {
-                failures.push(format!(
-                    "{}: delivered relation differs from {}",
-                    r.system, first.system
-                ));
-            }
-        }
-    }
+    let runs: Vec<SystemRun> = systems.iter().map(|s| s.run(&p)).collect::<Result<_>>()?;
+    let failures = equivalence_failures(&runs);
     Ok(RungOutcome {
         rung,
         runs,
         failures,
     })
+}
+
+/// The delivery-equivalence oracle over runs of one rung: every run must
+/// deliver exactly its own ground truth with zero duplicates, and every
+/// run's per-event folds must equal the first run's. Each failure line
+/// reads `"{system}: event {id}: …"` and names the first event at fault.
+pub fn equivalence_failures(runs: &[SystemRun]) -> Vec<String> {
+    let mut failures = Vec::new();
+    for r in runs {
+        if let Some(s) = r.mismatched().next() {
+            failures.push(format!(
+                "{}: event {}: the {} pairs delivered are not its {} ground-truth pairs",
+                r.system, s.event, s.delivered, s.expected
+            ));
+        }
+        if let Some(s) = r.event_stats.iter().find(|s| s.duplicates > 0) {
+            let (system, event, n) = (r.system, s.event, s.duplicates);
+            failures.push(format!("{system}: event {event}: {n} duplicate deliveries"));
+        }
+    }
+    for r in runs.iter().skip(1) {
+        let first = &runs[0];
+        if let Some((a, b)) = r.folds.iter().zip(&first.folds).find(|(a, b)| a != b) {
+            let what = match a.expected == b.expected {
+                true => "deliveries differ",
+                false => "ground truth differs (substrate divergence)",
+            };
+            let (system, event, other) = (r.system, a.event, first.system);
+            failures.push(format!("{system}: event {event}: {what} from {other}'s"));
+        }
+    }
+    failures
 }
 
 /// Renders the unified `SHOOTOUT.json` document. Everything in it is
@@ -486,19 +496,19 @@ pub fn shootout_json(seed: u64, tier: &str, outcomes: &[RungOutcome]) -> String 
     };
     let run = |r: &SystemRun| {
         let load = r.load_dist();
-        let dups: usize = r.event_stats.iter().map(|e| e.duplicates).sum();
+        let events = &r.report.events;
         Json::object([
             ("system", r.system.into()),
-            ("nodes", r.nodes.into()),
+            ("nodes", r.report.nodes.into()),
             ("subs_per_node", r.subs_per_node.into()),
-            ("events", r.events.into()),
+            ("events", events.published.into()),
             ("digest", Json::hex(r.report.digest)),
             ("equivalence", r.equivalent().into()),
-            ("expected_pairs", r.expected.len().into()),
-            ("delivered_pairs", r.delivered.len().into()),
-            ("duplicates", dups.into()),
+            ("expected_pairs", events.expected.into()),
+            ("delivered_pairs", events.delivered.into()),
+            ("duplicates", events.duplicates.into()),
             ("avg_max_hops", six(r.avg_max_hops())),
-            ("max_hops", u64::from(r.max_hops()).into()),
+            ("max_hops", events.max_hops.into()),
             ("install_msgs", r.install_msgs.into()),
             ("install_bytes", r.install_bytes.into()),
             ("total_msgs", r.report.net.total_msgs.into()),
@@ -621,7 +631,7 @@ mod tests {
         assert!(out.ok(), "equivalence failures: {:?}", out.failures);
         assert_eq!(out.runs.len(), 5);
         assert!(
-            !out.runs[0].expected.is_empty(),
+            out.runs[0].report.events.expected > 0,
             "workload must match something"
         );
     }
@@ -633,7 +643,7 @@ mod tests {
         let a = gossip.run(&p).unwrap();
         let b = gossip.run(&p).unwrap();
         assert_eq!(a.report.digest, b.report.digest);
-        assert_eq!(a.delivered, b.delivered);
+        assert_eq!(a.folds, b.folds);
     }
 
     #[test]

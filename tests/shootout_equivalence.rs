@@ -4,9 +4,16 @@
 //! content-based pub/sub system are not a design choice, only its cost
 //! profile is. Plus fixed-seed golden digests per baseline system, so a
 //! behavioral change in any rival (which would silently re-tune the
-//! comparison HyperSub is graded against) fails loudly.
+//! comparison HyperSub is graded against) fails loudly, and a mutation
+//! test showing the per-event folds still catch one wrong delivery.
 
-use hypersub_shootout::{all_systems, run_rung, ShootoutParams, System};
+use hypersub_baselines::gossip::GossipNode;
+use hypersub_core::metrics::{DeliveryRecord, Metrics};
+use hypersub_core::model::SubId;
+use hypersub_shootout::{
+    all_systems, equivalence_failures, fold_delivered, run_rung, system_by_name, Ordinals,
+    ShootoutParams, System,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -24,11 +31,6 @@ proptest! {
         let outcome = run_rung(&all_systems(), (nodes, subs_per_node, events), seed)
             .expect("rung parameters are valid");
         prop_assert!(outcome.ok(), "equivalence failures: {:?}", outcome.failures);
-        let first = &outcome.runs[0];
-        for r in &outcome.runs[1..] {
-            prop_assert_eq!(r.delivered_canonical(), first.delivered_canonical());
-            prop_assert_eq!(r.expected_canonical(), first.expected_canonical());
-        }
     }
 }
 
@@ -66,6 +68,73 @@ fn baseline_golden_digests() {
         assert_eq!(
             got, *want,
             "{name}: golden digest {got:#018x}, pinned {want:#018x}"
+        );
+    }
+}
+
+/// The oracle still bites. A real run's deliveries, each time with one
+/// of them dropped, doubled or re-targeted to another live subscription,
+/// go through the fold `drive` applies and the driver's per-event counts;
+/// `run_rung`'s checks must then fail, and every failure line must name
+/// the mutated event.
+#[test]
+fn one_wrong_delivery_fails_the_oracle_and_names_its_event() {
+    let p = ShootoutParams::new(GOLDEN_RUNG, GOLDEN_SEED);
+    let real = system_by_name("gossip").expect("known").run(&p).unwrap();
+    // The same run again, for what a `SystemRun` does not keep: the
+    // delivery records and the subscription ordinals.
+    let mut net = p.builder().build_with(GossipNode::new).unwrap();
+    let mut gen = p.workload();
+    let sub_ids = gen.install(&mut net, p.spec.subs_per_node);
+    net.run_to_quiescence();
+    gen.schedule(&mut net, p.spec.events);
+    net.run_to_quiescence();
+    let ordinals: Ordinals = sub_ids.iter().copied().zip(0..).collect();
+    let deliveries = net.deliveries().to_vec();
+
+    let check = |deliveries: &[DeliveryRecord]| {
+        let mut metrics = Metrics::default();
+        for (&event, p) in net.metrics().publishes() {
+            metrics.record_publish(event, p.time, p.node, p.expected);
+        }
+        for d in deliveries {
+            metrics.record_delivery(d.event, d.subid, d.time, d.hops);
+        }
+        let mut run = real.clone();
+        run.event_stats = metrics.event_stats(sub_ids.len(), net.net());
+        fold_delivered(&mut run.folds, &ordinals, deliveries);
+        equivalence_failures(&[real.clone(), run])
+    };
+    assert_eq!(check(&deliveries), Vec::<String>::new(), "the replay");
+
+    let at = deliveries.len() / 2;
+    let victim = deliveries[at];
+    let mut dropped = deliveries.clone();
+    dropped.remove(at);
+    let mut doubled = deliveries.clone();
+    doubled.insert(at, victim);
+    let served: Vec<SubId> = deliveries
+        .iter()
+        .filter(|d| d.event == victim.event)
+        .map(|d| d.subid)
+        .collect();
+    let mut retargeted = deliveries.clone();
+    retargeted[at].subid = *sub_ids
+        .iter()
+        .find(|s| !served.contains(s))
+        .expect("a subscription the event did not reach");
+
+    let named = format!("event {}:", victim.event);
+    for (mutation, mutant) in [
+        ("drop", dropped),
+        ("duplicate", doubled),
+        ("re-target", retargeted),
+    ] {
+        let failures = check(&mutant);
+        assert!(!failures.is_empty(), "{mutation}: the oracle passed");
+        assert!(
+            failures.iter().all(|f| f.contains(&named)),
+            "{mutation}: {failures:?} should all name {named}"
         );
     }
 }

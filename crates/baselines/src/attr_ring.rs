@@ -55,9 +55,9 @@ impl Placement for AttrRing {
     fn homes(&self, sub: &Subscription) -> Vec<Home<u8>> {
         let attr = choose_attr(&self.space, sub);
         vec![Home {
-            key: self.value_key(attr, sub.rect.lo[attr]),
+            key: self.value_key(attr, sub.rect.lo()[attr]),
             shard: attr as u8,
-            arc_end: Some(self.value_key(attr, sub.rect.hi[attr])),
+            arc_end: Some(self.value_key(attr, sub.rect.hi()[attr])),
         }]
     }
 

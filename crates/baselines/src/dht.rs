@@ -69,7 +69,7 @@ pub fn choose_attr(space: &ContentSpace, sub: &Subscription) -> usize {
     let mut best = 0;
     let mut best_frac = f64::INFINITY;
     for j in 0..space.dims() {
-        let frac = (sub.rect.hi[j] - sub.rect.lo[j]) / space.domain(j).width();
+        let frac = (sub.rect.hi()[j] - sub.rect.lo()[j]) / space.domain(j).width();
         if frac < best_frac {
             best = j;
             best_frac = frac;

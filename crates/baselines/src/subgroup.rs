@@ -60,8 +60,8 @@ impl Placement for Subgroups {
     /// One home per subgroup the dominant attribute's range intersects.
     fn homes(&self, sub: &Subscription) -> Vec<Home<(u8, u16)>> {
         let attr = choose_attr(&self.space, sub);
-        let lo = self.bucket(attr, sub.rect.lo[attr]);
-        let hi = self.bucket(attr, sub.rect.hi[attr]);
+        let lo = self.bucket(attr, sub.rect.lo()[attr]);
+        let hi = self.bucket(attr, sub.rect.hi()[attr]);
         (lo..=hi)
             .map(|bucket| {
                 let (key, shard) = self.home(attr, bucket);

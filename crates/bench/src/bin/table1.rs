@@ -64,7 +64,7 @@ fn main() {
     let mut avg_size_frac = vec![0.0f64; spec.dims()];
     for s in &subs {
         for (d, a) in spec.attrs.iter().enumerate() {
-            avg_size_frac[d] += (s.rect.hi[d] - s.rect.lo[d]) / (a.max - a.min);
+            avg_size_frac[d] += (s.rect.hi()[d] - s.rect.lo()[d]) / (a.max - a.min);
         }
     }
     let mut t = Table::new("Measured workload properties", &["property", "value"]);

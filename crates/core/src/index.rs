@@ -123,7 +123,7 @@ impl BitsetIndex {
         I: Iterator<Item = (&'a SubId, &'a Rect)>,
     {
         let items: Vec<(&SubId, &Rect)> = entries.collect();
-        let arity = items.iter().map(|(_, r)| r.lo.len()).min().unwrap_or(0);
+        let arity = items.iter().map(|(_, r)| r.dims()).min().unwrap_or(0);
         let mut ix = BitsetIndex {
             dims: arity.min(MAX_DIMS),
             lo: [0.0; MAX_DIMS],
@@ -153,8 +153,8 @@ impl BitsetIndex {
     fn leading(&self, r: &Rect) -> [f64; 2 * MAX_DIMS] {
         let mut b = [0.0; 2 * MAX_DIMS];
         for d in 0..self.dims {
-            b[2 * d] = r.lo.get(d).copied().unwrap_or(f64::NEG_INFINITY);
-            b[2 * d + 1] = r.hi.get(d).copied().unwrap_or(f64::INFINITY);
+            b[2 * d] = r.lo().get(d).copied().unwrap_or(f64::NEG_INFINITY);
+            b[2 * d + 1] = r.hi().get(d).copied().unwrap_or(f64::INFINITY);
         }
         b
     }
@@ -365,8 +365,9 @@ mod tests {
         let mut v: Vec<SubId> = entries
             .iter()
             .filter(|(_, r)| {
-                r.lo.iter()
-                    .zip(&r.hi)
+                r.lo()
+                    .iter()
+                    .zip(r.hi())
                     .zip(&p.0)
                     .all(|((&l, &h), &x)| l <= x && x <= h)
             })
@@ -492,14 +493,8 @@ mod tests {
         // Rect::new rejects non-finite bounds, but the index must stay
         // panic-free and superset-correct if handed them (hand-built
         // rects in tests, future codec relaxations).
-        let inf = Rect {
-            lo: vec![f64::NEG_INFINITY, 0.0],
-            hi: vec![f64::INFINITY, 100.0],
-        };
-        let nan = Rect {
-            lo: vec![f64::NAN, 0.0],
-            hi: vec![f64::NAN, 100.0],
-        };
+        let inf = Rect::unchecked(vec![f64::NEG_INFINITY, 0.0], vec![f64::INFINITY, 100.0]);
+        let nan = Rect::unchecked(vec![f64::NAN, 0.0], vec![f64::NAN, 100.0]);
         let entries = [
             (sid(1), rect1(10.0, 20.0)),
             (sid(2), inf),

@@ -20,6 +20,7 @@ use crate::repo::{RepoKey, StoredSub, ZoneRepo};
 use hypersub_chord::routing::{next_hop, NextHop};
 use hypersub_lph::{lph_rect, rotation::rotate_key, ZoneCode};
 use hypersub_simnet::ProtoEvent;
+use std::sync::Arc;
 
 impl HyperSubNode {
     /// Algorithm 2: install a subscription originating at this node.
@@ -311,9 +312,12 @@ impl HyperSubNode {
             nid: self.maint.chord.id,
             iid: my_repo_iid,
         };
-        let ssdef = &self.registry.scheme(scheme_id).subschemes[ss as usize];
+        // The registry is shared and immutable: a handle to it lets the
+        // loop below borrow the space while it reads `self`.
+        let registry = Arc::clone(&self.registry);
+        let ssdef = &registry.scheme(scheme_id).subschemes[ss as usize];
         let rotation = ssdef.rotation;
-        let space = ssdef.space.clone();
+        let space = &ssdef.space;
 
         // Iterative descent with an explicit stack of (zone, covering
         // rect) pairs; only boundary-straddling local zones recurse.
@@ -324,7 +328,7 @@ impl HyperSubNode {
                 continue;
             }
             for child in z.children(&zone_params) {
-                let ext = child.extent(&zone_params, &space);
+                let ext = child.extent(&zone_params, space);
                 let Some(sf_c) = sf.intersect(&ext) else {
                     continue;
                 };

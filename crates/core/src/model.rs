@@ -97,12 +97,13 @@ impl Subscription {
     /// such subscriptions; intersection is equivalent for conjunctions).
     pub fn from_predicates(space: &ContentSpace, preds: &[(usize, f64, f64)]) -> Self {
         let mut rect = space.bounding_rect();
+        let (rlo, rhi) = rect.bounds_mut();
         for &(attr, lo, hi) in preds {
             assert!(attr < space.dims(), "predicate on unknown attribute {attr}");
-            rect.lo[attr] = rect.lo[attr].max(lo);
-            rect.hi[attr] = rect.hi[attr].min(hi);
+            rlo[attr] = rlo[attr].max(lo);
+            rhi[attr] = rhi[attr].min(hi);
             assert!(
-                rect.lo[attr] <= rect.hi[attr],
+                rlo[attr] <= rhi[attr],
                 "contradictory predicates on attribute {attr}"
             );
         }
@@ -180,11 +181,7 @@ impl SchemeDef {
 
     /// Projects a full-space rect onto subscheme `ss`.
     pub fn project_rect(&self, ss: SubschemeId, r: &Rect) -> Rect {
-        let def = &self.subschemes[ss as usize];
-        Rect {
-            lo: def.attrs.iter().map(|&a| r.lo[a]).collect(),
-            hi: def.attrs.iter().map(|&a| r.hi[a]).collect(),
-        }
+        r.project(&self.subschemes[ss as usize].attrs)
     }
 
     /// Chooses the subscheme a subscription installs into: the one where
@@ -200,7 +197,7 @@ impl SchemeDef {
                 .iter()
                 .filter(|&&a| {
                     let d = self.space.domain(a);
-                    sub.rect.lo[a] > d.lo || sub.rect.hi[a] < d.hi
+                    sub.rect.lo()[a] > d.lo || sub.rect.hi()[a] < d.hi
                 })
                 .count();
             if best_score == usize::MAX || score > best_score {
@@ -389,8 +386,8 @@ mod tests {
     fn from_predicates_defaults_and_intersects() {
         let s = quote_scheme();
         let sub = Subscription::from_predicates(&s.space, &[(0, 10.0, 20.0), (0, 15.0, 30.0)]);
-        assert_eq!(sub.rect.lo, vec![15.0, 0.0]);
-        assert_eq!(sub.rect.hi, vec![20.0, 1000.0]);
+        assert_eq!(sub.rect.lo(), [15.0, 0.0]);
+        assert_eq!(sub.rect.hi(), [20.0, 1000.0]);
     }
 
     #[test]
@@ -427,8 +424,8 @@ mod tests {
         assert_eq!(s.project_point(1, &p), Point(vec![1.5]));
         let r = Rect::new(vec![0.1, 0.2, 0.3], vec![0.9, 1.8, 2.7]);
         let pr = s.project_rect(1, &r);
-        assert_eq!(pr.lo, vec![0.2]);
-        assert_eq!(pr.hi, vec![1.8]);
+        assert_eq!(pr.lo(), [0.2]);
+        assert_eq!(pr.hi(), [1.8]);
     }
 
     #[test]

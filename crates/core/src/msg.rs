@@ -164,7 +164,7 @@ pub enum HyperMsg {
     Route {
         /// Destination key (already rotation-adjusted).
         key: u64,
-        /// The payload. Boxed: it is the one fat variant (136 B), and
+        /// The payload. Boxed: it is the one fat variant (72 B), and
         /// unboxed it would size every message the queue moves.
         inner: Box<Routed>,
     },
@@ -385,6 +385,25 @@ mod tests {
         use hypersub_simnet::SimEvent;
         assert!(std::mem::size_of::<HyperMsg>() <= 72);
         assert!(std::mem::size_of::<SimEvent<HyperMsg>>() <= 96);
+    }
+
+    /// A zone repository holds a rect per `summary`, per `pushed` entry
+    /// and one or two per stored entry, and a 4 096-node network holds
+    /// tens of thousands of repositories, so these sizes are per-node
+    /// memory: a rect is one pointer to one heap block, and an absent
+    /// summary costs nothing beyond it.
+    #[test]
+    fn rect_and_repository_stay_within_their_layout_budget() {
+        use crate::repo::ZoneRepo;
+        use std::mem::size_of;
+        assert_eq!(size_of::<Rect>(), 16);
+        assert_eq!(size_of::<Option<Rect>>(), 16);
+        assert_eq!(size_of::<StoredSub>(), 32);
+        assert_eq!(size_of::<(SubId, StoredSub)>(), 48);
+        assert_eq!(size_of::<(ZoneCode, Rect)>(), 32);
+        assert!(size_of::<ZoneRepo>() <= 104);
+        assert!(size_of::<Routed>() <= 72);
+        assert!(size_of::<HyperMsg>() <= 72);
     }
 
     #[test]

@@ -557,7 +557,7 @@ mod tests {
             let entries: Vec<(SubId, StoredSub)> = (0..100)
                 .map(|i| {
                     let full = spread(i, 4);
-                    let proj = Rect::new(project(&full.lo), project(&full.hi));
+                    let proj = full.project(&perm);
                     let s = if i % 3 == 0 {
                         StoredSub::Surrogate { proj }
                     } else {
@@ -570,8 +570,8 @@ mod tests {
             let mut points: Vec<Vec<f64>> = Vec::new();
             for i in [0, 1, 5, 42, 99] {
                 let r = spread(i, 4);
-                points.push(r.lo.clone());
-                points.push(r.hi.clone());
+                points.push(r.lo().to_vec());
+                points.push(r.hi().to_vec());
             }
             points.push(vec![-5.0, 20.0, 20.0, 20.0]);
             points.push(vec![20.0, 20.0, 20.0, 200.0]);
@@ -588,7 +588,7 @@ mod tests {
                 }
             }
             // A real entry is found at its own corner.
-            let corner = spread(1, 4).lo;
+            let corner = spread(1, 4).lo().to_vec();
             let got = agreed(&mut repos, &Point(corner.clone()), &Point(project(&corner)));
             assert!(got.contains(&sid(1)));
             assert_eq!(indexed_dims(&repos[0]), 4, "every dimension indexed");
@@ -602,16 +602,16 @@ mod tests {
         let entries: Vec<(SubId, StoredSub)> = (0..80)
             .map(|i| {
                 let full = spread(i, 3);
-                let proj = Rect::new(full.lo[..2].to_vec(), full.hi[..2].to_vec());
+                let proj = full.project(&[0, 1]);
                 (sid(i), StoredSub::Real { full, proj })
             })
             .collect();
         let mut repos = twins(&entries);
         let r = spread(7, 3);
-        let inside = Point(r.lo[..2].to_vec());
-        let hit = agreed(&mut repos, &Point(r.lo.clone()), &inside);
+        let inside = Point(r.lo()[..2].to_vec());
+        let hit = agreed(&mut repos, &Point(r.lo().to_vec()), &inside);
         assert!(hit.contains(&sid(7)));
-        let miss = Point(vec![r.lo[0], r.lo[1], r.hi[2] + 1.0]);
+        let miss = Point(vec![r.lo()[0], r.lo()[1], r.hi()[2] + 1.0]);
         assert!(!agreed(&mut repos, &miss, &inside).contains(&sid(7)));
         assert_eq!(indexed_dims(&repos[0]), 2);
     }
@@ -632,10 +632,10 @@ mod tests {
             .collect();
         let mut repos = twins(&entries);
         let r = spread(7, 9);
-        let p = Point(r.lo.clone());
+        let p = Point(r.lo().to_vec());
         assert!(agreed(&mut repos, &p, &p).contains(&sid(7)));
-        let mut v = r.lo.clone();
-        v[8] = r.hi[8] + 1.0;
+        let mut v = r.lo().to_vec();
+        v[8] = r.hi()[8] + 1.0;
         let p = Point(v);
         assert!(!agreed(&mut repos, &p, &p).contains(&sid(7)));
         assert_eq!(indexed_dims(&repos[0]), 8);

@@ -181,7 +181,7 @@ impl Oracle {
         self.remove(subid);
         let i = u32::try_from(self.slots.len()).expect("oracle slot index exceeds u32");
         let at = u32::try_from(self.bounds.len()).expect("oracle bounds offset exceeds u32");
-        for (&lo, &hi) in sub.rect.lo.iter().zip(&sub.rect.hi) {
+        for (&lo, &hi) in sub.rect.lo().iter().zip(sub.rect.hi()) {
             self.bounds.extend([lo, hi]);
         }
         let arity = (self.bounds.len() - at as usize) / 2;
@@ -324,10 +324,10 @@ impl Encode for Oracle {
             w.put_u32(s.scheme);
             s.id.encode(w);
             let b = &self.bounds[s.at as usize..][..2 * s.arity as usize];
-            let rect = hypersub_lph::Rect {
-                lo: b.iter().step_by(2).copied().collect(),
-                hi: b.iter().skip(1).step_by(2).copied().collect(),
-            };
+            let rect = hypersub_lph::Rect::unchecked(
+                b.iter().step_by(2).copied().collect(),
+                b.iter().skip(1).step_by(2).copied().collect(),
+            );
             Subscription { rect }.encode(w);
         }
     }
@@ -493,7 +493,7 @@ mod tests {
                         })
                         .collect();
                     let corner = alive.iter().find(|&&j| subs[j].0 == scheme);
-                    probes.extend(corner.map(|&j| Point(subs[j].1.rect.hi.clone())));
+                    probes.extend(corner.map(|&j| Point(subs[j].1.rect.hi().to_vec())));
                     for p in probes {
                         let listed = o.expected_matches(scheme, &p);
                         prop_assert_eq!(o.expected_count(scheme, &p), listed.len());
@@ -597,10 +597,7 @@ mod tests {
     fn removed_subscription_of_no_attributes_is_not_counted() {
         let mut o = Oracle::default();
         let nothing = || Subscription {
-            rect: Rect {
-                lo: Vec::new(),
-                hi: Vec::new(),
-            },
+            rect: Rect::unchecked(Vec::new(), Vec::new()),
         };
         o.add(0, SubId { nid: 1, iid: 1 }, nothing());
         o.add(0, SubId { nid: 2, iid: 1 }, nothing());

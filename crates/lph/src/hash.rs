@@ -32,13 +32,14 @@ pub fn lph_point(params: &ZoneParams, space: &ContentSpace, point: &Point) -> Zo
     );
     let d = space.dims();
     let mut rect = space.bounding_rect();
+    let (lo, hi) = rect.bounds_mut();
     let mut zone = ZoneCode::ROOT;
     for i in 0..params.max_level() {
         let j = i as usize % d;
-        let p = part_of(rect.lo[j], rect.hi[j], params.base(), point.0[j]);
-        let w = (rect.hi[j] - rect.lo[j]) / params.base() as f64;
-        rect.lo[j] += w * p as f64;
-        rect.hi[j] = rect.lo[j] + w;
+        let p = part_of(lo[j], hi[j], params.base(), point.0[j]);
+        let w = (hi[j] - lo[j]) / params.base() as f64;
+        lo[j] += w * p as f64;
+        hi[j] = lo[j] + w;
         zone = zone.child(params, p);
     }
     zone
@@ -46,7 +47,7 @@ pub fn lph_point(params: &ZoneParams, space: &ContentSpace, point: &Point) -> Zo
 
 /// Maps a subscription hypercuboid to the smallest zone completely
 /// covering it (Algorithm 1). The subdivision on dimension `j` keeps part
-/// `p` only when `[r.lo[j], r.hi[j]]` falls entirely inside that part;
+/// `p` only when `[r.lo()[j], r.hi()[j]]` falls entirely inside that part;
 /// a range touching an internal cell boundary from below straddles (its
 /// upper endpoint belongs to the next half-open cell) and stops the
 /// descent, mirroring the closed-interval semantics of matching.
@@ -60,17 +61,18 @@ pub fn lph_rect(params: &ZoneParams, space: &ContentSpace, r: &Rect) -> ZoneCode
     );
     let d = space.dims();
     let mut rect = space.bounding_rect();
+    let (lo, hi) = rect.bounds_mut();
     let mut zone = ZoneCode::ROOT;
     for i in 0..params.max_level() {
         let j = i as usize % d;
-        let p_lo = part_of(rect.lo[j], rect.hi[j], params.base(), r.lo[j]);
-        let p_hi = part_of(rect.lo[j], rect.hi[j], params.base(), r.hi[j]);
+        let p_lo = part_of(lo[j], hi[j], params.base(), r.lo()[j]);
+        let p_hi = part_of(lo[j], hi[j], params.base(), r.hi()[j]);
         if p_lo != p_hi {
             break; // straddles a cell boundary: this zone is the answer
         }
-        let w = (rect.hi[j] - rect.lo[j]) / params.base() as f64;
-        rect.lo[j] += w * p_lo as f64;
-        rect.hi[j] = rect.lo[j] + w;
+        let w = (hi[j] - lo[j]) / params.base() as f64;
+        lo[j] += w * p_lo as f64;
+        hi[j] = lo[j] + w;
         zone = zone.child(params, p_lo);
     }
     zone
@@ -101,7 +103,7 @@ mod tests {
         let z = lph_point(&params, &space2(), &Point(vec![16.0, 16.0]));
         assert_eq!(z.level, 10);
         let e = z.extent(&params, &space2());
-        assert_eq!(e.hi, vec![16.0, 16.0]);
+        assert_eq!(e.hi(), [16.0, 16.0]);
     }
 
     #[test]

@@ -70,9 +70,9 @@ impl ContentSpace {
 
     /// The whole space as a [`Rect`].
     pub fn bounding_rect(&self) -> Rect {
+        let lo = self.dims.iter().map(|d| d.lo);
         Rect {
-            lo: self.dims.iter().map(|d| d.lo).collect(),
-            hi: self.dims.iter().map(|d| d.hi).collect(),
+            bounds: lo.chain(self.dims.iter().map(|d| d.hi)).collect(),
         }
     }
 
@@ -100,12 +100,13 @@ impl Point {
 /// Degenerate rects (`lo_j == hi_j` on some axes) are legal: they arise as
 /// equality predicates and as boundary-touching intersections during
 /// summary-filter subdivision.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Stored as one heap block `[lo₀ … lo_{d−1}, hi₀ … hi_{d−1}]`: a rect is
+/// 16 bytes inline and one allocation, and zone repositories hold one
+/// or more per entry. [`Self::lo`] and [`Self::hi`] are its two halves.
+#[derive(Clone, PartialEq, Serialize, Deserialize)]
 pub struct Rect {
-    /// Per-dimension lower bounds.
-    pub lo: Vec<f64>,
-    /// Per-dimension upper bounds.
-    pub hi: Vec<f64>,
+    bounds: Box<[f64]>,
 }
 
 impl Rect {
@@ -121,20 +122,60 @@ impl Rect {
                 hi[j]
             );
         }
-        Self { lo, hi }
+        Self::unchecked(lo, hi)
+    }
+
+    /// Creates a rect from bounds of one arity without validating them:
+    /// no dimension, non-finite and inverted bounds are all accepted (a
+    /// decoded snapshot may hold them; tests build them on purpose).
+    ///
+    /// # Panics
+    /// Panics if `lo` and `hi` differ in length.
+    pub fn unchecked(mut lo: Vec<f64>, hi: Vec<f64>) -> Self {
+        assert_eq!(lo.len(), hi.len(), "rect bound arity mismatch");
+        lo.extend_from_slice(&hi);
+        Self {
+            bounds: lo.into_boxed_slice(),
+        }
     }
 
     /// Number of dimensions.
     pub fn dims(&self) -> usize {
-        self.lo.len()
+        self.bounds.len() / 2
+    }
+
+    /// Per-dimension lower bounds.
+    pub fn lo(&self) -> &[f64] {
+        &self.bounds[..self.dims()]
+    }
+
+    /// Per-dimension upper bounds.
+    pub fn hi(&self) -> &[f64] {
+        &self.bounds[self.dims()..]
+    }
+
+    /// Both halves, writable in place.
+    pub fn bounds_mut(&mut self) -> (&mut [f64], &mut [f64]) {
+        let d = self.dims();
+        self.bounds.split_at_mut(d)
+    }
+
+    /// The rect over dimensions `axes` of this one, in that order (a
+    /// subscheme projection).
+    pub fn project(&self, axes: &[usize]) -> Rect {
+        let (lo, hi) = (self.lo(), self.hi());
+        let lo = axes.iter().map(|&a| lo[a]);
+        Rect {
+            bounds: lo.chain(axes.iter().map(|&a| hi[a])).collect(),
+        }
     }
 
     /// Is `p` inside (closed bounds)?
     pub fn contains_point(&self, p: &Point) -> bool {
         debug_assert_eq!(p.dims(), self.dims());
-        self.lo
+        self.lo()
             .iter()
-            .zip(&self.hi)
+            .zip(self.hi())
             .zip(&p.0)
             .all(|((&lo, &hi), &v)| lo <= v && v <= hi)
     }
@@ -142,10 +183,10 @@ impl Rect {
     /// Does this rect completely cover `other`?
     pub fn contains_rect(&self, other: &Rect) -> bool {
         debug_assert_eq!(other.dims(), self.dims());
-        self.lo
+        self.lo()
             .iter()
-            .zip(&self.hi)
-            .zip(other.lo.iter().zip(&other.hi))
+            .zip(self.hi())
+            .zip(other.lo().iter().zip(other.hi()))
             .all(|((&slo, &shi), (&olo, &ohi))| slo <= olo && ohi <= shi)
     }
 
@@ -155,18 +196,14 @@ impl Rect {
     /// the neighboring zone (see crate docs on closed semantics).
     pub fn intersect(&self, other: &Rect) -> Option<Rect> {
         debug_assert_eq!(other.dims(), self.dims());
-        let mut lo = Vec::with_capacity(self.dims());
-        let mut hi = Vec::with_capacity(self.dims());
-        for j in 0..self.dims() {
-            let l = self.lo[j].max(other.lo[j]);
-            let h = self.hi[j].min(other.hi[j]);
-            if l > h {
-                return None;
-            }
-            lo.push(l);
-            hi.push(h);
+        let lo = || self.lo().iter().zip(other.lo()).map(|(&a, &b)| a.max(b));
+        let hi = || self.hi().iter().zip(other.hi()).map(|(&a, &b)| a.min(b));
+        if lo().zip(hi()).any(|(l, h)| l > h) {
+            return None;
         }
-        Some(Rect { lo, hi })
+        Some(Rect {
+            bounds: lo().chain(hi()).collect(),
+        })
     }
 
     /// Smallest rect covering both — the summary-filter update operation
@@ -174,29 +211,29 @@ impl Rect {
     /// exactly cover all subscriptions registered in cz").
     pub fn cover(&self, other: &Rect) -> Rect {
         debug_assert_eq!(other.dims(), self.dims());
+        let lo = self.lo().iter().zip(other.lo()).map(|(&a, &b)| a.min(b));
+        let hi = self.hi().iter().zip(other.hi()).map(|(&a, &b)| a.max(b));
         Rect {
-            lo: self
-                .lo
-                .iter()
-                .zip(&other.lo)
-                .map(|(&a, &b)| a.min(b))
-                .collect(),
-            hi: self
-                .hi
-                .iter()
-                .zip(&other.hi)
-                .map(|(&a, &b)| a.max(b))
-                .collect(),
+            bounds: lo.chain(hi).collect(),
         }
     }
 
     /// Hypervolume (0 for degenerate rects).
     pub fn volume(&self) -> f64 {
-        self.lo
+        self.lo()
             .iter()
-            .zip(&self.hi)
+            .zip(self.hi())
             .map(|(&lo, &hi)| hi - lo)
             .product()
+    }
+}
+
+impl std::fmt::Debug for Rect {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Rect")
+            .field("lo", &self.lo())
+            .field("hi", &self.hi())
+            .finish()
     }
 }
 
@@ -217,11 +254,12 @@ impl Decode for ContentSpace {
     }
 }
 
-// Hand-written codec: the decoder validates (`lo` and `hi` of one arity).
+// Hand-written codec: each half is laid out as a `Vec<f64>` is, and the
+// decoder validates (`lo` and `hi` of one arity).
 impl Encode for Rect {
     fn encode(&self, w: &mut Writer) {
-        self.lo.encode(w);
-        self.hi.encode(w);
+        self.lo().encode(w);
+        self.hi().encode(w);
     }
 }
 
@@ -232,7 +270,7 @@ impl Decode for Rect {
         if lo.len() != hi.len() {
             return Err(Error::InvalidValue("rect bound arity"));
         }
-        Ok(Rect { lo, hi })
+        Ok(Rect::unchecked(lo, hi))
     }
 }
 
@@ -305,5 +343,134 @@ mod tests {
     #[should_panic(expected = "invalid domain")]
     fn empty_domain_panics() {
         Domain::new(3.0, 3.0);
+    }
+
+    #[test]
+    fn debug_names_both_halves() {
+        let rect = r(&[0.0, 1.5], &[2.0, 3.0]);
+        assert_eq!(
+            format!("{rect:?}"),
+            "Rect { lo: [0.0, 1.5], hi: [2.0, 3.0] }"
+        );
+    }
+
+    /// The two-`Vec` rect semantics, over plain slices: the reference the
+    /// packed representation is held to.
+    mod reference {
+        pub fn contains_point(lo: &[f64], hi: &[f64], p: &[f64]) -> bool {
+            (0..lo.len()).all(|j| lo[j] <= p[j] && p[j] <= hi[j])
+        }
+
+        pub fn contains_rect(slo: &[f64], shi: &[f64], olo: &[f64], ohi: &[f64]) -> bool {
+            (0..slo.len()).all(|j| slo[j] <= olo[j] && ohi[j] <= shi[j])
+        }
+
+        pub fn intersect(
+            alo: &[f64],
+            ahi: &[f64],
+            blo: &[f64],
+            bhi: &[f64],
+        ) -> Option<(Vec<f64>, Vec<f64>)> {
+            let (mut lo, mut hi) = (Vec::new(), Vec::new());
+            for j in 0..alo.len() {
+                let l = alo[j].max(blo[j]);
+                let h = ahi[j].min(bhi[j]);
+                if l > h {
+                    return None;
+                }
+                lo.push(l);
+                hi.push(h);
+            }
+            Some((lo, hi))
+        }
+
+        pub fn cover(alo: &[f64], ahi: &[f64], blo: &[f64], bhi: &[f64]) -> (Vec<f64>, Vec<f64>) {
+            let lo = (0..alo.len()).map(|j| alo[j].min(blo[j])).collect();
+            let hi = (0..alo.len()).map(|j| ahi[j].max(bhi[j])).collect();
+            (lo, hi)
+        }
+    }
+
+    /// Bit patterns, so that NaN bounds compare equal to themselves.
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn encoded<T: Encode + ?Sized>(parts: &[&T]) -> Vec<u8> {
+        let mut w = Writer::new();
+        for p in parts {
+            p.encode(&mut w);
+        }
+        w.into_vec()
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Arities 1–9: per dimension a lower bound and a width for two
+        /// rects `a` and `b`, and a coordinate for a point. `poison`
+        /// writes NaN, +∞ or −∞ (or nothing) into one bound of one rect,
+        /// through the unchecked constructor; `touch` makes `b` start
+        /// exactly where `a` ends on dimension 0.
+        #[test]
+        fn prop_packed_rect_matches_two_slices(
+            dims in prop::collection::vec(
+                (-100.0f64..100.0, 0.0f64..50.0, -100.0f64..100.0, 0.0f64..50.0, -120.0f64..170.0),
+                1..10,
+            ),
+            poison in (0usize..4, 0usize..9, 0usize..4),
+            touch in any::<bool>(),
+        ) {
+            let n = dims.len();
+            let mut alo: Vec<f64> = dims.iter().map(|d| d.0).collect();
+            let mut ahi: Vec<f64> = dims.iter().map(|d| d.0 + d.1).collect();
+            let mut blo: Vec<f64> = dims.iter().map(|d| d.2).collect();
+            let mut bhi: Vec<f64> = dims.iter().map(|d| d.2 + d.3).collect();
+            let p: Vec<f64> = dims.iter().map(|d| d.4).collect();
+            if touch {
+                blo[0] = ahi[0];
+                bhi[0] = bhi[0].max(blo[0]);
+            }
+            let (kind, dim, slot) = poison;
+            if kind > 0 {
+                let v = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][kind - 1];
+                [&mut alo, &mut ahi, &mut blo, &mut bhi][slot][dim % n] = v;
+            }
+            let a = Rect::unchecked(alo.clone(), ahi.clone());
+            let b = Rect::unchecked(blo.clone(), bhi.clone());
+
+            prop_assert_eq!(a.dims(), n);
+            prop_assert_eq!(bits(a.lo()), bits(&alo));
+            prop_assert_eq!(bits(a.hi()), bits(&ahi));
+            prop_assert_eq!(
+                a.contains_point(&Point(p.clone())),
+                reference::contains_point(&alo, &ahi, &p)
+            );
+            prop_assert_eq!(a.contains_rect(&b), reference::contains_rect(&alo, &ahi, &blo, &bhi));
+            prop_assert_eq!(b.contains_rect(&a), reference::contains_rect(&blo, &bhi, &alo, &ahi));
+            let got = a.intersect(&b).map(|r| (bits(r.lo()), bits(r.hi())));
+            let want = reference::intersect(&alo, &ahi, &blo, &bhi).map(|(l, h)| (bits(&l), bits(&h)));
+            prop_assert_eq!(got, want);
+            let c = a.cover(&b);
+            let (clo, chi) = reference::cover(&alo, &ahi, &blo, &bhi);
+            prop_assert_eq!((bits(c.lo()), bits(c.hi())), (bits(&clo), bits(&chi)));
+
+            // The bytes are the two-`Vec` layout, and they decode back.
+            let bytes = encoded(&[&a]);
+            prop_assert_eq!(&bytes, &encoded(&[&alo, &ahi]));
+            let mut rd = Reader::new(&bytes);
+            let back = Rect::decode(&mut rd).expect("round trip");
+            prop_assert!(rd.finish().is_ok());
+            prop_assert_eq!((bits(back.lo()), bits(back.hi())), (bits(&alo), bits(&ahi)));
+
+            // Every truncation, and halves of two arities, are refused.
+            for cut in 0..bytes.len() {
+                prop_assert!(Rect::decode(&mut Reader::new(&bytes[..cut])).is_err());
+            }
+            let short = encoded(&[&alo, &ahi[..n - 1].to_vec()]);
+            prop_assert!(Rect::decode(&mut Reader::new(&short)).is_err());
+            let long = encoded(&[&alo, &[ahi.clone(), vec![1.0]].concat()]);
+            prop_assert!(Rect::decode(&mut Reader::new(&long)).is_err());
+        }
     }
 }

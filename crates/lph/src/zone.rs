@@ -134,13 +134,14 @@ impl ZoneCode {
     pub fn extent(&self, params: &ZoneParams, space: &ContentSpace) -> Rect {
         let d = space.dims();
         let mut rect = space.bounding_rect();
+        let (lo, hi) = rect.bounds_mut();
         for i in 0..self.level {
             let j = i as usize % d;
             let p = self.digit(params, i);
-            let width = (rect.hi[j] - rect.lo[j]) / params.base() as f64;
-            let new_lo = rect.lo[j] + width * p as f64;
-            rect.hi[j] = new_lo + width;
-            rect.lo[j] = new_lo;
+            let width = (hi[j] - lo[j]) / params.base() as f64;
+            let new_lo = lo[j] + width * p as f64;
+            hi[j] = new_lo + width;
+            lo[j] = new_lo;
         }
         rect
     }
@@ -273,8 +274,8 @@ mod tests {
         // First division on dim 0, second on dim 1 (i mod d).
         let z = ZoneCode::ROOT.child(&params, 1).child(&params, 0);
         let e = z.extent(&params, &space);
-        assert_eq!(e.lo, vec![4.0, 0.0]);
-        assert_eq!(e.hi, vec![8.0, 4.0]);
+        assert_eq!(e.lo(), [4.0, 0.0]);
+        assert_eq!(e.hi(), [8.0, 4.0]);
     }
 
     #[test]

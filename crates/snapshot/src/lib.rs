@@ -336,12 +336,18 @@ impl<T: Decode> Decode for Option<T> {
     }
 }
 
-impl<T: Encode> Encode for Vec<T> {
+impl<T: Encode> Encode for [T] {
     fn encode(&self, w: &mut Writer) {
         w.put_u64(self.len() as u64);
         for v in self {
             v.encode(w);
         }
+    }
+}
+
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, w: &mut Writer) {
+        self.as_slice().encode(w);
     }
 }
 impl<T: Decode> Decode for Vec<T> {

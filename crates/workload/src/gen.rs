@@ -102,8 +102,8 @@ impl WorkloadGen {
         for dim in 0..d {
             let a = &self.spec.attrs[dim];
             if dims.contains(&dim) {
-                lo.push(full.rect.lo[dim]);
-                hi.push(full.rect.hi[dim]);
+                lo.push(full.rect.lo()[dim]);
+                hi.push(full.rect.hi()[dim]);
             } else {
                 lo.push(a.min);
                 hi.push(a.max);
@@ -218,8 +218,8 @@ mod tests {
         for _ in 0..1000 {
             let s = g.subscription();
             for d in 0..4 {
-                assert!(s.rect.lo[d] <= s.rect.hi[d]);
-                assert!(s.rect.lo[d] >= 0.0 && s.rect.hi[d] <= 10_000.0);
+                assert!(s.rect.lo()[d] <= s.rect.hi()[d]);
+                assert!(s.rect.lo()[d] >= 0.0 && s.rect.hi()[d] <= 10_000.0);
             }
         }
     }
@@ -259,11 +259,11 @@ mod tests {
         let mut g = gen();
         for _ in 0..100 {
             let s = g.subscription_on(&[1, 3]);
-            assert_eq!(s.rect.lo[0], 0.0);
-            assert_eq!(s.rect.hi[0], 10_000.0);
-            assert_eq!(s.rect.lo[2], 0.0);
-            assert_eq!(s.rect.hi[2], 10_000.0);
-            assert!(s.rect.hi[1] - s.rect.lo[1] < 10_000.0);
+            assert_eq!(s.rect.lo()[0], 0.0);
+            assert_eq!(s.rect.hi()[0], 10_000.0);
+            assert_eq!(s.rect.lo()[2], 0.0);
+            assert_eq!(s.rect.hi()[2], 10_000.0);
+            assert!(s.rect.hi()[1] - s.rect.lo()[1] < 10_000.0);
         }
     }
 

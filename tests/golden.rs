@@ -38,8 +38,8 @@ fn run_quick(
     for i in 0..subs {
         let r4 = gen.subscription().rect;
         let rect = Rect::new(
-            vec![r4.lo[0] / 100.0, r4.lo[1] / 100.0],
-            vec![r4.hi[0] / 100.0, r4.hi[1] / 100.0],
+            vec![r4.lo()[0] / 100.0, r4.lo()[1] / 100.0],
+            vec![r4.hi()[0] / 100.0, r4.hi()[1] / 100.0],
         );
         net.subscribe(i % nodes, 0, Subscription::new(rect));
     }

@@ -36,7 +36,7 @@ fn arb_rect2() -> impl Strategy<Value = Rect> {
 /// A 3-D rect: an [`arb_rect2`] with a third side up to 40 wide.
 fn arb_rect3() -> impl Strategy<Value = Rect> {
     (arb_rect2(), 0.0f64..100.0, 0.0f64..40.0).prop_map(|(r, z, wz)| {
-        let (mut lo, mut hi) = (r.lo, r.hi);
+        let (mut lo, mut hi) = (r.lo().to_vec(), r.hi().to_vec());
         lo.push(z);
         hi.push((z + wz).min(100.0));
         Rect::new(lo, hi)
@@ -63,12 +63,14 @@ fn arb_op(rect: impl Strategy<Value = Rect>) -> impl Strategy<Value = Op> {
 
 /// The subscheme every repository here projects by: the first two
 /// attributes, which for a 2-D rect or point is the identity.
+const KEPT: [usize; 2] = [0, 1];
+
 fn project(v: &[f64]) -> Vec<f64> {
-    v[..2].to_vec()
+    KEPT.iter().map(|&a| v[a]).collect()
 }
 
 fn stored(r: &Rect, real: bool) -> StoredSub {
-    let proj = Rect::new(project(&r.lo), project(&r.hi));
+    let proj = r.project(&KEPT);
     if real {
         StoredSub::Real {
             full: r.clone(),
@@ -301,7 +303,9 @@ impl Mirror {
                 let want: Vec<SubId> = self
                     .truth
                     .iter()
-                    .filter(|(_, r)| r.lo[0] <= x && x <= r.hi[0] && r.lo[1] <= y && y <= r.hi[1])
+                    .filter(|(_, r)| {
+                        r.lo()[0] <= x && x <= r.hi()[0] && r.lo()[1] <= y && y <= r.hi()[1]
+                    })
                     .map(|(&id, _)| id)
                     .collect();
                 assert_eq!(got, want, "candidates at ({x}, {y})");
@@ -384,10 +388,7 @@ fn clamped_degenerate_and_nonfinite_geometry() {
     m.insert(100, square(-1e6, -1e6, 10.0));
     m.insert(101, square(1e6, 40.0, 20.0));
     m.insert(102, Rect::new(vec![-1e9, -1e9], vec![1e9, 1e9]));
-    let raw = |lo: [f64; 2], hi: [f64; 2]| Rect {
-        lo: lo.to_vec(),
-        hi: hi.to_vec(),
-    };
+    let raw = |lo: [f64; 2], hi: [f64; 2]| Rect::unchecked(lo.to_vec(), hi.to_vec());
     let inf = f64::INFINITY;
     m.insert(103, raw([-inf, -inf], [inf, inf]));
     m.insert(104, raw([f64::NAN, 0.0], [f64::NAN, 100.0]));

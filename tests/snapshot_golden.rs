@@ -47,8 +47,8 @@ fn golden_path(file: &str) -> PathBuf {
 fn scaled_rect(gen: &mut WorkloadGen) -> Rect {
     let r4 = gen.subscription().rect;
     Rect::new(
-        vec![r4.lo[0] / 100.0, r4.lo[1] / 100.0],
-        vec![r4.hi[0] / 100.0, r4.hi[1] / 100.0],
+        vec![r4.lo()[0] / 100.0, r4.lo()[1] / 100.0],
+        vec![r4.hi()[0] / 100.0, r4.hi()[1] / 100.0],
     )
 }
 

@@ -9,45 +9,7 @@
 
 use crate::metrics::DeliveryRecord;
 use hypersub_simnet::NetStats;
-
-/// Incremental FNV-1a (64-bit) hasher. Not cryptographic — chosen for
-/// a stable, dependency-free, platform-independent fold.
-#[derive(Debug, Clone)]
-pub struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Fnv1a {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    /// A fresh hasher at the FNV offset basis.
-    pub fn new() -> Self {
-        Self(Self::OFFSET)
-    }
-
-    /// Folds raw bytes.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    /// Folds a `u64` (little-endian).
-    pub fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    /// The accumulated hash.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
+use hypersub_snapshot::Fnv1a;
 
 /// Digest of the delivery trace: every record in recorded (delivery)
 /// order. Any reordering or content change — even among same-time

@@ -30,8 +30,6 @@ pub enum TopologyKind {
     /// Synthetic King-dataset-like Internet latencies with the given mean
     /// RTT (the paper's 1740-node network averages ~180 ms).
     KingLike(SimTime),
-    /// Caller-provided topology.
-    Custom(Arc<dyn Topology>),
 }
 
 impl std::fmt::Debug for TopologyKind {
@@ -39,17 +37,14 @@ impl std::fmt::Debug for TopologyKind {
         match self {
             TopologyKind::Uniform(t) => write!(f, "Uniform({t})"),
             TopologyKind::KingLike(t) => write!(f, "KingLike(mean_rtt={t})"),
-            TopologyKind::Custom(_) => write!(f, "Custom"),
         }
     }
 }
 
 /// How to regenerate the topology at restore time (see `DESIGN.md`,
 /// "Checkpoint/restore"). Uniform and King-like topologies are pure
-/// functions of their parameters, so every network built over one keeps
-/// this recipe and the snapshot records it instead of the latency model;
-/// custom topologies have no recipe and [`Network::snapshot`] refuses
-/// them.
+/// functions of their parameters, so every network keeps this recipe and
+/// the snapshot records it instead of the latency model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TopoDescriptor {
     /// `UniformTopology::new(nodes, latency)`.
@@ -180,7 +175,7 @@ impl NetworkBuilder {
         self
     }
 
-    /// Explicit topology model (covers the custom-matrix case).
+    /// Explicit topology model.
     pub fn topology(mut self, topology: TopologyKind) -> Self {
         self.topology = topology;
         self
@@ -251,8 +246,8 @@ impl NetworkBuilder {
     /// and go unused.
     ///
     /// # Errors
-    /// [`HyperSubError::InvalidConfig`] for an empty network, a custom
-    /// topology of the wrong size or a zero-capacity recorder.
+    /// [`HyperSubError::InvalidConfig`] for an empty network or a
+    /// zero-capacity recorder.
     pub fn build_with<N: PubSubNode>(self, make: impl FnMut(ChordState) -> N) -> Result<Net<N>> {
         if self.nodes == 0 {
             return Err(HyperSubError::InvalidConfig(
@@ -264,24 +259,18 @@ impl NetworkBuilder {
                 "flight recorder capacity must be positive",
             ));
         }
-        let recipe = |d: TopoDescriptor| (d.build(), Some(d));
-        let (topo, topo_desc) = match &self.topology {
-            TopologyKind::Uniform(latency) => recipe(TopoDescriptor::Uniform {
+        let topo_desc = match self.topology {
+            TopologyKind::Uniform(latency) => TopoDescriptor::Uniform {
                 nodes: self.nodes,
-                latency: *latency,
-            }),
-            TopologyKind::KingLike(mean_rtt) => recipe(TopoDescriptor::KingLike {
+                latency,
+            },
+            TopologyKind::KingLike(mean_rtt) => TopoDescriptor::KingLike {
                 nodes: self.nodes,
-                mean_rtt: *mean_rtt,
+                mean_rtt,
                 seed: self.seed ^ 0x7090,
-            }),
-            TopologyKind::Custom(t) if t.len() != self.nodes => {
-                return Err(HyperSubError::InvalidConfig(
-                    "custom topology size does not match node count",
-                ))
-            }
-            TopologyKind::Custom(t) => (Arc::clone(t), None),
+            },
         };
+        let topo = topo_desc.build();
         let nodes: Vec<N> = build_ring(&self.ring, topo.as_ref(), self.seed)
             .into_iter()
             .map(make)
@@ -306,9 +295,8 @@ pub struct Net<N: PubSubNode> {
     pub(crate) sim: Sim<N, N::Msg, HyperWorld>,
     next_event_id: u64,
     scheduled_events: u64,
-    /// Recipe for regenerating the topology at restore time; `None` over
-    /// a [`TopologyKind::Custom`] topology.
-    topo_desc: Option<TopoDescriptor>,
+    /// Recipe for regenerating the topology at restore time.
+    topo_desc: TopoDescriptor,
 }
 
 /// A running HyperSub network.
@@ -664,16 +652,9 @@ impl Net<HyperSubNode> {
     /// from inside a node callback. Restoring with [`Network::restore`]
     /// in a fresh process and running to the same end time produces
     /// bit-identical deliveries, network counters, digests and reports.
-    ///
-    /// # Errors
-    /// [`HyperSubError::Snapshot`] over a [`TopologyKind::Custom`]
-    /// topology, which has no recipe to rebuild it from.
-    pub fn snapshot(&self) -> Result<Vec<u8>> {
-        let desc = self.topo_desc.ok_or(HyperSubError::Snapshot(
-            hypersub_snapshot::Error::Unsupported("snapshots cannot capture a custom topology"),
-        ))?;
+    pub fn snapshot(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        desc.encode(&mut w);
+        self.topo_desc.encode(&mut w);
         // The registry and config are shared by every node: encode them
         // once and re-share the `Arc`s on restore.
         self.sim.node(0).registry.encode(&mut w);
@@ -686,7 +667,7 @@ impl Net<HyperSubNode> {
         self.sim.export_state().encode(&mut w);
         w.put_u64(self.next_event_id);
         w.put_u64(self.scheduled_events);
-        Ok(hypersub_snapshot::seal(w.into_vec()))
+        hypersub_snapshot::seal(w.into_vec())
     }
 
     /// Reconstructs a network from bytes produced by
@@ -730,7 +711,7 @@ impl Net<HyperSubNode> {
             sim,
             next_event_id,
             scheduled_events,
-            topo_desc: Some(desc),
+            topo_desc: desc,
         })
     }
 }
@@ -927,16 +908,6 @@ mod tests {
                 "flight recorder capacity must be positive"
             ))
         );
-        let topo: Arc<dyn Topology> = Arc::new(UniformTopology::new(3, SimTime::from_millis(1)));
-        assert_eq!(
-            Network::builder(4)
-                .topology(TopologyKind::Custom(topo))
-                .build()
-                .err(),
-            Some(HyperSubError::InvalidConfig(
-                "custom topology size does not match node count"
-            ))
-        );
     }
 
     #[test]
@@ -1039,21 +1010,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_rejects_custom_topology() {
-        let topo: Arc<dyn Topology> = Arc::new(UniformTopology::new(4, SimTime::from_millis(1)));
-        let net = Network::builder(4)
-            .topology(TopologyKind::Custom(topo))
-            .build()
-            .expect("a custom topology builds; only its snapshot is refused");
-        assert_eq!(
-            net.snapshot().err(),
-            Some(HyperSubError::Snapshot(
-                hypersub_snapshot::Error::Unsupported("snapshots cannot capture a custom topology")
-            ))
-        );
-    }
-
-    #[test]
     fn snapshot_restore_round_trips_mid_run() {
         let build = || small_net(12, 31);
         let drive = |net: &mut Network, from: usize| {
@@ -1091,7 +1047,7 @@ mod tests {
         }
         drive(&mut first, 0);
         first.run_until(SimTime::from_secs(22));
-        let bytes = first.snapshot().unwrap();
+        let bytes = first.snapshot();
         drop(first);
         let mut resumed = Network::restore(&bytes).unwrap();
         assert_eq!(resumed.time(), SimTime::from_secs(22));
@@ -1103,7 +1059,7 @@ mod tests {
 
     #[test]
     fn restore_rejects_corrupt_bytes() {
-        let mut bytes = small_net(4, 0).snapshot().unwrap();
+        let mut bytes = small_net(4, 0).snapshot();
         let last = bytes.len() - 9; // flip a payload bit, not the checksum
         bytes[last] ^= 0x40;
         assert!(matches!(
@@ -1138,7 +1094,7 @@ mod tests {
     #[test]
     fn hostile_counts_are_errors_not_allocations() {
         const HUGE: [u8; 8] = (1u64 << 60).to_le_bytes();
-        let sealed = net_after_one_delivery().snapshot().unwrap();
+        let sealed = net_after_one_delivery().snapshot();
         let payload = hypersub_snapshot::unseal(&sealed).unwrap();
         let mut refused = 0;
         for at in 0..payload.len() - HUGE.len() {
@@ -1197,7 +1153,7 @@ mod tests {
         }
 
         let net = net_after_one_delivery();
-        let sealed = net.snapshot().unwrap();
+        let sealed = net.snapshot();
         let host = net.nodes().iter().find(|n| !n.repos.is_empty()).unwrap();
         for hostile in [
             repeat_a_key(&sealed, &host.repos),

@@ -14,13 +14,7 @@
 /// deterministic across runs and platforms, which stands in for the
 /// paper's "consistent hash function, e.g. SHA".
 pub fn rotation_offset(scheme_name: &str) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    for b in scheme_name.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
+    let mut h = hypersub_snapshot::fnv1a(scheme_name.as_bytes());
     // splitmix64-style finalizer for avalanche.
     h ^= h >> 30;
     h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -29,21 +29,40 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
-/// Reads one length-prefixed frame. `Err(UnexpectedEof)` on a cleanly
-/// closed connection.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
-    let mut len = [0u8; 4];
-    r.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len) as usize;
+/// The payload length a frame's prefix announces; past [`MAX_FRAME`] it
+/// is a corrupt or hostile prefix.
+fn frame_len(prefix: [u8; 4]) -> io::Result<usize> {
+    let len = u32::from_le_bytes(prefix) as usize;
     if len > MAX_FRAME {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "frame length exceeds MAX_FRAME",
         ));
     }
-    let mut buf = vec![0u8; len];
+    Ok(len)
+}
+
+/// Reads one length-prefixed frame. `Err(UnexpectedEof)` on a cleanly
+/// closed connection.
+pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
+    let mut len = [0u8; 4];
+    r.read_exact(&mut len)?;
+    let mut buf = vec![0u8; frame_len(len)?];
     r.read_exact(&mut buf)?;
     Ok(buf)
+}
+
+/// Splits the first whole frame off the front of received bytes: its
+/// payload, and how many bytes it spans, prefix included. `Ok(None)`
+/// while the frame is incomplete. A length prefix past [`MAX_FRAME`] is
+/// an error as soon as its four bytes are in, before any payload is
+/// waited for.
+pub fn split_frame(buf: &[u8]) -> io::Result<Option<(&[u8], usize)>> {
+    let Some(prefix) = buf.first_chunk::<4>() else {
+        return Ok(None);
+    };
+    let end = 4 + frame_len(*prefix)?;
+    Ok(buf.get(4..end).map(|payload| (payload, end)))
 }
 
 /// Builds the handshake payload a dialer sends as its first frame.
@@ -94,5 +113,46 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(&(u32::MAX).to_le_bytes());
         assert!(read_frame(&mut &buf[..]).is_err());
+    }
+
+    #[test]
+    fn split_frame_reassembles_two_frames_cut_at_every_offset() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, b"first frame").unwrap();
+        write_frame(&mut wire, b"").unwrap();
+        for cut in 0..=wire.len() {
+            let (mut buf, mut frames) = (Vec::new(), Vec::new());
+            for part in [&wire[..cut], &wire[cut..]] {
+                buf.extend_from_slice(part);
+                while let Some((payload, len)) = split_frame(&buf).unwrap() {
+                    frames.push(payload.to_vec());
+                    buf.drain(..len);
+                }
+            }
+            assert_eq!(frames, [&b"first frame"[..], b""], "cut at {cut}");
+            assert!(buf.is_empty(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn split_frame_yields_nothing_for_a_partial_frame() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, b"hello").unwrap();
+        for end in 0..wire.len() {
+            assert!(split_frame(&wire[..end]).unwrap().is_none(), "{end} bytes");
+        }
+        assert_eq!(
+            split_frame(&wire).unwrap(),
+            Some((&b"hello"[..], wire.len()))
+        );
+    }
+
+    #[test]
+    fn split_frame_rejects_an_oversize_prefix_before_its_payload() {
+        let prefix = (MAX_FRAME as u32 + 1).to_le_bytes();
+        assert!(split_frame(&prefix).is_err());
+        assert!(split_frame(&(MAX_FRAME as u32).to_le_bytes())
+            .unwrap()
+            .is_none());
     }
 }

@@ -10,10 +10,10 @@
 //!   handshake that announces the dialer's node index,
 //! * [`wheel`] — a timer wheel with the simulator's deadline-then-FIFO
 //!   firing order,
-//! * [`driver`] — a single driver thread per node owning the protocol
-//!   state, fed by per-connection reader threads, with outbound
-//!   connection reuse and fail-stop dial/write errors surfaced as
-//!   `on_send_failed`.
+//! * [`driver`] — a [`LiveNode`] the caller's thread owns and polls:
+//!   non-blocking accepts and reads, outbound connection reuse, and
+//!   fail-stop dial/write errors surfaced as `on_send_failed`;
+//!   [`run_until`] hosts any number of them on one thread.
 //!
 //! The `hypersub-node` binary builds a runnable pub/sub node on top.
 
@@ -21,6 +21,6 @@ pub mod driver;
 pub mod frame;
 pub mod wheel;
 
-pub use driver::{spawn, Call, LiveConfig, NetHandle};
+pub use driver::{run_until, LiveConfig, LiveNode};
 pub use frame::{read_frame, write_frame, MAX_FRAME};
 pub use wheel::TimerWheel;

@@ -38,16 +38,6 @@ impl TimerWheel {
             _ => None,
         }
     }
-
-    /// Number of pending timers.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no timers are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -66,6 +56,6 @@ mod tests {
         assert_eq!(w.pop_due(SimTime::from_millis(15)), Some(3));
         assert_eq!(w.pop_due(SimTime::from_millis(15)), None);
         assert_eq!(w.pop_due(SimTime::from_millis(25)), Some(2));
-        assert!(w.is_empty());
+        assert_eq!(w.next_deadline(), None);
     }
 }

@@ -1,10 +1,13 @@
-//! Two live drivers talking over real loopback TCP: framing, handshake,
-//! connection reuse, timers, self-sends, and fail-stop reporting.
+//! Live nodes polled on the test's own thread, talking over real
+//! loopback TCP: framing, handshake, connection reuse, timers,
+//! self-sends, fail-stop reporting, and hostile peers.
 
-use hypersub_net::driver::{spawn, LiveConfig, NetHandle};
+use hypersub_net::driver::{run_until, LiveConfig, LiveNode};
+use hypersub_net::frame::{handshake, write_frame, MAX_FRAME};
 use hypersub_simnet::{Ctx, Node, Payload, SimTime, WireMsg};
 use hypersub_snapshot::{Error, Reader, Writer};
-use std::net::{SocketAddr, TcpListener};
+use std::io::{self, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 #[derive(Debug, Clone, PartialEq)]
@@ -105,21 +108,27 @@ impl Node<TestMsg, TestWorld> for SelfThenPeer {
     }
 }
 
-fn wait_until(mut cond: impl FnMut() -> bool) {
+type Live<N> = LiveNode<N, TestMsg, TestWorld>;
+
+/// Polls `nodes` on this thread until `cond` holds; fails after 10 s.
+fn wait_until<N: Node<TestMsg, TestWorld>>(
+    nodes: &mut [Live<N>],
+    cond: impl FnMut(&mut [Live<N>]) -> bool,
+) {
     let deadline = Instant::now() + Duration::from_secs(10);
-    while !cond() {
-        assert!(Instant::now() < deadline, "condition not reached in 10s");
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    assert!(
+        run_until(nodes, deadline, cond),
+        "condition not reached in 10s"
+    );
 }
 
-fn spawn_node<N: Node<TestMsg, TestWorld> + Send + 'static>(
+fn live<N: Node<TestMsg, TestWorld>>(
     node: N,
     listener: TcpListener,
     index: usize,
     peers: &[SocketAddr],
-) -> NetHandle<N, TestMsg, TestWorld> {
-    spawn(
+) -> Live<N> {
+    LiveNode::new(
         node,
         TestWorld::default(),
         listener,
@@ -129,40 +138,49 @@ fn spawn_node<N: Node<TestMsg, TestWorld> + Send + 'static>(
             seed: 3,
         },
     )
+    .unwrap()
+}
+
+/// `n` nodes of one kind listening on fresh loopback ports, and those
+/// ports.
+fn ring<N: Node<TestMsg, TestWorld>>(
+    n: usize,
+    make: impl Fn() -> N,
+) -> (Vec<Live<N>>, Vec<SocketAddr>) {
+    let ls: Vec<_> = (0..n)
+        .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
+        .collect();
+    let peers: Vec<_> = ls.iter().map(|l| l.local_addr().unwrap()).collect();
+    let nodes = ls
+        .into_iter()
+        .enumerate()
+        .map(|(i, l)| live(make(), l, i, &peers))
+        .collect();
+    (nodes, peers)
 }
 
 #[test]
 fn two_drivers_deliver_over_loopback_tcp() {
-    let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
-    let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
-    let peers = [l0.local_addr().unwrap(), l1.local_addr().unwrap()];
-    let h0 = spawn_node(PingPong, l0, 0, &peers);
-    let h1 = spawn_node(PingPong, l1, 1, &peers);
+    let (mut nodes, _) = ring(2, || PingPong);
 
     // Node 0 pings node 1 three times over one reused connection; each
     // ping comes back as a pong on a connection node 1 dials back.
     for n in 0..3u64 {
-        h0.invoke(move |_node, ctx| ctx.send(1, TestMsg::Ping(n)));
+        nodes[0].call(|_node, ctx| ctx.send(1, TestMsg::Ping(n)));
     }
-    wait_until(|| h0.query(|_n, ctx| ctx.world().pongs.len()) == 3);
-    assert_eq!(h1.query(|_n, ctx| ctx.world().pings.clone()), vec![0, 1, 2]);
-    assert_eq!(h0.query(|_n, ctx| ctx.world().pongs.clone()), vec![0, 1, 2]);
-
-    h0.shutdown();
-    h1.shutdown();
+    wait_until(&mut nodes, |n| n[0].world.pongs.len() == 3);
+    assert_eq!(nodes[1].world.pings, vec![0, 1, 2]);
+    assert_eq!(nodes[0].world.pongs, vec![0, 1, 2]);
 }
 
 #[test]
 fn timers_fire_and_self_sends_loop_back() {
-    let l = TcpListener::bind("127.0.0.1:0").unwrap();
-    let peers = [l.local_addr().unwrap()];
-    let h = spawn_node(PingPong, l, 0, &peers);
-    h.invoke(|_n, ctx| ctx.set_timer(SimTime::from_millis(20), 77));
+    let (mut nodes, _) = ring(1, || PingPong);
+    nodes[0].call(|_n, ctx| ctx.set_timer(SimTime::from_millis(20), 77));
     // The timer handler self-sends Ping(77); the node then pongs itself.
-    wait_until(|| h.query(|_n, ctx| ctx.world().pongs.clone()) == vec![77]);
-    assert!(h.query(|_n, ctx| ctx.world().timer_fired));
-    assert_eq!(h.query(|_n, ctx| ctx.world().pings.clone()), vec![77]);
-    h.shutdown();
+    wait_until(&mut nodes, |n| n[0].world.pongs == [77]);
+    assert!(nodes[0].world.timer_fired);
+    assert_eq!(nodes[0].world.pings, vec![77]);
 }
 
 /// Parity rule 2: a self-send waits behind the handler's other sends
@@ -172,50 +190,32 @@ fn timers_fire_and_self_sends_loop_back() {
 /// before transmitting the rest of the outbox would deliver `[3, 2]`.
 #[test]
 fn self_send_queues_behind_the_rest_of_the_outbox_from_any_entry() {
-    let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
-    let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
-    let peers = [l0.local_addr().unwrap(), l1.local_addr().unwrap()];
-    let h0 = spawn_node(SelfThenPeer, l0, 0, &peers);
-    let h1 = spawn_node(SelfThenPeer, l1, 1, &peers);
+    let (mut nodes, _) = ring(2, || SelfThenPeer);
 
-    h0.invoke(|_n, ctx| ctx.set_timer(SimTime::from_millis(5), 0));
-    wait_until(|| h1.query(|_n, ctx| ctx.world().pings.len()) == 2);
-    assert_eq!(h1.query(|_n, ctx| ctx.world().pings.clone()), vec![2, 3]);
+    nodes[0].call(|_n, ctx| ctx.set_timer(SimTime::from_millis(5), 0));
+    wait_until(&mut nodes, |n| n[1].world.pings.len() == 2);
+    assert_eq!(nodes[1].world.pings, vec![2, 3]);
 
-    h0.invoke(|_n, ctx| SelfThenPeer::kick(ctx));
-    wait_until(|| h1.query(|_n, ctx| ctx.world().pings.len()) == 4);
-    assert_eq!(
-        h1.query(|_n, ctx| ctx.world().pings.clone()),
-        vec![2, 3, 2, 3]
-    );
-
-    h0.shutdown();
-    h1.shutdown();
+    nodes[0].call(|_n, ctx| SelfThenPeer::kick(ctx));
+    wait_until(&mut nodes, |n| n[1].world.pings.len() == 4);
+    assert_eq!(nodes[1].world.pings, vec![2, 3, 2, 3]);
 }
 
 #[test]
 fn dead_peer_surfaces_as_send_failed() {
-    let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
-    let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
-    let peers = [l0.local_addr().unwrap(), l1.local_addr().unwrap()];
-    let h0 = spawn_node(PingPong, l0, 0, &peers);
-    let h1 = spawn_node(PingPong, l1, 1, &peers);
-    h0.invoke(|_n, ctx| ctx.send(1, TestMsg::Ping(0)));
-    wait_until(|| h0.query(|_n, ctx| ctx.world().pongs.len()) == 1);
+    let (mut nodes, _) = ring(2, || PingPong);
+    nodes[0].call(|_n, ctx| ctx.send(1, TestMsg::Ping(0)));
+    wait_until(&mut nodes, |n| n[0].world.pongs.len() == 1);
 
     // Peer 1 was up and goes away: its listener closes, so once the
     // cached connection breaks the redial is refused — fail-stop. (The
     // first writes after the shutdown can still land in socket buffers.)
-    h1.shutdown();
-    wait_until(|| {
-        h0.invoke(|_n, ctx| ctx.send(1, TestMsg::Ping(9)));
-        !h0.query(|_n, ctx| ctx.world().failed_sends.is_empty())
+    nodes.truncate(1);
+    wait_until(&mut nodes, |n| {
+        n[0].call(|_n, ctx| ctx.send(1, TestMsg::Ping(9)));
+        !n[0].world.failed_sends.is_empty()
     });
-    assert!(h0
-        .query(|_n, ctx| ctx.world().failed_sends.clone())
-        .iter()
-        .all(|&dst| dst == 1));
-    h0.shutdown();
+    assert!(nodes[0].world.failed_sends.iter().all(|&dst| dst == 1));
 }
 
 /// Start-up order must not matter: a peer that refuses the very first
@@ -231,19 +231,74 @@ fn peer_not_yet_listening_is_not_fail_stop() {
         l1.local_addr().unwrap()
     };
     let peers = [l0.local_addr().unwrap(), addr1];
-    let h0 = spawn_node(PingPong, l0, 0, &peers);
+    let mut n0 = live(PingPong, l0, 0, &peers);
 
-    // The query runs after the send was flushed (refused) on the driver
-    // thread: the ping is lost, and no failure was reported.
-    h0.invoke(|_n, ctx| ctx.send(1, TestMsg::Ping(1)));
-    assert!(h0.query(|_n, ctx| ctx.world().failed_sends.is_empty()));
+    // The send is flushed (refused) before `call` returns: the ping is
+    // lost, and no failure was reported.
+    n0.call(|_n, ctx| ctx.send(1, TestMsg::Ping(1)));
+    assert!(n0.world.failed_sends.is_empty());
 
     // Peer 1 comes up; node 0 reaches it like any other peer.
-    let h1 = spawn_node(PingPong, TcpListener::bind(addr1).unwrap(), 1, &peers);
-    h0.invoke(|_n, ctx| ctx.send(1, TestMsg::Ping(2)));
-    wait_until(|| h0.query(|_n, ctx| ctx.world().pongs.clone()) == vec![2]);
-    assert_eq!(h1.query(|_n, ctx| ctx.world().pings.clone()), vec![2]);
-    assert!(h0.query(|_n, ctx| ctx.world().failed_sends.is_empty()));
-    h0.shutdown();
-    h1.shutdown();
+    let n1 = live(PingPong, TcpListener::bind(addr1).unwrap(), 1, &peers);
+    let mut nodes = [n0, n1];
+    nodes[0].call(|_n, ctx| ctx.send(1, TestMsg::Ping(2)));
+    wait_until(&mut nodes, |n| n[0].world.pongs == [2]);
+    assert_eq!(nodes[1].world.pings, vec![2]);
+    assert!(nodes[0].world.failed_sends.is_empty());
+}
+
+/// True once the node has closed its end of `client`'s connection.
+fn closed(mut client: &TcpStream) -> bool {
+    !matches!(client.read(&mut [0u8; 1]), Err(e) if e.kind() == io::ErrorKind::WouldBlock)
+}
+
+/// A peer that handshakes and then sends a frame that does not decode,
+/// or a length prefix past `MAX_FRAME`, costs the node that one
+/// connection: a real peer's cached connection keeps working.
+#[test]
+fn hostile_peer_loses_only_its_own_connection() {
+    let (mut nodes, peers) = ring(2, || PingPong);
+    nodes[1].call(|_n, ctx| ctx.send(0, TestMsg::Ping(1)));
+    wait_until(&mut nodes, |n| n[1].world.pongs == [1]);
+
+    let mut garbage = TcpStream::connect(peers[0]).unwrap();
+    write_frame(&mut garbage, &handshake(1)).unwrap();
+    write_frame(&mut garbage, &[0xff; 9]).unwrap();
+    let mut oversize = TcpStream::connect(peers[0]).unwrap();
+    write_frame(&mut oversize, &handshake(1)).unwrap();
+    oversize
+        .write_all(&(MAX_FRAME as u32 + 1).to_le_bytes())
+        .unwrap();
+    for client in [&garbage, &oversize] {
+        client.set_nonblocking(true).unwrap();
+    }
+    wait_until(&mut nodes, |_| closed(&garbage) && closed(&oversize));
+
+    nodes[1].call(|_n, ctx| ctx.send(0, TestMsg::Ping(2)));
+    wait_until(&mut nodes, |n| n[1].world.pongs == [1, 2]);
+    assert_eq!(nodes[0].world.pings, vec![1, 2]);
+}
+
+/// One thread hosts four nodes; every node pings every other.
+#[test]
+fn four_nodes_on_one_thread_ping_all_to_all() {
+    const N: usize = 4;
+    let (mut nodes, _) = ring(N, || PingPong);
+    for (i, node) in nodes.iter_mut().enumerate() {
+        node.call(|_n, ctx| {
+            for dst in (0..N).filter(|&d| d != i) {
+                ctx.send(dst, TestMsg::Ping(i as u64));
+            }
+        });
+    }
+    wait_until(&mut nodes, |n| {
+        n.iter().all(|x| x.world.pongs.len() == N - 1)
+    });
+    for (i, node) in nodes.iter().enumerate() {
+        assert_eq!(node.world.pongs, vec![i as u64; N - 1]);
+        let mut pings = node.world.pings.clone();
+        pings.sort_unstable();
+        let others: Vec<u64> = (0..N as u64).filter(|&j| j != i as u64).collect();
+        assert_eq!(pings, others);
+    }
 }

@@ -23,6 +23,10 @@
 //! * `status` — ring view: node id, successor indexes, predecessor, load
 //! * `quit` — shut the node down
 //!
+//! One thread does everything: it polls the node's transport and the
+//! control listener in turn, so a control request runs between two
+//! protocol handlers, never beside one.
+//!
 //! Every process is started with the full `--peers` list (index → address)
 //! and a shared `--seed`; ring identifiers are drawn deterministically
 //! from the seed, so all processes agree on the id space without any
@@ -38,12 +42,12 @@ use hypersub_core::msg::HyperMsg;
 use hypersub_core::node::{HyperSubNode, TOKEN_FIX_FINGERS, TOKEN_STABILIZE};
 use hypersub_core::world::HyperWorld;
 use hypersub_lph::{Point, Rect};
-use hypersub_net::driver::{spawn, LiveConfig, NetHandle};
-use std::io::{BufRead, BufReader, Write};
+use hypersub_net::driver::{run_until, LiveConfig, LiveNode};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Successor-list length for live rings (matches the sim ring builder).
 const SUCC_LIST_LEN: usize = 16;
@@ -83,39 +87,31 @@ fn ctl(args: &[String]) -> ExitCode {
     if cmd.is_empty() {
         return usage();
     }
-    let Ok(addr) = addr.parse::<SocketAddr>() else {
-        eprintln!("err bad control address");
-        return ExitCode::FAILURE;
-    };
-    let stream = match TcpStream::connect_timeout(&addr, Duration::from_secs(5)) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("err connect: {e}");
-            return ExitCode::FAILURE;
+    match request(addr, &cmd.join(" ")) {
+        Ok(reply) if reply.starts_with("ok") => {
+            print!("{reply}");
+            ExitCode::SUCCESS
         }
-    };
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("err clone: {e}");
-            return ExitCode::FAILURE;
+        Ok(reply) => {
+            print!("{reply}");
+            ExitCode::FAILURE
         }
-    };
-    if writeln!(writer, "{}", cmd.join(" ")).is_err() {
-        eprintln!("err write");
-        return ExitCode::FAILURE;
+        Err(e) => {
+            eprintln!("err {e}");
+            ExitCode::FAILURE
+        }
     }
+}
+
+fn request(addr: &str, line: &str) -> io::Result<String> {
+    let addr: SocketAddr = addr
+        .parse()
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "bad control address"))?;
+    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5))?;
+    writeln!(stream, "{line}")?;
     let mut reply = String::new();
-    if BufReader::new(stream).read_line(&mut reply).is_err() {
-        eprintln!("err read");
-        return ExitCode::FAILURE;
-    }
-    print!("{reply}");
-    if reply.starts_with("ok") {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    BufReader::new(stream).read_line(&mut reply)?;
+    Ok(reply)
 }
 
 struct ServeArgs {
@@ -167,7 +163,7 @@ fn parse_serve(args: &[String]) -> Option<ServeArgs> {
     })
 }
 
-type Handle = NetHandle<HyperSubNode, HyperMsg, HyperWorld>;
+type Live = LiveNode<HyperSubNode, HyperMsg, HyperWorld>;
 
 fn serve(args: &[String]) -> ExitCode {
     let Some(a) = parse_serve(args) else {
@@ -185,36 +181,25 @@ fn serve(args: &[String]) -> ExitCode {
     );
     node.maintenance = true;
 
-    let listener = match TcpListener::bind(a.listen) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("err bind {}: {e}", a.listen);
-            return ExitCode::FAILURE;
-        }
+    let cfg = LiveConfig {
+        index: a.index,
+        peers: a.peers,
+        seed: a.seed,
     };
-    let control = match TcpListener::bind(a.control) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("err bind control {}: {e}", a.control);
-            return ExitCode::FAILURE;
-        }
+    let live = TcpListener::bind(a.listen)
+        .and_then(|l| LiveNode::new(node, HyperWorld::default(), l, cfg))
+        .map_err(|e| eprintln!("err bind {}: {e}", a.listen));
+    let control = TcpListener::bind(a.control)
+        .and_then(|l| l.set_nonblocking(true).map(|()| l))
+        .map_err(|e| eprintln!("err bind control {}: {e}", a.control));
+    let (Ok(mut live), Ok(control)) = (live, control) else {
+        return ExitCode::FAILURE;
     };
-
-    let handle: Handle = spawn(
-        node,
-        HyperWorld::default(),
-        listener,
-        LiveConfig {
-            index: a.index,
-            peers: a.peers,
-            seed: a.seed,
-        },
-    );
 
     // Arm Chord maintenance and, on non-bootstrap nodes, start the join.
     // The bootstrap node begins as a singleton ring that owns every key.
     let (index, bootstrap) = (a.index, a.bootstrap);
-    handle.invoke(move |node, ctx| {
+    live.call(|node, ctx| {
         ctx.set_timer(STABILIZE_PERIOD, TOKEN_STABILIZE);
         ctx.set_timer(FIX_FINGERS_PERIOD, TOKEN_FIX_FINGERS);
         if index != bootstrap {
@@ -225,41 +210,68 @@ fn serve(args: &[String]) -> ExitCode {
     });
     eprintln!("hypersub-node {index}: serving (id {id:#018x})");
 
-    control_loop(&handle, control, index);
-    handle.shutdown();
+    let mut control = Control {
+        listener: control,
+        conns: Vec::new(),
+        // Event ids must be globally unique; partition the id space by
+        // publisher index.
+        next_event: ((index as u64) + 1) << 40,
+    };
+    // Serve until a `quit` is answered; each call is bounded only so the
+    // deadline cannot overflow.
+    let nodes = std::slice::from_mut(&mut live);
+    let hour = Duration::from_secs(3600);
+    while !run_until(nodes, Instant::now() + hour, |n| control.serve(&mut n[0])) {}
     ExitCode::SUCCESS
 }
 
-/// Accepts control connections one at a time and answers request lines
-/// until a `quit` arrives.
-fn control_loop(handle: &Handle, control: TcpListener, index: usize) {
-    // Event ids must be globally unique; partition the id space by
-    // publisher index.
-    let mut next_event: u64 = ((index as u64) + 1) << 40;
-    for conn in control.incoming() {
-        let Ok(conn) = conn else { continue };
-        let mut writer = match conn.try_clone() {
-            Ok(w) => w,
-            Err(_) => continue,
-        };
-        let reader = BufReader::new(conn);
-        for line in reader.lines() {
-            let Ok(line) = line else { break };
-            let (reply, quit) = handle_command(handle, line.trim(), &mut next_event);
-            if writeln!(writer, "{reply}").is_err() || quit {
-                if quit {
-                    return;
-                }
-                break;
+/// The non-blocking control listener and its open connections, each
+/// holding the part of a request line read so far.
+struct Control {
+    listener: TcpListener,
+    conns: Vec<(BufReader<TcpStream>, Vec<u8>)>,
+    next_event: u64,
+}
+
+impl Control {
+    /// Accepts new control connections and answers every request line
+    /// that has arrived whole. True once a `quit` has been answered.
+    fn serve(&mut self, node: &mut Live) -> bool {
+        while let Ok((conn, _)) = self.listener.accept() {
+            if conn.set_nonblocking(true).is_ok() {
+                self.conns.push((BufReader::new(conn), Vec::new()));
             }
         }
+        let mut quit = false;
+        // A read error leaves the bytes read so far in `line`, so a
+        // request split across packets completes on a later pass.
+        self.conns.retain_mut(|(conn, line)| loop {
+            match conn.read_until(b'\n', line) {
+                Ok(0) => return false,
+                Ok(_) => {
+                    let text = String::from_utf8_lossy(line);
+                    let (reply, q) = handle_command(node, text.trim(), &mut self.next_event);
+                    line.clear();
+                    quit |= q;
+                    if writeln!(conn.get_mut(), "{reply}").is_err() {
+                        return false;
+                    }
+                }
+                Err(e) => return e.kind() == io::ErrorKind::WouldBlock,
+            }
+        });
+        quit
     }
 }
 
-fn handle_command(handle: &Handle, line: &str, next_event: &mut u64) -> (String, bool) {
+fn handle_command(live: &mut Live, line: &str, next_event: &mut u64) -> (String, bool) {
     let parts: Vec<&str> = line.split_whitespace().collect();
     let floats =
         |xs: &[&str]| -> Option<Vec<f64>> { xs.iter().map(|x| x.parse::<f64>().ok()).collect() };
+    // The served scheme's domain. A NaN or infinite coordinate fails its
+    // bounds comparisons too, so it is out of domain as well.
+    let space = &live.node.registry.scheme(0).space;
+    let out_of_domain = || ("err out of domain".to_string(), false);
     match parts.as_slice() {
         ["sub", rest @ ..] if rest.len() == 4 => {
             let Some(v) = floats(rest) else {
@@ -268,45 +280,94 @@ fn handle_command(handle: &Handle, line: &str, next_event: &mut u64) -> (String,
             if v[0] > v[2] || v[1] > v[3] {
                 return ("err empty rectangle".into(), false);
             }
-            let rect = Rect::new(vec![v[0], v[1]], vec![v[2], v[3]]);
-            let subid =
-                handle.query(move |node, ctx| node.subscribe(ctx, 0, Subscription::new(rect)));
+            let rect = Rect::unchecked(vec![v[0], v[1]], vec![v[2], v[3]]);
+            if !space.bounding_rect().contains_rect(&rect) {
+                return out_of_domain();
+            }
+            let subid = live.call(|node, ctx| node.subscribe(ctx, 0, Subscription::new(rect)));
             (format!("ok sub {}:{}", subid.nid, subid.iid), false)
         }
         ["pub", rest @ ..] if rest.len() == 2 => {
             let Some(v) = floats(rest) else {
                 return ("err bad number".into(), false);
             };
+            let point = Point(v);
+            if !space.contains_point(&point) {
+                return out_of_domain();
+            }
             let id = *next_event;
             *next_event += 1;
-            let event = Event {
-                id,
-                point: Point(v),
-            };
-            handle.invoke(move |node, ctx| node.publish_event(ctx, 0, event));
+            live.call(|node, ctx| node.publish_event(ctx, 0, Event { id, point }));
             (format!("ok pub {id}"), false)
         }
         ["deliveries"] => {
-            let n = handle.query(|_node, ctx| ctx.world().metrics.deliveries().len());
+            let n = live.world.metrics.deliveries().len();
             (format!("ok deliveries {n}"), false)
         }
-        ["status"] => {
-            let s = handle.query(|node, ctx| {
-                let c = node.chord();
-                let succs: Vec<String> = c.successors().iter().map(|p| p.idx.to_string()).collect();
-                format!(
-                    "ok status me={} id={:#018x} succ=[{}] pred={} load={} now={}us",
-                    ctx.me(),
-                    c.id,
-                    succs.join(","),
-                    c.predecessor.map_or("none".into(), |p| p.idx.to_string()),
-                    node.load(),
-                    ctx.now().as_micros(),
-                )
-            });
+        ["status"] => live.call(|node, ctx| {
+            let c = node.chord();
+            let succs: Vec<String> = c.successors().iter().map(|p| p.idx.to_string()).collect();
+            let s = format!(
+                "ok status me={} id={:#018x} succ=[{}] pred={} load={} now={}us",
+                ctx.me(),
+                c.id,
+                succs.join(","),
+                c.predecessor.map_or("none".into(), |p| p.idx.to_string()),
+                node.load(),
+                ctx.now().as_micros(),
+            );
             (s, false)
-        }
+        }),
         ["quit"] => ("ok bye".into(), true),
         _ => ("err unknown command".into(), false),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A one-node deployment: its own bootstrap, listening on a free
+    /// loopback port.
+    fn one_node() -> Live {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peers = vec![listener.local_addr().unwrap()];
+        let node = HyperSubNode::new(
+            ChordState::new(random_ids(1, 42)[0], 0, SUCC_LIST_LEN),
+            Arc::new(demo_registry()),
+            Arc::new(SystemConfig::default()),
+        );
+        let cfg = LiveConfig {
+            index: 0,
+            peers,
+            seed: 42,
+        };
+        LiveNode::new(node, HyperWorld::default(), listener, cfg).unwrap()
+    }
+
+    /// Each of these would trip an assert in `lph_rect`, `lph_point` or
+    /// `Rect::new` and take the process down, so it must be refused
+    /// before the node sees it; in-domain requests still go through.
+    #[test]
+    fn control_input_outside_the_domain_is_refused() {
+        let mut live = one_node();
+        let mut next_event = 1;
+        for line in [
+            "sub 200 200 300 300",
+            "pub 150 20",
+            "sub NaN 0 1 1",
+            "sub 0 0 inf 1",
+            "pub 20 NaN",
+        ] {
+            let reply = handle_command(&mut live, line, &mut next_event);
+            assert_eq!(reply, ("err out of domain".to_string(), false), "{line}");
+        }
+        assert_eq!(next_event, 1, "no event id was spent");
+        let (reply, _) = handle_command(&mut live, "sub 10 10 30 30", &mut next_event);
+        assert!(reply.starts_with("ok sub"), "{reply}");
+        let (reply, _) = handle_command(&mut live, "pub 20 20", &mut next_event);
+        assert_eq!(reply, "ok pub 1");
+        let (reply, _) = handle_command(&mut live, "deliveries", &mut next_event);
+        assert_eq!(reply, "ok deliveries 1");
     }
 }

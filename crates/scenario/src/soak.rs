@@ -163,7 +163,7 @@ pub fn run_segment(
 
     if !last {
         net.run_until(seg_end);
-        return Ok(SoakStep::Checkpoint(net.snapshot()?));
+        return Ok(SoakStep::Checkpoint(net.snapshot()));
     }
 
     // Final segment: freeze the membership (whoever is down stays down),

@@ -38,6 +38,6 @@ pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use queue::SimEvent;
 pub use stats::NetStats;
 pub use time::SimTime;
-pub use topology::{KingLikeTopology, MatrixTopology, Topology, UniformTopology};
+pub use topology::{KingLikeTopology, Topology, UniformTopology};
 pub use trace::{FlightRecorder, ProtoEvent, TraceEvent, TraceRecord};
 pub use wire::WireMsg;

@@ -93,37 +93,6 @@ impl Topology for UniformTopology {
     }
 }
 
-/// An explicit `n x n` one-way latency matrix.
-#[derive(Debug, Clone)]
-pub struct MatrixTopology {
-    n: usize,
-    lat: Vec<SimTime>,
-}
-
-impl MatrixTopology {
-    /// Builds from a row-major `n x n` matrix.
-    ///
-    /// # Panics
-    /// Panics if the matrix is not square or has nonzero diagonal.
-    pub fn new(n: usize, lat: Vec<SimTime>) -> Self {
-        assert_eq!(lat.len(), n * n, "latency matrix must be n x n");
-        for i in 0..n {
-            assert_eq!(lat[i * n + i], SimTime::ZERO, "diagonal must be zero");
-        }
-        Self { n, lat }
-    }
-}
-
-impl Topology for MatrixTopology {
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    fn latency(&self, src: usize, dst: usize) -> SimTime {
-        self.lat[src * self.n + dst]
-    }
-}
-
 /// Synthetic King-dataset-like topology (see module docs).
 #[derive(Debug, Clone)]
 pub struct KingLikeTopology {
@@ -248,23 +217,6 @@ mod tests {
         assert_eq!(t.latency(0, 0), SimTime::ZERO);
         assert_eq!(t.latency(0, 3), SimTime::from_millis(10));
         assert_eq!(t.avg_rtt_sampled(1000, 1), SimTime::from_millis(20));
-    }
-
-    #[test]
-    fn matrix_lookup() {
-        let z = SimTime::ZERO;
-        let m = MatrixTopology::new(
-            2,
-            vec![z, SimTime::from_millis(3), SimTime::from_millis(5), z],
-        );
-        assert_eq!(m.latency(0, 1), SimTime::from_millis(3));
-        assert_eq!(m.latency(1, 0), SimTime::from_millis(5));
-    }
-
-    #[test]
-    #[should_panic(expected = "n x n")]
-    fn matrix_shape_checked() {
-        MatrixTopology::new(2, vec![SimTime::ZERO; 3]);
     }
 
     #[test]

@@ -67,9 +67,6 @@ pub enum Error {
     InvalidValue(&'static str),
     /// Bytes remained after the top-level value was fully decoded.
     TrailingBytes(usize),
-    /// The state contains something the codec cannot capture (e.g. a
-    /// custom topology with no descriptor).
-    Unsupported(&'static str),
 }
 
 impl std::fmt::Display for Error {
@@ -88,7 +85,6 @@ impl std::fmt::Display for Error {
             ),
             Error::InvalidValue(what) => write!(f, "invalid value: {what}"),
             Error::TrailingBytes(n) => write!(f, "{n} trailing bytes after snapshot payload"),
-            Error::Unsupported(what) => write!(f, "cannot snapshot: {what}"),
         }
     }
 }
@@ -569,15 +565,56 @@ macro_rules! codec {
     };
 }
 
-/// FNV-1a 64-bit hash — same function the run digests use, so the
-/// envelope checksum needs no extra dependency.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// Incremental FNV-1a (64-bit) hasher: the envelope checksum, the run
+/// digests and the zone-rotation offsets all fold through it. Not
+/// cryptographic — chosen for a stable, dependency-free,
+/// platform-independent fold.
+#[derive(Debug, Clone)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
     }
-    h
+}
+
+impl Fnv1a {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    /// A fresh hasher at the FNV offset basis.
+    #[inline]
+    pub fn new() -> Self {
+        Self(Self::OFFSET)
+    }
+
+    /// Folds raw bytes.
+    #[inline]
+    pub fn write_bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(Self::PRIME);
+        }
+    }
+
+    /// Folds a `u64` (little-endian).
+    #[inline]
+    pub fn write_u64(&mut self, v: u64) {
+        self.write_bytes(&v.to_le_bytes());
+    }
+
+    /// The accumulated hash.
+    #[inline]
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// FNV-1a 64-bit hash of `bytes` in one call.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write_bytes(bytes);
+    h.finish()
 }
 
 /// Wraps an encoded payload in the self-checking file envelope:

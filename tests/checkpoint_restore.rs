@@ -98,7 +98,7 @@ impl Scenario {
     fn split_at(&self, at: SimTime) -> Network {
         let mut net = self.build();
         net.run_until(at);
-        let bytes = net.snapshot().expect("snapshot-enabled network");
+        let bytes = net.snapshot();
         drop(net);
         let mut resumed = Network::restore(&bytes).expect("restore snapshot bytes");
         resumed.run_to_quiescence();
@@ -184,7 +184,7 @@ fn split_run_with_lb_healing_and_node_failure() {
     let resumed = {
         let mut net = s.build();
         net.run_until(SimTime::from_secs(30));
-        let bytes = net.snapshot().expect("snapshot-enabled network");
+        let bytes = net.snapshot();
         drop(net);
         let mut resumed = Network::restore(&bytes).expect("restore snapshot bytes");
         resumed.run_until(horizon);
@@ -204,11 +204,11 @@ fn snapshot_of_restored_network_round_trips_again() {
     let reference = s.straight_through();
     let mut net = s.build();
     net.run_until(SimTime::from_secs(4));
-    let first = net.snapshot().expect("first snapshot");
+    let first = net.snapshot();
     drop(net);
     let mut mid = Network::restore(&first).expect("restore first");
     mid.run_until(SimTime::from_secs(10));
-    let second = mid.snapshot().expect("second snapshot");
+    let second = mid.snapshot();
     drop(mid);
     let mut fin = Network::restore(&second).expect("restore second");
     fin.run_to_quiescence();
@@ -262,7 +262,7 @@ proptest! {
 
         let mut net = s.build();
         net.run_until(SimTime::from_secs(at_secs));
-        let bytes = net.snapshot().expect("snapshot-enabled network");
+        let bytes = net.snapshot();
         drop(net);
         let mut resumed = Network::restore(&bytes).expect("restore snapshot bytes");
         resumed.run_until(horizon);

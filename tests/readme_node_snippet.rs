@@ -6,7 +6,7 @@
 use hypersub_chord::{builder::random_ids, ChordState};
 use hypersub_core::prelude::*;
 use hypersub_core::{msg::HyperMsg, world::HyperWorld};
-use hypersub_net::driver::{spawn, LiveConfig};
+use hypersub_net::driver::{run_until, LiveConfig, LiveNode};
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -23,7 +23,7 @@ fn readme_node_snippet_runs() {
     let peers: Vec<_> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
     let ids = random_ids(2, 42);
 
-    let handles: Vec<_> = listeners
+    let mut nodes: Vec<_> = listeners
         .into_iter()
         .enumerate()
         .map(|(i, listener)| {
@@ -33,22 +33,18 @@ fn readme_node_snippet_runs() {
                 Arc::new(SystemConfig::default()),
             );
             node.maintenance = true;
-            spawn(
-                node,
-                HyperWorld::default(),
-                listener,
-                LiveConfig {
-                    index: i,
-                    peers: peers.clone(),
-                    seed: 42,
-                },
-            )
+            let cfg = LiveConfig {
+                index: i,
+                peers: peers.clone(),
+                seed: 42,
+            };
+            LiveNode::new(node, HyperWorld::default(), listener, cfg).unwrap()
         })
         .collect();
 
     // Both nodes arm maintenance; node 1 joins node 0's singleton ring.
-    for (i, h) in handles.iter().enumerate() {
-        h.invoke(move |node, ctx| {
+    for (i, live) in nodes.iter_mut().enumerate() {
+        live.call(|node, ctx| {
             ctx.set_timer(
                 hypersub_chord::proto::STABILIZE_PERIOD,
                 hypersub_core::node::TOKEN_STABILIZE,
@@ -65,35 +61,26 @@ fn readme_node_snippet_runs() {
         });
     }
 
-    // Wait for stabilization: each node knows the other as successor and
-    // predecessor.
+    // This thread polls both nodes until each knows the other as
+    // successor and predecessor.
     let deadline = Instant::now() + Duration::from_secs(30);
-    for h in &handles {
-        loop {
-            let ready = h.query(|node, _ctx| {
-                let c = node.chord();
-                c.successor().is_some() && c.predecessor.is_some()
-            });
-            if ready {
-                break;
-            }
-            assert!(Instant::now() < deadline, "ring did not stabilize");
-            std::thread::sleep(Duration::from_millis(50));
-        }
-    }
+    let stable = run_until(&mut nodes, deadline, |n| {
+        n.iter().all(|live| {
+            let c = live.node.chord();
+            c.successor().is_some() && c.predecessor.is_some()
+        })
+    });
+    assert!(stable, "ring did not stabilize");
 
     // Subscribe on node 1, publish a matching event from node 0.
     let sub = Rect::new(vec![10.0, 10.0], vec![30.0, 30.0]);
-    let subid = handles[1].query(move |node, ctx| node.subscribe(ctx, 0, Subscription::new(sub)));
+    let subid = nodes[1].call(|node, ctx| node.subscribe(ctx, 0, Subscription::new(sub)));
     assert_eq!(subid.nid, ids[1]);
 
     // Each publish uses a fresh event id (ids are globally unique); the
     // first can race the registration install, so retry until delivery.
-    let mut next_id = 1u64;
-    loop {
-        let id = next_id;
-        next_id += 1;
-        handles[0].invoke(move |node, ctx| {
+    for id in 1.. {
+        nodes[0].call(|node, ctx| {
             node.publish_event(
                 ctx,
                 0,
@@ -103,19 +90,16 @@ fn readme_node_snippet_runs() {
                 },
             )
         });
-        let delivered = handles[1].query(|_node, ctx| ctx.world().metrics.deliveries().len());
-        if delivered >= 1 {
+        let retry = Instant::now() + Duration::from_millis(100);
+        if run_until(&mut nodes, retry, |n| {
+            !n[1].world.metrics.deliveries().is_empty()
+        }) {
             break;
         }
         assert!(Instant::now() < deadline, "event never delivered");
-        std::thread::sleep(Duration::from_millis(100));
     }
 
     // Every delivered record belongs to the one subscription we made.
-    let records = handles[1].query(|_node, ctx| ctx.world().metrics.deliveries().to_vec());
+    let records = nodes[1].world.metrics.deliveries();
     assert!(records.iter().all(|r| r.subid == subid));
-
-    for h in handles {
-        h.shutdown();
-    }
 }

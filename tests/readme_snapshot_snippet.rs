@@ -45,7 +45,7 @@ fn readme_snapshot_snippet_runs() -> Result<()> {
     let mut net = build()?;
     scenario(&mut net)?;
     net.run_until(SimTime::from_secs(30));
-    let bytes = net.snapshot()?; // versioned, checksummed bytes
+    let bytes = net.snapshot(); // versioned, checksummed bytes
     drop(net); // process can exit here
 
     let mut resumed = Network::restore(&bytes)?;

@@ -82,7 +82,7 @@ fn pinned_snapshot() -> Vec<u8> {
         t += SimTime::from_millis(750);
     }
     net.run_until(SimTime::from_secs(6));
-    net.snapshot().expect("snapshot-enabled network")
+    net.snapshot()
 }
 
 /// The planes scenario: `tests/checkpoint_restore.rs`'s LB + healing +
@@ -275,9 +275,7 @@ fn golden_snapshot_still_restores() {
 
 #[test]
 fn snapshot_v1_planes_bytes_are_stable() {
-    let bytes = planes_network()
-        .snapshot()
-        .expect("snapshot-enabled network");
+    let bytes = planes_network().snapshot();
     // A golden pins only what is in it: every plane's state and every
     // message shape the first golden lacks must be in these bytes.
     let c = decode_parts(&bytes);

@@ -15,7 +15,6 @@
 
 use hypersub_lph::{rotation_offset, ContentSpace, Point, Rect};
 use hypersub_snapshot::{codec, Decode, Encode, Error, Reader, Writer};
-use serde::{Deserialize, Serialize};
 
 /// Identifies a pub/sub scheme within a [`Registry`].
 pub type SchemeId = u32;
@@ -27,7 +26,7 @@ pub type SubschemeId = u8;
 /// node-local internal id. The paper serializes this in 9 bytes (8-byte
 /// nodeID + 1-byte internalID); we keep a wider internal id in memory but
 /// charge 9 bytes on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SubId {
     /// Subscriber's (or surrogate owner's) Chord identifier.
     pub nid: u64,
@@ -39,7 +38,7 @@ codec!(struct SubId { nid, iid });
 /// One entry of an event message's SubID list: either a concrete
 /// subscription target or the `(key(cz), NULL)` rendezvous marker that
 /// starts delivery (Algorithm 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SubTarget {
     /// Routing key: a subscriber node id, or the rendezvous zone key.
     pub nid: u64,
@@ -67,7 +66,7 @@ impl SubTarget {
 }
 
 /// An event: a point in its scheme's content space.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Globally unique event id (also the flow tag for bandwidth
     /// accounting).
@@ -78,7 +77,7 @@ pub struct Event {
 codec!(struct Event { id, point });
 
 /// A subscription: a hypercuboid over the *full* scheme space.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Subscription {
     /// Closed per-attribute ranges; unspecified attributes span the domain.
     pub rect: Rect,

@@ -355,11 +355,6 @@ impl<N: PubSubNode> Net<N> {
         self.sim.install_fault_plane(plane);
     }
 
-    /// Mutable access to the installed fault plane, if any.
-    pub fn fault_plane_mut(&mut self) -> Option<&mut hypersub_simnet::FaultPlane> {
-        self.sim.fault_plane_mut()
-    }
-
     /// Runs until the event queue drains (messages and scripted timers
     /// all processed).
     ///

@@ -12,10 +12,9 @@
 //! such closed ranges).
 
 use hypersub_snapshot::{codec, Decode, Encode, Error, Reader, Writer};
-use serde::{Deserialize, Serialize};
 
 /// The domain of one attribute: the closed interval `[lo, hi]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Domain {
     /// Lower bound.
     pub lo: f64,
@@ -41,7 +40,7 @@ impl Domain {
 }
 
 /// A d-dimensional content space Ω: one [`Domain`] per attribute.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContentSpace {
     dims: Vec<Domain>,
 }
@@ -84,7 +83,7 @@ impl ContentSpace {
 
 /// An event's position: one value per attribute (§3.1: "an event is a set
 /// of equalities on all attributes in the scheme").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Point(pub Vec<f64>);
 codec!(struct Point { 0 });
 
@@ -104,7 +103,7 @@ impl Point {
 /// Stored as one heap block `[lo₀ … lo_{d−1}, hi₀ … hi_{d−1}]`: a rect is
 /// 16 bytes inline and one allocation, and zone repositories hold one
 /// or more per entry. [`Self::lo`] and [`Self::hi`] are its two halves.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Rect {
     bounds: Box<[f64]>,
 }

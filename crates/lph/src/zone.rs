@@ -7,11 +7,10 @@
 
 use crate::space::{ContentSpace, Rect};
 use hypersub_snapshot::{codec, Decode, Encode, Error, Reader, Writer};
-use serde::{Deserialize, Serialize};
 
 /// Identifier-space geometry: digit base and how much of the 64-bit key is
 /// available for zone codes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ZoneParams {
     /// Bits per digit (`b`, so the base is β = 2^b).
     pub base_bits: u8,
@@ -61,7 +60,7 @@ impl ZoneParams {
 }
 
 /// A content zone: `level` base-β digits packed into `code`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ZoneCode {
     /// Packed digits (most significant digit = first division).
     pub code: u64,

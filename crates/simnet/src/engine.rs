@@ -19,7 +19,7 @@ use crate::stats::NetStats;
 use crate::time::SimTime;
 use crate::topology::Topology;
 use crate::trace::{FlightRecorder, ProtoEvent, TraceEvent};
-use hypersub_snapshot::{Decode, Encode, Error, Reader, Writer};
+use hypersub_snapshot::codec;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -183,36 +183,17 @@ pub struct SimSnapshot<M> {
     pub queue_next_seq: u64,
 }
 
-// Hand-written codec: generic over the message type.
-impl<M: Encode> Encode for SimSnapshot<M> {
-    fn encode(&self, w: &mut Writer) {
-        self.time.encode(w);
-        w.put_u64(self.steps);
-        self.alive.encode(w);
-        self.rng_state.encode(w);
-        self.net.encode(w);
-        self.fault.encode(w);
-        self.recorder.encode(w);
-        self.queue_entries.encode(w);
-        w.put_u64(self.queue_next_seq);
-    }
-}
-
-impl<M: Decode> Decode for SimSnapshot<M> {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(SimSnapshot {
-            time: SimTime::decode(r)?,
-            steps: r.take_u64()?,
-            alive: Vec::<bool>::decode(r)?,
-            rng_state: <[u64; 4]>::decode(r)?,
-            net: NetStats::decode(r)?,
-            fault: Option::<FaultPlane>::decode(r)?,
-            recorder: Option::<FlightRecorder>::decode(r)?,
-            queue_entries: Vec::<(SimTime, u64, SimEvent<M>)>::decode(r)?,
-            queue_next_seq: r.take_u64()?,
-        })
-    }
-}
+codec!(struct SimSnapshot<M> {
+    time,
+    steps,
+    alive,
+    rng_state,
+    net,
+    fault,
+    recorder,
+    queue_entries,
+    queue_next_seq,
+});
 
 /// The simulator.
 pub struct Sim<N, M: Payload, W> {
@@ -368,12 +349,6 @@ impl<N, M: Payload, W> Sim<N, M, W> {
     /// it. Replaces any previously installed plane.
     pub fn install_fault_plane(&mut self, plane: FaultPlane) {
         self.fault = Some(plane);
-    }
-
-    /// Mutable access to the installed fault plane (e.g. to schedule a
-    /// partition mid-run).
-    pub fn fault_plane_mut(&mut self) -> Option<&mut FaultPlane> {
-        self.fault.as_mut()
     }
 
     /// Schedules a timer on `node` at absolute time `at` (scenario drivers
@@ -687,6 +662,7 @@ impl<N, M: Payload, W> Sim<N, M, W> {
 mod tests {
     use super::*;
     use crate::topology::UniformTopology;
+    use hypersub_snapshot::{Decode, Encode, Error, Reader, Writer};
 
     /// Test payload: a counter that is forwarded `ttl` times around a ring.
     #[derive(Debug, Clone)]

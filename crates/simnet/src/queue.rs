@@ -13,7 +13,7 @@
 //! and its LIFO free list — cannot affect determinism.
 
 use crate::time::SimTime;
-use hypersub_snapshot::{Decode, Encode, Error, Reader, Writer};
+use hypersub_snapshot::codec;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -48,52 +48,11 @@ pub enum SimEvent<M> {
     },
 }
 
-// Hand-written codec: generic over the message type.
-impl<M: Encode> Encode for SimEvent<M> {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            SimEvent::Deliver { src, dst, msg } => {
-                w.put_u8(0);
-                src.encode(w);
-                dst.encode(w);
-                msg.encode(w);
-            }
-            SimEvent::Timer { node, token } => {
-                w.put_u8(1);
-                node.encode(w);
-                w.put_u64(*token);
-            }
-            SimEvent::SendFailed { origin, dst, msg } => {
-                w.put_u8(2);
-                origin.encode(w);
-                dst.encode(w);
-                msg.encode(w);
-            }
-        }
-    }
-}
-
-impl<M: Decode> Decode for SimEvent<M> {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(match r.take_u8()? {
-            0 => SimEvent::Deliver {
-                src: usize::decode(r)?,
-                dst: usize::decode(r)?,
-                msg: M::decode(r)?,
-            },
-            1 => SimEvent::Timer {
-                node: usize::decode(r)?,
-                token: r.take_u64()?,
-            },
-            2 => SimEvent::SendFailed {
-                origin: usize::decode(r)?,
-                dst: usize::decode(r)?,
-                msg: M::decode(r)?,
-            },
-            _ => return Err(Error::InvalidValue("sim event tag")),
-        })
-    }
-}
+codec!(enum SimEvent<M> as "sim event tag" {
+    0 => Deliver { src, dst, msg },
+    1 => Timer { node, token },
+    2 => SendFailed { origin, dst, msg },
+});
 
 /// A heap handle: ordering key plus the slab slot holding the event body.
 #[derive(Debug, Clone, Copy)]

@@ -1,6 +1,5 @@
 //! Simulation time: a monotone microsecond counter.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -9,9 +8,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// Microsecond granularity comfortably resolves the paper's latency scale
 /// (network hops of tens of milliseconds) while keeping arithmetic integral
 /// and therefore exactly reproducible.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 hypersub_snapshot::codec!(struct SimTime { 0 });
 

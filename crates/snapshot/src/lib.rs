@@ -476,8 +476,10 @@ impl<T: Decode + Eq + Hash, S: BuildHasher + Default> Decode for HashSet<T, S> {
 /// each through its own `Encode`/`Decode`.
 ///
 /// There are exactly two forms and no per-field modifiers: a type whose
-/// decoder validates, derives state, skips a field or is generic keeps a
-/// hand-written pair.
+/// decoder validates, derives state or skips a field keeps a hand-written
+/// pair. Either form takes at most one type parameter (`struct Slot<M>`,
+/// `enum Event<M> as "…"`); the generated impls then require it to be
+/// `Encode` or `Decode` in turn.
 ///
 /// A struct lists its fields (a tuple struct lists `0`, `1`, …):
 ///
@@ -522,24 +524,24 @@ impl<T: Decode + Eq + Hash, S: BuildHasher + Default> Decode for HashSet<T, S> {
 /// ```
 #[macro_export]
 macro_rules! codec {
-    (struct $name:ident { $($field:tt),* $(,)? }) => {
-        impl $crate::Encode for $name {
+    (struct $name:ident $(<$param:ident>)? { $($field:tt),* $(,)? }) => {
+        impl $(<$param: $crate::Encode>)? $crate::Encode for $name $(<$param>)? {
             fn encode(&self, w: &mut $crate::Writer) {
                 $( $crate::Encode::encode(&self.$field, w); )*
             }
         }
-        impl $crate::Decode for $name {
+        impl $(<$param: $crate::Decode>)? $crate::Decode for $name $(<$param>)? {
             fn decode(r: &mut $crate::Reader<'_>) -> ::core::result::Result<Self, $crate::Error> {
                 Ok($name { $( $field: $crate::Decode::decode(r)?, )* })
             }
         }
     };
-    (enum $name:ident as $what:literal { $(
+    (enum $name:ident $(<$param:ident>)? as $what:literal { $(
         $tag:literal => $variant:ident
             $( { $($field:ident),* $(,)? } )?
             $( ( $($item:ident),* $(,)? ) )?
     ),* $(,)? }) => {
-        impl $crate::Encode for $name {
+        impl $(<$param: $crate::Encode>)? $crate::Encode for $name $(<$param>)? {
             fn encode(&self, w: &mut $crate::Writer) {
                 match self { $(
                     $name::$variant $( { $($field),* } )? $( ( $($item),* ) )? => {
@@ -550,7 +552,7 @@ macro_rules! codec {
                 )* }
             }
         }
-        impl $crate::Decode for $name {
+        impl $(<$param: $crate::Decode>)? $crate::Decode for $name $(<$param>)? {
             fn decode(r: &mut $crate::Reader<'_>) -> ::core::result::Result<Self, $crate::Error> {
                 match r.take_u8()? {
                     $( $tag => {

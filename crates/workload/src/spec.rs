@@ -13,10 +13,9 @@
 
 use hypersub_core::model::SchemeDef;
 use hypersub_simnet::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// One attribute of the pub/sub scheme (one row of Table 1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AttributeSpec {
     /// Attribute name.
     pub name: String,
@@ -36,7 +35,7 @@ pub struct AttributeSpec {
 }
 
 /// A complete workload description.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadSpec {
     /// Scheme name (drives the zone-mapping rotation offset).
     pub scheme_name: String,

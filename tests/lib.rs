@@ -1,7 +1,9 @@
 //! Support crate for the workspace-level integration tests.
 //!
 //! The tests themselves live in sibling `.rs` files registered as
-//! `[[test]]` targets in `Cargo.toml`; shared helpers live here.
+//! `[[test]]` targets in `Cargo.toml`; shared helpers live here. Every
+//! `rust` block of the repository's README.md also runs here, as a
+//! doctest of `ReadmeDoctests` (`cargo test -p hypersub-tests --doc`).
 
 use hypersub_core::prelude::*;
 
@@ -20,3 +22,7 @@ pub fn test_network(nodes: usize, seed: u64, config: SystemConfig) -> Network {
         .build()
         .expect("valid test network")
 }
+
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

@@ -9,7 +9,7 @@
 //! candidates by network latency, exactly the freedom Chord-PNS exploits.
 
 use crate::id::{clockwise_distance, NodeId};
-use crate::state::{ChordState, Peer, NUM_FINGERS};
+use crate::state::{ChordState, Peer};
 use hypersub_simnet::Topology;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -92,9 +92,7 @@ pub fn build_ring_with_ids(
             let successors: Vec<Peer> = (1..=cfg.succ_list_len.min(n - 1))
                 .map(|k| order[(pos + k) % n])
                 .collect();
-            let fingers = (0..NUM_FINGERS)
-                .map(|i| finger(cfg, topo, &order, me, i))
-                .collect();
+            let fingers = std::array::from_fn(|i| finger(cfg, topo, &order, me, i));
             ChordState::from_parts(me, cfg.succ_list_len, predecessor, successors, fingers)
         })
         .collect();
@@ -255,6 +253,18 @@ mod tests {
             a < b * 0.7,
             "PNS top fingers should be meaningfully closer: pns={a:.0}us plain={b:.0}us"
         );
+    }
+
+    /// A node stores one finger value per run of equal slots: about
+    /// log₂ n of them on a stabilized ring, not 64.
+    #[test]
+    fn a_built_ring_stores_few_finger_values() {
+        let n = 4096;
+        let topo = KingLikeTopology::generate(n, SimTime::from_millis(180), 1);
+        let states = build_ring(&RingConfig::default(), &topo, 1);
+        let runs: usize = states.iter().map(ChordState::finger_runs).sum();
+        let mean = runs as f64 / n as f64;
+        assert!(mean <= 16.0, "{mean:.2} finger values a node");
     }
 
     #[test]

@@ -89,6 +89,7 @@ pub fn route_path(states: &[ChordState], from: usize, key: NodeId) -> Vec<usize>
 mod tests {
     use super::*;
     use crate::builder::{build_ring, RingConfig};
+    use crate::state::NUM_FINGERS;
     use hypersub_simnet::{SimTime, UniformTopology};
     use hypersub_snapshot::{Decode, Encode};
     use proptest::prelude::*;
@@ -284,20 +285,30 @@ mod tests {
         }
     }
 
+    fn encoded(s: &ChordState) -> Vec<u8> {
+        let mut w = hypersub_snapshot::Writer::new();
+        s.encode(&mut w);
+        w.into_vec()
+    }
+
     proptest! {
+        /// Routing, the successor list and the finger slots stay what plain
+        /// per-slot bookkeeping makes of any history, and the bytes stay
+        /// those of that bookkeeping. `a == 30` names the node itself.
         #[test]
         fn prop_table_routes_like_scan_through_any_history(
             me in any::<u64>(),
             succ_list_len in 1usize..6,
-            ops in prop::collection::vec((0u8..6, 0u64..30, 0usize..64), 1..60),
+            ops in prop::collection::vec((0u8..6, 0u64..31, 0usize..64), 1..60),
             keys in prop::collection::vec(any::<u64>(), 4..5),
         ) {
             let mut s = ChordState::new(me, 24, succ_list_len);
             // The successor list as `add_successor` makes it with no
             // shortcut: append, sort, cut.
             let mut list: Vec<Peer> = Vec::new();
+            let mut shadow: [Option<Peer>; NUM_FINGERS] = [None; NUM_FINGERS];
             for (op, a, slot) in ops {
-                let p = history_peer(me, a);
+                let p = if a == 30 { s.me() } else { history_peer(me, a) };
                 match op {
                     0 => {
                         s.add_successor(p);
@@ -310,22 +321,37 @@ mod tests {
                     1 => {
                         s.evict(p.idx);
                         list.retain(|q| q.idx != p.idx);
+                        for f in &mut shadow {
+                            if f.is_some_and(|q| q.idx == p.idx) {
+                                *f = None;
+                            }
+                        }
                     }
-                    2 => s.set_finger(slot, Some(p)),
-                    3 => s.set_finger(slot, None),
+                    2 | 3 => {
+                        let f = (op == 2).then_some(p);
+                        s.set_finger(slot, f);
+                        shadow[slot] = f;
+                    }
                     4 => {
                         s.clear_successors();
                         list.clear();
                     }
                     _ => {
-                        let mut w = hypersub_snapshot::Writer::new();
-                        s.encode(&mut w);
-                        let bytes = w.into_vec();
-                        s = ChordState::decode(&mut hypersub_snapshot::Reader::new(&bytes))
+                        s = ChordState::decode(&mut hypersub_snapshot::Reader::new(&encoded(&s)))
                             .expect("a state decodes from its own bytes");
                     }
                 }
                 prop_assert_eq!(s.successors(), list.as_slice());
+                prop_assert_eq!(s.fingers(), shadow);
+                // The layout of a state that kept its 64 slots in a `Vec`.
+                let mut w = hypersub_snapshot::Writer::new();
+                w.put_u64(me);
+                24usize.encode(&mut w);
+                s.predecessor.encode(&mut w);
+                list.encode(&mut w);
+                shadow.to_vec().encode(&mut w);
+                succ_list_len.encode(&mut w);
+                prop_assert_eq!(encoded(&s), w.into_vec());
                 assert_routes_like_scan(&s, &keys);
             }
         }

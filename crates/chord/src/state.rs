@@ -37,8 +37,8 @@ pub struct ChordState {
     pub predecessor: Option<Peer>,
     /// Successor list, closest first.
     successors: Vec<Peer>,
-    /// Finger table; entry `i` targets `id + 2^i`.
-    fingers: Vec<Option<Peer>>,
+    /// Finger table; entry `i` targets `id + 2^i`. Stored as runs.
+    fingers: FingerRuns,
     /// Maximum successor-list length.
     succ_list_len: usize,
     /// What a routing decision reads instead of the 64 finger slots and
@@ -56,7 +56,7 @@ impl ChordState {
     /// Fresh state for a node that has not joined any ring.
     pub fn new(id: NodeId, idx: usize, succ_list_len: usize) -> Self {
         let me = Peer { id, idx };
-        Self::from_parts(me, succ_list_len, None, Vec::new(), vec![None; NUM_FINGERS])
+        Self::from_parts(me, succ_list_len, None, Vec::new(), [None; NUM_FINGERS])
     }
 
     /// State whose lists are already known — the ring builder's fixed
@@ -68,13 +68,13 @@ impl ChordState {
         succ_list_len: usize,
         predecessor: Option<Peer>,
         successors: Vec<Peer>,
-        fingers: Vec<Option<Peer>>,
+        fingers: [Option<Peer>; NUM_FINGERS],
     ) -> Self {
         assert!(
             succ_list_len >= 1,
             "successor list must hold at least one entry"
         );
-        assert!(fingers.len() == NUM_FINGERS && successors.len() <= succ_list_len);
+        assert!(successors.len() <= succ_list_len);
         debug_assert!(
             successors.iter().all(|p| p.id != me.id)
                 && successors.windows(2).all(|w| {
@@ -87,7 +87,7 @@ impl ChordState {
             idx: me.idx,
             predecessor,
             successors,
-            fingers,
+            fingers: FingerRuns::compress(&fingers),
             succ_list_len,
             route_table: Box::default(),
             succ_reach: u64::MAX,
@@ -102,8 +102,14 @@ impl ChordState {
     }
 
     /// Finger table; entry `i` targets `id + 2^i`.
-    pub fn fingers(&self) -> &[Option<Peer>] {
-        &self.fingers
+    pub fn fingers(&self) -> [Option<Peer>; NUM_FINGERS] {
+        self.fingers.slots()
+    }
+
+    /// How many finger values are stored: one per run of equal slots.
+    #[cfg(test)]
+    pub(crate) fn finger_runs(&self) -> usize {
+        self.fingers.runs.len()
     }
 
     /// The distinct peers of fingers-then-successors at non-zero clockwise
@@ -126,8 +132,11 @@ impl ChordState {
         // It searches from the back because on a stabilized ring both
         // lists arrive in clockwise order: a finger repeats or extends the
         // tail, a successor lands among the few entries nearest the node.
-        let mut table: Vec<Peer> = Vec::with_capacity(NUM_FINGERS + self.successors.len());
-        for p in self.fingers.iter().flatten().chain(&self.successors) {
+        // One value per finger run is the slot scan without the repeats,
+        // each of which would find its own id placed and be skipped.
+        let runs = &self.fingers.runs;
+        let mut table: Vec<Peer> = Vec::with_capacity(runs.len() + self.successors.len());
+        for p in runs.iter().flatten().chain(&self.successors) {
             if dist(p) == 0 {
                 continue;
             }
@@ -207,8 +216,10 @@ impl ChordState {
 
     /// Sets or clears finger-table entry `i`.
     pub fn set_finger(&mut self, i: usize, finger: Option<Peer>) {
-        if self.fingers[i] != finger {
-            self.fingers[i] = finger;
+        let mut slots = self.fingers.slots();
+        if slots[i] != finger {
+            slots[i] = finger;
+            self.fingers = FingerRuns::compress(&slots);
             self.rebuild_derived();
         }
     }
@@ -217,11 +228,13 @@ impl ChordState {
     /// used when a node is detected dead.
     pub fn evict(&mut self, idx: usize) {
         self.successors.retain(|p| p.idx != idx);
-        for f in &mut self.fingers {
+        let mut slots = self.fingers.slots();
+        for f in &mut slots {
             if f.map(|p| p.idx) == Some(idx) {
                 *f = None;
             }
         }
+        self.fingers = FingerRuns::compress(&slots);
         if self.predecessor.map(|p| p.idx) == Some(idx) {
             self.predecessor = None;
         }
@@ -275,7 +288,7 @@ impl ChordState {
         for &s in &self.successors {
             push(s);
         }
-        for f in self.fingers.iter().flatten() {
+        for f in self.fingers.runs.iter().flatten() {
             push(*f);
         }
         if let Some(p) = self.predecessor {
@@ -285,34 +298,78 @@ impl ChordState {
     }
 }
 
+/// The 64 finger slots as runs of equal slots. Bit `i` of `starts` is
+/// set where slot `i` begins a run (bit 0 always is), and `runs` holds
+/// each run's value in slot order. A stabilized ring of n nodes has about
+/// log₂ n distinct fingers, so a node stores a dozen values, not 64.
+#[derive(Debug, Clone)]
+struct FingerRuns {
+    starts: u64,
+    runs: Box<[Option<Peer>]>,
+}
+
+impl FingerRuns {
+    fn compress(slots: &[Option<Peer>; NUM_FINGERS]) -> Self {
+        let mut starts = 0u64;
+        let mut runs: Vec<Option<Peer>> = Vec::new();
+        for (i, f) in slots.iter().enumerate() {
+            if runs.last() != Some(f) {
+                starts |= 1 << i;
+                runs.push(*f);
+            }
+        }
+        Self {
+            starts,
+            runs: runs.into_boxed_slice(),
+        }
+    }
+
+    fn slots(&self) -> [Option<Peer>; NUM_FINGERS] {
+        let mut run = 0;
+        std::array::from_fn(|i| {
+            if i > 0 && self.starts >> i & 1 == 1 {
+                run += 1;
+            }
+            self.runs[run]
+        })
+    }
+}
+
 // Hand-written codec: the decoder validates and derives state (the route
-// table is rebuilt).
+// table is rebuilt). The fingers are written as the 64 slots.
 impl Encode for ChordState {
     fn encode(&self, w: &mut Writer) {
         w.put_u64(self.id);
         self.idx.encode(w);
         self.predecessor.encode(w);
         self.successors.encode(w);
-        self.fingers.encode(w);
+        self.fingers()[..].encode(w);
         self.succ_list_len.encode(w);
     }
 }
 
 impl Decode for ChordState {
     fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let id = r.take_u64()?;
+        let idx = usize::decode(r)?;
+        let predecessor = Option::<Peer>::decode(r)?;
+        let successors = Vec::<Peer>::decode(r)?;
+        let fingers = Vec::<Option<Peer>>::decode(r)?;
+        let succ_list_len = usize::decode(r)?;
+        let fingers: [Option<Peer>; NUM_FINGERS] = match fingers.try_into() {
+            Ok(slots) if succ_list_len > 0 => slots,
+            _ => return Err(Error::InvalidValue("chord state shape")),
+        };
         let mut st = ChordState {
-            id: r.take_u64()?,
-            idx: usize::decode(r)?,
-            predecessor: Option::<Peer>::decode(r)?,
-            successors: Vec::<Peer>::decode(r)?,
-            fingers: Vec::<Option<Peer>>::decode(r)?,
-            succ_list_len: usize::decode(r)?,
+            id,
+            idx,
+            predecessor,
+            successors,
+            fingers: FingerRuns::compress(&fingers),
+            succ_list_len,
             route_table: Box::default(),
             succ_reach: u64::MAX,
         };
-        if st.fingers.len() != NUM_FINGERS || st.succ_list_len == 0 {
-            return Err(Error::InvalidValue("chord state shape"));
-        }
         st.rebuild_derived();
         Ok(st)
     }

@@ -394,14 +394,15 @@ mod tests {
     /// summary costs nothing beyond it.
     #[test]
     fn rect_and_repository_stay_within_their_layout_budget() {
-        use crate::repo::ZoneRepo;
+        use crate::repo::{RepoEntries, ZoneRepo};
         use std::mem::size_of;
         assert_eq!(size_of::<Rect>(), 16);
         assert_eq!(size_of::<Option<Rect>>(), 16);
         assert_eq!(size_of::<StoredSub>(), 32);
         assert_eq!(size_of::<(SubId, StoredSub)>(), 48);
         assert_eq!(size_of::<(ZoneCode, Rect)>(), 32);
-        assert!(size_of::<ZoneRepo>() <= 104);
+        assert_eq!(size_of::<RepoEntries>(), 56);
+        assert!(size_of::<ZoneRepo>() <= 120);
         assert!(size_of::<Routed>() <= 72);
         assert!(size_of::<HyperMsg>() <= 72);
     }

@@ -23,6 +23,7 @@ use crate::model::{SchemeId, SubId, SubschemeId};
 use hypersub_lph::{Point, Rect, ZoneCode};
 use hypersub_simnet::FxHashMap;
 use hypersub_snapshot::{codec, Decode, Encode, Error, Reader, Writer};
+use std::ops::Index;
 
 /// Identifies one zone repository: `(scheme, subscheme, zone)`.
 pub type RepoKey = (SchemeId, SubschemeId, ZoneCode);
@@ -65,6 +66,161 @@ impl StoredSub {
     }
 }
 
+/// A repository's entries keyed by subscription id: none or one held in
+/// place, a hash table from the second on. Most repositories are links of
+/// a surrogate chain holding one entry, and a one-entry table still
+/// allocates four slots. Which form holds the entries follows from their
+/// count alone, and every reader either looks up a key or sorts, so the
+/// form is never observable.
+#[derive(Debug, Clone, Default)]
+pub struct RepoEntries(Slots);
+
+#[derive(Debug, Clone, Default)]
+enum Slots {
+    #[default]
+    Empty,
+    One(SubId, StoredSub),
+    /// Two entries or more.
+    Many(FxHashMap<SubId, StoredSub>),
+}
+
+impl RepoEntries {
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            Slots::Empty => 0,
+            Slots::One(..) => 1,
+            Slots::Many(m) => m.len(),
+        }
+    }
+
+    /// Whether there are no entries.
+    pub fn is_empty(&self) -> bool {
+        matches!(self.0, Slots::Empty)
+    }
+
+    /// The entry stored under `id`.
+    pub fn get(&self, id: &SubId) -> Option<&StoredSub> {
+        match &self.0 {
+            Slots::One(k, v) if k == id => Some(v),
+            Slots::Many(m) => m.get(id),
+            _ => None,
+        }
+    }
+
+    /// Whether an entry is stored under `id`.
+    pub fn contains_key(&self, id: &SubId) -> bool {
+        self.get(id).is_some()
+    }
+
+    /// Stores `sub` under `id`, returning the entry it replaced.
+    pub fn insert(&mut self, id: SubId, sub: StoredSub) -> Option<StoredSub> {
+        match &mut self.0 {
+            Slots::Empty => {
+                self.0 = Slots::One(id, sub);
+                None
+            }
+            Slots::One(k, v) if *k == id => Some(std::mem::replace(v, sub)),
+            Slots::One(..) => {
+                let Slots::One(k, v) = std::mem::take(&mut self.0) else {
+                    unreachable!("matched one entry")
+                };
+                let mut m = FxHashMap::default();
+                m.insert(k, v);
+                m.insert(id, sub);
+                self.0 = Slots::Many(m);
+                None
+            }
+            Slots::Many(m) => m.insert(id, sub),
+        }
+    }
+
+    /// Removes and returns the entry stored under `id`.
+    pub fn remove(&mut self, id: &SubId) -> Option<StoredSub> {
+        match &mut self.0 {
+            Slots::One(k, _) if k == id => match std::mem::take(&mut self.0) {
+                Slots::One(_, v) => Some(v),
+                _ => unreachable!("matched one entry"),
+            },
+            Slots::Many(m) => {
+                let removed = m.remove(id);
+                if m.len() == 1 {
+                    *self = Self::from(std::mem::take(m));
+                }
+                removed
+            }
+            _ => None,
+        }
+    }
+
+    /// Every entry, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (&SubId, &StoredSub)> {
+        let (one, many) = match &self.0 {
+            Slots::Empty => (None, None),
+            Slots::One(k, v) => (Some((k, v)), None),
+            Slots::Many(m) => (None, Some(m.iter())),
+        };
+        one.into_iter().chain(many.into_iter().flatten())
+    }
+
+    /// Every stored subscription, in no particular order.
+    pub fn values(&self) -> impl Iterator<Item = &StoredSub> {
+        self.iter().map(|(_, v)| v)
+    }
+}
+
+impl From<FxHashMap<SubId, StoredSub>> for RepoEntries {
+    fn from(m: FxHashMap<SubId, StoredSub>) -> Self {
+        if m.len() >= 2 {
+            return Self(Slots::Many(m));
+        }
+        Self(match m.into_iter().next() {
+            Some((k, v)) => Slots::One(k, v),
+            None => Slots::Empty,
+        })
+    }
+}
+
+impl Index<&SubId> for RepoEntries {
+    type Output = StoredSub;
+
+    fn index(&self, id: &SubId) -> &StoredSub {
+        self.get(id).expect("no entry stored under this id")
+    }
+}
+
+// The count, then the entries sorted by key: a map's bytes, whichever
+// form holds them.
+impl Encode for RepoEntries {
+    fn encode(&self, w: &mut Writer) {
+        match &self.0 {
+            Slots::Many(m) => m.encode(w),
+            _ => {
+                w.put_u64(self.len() as u64);
+                for (k, v) in self.iter() {
+                    k.encode(w);
+                    v.encode(w);
+                }
+            }
+        }
+    }
+}
+
+impl Decode for RepoEntries {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
+        FxHashMap::decode(r).map(Self::from)
+    }
+}
+
+/// A built matching index and what its queries have examined.
+#[derive(Debug, Clone)]
+struct Indexed {
+    ix: BitsetIndex,
+    /// Cumulative candidates examined by indexed `match_into` calls
+    /// (diagnostics; not snapshot state).
+    scanned: u64,
+}
+
 /// A zone repository on a surrogate node.
 #[derive(Debug, Clone)]
 pub struct ZoneRepo {
@@ -72,7 +228,7 @@ pub struct ZoneRepo {
     /// child zones point back here as `(node_id, iid)`.
     pub iid: u32,
     /// Stored entries keyed by subscription id.
-    pub entries: FxHashMap<SubId, StoredSub>,
+    pub entries: RepoEntries,
     /// Smallest projected hypercuboid covering all entries.
     pub summary: Option<Rect>,
     /// What we last registered at each child zone (the "changed
@@ -82,10 +238,7 @@ pub struct ZoneRepo {
     /// and kept in step with `entries` from then on. Boxed: most
     /// repositories (every link of a surrogate chain) never build one,
     /// and the `repos` table pays for this field in each of them.
-    index: Option<Box<BitsetIndex>>,
-    /// Cumulative candidates examined by indexed `match_point` calls
-    /// (diagnostics; not snapshot state).
-    scanned: u64,
+    index: Option<Box<Indexed>>,
 }
 
 impl ZoneRepo {
@@ -93,11 +246,10 @@ impl ZoneRepo {
     pub fn new(iid: u32) -> Self {
         Self {
             iid,
-            entries: FxHashMap::default(),
+            entries: RepoEntries::default(),
             summary: None,
             pushed: FxHashMap::default(),
             index: None,
-            scanned: 0,
         }
     }
 
@@ -111,7 +263,7 @@ impl ZoneRepo {
         let prior = self.entries.insert(id, sub);
         if prior.is_none_or(|p| p.proj() != &proj) {
             if let Some(ix) = self.index.as_mut() {
-                ix.insert(id, &proj);
+                ix.ix.insert(id, &proj);
             }
         }
         match &mut self.summary {
@@ -138,7 +290,7 @@ impl ZoneRepo {
         let removed = self.entries.remove(id);
         if removed.is_some() {
             if let Some(ix) = self.index.as_mut() {
-                ix.remove(id);
+                ix.ix.remove(id);
             }
         }
         removed
@@ -181,15 +333,20 @@ impl ZoneRepo {
             && self.entries.len() >= INDEX_THRESHOLD
         {
             let entries = self.entries.iter().map(|(id, s)| (id, s.proj()));
-            self.index = Some(Box::new(BitsetIndex::build(entries)));
+            self.index = Some(Box::new(Indexed {
+                ix: BitsetIndex::build(entries),
+                scanned: 0,
+            }));
         }
         let entries = &self.entries;
-        match &self.index {
-            Some(ix) if ix.dims() == proj.0.len() && proj.0.len() == full.0.len() => {
-                self.scanned += ix.for_candidates(proj, |id| out.push(id));
+        match self.index.as_deref_mut() {
+            Some(Indexed { ix, scanned })
+                if ix.dims() == proj.0.len() && proj.0.len() == full.0.len() =>
+            {
+                *scanned += ix.for_candidates(proj, |id| out.push(id));
             }
-            Some(ix) => {
-                self.scanned += ix.for_candidates(proj, |id| {
+            Some(Indexed { ix, scanned }) => {
+                *scanned += ix.for_candidates(proj, |id| {
                     if entries
                         .get(&id)
                         .is_some_and(|s| Self::check_entry(s, full, proj))
@@ -224,15 +381,15 @@ impl ZoneRepo {
     /// Index diagnostics for this repository: occupancy (zero when no
     /// index is built) plus the cumulative candidate-scan count.
     pub fn index_diag(&self) -> IndexDiag {
-        let mut d = IndexDiag {
-            candidates_scanned: self.scanned,
-            ..IndexDiag::default()
-        };
-        if let Some(ix) = &self.index {
-            d.entries = self.entries.len() as u64;
-            d.bytes = ix.bytes();
+        match &self.index {
+            Some(ix) => IndexDiag {
+                entries: self.entries.len() as u64,
+                bytes: ix.ix.bytes(),
+                candidates_scanned: ix.scanned,
+                ..IndexDiag::default()
+            },
+            None => IndexDiag::default(),
         }
-        d
     }
 }
 
@@ -314,7 +471,6 @@ impl Decode for ZoneRepo {
             summary: Option::<Rect>::decode(r)?,
             pushed: Decode::decode(r)?,
             index: None,
-            scanned: 0,
         })
     }
 }
@@ -542,7 +698,7 @@ mod tests {
     }
 
     fn indexed_dims(r: &ZoneRepo) -> usize {
-        r.index.as_ref().expect("an index was built").dims()
+        r.index.as_ref().expect("an index was built").ix.dims()
     }
 
     /// The fast path: four indexed dimensions, nothing projected away,
@@ -639,6 +795,100 @@ mod tests {
         let p = Point(v);
         assert!(!agreed(&mut repos, &p, &p).contains(&sid(7)));
         assert_eq!(indexed_dims(&repos[0]), 8);
+    }
+
+    fn repo_bytes(r: &ZoneRepo) -> Vec<u8> {
+        let mut w = Writer::new();
+        r.encode(&mut w);
+        w.into_vec()
+    }
+
+    /// Walks one repository through 0 → 1 → 2 → 1 → 0 entries, with
+    /// re-inserts of a present id (same and changed rect) and removes of
+    /// an absent one in every form, against a plain map of the same
+    /// entries: the lookups, the matches (bitset and linear twins against
+    /// a scan of the map) and the bytes (those the map writes) agree at
+    /// every step.
+    #[test]
+    fn one_entry_and_table_forms_hold_what_a_map_holds() {
+        let (a, b, c) = (sid(1), sid(2), sid(3));
+        let real = |lo: f64| StoredSub::Real {
+            full: rect(lo, lo + 4.0),
+            proj: Rect::new(vec![lo], vec![lo + 4.0]),
+        };
+        let mut repos = [ZoneRepo::new(7), ZoneRepo::new(7)];
+        let mut map: FxHashMap<SubId, StoredSub> = FxHashMap::default();
+        let steps: [(&str, SubId, Option<StoredSub>); 12] = [
+            ("remove from empty", c, None),
+            ("0 → 1", a, Some(real(0.0))),
+            ("re-insert, same rect", a, Some(real(0.0))),
+            ("re-insert, changed rect", a, Some(real(2.0))),
+            ("remove absent from one", c, None),
+            ("1 → 2", b, Some(surrogate(1.0))),
+            ("re-insert in table, same rect", b, Some(surrogate(1.0))),
+            ("re-insert in table, changed rect", b, Some(surrogate(5.0))),
+            ("remove absent from table", c, None),
+            ("2 → 1", a, None),
+            ("remove absent again", a, None),
+            ("1 → 0", b, None),
+        ];
+        for (step, id, sub) in steps {
+            match sub {
+                Some(s) => {
+                    for r in &mut repos {
+                        r.insert(id, s.clone());
+                    }
+                    map.insert(id, s);
+                }
+                None => {
+                    let had = map.remove(&id).is_some();
+                    for r in &mut repos {
+                        assert_eq!(r.remove(&id).is_some(), had, "{step}");
+                    }
+                }
+            }
+            let e = &repos[0].entries;
+            assert_eq!(
+                (e.len(), e.is_empty()),
+                (map.len(), map.is_empty()),
+                "{step}"
+            );
+            for k in [a, b, c] {
+                assert_eq!(e.contains_key(&k), map.contains_key(&k), "{step}");
+                if let Some(want) = map.get(&k) {
+                    assert_eq!(e[&k].proj(), want.proj(), "{step}");
+                }
+            }
+            let mut ids: Vec<SubId> = e.iter().map(|(&k, _)| k).collect();
+            ids.sort_unstable();
+            let mut want_ids: Vec<SubId> = map.keys().copied().collect();
+            want_ids.sort_unstable();
+            assert_eq!(ids, want_ids, "{step}");
+            assert_eq!(e.values().count(), map.len(), "{step}");
+
+            for x in [0.5, 1.5, 3.0, 5.5, 7.0, 9.5] {
+                let (full, proj) = (Point(vec![x, x]), Point(vec![x]));
+                let mut want: Vec<SubId> = map
+                    .iter()
+                    .filter(|(_, s)| ZoneRepo::check_entry(s, &full, &proj))
+                    .map(|(&k, _)| k)
+                    .collect();
+                want.sort_unstable();
+                let got = repos[0].match_point(&full, &proj, IndexMode::Bitset);
+                assert_eq!(got, want, "{step} at {x}");
+                assert_eq!(repos[1].match_point(&full, &proj, IndexMode::Linear), want);
+            }
+
+            let mut w = Writer::new();
+            w.put_u32(7);
+            map.encode(&mut w);
+            repos[0].summary.encode(&mut w);
+            repos[0].pushed.encode(&mut w);
+            let bytes = repo_bytes(&repos[0]);
+            assert_eq!(bytes, w.into_vec(), "{step}");
+            let back = ZoneRepo::decode(&mut Reader::new(&bytes)).expect("decodes");
+            assert_eq!(repo_bytes(&back), bytes, "{step}");
+        }
     }
 
     #[test]

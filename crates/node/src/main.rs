@@ -14,7 +14,8 @@
 //! hypersub-node ctl 127.0.0.1:7100 deliveries
 //! ```
 //!
-//! Control protocol (one request line, one `ok ...` / `err ...` reply):
+//! Control protocol (one request line of at most 4 KiB, one `ok ...` /
+//! `err ...` reply):
 //!
 //! * `sub <x0> <y0> <x1> <y1>` — subscribe to the rectangle, returns the
 //!   subscription id as `nid:iid`
@@ -43,7 +44,7 @@ use hypersub_core::node::{HyperSubNode, TOKEN_FIX_FINGERS, TOKEN_STABILIZE};
 use hypersub_core::world::HyperWorld;
 use hypersub_lph::{Point, Rect};
 use hypersub_net::driver::{run_until, LiveConfig, LiveNode};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -225,6 +226,11 @@ fn serve(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The longest request line, its newline included, a control connection
+/// may send. A longer one is answered `err line too long` and costs that
+/// connection: a peer that never sends a newline cannot grow the buffer.
+const MAX_LINE: usize = 4096;
+
 /// The non-blocking control listener and its open connections, each
 /// holding the part of a request line read so far.
 struct Control {
@@ -244,10 +250,16 @@ impl Control {
         }
         let mut quit = false;
         // A read error leaves the bytes read so far in `line`, so a
-        // request split across packets completes on a later pass.
+        // request split across packets completes on a later pass. A read
+        // stops one byte past `MAX_LINE`, which tells a line too long.
         self.conns.retain_mut(|(conn, line)| loop {
-            match conn.read_until(b'\n', line) {
+            let room = (MAX_LINE + 1 - line.len()) as u64;
+            match conn.by_ref().take(room).read_until(b'\n', line) {
                 Ok(0) => return false,
+                Ok(_) if line.len() > MAX_LINE => {
+                    let _ = writeln!(conn.get_mut(), "err line too long");
+                    return false;
+                }
                 Ok(_) => {
                     let text = String::from_utf8_lossy(line);
                     let (reply, q) = handle_command(node, text.trim(), &mut self.next_event);
@@ -369,5 +381,46 @@ mod tests {
         assert_eq!(reply, "ok pub 1");
         let (reply, _) = handle_command(&mut live, "deliveries", &mut next_event);
         assert_eq!(reply, "ok deliveries 1");
+    }
+
+    /// A connection that sends more than `MAX_LINE` bytes without a
+    /// newline is answered and dropped; one whose line is exactly
+    /// `MAX_LINE` long with its newline is served, and keeps being served.
+    #[test]
+    fn an_overlong_control_line_costs_only_its_connection() {
+        let mut live = one_node();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut control = Control {
+            listener,
+            conns: Vec::new(),
+            next_event: 1,
+        };
+        let mut hostile = TcpStream::connect(addr).unwrap();
+        let mut honest = TcpStream::connect(addr).unwrap();
+        hostile.write_all(&[b'x'; MAX_LINE + 1]).unwrap();
+        let longest = format!("{:<1$}\nquit\n", "deliveries", MAX_LINE - 1);
+        honest.write_all(longest.as_bytes()).unwrap();
+
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut quit = false;
+        while !(quit && control.conns.len() == 1) {
+            assert!(
+                Instant::now() < deadline,
+                "the control loop never caught up"
+            );
+            quit |= control.serve(&mut live);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let timeout = Some(Duration::from_secs(10));
+        hostile.set_read_timeout(timeout).unwrap();
+        let mut reply = String::new();
+        hostile.read_to_string(&mut reply).unwrap();
+        assert_eq!(reply, "err line too long\n", "answered, then closed");
+        honest.set_read_timeout(timeout).unwrap();
+        let mut replies = BufReader::new(honest).lines();
+        assert_eq!(replies.next().unwrap().unwrap(), "ok deliveries 0");
+        assert_eq!(replies.next().unwrap().unwrap(), "ok bye");
     }
 }

@@ -85,24 +85,16 @@ impl AttrRingNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dht::DhtMsg;
-    use hypersub_chord::builder::{build_ring, RingConfig};
-    use hypersub_core::model::Event;
-    use hypersub_core::sim::PubSubNode;
-    use hypersub_core::world::HyperWorld;
+    use hypersub_core::sim::{Net, Network, PubSubNode};
     use hypersub_lph::Rect;
-    use hypersub_simnet::{Sim, SimTime, UniformTopology};
-    use std::sync::Arc;
+    use hypersub_simnet::SimTime;
 
-    fn make_sim(n: usize) -> Sim<AttrRingNode, DhtMsg<AttrRing>, HyperWorld> {
-        let topo = Arc::new(UniformTopology::new(n, SimTime::from_millis(10)));
-        let states = build_ring(&RingConfig::default(), topo.as_ref(), 5);
+    fn make_net(n: usize) -> Net<AttrRingNode> {
         let space = ContentSpace::uniform(2, 0.0, 100.0);
-        let nodes: Vec<AttrRingNode> = states
-            .into_iter()
-            .map(|st| AttrRingNode::new(st, "bench", space.clone()))
-            .collect();
-        Sim::new(topo, nodes, HyperWorld::default(), 1)
+        Network::builder(n)
+            .seed(5)
+            .build_with(|st| AttrRingNode::new(st, "bench", space.clone()))
+            .unwrap()
     }
 
     #[test]
@@ -116,30 +108,24 @@ mod tests {
 
     #[test]
     fn end_to_end_matches_bruteforce() {
-        let mut sim = make_sim(12);
+        let mut net = make_net(12);
         for i in 0..12 {
             let lo = i as f64 * 8.0;
             let sub = Subscription::new(Rect::new(vec![lo, 0.0], vec![lo + 10.0, 100.0]));
-            sim.with_node_ctx(i, |n, ctx| n.subscribe(ctx, 0, sub));
+            net.subscribe(i, 0, sub);
         }
-        sim.run(10_000_000);
+        net.run_to_quiescence();
         for (id, point) in [
             (1u64, Point(vec![50.0, 50.0])),
             (2, Point(vec![0.0, 0.0])),
             (3, Point(vec![95.0, 20.0])),
         ] {
-            let expected = sim.world().oracle.expected_matches(0, &point).len();
-            sim.with_node_ctx((id as usize * 5) % 12, |n, ctx| {
-                n.publish(
-                    ctx,
-                    Event {
-                        id,
-                        point: point.clone(),
-                    },
-                )
-            });
-            sim.run(10_000_000);
-            let stats = sim.world().metrics.event_stats(12, sim.net());
+            let expected = net.expected_matches(0, &point).len();
+            let at = net.time() + SimTime::from_secs(1);
+            let node = (id as usize * 5) % 12;
+            assert_eq!(net.schedule_publish(at, node, 0, point).unwrap(), id);
+            net.run_to_quiescence();
+            let stats = net.event_stats();
             let s = stats.iter().find(|s| s.event == id).unwrap();
             assert_eq!(s.delivered, expected, "event {id}");
             assert_eq!(s.duplicates, 0, "event {id}");
@@ -148,13 +134,13 @@ mod tests {
 
     #[test]
     fn wide_ranges_replicate_on_many_nodes() {
-        let mut sim = make_sim(16);
+        let mut net = make_net(16);
         // Wide on both attributes; the narrower (attr 0, 80%) is chosen
         // and replicated across ~80% of the ring.
         let sub = Subscription::new(Rect::new(vec![10.0, 2.0], vec![90.0, 98.0]));
-        sim.with_node_ctx(0, |n, ctx| n.subscribe(ctx, 0, sub));
-        sim.run(10_000_000);
-        let holders = (0..16).filter(|&i| sim.node(i).load() > 0).count();
+        net.subscribe(0, 0, sub);
+        net.run_to_quiescence();
+        let holders = net.nodes().iter().filter(|n| n.load() > 0).count();
         assert!(
             holders >= 8,
             "expected replication across many nodes, got {holders}"

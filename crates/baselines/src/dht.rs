@@ -201,10 +201,9 @@ impl<P: Placement> DhtNode<P> {
     }
 
     /// Publishes an event from this node: one probe per home the
-    /// placement names.
-    pub fn publish(&mut self, ctx: &mut Cx<'_, P>, event: Event) {
+    /// placement names. `expected` is the caller's match count, recorded.
+    pub fn publish(&mut self, ctx: &mut Cx<'_, P>, event: Event, expected: usize) {
         let (me, now) = (ctx.me(), ctx.now());
-        let expected = ctx.world().oracle.expected_count(0, &event.point);
         ctx.world()
             .metrics
             .record_publish(event.id, now, me, expected);
@@ -288,8 +287,8 @@ impl<P: Placement> Node<DhtMsg<P>, HyperWorld> for DhtNode<P> {
     fn on_timer(&mut self, ctx: &mut Cx<'_, P>, token: u64) {
         if token >= TOKEN_PUBLISH_BASE {
             let idx = (token - TOKEN_PUBLISH_BASE) as usize;
-            let (_scheme, ev) = ctx.world().take_scripted(idx);
-            self.publish(ctx, ev);
+            let s = ctx.world().take_scripted(idx);
+            self.publish(ctx, s.event, s.expected);
         }
     }
 }
@@ -303,15 +302,14 @@ impl<P: Placement> PubSubNode for DhtNode<P> {
     fn subscribe(&mut self, ctx: &mut Cx<'_, P>, _scheme: SchemeId, sub: Subscription) -> SubId {
         let iid = self.next_iid;
         self.next_iid += 1;
-        self.local.insert(iid, sub.clone());
         let subid = SubId {
             nid: self.chord.id,
             iid,
         };
-        ctx.world().oracle.add(0, subid, sub.clone());
         for home in self.placement.homes(&sub) {
             self.register(ctx, home, subid, sub.clone());
         }
+        self.local.insert(iid, sub);
         subid
     }
 

@@ -70,10 +70,10 @@ impl GossipNode {
         }
     }
 
-    /// Publishes an event: flood it over the whole ring.
-    pub fn publish(&mut self, ctx: &mut Cx<'_>, event: Event) {
+    /// Publishes an event: flood it over the whole ring. `expected` is
+    /// the caller's match count, recorded.
+    pub fn publish(&mut self, ctx: &mut Cx<'_>, event: Event, expected: usize) {
         let (me, now) = (ctx.me(), ctx.now());
-        let expected = ctx.world().oracle.expected_count(0, &event.point);
         ctx.world()
             .metrics
             .record_publish(event.id, now, me, expected);
@@ -137,8 +137,8 @@ impl Node<GossipMsg, HyperWorld> for GossipNode {
     fn on_timer(&mut self, ctx: &mut Cx<'_>, token: u64) {
         if token >= TOKEN_PUBLISH_BASE {
             let idx = (token - TOKEN_PUBLISH_BASE) as usize;
-            let (_scheme, ev) = ctx.world().take_scripted(idx);
-            self.publish(ctx, ev);
+            let s = ctx.world().take_scripted(idx);
+            self.publish(ctx, s.event, s.expected);
         }
     }
 }
@@ -149,16 +149,14 @@ impl PubSubNode for GossipNode {
     /// Installs a subscription: purely local, no messages.
     ///
     /// The baselines serve one scheme, so `_scheme` goes unused.
-    fn subscribe(&mut self, ctx: &mut Cx<'_>, _scheme: SchemeId, sub: Subscription) -> SubId {
+    fn subscribe(&mut self, _ctx: &mut Cx<'_>, _scheme: SchemeId, sub: Subscription) -> SubId {
         let iid = self.next_iid;
         self.next_iid += 1;
-        self.local.insert(iid, sub.clone());
-        let subid = SubId {
+        self.local.insert(iid, sub);
+        SubId {
             nid: self.chord.id,
             iid,
-        };
-        ctx.world().oracle.add(0, subid, sub);
-        subid
+        }
     }
 
     /// Stored-entry count: local subscriptions only (flat by design).

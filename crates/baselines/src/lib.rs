@@ -38,9 +38,10 @@
 //! duplicate-freedom (see [`dht`]). The flood keeps its own node.
 //!
 //! All four reuse the Chord substrate ([`hypersub_chord`]) and the world
-//! (oracle, metric sinks, publish script) from [`hypersub_core`], and
-//! implement [`hypersub_core::sim::PubSubNode`], so the same
-//! [`hypersub_core::sim::Net`] driver that runs HyperSub runs them:
+//! (metric sinks, publish script) from [`hypersub_core`], and implement
+//! [`hypersub_core::sim::PubSubNode`], so the same
+//! [`hypersub_core::sim::Net`] driver that runs HyperSub runs them, and
+//! keeps their ground truth (no node sees it):
 //! `Network::builder(n).seed(s).build_with(GossipNode::new)`.
 
 pub mod attr_ring;

@@ -55,61 +55,46 @@ impl RendezvousNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dht::DhtMsg;
-    use hypersub_chord::builder::{build_ring, RingConfig};
-    use hypersub_core::model::Event;
-    use hypersub_core::sim::PubSubNode;
-    use hypersub_core::world::HyperWorld;
+    use hypersub_core::sim::{Net, Network};
     use hypersub_lph::Rect;
-    use hypersub_simnet::{Sim, SimTime, UniformTopology};
-    use std::sync::Arc;
+    use hypersub_simnet::SimTime;
 
-    fn make_sim(n: usize) -> Sim<RendezvousNode, DhtMsg<Rendezvous>, HyperWorld> {
-        let topo = Arc::new(UniformTopology::new(n, SimTime::from_millis(10)));
-        let states = build_ring(&RingConfig::default(), topo.as_ref(), 5);
-        let nodes: Vec<RendezvousNode> = states
-            .into_iter()
-            .map(|st| RendezvousNode::new(st, "bench"))
-            .collect();
-        Sim::new(topo, nodes, HyperWorld::default(), 1)
+    fn make_net(n: usize) -> Net<RendezvousNode> {
+        Network::builder(n)
+            .seed(5)
+            .build_with(|st| RendezvousNode::new(st, "bench"))
+            .unwrap()
     }
 
     #[test]
     fn end_to_end_matches_bruteforce() {
-        let mut sim = make_sim(12);
+        let mut net = make_net(12);
         for i in 0..12 {
             let lo = i as f64 * 8.0;
             let sub = Subscription::new(Rect::new(vec![lo, 0.0], vec![lo + 10.0, 100.0]));
-            sim.with_node_ctx(i, |n, ctx| n.subscribe(ctx, 0, sub));
+            net.subscribe(i, 0, sub);
         }
-        sim.run(1_000_000);
+        net.run_to_quiescence();
         let point = Point(vec![50.0, 50.0]);
-        let expected = sim.world().oracle.expected_matches(0, &point).len();
+        let expected = net.expected_matches(0, &point).len();
         assert!(expected >= 1);
-        sim.with_node_ctx(3, |n, ctx| {
-            n.publish(
-                ctx,
-                Event {
-                    id: 1,
-                    point: point.clone(),
-                },
-            )
-        });
-        sim.run(1_000_000);
-        let stats = sim.world().metrics.event_stats(12, sim.net());
+        let at = net.time() + SimTime::from_secs(1);
+        net.schedule_publish(at, 3, 0, point).unwrap();
+        net.run_to_quiescence();
+        let stats = net.event_stats();
         assert_eq!(stats[0].delivered, expected);
         assert_eq!(stats[0].duplicates, 0);
     }
 
     #[test]
     fn all_storage_on_one_node() {
-        let mut sim = make_sim(16);
+        let mut net = make_net(16);
         for i in 0..16 {
             let sub = Subscription::new(Rect::new(vec![0.0, 0.0], vec![1.0, 1.0]));
-            sim.with_node_ctx(i, |n, ctx| n.subscribe(ctx, 0, sub));
+            net.subscribe(i, 0, sub);
         }
-        sim.run(1_000_000);
-        let loads: Vec<u64> = (0..16).map(|i| sim.node(i).load()).collect();
+        net.run_to_quiescence();
+        let loads = net.node_loads();
         let nonzero: Vec<&u64> = loads.iter().filter(|&&l| l > 0).collect();
         assert_eq!(nonzero.len(), 1, "rendezvous concentrates all storage");
         assert_eq!(*nonzero[0], 16);

@@ -57,10 +57,17 @@ impl DeliveryScratch {
 
 impl HyperSubNode {
     /// Algorithm 4: publish an event from this node. The event id must be
-    /// globally unique (it tags the event's bandwidth flow).
-    pub fn publish_event(&mut self, ctx: &mut Cx<'_>, scheme_id: SchemeId, event: Event) {
+    /// globally unique (it tags the event's bandwidth flow). `expected` is
+    /// the caller's count of the subscriptions the event matches; the node
+    /// records it and never computes it.
+    pub fn publish_event(
+        &mut self,
+        ctx: &mut Cx<'_>,
+        scheme_id: SchemeId,
+        event: Event,
+        expected: usize,
+    ) {
         let (me, now) = (ctx.me(), ctx.now());
-        let expected = ctx.world().oracle.expected_count(scheme_id, &event.point);
         ctx.world()
             .metrics
             .record_publish(event.id, now, me, expected);

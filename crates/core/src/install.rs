@@ -32,7 +32,6 @@ impl HyperSubNode {
             iid,
         };
         self.local_subs.insert(iid, (scheme_id, sub.clone()));
-        ctx.world().oracle.add(scheme_id, subid, &sub);
         self.install(ctx, scheme_id, sub, iid);
         subid
     }
@@ -81,7 +80,6 @@ impl HyperSubNode {
             nid: self.maint.chord.id,
             iid,
         };
-        ctx.world().oracle.remove(subid);
         let scheme = self.registry.scheme(scheme_id);
         let ss = scheme.choose_subscheme(&sub);
         let ssdef = &scheme.subschemes[ss as usize];

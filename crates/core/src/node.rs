@@ -422,8 +422,8 @@ impl Node<HyperMsg, HyperWorld> for HyperSubNode {
         }
         if token >= TOKEN_PUBLISH_BASE {
             let idx = (token - TOKEN_PUBLISH_BASE) as usize;
-            let (scheme, event) = ctx.world().take_scripted(idx);
-            self.publish_event(ctx, scheme, event);
+            let s = ctx.world().take_scripted(idx);
+            self.publish_event(ctx, s.scheme, s.event, s.expected);
             return;
         }
         match token {

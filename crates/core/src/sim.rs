@@ -11,7 +11,7 @@ use crate::node::{
     HyperSubNode, IidTarget, TOKEN_FIX_FINGERS, TOKEN_LB, TOKEN_LEASE, TOKEN_PUBLISH_BASE,
     TOKEN_STABILIZE,
 };
-use crate::world::HyperWorld;
+use crate::world::{HyperWorld, Oracle, Scripted};
 use hypersub_chord::builder::{build_ring, RingConfig};
 use hypersub_chord::ChordState;
 use hypersub_lph::Point;
@@ -92,7 +92,8 @@ pub trait PubSubNode: Node<Self::Msg, HyperWorld> {
     type Msg: Payload;
 
     /// Installs a subscription originating at this node and returns its
-    /// id. Implementations register it with the world's oracle.
+    /// id, unique across the network. The node keeps no ground truth:
+    /// [`Net::subscribe`] records the subscription with the oracle.
     fn subscribe(
         &mut self,
         ctx: &mut Ctx<'_, Self::Msg, HyperWorld>,
@@ -281,6 +282,8 @@ impl NetworkBuilder {
         }
         Ok(Net {
             sim,
+            oracle: Oracle::default(),
+            fired: 0,
             next_event_id: 1,
             scheduled_events: 0,
             topo_desc,
@@ -291,8 +294,20 @@ impl NetworkBuilder {
 /// A running network of `N` nodes: the one simulation driver. HyperSub
 /// ([`Network`]) and every rival system run through this type, so they
 /// share the substrate, the publish script, the oracle and the report.
+///
+/// The oracle is the driver's, not the nodes': [`Net::subscribe`] and
+/// [`Network::unsubscribe`] are its only writers, and each publication is
+/// handed its match count. A scheduled one is counted when it is
+/// scheduled, and every later subscribe or unsubscribe corrects the count
+/// of each entry still waiting in the script, so it is the count as of
+/// the moment the event fires.
 pub struct Net<N: PubSubNode> {
     pub(crate) sim: Sim<N, N::Msg, HyperWorld>,
+    /// Ground truth: every live subscription.
+    oracle: Oracle,
+    /// Every script entry before this index has fired: the prefix a
+    /// recount skips.
+    fired: usize,
     next_event_id: u64,
     scheduled_events: u64,
     /// Recipe for regenerating the topology at restore time.
@@ -307,8 +322,29 @@ impl<N: PubSubNode> Net<N> {
     /// starts here). Run the network afterwards to let registration
     /// traffic settle.
     pub fn subscribe(&mut self, node: usize, scheme: SchemeId, sub: Subscription) -> SubId {
-        self.sim
-            .with_node_ctx(node, |n, ctx| n.subscribe(ctx, scheme, sub))
+        let subid = self
+            .sim
+            .with_node_ctx(node, |n, ctx| n.subscribe(ctx, scheme, sub.clone()));
+        self.oracle.add(scheme, subid, sub);
+        self.recount_pending(subid, 1);
+        subid
+    }
+
+    /// Adds `delta` to the count of every waiting script entry that
+    /// `subid`, live in the oracle, matches.
+    fn recount_pending(&mut self, subid: SubId, delta: isize) {
+        let script = &mut self.sim.world_mut().script;
+        while script.get(self.fired).is_some_and(Option::is_none) {
+            self.fired += 1;
+        }
+        for s in script[self.fired..].iter_mut().flatten() {
+            if self.oracle.covers(subid, s.scheme, &s.event.point) {
+                s.expected = s
+                    .expected
+                    .checked_add_signed(delta)
+                    .expect("a waiting event's count stays the oracle's");
+            }
+        }
     }
 
     /// Schedules an event publication at absolute simulated time `at`.
@@ -324,11 +360,13 @@ impl<N: PubSubNode> Net<N> {
     ) -> Result<u64> {
         self.check_node(node)?;
         let id = self.alloc_event_id();
+        let expected = self.oracle.expected_count(scheme, &point);
         let idx = self.sim.world().script.len();
-        self.sim
-            .world_mut()
-            .script
-            .push(Some((scheme, Event { id, point })));
+        self.sim.world_mut().script.push(Some(Scripted {
+            scheme,
+            event: Event { id, point },
+            expected,
+        }));
         self.sim
             .schedule_timer(at, node, TOKEN_PUBLISH_BASE + idx as u64);
         self.scheduled_events += 1;
@@ -393,7 +431,7 @@ impl<N: PubSubNode> Net<N> {
 
     /// Per-event statistics (Figure 2's dataset).
     pub fn event_stats(&self) -> Vec<EventStats> {
-        let total = self.sim.world().oracle.len();
+        let total = self.oracle.len();
         self.sim.world().metrics.event_stats(total, self.sim.net())
     }
 
@@ -409,7 +447,7 @@ impl<N: PubSubNode> Net<N> {
 
     /// Ground-truth match set for a hypothetical event (testing).
     pub fn expected_matches(&self, scheme: SchemeId, point: &Point) -> Vec<SubId> {
-        self.sim.world().oracle.expected_matches(scheme, point)
+        self.oracle.expected_matches(scheme, point)
     }
 
     /// Immutable access to a node.
@@ -509,11 +547,12 @@ impl Net<HyperSubNode> {
         let live = self
             .sim
             .with_node_ctx(node, |n, ctx| n.unsubscribe(ctx, subid.iid));
-        if live {
-            Ok(())
-        } else {
-            Err(HyperSubError::UnknownSubscription { sub: subid })
+        if !live {
+            return Err(HyperSubError::UnknownSubscription { sub: subid });
         }
+        self.recount_pending(subid, -1);
+        self.oracle.remove(subid);
+        Ok(())
     }
 
     /// Publishes an event from `node` right now. Returns the event id.
@@ -523,8 +562,9 @@ impl Net<HyperSubNode> {
     pub fn publish(&mut self, node: usize, scheme: SchemeId, point: Point) -> Result<u64> {
         self.check_node(node)?;
         let id = self.alloc_event_id();
+        let expected = self.oracle.expected_count(scheme, &point);
         self.sim.with_node_ctx(node, |n, ctx| {
-            n.publish_event(ctx, scheme, Event { id, point })
+            n.publish_event(ctx, scheme, Event { id, point }, expected)
         });
         Ok(id)
     }
@@ -638,7 +678,7 @@ impl Net<HyperSubNode> {
     }
 
     /// Serializes the complete network state — every node's protocol
-    /// state, the world (metrics, oracle, script), and the engine
+    /// state, the metrics, the oracle, the publish script, and the engine
     /// (event queue, per-node liveness, RNG streams, fault plane, flight
     /// recorder) — into a self-checking versioned byte envelope.
     ///
@@ -658,7 +698,12 @@ impl Net<HyperSubNode> {
         for node in self.sim.nodes() {
             node.snapshot_encode(&mut w);
         }
-        self.sim.world().encode(&mut w);
+        // A script entry's count is not written: it equals the oracle's
+        // while the entry waits, and `restore` recounts it.
+        let world = self.sim.world();
+        world.metrics.encode(&mut w);
+        self.oracle.encode(&mut w);
+        world.script.encode(&mut w);
         self.sim.export_state().encode(&mut w);
         w.put_u64(self.next_event_id);
         w.put_u64(self.scheduled_events);
@@ -691,7 +736,12 @@ impl Net<HyperSubNode> {
                 Arc::clone(&cfg),
             )?);
         }
-        let world = HyperWorld::decode(&mut r)?;
+        let metrics = Metrics::decode(&mut r)?;
+        let mut oracle = Oracle::decode(&mut r)?;
+        let mut script = Vec::<Option<Scripted>>::decode(&mut r)?;
+        for s in script.iter_mut().flatten() {
+            s.expected = oracle.expected_count(s.scheme, &s.event.point);
+        }
         let snap = SimSnapshot::<HyperMsg>::decode(&mut r)?;
         if snap.alive.len() != n {
             return Err(HyperSubError::Snapshot(
@@ -701,9 +751,12 @@ impl Net<HyperSubNode> {
         let next_event_id = r.take_u64()?;
         let scheduled_events = r.take_u64()?;
         r.finish().map_err(HyperSubError::Snapshot)?;
+        let world = HyperWorld { metrics, script };
         let sim = Sim::from_snapshot(desc.build(), nodes, world, snap);
         Ok(Network {
             sim,
+            oracle,
+            fired: 0,
             next_event_id,
             scheduled_events,
             topo_desc: desc,

@@ -1,15 +1,17 @@
-//! The shared simulation world: metric sinks, the ground-truth oracle and
-//! the publish script.
+//! The shared simulation world — metric sinks and the publish script —
+//! and the ground-truth oracle, which the driver ([`crate::sim::Net`])
+//! keeps beside it: no node reads or writes the oracle.
 
 use crate::metrics::Metrics;
 use crate::model::{Event, SchemeId, SubId, Subscription};
 use hypersub_lph::Point;
 use hypersub_simnet::FxHashMap;
-use hypersub_snapshot::{codec, Decode, Encode, Error, Reader, Writer};
+use hypersub_snapshot::{Decode, Encode, Error, Reader, Writer};
 use std::borrow::Borrow;
 
 /// Ground truth: every subscription in the system, for computing expected
 /// match sets (tests) and the matched-percentage metric (Figure 2a/5a).
+/// The driver owns it and is its only writer.
 ///
 /// The publish path asks it for a count once per event, so it is laid out
 /// for that question: bounds in one flat array, a grid of candidate lists
@@ -288,25 +290,68 @@ impl Oracle {
             .filter(|&&at| inside(&bounds[at as usize..][..2 * arity], &point.0))
             .count()
     }
+
+    /// Whether live subscription `subid` matches `point` in `scheme`: the
+    /// test [`Oracle::expected_count`] applies to each candidate. False
+    /// for an id the oracle does not hold.
+    pub(crate) fn covers(&self, subid: SubId, scheme: SchemeId, point: &Point) -> bool {
+        self.by_id.get(&subid).is_some_and(|&i| {
+            let s = &self.slots[i as usize];
+            s.scheme == scheme
+                && s.arity as usize == point.0.len()
+                && inside(&self.bounds[s.at as usize..][..2 * point.0.len()], &point.0)
+        })
+    }
 }
 
-/// The shared world threaded through the simulator.
+/// A scheduled publication, waiting in the script for its timer.
+#[derive(Debug)]
+pub struct Scripted {
+    /// The event's scheme.
+    pub scheme: SchemeId,
+    /// The event.
+    pub event: Event,
+    /// The subscriptions that match the event, counted by the driver.
+    /// While the entry waits, the driver keeps this equal to the oracle's
+    /// count, so the node records the count as of the moment it fires.
+    pub expected: usize,
+}
+
+// Hand-written codec: the count is not written. It equals the oracle's
+// while the entry waits, so a restore recounts it from the oracle, and
+// the entry's bytes are those of the `(scheme, event)` pair it replaced.
+impl Encode for Scripted {
+    fn encode(&self, w: &mut Writer) {
+        self.scheme.encode(w);
+        self.event.encode(w);
+    }
+}
+
+impl Decode for Scripted {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
+        Ok(Scripted {
+            scheme: SchemeId::decode(r)?,
+            event: Event::decode(r)?,
+            expected: 0,
+        })
+    }
+}
+
+/// The shared world threaded through the simulator: what the nodes
+/// report and what they are told to publish.
 #[derive(Debug, Default)]
 pub struct HyperWorld {
     /// Metric sink.
     pub metrics: Metrics,
-    /// Ground-truth subscription registry.
-    pub oracle: Oracle,
     /// Scripted events, consumed by publish timers (indexed by the timer
     /// token's low bits).
-    pub script: Vec<Option<(SchemeId, Event)>>,
+    pub script: Vec<Option<Scripted>>,
 }
-codec!(struct HyperWorld { metrics, oracle, script });
 
 impl HyperWorld {
     /// Takes scripted event `idx` (panics if fired twice — each scripted
     /// publish must run exactly once).
-    pub fn take_scripted(&mut self, idx: usize) -> (SchemeId, Event) {
+    pub fn take_scripted(&mut self, idx: usize) -> Scripted {
         self.script[idx]
             .take()
             .expect("scripted event fired twice or never scheduled")
@@ -611,16 +656,16 @@ mod tests {
     #[test]
     fn script_take_once() {
         let mut w = HyperWorld::default();
-        w.script.push(Some((
-            0,
-            Event {
+        w.script.push(Some(Scripted {
+            scheme: 0,
+            event: Event {
                 id: 7,
                 point: Point(vec![1.0]),
             },
-        )));
-        let (s, e) = w.take_scripted(0);
-        assert_eq!(s, 0);
-        assert_eq!(e.id, 7);
+            expected: 3,
+        }));
+        let s = w.take_scripted(0);
+        assert_eq!((s.scheme, s.event.id, s.expected), (0, 7, 3));
     }
 
     #[test]

@@ -309,7 +309,9 @@ fn handle_command(live: &mut Live, line: &str, next_event: &mut u64) -> (String,
             }
             let id = *next_event;
             *next_event += 1;
-            live.call(|node, ctx| node.publish_event(ctx, 0, Event { id, point }));
+            // One process sees its own subscriptions only, so there is no
+            // ground truth to count: the event records 0 expected.
+            live.call(|node, ctx| node.publish_event(ctx, 0, Event { id, point }, 0));
             (format!("ok pub {id}"), false)
         }
         ["deliveries"] => {

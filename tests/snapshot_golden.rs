@@ -17,7 +17,7 @@
 use hypersub_chord::proto::ChordMsg;
 use hypersub_core::msg::HyperMsg;
 use hypersub_core::prelude::*;
-use hypersub_core::world::HyperWorld;
+use hypersub_core::world::{Oracle, Scripted};
 use hypersub_simnet::{SimEvent, SimSnapshot, TraceEvent};
 use hypersub_snapshot::{Decode, Reader};
 use hypersub_workload::{WorkloadGen, WorkloadSpec};
@@ -166,7 +166,9 @@ fn decode_parts(sealed: &[u8]) -> Captured {
     let nodes = (0..n)
         .map(|_| HyperSubNode::snapshot_decode(&mut r, registry.clone(), cfg.clone()).unwrap())
         .collect();
-    HyperWorld::decode(&mut r).unwrap();
+    Metrics::decode(&mut r).unwrap();
+    Oracle::decode(&mut r).unwrap();
+    Vec::<Option<Scripted>>::decode(&mut r).unwrap();
     let engine = SimSnapshot::<HyperMsg>::decode(&mut r).unwrap();
     Captured { nodes, engine }
 }

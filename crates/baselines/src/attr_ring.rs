@@ -87,7 +87,6 @@ mod tests {
     use super::*;
     use hypersub_core::sim::{Net, Network, PubSubNode};
     use hypersub_lph::Rect;
-    use hypersub_simnet::SimTime;
 
     fn make_net(n: usize) -> Net<AttrRingNode> {
         let space = ContentSpace::uniform(2, 0.0, 100.0);
@@ -104,32 +103,6 @@ mod tests {
         assert_eq!(choose_attr(&space, &sub), 0);
         let sub = Subscription::new(Rect::new(vec![0.0, 50.0], vec![100.0, 51.0]));
         assert_eq!(choose_attr(&space, &sub), 1);
-    }
-
-    #[test]
-    fn end_to_end_matches_bruteforce() {
-        let mut net = make_net(12);
-        for i in 0..12 {
-            let lo = i as f64 * 8.0;
-            let sub = Subscription::new(Rect::new(vec![lo, 0.0], vec![lo + 10.0, 100.0]));
-            net.subscribe(i, 0, sub);
-        }
-        net.run_to_quiescence();
-        for (id, point) in [
-            (1u64, Point(vec![50.0, 50.0])),
-            (2, Point(vec![0.0, 0.0])),
-            (3, Point(vec![95.0, 20.0])),
-        ] {
-            let expected = net.expected_matches(0, &point).len();
-            let at = net.time() + SimTime::from_secs(1);
-            let node = (id as usize * 5) % 12;
-            assert_eq!(net.schedule_publish(at, node, 0, point).unwrap(), id);
-            net.run_to_quiescence();
-            let stats = net.event_stats();
-            let s = stats.iter().find(|s| s.event == id).unwrap();
-            assert_eq!(s.delivered, expected, "event {id}");
-            assert_eq!(s.duplicates, 0, "event {id}");
-        }
     }
 
     #[test]

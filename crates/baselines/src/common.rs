@@ -73,7 +73,8 @@ mod tests {
     }
 
     /// The driver contract, for whichever node type `make` builds: typed
-    /// errors, delivered == oracle, and a report that agrees with the run.
+    /// errors, delivered == oracle for events published both now and on
+    /// the script, and a report that agrees with the run.
     fn driver_contract<N: PubSubNode>(mut make: impl FnMut(ChordState) -> N) {
         assert!(matches!(
             builder(0).build_with(&mut make).err(),
@@ -86,23 +87,53 @@ mod tests {
             net.subscribe(i, 0, sub);
         }
         net.run_to_quiescence();
-        let point = Point(vec![50.0, 50.0]);
-        let expected = net.expected_matches(0, &point).len();
-        assert!(expected >= 1);
+        let points = [
+            (3, Point(vec![50.0, 50.0])),
+            (7, Point(vec![0.0, 0.0])),
+            (1, Point(vec![95.0, 20.0])),
+        ];
+        let truth: Vec<usize> = points
+            .iter()
+            .map(|(_, p)| net.expected_matches(0, p).len())
+            .collect();
+        assert!(truth[0] >= 1);
+        let out_of_range = Some(HyperSubError::NodeOutOfRange {
+            node: 12,
+            nodes: 12,
+        });
         let at = net.time() + SimTime::from_secs(1);
         assert_eq!(
-            net.schedule_publish(at, 12, 0, point.clone()).err(),
-            Some(HyperSubError::NodeOutOfRange {
-                node: 12,
-                nodes: 12
-            })
+            net.schedule_publish(at, 12, 0, points[0].1.clone()).err(),
+            out_of_range
         );
-        assert_eq!(net.schedule_publish(at, 3, 0, point).unwrap(), 1);
+        assert_eq!(net.publish(12, 0, points[0].1.clone()).err(), out_of_range);
+        // Each point twice: published now (events 1-3), then scheduled
+        // a second apart (events 4-6).
+        for (node, point) in &points {
+            net.publish(*node, 0, point.clone()).unwrap();
+            net.run_to_quiescence();
+        }
+        let mut at = net.time();
+        for (node, point) in &points {
+            at += SimTime::from_secs(1);
+            net.schedule_publish(at, *node, 0, point.clone()).unwrap();
+        }
         net.run_to_quiescence();
+        let stats = net.event_stats();
+        let ids: Vec<u64> = stats.iter().map(|s| s.event).collect();
+        assert_eq!(ids, [1, 2, 3, 4, 5, 6]);
+        for (s, &expected) in stats.iter().zip(truth.iter().cycle()) {
+            assert_eq!(s.expected, expected, "event {}", s.event);
+            assert_eq!(s.delivered, expected, "event {}", s.event);
+            assert_eq!(s.duplicates, 0, "event {}", s.event);
+        }
         let report = net.report();
         assert_eq!(report.nodes, 12);
-        assert_eq!(report.events.published, 1);
-        assert_eq!(report.events.delivered, expected as u64);
+        assert_eq!(report.events.published, 6);
+        assert_eq!(
+            report.events.delivered,
+            2 * truth.iter().sum::<usize>() as u64
+        );
         assert_eq!(report.events.duplicates, 0);
         assert_eq!(report.digest, net.run_digest());
         // Every node-specific counter is the sum of the nodes' shares.

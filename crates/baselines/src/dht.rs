@@ -23,8 +23,7 @@ use hypersub_chord::routing::{next_hop, NextHop};
 use hypersub_chord::{in_open_closed, ChordState, Peer};
 use hypersub_core::model::{Event, SchemeId, SubId, SubTarget, Subscription};
 use hypersub_core::msg::{EVENT_BYTES, HEADER_BYTES, SUBID_BYTES};
-use hypersub_core::node::TOKEN_PUBLISH_BASE;
-use hypersub_core::sim::PubSubNode;
+use hypersub_core::sim::{fire_scripted, PubSubNode};
 use hypersub_core::world::HyperWorld;
 use hypersub_lph::{ContentSpace, Point};
 use hypersub_simnet::{Ctx, Node, Payload};
@@ -200,18 +199,6 @@ impl<P: Placement> DhtNode<P> {
         self.store.entry(home.shard).or_default().insert(subid, sub);
     }
 
-    /// Publishes an event from this node: one probe per home the
-    /// placement names. `expected` is the caller's match count, recorded.
-    pub fn publish(&mut self, ctx: &mut Cx<'_, P>, event: Event, expected: usize) {
-        let (me, now) = (ctx.me(), ctx.now());
-        ctx.world()
-            .metrics
-            .record_publish(event.id, now, me, expected);
-        for (key, shard) in self.placement.probes(&event.point) {
-            self.probe(ctx, key, shard, event.clone(), 0);
-        }
-    }
-
     fn probe(&mut self, ctx: &mut Cx<'_, P>, key: u64, shard: P::Shard, event: Event, hops: u32) {
         if let Some(p) = self.towards(key) {
             let hops = hops + 1;
@@ -285,11 +272,7 @@ impl<P: Placement> Node<DhtMsg<P>, HyperWorld> for DhtNode<P> {
     }
 
     fn on_timer(&mut self, ctx: &mut Cx<'_, P>, token: u64) {
-        if token >= TOKEN_PUBLISH_BASE {
-            let idx = (token - TOKEN_PUBLISH_BASE) as usize;
-            let s = ctx.world().take_scripted(idx);
-            self.publish(ctx, s.event, s.expected);
-        }
+        fire_scripted(self, ctx, token);
     }
 }
 
@@ -311,6 +294,14 @@ impl<P: Placement> PubSubNode for DhtNode<P> {
         }
         self.local.insert(iid, sub);
         subid
+    }
+
+    /// Publishes an event from this node: one probe per home the
+    /// placement names.
+    fn publish(&mut self, ctx: &mut Cx<'_, P>, _scheme: SchemeId, event: Event) {
+        for (key, shard) in self.placement.probes(&event.point) {
+            self.probe(ctx, key, shard, event.clone(), 0);
+        }
     }
 
     /// Stored-entry count (load metric): every replica and every subgroup

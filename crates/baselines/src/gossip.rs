@@ -15,8 +15,7 @@
 use hypersub_chord::{clockwise_distance, ChordState};
 use hypersub_core::model::{Event, SchemeId, SubId, Subscription};
 use hypersub_core::msg::{EVENT_BYTES, HEADER_BYTES};
-use hypersub_core::node::TOKEN_PUBLISH_BASE;
-use hypersub_core::sim::PubSubNode;
+use hypersub_core::sim::{fire_scripted, PubSubNode};
 use hypersub_core::world::HyperWorld;
 use hypersub_simnet::{Ctx, Node, Payload};
 use std::collections::HashMap;
@@ -68,19 +67,6 @@ impl GossipNode {
             local: HashMap::new(),
             next_iid: 1,
         }
-    }
-
-    /// Publishes an event: flood it over the whole ring. `expected` is
-    /// the caller's match count, recorded.
-    pub fn publish(&mut self, ctx: &mut Cx<'_>, event: Event, expected: usize) {
-        let (me, now) = (ctx.me(), ctx.now());
-        ctx.world()
-            .metrics
-            .record_publish(event.id, now, me, expected);
-        // The publisher owns the whole ring except itself, so it can
-        // never be re-reached by its own children.
-        let limit = self.chord.id.wrapping_sub(1);
-        self.flood(ctx, event, 0, limit);
     }
 
     /// Delivers locally and covers the arc `(self, limit]` by delegating
@@ -135,11 +121,7 @@ impl Node<GossipMsg, HyperWorld> for GossipNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Cx<'_>, token: u64) {
-        if token >= TOKEN_PUBLISH_BASE {
-            let idx = (token - TOKEN_PUBLISH_BASE) as usize;
-            let s = ctx.world().take_scripted(idx);
-            self.publish(ctx, s.event, s.expected);
-        }
+        fire_scripted(self, ctx, token);
     }
 }
 
@@ -157,6 +139,14 @@ impl PubSubNode for GossipNode {
             nid: self.chord.id,
             iid,
         }
+    }
+
+    /// Publishes an event: flood it over the whole ring.
+    fn publish(&mut self, ctx: &mut Cx<'_>, _scheme: SchemeId, event: Event) {
+        // The publisher owns the whole ring except itself, so it can
+        // never be re-reached by its own children.
+        let limit = self.chord.id.wrapping_sub(1);
+        self.flood(ctx, event, 0, limit);
     }
 
     /// Stored-entry count: local subscriptions only (flat by design).
@@ -211,30 +201,5 @@ mod tests {
         assert_eq!(stats[0].duplicates, 0);
         // Exactly n - 1 flood messages: one per non-publisher node.
         assert_eq!(net.net().total_msgs(), 31);
-    }
-
-    #[test]
-    fn flood_matches_bruteforce_on_partial_subs() {
-        let mut net = make_net(12);
-        for i in 0..12 {
-            let lo = i as f64 * 8.0;
-            let sub = Subscription::new(Rect::new(vec![lo, 0.0], vec![lo + 10.0, 100.0]));
-            net.subscribe(i, 0, sub);
-        }
-        net.run_to_quiescence();
-        let mut t = net.time();
-        for (node, point) in [
-            (3, Point(vec![50.0, 50.0])),
-            (7, Point(vec![0.0, 0.0])),
-            (1, Point(vec![95.0, 20.0])),
-        ] {
-            t += SimTime::from_secs(1);
-            net.schedule_publish(t, node, 0, point).unwrap();
-        }
-        net.run_to_quiescence();
-        for s in net.event_stats() {
-            assert_eq!(s.delivered, s.expected, "event {}", s.event);
-            assert_eq!(s.duplicates, 0, "event {}", s.event);
-        }
     }
 }

@@ -57,33 +57,12 @@ mod tests {
     use super::*;
     use hypersub_core::sim::{Net, Network};
     use hypersub_lph::Rect;
-    use hypersub_simnet::SimTime;
 
     fn make_net(n: usize) -> Net<RendezvousNode> {
         Network::builder(n)
             .seed(5)
             .build_with(|st| RendezvousNode::new(st, "bench"))
             .unwrap()
-    }
-
-    #[test]
-    fn end_to_end_matches_bruteforce() {
-        let mut net = make_net(12);
-        for i in 0..12 {
-            let lo = i as f64 * 8.0;
-            let sub = Subscription::new(Rect::new(vec![lo, 0.0], vec![lo + 10.0, 100.0]));
-            net.subscribe(i, 0, sub);
-        }
-        net.run_to_quiescence();
-        let point = Point(vec![50.0, 50.0]);
-        let expected = net.expected_matches(0, &point).len();
-        assert!(expected >= 1);
-        let at = net.time() + SimTime::from_secs(1);
-        net.schedule_publish(at, 3, 0, point).unwrap();
-        net.run_to_quiescence();
-        let stats = net.event_stats();
-        assert_eq!(stats[0].delivered, expected);
-        assert_eq!(stats[0].duplicates, 0);
     }
 
     #[test]

@@ -105,7 +105,6 @@ mod tests {
     use super::*;
     use hypersub_core::sim::{Net, Network};
     use hypersub_lph::Rect;
-    use hypersub_simnet::SimTime;
 
     fn make_net(n: usize) -> Net<SubgroupNode> {
         let space = ContentSpace::uniform(2, 0.0, 100.0);
@@ -126,31 +125,6 @@ mod tests {
             let b = sg.bucket(0, v as f64);
             assert!(b >= prev);
             prev = b;
-        }
-    }
-
-    #[test]
-    fn end_to_end_matches_bruteforce() {
-        let mut net = make_net(12);
-        for i in 0..12 {
-            let lo = i as f64 * 8.0;
-            let sub = Subscription::new(Rect::new(vec![lo, 0.0], vec![lo + 10.0, 100.0]));
-            net.subscribe(i, 0, sub);
-        }
-        net.run_to_quiescence();
-        let mut t = net.time();
-        for (node, point) in [
-            (3, Point(vec![50.0, 50.0])),
-            (7, Point(vec![0.0, 0.0])),
-            (1, Point(vec![95.0, 20.0])),
-        ] {
-            t += SimTime::from_secs(1);
-            net.schedule_publish(t, node, 0, point).unwrap();
-        }
-        net.run_to_quiescence();
-        for s in net.event_stats() {
-            assert_eq!(s.delivered, s.expected, "event {}", s.event);
-            assert_eq!(s.duplicates, 0, "event {}", s.event);
         }
     }
 

@@ -285,17 +285,17 @@ impl MaintState {
             sends.push((succ.idx, ChordMsg::GetNeighbors));
         } else if let Some(boot) = self.bootstrap {
             // Still ringless: the one-shot join must have been lost —
-            // retry it.
-            if !self.dead.contains(&boot) {
-                sends.push((
-                    boot,
-                    ChordMsg::FindSuccessor {
-                        key: self.chord.id,
-                        origin: self.chord.me(),
-                        purpose: LookupPurpose::Join,
-                    },
-                ));
-            }
+            // retry it, even to a bootstrap observed dead. It is this
+            // node's only contact, and one that restarts must be found
+            // again.
+            sends.push((
+                boot,
+                ChordMsg::FindSuccessor {
+                    key: self.chord.id,
+                    origin: self.chord.me(),
+                    purpose: LookupPurpose::Join,
+                },
+            ));
         }
         if let Some(pred) = self.chord.predecessor {
             if self.awaiting_stab.map(|(i, _)| i) != Some(pred.idx) {
@@ -815,6 +815,31 @@ mod tests {
         let t1 = sim.time();
         sim.run_until(t1 + SimTime::from_secs(120));
         ring_is_consistent(&sim, &(0..n).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_joiner_waits_out_a_bootstrap_that_is_down() {
+        let mut sim = make_sim(2);
+        sim.fail(0);
+        sim.with_node_ctx(1, |node, ctx| {
+            ChordNode::arm_timers(ctx);
+            for (dst, m) in node.maint.start_join(0) {
+                ctx.send(dst, m);
+            }
+        });
+        sim.run_until(SimTime::from_secs(5));
+        assert!(
+            sim.node(1).maint.dead.contains(&0),
+            "the failed join tombstoned the bootstrap"
+        );
+        sim.revive(0);
+        sim.with_node_ctx(0, |_, ctx| ChordNode::arm_timers(ctx));
+        sim.run_until(SimTime::from_secs(120));
+        assert_eq!(
+            sim.node(1).maint.chord.successor().map(|p| p.idx),
+            Some(0),
+            "joiner stranded"
+        );
     }
 
     #[test]

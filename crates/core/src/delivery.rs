@@ -57,20 +57,8 @@ impl DeliveryScratch {
 
 impl HyperSubNode {
     /// Algorithm 4: publish an event from this node. The event id must be
-    /// globally unique (it tags the event's bandwidth flow). `expected` is
-    /// the caller's count of the subscriptions the event matches; the node
-    /// records it and never computes it.
-    pub fn publish_event(
-        &mut self,
-        ctx: &mut Cx<'_>,
-        scheme_id: SchemeId,
-        event: Event,
-        expected: usize,
-    ) {
-        let (me, now) = (ctx.me(), ctx.now());
-        ctx.world()
-            .metrics
-            .record_publish(event.id, now, me, expected);
+    /// globally unique (it tags the event's bandwidth flow).
+    pub(crate) fn publish(&mut self, ctx: &mut Cx<'_>, scheme_id: SchemeId, event: Event) {
         let event = Arc::new(event);
         let scheme = self.registry.scheme(scheme_id);
         let n_subschemes = scheme.subschemes.len() as u8;

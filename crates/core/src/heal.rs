@@ -48,7 +48,7 @@
 
 use crate::model::SubId;
 use crate::msg::{HyperMsg, ReplicaBatch};
-use crate::node::{Cx, HyperSubNode, TOKEN_LEASE};
+use crate::node::{Cx, HyperSubNode, IidTarget, TOKEN_LB, TOKEN_LEASE};
 use crate::repo::{RepoKey, StoredSub};
 use hypersub_chord::Peer;
 use hypersub_simnet::{FxHashMap, ProtoEvent};
@@ -97,6 +97,47 @@ impl HyperSubNode {
             .take(self.cfg.heal.replication_factor)
             .copied()
             .collect()
+    }
+
+    /// Re-enters the network once the host has revived this node. The
+    /// simulator discards a dead node's timers, so every enabled periodic
+    /// timer is re-armed. With self-healing enabled the node also *rejoins
+    /// fresh*: its rendezvous state (repositories, hosted entries,
+    /// replicas, volatile LB and retry bookkeeping) went stale while
+    /// successors promoted it, so it is dropped for leases and
+    /// stabilization to rebuild. Local subscriptions and the Chord
+    /// identity survive: the application did not crash away its intent.
+    pub(crate) fn rejoin(&mut self, ctx: &mut Cx<'_>) {
+        if self.maintenance {
+            self.start_maintenance(ctx);
+        }
+        if self.cfg.lb.enabled {
+            ctx.set_timer(self.cfg.lb.period, TOKEN_LB);
+        }
+        if !self.cfg.heal.enabled {
+            return;
+        }
+        ctx.set_timer(self.cfg.heal.lease_period, TOKEN_LEASE);
+        // Liveness observations predate the downtime: stale tombstones
+        // would make this node refuse the very gossip that re-knits its
+        // neighborhood (see `MaintState::rejoin_reset`).
+        self.maint.rejoin_reset();
+        self.repos.clear();
+        self.hosted.clear();
+        self.replicas.clear();
+        self.iids.retain(|_, t| matches!(t, IidTarget::Local));
+        self.lb.samples.clear();
+        self.lb.pending.clear();
+        self.lb.in_flight.clear();
+        self.lb.migrated_index.clear();
+        self.rel.pending.clear();
+        let me = ctx.me() as u64;
+        ctx.trace(|| ProtoEvent {
+            kind: "repair.rejoin",
+            flow: None,
+            a: me,
+            b: 0,
+        });
     }
 
     /// One soft-state lease tick: re-arm the timer, re-push local

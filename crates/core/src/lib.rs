@@ -140,10 +140,10 @@ pub mod prelude {
     pub use crate::sim::{Net, Network, NetworkBuilder, PubSubNode, TopologyKind};
     pub use hypersub_lph::{ContentSpace, Point, Rect, ZoneParams};
     pub use hypersub_simnet::{FaultPlane, FlightRecorder, LinkPolicy, SimTime};
-    // Protocol entry points (`subscribe`, `publish_event`, the `Node`
-    // handlers) take the one context type, `Cx`, from either host — the
-    // simulator or `hypersub-net`'s TCP driver — and `WireMsg` is the
-    // versioned framing live transports use.
+    // Protocol entry points (`PubSubNode::{subscribe, publish}`, the
+    // `Node` handlers) take the one context type, `Cx`, from either
+    // host — the simulator or `hypersub-net`'s TCP driver — and `WireMsg`
+    // is the versioned framing live transports use.
     pub use crate::node::Cx;
     pub use hypersub_simnet::{Node, WireMsg};
 }

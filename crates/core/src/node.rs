@@ -1,7 +1,7 @@
 //! The HyperSub node: Chord state plus pub/sub repositories.
 
 use crate::config::SystemConfig;
-use crate::model::{Registry, SchemeId, SubId, Subscription};
+use crate::model::{Event, Registry, SchemeId, SubId, Subscription};
 use crate::msg::HyperMsg;
 use crate::repo::{HostedRepo, RepoKey, ZoneRepo};
 use crate::sim::PubSubNode;
@@ -252,8 +252,8 @@ pub const TOKEN_FIX_FINGERS: u64 = 3;
 pub const TOKEN_LEASE: u64 = 4;
 /// Timer tokens in `[PUBLISH_BASE, RETRY_BASE)` publish scripted event
 /// `token - PUBLISH_BASE` — for every node type the driver runs, not only
-/// this one (see [`crate::sim::Net::schedule_publish`]).
-pub const TOKEN_PUBLISH_BASE: u64 = 1 << 32;
+/// this one (see [`crate::sim::fire_scripted`]).
+pub(crate) const TOKEN_PUBLISH_BASE: u64 = 1 << 32;
 /// Timer tokens at or above this fire the retransmit check for reliable
 /// send `token - RETRY_BASE` (see `retry.rs`).
 pub const TOKEN_RETRY_BASE: u64 = 1 << 48;
@@ -328,6 +328,14 @@ impl HyperSubNode {
     /// Convenience accessor for the Chord routing state.
     pub fn chord(&self) -> &ChordState {
         &self.maint.chord
+    }
+
+    /// Starts Chord maintenance, in either host: stabilize and
+    /// fix-fingers tick from one period on, each re-arming itself.
+    pub fn start_maintenance(&mut self, ctx: &mut Cx<'_>) {
+        self.maintenance = true;
+        ctx.set_timer(hypersub_chord::proto::STABILIZE_PERIOD, TOKEN_STABILIZE);
+        ctx.set_timer(hypersub_chord::proto::FIX_FINGERS_PERIOD, TOKEN_FIX_FINGERS);
     }
 
     /// Allocates a fresh internal id bound to `target`.
@@ -416,14 +424,11 @@ impl Node<HyperMsg, HyperWorld> for HyperSubNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Cx<'_>, token: u64) {
-        if token >= TOKEN_RETRY_BASE {
-            self.retry_fire(ctx, token - TOKEN_RETRY_BASE);
+        if crate::sim::fire_scripted(self, ctx, token) {
             return;
         }
-        if token >= TOKEN_PUBLISH_BASE {
-            let idx = (token - TOKEN_PUBLISH_BASE) as usize;
-            let s = ctx.world().take_scripted(idx);
-            self.publish_event(ctx, s.scheme, s.event, s.expected);
+        if token >= TOKEN_RETRY_BASE {
+            self.retry_fire(ctx, token - TOKEN_RETRY_BASE);
             return;
         }
         match token {
@@ -451,6 +456,10 @@ impl PubSubNode for HyperSubNode {
 
     fn subscribe(&mut self, ctx: &mut Cx<'_>, scheme: SchemeId, sub: Subscription) -> SubId {
         HyperSubNode::subscribe(self, ctx, scheme, sub)
+    }
+
+    fn publish(&mut self, ctx: &mut Cx<'_>, scheme: SchemeId, event: Event) {
+        HyperSubNode::publish(self, ctx, scheme, event)
     }
 
     fn load(&self) -> u64 {

@@ -7,17 +7,14 @@ use crate::error::{HyperSubError, Result};
 use crate::metrics::{DeliveryRecord, EventStats, Metrics};
 use crate::model::{Event, Registry, SchemeId, SubId, Subscription};
 use crate::msg::HyperMsg;
-use crate::node::{
-    HyperSubNode, IidTarget, TOKEN_FIX_FINGERS, TOKEN_LB, TOKEN_LEASE, TOKEN_PUBLISH_BASE,
-    TOKEN_STABILIZE,
-};
+use crate::node::{HyperSubNode, TOKEN_LB, TOKEN_LEASE, TOKEN_PUBLISH_BASE, TOKEN_RETRY_BASE};
 use crate::world::{HyperWorld, Oracle, Scripted};
 use hypersub_chord::builder::{build_ring, RingConfig};
 use hypersub_chord::ChordState;
 use hypersub_lph::Point;
 use hypersub_simnet::{
-    Ctx, FlightRecorder, KingLikeTopology, NetStats, Node, Payload, Sim, SimSnapshot, SimTime,
-    Topology, UniformTopology,
+    Ctx, FlightRecorder, KingLikeTopology, NetStats, Node, Payload, Sim, SimEvent, SimSnapshot,
+    SimTime, Topology, UniformTopology,
 };
 use hypersub_snapshot::{codec, Decode, Encode, Reader, Writer};
 use std::sync::Arc;
@@ -101,6 +98,11 @@ pub trait PubSubNode: Node<Self::Msg, HyperWorld> {
         sub: Subscription,
     ) -> SubId;
 
+    /// Publishes `event` from this node (for HyperSub, Algorithm 4). The
+    /// node records nothing: [`publish_counted`] has recorded the
+    /// publication before it calls this.
+    fn publish(&mut self, ctx: &mut Ctx<'_, Self::Msg, HyperWorld>, scheme: SchemeId, event: Event);
+
     /// Entries stored on this node — the §5 load metric, in whatever the
     /// system's storage unit is (subscriptions, replicas, group members).
     fn load(&self) -> u64;
@@ -118,6 +120,47 @@ pub trait PubSubNode: Node<Self::Msg, HyperWorld> {
     fn has_periodic_timers(&self) -> bool {
         false
     }
+}
+
+/// Publishes `event` from `node`: records the publication with
+/// `expected`, the driver's count of the subscriptions it matches, then
+/// hands it to the node. The one place a publication is recorded:
+/// [`Net::publish`], a script entry's timer ([`fire_scripted`]) and a live
+/// host, which has no ground truth and passes 0, all come through here.
+pub fn publish_counted<N: PubSubNode>(
+    node: &mut N,
+    ctx: &mut Ctx<'_, N::Msg, HyperWorld>,
+    scheme: SchemeId,
+    event: Event,
+    expected: usize,
+) {
+    let (me, now) = (ctx.me(), ctx.now());
+    ctx.world()
+        .metrics
+        .record_publish(event.id, now, me, expected);
+    node.publish(ctx, scheme, event);
+}
+
+/// Publishes the script entry a timer token names, if it names one, and
+/// says whether it did. Every node type's `on_timer` asks this first.
+pub fn fire_scripted<N: PubSubNode>(
+    node: &mut N,
+    ctx: &mut Ctx<'_, N::Msg, HyperWorld>,
+    token: u64,
+) -> bool {
+    let Some(idx) = script_index(token) else {
+        return false;
+    };
+    let s = ctx.world().take_scripted(idx);
+    publish_counted(node, ctx, s.scheme, s.event, s.expected);
+    true
+}
+
+/// The script entry a publish timer's token names.
+fn script_index(token: u64) -> Option<usize> {
+    (TOKEN_PUBLISH_BASE..TOKEN_RETRY_BASE)
+        .contains(&token)
+        .then(|| (token - TOKEN_PUBLISH_BASE) as usize)
 }
 
 /// Fluent constructor for a [`Net`], obtained from [`Network::builder`],
@@ -297,10 +340,10 @@ impl NetworkBuilder {
 ///
 /// The oracle is the driver's, not the nodes': [`Net::subscribe`] and
 /// [`Network::unsubscribe`] are its only writers, and each publication is
-/// handed its match count. A scheduled one is counted when it is
-/// scheduled, and every later subscribe or unsubscribe corrects the count
-/// of each entry still waiting in the script, so it is the count as of
-/// the moment the event fires.
+/// recorded with its match count ([`publish_counted`]). A scheduled one
+/// is counted when it is scheduled, and every later subscribe or
+/// unsubscribe corrects the count of each entry still waiting in the
+/// script, so it is the count as of the moment the event fires.
 pub struct Net<N: PubSubNode> {
     pub(crate) sim: Sim<N, N::Msg, HyperWorld>,
     /// Ground truth: every live subscription.
@@ -370,6 +413,20 @@ impl<N: PubSubNode> Net<N> {
         self.sim
             .schedule_timer(at, node, TOKEN_PUBLISH_BASE + idx as u64);
         self.scheduled_events += 1;
+        Ok(id)
+    }
+
+    /// Publishes an event from `node` right now. Returns the event id.
+    ///
+    /// # Errors
+    /// [`HyperSubError::NodeOutOfRange`] for a bad index.
+    pub fn publish(&mut self, node: usize, scheme: SchemeId, point: Point) -> Result<u64> {
+        self.check_node(node)?;
+        let id = self.alloc_event_id();
+        let expected = self.oracle.expected_count(scheme, &point);
+        self.sim.with_node_ctx(node, |n, ctx| {
+            publish_counted(n, ctx, scheme, Event { id, point }, expected)
+        });
         Ok(id)
     }
 
@@ -555,35 +612,11 @@ impl Net<HyperSubNode> {
         Ok(())
     }
 
-    /// Publishes an event from `node` right now. Returns the event id.
-    ///
-    /// # Errors
-    /// [`HyperSubError::NodeOutOfRange`] for a bad index.
-    pub fn publish(&mut self, node: usize, scheme: SchemeId, point: Point) -> Result<u64> {
-        self.check_node(node)?;
-        let id = self.alloc_event_id();
-        let expected = self.oracle.expected_count(scheme, &point);
-        self.sim.with_node_ctx(node, |n, ctx| {
-            n.publish_event(ctx, scheme, Event { id, point }, expected)
-        });
-        Ok(id)
-    }
-
     /// Enables Chord maintenance (stabilize/fix-fingers) on every node —
     /// needed for churn scenarios.
     pub fn enable_maintenance(&mut self) {
         for i in 0..self.sim.len() {
-            self.sim.node_mut(i).maintenance = true;
-            self.sim.schedule_timer(
-                self.time() + hypersub_chord::proto::STABILIZE_PERIOD,
-                i,
-                TOKEN_STABILIZE,
-            );
-            self.sim.schedule_timer(
-                self.time() + hypersub_chord::proto::FIX_FINGERS_PERIOD,
-                i,
-                TOKEN_FIX_FINGERS,
-            );
+            self.sim.with_node_ctx(i, |n, ctx| n.start_maintenance(ctx));
         }
     }
 
@@ -601,18 +634,8 @@ impl Net<HyperSubNode> {
         Ok(())
     }
 
-    /// Revives a failed node.
-    ///
-    /// The engine silently discards timer events addressed to dead nodes,
-    /// so every enabled periodic timer (maintenance, load balancing,
-    /// leases) is re-armed here. With self-healing enabled the node also
-    /// *rejoins fresh*: its pre-failure rendezvous state (repositories,
-    /// hosted entries, replicas, volatile LB and retry bookkeeping) is
-    /// stale — successors promoted it while the node was down — and is
-    /// dropped; leases and stabilization rebuild what the node should own.
-    /// Local subscriptions and Chord identity survive (the application
-    /// did not crash away its intent, and the ring id is the node). With
-    /// self-healing disabled the legacy semantics hold: state unchanged.
+    /// Revives a failed node, which then rejoins (`HyperSubNode::rejoin`:
+    /// periodic timers re-armed, stale state dropped under self-healing).
     ///
     /// # Errors
     /// [`HyperSubError::NodeOutOfRange`] for a bad index,
@@ -623,57 +646,7 @@ impl Net<HyperSubNode> {
             return Err(HyperSubError::AliveNode { node });
         }
         self.sim.revive(node);
-        let n = self.sim.node(node);
-        let heal = n.cfg.heal.enabled;
-        let lb = n.cfg.lb.enabled;
-        let lease_period = n.cfg.heal.lease_period;
-        let lb_period = n.cfg.lb.period;
-        let maintenance = n.maintenance;
-        if heal {
-            self.sim.with_node_ctx(node, |n, ctx| {
-                // Liveness observations predate the downtime: stale
-                // tombstones would make this node refuse the very gossip
-                // that re-knits its neighborhood (see
-                // `MaintState::rejoin_reset`).
-                n.maint.rejoin_reset();
-                n.repos.clear();
-                n.hosted.clear();
-                n.replicas.clear();
-                n.iids.retain(|_, t| matches!(t, IidTarget::Local));
-                n.lb.samples.clear();
-                n.lb.pending.clear();
-                n.lb.in_flight.clear();
-                n.lb.migrated_index.clear();
-                n.rel.pending.clear();
-                let me = ctx.me() as u64;
-                ctx.trace(|| hypersub_simnet::ProtoEvent {
-                    kind: "repair.rejoin",
-                    flow: None,
-                    a: me,
-                    b: 0,
-                });
-            });
-        }
-        let now = self.time();
-        if maintenance {
-            self.sim.schedule_timer(
-                now + hypersub_chord::proto::STABILIZE_PERIOD,
-                node,
-                TOKEN_STABILIZE,
-            );
-            self.sim.schedule_timer(
-                now + hypersub_chord::proto::FIX_FINGERS_PERIOD,
-                node,
-                TOKEN_FIX_FINGERS,
-            );
-        }
-        if lb {
-            self.sim.schedule_timer(now + lb_period, node, TOKEN_LB);
-        }
-        if heal {
-            self.sim
-                .schedule_timer(now + lease_period, node, TOKEN_LEASE);
-        }
+        self.sim.with_node_ctx(node, |n, ctx| n.rejoin(ctx));
         Ok(())
     }
 
@@ -748,6 +721,7 @@ impl Net<HyperSubNode> {
                 hypersub_snapshot::Error::InvalidValue("snapshot liveness length"),
             ));
         }
+        check_queue(&snap.queue_entries, n, &script)?;
         let next_event_id = r.take_u64()?;
         let scheduled_events = r.take_u64()?;
         r.finish().map_err(HyperSubError::Snapshot)?;
@@ -762,6 +736,41 @@ impl Net<HyperSubNode> {
             topo_desc: desc,
         })
     }
+}
+
+/// Refuses a restored queue that running it would panic on: an event
+/// naming a node past the network's `nodes`, or a publish timer naming a
+/// script entry that is not waiting or that another timer names too.
+fn check_queue(
+    queue: &[(SimTime, u64, SimEvent<HyperMsg>)],
+    nodes: usize,
+    script: &[Option<Scripted>],
+) -> Result<()> {
+    let invalid = |what| {
+        Err(HyperSubError::Snapshot(
+            hypersub_snapshot::Error::InvalidValue(what),
+        ))
+    };
+    let mut named = vec![false; script.len()];
+    for (_, _, event) in queue {
+        let (a, b) = match *event {
+            SimEvent::Deliver { src, dst, .. } => (src, dst),
+            SimEvent::SendFailed { origin, dst, .. } => (origin, dst),
+            SimEvent::Timer { node, token } => {
+                if let Some(idx) = script_index(token) {
+                    match named.get_mut(idx) {
+                        Some(seen) if !*seen && script[idx].is_some() => *seen = true,
+                        _ => return invalid("publish timer names no waiting script entry"),
+                    }
+                }
+                (node, node)
+            }
+        };
+        if a.max(b) >= nodes {
+            return invalid("queued event names a node past the network");
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1165,6 +1174,106 @@ mod tests {
         SystemConfig::default().encode(&mut w);
         w.put_u64(1 << 60);
         assert!(Network::restore(&hypersub_snapshot::seal(w.into_vec())).is_err());
+    }
+
+    /// A queue is checked against the network it is restored into: an
+    /// event naming a node past the network, or a publish timer naming a
+    /// script entry that is not waiting or that another timer names too,
+    /// is refused rather than panicking once the network runs.
+    #[test]
+    fn a_queue_that_would_panic_is_refused() {
+        type Queued = (SimTime, u64, SimEvent<HyperMsg>);
+        /// `sealed` with `entry`'s bytes — which must occur in it once —
+        /// replaced by those of the same entry holding `event`.
+        fn requeue(sealed: &[u8], entry: &Queued, event: SimEvent<HyperMsg>) -> Vec<u8> {
+            let bytes = |e: &Queued| {
+                let mut w = Writer::new();
+                e.encode(&mut w);
+                w.into_vec()
+            };
+            let honest = bytes(entry);
+            let payload = hypersub_snapshot::unseal(sealed).unwrap();
+            let at: Vec<usize> = (0..=payload.len() - honest.len())
+                .filter(|&i| payload[i..].starts_with(&honest))
+                .collect();
+            assert_eq!(at.len(), 1, "the entry's bytes occur once in the snapshot");
+            let mut hostile = payload[..at[0]].to_vec();
+            hostile.extend_from_slice(&bytes(&(entry.0, entry.1, event)));
+            hostile.extend_from_slice(&payload[at[0] + honest.len()..]);
+            hypersub_snapshot::seal(hostile)
+        }
+        let refused = |what| {
+            Err(HyperSubError::Snapshot(
+                hypersub_snapshot::Error::InvalidValue(what),
+            ))
+        };
+        let past_the_network = refused("queued event names a node past the network");
+        let not_waiting = refused("publish timer names no waiting script entry");
+
+        // Two publish timers waiting (script entries 0 and 1), and the
+        // messages of an immediate publish in flight.
+        let mut net = net_after_one_delivery();
+        for (secs, node) in [(5, 2), (6, 3)] {
+            net.schedule_publish(SimTime::from_secs(secs), node, 0, Point(vec![15.0, 15.0]))
+                .unwrap();
+        }
+        net.publish(0, 0, Point(vec![15.0, 15.0])).unwrap();
+        let sealed = net.snapshot();
+        assert!(Network::restore(&sealed).is_ok());
+        let queue = net.sim.export_state().queue_entries;
+        let timer = |idx: u64| {
+            let token = TOKEN_PUBLISH_BASE + idx;
+            queue
+                .iter()
+                .find(|e| matches!(e.2, SimEvent::Timer { token: t, .. } if t == token))
+                .unwrap()
+        };
+        let deliver = queue
+            .iter()
+            .find(|e| matches!(e.2, SimEvent::Deliver { .. }))
+            .unwrap();
+        let SimEvent::Deliver { src, msg, .. } = deliver.2.clone() else {
+            unreachable!()
+        };
+        let publish_timer = |node, idx| SimEvent::Timer {
+            node,
+            token: TOKEN_PUBLISH_BASE + idx,
+        };
+        for (hostile, verdict) in [
+            (
+                requeue(&sealed, timer(0), publish_timer(4, 0)),
+                &past_the_network,
+            ),
+            (
+                requeue(&sealed, deliver, SimEvent::Deliver { src, dst: 9, msg }),
+                &past_the_network,
+            ),
+            (
+                requeue(&sealed, timer(1), publish_timer(3, 2)),
+                &not_waiting,
+            ),
+            (
+                requeue(&sealed, timer(1), publish_timer(3, 0)),
+                &not_waiting,
+            ),
+        ] {
+            assert_eq!(Network::restore(&hostile).map(|_| ()), *verdict);
+        }
+
+        // Entry 0 fired: a timer naming it again is refused too.
+        net.run_until(SimTime::from_secs(5) + SimTime::from_millis(1));
+        let sealed = net.snapshot();
+        let queue = net.sim.export_state().queue_entries;
+        let last = queue
+            .iter()
+            .find(
+                |e| matches!(e.2, SimEvent::Timer { token, .. } if token == TOKEN_PUBLISH_BASE + 1),
+            )
+            .unwrap();
+        assert_eq!(
+            Network::restore(&requeue(&sealed, last, publish_timer(3, 0))).map(|_| ()),
+            not_waiting
+        );
     }
 
     /// A count and its entries are stated separately, so a snapshot can

@@ -313,7 +313,8 @@ pub struct Scripted {
     pub event: Event,
     /// The subscriptions that match the event, counted by the driver.
     /// While the entry waits, the driver keeps this equal to the oracle's
-    /// count, so the node records the count as of the moment it fires.
+    /// count, so the publication is recorded with the count as of the
+    /// moment it fires.
     pub expected: usize,
 }
 

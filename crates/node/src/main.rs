@@ -35,12 +35,12 @@
 //! contact for everyone else.
 
 use hypersub_chord::builder::random_ids;
-use hypersub_chord::proto::{FIX_FINGERS_PERIOD, STABILIZE_PERIOD};
 use hypersub_chord::ChordState;
 use hypersub_core::config::SystemConfig;
 use hypersub_core::model::{Event, Registry, SchemeDef, Subscription};
 use hypersub_core::msg::HyperMsg;
-use hypersub_core::node::{HyperSubNode, TOKEN_FIX_FINGERS, TOKEN_STABILIZE};
+use hypersub_core::node::HyperSubNode;
+use hypersub_core::sim::publish_counted;
 use hypersub_core::world::HyperWorld;
 use hypersub_lph::{Point, Rect};
 use hypersub_net::driver::{run_until, LiveConfig, LiveNode};
@@ -175,12 +175,11 @@ fn serve(args: &[String]) -> ExitCode {
     // Every process draws the same id vector from the shared seed, so the
     // ring id space is agreed without any out-of-band exchange.
     let id = random_ids(n, a.seed)[a.index];
-    let mut node = HyperSubNode::new(
+    let node = HyperSubNode::new(
         ChordState::new(id, a.index, SUCC_LIST_LEN),
         Arc::new(demo_registry()),
         Arc::new(SystemConfig::default()),
     );
-    node.maintenance = true;
 
     let cfg = LiveConfig {
         index: a.index,
@@ -197,12 +196,11 @@ fn serve(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     };
 
-    // Arm Chord maintenance and, on non-bootstrap nodes, start the join.
+    // Start Chord maintenance and, on non-bootstrap nodes, the join.
     // The bootstrap node begins as a singleton ring that owns every key.
     let (index, bootstrap) = (a.index, a.bootstrap);
     live.call(|node, ctx| {
-        ctx.set_timer(STABILIZE_PERIOD, TOKEN_STABILIZE);
-        ctx.set_timer(FIX_FINGERS_PERIOD, TOKEN_FIX_FINGERS);
+        node.start_maintenance(ctx);
         if index != bootstrap {
             for (dst, m) in node.maint.start_join(bootstrap) {
                 ctx.send(dst, HyperMsg::Chord(m));
@@ -310,8 +308,8 @@ fn handle_command(live: &mut Live, line: &str, next_event: &mut u64) -> (String,
             let id = *next_event;
             *next_event += 1;
             // One process sees its own subscriptions only, so there is no
-            // ground truth to count: the event records 0 expected.
-            live.call(|node, ctx| node.publish_event(ctx, 0, Event { id, point }, 0));
+            // ground truth to count: the event is recorded with 0 expected.
+            live.call(|node, ctx| publish_counted(node, ctx, 0, Event { id, point }, 0));
             (format!("ok pub {id}"), false)
         }
         ["deliveries"] => {

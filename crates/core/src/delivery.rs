@@ -221,7 +221,7 @@ impl HyperSubNode {
                 let mut matched = 0u64;
                 loop {
                     if let Some(repo) = self.repos.get_mut(&(msg.scheme, msg.ss, z)) {
-                        if self.dedup.insert(msg.event.id, repo.iid) {
+                        if self.dedup.insert(msg.event.id, repo.iid, ctx.now()) {
                             repo.match_into(&msg.event.point, proj, self.cfg.index_mode, matches);
                             matched += matches.len() as u64;
                             merge(matches);
@@ -252,7 +252,7 @@ impl HyperSubNode {
             // Each (event, iid) pair is handled at most once per node —
             // the visit-once invariant that makes delivery idempotent
             // under retransmission and fault-injected duplication.
-            Some(iid) if self.dedup.insert(msg.event.id, iid) => {
+            Some(iid) if self.dedup.insert(msg.event.id, iid, ctx.now()) => {
                 match self.iids.get(&iid).copied() {
                     Some(IidTarget::Local) => {
                         // Deliver to the local application/user.

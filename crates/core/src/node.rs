@@ -8,26 +8,49 @@ use crate::sim::PubSubNode;
 use crate::world::HyperWorld;
 use hypersub_chord::proto::MaintState;
 use hypersub_chord::ChordState;
-use hypersub_simnet::{Ctx, FxHashMap, FxHashSet, Node};
+use hypersub_simnet::{Ctx, FxHashMap, FxHashSet, Node, SimTime};
 use hypersub_snapshot::{codec, Decode, Encode, Error, Reader, Writer};
 use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Pairs a node remembers before the oldest ages out — of `(token,
 /// sender)` in [`DedupCache`], of `(event, internal id)` in
-/// [`EventDedup`].
+/// [`EventDedup`]. A hard bound on a live node's memory; the window
+/// below is what forgets in practice.
 const DEDUP_CAPACITY: usize = 1 << 17;
 
+/// How long both guards remember: what was first seen more than this
+/// long before an insert is forgotten by it. A retransmission follows
+/// its original by at most 7.75 s under the default `RetryConfig`
+/// (250 ms × (2⁵ − 1)). The oldest duplicates seen rejected came 1.12 s
+/// (an event) and 3.75 s (a retransmission) after the first copy; DESIGN.md
+/// gives the measurements and the configurations the window does not cover.
+pub const DEDUP_WINDOW: SimTime = SimTime::from_secs(60);
+
+/// Drops from the front of `order` every key first seen more than
+/// [`DEDUP_WINDOW`] before `now`, handing each to `forget`.
+fn expire<K: Copy>(order: &mut VecDeque<(K, SimTime)>, now: SimTime, mut forget: impl FnMut(K)) {
+    while let Some(&(key, first_seen)) = order.front() {
+        if now.saturating_sub(first_seen) <= DEDUP_WINDOW {
+            break;
+        }
+        order.pop_front();
+        forget(key);
+    }
+}
+
 /// A capacity-bounded first-in-first-out set of `(u64, u32)` pairs: the
-/// reliable layer's `(token, sender)` memory (see `retry.rs`). Entries age
-/// out FIFO — a retransmission follows its original within seconds of
-/// simulated time, so a bounded window is safe.
+/// reliable layer's `(token, sender)` memory (see `retry.rs`). A pair is
+/// forgotten [`DEDUP_WINDOW`] after it was first seen, or earlier when
+/// the cache is full and it is the oldest.
 #[derive(Debug, Clone)]
 pub struct DedupCache {
     // Membership-only (never iterated), so the fixed-seed fast hasher is
     // safe; eviction order is carried by the explicit FIFO queue.
     set: FxHashSet<(u64, u32)>,
-    order: std::collections::VecDeque<(u64, u32)>,
+    /// The pairs in `set` with the time each was first seen, oldest first.
+    order: VecDeque<((u64, u32), SimTime)>,
     capacity: usize,
 }
 
@@ -37,19 +60,23 @@ impl DedupCache {
         assert!(capacity > 0);
         Self {
             set: FxHashSet::default(),
-            order: std::collections::VecDeque::new(),
+            order: VecDeque::new(),
             capacity,
         }
     }
 
-    /// Inserts the pair; returns `true` if it was new.
-    pub fn insert(&mut self, pair: (u64, u32)) -> bool {
+    /// Inserts the pair, seen at `now`; returns `true` if it was new.
+    pub fn insert(&mut self, pair: (u64, u32), now: SimTime) -> bool {
+        let set = &mut self.set;
+        expire(&mut self.order, now, |old| {
+            set.remove(&old);
+        });
         if !self.set.insert(pair) {
             return false;
         }
-        self.order.push_back(pair);
+        self.order.push_back((pair, now));
         if self.order.len() > self.capacity {
-            if let Some(old) = self.order.pop_front() {
+            if let Some((old, _)) = self.order.pop_front() {
                 self.set.remove(&old);
             }
         }
@@ -85,16 +112,21 @@ impl Default for DedupCache {
 ///
 /// Keyed by event, because that is how the pairs arrive: one message
 /// names one event and a handful of internal ids, so one probe finds the
-/// event's id list and the rest is a scan of a few words. Pairs age
-/// out oldest event first — events finish delivery within seconds of
-/// simulated time, so a bounded window is safe.
+/// event's id list and the rest is a scan of a few words.
+///
+/// An event is forgotten whole, with every id listed under it,
+/// [`DEDUP_WINDOW`] after it was first seen: events finish delivery
+/// within seconds of simulated time, so what a node holds is the events
+/// of the last minute, not of the whole run. Past the pair capacity the
+/// oldest pair of the oldest event goes first.
 #[derive(Debug, Clone)]
 pub struct EventDedup {
     // Lookups only (never iterated), so the fixed-seed fast hasher is
     // safe; age is carried by `order`.
     by_event: FxHashMap<u64, IidList>,
-    /// The events in `by_event`, in first-seen order.
-    order: std::collections::VecDeque<u64>,
+    /// The events in `by_event` with the time each was first seen, oldest
+    /// first.
+    order: VecDeque<(u64, SimTime)>,
     /// Pairs held over all events.
     pairs: usize,
     capacity: usize,
@@ -175,19 +207,26 @@ impl EventDedup {
         assert!(capacity > 0);
         Self {
             by_event: FxHashMap::default(),
-            order: std::collections::VecDeque::new(),
+            order: VecDeque::new(),
             pairs: 0,
             capacity,
         }
     }
 
-    /// Records `(event, iid)`; returns `true` if it was new. Over
-    /// capacity the oldest pair of the oldest event is forgotten.
-    pub fn insert(&mut self, event: u64, iid: u32) -> bool {
+    /// Records `(event, iid)`, seen at `now`; returns `true` if it was
+    /// new. Events first seen more than [`DEDUP_WINDOW`] before `now` are
+    /// forgotten first. Over capacity the oldest pair of the oldest event
+    /// is forgotten.
+    pub fn insert(&mut self, event: u64, iid: u32, now: SimTime) -> bool {
+        let (by_event, pairs) = (&mut self.by_event, &mut self.pairs);
+        expire(&mut self.order, now, |old| {
+            let list = by_event.remove(&old).expect("listed in order");
+            *pairs -= list.as_slice().len();
+        });
         let list = match self.by_event.entry(event) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(e) => {
-                self.order.push_back(event);
+                self.order.push_back((event, now));
                 e.insert(IidList::EMPTY)
             }
         };
@@ -197,7 +236,7 @@ impl EventDedup {
         self.pairs += 1;
         if self.pairs > self.capacity {
             // `capacity > 0`, so the pair just added is not the one dropped.
-            let oldest = *self.order.front().expect("pairs are held");
+            let (oldest, _) = *self.order.front().expect("pairs are held");
             let list = self.by_event.get_mut(&oldest).expect("listed in order");
             list.pop_front();
             if list.as_slice().is_empty() {
@@ -217,6 +256,11 @@ impl EventDedup {
     /// True when nothing is remembered.
     pub fn is_empty(&self) -> bool {
         self.pairs == 0
+    }
+
+    /// When the oldest remembered event was first seen.
+    pub fn oldest(&self) -> Option<SimTime> {
+        self.order.front().map(|&(_, first_seen)| first_seen)
     }
 }
 
@@ -484,22 +528,23 @@ impl PubSubNode for HyperSubNode {
     }
 }
 
-// Hand-written codec: the decoder validates (capacity, fill, duplicates)
-// and derives the membership set.
+// Hand-written codec: the decoder validates (capacity, fill, duplicates,
+// age order) and derives the membership set.
+/// `capacity, n`, then each pair with its first-seen time, oldest first.
 impl Encode for DedupCache {
     fn encode(&self, w: &mut Writer) {
         self.capacity.encode(w);
         // FIFO order is the authoritative state; the membership set is
         // derived from it on decode.
         w.put_u64(self.order.len() as u64);
-        for pair in &self.order {
-            pair.encode(w);
+        for entry in &self.order {
+            entry.encode(w);
         }
     }
 }
 
 /// Reads the `capacity, n` both dedup structures lead with: at least
-/// one pair of room, no more pairs than room.
+/// one pair of room, no more entries than room.
 fn decode_dedup_header(r: &mut Reader<'_>) -> Result<(usize, usize), Error> {
     let capacity = usize::decode(r)?;
     if capacity == 0 {
@@ -512,15 +557,33 @@ fn decode_dedup_header(r: &mut Reader<'_>) -> Result<(usize, usize), Error> {
     Ok((capacity, n))
 }
 
+/// Reads the first-seen time of the entry that follows `order`'s last:
+/// it may not be the earlier of the two.
+fn decode_first_seen<K>(
+    r: &mut Reader<'_>,
+    order: &VecDeque<(K, SimTime)>,
+) -> Result<SimTime, Error> {
+    let first_seen = SimTime::decode(r)?;
+    match order.back() {
+        Some(&(_, last)) if first_seen < last => {
+            Err(Error::InvalidValue("dedup first-seen times out of order"))
+        }
+        _ => Ok(first_seen),
+    }
+}
+
 impl Decode for DedupCache {
     fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
         let (capacity, n) = decode_dedup_header(r)?;
-        // Grown by insertion, so a hostile `n` allocates nothing.
+        // Grown entry by entry, so a hostile `n` allocates nothing.
         let mut cache = DedupCache::new(capacity);
         for _ in 0..n {
-            if !cache.insert(<(u64, u32)>::decode(r)?) {
+            let pair = <(u64, u32)>::decode(r)?;
+            let first_seen = decode_first_seen(r, &cache.order)?;
+            if !cache.set.insert(pair) {
                 return Err(Error::InvalidValue("dedup cache duplicate"));
             }
+            cache.order.push_back((pair, first_seen));
         }
         Ok(cache)
     }
@@ -528,32 +591,45 @@ impl Decode for DedupCache {
 
 // Hand-written codec: the decoder validates like [`DedupCache`]'s and
 // rebuilds the per-event lists.
-/// The layout [`DedupCache`] writes — `capacity, n, pairs` — with the
-/// pairs event by event in first-seen order, so a snapshot written by
-/// either decodes into the other.
+/// `capacity, n`, then each event, oldest first, as its id, its
+/// first-seen time and its internal ids in insertion order.
 impl Encode for EventDedup {
     fn encode(&self, w: &mut Writer) {
         self.capacity.encode(w);
-        w.put_u64(self.pairs as u64);
-        for &event in &self.order {
-            for &iid in self.by_event[&event].as_slice() {
-                (event, iid).encode(w);
-            }
+        w.put_u64(self.order.len() as u64);
+        for &(event, first_seen) in &self.order {
+            (event, first_seen).encode(w);
+            self.by_event[&event].as_slice().encode(w);
         }
     }
 }
 
-/// Accepts the pairs in any order: an event's age is that of its first
-/// pair.
 impl Decode for EventDedup {
     fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
         let (capacity, n) = decode_dedup_header(r)?;
         let mut dedup = EventDedup::new(capacity);
         for _ in 0..n {
-            let (event, iid) = <(u64, u32)>::decode(r)?;
-            if !dedup.insert(event, iid) {
+            let event = r.take_u64()?;
+            let first_seen = decode_first_seen(r, &dedup.order)?;
+            let Entry::Vacant(slot) = dedup.by_event.entry(event) else {
                 return Err(Error::InvalidValue("dedup cache duplicate"));
+            };
+            let ids = usize::decode(r)?;
+            if ids == 0 {
+                return Err(Error::InvalidValue("dedup event without ids"));
             }
+            // Grown id by id, so a hostile count allocates nothing.
+            let list = slot.insert(IidList::EMPTY);
+            for _ in 0..ids {
+                dedup.pairs += 1;
+                if dedup.pairs > capacity {
+                    return Err(Error::InvalidValue("dedup cache overfull"));
+                }
+                if !list.insert(r.take_u32()?) {
+                    return Err(Error::InvalidValue("dedup cache duplicate"));
+                }
+            }
+            dedup.order.push_back((event, first_seen));
         }
         Ok(dedup)
     }
@@ -657,38 +733,118 @@ mod tests {
         assert!(in_closed_open(7, 7, 7), "degenerate = full ring");
     }
 
+    const T0: SimTime = SimTime::ZERO;
+
     #[test]
     fn dedup_cache_fifo_eviction() {
         let mut d = DedupCache::new(2);
-        assert!(d.insert((1, 1)));
-        assert!(!d.insert((1, 1)));
-        assert!(d.insert((1, 2)));
-        assert!(d.insert((1, 3))); // evicts (1, 1)
-        assert!(d.insert((1, 1)), "evicted pair is insertable again");
+        assert!(d.insert((1, 1), T0));
+        assert!(!d.insert((1, 1), T0));
+        assert!(d.insert((1, 2), T0));
+        assert!(d.insert((1, 3), T0)); // evicts (1, 1)
+        assert!(d.insert((1, 1), T0), "evicted pair is insertable again");
+        assert_eq!(d.len(), 2);
+    }
+
+    #[test]
+    fn dedup_cache_forgets_a_pair_one_microsecond_past_the_window() {
+        let mut d = DedupCache::new(8);
+        let t1 = SimTime::from_secs(1);
+        assert!(d.insert((1, 1), t1));
+        assert!(d.insert((2, 1), t1 + SimTime::from_micros(1)));
+        assert!(!d.insert((1, 1), t1 + DEDUP_WINDOW), "kept at the window");
+        let past = t1 + DEDUP_WINDOW + SimTime::from_micros(1);
+        assert!(d.insert((1, 1), past), "forgotten 1 µs later");
+        assert!(!d.insert((2, 1), past), "the younger pair is kept");
         assert_eq!(d.len(), 2);
     }
 
     #[test]
     fn event_dedup_forgets_the_oldest_pair_of_the_oldest_event() {
         let mut d = EventDedup::new(3);
-        assert!(d.insert(7, 1));
-        assert!(d.insert(9, 1));
-        assert!(d.insert(7, 2));
-        assert!(!d.insert(7, 1) && !d.insert(9, 1) && !d.insert(7, 2));
+        assert!(d.insert(7, 1, T0));
+        assert!(d.insert(9, 1, T0));
+        assert!(d.insert(7, 2, T0));
+        assert!(!d.insert(7, 1, T0) && !d.insert(9, 1, T0) && !d.insert(7, 2, T0));
         // Event 7 was seen first, so its pairs go first, oldest first —
         // although (9, 1) is older than (7, 2).
-        assert!(d.insert(9, 2)); // forgets (7, 1)
+        assert!(d.insert(9, 2, T0)); // forgets (7, 1)
         assert_eq!(d.len(), 3);
-        assert!(!d.insert(7, 2), "event 7's younger pair is still held");
-        assert!(d.insert(9, 3)); // forgets (7, 2): event 7 is empty
+        assert!(!d.insert(7, 2, T0), "event 7's younger pair is still held");
+        assert!(d.insert(9, 3, T0)); // forgets (7, 2): event 7 is empty
         assert!(
             !d.by_event.contains_key(&7),
             "an emptied event leaves the map"
         );
-        assert_eq!(d.order, [9]);
+        assert_eq!(d.order, [(9, T0)]);
         assert_eq!(d.len(), 3);
-        assert!(d.insert(7, 1), "a forgotten pair is insertable again");
-        assert_eq!(d.order, [9, 7], "and its event is now the youngest");
+        assert!(d.insert(7, 1, T0), "a forgotten pair is insertable again");
+        assert_eq!(
+            d.order,
+            [(9, T0), (7, T0)],
+            "and its event is now the youngest"
+        );
+    }
+
+    #[test]
+    fn event_dedup_forgets_a_whole_event_one_microsecond_past_the_window() {
+        let mut d = EventDedup::new(4);
+        let (t1, t2) = (SimTime::from_secs(1), SimTime::from_secs(31));
+        assert!(d.insert(7, 1, t1));
+        assert!(d.insert(9, 1, t2));
+        // Listed under event 7, so it ages with event 7, not from t2.
+        assert!(d.insert(7, 2, t2));
+        assert!(!d.insert(7, 1, t1 + DEDUP_WINDOW), "kept at the window");
+        assert_eq!((d.len(), d.oldest()), (3, Some(t1)));
+        let past = t1 + DEDUP_WINDOW + SimTime::from_micros(1);
+        assert!(!d.insert(9, 1, past), "event 9 is younger");
+        assert_eq!((d.len(), d.oldest()), (1, Some(t2)), "both of 7's ids went");
+        assert!(d.insert(7, 2, past) && d.insert(7, 1, past));
+        assert_eq!(d.order, [(9, t2), (7, past)]);
+        // The capacity rule still holds inside the window.
+        assert!(d.insert(7, 3, past)); // four pairs: at capacity
+        assert!(d.insert(7, 4, past)); // forgets (9, 1): event 9 is empty
+        assert_eq!((d.len(), d.oldest()), (4, Some(past)));
+        assert!(d.insert(9, 1, past), "event 9 was forgotten by the cap");
+    }
+
+    /// A guard's bytes: capacity 8, then entries 1 and 2, first seen at
+    /// `times`, each written by `entry`; and the same bytes re-encoded
+    /// by `D` if they decode.
+    fn decoded<D: Encode + Decode>(
+        times: [u64; 2],
+        entry: impl Fn(&mut Writer, u64, SimTime),
+    ) -> Result<(Vec<u8>, Vec<u8>), Error> {
+        let mut w = Writer::new();
+        8usize.encode(&mut w);
+        w.put_u64(2);
+        for (key, secs) in [1, 2].into_iter().zip(times) {
+            entry(&mut w, key, SimTime::from_secs(secs));
+        }
+        let bytes = w.into_vec();
+        let mut again = Writer::new();
+        D::decode(&mut Reader::new(&bytes))?.encode(&mut again);
+        Ok((bytes, again.into_vec()))
+    }
+
+    #[test]
+    fn decoders_refuse_first_seen_times_out_of_order() {
+        let pair = |w: &mut Writer, token, t| ((token, 3u32), t).encode(w);
+        let event = |w: &mut Writer, event, t| {
+            (event, t).encode(w);
+            [3u32][..].encode(w);
+        };
+        let out_of_order = Err(Error::InvalidValue("dedup first-seen times out of order"));
+        assert_eq!(decoded::<DedupCache>([5, 4], pair), out_of_order);
+        assert_eq!(decoded::<EventDedup>([5, 4], event), out_of_order);
+        // In order, or at one time, the same entries decode to a guard
+        // that writes them back byte for byte.
+        for times in [[4, 5], [4, 4]] {
+            let (bytes, again) = decoded::<DedupCache>(times, pair).unwrap();
+            assert_eq!(again, bytes);
+            let (bytes, again) = decoded::<EventDedup>(times, event).unwrap();
+            assert_eq!(again, bytes);
+        }
     }
 
     #[test]
@@ -701,15 +857,15 @@ mod tests {
         let n = 3 * IidList::INLINE as u32;
         let mut d = EventDedup::new(n as usize);
         for iid in 1..=n {
-            assert!(d.insert(5, iid));
+            assert!(d.insert(5, iid, T0));
         }
         for iid in 1..=n {
-            assert!(!d.insert(5, iid), "iid {iid} is already listed");
+            assert!(!d.insert(5, iid, T0), "iid {iid} is already listed");
         }
         assert_eq!(d.len(), n as usize);
         // Forgetting from a spilled list keeps insertion order.
         for iid in n + 1..=n + 4 {
-            assert!(d.insert(5, iid));
+            assert!(d.insert(5, iid, T0));
         }
         assert_eq!(d.len(), n as usize);
         let left = d.by_event[&5].as_slice();

@@ -115,7 +115,8 @@ impl HyperSubNode {
         inner: HyperMsg,
     ) {
         ctx.send(from, HyperMsg::Ack { token });
-        if self.rel_seen_insert(token, from) {
+        // The dedup cache stores (u64, u32) pairs; node indices fit u32.
+        if self.rel.seen.insert((token, from as u32), ctx.now()) {
             use hypersub_simnet::Node;
             self.on_message(ctx, from, inner);
         }
@@ -198,11 +199,6 @@ impl HyperSubNode {
         self.heal_on_peer_dead(ctx, p.dst);
         // Registrations: the soft-state lease re-installs. Deliveries: the
         // residual loss after max_attempts is the accepted failure floor.
-    }
-
-    fn rel_seen_insert(&mut self, token: u64, from: usize) -> bool {
-        // The dedup cache stores (u64, u32) pairs; node indices fit u32.
-        self.rel.seen.insert((token, from as u32))
     }
 }
 

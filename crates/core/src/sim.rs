@@ -709,6 +709,9 @@ impl Net<HyperSubNode> {
                 Arc::clone(&cfg),
             )?);
         }
+        for node in &nodes {
+            check_peers(node.chord(), n)?;
+        }
         let metrics = Metrics::decode(&mut r)?;
         let mut oracle = Oracle::decode(&mut r)?;
         let mut script = Vec::<Option<Scripted>>::decode(&mut r)?;
@@ -736,6 +739,23 @@ impl Net<HyperSubNode> {
             topo_desc: desc,
         })
     }
+}
+
+/// Refuses restored routing state that names a node past the network's
+/// `nodes` — the node itself, its predecessor, a successor or a finger:
+/// the first send to it would panic.
+fn check_peers(chord: &ChordState, nodes: usize) -> Result<()> {
+    let fingers = chord.fingers();
+    let mut named = std::iter::once(chord.me())
+        .chain(chord.predecessor)
+        .chain(chord.successors().iter().copied())
+        .chain(fingers.into_iter().flatten());
+    if named.any(|p| p.idx >= nodes) {
+        return Err(HyperSubError::Snapshot(
+            hypersub_snapshot::Error::InvalidValue("routing state names a node past the network"),
+        ));
+    }
+    Ok(())
 }
 
 /// Refuses a restored queue that running it would panic on: an event
@@ -1176,6 +1196,26 @@ mod tests {
         assert!(Network::restore(&hypersub_snapshot::seal(w.into_vec())).is_err());
     }
 
+    /// `sealed` with `honest`'s bytes — which must occur in it once —
+    /// replaced by `hostile`'s.
+    fn restate<T: Encode>(sealed: &[u8], honest: &T, hostile: &T) -> Vec<u8> {
+        let bytes = |v: &T| {
+            let mut w = Writer::new();
+            v.encode(&mut w);
+            w.into_vec()
+        };
+        let honest = bytes(honest);
+        let payload = hypersub_snapshot::unseal(sealed).unwrap();
+        let at: Vec<usize> = (0..=payload.len() - honest.len())
+            .filter(|&i| payload[i..].starts_with(&honest))
+            .collect();
+        assert_eq!(at.len(), 1, "the value's bytes occur once in the snapshot");
+        let mut restated = payload[..at[0]].to_vec();
+        restated.extend_from_slice(&bytes(hostile));
+        restated.extend_from_slice(&payload[at[0] + honest.len()..]);
+        hypersub_snapshot::seal(restated)
+    }
+
     /// A queue is checked against the network it is restored into: an
     /// event naming a node past the network, or a publish timer naming a
     /// script entry that is not waiting or that another timer names too,
@@ -1183,24 +1223,9 @@ mod tests {
     #[test]
     fn a_queue_that_would_panic_is_refused() {
         type Queued = (SimTime, u64, SimEvent<HyperMsg>);
-        /// `sealed` with `entry`'s bytes — which must occur in it once —
-        /// replaced by those of the same entry holding `event`.
+        /// `sealed` with `entry` holding `event` instead.
         fn requeue(sealed: &[u8], entry: &Queued, event: SimEvent<HyperMsg>) -> Vec<u8> {
-            let bytes = |e: &Queued| {
-                let mut w = Writer::new();
-                e.encode(&mut w);
-                w.into_vec()
-            };
-            let honest = bytes(entry);
-            let payload = hypersub_snapshot::unseal(sealed).unwrap();
-            let at: Vec<usize> = (0..=payload.len() - honest.len())
-                .filter(|&i| payload[i..].starts_with(&honest))
-                .collect();
-            assert_eq!(at.len(), 1, "the entry's bytes occur once in the snapshot");
-            let mut hostile = payload[..at[0]].to_vec();
-            hostile.extend_from_slice(&bytes(&(entry.0, entry.1, event)));
-            hostile.extend_from_slice(&payload[at[0] + honest.len()..]);
-            hypersub_snapshot::seal(hostile)
+            restate(sealed, entry, &(entry.0, entry.1, event))
         }
         let refused = |what| {
             Err(HyperSubError::Snapshot(
@@ -1274,6 +1299,40 @@ mod tests {
             Network::restore(&requeue(&sealed, last, publish_timer(3, 0))).map(|_| ()),
             not_waiting
         );
+    }
+
+    /// Routing state is checked the same way: a node whose own index,
+    /// predecessor, a successor or a finger names a node past the network
+    /// is refused; the first send to it would panic.
+    #[test]
+    fn routing_state_naming_a_node_past_the_network_is_refused() {
+        use hypersub_chord::Peer;
+        let net = net_after_one_delivery();
+        let sealed = net.snapshot();
+        let honest = net.nodes()[0].chord().clone();
+        let stranger = Peer {
+            id: honest.id.wrapping_add(1),
+            idx: net.nodes().len(),
+        };
+        let mut me = honest.clone();
+        me.idx = stranger.idx;
+        let mut predecessor = honest.clone();
+        predecessor.predecessor = Some(stranger);
+        let mut successor = honest.clone();
+        successor.add_successor(stranger);
+        let mut finger = honest.clone();
+        finger.set_finger(63, Some(stranger));
+        for hostile in [me, predecessor, successor, finger] {
+            assert_eq!(
+                Network::restore(&restate(&sealed, &honest, &hostile)).map(|_| ()),
+                Err(HyperSubError::Snapshot(
+                    hypersub_snapshot::Error::InvalidValue(
+                        "routing state names a node past the network"
+                    )
+                ))
+            );
+        }
+        assert!(Network::restore(&restate(&sealed, &honest, &honest)).is_ok());
     }
 
     /// A count and its entries are stated separately, so a snapshot can

@@ -5,7 +5,7 @@
 //! checkpoint/restore plane. It deliberately avoids serde (matching the
 //! report crate's serde-free style): every byte written is explicit, so
 //! the on-disk format is pinned by code review plus the golden
-//! byte-stability test (`tests/golden/snapshot_v1.bin`), not by a
+//! byte-stability test (`tests/golden/snapshot_v2.bin`), not by a
 //! derive's implementation details.
 //!
 //! Format rules:
@@ -39,7 +39,10 @@ use std::sync::Arc;
 pub const MAGIC: [u8; 4] = *b"HSNP";
 
 /// Current snapshot format version. Bump on ANY byte-layout change.
-pub const VERSION: u32 = 1;
+///
+/// 2: both dedup guards carry each entry's first-seen time, and
+/// `EventDedup` writes each event once with its id list.
+pub const VERSION: u32 = 2;
 
 /// Decode-side failure. Encoding is infallible by construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -838,7 +841,7 @@ mod tests {
         // 4 magic + 4 version + 8 len + payload + 8 checksum.
         let bytes = to_sealed_bytes(&7u8);
         assert_eq!(bytes.len(), 4 + 4 + 8 + 1 + 8);
-        assert_eq!(bytes[4], 1); // version 1, little-endian low byte
+        assert_eq!(bytes[4], 2); // version 2, little-endian low byte
         assert_eq!(bytes[8], 1); // payload length 1
         assert_eq!(bytes[16], 7); // payload itself
     }

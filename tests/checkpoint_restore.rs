@@ -9,8 +9,10 @@
 //! extends the check to random checkpoint times and random feature
 //! combinations.
 
+use hypersub_core::node::DEDUP_WINDOW;
 use hypersub_core::prelude::*;
 use hypersub_simnet::{FaultPlane, LinkPolicy};
+use hypersub_snapshot::{Encode, Writer};
 use hypersub_workload::{WorkloadGen, WorkloadSpec};
 use proptest::prelude::*;
 
@@ -194,6 +196,60 @@ fn split_run_with_lb_healing_and_node_failure() {
     assert_eq!(resumed.deliveries(), reference.deliveries());
     assert_eq!(resumed.net(), reference.net());
     assert_eq!(resumed.steps(), reference.steps());
+}
+
+/// Both visit-once guards forget what a node first saw more than
+/// `DEDUP_WINDOW` before. A run three windows long, checkpointed after
+/// the guards have forgotten and before they forget again, ends with the
+/// same digest and the same guard contents as the straight run.
+#[test]
+fn split_run_across_dedup_evictions() {
+    let s = Scenario {
+        config: SystemConfig::default().with_retries(),
+        events: 240, // one every 750 ms: 180 s of publishing
+        ..basic()
+    };
+    let at = SimTime::from_secs(100);
+    let guards = |net: &Network| -> Vec<Vec<u8>> {
+        let mut w = Writer::new();
+        net.nodes()
+            .iter()
+            .map(|n| {
+                n.dedup.encode(&mut w);
+                n.rel.seen.encode(&mut w);
+                std::mem::take(&mut w).into_vec()
+            })
+            .collect()
+    };
+    let oldest = |net: &Network| -> Vec<Option<SimTime>> {
+        net.nodes().iter().map(|n| n.dedup.oldest()).collect()
+    };
+
+    let reference = s.straight_through();
+    assert!(reference.time() > at + DEDUP_WINDOW);
+    let mut net = s.build();
+    let first_publish = net.time() + SimTime::from_secs(1);
+    net.run_until(at);
+    let at_checkpoint = oldest(&net);
+    let bytes = net.snapshot();
+    drop(net);
+    let mut resumed = Network::restore(&bytes).expect("restore snapshot bytes");
+    resumed.run_to_quiescence();
+
+    assert!(
+        at_checkpoint.iter().flatten().any(|&t| t > first_publish),
+        "forgotten before the checkpoint: {at_checkpoint:?}"
+    );
+    let at_end = oldest(&resumed);
+    assert!(
+        at_end.iter().flatten().any(|&t| t > at),
+        "forgotten after it: {at_end:?}"
+    );
+    assert_eq!(at_end, oldest(&reference));
+    assert_eq!(guards(&resumed), guards(&reference));
+    assert_eq!(resumed.run_digest(), reference.run_digest());
+    assert_eq!(resumed.deliveries(), reference.deliveries());
+    assert_eq!(resumed.net(), reference.net());
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! delivered set equals the brute-force matched set, on arbitrary ring
 //! sizes and zone bases.
 
-use hypersub_core::node::{DedupCache, EventDedup};
+use hypersub_core::node::{DedupCache, EventDedup, DEDUP_WINDOW};
 use hypersub_core::prelude::*;
 use hypersub_simnet::{FaultPlane, LinkPolicy};
 use hypersub_snapshot::{Decode, Encode, Reader, Writer};
@@ -296,37 +296,38 @@ proptest! {
 
 proptest! {
     /// The per-event visit-once guard against the per-pair cache it
-    /// replaced on the delivery path: below capacity nothing ages out, so
-    /// the two must agree on every pair; and the two share a snapshot
-    /// layout, so each one's bytes decode into the other.
+    /// replaced on the delivery path: below capacity and inside the
+    /// window nothing ages out, so the two must agree on every pair.
     #[test]
     fn prop_event_dedup_agrees_with_the_pair_cache(
         // Few events and ids, so that histories repeat pairs, interleave
-        // events and run lists past their inline length.
-        history in prop::collection::vec((0u64..6, 0u32..24), 0..200),
+        // events and run lists past their inline length. Steps of under
+        // 300 ms keep 200 of them inside the window.
+        history in prop::collection::vec((0u64..6, 0u32..24, 0u64..300), 0..200),
     ) {
         let mut by_event = EventDedup::new(256);
         let mut by_pair = DedupCache::new(256);
-        for &(event, iid) in &history {
-            prop_assert_eq!(by_event.insert(event, iid), by_pair.insert((event, iid)));
+        let mut now = SimTime::ZERO;
+        for &(event, iid, step_ms) in &history {
+            now += SimTime::from_millis(step_ms);
+            prop_assert_eq!(
+                by_event.insert(event, iid, now),
+                by_pair.insert((event, iid), now)
+            );
         }
+        prop_assert!(now <= DEDUP_WINDOW);
         prop_assert_eq!(by_event.len(), by_pair.len());
 
-        // encode -> decode -> encode is byte-stable, and the decoded guard
-        // remembers the same pairs.
+        // encode -> decode -> encode is byte-stable for both, and the
+        // decoded guard remembers the same pairs.
+        let pairs = encoded(&by_pair);
+        let pairs_back = DedupCache::decode(&mut Reader::new(&pairs)).unwrap();
+        prop_assert_eq!(encoded(&pairs_back), pairs);
         let bytes = encoded(&by_event);
         let mut back = EventDedup::decode(&mut Reader::new(&bytes)).unwrap();
         prop_assert_eq!(encoded(&back), bytes);
-        for &(event, iid) in &history {
-            prop_assert!(!back.insert(event, iid));
+        for &(event, iid, _) in &history {
+            prop_assert!(!back.insert(event, iid, now));
         }
-
-        // The pair cache writes the same pairs in arrival order, events
-        // interleaved: that decodes too, into the grouped order.
-        let interleaved = encoded(&by_pair);
-        let mut r = Reader::new(&interleaved);
-        let regrouped = EventDedup::decode(&mut r).unwrap();
-        prop_assert_eq!(r.remaining(), 0);
-        prop_assert_eq!(encoded(&regrouped), bytes);
     }
 }

@@ -1,13 +1,15 @@
 //! Byte-stability golden tests for the versioned snapshot encoding.
 //!
 //! Two fixed scenarios' snapshots must stay **byte-identical** to the
-//! committed `tests/golden/snapshot_v1.bin` (a retries-only network) and
-//! `tests/golden/snapshot_v1_planes.bin` (every opt-in plane on, caught
+//! committed `tests/golden/snapshot_v2.bin` (a retries-only network) and
+//! `tests/golden/snapshot_v2_planes.bin` (every opt-in plane on, caught
 //! with a migration, retransmissions and replication in flight): the
-//! format is versioned (envelope magic `HSNP`, version 1) and restore
-//! must keep working on old bytes, so any encoding change — field order,
-//! widths, map ordering, envelope framing — is a format break that
-//! requires a version bump, not a silent re-capture.
+//! format is versioned (envelope magic `HSNP`, version 2) and restore
+//! must keep working on bytes a binary of the same version wrote, so any
+//! encoding change — field order, widths, map ordering, envelope
+//! framing — is a format break that requires a version bump, not a
+//! silent re-capture. Bytes of an older version are refused, not
+//! reinterpreted.
 //!
 //! If the encoding changes *on purpose* (with a version bump and
 //! migration story per DESIGN.md), re-capture with
@@ -261,22 +263,37 @@ fn assert_matches_golden(bytes: &[u8], file: &str) {
 }
 
 #[test]
-fn snapshot_v1_bytes_are_stable() {
-    assert_matches_golden(&pinned_snapshot(), "snapshot_v1.bin");
+fn snapshot_v2_bytes_are_stable() {
+    assert_matches_golden(&pinned_snapshot(), "snapshot_v2.bin");
 }
 
 #[test]
 fn golden_snapshot_still_restores() {
-    let golden = std::fs::read(golden_path("snapshot_v1.bin")).expect("golden snapshot present");
-    let mut net = Network::restore(&golden).expect("version-1 bytes restore");
+    let golden = std::fs::read(golden_path("snapshot_v2.bin")).expect("golden snapshot present");
+    let mut net = Network::restore(&golden).expect("version-2 bytes restore");
     net.run_to_quiescence();
     let d = net.run_digest();
     println!("tail digest: {d:#018x}");
     assert_eq!(d, GOLDEN_TAIL_DIGEST, "observed {d:#018x}");
 }
 
+/// Version 1 wrote the dedup guards without first-seen times. Its
+/// envelope is refused before any byte of the payload is read.
 #[test]
-fn snapshot_v1_planes_bytes_are_stable() {
+fn a_version_1_snapshot_is_refused() {
+    let mut v1 = std::fs::read(golden_path("snapshot_v2.bin")).expect("golden snapshot present");
+    assert_eq!(v1[4..8], hypersub_snapshot::VERSION.to_le_bytes());
+    v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+    assert_eq!(
+        Network::restore(&v1).map(|_| ()),
+        Err(HyperSubError::Snapshot(
+            hypersub_snapshot::Error::UnsupportedVersion(1)
+        ))
+    );
+}
+
+#[test]
+fn snapshot_v2_planes_bytes_are_stable() {
     let bytes = planes_network().snapshot();
     // A golden pins only what is in it: every plane's state and every
     // message shape the first golden lacks must be in these bytes.
@@ -317,14 +334,14 @@ fn snapshot_v1_planes_bytes_are_stable() {
             && m.chord_probe > 0,
         "a message shape is missing from the capture: {m:?}"
     );
-    assert_matches_golden(&bytes, "snapshot_v1_planes.bin");
+    assert_matches_golden(&bytes, "snapshot_v2_planes.bin");
 }
 
 #[test]
 fn golden_planes_snapshot_still_restores() {
     let golden =
-        std::fs::read(golden_path("snapshot_v1_planes.bin")).expect("golden snapshot present");
-    let mut net = Network::restore(&golden).expect("version-1 bytes restore");
+        std::fs::read(golden_path("snapshot_v2_planes.bin")).expect("golden snapshot present");
+    let mut net = Network::restore(&golden).expect("version-2 bytes restore");
     assert_eq!(net.time(), PLANES_SNAPSHOT_AT);
     net.run_until(PLANES_HORIZON);
     let d = net.run_digest();

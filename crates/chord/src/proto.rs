@@ -167,6 +167,18 @@ impl MaintState {
         }
     }
 
+    /// The nodes this state will send to besides those its routing state
+    /// names: the successor and the predecessor awaiting a probe reply,
+    /// and the bootstrap contact.
+    pub fn contacts(&self) -> impl Iterator<Item = usize> {
+        let awaiting = [self.awaiting_stab, self.awaiting_pred];
+        awaiting
+            .into_iter()
+            .flatten()
+            .map(|(idx, _)| idx)
+            .chain(self.bootstrap)
+    }
+
     /// Adds a successor candidate unless this node observed it dead.
     fn add_successor_checked(&mut self, p: Peer) {
         if !self.dead.contains(&p.idx) {

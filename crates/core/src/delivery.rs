@@ -277,7 +277,8 @@ impl HyperSubNode {
                         }
                     }
                     Some(IidTarget::Hosted) => {
-                        if let Some(h) = self.hosted.get(&iid) {
+                        let planes = self.planes.as_deref();
+                        if let Some(h) = planes.and_then(|planes| planes.hosted.get(&iid)) {
                             merge(&h.match_point(&msg.event.point));
                         }
                     }

@@ -13,8 +13,9 @@
 //!   doubles as anti-entropy reconciliation) plus an incremental update
 //!   per fresh registration (bounding the loss window for new state to a
 //!   message latency). Replicas are stored passively in
-//!   [`HyperSubNode::replicas`], keyed by origin; receivers never
-//!   re-replicate on receipt, so replication cannot loop.
+//!   [`Planes::replicas`](crate::node::Planes::replicas), keyed by
+//!   origin; receivers never re-replicate on receipt, so replication
+//!   cannot loop.
 //! * **Promotion (ownership handoff)** — when stabilization moves this
 //!   node's predecessor behind a replica origin's key (the origin died and
 //!   its arc merged into ours), the replica set is *promoted*: every entry
@@ -123,14 +124,16 @@ impl HyperSubNode {
         // neighborhood (see `MaintState::rejoin_reset`).
         self.maint.rejoin_reset();
         self.repos.clear();
-        self.hosted.clear();
-        self.replicas.clear();
         self.iids.retain(|_, t| matches!(t, IidTarget::Local));
-        self.lb.samples.clear();
-        self.lb.pending.clear();
-        self.lb.in_flight.clear();
-        self.lb.migrated_index.clear();
-        self.rel.pending.clear();
+        if let Some(planes) = self.planes.as_deref_mut() {
+            planes.hosted.clear();
+            planes.replicas.clear();
+            planes.lb.samples.clear();
+            planes.lb.pending.clear();
+            planes.lb.in_flight.clear();
+            planes.lb.migrated_index.clear();
+            planes.rel.pending.clear();
+        }
         let me = ctx.me() as u64;
         ctx.trace(|| ProtoEvent {
             kind: "repair.rejoin",
@@ -306,6 +309,7 @@ impl HyperSubNode {
             return;
         }
         let set = self
+            .planes_mut()
             .replicas
             .entry(origin.idx)
             .or_insert_with(|| ReplicaSet::new(origin));
@@ -339,12 +343,13 @@ impl HyperSubNode {
     /// died *and* stabilization extended our arc over it — at which point
     /// its entire former arc is ours and all of its entries belong here.
     pub(crate) fn heal_check_promotions(&mut self, ctx: &mut Cx<'_>) {
-        if !self.cfg.heal.enabled || self.replicas.is_empty() {
+        if !self.cfg.heal.enabled || self.planes().replicas.is_empty() {
             return;
         }
         // Sorted by origin index: promotion emits registration and
         // replication traffic, whose order must be deterministic.
         let mut due: Vec<usize> = self
+            .planes()
             .replicas
             .iter()
             .filter(|(&idx, set)| {
@@ -354,7 +359,7 @@ impl HyperSubNode {
             .collect();
         due.sort_unstable();
         for idx in due {
-            let Some(set) = self.replicas.remove(&idx) else {
+            let Some(set) = self.planes_mut().replicas.remove(&idx) else {
                 continue;
             };
             let mut keys: Vec<RepoKey> = set.repos.keys().copied().collect();
@@ -393,6 +398,7 @@ impl HyperSubNode {
             return;
         }
         let mut dead_entries: Vec<((RepoKey, SubId), Peer)> = self
+            .planes()
             .lb
             .migrated_index
             .iter()
@@ -405,7 +411,7 @@ impl HyperSubNode {
         dead_entries.sort_unstable_by_key(|&(k, _)| k);
         let mut rehomed = 0u64;
         for ((rk, sid), host) in dead_entries {
-            self.lb.migrated_index.remove(&(rk, sid));
+            self.planes_mut().lb.migrated_index.remove(&(rk, sid));
             if let Some(repo) = self.repos.get_mut(&rk) {
                 let stale: Vec<SubId> = repo
                     .entries

@@ -221,15 +221,19 @@ impl HyperSubNode {
                 if let Some(repo) = self.repos.get_mut(&rk) {
                     repo.remove(&subid);
                 }
-                // A hosted copy on this node (we accepted it in a
-                // migration)?
-                for h in self.hosted.values_mut() {
-                    if h.source == rk {
-                        h.entries.remove(&subid);
+                let mut acceptor = None;
+                if let Some(planes) = self.planes.as_deref_mut() {
+                    // A hosted copy on this node (we accepted it in a
+                    // migration)?
+                    for h in planes.hosted.values_mut() {
+                        if h.source == rk {
+                            h.entries.remove(&subid);
+                        }
                     }
+                    acceptor = planes.lb.migrated_index.remove(&(rk, subid));
                 }
                 // Migrated away from here? Chase it to the acceptor.
-                if let Some(acceptor) = self.lb.migrated_index.remove(&(rk, subid)) {
+                if let Some(acceptor) = acceptor {
                     self.send_reliable(
                         ctx,
                         acceptor.idx,
@@ -301,7 +305,7 @@ impl HyperSubNode {
         }
         let (summary, my_repo_iid) = {
             let repo = &self.repos[&repo_key];
-            let Some(summary) = repo.summary.clone() else {
+            let Some(summary) = repo.summary().cloned() else {
                 return;
             };
             (summary, repo.iid)

@@ -39,7 +39,7 @@ codec!(enum SubOrigin as "sub origin tag" {
 });
 
 /// One subscription in an outstanding migration offer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OfferItem {
     /// Where it lives locally.
     pub origin: SubOrigin,
@@ -51,7 +51,7 @@ pub struct OfferItem {
 codec!(struct OfferItem { origin, subid, full });
 
 /// Per-node load-balancer state.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LbState {
     /// Load samples collected this round: responder index → (load, peer).
     pub samples: HashMap<usize, (u64, Peer)>,
@@ -101,10 +101,10 @@ impl HyperSubNode {
             return;
         }
         ctx.set_timer(self.cfg.lb.period, TOKEN_LB);
-        self.lb.rounds += 1;
+        self.planes_mut().lb.rounds += 1;
         self.evaluate_and_migrate(ctx);
         // Fresh probe round.
-        self.lb.samples.clear();
+        self.planes_mut().lb.samples.clear();
         let me = self.maint.chord.me();
         let ttl = self.cfg.lb.probe_level;
         for p in self.maint.chord.close_neighbors() {
@@ -145,23 +145,18 @@ impl HyperSubNode {
             .into_iter()
             .find(|p| p.idx == from)
         {
-            self.lb.samples.insert(from, (load, p));
+            self.planes_mut().lb.samples.insert(from, (load, p));
         }
     }
 
     /// The migration decision (§4): overloaded ⇔ `L_N > avg(1+δ)`.
     fn evaluate_and_migrate(&mut self, ctx: &mut Cx<'_>) {
-        if self.lb.samples.is_empty() {
+        let samples = &self.planes().lb.samples;
+        if samples.is_empty() {
             return;
         }
         let my_load = self.load();
-        let avg = self
-            .lb
-            .samples
-            .values()
-            .map(|&(l, _)| l as f64)
-            .sum::<f64>()
-            / self.lb.samples.len() as f64;
+        let avg = samples.values().map(|&(l, _)| l as f64).sum::<f64>() / samples.len() as f64;
         // §4: the per-node threshold reflects capacity — a beefier node
         // tolerates proportionally more load before shedding. The
         // capacity-scaled absolute floor keeps the relative rule
@@ -176,9 +171,7 @@ impl HyperSubNode {
         // Lightly loaded candidates, sorted by load then clockwise order.
         // `<=` matters: a uniform-zero neighborhood (the extreme skew
         // case) must still yield migration targets.
-        let mut candidates: Vec<(u64, Peer)> = self
-            .lb
-            .samples
+        let mut candidates: Vec<(u64, Peer)> = samples
             .values()
             .filter(|&&(l, _)| (l as f64) <= avg)
             .copied()
@@ -218,6 +211,7 @@ impl HyperSubNode {
         // Candidate pool: (source repo key, local origin, subid, full rect),
         // deterministic order.
         let mut pool: Vec<(RepoKey, SubOrigin, SubId, Rect)> = Vec::new();
+        let planes = self.planes();
         let mut repo_keys: Vec<RepoKey> = self.repos.keys().copied().collect();
         repo_keys.sort_unstable();
         for rk in repo_keys {
@@ -225,7 +219,7 @@ impl HyperSubNode {
             let mut ids: Vec<SubId> = repo
                 .entries
                 .iter()
-                .filter(|(id, e)| e.is_real() && !self.lb.pending.contains(&(rk, **id)))
+                .filter(|(id, e)| e.is_real() && !planes.lb.pending.contains(&(rk, **id)))
                 .map(|(&id, _)| id)
                 .collect();
             ids.sort_unstable();
@@ -237,15 +231,15 @@ impl HyperSubNode {
                 pool.push((rk, SubOrigin::OwnRepo, sid, full));
             }
         }
-        let mut hosted_iids: Vec<u32> = self.hosted.keys().copied().collect();
+        let mut hosted_iids: Vec<u32> = planes.hosted.keys().copied().collect();
         hosted_iids.sort_unstable();
         for hid in hosted_iids {
-            let h = &self.hosted[&hid];
+            let h = &planes.hosted[&hid];
             let mut ids: Vec<SubId> = h
                 .entries
                 .keys()
                 .copied()
-                .filter(|id| !self.lb.pending.contains(&(h.source, *id)))
+                .filter(|id| !planes.lb.pending.contains(&(h.source, *id)))
                 .collect();
             ids.sort_unstable();
             for sid in ids {
@@ -302,11 +296,12 @@ impl HyperSubNode {
                 by_source.entry(rk).or_default().push((origin, sid, full));
             }
             let mut target_batches = Vec::with_capacity(by_source.len());
+            let lb = &mut self.planes_mut().lb;
             for (rk, group) in by_source {
                 let mut offer_items = Vec::with_capacity(group.len());
                 let mut entries = Vec::with_capacity(group.len());
                 for (origin, sid, full) in group {
-                    self.lb.pending.insert((rk, sid));
+                    lb.pending.insert((rk, sid));
                     entries.push((sid, full.clone()));
                     offer_items.push(OfferItem {
                         origin,
@@ -314,7 +309,7 @@ impl HyperSubNode {
                         full,
                     });
                 }
-                self.lb.in_flight.insert((targets[i].idx, rk), offer_items);
+                lb.in_flight.insert((targets[i].idx, rk), offer_items);
                 target_batches.push(MigBatch {
                     source: rk,
                     entries,
@@ -364,7 +359,7 @@ impl HyperSubNode {
             for (sid, full) in b.entries {
                 hosted.entries.insert(sid, full);
             }
-            self.hosted.insert(iid, hosted);
+            self.planes_mut().hosted.insert(iid, hosted);
             acks.push(MigAck {
                 source: b.source,
                 iid,
@@ -394,7 +389,9 @@ impl HyperSubNode {
         acks: Vec<MigAck>,
     ) {
         for ack in acks {
-            let Some(items) = self.lb.in_flight.remove(&(from, ack.source)) else {
+            // The field, not `planes_mut`: `repos` is written beside it.
+            let planes = self.planes.get_or_insert_default();
+            let Some(items) = planes.lb.in_flight.remove(&(from, ack.source)) else {
                 continue; // duplicate/stale ack
             };
             let acceptor_subid = SubId {
@@ -404,8 +401,9 @@ impl HyperSubNode {
             let mut own_count = 0usize;
             let mut hosted_forward_cover: HashMap<u32, Rect> = HashMap::new();
             for item in &items {
-                self.lb.pending.remove(&(ack.source, item.subid));
-                self.lb
+                planes.lb.pending.remove(&(ack.source, item.subid));
+                planes
+                    .lb
                     .migrated_index
                     .insert((ack.source, item.subid), acceptor);
                 match item.origin {
@@ -416,7 +414,7 @@ impl HyperSubNode {
                         own_count += 1;
                     }
                     SubOrigin::Hosted(hid) => {
-                        if let Some(h) = self.hosted.get_mut(&hid) {
+                        if let Some(h) = planes.hosted.get_mut(&hid) {
                             h.entries.remove(&item.subid);
                         }
                         hosted_forward_cover
@@ -426,7 +424,7 @@ impl HyperSubNode {
                     }
                 }
             }
-            self.lb.migrated_out += items.len() as u64;
+            planes.lb.migrated_out += items.len() as u64;
             let at = ctx.me();
             ctx.world()
                 .metrics
@@ -457,7 +455,7 @@ impl HyperSubNode {
             // Re-migrated hosted entries leave a forwarding cover so
             // events that climb to this node still reach them one hop on.
             for (hid, cover) in hosted_forward_cover {
-                if let Some(h) = self.hosted.get_mut(&hid) {
+                if let Some(h) = planes.hosted.get_mut(&hid) {
                     h.forwards.insert(acceptor_subid, cover);
                 }
             }

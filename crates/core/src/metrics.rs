@@ -286,47 +286,68 @@ impl Metrics {
     /// is the number of subscriptions in the system (for the matched
     /// fraction); `net` supplies the per-flow bandwidth.
     pub fn event_stats(&self, total_subs: usize, net: &NetStats) -> Vec<EventStats> {
-        let mut by_event: HashMap<u64, Vec<&DeliveryRecord>> = HashMap::new();
-        for d in &self.deliveries {
-            by_event.entry(d.event).or_default().push(d);
-        }
-        let mut out: Vec<EventStats> = self
-            .publishes
-            .iter()
-            .map(|(&event, p)| {
-                let deliveries = by_event.get(&event).map(|v| v.as_slice()).unwrap_or(&[]);
-                // Distinct subscriber subids (defensive: duplicates would
-                // mean a protocol bug, surfaced by `duplicates`).
-                let mut subids: Vec<SubId> = deliveries.iter().map(|d| d.subid).collect();
-                subids.sort_unstable();
-                let before = subids.len();
-                subids.dedup();
-                let flow = net.flow(event);
-                EventStats {
+        // The records grouped by event, and by subscription inside an
+        // event, as indices: four bytes a delivery, where a map of lists
+        // of references cost twice that and a table and a list per event.
+        let records = &self.deliveries;
+        let len = u32::try_from(records.len()).expect("fewer than 2³² delivery records");
+        let key = |i: u32| {
+            let d = &records[i as usize];
+            (d.event, d.subid)
+        };
+        let mut order: Vec<u32> = (0..len).collect();
+        order.sort_unstable_by_key(|&i| key(i));
+        let mut published: Vec<(u64, &PublishRecord)> =
+            self.publishes.iter().map(|(&e, p)| (e, p)).collect();
+        published.sort_unstable_by_key(|&(e, _)| e);
+
+        let mut rest = order.as_slice();
+        published
+            .into_iter()
+            .map(|(event, p)| {
+                // Deliveries of an event never published are skipped.
+                let start = rest.partition_point(|&i| key(i).0 < event);
+                let end = start + rest[start..].partition_point(|&i| key(i).0 == event);
+                let group = &rest[start..end];
+                rest = &rest[end..];
+                let mut stats = EventStats {
                     event,
                     publish_time: p.time,
                     publish_node: p.node,
                     expected: p.expected,
-                    delivered: subids.len(),
-                    duplicates: before - subids.len(),
-                    max_hops: deliveries.iter().map(|d| d.hops).max().unwrap_or(0),
-                    max_latency: deliveries
-                        .iter()
-                        .map(|d| d.time.saturating_sub(p.time))
-                        .max()
-                        .unwrap_or(SimTime::ZERO),
-                    bandwidth_bytes: flow.bytes,
-                    messages: flow.msgs,
+                    delivered: 0,
+                    duplicates: 0,
+                    max_hops: 0,
+                    max_latency: SimTime::ZERO,
+                    bandwidth_bytes: 0,
+                    messages: 0,
                     matched_fraction: if total_subs == 0 {
                         0.0
                     } else {
                         p.expected as f64 / total_subs as f64
                     },
+                };
+                let mut last = None;
+                for &i in group {
+                    let d = &records[i as usize];
+                    // Distinct subscriber subids (defensive: a second
+                    // delivery to one would mean a protocol bug, surfaced
+                    // by `duplicates`). Sorted, so a repeat is adjacent.
+                    if last == Some(d.subid) {
+                        stats.duplicates += 1;
+                    } else {
+                        stats.delivered += 1;
+                    }
+                    last = Some(d.subid);
+                    stats.max_hops = stats.max_hops.max(d.hops);
+                    stats.max_latency = stats.max_latency.max(d.time.saturating_sub(p.time));
                 }
+                let flow = net.flow(event);
+                stats.bandwidth_bytes = flow.bytes;
+                stats.messages = flow.msgs;
+                stats
             })
-            .collect();
-        out.sort_unstable_by_key(|s| s.event);
-        out
+            .collect()
     }
 }
 
@@ -423,6 +444,101 @@ mod tests {
         let stats = m.event_stats(10, &net);
         assert_eq!(stats[0].delivered, 1);
         assert_eq!(stats[0].duplicates, 1);
+    }
+
+    /// The per-event map of record lists `event_stats` used to build,
+    /// kept as the reference its folding over sorted indices must equal.
+    fn event_stats_by_map(m: &Metrics, total_subs: usize, net: &NetStats) -> Vec<EventStats> {
+        let mut by_event: HashMap<u64, Vec<&DeliveryRecord>> = HashMap::new();
+        for d in &m.deliveries {
+            by_event.entry(d.event).or_default().push(d);
+        }
+        let mut out: Vec<EventStats> = m
+            .publishes
+            .iter()
+            .map(|(&event, p)| {
+                let deliveries = by_event.get(&event).map(|v| v.as_slice()).unwrap_or(&[]);
+                let mut subids: Vec<SubId> = deliveries.iter().map(|d| d.subid).collect();
+                subids.sort_unstable();
+                let before = subids.len();
+                subids.dedup();
+                let flow = net.flow(event);
+                EventStats {
+                    event,
+                    publish_time: p.time,
+                    publish_node: p.node,
+                    expected: p.expected,
+                    delivered: subids.len(),
+                    duplicates: before - subids.len(),
+                    max_hops: deliveries.iter().map(|d| d.hops).max().unwrap_or(0),
+                    max_latency: deliveries
+                        .iter()
+                        .map(|d| d.time.saturating_sub(p.time))
+                        .max()
+                        .unwrap_or(SimTime::ZERO),
+                    bandwidth_bytes: flow.bytes,
+                    messages: flow.msgs,
+                    matched_fraction: if total_subs == 0 {
+                        0.0
+                    } else {
+                        p.expected as f64 / total_subs as f64
+                    },
+                }
+            })
+            .collect();
+        out.sort_unstable_by_key(|s| s.event);
+        out
+    }
+
+    /// A shuffled log: forty published events, one in four with no
+    /// delivery, the rest with up to six subscribers, some delivered
+    /// twice, and deliveries of two events never published. Folding
+    /// sorted indices gives what the map of lists gave, field for field.
+    #[test]
+    fn event_stats_folds_a_shuffled_log_like_the_map_of_lists() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % bound
+        };
+        let mut m = Metrics::default();
+        let mut net = NetStats::new(4);
+        let mut log = Vec::new();
+        for event in 0..40u64 {
+            let at = SimTime::from_millis(10 * event);
+            m.record_publish(event * 3, at, (event % 4) as usize, event as usize % 7);
+            net.record_out(0, 100 + event as usize, Some(event * 3));
+            if event % 4 == 1 {
+                continue;
+            }
+            for sub in 0..next(7) {
+                for _ in 0..1 + usize::from(next(5) == 0) {
+                    let time = at + SimTime::from_millis(1 + next(90));
+                    log.push((event * 3, sid(sub), time, next(9) as u32));
+                }
+            }
+        }
+        for (event, sub) in [(1, 4), (500, 2)] {
+            log.push((event, sid(sub), SimTime::from_secs(9), 2));
+        }
+        for i in (1..log.len()).rev() {
+            log.swap(i, next(i as u64 + 1) as usize);
+        }
+        for (event, subid, time, hops) in log {
+            m.record_delivery(event, subid, time, hops);
+        }
+
+        let got = m.event_stats(50, &net);
+        assert_eq!(got, event_stats_by_map(&m, 50, &net));
+        assert_eq!(got.len(), 40);
+        assert!(
+            got.iter().any(|s| s.duplicates > 0),
+            "the log repeats deliveries"
+        );
+        assert!(got.iter().filter(|s| s.delivered == 0).count() >= 10);
+        assert!(got.iter().all(|s| s.messages == 1 && s.bandwidth_bytes > 0));
     }
 
     #[test]

@@ -387,14 +387,15 @@ mod tests {
         assert!(std::mem::size_of::<SimEvent<HyperMsg>>() <= 96);
     }
 
-    /// A zone repository holds a rect per `summary`, per `pushed` entry
-    /// and one or two per stored entry, and a 4 096-node network holds
-    /// tens of thousands of repositories, so these sizes are per-node
-    /// memory: a rect is one pointer to one heap block, and an absent
-    /// summary costs nothing beyond it.
+    /// A zone repository holds a rect per stored summary, per `pushed`
+    /// child and one or two per stored entry, and a 4 096-node network
+    /// holds tens of thousands of repositories, so these sizes are
+    /// per-node memory: a rect is one pointer to one heap block, an
+    /// absent summary costs nothing beyond it, and the pushed children
+    /// are one pointer to exactly as many slots.
     #[test]
     fn rect_and_repository_stay_within_their_layout_budget() {
-        use crate::repo::{RepoEntries, ZoneRepo};
+        use crate::repo::{Pushed, RepoEntries, ZoneRepo};
         use std::mem::size_of;
         assert_eq!(size_of::<Rect>(), 16);
         assert_eq!(size_of::<Option<Rect>>(), 16);
@@ -402,7 +403,8 @@ mod tests {
         assert_eq!(size_of::<(SubId, StoredSub)>(), 48);
         assert_eq!(size_of::<(ZoneCode, Rect)>(), 32);
         assert_eq!(size_of::<RepoEntries>(), 56);
-        assert!(size_of::<ZoneRepo>() <= 120);
+        assert_eq!(size_of::<Pushed>(), 16);
+        assert!(size_of::<ZoneRepo>() <= 104);
         assert!(size_of::<Routed>() <= 72);
         assert!(size_of::<HyperMsg>() <= 72);
     }

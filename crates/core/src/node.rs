@@ -12,7 +12,7 @@ use hypersub_simnet::{Ctx, FxHashMap, FxHashSet, Node, SimTime};
 use hypersub_snapshot::{codec, Decode, Encode, Error, Reader, Writer};
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// Pairs a node remembers before the oldest ages out — of `(token,
 /// sender)` in [`DedupCache`], of `(event, internal id)` in
@@ -29,8 +29,14 @@ const DEDUP_CAPACITY: usize = 1 << 17;
 pub const DEDUP_WINDOW: SimTime = SimTime::from_secs(60);
 
 /// Drops from the front of `order` every key first seen more than
-/// [`DEDUP_WINDOW`] before `now`, handing each to `forget`.
-fn expire<K: Copy>(order: &mut VecDeque<(K, SimTime)>, now: SimTime, mut forget: impl FnMut(K)) {
+/// [`DEDUP_WINDOW`] before `now`, handing each to `forget`. Returns
+/// whether it dropped any.
+fn expire<K: Copy>(
+    order: &mut VecDeque<(K, SimTime)>,
+    now: SimTime,
+    mut forget: impl FnMut(K),
+) -> bool {
+    let held = order.len();
     while let Some(&(key, first_seen)) = order.front() {
         if now.saturating_sub(first_seen) <= DEDUP_WINDOW {
             break;
@@ -38,13 +44,27 @@ fn expire<K: Copy>(order: &mut VecDeque<(K, SimTime)>, now: SimTime, mut forget:
         order.pop_front();
         forget(key);
     }
+    order.len() < held
+}
+
+/// Shrinks a hash table or deque to room for twice what it holds once
+/// it is at most a quarter full. A guard's tables grow to what its
+/// busiest minute needed and would keep that size for good; this way
+/// the removes that emptied three quarters of a table pay for the copy,
+/// and the room left lets it grow back as far again before it copies.
+macro_rules! give_back {
+    ($c:expr) => {
+        if $c.len() <= $c.capacity() / 4 {
+            $c.shrink_to(2 * $c.len());
+        }
+    };
 }
 
 /// A capacity-bounded first-in-first-out set of `(u64, u32)` pairs: the
 /// reliable layer's `(token, sender)` memory (see `retry.rs`). A pair is
 /// forgotten [`DEDUP_WINDOW`] after it was first seen, or earlier when
 /// the cache is full and it is the oldest.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DedupCache {
     // Membership-only (never iterated), so the fixed-seed fast hasher is
     // safe; eviction order is carried by the explicit FIFO queue.
@@ -68,9 +88,12 @@ impl DedupCache {
     /// Inserts the pair, seen at `now`; returns `true` if it was new.
     pub fn insert(&mut self, pair: (u64, u32), now: SimTime) -> bool {
         let set = &mut self.set;
-        expire(&mut self.order, now, |old| {
+        if expire(&mut self.order, now, |old| {
             set.remove(&old);
-        });
+        }) {
+            give_back!(self.set);
+            give_back!(self.order);
+        }
         if !self.set.insert(pair) {
             return false;
         }
@@ -219,10 +242,13 @@ impl EventDedup {
     /// is forgotten.
     pub fn insert(&mut self, event: u64, iid: u32, now: SimTime) -> bool {
         let (by_event, pairs) = (&mut self.by_event, &mut self.pairs);
-        expire(&mut self.order, now, |old| {
+        if expire(&mut self.order, now, |old| {
             let list = by_event.remove(&old).expect("listed in order");
             *pairs -= list.as_slice().len();
-        });
+        }) {
+            give_back!(self.by_event);
+            give_back!(self.order);
+        }
         let list = match self.by_event.entry(event) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(e) => {
@@ -305,6 +331,34 @@ pub const TOKEN_RETRY_BASE: u64 = 1 << 48;
 /// The context a HyperSub handler runs under, from either host.
 pub type Cx<'a> = Ctx<'a, HyperMsg, HyperWorld>;
 
+/// The opt-in planes' per-node state: load balancing (§4), the reliable
+/// layer and self-healing. While its plane is off a field stays at its
+/// default, so a node allocates this on a plane's first write and until
+/// then holds one pointer where the fields took 384 B.
+#[derive(Debug, Clone, Default)]
+pub struct Planes {
+    /// Migrated-in repositories, by their internal id.
+    pub hosted: FxHashMap<u32, HostedRepo>,
+    /// Load-balancer round state.
+    pub lb: crate::loadbal::LbState,
+    /// Ack/retransmit state for reliable sends (see `retry.rs`).
+    pub rel: crate::retry::RelState,
+    /// Replicated rendezvous state held on behalf of predecessors, keyed
+    /// by origin index (self-healing plane; see `heal.rs`).
+    pub replicas: FxHashMap<usize, crate::heal::ReplicaSet>,
+}
+
+impl Planes {
+    /// Whether this is what a node holds before any plane writes, so
+    /// that it need not be held at all.
+    fn is_idle(&self) -> bool {
+        self.hosted.is_empty()
+            && self.replicas.is_empty()
+            && self.lb == crate::loadbal::LbState::default()
+            && self.rel.is_idle()
+    }
+}
+
 /// A HyperSub node.
 #[derive(Debug, Clone)]
 pub struct HyperSubNode {
@@ -325,21 +379,15 @@ pub struct HyperSubNode {
     pub iids: FxHashMap<u32, IidTarget>,
     /// Subscriptions made by this node's application.
     pub local_subs: FxHashMap<u32, (SchemeId, Subscription)>,
-    /// Migrated-in repositories, by their internal id.
-    pub hosted: FxHashMap<u32, HostedRepo>,
-    /// Load-balancer round state.
-    pub lb: crate::loadbal::LbState,
+    /// The opt-in planes' state, once one has written any: read it
+    /// through [`Self::planes`].
+    pub(crate) planes: Option<Box<Planes>>,
     /// Whether Chord maintenance timers self-rearm (churn scenarios).
     pub maintenance: bool,
     /// Visit-once guard for `(event, internal id)` pairs.
     pub dedup: EventDedup,
     /// Reusable Algorithm 5 buffers (see `delivery.rs`).
     pub(crate) scratch: crate::delivery::DeliveryScratch,
-    /// Ack/retransmit state for reliable sends (see `retry.rs`).
-    pub rel: crate::retry::RelState,
-    /// Replicated rendezvous state held on behalf of predecessors, keyed
-    /// by origin index (self-healing plane; see `heal.rs`).
-    pub replicas: FxHashMap<usize, crate::heal::ReplicaSet>,
     /// Relative capacity of this node (§4: each node's threshold factor
     /// "is based on the node's capacity"). 1.0 = baseline; a node with
     /// capacity 2.0 tolerates twice the average load before migrating.
@@ -357,16 +405,28 @@ impl HyperSubNode {
             repos: FxHashMap::default(),
             iids: FxHashMap::default(),
             local_subs: FxHashMap::default(),
-            hosted: FxHashMap::default(),
-            lb: crate::loadbal::LbState::default(),
+            planes: None,
             maintenance: false,
             dedup: EventDedup::default(),
             scratch: crate::delivery::DeliveryScratch::default(),
-            rel: crate::retry::RelState::default(),
-            replicas: FxHashMap::default(),
             capacity: 1.0,
             next_iid: 1, // the paper's internal IDs are positive integers
         }
+    }
+
+    /// The opt-in planes' state: the defaults while no plane has written
+    /// any.
+    pub fn planes(&self) -> &Planes {
+        static IDLE: LazyLock<Planes> = LazyLock::new(Planes::default);
+        self.planes.as_deref().unwrap_or(&IDLE)
+    }
+
+    /// The opt-in planes' state for writing, allocated on first use. A
+    /// write that can come before any plane has written (a remove or a
+    /// clear on a shared path) goes through `self.planes` instead, so
+    /// that it allocates nothing.
+    pub(crate) fn planes_mut(&mut self) -> &mut Planes {
+        self.planes.get_or_insert_default()
     }
 
     /// Convenience accessor for the Chord routing state.
@@ -395,7 +455,8 @@ impl HyperSubNode {
     /// unit of §4 and Figure 4.
     pub fn load(&self) -> u64 {
         let repo_subs: usize = self.repos.values().map(|r| r.real_count()).sum();
-        let hosted_subs: usize = self.hosted.values().map(|h| h.entries.len()).sum();
+        let hosted = self.planes().hosted.values();
+        let hosted_subs: usize = hosted.map(|h| h.entries.len()).sum();
         (repo_subs + hosted_subs) as u64
     }
 
@@ -425,13 +486,19 @@ impl Node<HyperMsg, HyperWorld> for HyperSubNode {
                 // Fail-stop beats the retransmit timer: resolve the pending
                 // send now and recover the payload on the repaired routing
                 // state (the timer finds nothing pending and no-ops).
-                self.rel.pending.remove(&token);
+                if let Some(planes) = self.planes.as_deref_mut() {
+                    planes.rel.pending.remove(&token);
+                }
                 self.on_send_failed(ctx, dst, *inner);
             }
             HyperMsg::Delivery(d) => self.handle_delivery(ctx, d),
             HyperMsg::Route { key, inner } => self.handle_route(ctx, key, inner),
             // A later round retries with a live target.
-            HyperMsg::Migrate { batches, .. } => self.lb.abort_offer(dst, &batches),
+            HyperMsg::Migrate { batches, .. } => {
+                if let Some(planes) = self.planes.as_deref_mut() {
+                    planes.lb.abort_offer(dst, &batches);
+                }
+            }
             // Periodic (probes, maintenance) or origin-dead (acks): drop.
             _ => {}
         }
@@ -640,16 +707,18 @@ impl HyperSubNode {
     /// and `cfg` are *not* written here — the network snapshot encodes
     /// them once and hands the shared `Arc`s back in on decode.
     pub fn snapshot_encode(&self, w: &mut Writer) {
+        // A node without a planes box writes the defaults it stands for.
+        let planes = self.planes();
         self.maint.encode(w);
         self.repos.encode(w);
         self.iids.encode(w);
         self.local_subs.encode(w);
-        self.hosted.encode(w);
-        self.lb.encode(w);
+        planes.hosted.encode(w);
+        planes.lb.encode(w);
         self.maintenance.encode(w);
         self.dedup.encode(w);
-        self.rel.encode(w);
-        self.replicas.encode(w);
+        planes.rel.encode(w);
+        planes.replicas.encode(w);
         self.capacity.encode(w);
         w.put_u32(self.next_iid);
         // Delivery scratch buffers are transient per-`step` storage and
@@ -662,20 +731,31 @@ impl HyperSubNode {
         registry: Arc<Registry>,
         cfg: Arc<SystemConfig>,
     ) -> Result<Self, Error> {
+        let maint = MaintState::decode(r)?;
+        let repos = Decode::decode(r)?;
+        let iids = Decode::decode(r)?;
+        let local_subs = Decode::decode(r)?;
+        let hosted = Decode::decode(r)?;
+        let lb = Decode::decode(r)?;
+        let maintenance = bool::decode(r)?;
+        let dedup = EventDedup::decode(r)?;
+        let planes = Planes {
+            hosted,
+            lb,
+            rel: Decode::decode(r)?,
+            replicas: Decode::decode(r)?,
+        };
         Ok(HyperSubNode {
-            maint: MaintState::decode(r)?,
+            maint,
             registry,
             cfg,
-            repos: Decode::decode(r)?,
-            iids: Decode::decode(r)?,
-            local_subs: Decode::decode(r)?,
-            hosted: Decode::decode(r)?,
-            lb: crate::loadbal::LbState::decode(r)?,
-            maintenance: bool::decode(r)?,
-            dedup: EventDedup::decode(r)?,
+            repos,
+            iids,
+            local_subs,
+            planes: (!planes.is_idle()).then(|| Box::new(planes)),
+            maintenance,
+            dedup,
             scratch: crate::delivery::DeliveryScratch::default(),
-            rel: crate::retry::RelState::decode(r)?,
-            replicas: Decode::decode(r)?,
             capacity: f64::decode(r)?,
             next_iid: r.take_u32()?,
         })
@@ -806,6 +886,63 @@ mod tests {
         assert!(d.insert(7, 4, past)); // forgets (9, 1): event 9 is empty
         assert_eq!((d.len(), d.oldest()), (4, Some(past)));
         assert!(d.insert(9, 1, past), "event 9 was forgotten by the cap");
+    }
+
+    /// The four tables of both guards, by capacity.
+    fn capacities(d: &EventDedup, c: &DedupCache) -> [usize; 4] {
+        [
+            d.by_event.capacity(),
+            d.order.capacity(),
+            c.set.capacity(),
+            c.order.capacity(),
+        ]
+    }
+
+    /// Expiry that leaves a table more than a quarter full keeps its
+    /// capacity; expiry that leaves it at most a quarter full gives back
+    /// all but room for twice what is left. What is remembered is the
+    /// same either way.
+    #[test]
+    fn both_guards_give_back_capacity_once_a_quarter_full() {
+        let mut d = EventDedup::new(1 << 14);
+        let mut c = DedupCache::new(1 << 14);
+        let mut insert = |keys: std::ops::Range<u64>, at: SimTime| {
+            for k in keys {
+                assert!(d.insert(k, 1, at) && c.insert((k, 1), at));
+            }
+            capacities(&d, &c)
+        };
+        let (t1, t2, t3) = (
+            SimTime::from_secs(1),
+            SimTime::from_secs(31),
+            SimTime::from_secs(61),
+        );
+        let past = |t: SimTime| t + DEDUP_WINDOW + SimTime::from_micros(1);
+        insert(0..1500, t1);
+        let high = insert(1500..3000, t2);
+        // Events 0..1500 go; 1 501 of some 4 000 slots stay used. (A
+        // hash table's `capacity` reads lower after removes, as it does
+        // not count the slots they leave marked, so the deques tell.)
+        let kept = insert(3000..3001, past(t1));
+        assert_eq!(
+            [kept[1], kept[3]],
+            [high[1], high[3]],
+            "over a quarter full"
+        );
+        insert(3001..3100, t3);
+        // Events 1500..3000 go; 101 stay.
+        let low = insert(3100..3101, past(t2));
+        for (was, now) in high.into_iter().zip(low) {
+            assert!(now >= 101 && now < was / 8, "{was} → {now}");
+        }
+        assert_eq!((d.len(), c.len()), (101, 101));
+        for k in [3000, 3050, 3100] {
+            assert!(!d.insert(k, 1, past(t2)) && !c.insert((k, 1), past(t2)));
+        }
+        assert!(d.insert(2999, 1, past(t2)), "a forgotten pair is new again");
+        // Everything expired: nothing is held.
+        d.insert(9000, 1, past(t3) + DEDUP_WINDOW);
+        assert!(d.by_event.capacity() < 8 && d.order.capacity() < 8);
     }
 
     /// A guard's bytes: capacity 8, then entries 1 and 2, first seen at

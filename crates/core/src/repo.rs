@@ -113,6 +113,14 @@ impl RepoEntries {
         self.get(id).is_some()
     }
 
+    /// The projected rect of the entry, when there is exactly one.
+    fn sole_proj(&self) -> Option<&Rect> {
+        match &self.0 {
+            Slots::One(_, v) => Some(v.proj()),
+            _ => None,
+        }
+    }
+
     /// Stores `sub` under `id`, returning the entry it replaced.
     pub fn insert(&mut self, id: SubId, sub: StoredSub) -> Option<StoredSub> {
         match &mut self.0 {
@@ -212,6 +220,79 @@ impl Decode for RepoEntries {
     }
 }
 
+/// What a repository last registered at each child zone, sorted by
+/// child, in a slice exactly as long as the children. The children are
+/// those of one zone, so there are few of them, and most repositories
+/// have none: on a routing workload four in five chain links push
+/// nothing and most of the rest push to several children, where a hash
+/// table holds twice the slots it fills and its control bytes besides.
+#[derive(Debug, Clone, Default)]
+pub struct Pushed(Box<[(ZoneCode, Rect)]>);
+
+impl Pushed {
+    /// Number of children registered at.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether nothing was registered.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// What was last registered at `child`.
+    pub fn get(&self, child: &ZoneCode) -> Option<&Rect> {
+        let at = self.0.binary_search_by(|(c, _)| c.cmp(child)).ok()?;
+        Some(&self.0[at].1)
+    }
+
+    /// Records `rect` as registered at `child`.
+    pub fn insert(&mut self, child: ZoneCode, rect: Rect) {
+        match self.0.binary_search_by(|(c, _)| c.cmp(&child)) {
+            Ok(at) => self.0[at].1 = rect,
+            Err(at) => {
+                let mut grown = Vec::with_capacity(self.0.len() + 1);
+                let mut old = std::mem::take(&mut self.0).into_vec().into_iter();
+                grown.extend(old.by_ref().take(at));
+                grown.push((child, rect));
+                grown.extend(old);
+                self.0 = grown.into_boxed_slice();
+            }
+        }
+    }
+
+    /// Forgets every child.
+    pub fn clear(&mut self) {
+        self.0 = Box::default();
+    }
+}
+
+// Hand-written codec: a map's bytes (the count, then the entries sorted
+// by key); the decoder reads a map and sorts it into the slice.
+impl Encode for Pushed {
+    fn encode(&self, w: &mut Writer) {
+        self.0.encode(w);
+    }
+}
+
+impl Decode for Pushed {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let map = FxHashMap::<ZoneCode, Rect>::decode(r)?;
+        let mut children: Vec<(ZoneCode, Rect)> = map.into_iter().collect();
+        children.sort_unstable_by_key(|&(c, _)| c);
+        Ok(Self(children.into_boxed_slice()))
+    }
+}
+
+/// Whether two rects are the same bit for bit: `==` would take `-0.0`
+/// for `0.0`, and the bytes a snapshot writes tell them apart.
+fn same_bits(a: &Rect, b: &Rect) -> bool {
+    fn bits(r: &Rect) -> impl Iterator<Item = u64> + '_ {
+        r.lo().iter().chain(r.hi()).map(|x| x.to_bits())
+    }
+    a.dims() == b.dims() && bits(a).eq(bits(b))
+}
+
 /// A built matching index and what its queries have examined.
 #[derive(Debug, Clone)]
 struct Indexed {
@@ -227,13 +308,15 @@ pub struct ZoneRepo {
     /// This repository's local internal id — surrogate subscriptions in
     /// child zones point back here as `(node_id, iid)`.
     pub iid: u32,
-    /// Stored entries keyed by subscription id.
+    /// Stored entries keyed by subscription id. Written through
+    /// [`Self::insert`] and [`Self::remove`], which keep the summary.
     pub entries: RepoEntries,
-    /// Smallest projected hypercuboid covering all entries.
-    pub summary: Option<Rect>,
+    /// The summary filter, unless the one entry states it: see
+    /// [`Self::summary`].
+    summary: Option<Rect>,
     /// What we last registered at each child zone (the "changed
     /// subdivision" dedup of Algorithm 3).
-    pub pushed: FxHashMap<ZoneCode, Rect>,
+    pub pushed: Pushed,
     /// Local matching index (§3.3), built once the repository is large
     /// and kept in step with `entries` from then on. Boxed: most
     /// repositories (every link of a surrogate chain) never build one,
@@ -248,9 +331,28 @@ impl ZoneRepo {
             iid,
             entries: RepoEntries::default(),
             summary: None,
-            pushed: FxHashMap::default(),
+            pushed: Pushed::default(),
             index: None,
         }
+    }
+
+    /// The summary filter: the smallest projected hypercuboid covering
+    /// every entry inserted so far. It grows with inserts and is not
+    /// shrunk by removes; `None` until the first insert. Most
+    /// repositories are chain links holding one entry whose rect *is*
+    /// the summary, so it is stored only when it says something the
+    /// entries do not.
+    pub fn summary(&self) -> Option<&Rect> {
+        self.summary.as_ref().or_else(|| self.entries.sole_proj())
+    }
+
+    /// Holds `summary`, unless the one entry states it bit for bit.
+    fn set_summary(&mut self, summary: Rect) {
+        let stated = self
+            .entries
+            .sole_proj()
+            .is_some_and(|p| same_bits(p, &summary));
+        self.summary = (!stated).then_some(summary);
     }
 
     /// Inserts or updates an entry; returns `true` when the summary filter
@@ -260,40 +362,47 @@ impl ZoneRepo {
     /// lease refreshes, replica replays) leaves the index alone.
     pub fn insert(&mut self, id: SubId, sub: StoredSub) -> bool {
         let proj = sub.proj().clone();
+        // Taken out before the insert: the entry it replaces may be what
+        // states the summary.
+        let before = self
+            .summary
+            .take()
+            .or_else(|| self.entries.sole_proj().cloned());
         let prior = self.entries.insert(id, sub);
         if prior.is_none_or(|p| p.proj() != &proj) {
             if let Some(ix) = self.index.as_mut() {
                 ix.ix.insert(id, &proj);
             }
         }
-        match &mut self.summary {
-            None => {
-                self.summary = Some(proj);
-                true
-            }
+        let (summary, grew) = match before {
+            None => (proj, true),
             Some(s) => {
                 let grown = s.cover(&proj);
-                if &grown != s {
-                    *s = grown;
-                    true
+                if grown != s {
+                    (grown, true)
                 } else {
-                    false
+                    (s, false)
                 }
             }
-        }
+        };
+        self.set_summary(summary);
+        grew
     }
 
     /// Removes an entry (migration); the summary is deliberately *not*
     /// shrunk — the migration target's surrogate subscription covers the
     /// removed entries, so the old summary stays valid.
     pub fn remove(&mut self, id: &SubId) -> Option<StoredSub> {
-        let removed = self.entries.remove(id);
-        if removed.is_some() {
-            if let Some(ix) = self.index.as_mut() {
-                ix.ix.remove(id);
-            }
+        let removed = self.entries.remove(id)?;
+        if let Some(ix) = self.index.as_mut() {
+            ix.ix.remove(id);
         }
-        removed
+        match self.summary.take() {
+            Some(s) => self.set_summary(s),
+            // The removed entry was the only one, and it stated the summary.
+            None => self.summary = Some(removed.proj().clone()),
+        }
+        Some(removed)
     }
 
     fn check_entry(sub: &StoredSub, full: &Point, proj: &Point) -> bool {
@@ -448,12 +557,12 @@ impl HostedRepo {
 }
 
 // Hand-written codec: the decoder derives state (index and scan counter
-// start afresh).
+// start afresh, and a summary the one entry states is not held twice).
 impl Encode for ZoneRepo {
     fn encode(&self, w: &mut Writer) {
         w.put_u32(self.iid);
         self.entries.encode(w);
-        self.summary.encode(w);
+        self.summary().encode(w);
         self.pushed.encode(w);
         // The matching index is a lazily built, observationally neutral
         // cache (it yields exactly the matches): restored repos start
@@ -465,13 +574,25 @@ impl Encode for ZoneRepo {
 
 impl Decode for ZoneRepo {
     fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(ZoneRepo {
-            iid: r.take_u32()?,
-            entries: Decode::decode(r)?,
-            summary: Option::<Rect>::decode(r)?,
+        let iid = r.take_u32()?;
+        let entries: RepoEntries = Decode::decode(r)?;
+        let summary = Option::<Rect>::decode(r)?;
+        let mut repo = ZoneRepo {
+            iid,
+            entries,
+            summary: None,
             pushed: Decode::decode(r)?,
             index: None,
-        })
+        };
+        match summary {
+            Some(s) => repo.set_summary(s),
+            // An insert always leaves a summary.
+            None if !repo.entries.is_empty() => {
+                return Err(Error::InvalidValue("repository entries without a summary"))
+            }
+            None => {}
+        }
+        Ok(repo)
     }
 }
 
@@ -498,7 +619,7 @@ mod tests {
             },
         );
         assert!(grew);
-        assert_eq!(r.summary, Some(rect(2.0, 3.0)));
+        assert_eq!(r.summary(), Some(&rect(2.0, 3.0)));
         // Contained insert: summary unchanged.
         let grew = r.insert(
             sid(2),
@@ -517,7 +638,7 @@ mod tests {
             },
         );
         assert!(grew);
-        assert_eq!(r.summary, Some(rect(1.0, 3.0)));
+        assert_eq!(r.summary(), Some(&rect(1.0, 3.0)));
     }
 
     #[test]
@@ -556,7 +677,7 @@ mod tests {
             },
         );
         r.remove(&sid(1));
-        assert_eq!(r.summary, Some(rect(0.0, 4.0)));
+        assert_eq!(r.summary(), Some(&rect(0.0, 4.0)));
         assert_eq!(r.real_count(), 0);
     }
 
@@ -882,13 +1003,158 @@ mod tests {
             let mut w = Writer::new();
             w.put_u32(7);
             map.encode(&mut w);
-            repos[0].summary.encode(&mut w);
+            repos[0].summary().encode(&mut w);
             repos[0].pushed.encode(&mut w);
             let bytes = repo_bytes(&repos[0]);
             assert_eq!(bytes, w.into_vec(), "{step}");
             let back = ZoneRepo::decode(&mut Reader::new(&bytes)).expect("decodes");
             assert_eq!(repo_bytes(&back), bytes, "{step}");
         }
+    }
+
+    /// A zone repository as it was before it dropped the summary its
+    /// one entry states and the table its pushed children sat in: the
+    /// reference the compact form is checked against.
+    struct MapRepo {
+        entries: FxHashMap<SubId, StoredSub>,
+        summary: Option<Rect>,
+        pushed: FxHashMap<ZoneCode, Rect>,
+    }
+
+    impl MapRepo {
+        fn insert(&mut self, id: SubId, sub: StoredSub) -> bool {
+            let proj = sub.proj().clone();
+            self.entries.insert(id, sub);
+            match &mut self.summary {
+                None => {
+                    self.summary = Some(proj);
+                    true
+                }
+                Some(s) => {
+                    let grown = s.cover(&proj);
+                    if &grown != s {
+                        *s = grown;
+                        true
+                    } else {
+                        false
+                    }
+                }
+            }
+        }
+
+        fn bytes(&self, iid: u32) -> Vec<u8> {
+            let mut w = Writer::new();
+            w.put_u32(iid);
+            self.entries.encode(&mut w);
+            self.summary.encode(&mut w);
+            self.pushed.encode(&mut w);
+            w.into_vec()
+        }
+    }
+
+    /// Bounds drawn from a short list, so that rects recur and an entry
+    /// often equals the summary; `-0.0` and `0.0` are both on it, equal
+    /// under `==` and told apart by the bytes.
+    fn drawn_rect(at: [usize; 4]) -> Rect {
+        const BOUNDS: [f64; 5] = [-0.0, 0.0, 1.0, 2.5, 4.0];
+        let pick = |a: usize, b: usize| (BOUNDS[a.min(b)], BOUNDS[a.max(b)]);
+        let ((lo0, hi0), (lo1, hi1)) = (pick(at[0], at[1]), pick(at[2], at[3]));
+        Rect::new(vec![lo0, lo1], vec![hi0, hi1])
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig {
+            cases: 256,
+            ..proptest::test_runner::ProptestConfig::default()
+        })]
+
+        /// Random histories of inserts (fresh ids and replacements, real
+        /// and surrogate), removes (present and absent) and `pushed`
+        /// inserts and clears: after every step the compact repository
+        /// and the reference give the same summary, bit for bit, the same
+        /// pushed lookups and the same bytes, and those bytes decode to a
+        /// repository that writes them again.
+        #[test]
+        fn prop_compact_repository_holds_what_the_maps_held(
+            ops in proptest::prop::collection::vec(
+                (0u8..6, 0u64..4, (0usize..5, 0usize..5, 0usize..5, 0usize..5)),
+                1..48,
+            ),
+        ) {
+            let mut repo = ZoneRepo::new(7);
+            let mut reference = MapRepo {
+                entries: FxHashMap::default(),
+                summary: None,
+                pushed: FxHashMap::default(),
+            };
+            let child = |k: u64| ZoneCode { code: k % 3, level: 1 + (k % 2) as u8 };
+            let opt_bytes = |r: Option<&Rect>| {
+                let mut w = Writer::new();
+                r.encode(&mut w);
+                w.into_vec()
+            };
+            for (step, (op, k, (a, b, c, d))) in ops.into_iter().enumerate() {
+                let rect = drawn_rect([a, b, c, d]);
+                match op {
+                    0 | 1 => {
+                        let sub = StoredSub::Surrogate { proj: rect };
+                        let want = reference.insert(sid(k), sub.clone());
+                        proptest::prop_assert_eq!(repo.insert(sid(k), sub), want, "step {}", step);
+                    }
+                    2 => {
+                        let full = drawn_rect([d, c, b, a]);
+                        let sub = StoredSub::Real { full, proj: rect };
+                        let want = reference.insert(sid(k), sub.clone());
+                        proptest::prop_assert_eq!(repo.insert(sid(k), sub), want, "step {}", step);
+                    }
+                    3 => {
+                        let want = reference.entries.remove(&sid(k)).is_some();
+                        proptest::prop_assert_eq!(repo.remove(&sid(k)).is_some(), want);
+                    }
+                    4 => {
+                        reference.pushed.insert(child(k), rect.clone());
+                        repo.pushed.insert(child(k), rect);
+                    }
+                    _ => {
+                        reference.pushed.clear();
+                        repo.pushed.clear();
+                    }
+                }
+                proptest::prop_assert_eq!(
+                    opt_bytes(repo.summary()),
+                    opt_bytes(reference.summary.as_ref()),
+                    "summary at step {}", step
+                );
+                for k in 0..6 {
+                    proptest::prop_assert_eq!(
+                        opt_bytes(repo.pushed.get(&child(k))),
+                        opt_bytes(reference.pushed.get(&child(k))),
+                        "pushed at step {}", step
+                    );
+                }
+                proptest::prop_assert_eq!(repo.pushed.len(), reference.pushed.len());
+                let bytes = repo_bytes(&repo);
+                proptest::prop_assert_eq!(&bytes, &reference.bytes(7), "bytes at step {}", step);
+                let back = ZoneRepo::decode(&mut Reader::new(&bytes)).expect("decodes");
+                proptest::prop_assert_eq!(repo_bytes(&back), bytes);
+            }
+        }
+    }
+
+    /// An insert always leaves a summary, so entries without one are
+    /// refused: the compact form could not write those bytes back.
+    #[test]
+    fn entries_without_a_summary_are_refused() {
+        let mut w = Writer::new();
+        w.put_u32(7);
+        let entries: FxHashMap<SubId, StoredSub> = [(sid(1), surrogate(1.0))].into_iter().collect();
+        entries.encode(&mut w);
+        None::<Rect>.encode(&mut w);
+        Pushed::default().encode(&mut w);
+        assert!(matches!(
+            ZoneRepo::decode(&mut Reader::new(&w.into_vec())),
+            Err(Error::InvalidValue("repository entries without a summary"))
+        ));
     }
 
     #[test]

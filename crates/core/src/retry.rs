@@ -69,6 +69,11 @@ impl Default for RelState {
 }
 
 impl RelState {
+    /// Whether nothing was ever sent or received reliably.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.pending.is_empty() && self.seen == DedupCache::default() && self.next_token == 1
+    }
+
     fn alloc_token(&mut self) -> u64 {
         let t = self.next_token;
         self.next_token += 1;
@@ -85,8 +90,9 @@ impl HyperSubNode {
             ctx.send(dst, msg);
             return;
         }
-        let token = self.rel.alloc_token();
-        self.rel.pending.insert(
+        let rel = &mut self.planes_mut().rel;
+        let token = rel.alloc_token();
+        rel.pending.insert(
             token,
             PendingSend {
                 dst,
@@ -116,7 +122,12 @@ impl HyperSubNode {
     ) {
         ctx.send(from, HyperMsg::Ack { token });
         // The dedup cache stores (u64, u32) pairs; node indices fit u32.
-        if self.rel.seen.insert((token, from as u32), ctx.now()) {
+        if self
+            .planes_mut()
+            .rel
+            .seen
+            .insert((token, from as u32), ctx.now())
+        {
             use hypersub_simnet::Node;
             self.on_message(ctx, from, inner);
         }
@@ -124,7 +135,8 @@ impl HyperSubNode {
 
     /// Sender side: the destination confirmed receipt.
     pub(crate) fn handle_ack(&mut self, ctx: &mut Cx<'_>, token: u64) {
-        if let Some(p) = self.rel.pending.remove(&token) {
+        let planes = self.planes.as_deref_mut();
+        if let Some(p) = planes.and_then(|planes| planes.rel.pending.remove(&token)) {
             let latency = ctx.now().saturating_sub(p.sent_at);
             let me = ctx.me();
             let m = &mut ctx.world().metrics.proto;
@@ -142,11 +154,17 @@ impl HyperSubNode {
     /// Retransmit-timer expiry for `token`: re-send with doubled timeout,
     /// or give up after the configured attempts.
     pub(crate) fn retry_fire(&mut self, ctx: &mut Cx<'_>, token: u64) {
-        let Some(p) = self.rel.pending.get_mut(&token) else {
+        let planes = self.planes.as_deref_mut();
+        let Some(p) = planes.and_then(|planes| planes.rel.pending.get_mut(&token)) else {
             return; // acked (or resolved via SendFailed) in the meantime
         };
         if p.attempts >= self.cfg.retry.max_attempts {
-            let p = self.rel.pending.remove(&token).expect("present");
+            let p = self
+                .planes_mut()
+                .rel
+                .pending
+                .remove(&token)
+                .expect("present");
             self.give_up(ctx, p, token);
             return;
         }
@@ -191,7 +209,7 @@ impl HyperSubNode {
             b: p.attempts as u64,
         });
         if let HyperMsg::Migrate { batches, .. } = &p.msg {
-            self.lb.abort_offer(p.dst, batches);
+            self.planes_mut().lb.abort_offer(p.dst, batches);
         }
         // A silent host (dead but never fail-stop-detected, e.g. behind a
         // partition) holding subscriptions we migrated to it: re-home them

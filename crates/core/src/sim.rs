@@ -710,7 +710,7 @@ impl Net<HyperSubNode> {
             )?);
         }
         for node in &nodes {
-            check_peers(node.chord(), n)?;
+            check_peers(node, n)?;
         }
         let metrics = Metrics::decode(&mut r)?;
         let mut oracle = Oracle::decode(&mut r)?;
@@ -741,18 +741,41 @@ impl Net<HyperSubNode> {
     }
 }
 
-/// Refuses restored routing state that names a node past the network's
-/// `nodes` — the node itself, its predecessor, a successor or a finger:
-/// the first send to it would panic.
-fn check_peers(chord: &ChordState, nodes: usize) -> Result<()> {
-    let fingers = chord.fingers();
-    let mut named = std::iter::once(chord.me())
+/// Refuses a restored node whose state names a node past the network's
+/// `nodes`: the first send to it would panic. Its routing state names
+/// itself, its predecessor, its successors and fingers, the peers
+/// awaiting a probe reply and its bootstrap contact; its plane state
+/// names each pending reliable send's destination and each replica
+/// set's origin.
+fn check_peers(node: &HyperSubNode, nodes: usize) -> Result<()> {
+    let chord = node.chord();
+    let routing = std::iter::once(chord.me())
         .chain(chord.predecessor)
         .chain(chord.successors().iter().copied())
-        .chain(fingers.into_iter().flatten());
-    if named.any(|p| p.idx >= nodes) {
+        .chain(chord.fingers().into_iter().flatten())
+        .map(|p| p.idx)
+        .chain(node.maint.contacts());
+    none_past(
+        routing,
+        nodes,
+        "routing state names a node past the network",
+    )?;
+    let planes = node.planes();
+    let pending = planes.rel.pending.values().map(|p| p.dst);
+    let plane = pending.chain(planes.replicas.keys().copied());
+    none_past(plane, nodes, "plane state names a node past the network")
+}
+
+/// Refuses, as `what`, a list of node indices that names one past the
+/// network's `nodes`.
+fn none_past(
+    mut named: impl Iterator<Item = usize>,
+    nodes: usize,
+    what: &'static str,
+) -> Result<()> {
+    if named.any(|idx| idx >= nodes) {
         return Err(HyperSubError::Snapshot(
-            hypersub_snapshot::Error::InvalidValue("routing state names a node past the network"),
+            hypersub_snapshot::Error::InvalidValue(what),
         ));
     }
     Ok(())
@@ -1333,6 +1356,137 @@ mod tests {
             );
         }
         assert!(Network::restore(&restate(&sealed, &honest, &honest)).is_ok());
+    }
+
+    /// The peers `MaintState` will probe or contact again are checked
+    /// with the routing state: the successor and the predecessor awaiting
+    /// a probe reply, and the bootstrap contact. Their fields are private
+    /// to the Chord crate, so each is restated in the bytes that lead up
+    /// to it from the routing state.
+    #[test]
+    fn maintenance_peers_naming_a_node_past_the_network_are_refused() {
+        type Awaiting = Option<(usize, u32)>;
+        let net = net_after_one_delivery();
+        let sealed = net.snapshot();
+        let node = &net.nodes()[0];
+        let past = net.nodes().len();
+        // `MaintState`'s bytes up to `bootstrap`, with the finger cursor
+        // a node holds until maintenance runs.
+        let maint = |stab: Awaiting, pred: Awaiting, bootstrap: Option<usize>| {
+            (
+                (node.chord().clone(), node.maint.strike_limit),
+                (stab, pred, (0usize, bootstrap)),
+            )
+        };
+        let honest = maint(None, None, None);
+        for hostile in [
+            maint(Some((past, 0)), None, None),
+            maint(None, Some((past, 1)), None),
+            maint(None, None, Some(past)),
+        ] {
+            assert_eq!(
+                Network::restore(&restate(&sealed, &honest, &hostile)).map(|_| ()),
+                Err(HyperSubError::Snapshot(
+                    hypersub_snapshot::Error::InvalidValue(
+                        "routing state names a node past the network"
+                    )
+                ))
+            );
+        }
+        // The same fields naming nodes of the network restore.
+        let inside = maint(Some((1, 0)), Some((2, 1)), Some(3));
+        assert!(Network::restore(&restate(&sealed, &honest, &inside)).is_ok());
+    }
+
+    /// Plane state is checked too: a pending reliable send's destination,
+    /// and the origin index a replica set is kept under.
+    #[test]
+    fn plane_state_naming_a_node_past_the_network_is_refused() {
+        use crate::retry::PendingSend;
+        let refused = Err(HyperSubError::Snapshot(
+            hypersub_snapshot::Error::InvalidValue("plane state names a node past the network"),
+        ));
+        let planes_net = |config: SystemConfig| {
+            let mut net = Network::builder(8)
+                .registry(registry())
+                .config(config)
+                .seed(5)
+                .build()
+                .expect("valid test network");
+            for (node, lo) in [(1, 10.0), (4, 40.0), (6, 70.0)] {
+                let rect = Rect::new(vec![lo, lo], vec![lo + 10.0, lo + 10.0]);
+                net.subscribe(node, 0, Subscription::new(rect));
+            }
+            net
+        };
+
+        // Registrations routed to other nodes wait for their acks.
+        let net = planes_net(SystemConfig::default().with_retries());
+        let sealed = net.snapshot();
+        let past = net.nodes().len();
+        let (token, send) = net
+            .nodes()
+            .iter()
+            .find_map(|n| n.planes().rel.pending.iter().next())
+            .map(|(&token, send)| (token, send.clone()))
+            .expect("a reliable send in flight");
+        let elsewhere = PendingSend {
+            dst: past,
+            ..send.clone()
+        };
+        let honest = (token, send);
+        let restated = restate(&sealed, &honest, &(token, elsewhere));
+        assert_eq!(Network::restore(&restated).map(|_| ()), refused);
+        assert!(Network::restore(&restate(&sealed, &honest, &honest)).is_ok());
+
+        // Each fresh registration is replicated to the next successors.
+        let mut net = planes_net(SystemConfig::default().with_self_healing());
+        net.run_until(SimTime::from_secs(1));
+        let sealed = net.snapshot();
+        let honest = net
+            .nodes()
+            .iter()
+            .map(|n| n.planes().replicas.clone())
+            .find(|r| !r.is_empty())
+            .expect("a node holds replicas");
+        let mut hostile = honest.clone();
+        let origin = *hostile.keys().min().unwrap();
+        let set = hostile.remove(&origin).unwrap();
+        hostile.insert(past, set);
+        let restated = restate(&sealed, &honest, &hostile);
+        assert_eq!(Network::restore(&restated).map(|_| ()), refused);
+        assert!(Network::restore(&restate(&sealed, &honest, &honest)).is_ok());
+    }
+
+    /// A node allocates its planes box on a plane's first write, so with
+    /// every plane off no node holds one, before a snapshot or after it;
+    /// a node whose plane wrote keeps its state across one.
+    #[test]
+    fn only_a_plane_that_writes_allocates_the_planes_box() {
+        let boxed = |net: &Network| -> Vec<bool> {
+            net.nodes().iter().map(|n| n.planes.is_some()).collect()
+        };
+        let net = net_after_one_delivery();
+        assert!(boxed(&net).iter().all(|&b| !b));
+        let back = Network::restore(&net.snapshot()).unwrap();
+        assert!(boxed(&back).iter().all(|&b| !b));
+
+        let mut net = Network::builder(8)
+            .registry(registry())
+            .config(SystemConfig::default().with_retries())
+            .seed(5)
+            .build()
+            .unwrap();
+        assert!(boxed(&net).iter().all(|&b| !b), "nothing sent yet");
+        net.subscribe(
+            1,
+            0,
+            Subscription::new(Rect::new(vec![10.0, 10.0], vec![20.0, 20.0])),
+        );
+        net.run_to_quiescence();
+        assert!(boxed(&net).iter().any(|&b| b), "a reliable send wrote");
+        let back = Network::restore(&net.snapshot()).unwrap();
+        assert_eq!(boxed(&back), boxed(&net));
     }
 
     /// A count and its entries are stated separately, so a snapshot can

@@ -404,6 +404,14 @@ impl<T: Decode + Copy + Default, const N: usize> Decode for [T; N] {
     }
 }
 
+// A borrow writes what it points at, so `Option<&T>` writes the bytes
+// of the `Option<T>` it stands for.
+impl<T: Encode + ?Sized> Encode for &T {
+    fn encode(&self, w: &mut Writer) {
+        (**self).encode(w);
+    }
+}
+
 impl<T: Encode + ?Sized> Encode for Box<T> {
     fn encode(&self, w: &mut Writer) {
         (**self).encode(w);

@@ -98,7 +98,7 @@ fn main() {
         v.sort_unstable_by(|a, b| b.cmp(a));
         v
     };
-    let migrated: u64 = net.nodes().iter().map(|n| n.lb.migrated_out).sum();
+    let migrated: u64 = net.nodes().iter().map(|n| n.planes().lb.migrated_out).sum();
     let mean = loads.iter().sum::<u64>() as f64 / nodes as f64;
     println!("events: {} ({} telemetry+alerts)", stats.len(), stats.len());
     println!(

@@ -216,7 +216,7 @@ fn split_run_across_dedup_evictions() {
             .iter()
             .map(|n| {
                 n.dedup.encode(&mut w);
-                n.rel.seen.encode(&mut w);
+                n.planes().rel.seen.encode(&mut w);
                 std::mem::take(&mut w).into_vec()
             })
             .collect()

@@ -35,7 +35,7 @@ fn migration_reduces_max_load_and_keeps_delivery_exact() {
     lb.run_until(lb.time() + SimTime::from_secs(300));
     let loads = lb.node_loads();
     let max_lb = loads.iter().copied().max().unwrap();
-    let migrated: u64 = lb.nodes().iter().map(|n| n.lb.migrated_out).sum();
+    let migrated: u64 = lb.nodes().iter().map(|n| n.planes().lb.migrated_out).sum();
 
     assert!(migrated > 0, "skew must trigger migration");
     assert!(
@@ -132,7 +132,10 @@ fn high_capacity_node_tolerates_more_load() {
             net.sim_mut().node_mut(hot).capacity = cap;
         }
         net.run_until(net.time() + SimTime::from_secs(300));
-        net.nodes().iter().map(|n| n.lb.migrated_out).sum::<u64>()
+        net.nodes()
+            .iter()
+            .map(|n| n.planes().lb.migrated_out)
+            .sum::<u64>()
     };
     let migrated_baseline = hot_node_and_migrated(None);
     let migrated_capped = hot_node_and_migrated(Some(100.0));
@@ -148,7 +151,7 @@ fn lb_disabled_never_migrates() {
     let mut net = test_network(24, 43, SystemConfig::default());
     skewed_subscribe(&mut net, 120, 3);
     net.run_until(net.time() + SimTime::from_secs(120));
-    let migrated: u64 = net.nodes().iter().map(|n| n.lb.migrated_out).sum();
+    let migrated: u64 = net.nodes().iter().map(|n| n.planes().lb.migrated_out).sum();
     assert_eq!(migrated, 0);
 }
 
@@ -191,7 +194,7 @@ fn trace_shows_migration_converges_within_k_rounds() {
     // The trace agrees with the metrics registry: every acked handoff in
     // the trace is accounted by the migrated-subscriptions counter.
     let migrated_metric = net.metrics().proto.migrated_subs.total();
-    let migrated_nodes: u64 = net.nodes().iter().map(|n| n.lb.migrated_out).sum();
+    let migrated_nodes: u64 = net.nodes().iter().map(|n| n.planes().lb.migrated_out).sum();
     assert!(migrated_metric > 0);
     assert_eq!(migrated_metric, migrated_nodes);
 }

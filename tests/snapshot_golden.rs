@@ -225,7 +225,7 @@ fn census(c: &Captured) -> MsgCensus {
         }
     }
     for node in &c.nodes {
-        for p in node.rel.pending.values() {
+        for p in node.planes().rel.pending.values() {
             census.count(&p.msg);
         }
     }
@@ -299,17 +299,32 @@ fn snapshot_v2_planes_bytes_are_stable() {
     // message shape the first golden lacks must be in these bytes.
     let c = decode_parts(&bytes);
     let some = |f: fn(&HyperSubNode) -> bool| c.nodes.iter().any(f);
-    assert!(some(|n| !n.lb.samples.is_empty()), "LbState.samples");
-    assert!(some(|n| !n.lb.pending.is_empty()), "LbState.pending");
-    assert!(some(|n| !n.lb.in_flight.is_empty()), "LbState.in_flight");
-    assert!(some(|n| !n.lb.migrated_index.is_empty()), "migrated_index");
-    assert!(some(|n| !n.hosted.is_empty()), "HostedRepo");
     assert!(
-        some(|n| n.replicas.values().any(|set| !set.is_empty())),
+        some(|n| !n.planes().lb.samples.is_empty()),
+        "LbState.samples"
+    );
+    assert!(
+        some(|n| !n.planes().lb.pending.is_empty()),
+        "LbState.pending"
+    );
+    assert!(
+        some(|n| !n.planes().lb.in_flight.is_empty()),
+        "LbState.in_flight"
+    );
+    assert!(
+        some(|n| !n.planes().lb.migrated_index.is_empty()),
+        "migrated_index"
+    );
+    assert!(some(|n| !n.planes().hosted.is_empty()), "HostedRepo");
+    assert!(
+        some(|n| n.planes().replicas.values().any(|set| !set.is_empty())),
         "ReplicaSet"
     );
-    assert!(some(|n| !n.rel.pending.is_empty()), "RelState.pending");
-    assert!(some(|n| !n.rel.seen.is_empty()), "RelState.seen");
+    assert!(
+        some(|n| !n.planes().rel.pending.is_empty()),
+        "RelState.pending"
+    );
+    assert!(some(|n| !n.planes().rel.seen.is_empty()), "RelState.seen");
     // `MaintState::dead` is private; its `Debug` form is not.
     assert!(
         some(|n| !format!("{:?}", n.maint).contains("dead: {}")),

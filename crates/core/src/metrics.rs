@@ -369,7 +369,8 @@ impl Decode for LogHistogram {
             sum: r.take_u64()?,
             max: r.take_u64()?,
         };
-        if h.buckets.iter().sum::<u64>() != h.count {
+        let sum = h.buckets.iter().try_fold(0u64, |s, &b| s.checked_add(b));
+        if sum != Some(h.count) {
             return Err(Error::InvalidValue("histogram bucket/count mismatch"));
         }
         Ok(h)
@@ -410,6 +411,25 @@ mod tests {
 
     fn sid(n: u64) -> SubId {
         SubId { nid: n, iid: 1 }
+    }
+
+    /// Buckets whose sum overflows a `u64` are refused, whatever count
+    /// they claim: a wrapping sum of `u64::MAX` and 1 would equal 0.
+    #[test]
+    fn a_bucket_sum_that_overflows_is_refused() {
+        let mut w = Writer::new();
+        let mut buckets = [0u64; 65];
+        buckets[0] = u64::MAX;
+        buckets[1] = 1;
+        buckets.encode(&mut w);
+        w.put_u64(0); // count: what a wrapping sum of the buckets gives
+        w.put_u64(0); // sum
+        w.put_u64(0); // max
+        let bytes = w.into_vec();
+        assert_eq!(
+            LogHistogram::decode(&mut Reader::new(&bytes)).map(|_| ()),
+            Err(Error::InvalidValue("histogram bucket/count mismatch"))
+        );
     }
 
     #[test]

@@ -25,7 +25,8 @@ const DEDUP_CAPACITY: usize = 1 << 17;
 /// its original by at most 7.75 s under the default `RetryConfig`
 /// (250 ms × (2⁵ − 1)). The oldest duplicates seen rejected came 1.12 s
 /// (an event) and 3.75 s (a retransmission) after the first copy; DESIGN.md
-/// gives the measurements and the configurations the window does not cover.
+/// "Surrogate-chain collapse" gives the measurements and the configurations
+/// the window does not cover.
 pub const DEDUP_WINDOW: SimTime = SimTime::from_secs(60);
 
 /// Drops from the front of `order` every key first seen more than

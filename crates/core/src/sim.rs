@@ -10,7 +10,8 @@ use crate::msg::HyperMsg;
 use crate::node::{HyperSubNode, TOKEN_LB, TOKEN_LEASE, TOKEN_PUBLISH_BASE, TOKEN_RETRY_BASE};
 use crate::world::{HyperWorld, Oracle, Scripted};
 use hypersub_chord::builder::{build_ring, RingConfig};
-use hypersub_chord::ChordState;
+use hypersub_chord::proto::ChordMsg;
+use hypersub_chord::{ChordState, Peer};
 use hypersub_lph::Point;
 use hypersub_simnet::{
     Ctx, FlightRecorder, KingLikeTopology, NetStats, Node, Payload, Sim, SimEvent, SimSnapshot,
@@ -183,7 +184,6 @@ pub struct NetworkBuilder {
     registry: Registry,
     config: SystemConfig,
     topology: TopologyKind,
-    ring: RingConfig,
     seed: u64,
     recorder_capacity: Option<usize>,
 }
@@ -222,12 +222,6 @@ impl NetworkBuilder {
     /// Explicit topology model.
     pub fn topology(mut self, topology: TopologyKind) -> Self {
         self.topology = topology;
-        self
-    }
-
-    /// Chord ring construction parameters.
-    pub fn ring(mut self, ring: RingConfig) -> Self {
-        self.ring = ring;
         self
     }
 
@@ -315,7 +309,7 @@ impl NetworkBuilder {
             },
         };
         let topo = topo_desc.build();
-        let nodes: Vec<N> = build_ring(&self.ring, topo.as_ref(), self.seed)
+        let nodes: Vec<N> = build_ring(&RingConfig::default(), topo.as_ref(), self.seed)
             .into_iter()
             .map(make)
             .collect();
@@ -571,15 +565,14 @@ impl<N: PubSubNode> Net<N> {
 impl Net<HyperSubNode> {
     /// Starts building an `nodes`-node network; see [`NetworkBuilder`]
     /// for the knobs. Defaults: empty registry, default
-    /// [`SystemConfig`], uniform 10 ms links, default ring, seed 0, no
-    /// flight recorder.
+    /// [`SystemConfig`], uniform 10 ms links, seed 0, no flight recorder.
+    /// The ring is always built with [`RingConfig::default`].
     pub fn builder(nodes: usize) -> NetworkBuilder {
         NetworkBuilder {
             nodes,
             registry: Registry::new(Vec::new()),
             config: SystemConfig::default(),
             topology: TopologyKind::Uniform(SimTime::from_millis(10)),
-            ring: RingConfig::default(),
             seed: 0,
             recorder_capacity: None,
         }
@@ -724,7 +717,7 @@ impl Net<HyperSubNode> {
                 hypersub_snapshot::Error::InvalidValue("snapshot liveness length"),
             ));
         }
-        check_queue(&snap.queue_entries, n, &script)?;
+        check_queue(&snap.queue_entries, snap.queue_next_seq, n, &script)?;
         let next_event_id = r.take_u64()?;
         let scheduled_events = r.take_u64()?;
         r.finish().map_err(HyperSubError::Snapshot)?;
@@ -745,8 +738,10 @@ impl Net<HyperSubNode> {
 /// `nodes`: the first send to it would panic. Its routing state names
 /// itself, its predecessor, its successors and fingers, the peers
 /// awaiting a probe reply and its bootstrap contact; its plane state
-/// names each pending reliable send's destination and each replica
-/// set's origin.
+/// names each pending reliable send's destination, each replica set's
+/// origin (as its key and as its peer), each load sample's responder
+/// and peer, each outstanding offer's target, each migrated
+/// subscription's acceptor and each hosted repository's origin.
 fn check_peers(node: &HyperSubNode, nodes: usize) -> Result<()> {
     let chord = node.chord();
     let routing = std::iter::once(chord.me())
@@ -761,9 +756,46 @@ fn check_peers(node: &HyperSubNode, nodes: usize) -> Result<()> {
         "routing state names a node past the network",
     )?;
     let planes = node.planes();
-    let pending = planes.rel.pending.values().map(|p| p.dst);
-    let plane = pending.chain(planes.replicas.keys().copied());
+    let lb = &planes.lb;
+    let plane = planes
+        .rel
+        .pending
+        .values()
+        .map(|p| p.dst)
+        .chain(
+            planes
+                .replicas
+                .iter()
+                .flat_map(|(&k, set)| [k, set.origin.idx]),
+        )
+        .chain(lb.samples.iter().flat_map(|(&k, (_, peer))| [k, peer.idx]))
+        .chain(lb.in_flight.keys().map(|&(target, _)| target))
+        .chain(lb.migrated_index.values().map(|acceptor| acceptor.idx))
+        .chain(planes.hosted.values().map(|h| h.origin));
     none_past(plane, nodes, "plane state names a node past the network")
+}
+
+/// The peers a message names in its payload, which its receiver may
+/// send to: a delivery's sender, a probe's, migration's or replica
+/// update's origin, an acknowledging acceptor, and every peer a Chord
+/// message carries.
+fn payload_peers(msg: &HyperMsg) -> Vec<Peer> {
+    match msg {
+        HyperMsg::Delivery(d) => d.sender.into_iter().collect(),
+        HyperMsg::LoadProbe { origin, .. }
+        | HyperMsg::Migrate { origin, .. }
+        | HyperMsg::ReplicaUpdate { origin, .. } => vec![*origin],
+        HyperMsg::MigrateAck { me, .. } => vec![*me],
+        HyperMsg::Chord(m) => match m {
+            ChordMsg::FindSuccessor { origin: p, .. }
+            | ChordMsg::FoundSuccessor { owner: p, .. }
+            | ChordMsg::Notify { peer: p } => vec![*p],
+            ChordMsg::NeighborsReply { pred, succs } => pred.iter().chain(succs).copied().collect(),
+            ChordMsg::GetNeighbors => Vec::new(),
+        },
+        HyperMsg::Reliable { inner, .. } => payload_peers(inner),
+        HyperMsg::Route { .. } | HyperMsg::LoadReply { .. } | HyperMsg::Ack { .. } => Vec::new(),
+    }
 }
 
 /// Refuses, as `what`, a list of node indices that names one past the
@@ -782,10 +814,13 @@ fn none_past(
 }
 
 /// Refuses a restored queue that running it would panic on: an event
-/// naming a node past the network's `nodes`, or a publish timer naming a
-/// script entry that is not waiting or that another timer names too.
+/// numbered at or past the queue's `next_seq`, an event or a message's
+/// payload naming a node past the network's `nodes`, or a publish timer
+/// naming a script entry that is not waiting or that another timer
+/// names too.
 fn check_queue(
     queue: &[(SimTime, u64, SimEvent<HyperMsg>)],
+    next_seq: u64,
     nodes: usize,
     script: &[Option<Scripted>],
 ) -> Result<()> {
@@ -795,10 +830,21 @@ fn check_queue(
         ))
     };
     let mut named = vec![false; script.len()];
-    for (_, _, event) in queue {
+    for (_, seq, event) in queue {
+        if *seq >= next_seq {
+            return invalid("queued event numbered past the queue's next");
+        }
         let (a, b) = match *event {
-            SimEvent::Deliver { src, dst, .. } => (src, dst),
-            SimEvent::SendFailed { origin, dst, .. } => (origin, dst),
+            SimEvent::Deliver { src, dst, ref msg }
+            | SimEvent::SendFailed {
+                origin: src,
+                dst,
+                ref msg,
+            } => {
+                let peers = payload_peers(msg).into_iter().map(|p| p.idx);
+                none_past(peers, nodes, "queued message names a node past the network")?;
+                (src, dst)
+            }
             SimEvent::Timer { node, token } => {
                 if let Some(idx) = script_index(token) {
                     match named.get_mut(idx) {
@@ -1399,7 +1445,8 @@ mod tests {
     }
 
     /// Plane state is checked too: a pending reliable send's destination,
-    /// and the origin index a replica set is kept under.
+    /// and the origin a replica set is kept under, as its key and as its
+    /// peer.
     #[test]
     fn plane_state_naming_a_node_past_the_network_is_refused() {
         use crate::retry::PendingSend;
@@ -1456,6 +1503,202 @@ mod tests {
         let restated = restate(&sealed, &honest, &hostile);
         assert_eq!(Network::restore(&restated).map(|_| ()), refused);
         assert!(Network::restore(&restate(&sealed, &honest, &honest)).is_ok());
+
+        // The set's own origin peer, under an honest key.
+        let mut hostile = honest.clone();
+        hostile.get_mut(&origin).unwrap().origin.idx = past;
+        let restated = restate(&sealed, &honest, &hostile);
+        assert_eq!(Network::restore(&restated).map(|_| ()), refused);
+    }
+
+    /// The load balancer's bookkeeping and the hosted repositories are
+    /// plane state too: a load sample's responder and its peer, an
+    /// outstanding offer's target, a migrated subscription's acceptor
+    /// and a hosted repository's origin. Each is restated beside the
+    /// subscriber's `local_subs`, whose bytes occur once.
+    #[test]
+    fn load_balancing_state_naming_a_node_past_the_network_is_refused() {
+        use crate::loadbal::LbState;
+        use crate::repo::HostedRepo;
+        let net = net_after_one_delivery();
+        let sealed = net.snapshot();
+        let past = net.nodes().len();
+        let key = *net
+            .nodes()
+            .iter()
+            .find_map(|n| n.repos.keys().next())
+            .expect("a zone repository");
+        let node = &net.nodes()[1];
+        let subid = SubId {
+            nid: node.chord().id,
+            iid: *node.local_subs.keys().next().expect("a local subscription"),
+        };
+        let honest = (
+            node.local_subs.clone(),
+            node.planes().hosted.clone(),
+            node.planes().lb.clone(),
+        );
+        let peer = |idx| Peer { id: 7, idx };
+        // Each field group naming node `idx`.
+        let cases = |idx: usize| {
+            let lb = |edit: &dyn Fn(&mut LbState)| {
+                let mut state = honest.clone();
+                edit(&mut state.2);
+                state
+            };
+            let mut hosted = honest.clone();
+            hosted.1.insert(9, HostedRepo::new(9, idx, key));
+            [
+                lb(&|lb| {
+                    lb.samples.insert(idx, (3, peer(0)));
+                }),
+                lb(&|lb| {
+                    lb.samples.insert(0, (3, peer(idx)));
+                }),
+                lb(&|lb| {
+                    lb.in_flight.insert((idx, key), Vec::new());
+                }),
+                lb(&|lb| {
+                    lb.migrated_index.insert((key, subid), peer(idx));
+                }),
+                hosted,
+            ]
+        };
+        let refused = Err(HyperSubError::Snapshot(
+            hypersub_snapshot::Error::InvalidValue("plane state names a node past the network"),
+        ));
+        for (inside, hostile) in cases(past - 1).into_iter().zip(cases(past)) {
+            assert!(Network::restore(&restate(&sealed, &honest, &inside)).is_ok());
+            let restated = restate(&sealed, &honest, &hostile);
+            assert_eq!(Network::restore(&restated).map(|_| ()), refused);
+        }
+    }
+
+    /// A queued message is checked for the peers its payload names, which
+    /// its receiver would send to: a delivery's sender, the origin of a
+    /// load probe, a migration or a replica update, a migration ack's
+    /// acceptor, and the peers of each Chord message — as delivered, as
+    /// a send failure and inside a reliable envelope.
+    #[test]
+    fn a_queued_message_naming_a_node_past_the_network_is_refused() {
+        use crate::msg::DeliveryMsg;
+        use hypersub_chord::proto::LookupPurpose;
+        let mut net = net_after_one_delivery();
+        net.publish(0, 0, Point(vec![15.0, 15.0])).unwrap();
+        let sealed = net.snapshot();
+        let past = net.nodes().len();
+        let queue = net.sim.export_state().queue_entries;
+        let (entry, delivery) = queue
+            .iter()
+            .find_map(|e| match &e.2 {
+                SimEvent::Deliver {
+                    msg: HyperMsg::Delivery(d),
+                    ..
+                } => Some((e, d.clone())),
+                _ => None,
+            })
+            .expect("a delivery in flight");
+        let peer = |idx| Peer { id: 7, idx };
+        // Each payload field naming node `idx`.
+        let messages = |idx: usize| {
+            let p = peer(idx);
+            let join = LookupPurpose::Join;
+            let chord = [
+                ChordMsg::FindSuccessor {
+                    key: 1,
+                    origin: p,
+                    purpose: join,
+                },
+                ChordMsg::FoundSuccessor {
+                    key: 1,
+                    owner: p,
+                    purpose: join,
+                },
+                ChordMsg::NeighborsReply {
+                    pred: Some(p),
+                    succs: Vec::new(),
+                },
+                ChordMsg::NeighborsReply {
+                    pred: None,
+                    succs: vec![peer(0), p],
+                },
+                ChordMsg::Notify { peer: p },
+            ];
+            let probe = HyperMsg::LoadProbe { origin: p, ttl: 1 };
+            [
+                HyperMsg::Delivery(DeliveryMsg {
+                    sender: Some(p),
+                    ..delivery.clone()
+                }),
+                probe.clone(),
+                HyperMsg::Migrate {
+                    origin: p,
+                    batches: Vec::new(),
+                },
+                HyperMsg::MigrateAck {
+                    me: p,
+                    acks: Vec::new(),
+                },
+                HyperMsg::ReplicaUpdate {
+                    origin: p,
+                    full: true,
+                    repos: Vec::new(),
+                },
+                HyperMsg::Reliable {
+                    token: 1,
+                    inner: Box::new(probe),
+                },
+            ]
+            .into_iter()
+            .chain(chord.map(HyperMsg::Chord))
+        };
+        let queued = |msg: HyperMsg| {
+            [
+                SimEvent::Deliver {
+                    src: 0,
+                    dst: 1,
+                    msg: msg.clone(),
+                },
+                SimEvent::SendFailed {
+                    origin: 0,
+                    dst: 1,
+                    msg,
+                },
+            ]
+        };
+        let refused = Err(HyperSubError::Snapshot(
+            hypersub_snapshot::Error::InvalidValue("queued message names a node past the network"),
+        ));
+        for (inside, hostile) in messages(past - 1).zip(messages(past)) {
+            for (inside, hostile) in queued(inside).into_iter().zip(queued(hostile)) {
+                let requeue = |event| restate(&sealed, entry, &(entry.0, entry.1, event));
+                assert!(Network::restore(&requeue(inside)).is_ok());
+                assert_eq!(Network::restore(&requeue(hostile)).map(|_| ()), refused);
+            }
+        }
+    }
+
+    /// An entry numbered at or past the queue's next sequence number is
+    /// refused: rebuilding the queue from it would panic, and a queue
+    /// that took it would hand that number out again.
+    #[test]
+    fn a_queue_entry_numbered_past_the_next_is_refused() {
+        let mut net = net_after_one_delivery();
+        net.publish(0, 0, Point(vec![15.0, 15.0])).unwrap();
+        let sealed = net.snapshot();
+        let state = net.sim.export_state();
+        let entry = &state.queue_entries[0];
+        for seq in [state.queue_next_seq, u64::MAX] {
+            let hostile = restate(&sealed, entry, &(entry.0, seq, entry.2.clone()));
+            assert_eq!(
+                Network::restore(&hostile).map(|_| ()),
+                Err(HyperSubError::Snapshot(
+                    hypersub_snapshot::Error::InvalidValue(
+                        "queued event numbered past the queue's next"
+                    )
+                ))
+            );
+        }
     }
 
     /// A node allocates its planes box on a plane's first write, so with

@@ -292,6 +292,35 @@ fn a_version_1_snapshot_is_refused() {
     );
 }
 
+/// Hostile payloads behind a valid seal, so that every decoder sees
+/// them: sampled truncations, single-bit flips and 8-byte count
+/// overwrites (`0xFF…` and 2⁴⁰) of each golden's payload. Restore may
+/// refuse a mutant or accept it (an accepted flip need not re-encode to
+/// the same bytes), but it returns: it neither panics nor aborts.
+#[test]
+fn hostile_payloads_are_refused_or_restored_without_panicking() {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = SmallRng::seed_from_u64(0x0057_11e5);
+    for (file, samples) in [("snapshot_v2.bin", 250), ("snapshot_v2_planes.bin", 30)] {
+        let golden = std::fs::read(golden_path(file)).expect("golden snapshot present");
+        let payload = hypersub_snapshot::unseal(&golden).expect("the golden unseals");
+        let restore = |bytes: Vec<u8>| drop(Network::restore(&hypersub_snapshot::seal(bytes)));
+        for _ in 0..samples {
+            restore(payload[..rng.gen_range(0..payload.len())].to_vec());
+            let mut flipped = payload.to_vec();
+            flipped[rng.gen_range(0..payload.len())] ^= 1u8 << rng.gen_range(0..8u32);
+            restore(flipped);
+            let at = rng.gen_range(0..payload.len() - 8);
+            for count in [u64::MAX, 1 << 40] {
+                let mut overwritten = payload.to_vec();
+                overwritten[at..at + 8].copy_from_slice(&count.to_le_bytes());
+                restore(overwritten);
+            }
+        }
+    }
+}
+
 #[test]
 fn snapshot_v2_planes_bytes_are_stable() {
     let bytes = planes_network().snapshot();

@@ -249,3 +249,40 @@ fn truncated_frame_is_rejected() {
     let bytes = representative_messages()[1].to_wire_bytes();
     assert!(HyperMsg::from_wire_bytes(&bytes[..bytes.len() - 1]).is_err());
 }
+
+fn unhex(s: &str) -> Vec<u8> {
+    (0..s.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).expect("hex"))
+        .collect()
+}
+
+/// Hostile bytes off the wire: every truncation, every single-bit flip
+/// and every 4- and 8-byte `0xFF` overwrite of each golden vector. The
+/// decoder returns an error, or a message that encodes back to exactly
+/// the bytes it read; it never panics.
+#[test]
+fn hostile_bytes_decode_to_an_error_or_to_themselves() {
+    let check = |bytes: &[u8]| {
+        if let Ok(msg) = HyperMsg::from_wire_bytes(bytes) {
+            assert_eq!(msg.to_wire_bytes(), bytes, "accepted bytes re-encode");
+        }
+    };
+    for golden in GOLDEN.map(unhex) {
+        for len in 0..golden.len() {
+            check(&golden[..len]);
+        }
+        for bit in 0..golden.len() * 8 {
+            let mut flipped = golden.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            check(&flipped);
+        }
+        for width in [4, 8] {
+            for at in 0..(golden.len() + 1).saturating_sub(width) {
+                let mut overwritten = golden.clone();
+                overwritten[at..at + width].fill(0xFF);
+                check(&overwritten);
+            }
+        }
+    }
+}

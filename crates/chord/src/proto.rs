@@ -123,8 +123,6 @@ pub const STABILIZE_STRIKE_LIMIT: u32 = 3;
 pub struct MaintState {
     /// The routing state proper.
     pub chord: ChordState,
-    /// Unanswered probes before eviction (see [`STABILIZE_STRIKE_LIMIT`]).
-    pub strike_limit: u32,
     /// Successor probed by the last stabilize tick and not yet heard from,
     /// with its count of consecutive missed replies so far.
     awaiting_stab: Option<(usize, u32)>,
@@ -145,7 +143,6 @@ pub struct MaintState {
 // Every private cursor steers future traffic, so all of them are captured.
 codec!(struct MaintState {
     chord,
-    strike_limit,
     awaiting_stab,
     awaiting_pred,
     next_finger,
@@ -158,7 +155,6 @@ impl MaintState {
     pub fn new(chord: ChordState) -> Self {
         Self {
             chord,
-            strike_limit: STABILIZE_STRIKE_LIMIT,
             awaiting_stab: None,
             awaiting_pred: None,
             next_finger: 0,
@@ -265,10 +261,10 @@ impl MaintState {
     /// Call at a fixed period.
     pub fn stabilize_tick(&mut self) -> Sends {
         // Unanswered probes accumulate strikes; only a run of
-        // `strike_limit` consecutive misses evicts. Strikes carry over
-        // only while the probed peer stays the same.
+        // `STABILIZE_STRIKE_LIMIT` consecutive misses evicts. Strikes
+        // carry over only while the probed peer stays the same.
         let stab_miss = match self.awaiting_stab.take() {
-            Some((idx, miss)) if miss + 1 >= self.strike_limit => {
+            Some((idx, miss)) if miss + 1 >= STABILIZE_STRIKE_LIMIT => {
                 self.note_dead(idx);
                 None
             }
@@ -276,7 +272,7 @@ impl MaintState {
             None => None,
         };
         let pred_miss = match self.awaiting_pred.take() {
-            Some((idx, miss)) if miss + 1 >= self.strike_limit => {
+            Some((idx, miss)) if miss + 1 >= STABILIZE_STRIKE_LIMIT => {
                 // Predecessor unresponsive: clear it so the true
                 // predecessor (who keeps notifying us) can take the slot,
                 // and so our responsibility arc is not stuck behind a dead

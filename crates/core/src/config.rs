@@ -5,53 +5,22 @@ use hypersub_simnet::SimTime;
 use hypersub_snapshot::{codec, Decode, Encode, Error, Reader, Writer};
 
 /// Load-balancing configuration (§4, "Dynamic Subscriptions Migration").
+/// The paper's probing level P_l and threshold δ, the target count and
+/// the load floor are constants in [`crate::loadbal`].
 #[derive(Debug, Clone)]
 pub struct LbConfig {
     /// Master switch (the paper's "no LB" vs "LB" configurations).
     pub enabled: bool,
     /// Probe/evaluate period.
     pub period: SimTime,
-    /// Threshold factor δ: a node is heavily loaded when its load exceeds
-    /// the neighbor average by `(1 + delta)`.
-    pub delta: f64,
-    /// Probing level P_l: 1 probes neighbors, 2 also neighbors' neighbors.
-    pub probe_level: u8,
-    /// Maximum number of migration targets k chosen per round.
-    pub max_targets: usize,
-    /// Absolute load floor (scaled by node capacity) below which a node
-    /// never considers itself overloaded — keeps the relative rule
-    /// meaningful when neighbors are empty and avoids migration churn for
-    /// trivially small loads.
-    pub min_load: u64,
 }
-codec!(struct LbConfig {
-    enabled,
-    period,
-    delta,
-    probe_level,
-    max_targets,
-    min_load,
-});
+codec!(struct LbConfig { enabled, period });
 
 impl Default for LbConfig {
     fn default() -> Self {
         Self {
             enabled: false,
             period: SimTime::from_secs(30),
-            delta: 1.0,
-            probe_level: 1,
-            max_targets: 4,
-            min_load: 8,
-        }
-    }
-}
-
-impl LbConfig {
-    /// The paper's evaluated configuration: enabled, P_l = 1, δ = 1.0.
-    pub fn paper_default() -> Self {
-        Self {
-            enabled: true,
-            ..Self::default()
         }
     }
 }
@@ -66,18 +35,16 @@ impl LbConfig {
 pub struct RetryConfig {
     /// Master switch.
     pub enabled: bool,
-    /// Timeout before the first retransmit; doubles per attempt.
-    pub base_timeout: SimTime,
-    /// Total transmission attempts (first send included) before giving up.
+    /// Total transmission attempts (first send included) before giving
+    /// up; at most 8, so the last leaves within the visit-once window.
     pub max_attempts: u32,
 }
-codec!(struct RetryConfig { enabled, base_timeout, max_attempts });
+codec!(struct RetryConfig { enabled, max_attempts });
 
 impl Default for RetryConfig {
     fn default() -> Self {
         Self {
             enabled: false,
-            base_timeout: SimTime::from_millis(250),
             max_attempts: 5,
         }
     }
@@ -85,35 +52,16 @@ impl Default for RetryConfig {
 
 /// Self-healing configuration (§4, "soft-state refresh" made decentralized):
 /// successor replication of rendezvous state plus per-subscriber soft-state
-/// leases. Off by default — when disabled, no lease timers are armed, no
-/// replica messages are sent, and run digests are bit-identical to builds
-/// that predate this subsystem.
-#[derive(Debug, Clone)]
+/// leases, with [`crate::heal::REPLICATION_FACTOR`] replicas and a
+/// [`crate::heal::LEASE_PERIOD`] lease. Off by default — when disabled, no
+/// lease timers are armed, no replica messages are sent, and run digests
+/// are bit-identical to builds that predate this subsystem.
+#[derive(Debug, Clone, Default)]
 pub struct HealConfig {
     /// Master switch.
     pub enabled: bool,
-    /// Number of successors each rendezvous node replicates its
-    /// subscription entries to (`r`). `0` disables replication but keeps
-    /// leases: lost state still regenerates, just no faster than one lease
-    /// period.
-    pub replication_factor: usize,
-    /// Period of the per-subscriber lease timer. Each node re-pushes its
-    /// own subscriptions (and re-derives its surrogate chains) every
-    /// period; timers are staggered per node so refreshes do not
-    /// synchronize.
-    pub lease_period: SimTime,
 }
-codec!(struct HealConfig { enabled, replication_factor, lease_period });
-
-impl Default for HealConfig {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            replication_factor: 2,
-            lease_period: SimTime::from_secs(5),
-        }
-    }
-}
+codec!(struct HealConfig { enabled });
 
 /// Whole-system configuration shared by every node.
 #[derive(Debug, Clone)]
@@ -158,7 +106,7 @@ impl SystemConfig {
 
     /// Enables load balancing with the paper's parameters.
     pub fn with_lb(mut self) -> Self {
-        self.lb = LbConfig::paper_default();
+        self.lb.enabled = true;
         self
     }
 
@@ -170,8 +118,7 @@ impl SystemConfig {
     }
 
     /// Enables the self-healing plane: successor replication of rendezvous
-    /// state and per-subscriber soft-state leases, with the default
-    /// replication factor and lease period.
+    /// state and per-subscriber soft-state leases.
     pub fn with_self_healing(mut self) -> Self {
         self.heal.enabled = true;
         self
@@ -220,8 +167,6 @@ mod tests {
         assert_eq!(c.zone.base(), 2);
         assert_eq!(c.zone.max_level(), 20);
         assert!(!c.lb.enabled);
-        assert_eq!(c.lb.delta, 1.0);
-        assert_eq!(c.lb.probe_level, 1);
     }
 
     #[test]
@@ -240,8 +185,6 @@ mod tests {
     fn self_healing_default_off_and_enable() {
         let c = SystemConfig::default();
         assert!(!c.heal.enabled);
-        assert_eq!(c.heal.replication_factor, 2);
-        assert_eq!(c.heal.lease_period, SimTime::from_secs(5));
         assert!(SystemConfig::default().with_self_healing().heal.enabled);
     }
 

@@ -8,14 +8,14 @@
 //!
 //! * **Successor replication** — each rendezvous node replicates its zone
 //!   repositories (real entries, surrogate-chain covers, and load-balance
-//!   acceptor surrogates alike — everything in `repos`) to its first `r`
-//!   successors: a full snapshot per lease tick (replace semantics, which
-//!   doubles as anti-entropy reconciliation) plus an incremental update
-//!   per fresh registration (bounding the loss window for new state to a
-//!   message latency). Replicas are stored passively in
-//!   [`Planes::replicas`](crate::node::Planes::replicas), keyed by
-//!   origin; receivers never re-replicate on receipt, so replication
-//!   cannot loop.
+//!   acceptor surrogates alike — everything in `repos`) to its first
+//!   [`REPLICATION_FACTOR`] successors: a full snapshot per lease tick
+//!   (replace semantics, which doubles as anti-entropy reconciliation)
+//!   plus an incremental update per fresh registration (bounding the loss
+//!   window for new state to a message latency). Replicas are stored
+//!   passively in [`Planes::replicas`](crate::node::Planes::replicas),
+//!   keyed by origin; receivers never re-replicate on receipt, so
+//!   replication cannot loop.
 //! * **Promotion (ownership handoff)** — when stabilization moves this
 //!   node's predecessor behind a replica origin's key (the origin died and
 //!   its arc merged into ours), the replica set is *promoted*: every entry
@@ -27,8 +27,8 @@
 //! * **Soft-state leases** — every node re-pushes its own subscriptions
 //!   and re-derives its surrogate chains on a staggered periodic timer
 //!   (idempotent through `ZoneRepo::insert` and the reliable layer's seen
-//!   cache), so any state the above misses regenerates within one lease
-//!   period.
+//!   cache), so any state the above misses regenerates within one
+//!   [`LEASE_PERIOD`].
 //! * **Re-homing** — subscriptions this node migrated to a host that died
 //!   (fail-stop notification or `retry.give_up`) have their acceptor
 //!   surrogates scrubbed; the subscribers' own leases then re-install the
@@ -44,16 +44,24 @@
 //!
 //! Everything is gated on `SystemConfig::heal.enabled`: when off, no lease
 //! timer is armed, no replica message is sent and every hook below is a
-//! no-op, so run digests are bit-identical to builds without this module
-//! (asserted by `prop_self_healing_off_never_changes_run_digest`).
+//! no-op, so run digests are bit-identical to builds without this module.
 
 use crate::model::SubId;
 use crate::msg::{HyperMsg, ReplicaBatch};
 use crate::node::{Cx, HyperSubNode, IidTarget, TOKEN_LB, TOKEN_LEASE};
 use crate::repo::{RepoKey, StoredSub};
 use hypersub_chord::Peer;
-use hypersub_simnet::{FxHashMap, ProtoEvent};
+use hypersub_simnet::{FxHashMap, ProtoEvent, SimTime};
 use hypersub_snapshot::codec;
+
+/// Number of successors each rendezvous node replicates its
+/// subscription entries to (`r`).
+pub const REPLICATION_FACTOR: usize = 2;
+
+/// Period of the per-subscriber lease timer. Each node re-pushes its own
+/// subscriptions (and re-derives its surrogate chains) every period;
+/// timers are staggered per node so refreshes do not synchronize.
+pub const LEASE_PERIOD: SimTime = SimTime::from_secs(5);
 
 /// One origin's replicated rendezvous state, held by a successor.
 #[derive(Debug, Clone)]
@@ -86,8 +94,8 @@ impl ReplicaSet {
 }
 
 impl HyperSubNode {
-    /// The first `r` distinct successors (excluding self) that replicas
-    /// go to.
+    /// The first [`REPLICATION_FACTOR`] distinct successors (excluding
+    /// self) that replicas go to.
     fn replica_targets(&self) -> Vec<Peer> {
         let me = self.maint.chord.idx;
         self.maint
@@ -95,7 +103,7 @@ impl HyperSubNode {
             .successors()
             .iter()
             .filter(|p| p.idx != me)
-            .take(self.cfg.heal.replication_factor)
+            .take(REPLICATION_FACTOR)
             .copied()
             .collect()
     }
@@ -118,7 +126,7 @@ impl HyperSubNode {
         if !self.cfg.heal.enabled {
             return;
         }
-        ctx.set_timer(self.cfg.heal.lease_period, TOKEN_LEASE);
+        ctx.set_timer(LEASE_PERIOD, TOKEN_LEASE);
         // Liveness observations predate the downtime: stale tombstones
         // would make this node refuse the very gossip that re-knits its
         // neighborhood (see `MaintState::rejoin_reset`).
@@ -149,7 +157,7 @@ impl HyperSubNode {
     /// an ownership change whose chord signal was missed is caught here at
     /// the latest).
     pub(crate) fn lease_tick(&mut self, ctx: &mut Cx<'_>) {
-        ctx.set_timer(self.cfg.heal.lease_period, TOKEN_LEASE);
+        ctx.set_timer(LEASE_PERIOD, TOKEN_LEASE);
         let me = ctx.me();
         ctx.world().metrics.proto.lease_refreshes.inc(me);
         let me = me as u64;
@@ -186,14 +194,13 @@ impl HyperSubNode {
         if self.maint.chord.predecessor.is_none() {
             return;
         }
-        let zone_params = self.cfg.zone;
         let mut stale: Vec<RepoKey> = self
             .repos
             .keys()
             .copied()
             .filter(|&(scheme, ss, zone)| {
                 let rotation = self.registry.scheme(scheme).subschemes[ss as usize].rotation;
-                let key = hypersub_lph::rotation::rotate_key(zone.key(&zone_params), rotation);
+                let key = self.zone_key(zone, rotation);
                 !self.maint.chord.responsible_for(key)
             })
             .collect();

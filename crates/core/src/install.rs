@@ -18,7 +18,7 @@ use crate::msg::{HyperMsg, Routed};
 use crate::node::{Cx, HyperSubNode, IidTarget};
 use crate::repo::{RepoKey, StoredSub, ZoneRepo};
 use hypersub_chord::routing::{next_hop, NextHop};
-use hypersub_lph::{lph_rect, rotation::rotate_key, ZoneCode};
+use hypersub_lph::{lph_rect, rotation::rotate_key, Rect, ZoneCode};
 use hypersub_simnet::ProtoEvent;
 use std::sync::Arc;
 
@@ -44,12 +44,7 @@ impl HyperSubNode {
             nid: self.maint.chord.id,
             iid,
         };
-        let scheme = self.registry.scheme(scheme_id);
-        let ss = scheme.choose_subscheme(&sub);
-        let ssdef = &scheme.subschemes[ss as usize];
-        let proj = scheme.project_rect(ss, &sub.rect);
-        let zone = lph_rect(&self.cfg.zone, &ssdef.space, &proj);
-        let key = rotate_key(zone.key(&self.cfg.zone), ssdef.rotation);
+        let (ss, proj, zone, key) = self.placement(scheme_id, &sub);
         self.route_or_local(
             ctx,
             key,
@@ -62,6 +57,27 @@ impl HyperSubNode {
                 proj,
             },
         );
+    }
+
+    /// Where a subscription is stored (Algorithm 2): its subscheme, its
+    /// projected rect, the smallest zone covering that, and the zone's key.
+    fn placement(
+        &self,
+        scheme_id: SchemeId,
+        sub: &Subscription,
+    ) -> (SubschemeId, Rect, ZoneCode, u64) {
+        let scheme = self.registry.scheme(scheme_id);
+        let ss = scheme.choose_subscheme(sub);
+        let ssdef = &scheme.subschemes[ss as usize];
+        let proj = scheme.project_rect(ss, &sub.rect);
+        let zone = lph_rect(&self.cfg.zone, &ssdef.space, &proj);
+        let key = self.zone_key(zone, ssdef.rotation);
+        (ss, proj, zone, key)
+    }
+
+    /// The Chord key of `zone` in a subscheme rotated by `rotation`.
+    pub(crate) fn zone_key(&self, zone: ZoneCode, rotation: u64) -> u64 {
+        rotate_key(zone.key(&self.cfg.zone), rotation)
     }
 
     /// Cancels one of this node's subscriptions: removes the local record
@@ -80,12 +96,7 @@ impl HyperSubNode {
             nid: self.maint.chord.id,
             iid,
         };
-        let scheme = self.registry.scheme(scheme_id);
-        let ss = scheme.choose_subscheme(&sub);
-        let ssdef = &scheme.subschemes[ss as usize];
-        let proj = scheme.project_rect(ss, &sub.rect);
-        let zone = lph_rect(&self.cfg.zone, &ssdef.space, &proj);
-        let key = rotate_key(zone.key(&self.cfg.zone), ssdef.rotation);
+        let (ss, _, zone, key) = self.placement(scheme_id, &sub);
         ctx.trace(|| ProtoEvent {
             kind: "sub.unregister",
             flow: None,
@@ -323,8 +334,8 @@ impl HyperSubNode {
 
         // Iterative descent with an explicit stack of (zone, covering
         // rect) pairs; only boundary-straddling local zones recurse.
-        let mut to_send: Vec<(ZoneCode, hypersub_lph::Rect)> = Vec::new();
-        let mut stack: Vec<(ZoneCode, hypersub_lph::Rect)> = vec![(zone, summary)];
+        let mut to_send: Vec<(ZoneCode, Rect)> = Vec::new();
+        let mut stack: Vec<(ZoneCode, Rect)> = vec![(zone, summary)];
         while let Some((z, sf)) = stack.pop() {
             if z.level >= zone_params.max_level() {
                 continue;
@@ -334,7 +345,7 @@ impl HyperSubNode {
                 let Some(sf_c) = sf.intersect(&ext) else {
                     continue;
                 };
-                let key = rotate_key(child.key(&zone_params), rotation);
+                let key = self.zone_key(child, rotation);
                 if !self.maint.chord.responsible_for(key) {
                     // Crossing a node boundary: register remotely if the
                     // subdivision changed since we last pushed it.
@@ -373,7 +384,7 @@ impl HyperSubNode {
             }
         }
         for (child, sf) in to_send {
-            let key = rotate_key(child.key(&zone_params), rotation);
+            let key = self.zone_key(child, rotation);
             self.route_or_local(
                 ctx,
                 key,
@@ -420,7 +431,7 @@ impl HyperSubNode {
     ) -> (ZoneCode, SubTarget) {
         let ssdef = &self.registry.scheme(scheme_id).subschemes[ss as usize];
         let leaf = hypersub_lph::lph_point(&self.cfg.zone, &ssdef.space, proj_point);
-        let key = rotate_key(leaf.key(&self.cfg.zone), ssdef.rotation);
+        let key = self.zone_key(leaf, ssdef.rotation);
         (leaf, SubTarget::rendezvous(key))
     }
 }

@@ -1,17 +1,18 @@
 //! Load balancing (§4): periodic neighbor load probing and dynamic
 //! subscription migration.
 //!
-//! Each node periodically samples the load on its routing neighbors (and
-//! neighbors' neighbors when the probing level exceeds 1). A node N is
-//! *heavily loaded* when `L_N > avg · (1 + δ)`. An overloaded node picks
-//! up to k lightly loaded neighbors A_1..A_k (in clockwise ring order
-//! after N) and migrates stored subscriptions to them, partitioned by the
-//! *subscriber's* node id: subscriptions whose subscriber lies in
-//! `[ID(A_i), ID(A_{i+1}))` go to A_i, and `[ID(A_k), ID(N))` to A_k —
-//! moving each subscription (overlay-)closer to its subscriber, which
-//! also shortens the delivery tail. Each acceptor summarizes what it took
-//! and registers a surrogate subscription back on N, so events matching
-//! at N still reach the migrated subscriptions.
+//! Each node periodically samples the load on its routing neighbors
+//! (probing level P_l = 1). A node N is *heavily loaded* when
+//! `L_N > avg · (1 + δ)`. An overloaded node picks up to k lightly loaded
+//! neighbors A_1..A_k (in clockwise ring order after N) and migrates
+//! stored subscriptions to them, partitioned by the *subscriber's* node
+//! id: subscriptions whose subscriber lies in `[ID(A_i), ID(A_{i+1}))`
+//! go to A_i, and `[ID(A_k), ID(N))` to A_k — moving each subscription
+//! (overlay-)closer to its subscriber, which also shortens the delivery
+//! tail. Each acceptor summarizes what it took and registers a surrogate
+//! subscription back on N, so events matching at N still reach the
+//! migrated subscriptions. P_l, δ, k and the load floor are constants
+//! (DESIGN.md "Substitutions").
 
 use crate::model::SubId;
 use crate::msg::{HyperMsg, MigAck, MigBatch};
@@ -22,6 +23,24 @@ use hypersub_lph::Rect;
 use hypersub_simnet::ProtoEvent;
 use hypersub_snapshot::codec;
 use std::collections::{HashMap, HashSet};
+
+/// Threshold factor δ: a node is heavily loaded when its load exceeds
+/// the neighbor average by `(1 + DELTA)`.
+pub const DELTA: f64 = 1.0;
+
+/// Probing level P_l: probes go to routing neighbors only, whose replies
+/// are the only ones the clockwise partition can place on the ring.
+/// Written as each probe's `ttl` byte, which receivers ignore.
+pub const PROBE_LEVEL: u8 = 1;
+
+/// Maximum number of migration targets k chosen per round.
+pub const MAX_TARGETS: usize = 4;
+
+/// Absolute load floor (scaled by node capacity) below which a node
+/// never considers itself overloaded — keeps the relative rule
+/// meaningful when neighbors are empty and avoids migration churn for
+/// trivially small loads.
+pub const MIN_LOAD: u64 = 8;
 
 /// Where an offered subscription currently lives on this node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -106,29 +125,15 @@ impl HyperSubNode {
         // Fresh probe round.
         self.planes_mut().lb.samples.clear();
         let me = self.maint.chord.me();
-        let ttl = self.cfg.lb.probe_level;
+        let ttl = PROBE_LEVEL;
         for p in self.maint.chord.close_neighbors() {
             ctx.send(p.idx, HyperMsg::LoadProbe { origin: me, ttl });
         }
     }
 
-    /// Answers a probe; forwards it one level deeper when `ttl > 1`
-    /// (probing level P_l > 1 samples neighbors' neighbors).
-    pub(crate) fn handle_load_probe(&mut self, ctx: &mut Cx<'_>, origin: Peer, ttl: u8) {
+    /// Answers a probe.
+    pub(crate) fn handle_load_probe(&mut self, ctx: &mut Cx<'_>, origin: Peer) {
         ctx.send(origin.idx, HyperMsg::LoadReply { load: self.load() });
-        if ttl > 1 {
-            for p in self.maint.chord.close_neighbors() {
-                if p.idx != origin.idx {
-                    ctx.send(
-                        p.idx,
-                        HyperMsg::LoadProbe {
-                            origin,
-                            ttl: ttl - 1,
-                        },
-                    );
-                }
-            }
-        }
     }
 
     /// Records a probe answer.
@@ -136,8 +141,8 @@ impl HyperSubNode {
         // We need the responder's ring id for clockwise partitioning; all
         // responders are ring members we learned from our routing state,
         // so find the peer among neighbors (linear scan is fine at these
-        // fan-outs). Unknown responders (e.g. from deeper probe levels)
-        // are stored with their reply only if identifiable.
+        // fan-outs). A reply from a node that is no longer a neighbor is
+        // dropped.
         if let Some(p) = self
             .maint
             .chord
@@ -162,8 +167,7 @@ impl HyperSubNode {
         // capacity-scaled absolute floor keeps the relative rule
         // meaningful when all neighbors are (near-)empty.
         let cap = self.capacity.max(1e-9);
-        let threshold =
-            (avg * (1.0 + self.cfg.lb.delta) * cap).max(self.cfg.lb.min_load as f64 * cap);
+        let threshold = (avg * (1.0 + DELTA) * cap).max(MIN_LOAD as f64 * cap);
         if (my_load as f64) <= threshold {
             return;
         }
@@ -180,7 +184,7 @@ impl HyperSubNode {
             return;
         }
         candidates.sort_by_key(|&(l, p)| (l, p.id));
-        candidates.truncate(self.cfg.lb.max_targets);
+        candidates.truncate(MAX_TARGETS);
         // Clockwise order starting after me: A_1, ..., A_k.
         let my_id = self.maint.chord.id;
         let mut targets: Vec<Peer> = candidates.into_iter().map(|(_, p)| p).collect();

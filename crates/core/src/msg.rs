@@ -170,11 +170,13 @@ pub enum HyperMsg {
     },
     /// Event delivery (Algorithm 5).
     Delivery(DeliveryMsg),
-    /// Load-balancing probe (§4); `ttl > 1` probes neighbors' neighbors.
+    /// Load-balancing probe (§4), sent to routing neighbors only.
     LoadProbe {
         /// Node collecting the samples.
         origin: Peer,
-        /// Remaining probe depth.
+        /// Written as [`crate::loadbal::PROBE_LEVEL`] (1) and ignored on
+        /// receipt: a probe is never forwarded. The byte stays until the
+        /// next `WIRE_VERSION` bump so LB-on byte counts do not move.
         ttl: u8,
     },
     /// Probe answer.

@@ -22,8 +22,9 @@ const DEDUP_CAPACITY: usize = 1 << 17;
 
 /// How long both guards remember: what was first seen more than this
 /// long before an insert is forgotten by it. A retransmission follows
-/// its original by at most 7.75 s under the default `RetryConfig`
-/// (250 ms × (2⁵ − 1)). The oldest duplicates seen rejected came 1.12 s
+/// its original by at most 7.75 s at the default five attempts
+/// (250 ms × (2⁵ − 1)), and `NetworkBuilder::build` refuses retries that
+/// would outlast the window. The oldest duplicates seen rejected came 1.12 s
 /// (an event) and 3.75 s (a retransmission) after the first copy; DESIGN.md
 /// "Surrogate-chain collapse" gives the measurements and the configurations
 /// the window does not cover.
@@ -509,7 +510,7 @@ impl Node<HyperMsg, HyperWorld> for HyperSubNode {
         match msg {
             HyperMsg::Route { key, inner } => self.handle_route(ctx, key, inner),
             HyperMsg::Delivery(d) => self.handle_delivery(ctx, d),
-            HyperMsg::LoadProbe { origin, ttl } => self.handle_load_probe(ctx, origin, ttl),
+            HyperMsg::LoadProbe { origin, .. } => self.handle_load_probe(ctx, origin),
             HyperMsg::LoadReply { load } => self.handle_load_reply(from, load),
             HyperMsg::Migrate { origin, batches } => self.handle_migrate(ctx, origin, batches),
             HyperMsg::MigrateAck { me, acks } => self.handle_migrate_ack(ctx, from, me, acks),

@@ -11,7 +11,8 @@
 //! * The sender wraps the message in [`HyperMsg::Reliable`] with a
 //!   sender-unique token, remembers it in [`RelState::pending`], and arms
 //!   a retransmit timer. Unacked messages are re-sent with the timeout
-//!   doubling each attempt, up to `retry.max_attempts` transmissions.
+//!   doubling each attempt from [`BASE_TIMEOUT`], up to
+//!   `retry.max_attempts` transmissions.
 //! * The receiver acks every `Reliable` it sees, but *processes* each
 //!   `(sender, token)` at most once ([`RelState::seen`]) — so
 //!   retransmissions (and fault-plane duplicates) are exactly-once even
@@ -29,6 +30,18 @@ use crate::msg::HyperMsg;
 use crate::node::{Cx, DedupCache, HyperSubNode, TOKEN_RETRY_BASE};
 use hypersub_simnet::{FxHashMap, ProtoEvent, SimTime};
 use hypersub_snapshot::codec;
+
+/// Timeout before the first retransmit; doubles per attempt.
+pub const BASE_TIMEOUT: SimTime = SimTime::from_millis(250);
+
+/// How long after a send's first copy its last one leaves when none is
+/// acknowledged: `BASE_TIMEOUT × (2^(max_attempts − 1) − 1)`. `None` for
+/// no attempts, or when the time does not fit in a `SimTime`.
+pub(crate) fn last_copy_leaves(max_attempts: u32) -> Option<SimTime> {
+    let doublings = 1u64.checked_shl(max_attempts.checked_sub(1)?)?;
+    let us = BASE_TIMEOUT.as_micros().checked_mul(doublings - 1)?;
+    Some(SimTime::from_micros(us))
+}
 
 /// One unacked reliable transmission.
 #[derive(Debug, Clone)]
@@ -108,7 +121,7 @@ impl HyperSubNode {
                 inner: Box::new(msg),
             },
         );
-        ctx.set_timer(self.cfg.retry.base_timeout, TOKEN_RETRY_BASE + token);
+        ctx.set_timer(BASE_TIMEOUT, TOKEN_RETRY_BASE + token);
     }
 
     /// Receiver side: ack the transmission, then process the payload
@@ -189,9 +202,7 @@ impl HyperSubNode {
             },
         );
         let timeout = SimTime::from_micros(
-            self.cfg
-                .retry
-                .base_timeout
+            BASE_TIMEOUT
                 .as_micros()
                 .saturating_mul(1u64 << exponent.min(32)),
         );

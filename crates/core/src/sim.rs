@@ -4,10 +4,14 @@
 
 use crate::config::SystemConfig;
 use crate::error::{HyperSubError, Result};
+use crate::heal::LEASE_PERIOD;
 use crate::metrics::{DeliveryRecord, EventStats, Metrics};
 use crate::model::{Event, Registry, SchemeId, SubId, Subscription};
 use crate::msg::HyperMsg;
-use crate::node::{HyperSubNode, TOKEN_LB, TOKEN_LEASE, TOKEN_PUBLISH_BASE, TOKEN_RETRY_BASE};
+use crate::node::{
+    HyperSubNode, DEDUP_WINDOW, TOKEN_LB, TOKEN_LEASE, TOKEN_PUBLISH_BASE, TOKEN_RETRY_BASE,
+};
+use crate::retry::last_copy_leaves;
 use crate::world::{HyperWorld, Oracle, Scripted};
 use hypersub_chord::builder::{build_ring, RingConfig};
 use hypersub_chord::proto::ChordMsg;
@@ -243,14 +247,14 @@ impl NetworkBuilder {
                 "load balancing requires a nonzero period",
             ));
         }
-        if self.config.retry.enabled && self.config.retry.max_attempts == 0 {
+        // A copy that leaves after the receiver's guard forgot the first
+        // would be handled twice.
+        let retry = &self.config.retry;
+        if retry.enabled
+            && !matches!(last_copy_leaves(retry.max_attempts), Some(t) if t <= DEDUP_WINDOW)
+        {
             return Err(HyperSubError::InvalidConfig(
-                "retries require max_attempts >= 1",
-            ));
-        }
-        if self.config.heal.enabled && self.config.heal.lease_period == SimTime::ZERO {
-            return Err(HyperSubError::InvalidConfig(
-                "self-healing requires a nonzero lease period",
+                "retries take 1 to 8 attempts: the last must leave within the visit-once window",
             ));
         }
         let registry = Arc::new(self.registry.clone());
@@ -270,7 +274,7 @@ impl NetworkBuilder {
             arm(cfg.lb.period, TOKEN_LB);
         }
         if cfg.heal.enabled {
-            arm(cfg.heal.lease_period, TOKEN_LEASE);
+            arm(LEASE_PERIOD, TOKEN_LEASE);
         }
         Ok(net)
     }
@@ -738,7 +742,8 @@ impl Net<HyperSubNode> {
 /// `nodes`: the first send to it would panic. Its routing state names
 /// itself, its predecessor, its successors and fingers, the peers
 /// awaiting a probe reply and its bootstrap contact; its plane state
-/// names each pending reliable send's destination, each replica set's
+/// names each pending reliable send's destination and the peers in its
+/// message (sent again on a retransmit), each replica set's
 /// origin (as its key and as its peer), each load sample's responder
 /// and peer, each outstanding offer's target, each migrated
 /// subscription's acceptor and each hosted repository's origin.
@@ -761,7 +766,10 @@ fn check_peers(node: &HyperSubNode, nodes: usize) -> Result<()> {
         .rel
         .pending
         .values()
-        .map(|p| p.dst)
+        .flat_map(|p| {
+            let named = payload_peers(&p.msg).into_iter().map(|peer| peer.idx);
+            named.chain([p.dst])
+        })
         .chain(
             planes
                 .replicas
@@ -1056,6 +1064,27 @@ mod tests {
         );
     }
 
+    /// A retry's last copy must leave while the receiver's visit-once
+    /// guard still remembers the first: with 8 attempts it leaves at
+    /// 31.75 s, with 9 at 63.75 s, past [`DEDUP_WINDOW`].
+    #[test]
+    fn retries_must_end_within_the_visit_once_window() {
+        let build = |max_attempts| {
+            let mut cfg = SystemConfig::default().with_retries();
+            cfg.retry.max_attempts = max_attempts;
+            Network::builder(4).registry(registry()).config(cfg).build()
+        };
+        assert!(build(8).is_ok());
+        for refused in [0, 9, 64, u32::MAX] {
+            assert_eq!(
+                build(refused).err(),
+                Some(HyperSubError::InvalidConfig(
+                    "retries take 1 to 8 attempts: the last must leave within the visit-once window"
+                ))
+            );
+        }
+    }
+
     #[test]
     fn out_of_range_operations_are_errors_not_panics() {
         let mut net = small_net(4, 11);
@@ -1126,22 +1155,6 @@ mod tests {
         );
         net.revive(1).unwrap();
         net.fail(1).unwrap();
-    }
-
-    #[test]
-    fn heal_requires_nonzero_lease_period() {
-        let mut cfg = SystemConfig::default().with_self_healing();
-        cfg.heal.lease_period = SimTime::ZERO;
-        assert_eq!(
-            Network::builder(4)
-                .registry(registry())
-                .config(cfg)
-                .build()
-                .err(),
-            Some(HyperSubError::InvalidConfig(
-                "self-healing requires a nonzero lease period"
-            ))
-        );
     }
 
     #[test]
@@ -1419,10 +1432,7 @@ mod tests {
         // `MaintState`'s bytes up to `bootstrap`, with the finger cursor
         // a node holds until maintenance runs.
         let maint = |stab: Awaiting, pred: Awaiting, bootstrap: Option<usize>| {
-            (
-                (node.chord().clone(), node.maint.strike_limit),
-                (stab, pred, (0usize, bootstrap)),
-            )
+            (node.chord().clone(), (stab, pred, (0usize, bootstrap)))
         };
         let honest = maint(None, None, None);
         for hostile in [
@@ -1444,9 +1454,9 @@ mod tests {
         assert!(Network::restore(&restate(&sealed, &honest, &inside)).is_ok());
     }
 
-    /// Plane state is checked too: a pending reliable send's destination,
-    /// and the origin a replica set is kept under, as its key and as its
-    /// peer.
+    /// Plane state is checked too: a pending reliable send's destination
+    /// and the peers its message names, and the origin a replica set is
+    /// kept under, as its key and as its peer.
     #[test]
     fn plane_state_naming_a_node_past_the_network_is_refused() {
         use crate::retry::PendingSend;
@@ -1481,9 +1491,19 @@ mod tests {
             dst: past,
             ..send.clone()
         };
+        // The peers its message names: a retransmit sends it again.
+        let naming_past = PendingSend {
+            msg: HyperMsg::LoadProbe {
+                origin: Peer { id: 0, idx: past },
+                ttl: 1,
+            },
+            ..send.clone()
+        };
         let honest = (token, send);
-        let restated = restate(&sealed, &honest, &(token, elsewhere));
-        assert_eq!(Network::restore(&restated).map(|_| ()), refused);
+        for hostile in [elsewhere, naming_past] {
+            let restated = restate(&sealed, &honest, &(token, hostile));
+            assert_eq!(Network::restore(&restated).map(|_| ()), refused);
+        }
         assert!(Network::restore(&restate(&sealed, &honest, &honest)).is_ok());
 
         // Each fresh registration is replicated to the next successors.

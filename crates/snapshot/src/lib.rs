@@ -5,7 +5,7 @@
 //! checkpoint/restore plane. It deliberately avoids serde (matching the
 //! report crate's serde-free style): every byte written is explicit, so
 //! the on-disk format is pinned by code review plus the golden
-//! byte-stability test (`tests/golden/snapshot_v2.bin`), not by a
+//! byte-stability test (`tests/golden/snapshot_v3.bin`), not by a
 //! derive's implementation details.
 //!
 //! Format rules:
@@ -42,7 +42,9 @@ pub const MAGIC: [u8; 4] = *b"HSNP";
 ///
 /// 2: both dedup guards carry each entry's first-seen time, and
 /// `EventDedup` writes each event once with its id list.
-pub const VERSION: u32 = 2;
+/// 3: eight settings that are constants now leave the system
+/// configuration and Chord's maintenance state.
+pub const VERSION: u32 = 3;
 
 /// Decode-side failure. Encoding is infallible by construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -849,7 +851,7 @@ mod tests {
         // 4 magic + 4 version + 8 len + payload + 8 checksum.
         let bytes = to_sealed_bytes(&7u8);
         assert_eq!(bytes.len(), 4 + 4 + 8 + 1 + 8);
-        assert_eq!(bytes[4], 2); // version 2, little-endian low byte
+        assert_eq!(bytes[4], 3); // version 3, little-endian low byte
         assert_eq!(bytes[8], 1); // payload length 1
         assert_eq!(bytes[16], 7); // payload itself
     }

@@ -5,8 +5,8 @@
 //! reader: whatever a writer prints must carry every field the file
 //! carries, under the same name and in the same place, so a writer that
 //! drops or renames one fails here rather than in `report diff` or
-//! `--expect`; and no truncation or bit flip of either makes the reader
-//! panic.
+//! `--expect`; and no truncation, bit flip or random text makes the
+//! reader panic.
 //!
 //! The design document against the sections it is cited by: it is
 //! organised by topic, so no heading names a pull request, and every
@@ -92,6 +92,42 @@ fn truncated_or_flipped_documents_never_panic() {
                 });
             }
         });
+    }
+}
+
+/// Arbitrary text from a fixed seed goes to the parser and the report
+/// reader: random strings over the characters JSON is made of, and each
+/// document's prefix followed by such a string, so the reader sees text
+/// that parses. Either may refuse it, and neither panics.
+#[test]
+fn random_documents_never_panic() {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    const ALPHABET: &[u8] = b"{}[]:,\"\\ -+.0123456789eEtrufalsn\nx";
+    let mut rng = SmallRng::seed_from_u64(0x0d0c_5eed);
+    let random = |rng: &mut SmallRng, len: usize| -> String {
+        (0..len)
+            .map(|_| ALPHABET[rng.gen_range(0..ALPHABET.len())] as char)
+            .collect()
+    };
+    let feed = |text: &str| {
+        if Json::parse(text).is_ok() {
+            let _ = Report::from_json(text);
+        }
+    };
+    for _ in 0..100_000 {
+        let len = rng.gen_range(0..64);
+        feed(&random(&mut rng, len));
+    }
+    for name in ["REPORT_hotpath_quick.json", "SHOOTOUT_quick.json"] {
+        let bytes = committed(name).into_bytes();
+        for _ in 0..2_000 {
+            let cut = rng.gen_range(0..bytes.len());
+            let len = rng.gen_range(1..32);
+            let mut mixed = String::from_utf8_lossy(&bytes[..cut]).into_owned();
+            mixed.push_str(&random(&mut rng, len));
+            feed(&mixed);
+        }
     }
 }
 

@@ -178,39 +178,6 @@ proptest! {
         prop_assert_eq!(net_a, net_b);
     }
 
-    /// The self-healing plane is provably inert while disabled: tweaking
-    /// its knobs (replication factor, lease period) without flipping
-    /// `enabled` never changes the run digest or the event schedule.
-    #[test]
-    fn prop_self_healing_off_never_changes_run_digest(
-        rects in prop::collection::vec(arb_rect(), 2..12),
-        points in prop::collection::vec((0.0f64..=100.0, 0.0f64..=100.0), 1..6),
-        nodes in 8usize..32,
-        seed in 0u64..500,
-        replication in 0usize..8,
-        lease_secs in 1u64..30,
-    ) {
-        let run = |config: SystemConfig| {
-            let mut net = test_network(nodes, seed, config);
-            for (i, r) in rects.iter().enumerate() {
-                net.subscribe(i % nodes, 0, Subscription::new(r.clone()));
-            }
-            net.run_to_quiescence();
-            for (i, &(x, y)) in points.iter().enumerate() {
-                net.publish((i * 7) % nodes, 0, Point(vec![x, y])).unwrap();
-            }
-            net.run_to_quiescence();
-            (net.run_digest(), net.steps())
-        };
-        let mut tweaked = SystemConfig::default();
-        tweaked.heal.replication_factor = replication;
-        tweaked.heal.lease_period = SimTime::from_secs(lease_secs);
-        let (d_a, s_a) = run(SystemConfig::default());
-        let (d_b, s_b) = run(tweaked);
-        prop_assert_eq!(d_a, d_b, "disabled self-healing must be digest-neutral");
-        prop_assert_eq!(s_a, s_b, "disabled self-healing must not add sim events");
-    }
-
     /// The flight recorder is provably digest-neutral: recording an
     /// arbitrary faulty workload never changes the delivery trace or the
     /// network counters, bit for bit.

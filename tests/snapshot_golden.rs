@@ -1,10 +1,10 @@
 //! Byte-stability golden tests for the versioned snapshot encoding.
 //!
 //! Two fixed scenarios' snapshots must stay **byte-identical** to the
-//! committed `tests/golden/snapshot_v2.bin` (a retries-only network) and
-//! `tests/golden/snapshot_v2_planes.bin` (every opt-in plane on, caught
+//! committed `tests/golden/snapshot_v3.bin` (a retries-only network) and
+//! `tests/golden/snapshot_v3_planes.bin` (every opt-in plane on, caught
 //! with a migration, retransmissions and replication in flight): the
-//! format is versioned (envelope magic `HSNP`, version 2) and restore
+//! format is versioned (envelope magic `HSNP`, version 3) and restore
 //! must keep working on bytes a binary of the same version wrote, so any
 //! encoding change — field order, widths, map ordering, envelope
 //! framing — is a format break that requires a version bump, not a
@@ -263,33 +263,38 @@ fn assert_matches_golden(bytes: &[u8], file: &str) {
 }
 
 #[test]
-fn snapshot_v2_bytes_are_stable() {
-    assert_matches_golden(&pinned_snapshot(), "snapshot_v2.bin");
+fn snapshot_v3_bytes_are_stable() {
+    assert_matches_golden(&pinned_snapshot(), "snapshot_v3.bin");
 }
 
 #[test]
 fn golden_snapshot_still_restores() {
-    let golden = std::fs::read(golden_path("snapshot_v2.bin")).expect("golden snapshot present");
-    let mut net = Network::restore(&golden).expect("version-2 bytes restore");
+    let golden = std::fs::read(golden_path("snapshot_v3.bin")).expect("golden snapshot present");
+    let mut net = Network::restore(&golden).expect("version-3 bytes restore");
     net.run_to_quiescence();
     let d = net.run_digest();
     println!("tail digest: {d:#018x}");
     assert_eq!(d, GOLDEN_TAIL_DIGEST, "observed {d:#018x}");
 }
 
-/// Version 1 wrote the dedup guards without first-seen times. Its
-/// envelope is refused before any byte of the payload is read.
+/// Version 1 wrote the dedup guards without first-seen times; version 2
+/// wrote the configuration and maintenance settings that are constants
+/// now. Their envelopes are refused before any byte of the payload is
+/// read.
 #[test]
-fn a_version_1_snapshot_is_refused() {
-    let mut v1 = std::fs::read(golden_path("snapshot_v2.bin")).expect("golden snapshot present");
-    assert_eq!(v1[4..8], hypersub_snapshot::VERSION.to_le_bytes());
-    v1[4..8].copy_from_slice(&1u32.to_le_bytes());
-    assert_eq!(
-        Network::restore(&v1).map(|_| ()),
-        Err(HyperSubError::Snapshot(
-            hypersub_snapshot::Error::UnsupportedVersion(1)
-        ))
-    );
+fn version_1_and_2_snapshots_are_refused() {
+    let golden = std::fs::read(golden_path("snapshot_v3.bin")).expect("golden snapshot present");
+    assert_eq!(golden[4..8], hypersub_snapshot::VERSION.to_le_bytes());
+    for version in [1u32, 2] {
+        let mut old = golden.clone();
+        old[4..8].copy_from_slice(&version.to_le_bytes());
+        assert_eq!(
+            Network::restore(&old).map(|_| ()),
+            Err(HyperSubError::Snapshot(
+                hypersub_snapshot::Error::UnsupportedVersion(version)
+            ))
+        );
+    }
 }
 
 /// Hostile payloads behind a valid seal, so that every decoder sees
@@ -302,7 +307,7 @@ fn hostile_payloads_are_refused_or_restored_without_panicking() {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     let mut rng = SmallRng::seed_from_u64(0x0057_11e5);
-    for (file, samples) in [("snapshot_v2.bin", 250), ("snapshot_v2_planes.bin", 30)] {
+    for (file, samples) in [("snapshot_v3.bin", 250), ("snapshot_v3_planes.bin", 30)] {
         let golden = std::fs::read(golden_path(file)).expect("golden snapshot present");
         let payload = hypersub_snapshot::unseal(&golden).expect("the golden unseals");
         let restore = |bytes: Vec<u8>| drop(Network::restore(&hypersub_snapshot::seal(bytes)));
@@ -321,8 +326,36 @@ fn hostile_payloads_are_refused_or_restored_without_panicking() {
     }
 }
 
+/// Arbitrary bytes behind a valid seal: random payloads, and each
+/// golden payload's prefix followed by random bytes, so that the
+/// decoders past the prefix read them. Restore refuses or accepts each,
+/// and never panics.
 #[test]
-fn snapshot_v2_planes_bytes_are_stable() {
+fn random_payloads_are_refused_or_restored_without_panicking() {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = SmallRng::seed_from_u64(0x0a4b_17a4);
+    let restore = |bytes: Vec<u8>| drop(Network::restore(&hypersub_snapshot::seal(bytes)));
+    let random =
+        |rng: &mut SmallRng, len: usize| -> Vec<u8> { (0..len).map(|_| rng.gen()).collect() };
+    for _ in 0..20_000 {
+        let len = rng.gen_range(0..512);
+        restore(random(&mut rng, len));
+    }
+    for (file, samples) in [("snapshot_v3.bin", 250), ("snapshot_v3_planes.bin", 30)] {
+        let golden = std::fs::read(golden_path(file)).expect("golden snapshot present");
+        let payload = hypersub_snapshot::unseal(&golden).expect("the golden unseals");
+        for _ in 0..samples {
+            let mut bytes = payload[..rng.gen_range(0..payload.len())].to_vec();
+            let len = rng.gen_range(1..64);
+            bytes.extend(random(&mut rng, len));
+            restore(bytes);
+        }
+    }
+}
+
+#[test]
+fn snapshot_v3_planes_bytes_are_stable() {
     let bytes = planes_network().snapshot();
     // A golden pins only what is in it: every plane's state and every
     // message shape the first golden lacks must be in these bytes.
@@ -378,14 +411,14 @@ fn snapshot_v2_planes_bytes_are_stable() {
             && m.chord_probe > 0,
         "a message shape is missing from the capture: {m:?}"
     );
-    assert_matches_golden(&bytes, "snapshot_v2_planes.bin");
+    assert_matches_golden(&bytes, "snapshot_v3_planes.bin");
 }
 
 #[test]
 fn golden_planes_snapshot_still_restores() {
     let golden =
-        std::fs::read(golden_path("snapshot_v2_planes.bin")).expect("golden snapshot present");
-    let mut net = Network::restore(&golden).expect("version-2 bytes restore");
+        std::fs::read(golden_path("snapshot_v3_planes.bin")).expect("golden snapshot present");
+    let mut net = Network::restore(&golden).expect("version-3 bytes restore");
     assert_eq!(net.time(), PLANES_SNAPSHOT_AT);
     net.run_until(PLANES_HORIZON);
     let d = net.run_digest();

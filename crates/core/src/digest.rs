@@ -7,17 +7,17 @@
 //! hot-path optimizations are required to keep it bit-identical, which
 //! the `golden` integration test enforces against hard-coded values.
 
-use crate::metrics::DeliveryRecord;
+use crate::metrics::DeliveryLog;
 use hypersub_simnet::NetStats;
 use hypersub_snapshot::Fnv1a;
 
 /// Digest of the delivery trace: every record in recorded (delivery)
 /// order. Any reordering or content change — even among same-time
 /// deliveries — changes the digest.
-pub fn delivery_digest(deliveries: &[DeliveryRecord]) -> u64 {
+pub fn delivery_digest(deliveries: &DeliveryLog) -> u64 {
     let mut h = Fnv1a::new();
     h.write_u64(deliveries.len() as u64);
-    for d in deliveries {
+    for d in deliveries.iter() {
         h.write_u64(d.event);
         h.write_u64(d.subid.nid);
         h.write_u64(d.subid.iid as u64);
@@ -59,7 +59,7 @@ pub fn netstats_digest(net: &NetStats) -> u64 {
 }
 
 /// Combined run digest: delivery trace plus network counters.
-pub fn run_digest(deliveries: &[DeliveryRecord], net: &NetStats) -> u64 {
+pub fn run_digest(deliveries: &DeliveryLog, net: &NetStats) -> u64 {
     let mut h = Fnv1a::new();
     h.write_u64(delivery_digest(deliveries));
     h.write_u64(netstats_digest(net));
@@ -69,6 +69,7 @@ pub fn run_digest(deliveries: &[DeliveryRecord], net: &NetStats) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::DeliveryRecord;
     use crate::model::SubId;
     use hypersub_simnet::SimTime;
 
@@ -91,14 +92,14 @@ mod tests {
 
     #[test]
     fn digest_is_order_sensitive() {
-        let a = [rec(1, 1, 10), rec(2, 2, 10)];
-        let b = [rec(2, 2, 10), rec(1, 1, 10)];
+        let a = DeliveryLog::from_iter([rec(1, 1, 10), rec(2, 2, 10)]);
+        let b = DeliveryLog::from_iter([rec(2, 2, 10), rec(1, 1, 10)]);
         assert_ne!(delivery_digest(&a), delivery_digest(&b));
     }
 
     #[test]
     fn digest_is_stable() {
-        let a = [rec(1, 1, 10), rec(2, 2, 20)];
+        let a = DeliveryLog::from_iter([rec(1, 1, 10), rec(2, 2, 20)]);
         assert_eq!(delivery_digest(&a), delivery_digest(&a));
         let mut net = NetStats::new(2);
         net.record_out(0, 100, Some(1));

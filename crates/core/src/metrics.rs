@@ -9,9 +9,10 @@
 //! totals over the run (also from `NetStats`).
 
 use crate::model::SubId;
-use hypersub_simnet::{NetStats, SimTime};
+use hypersub_simnet::{FxHashMap, FxHashSet, NetStats, SimTime};
 use hypersub_snapshot::{codec, Decode, Encode, Error, Reader, Writer};
 use std::collections::HashMap;
+use std::fmt;
 
 /// One recorded publish.
 #[derive(Debug, Clone, Copy)]
@@ -38,6 +39,196 @@ pub struct DeliveryRecord {
     pub hops: u32,
 }
 codec!(struct DeliveryRecord { event, subid, time, hops });
+
+/// Every delivery record of a run, in arrival order, stored compactly:
+/// one byte log where each record is five LEB128 varints —
+///
+/// 1. the event, as a zigzag delta from the previous record's event;
+/// 2. the subscriber `nid`, as its index among the `nid`s seen so far
+///    (interned in order of first appearance, so at most one per node);
+/// 3. the `iid`;
+/// 4. the time in microseconds, as a zigzag delta from the previous
+///    record's (the simulator appends in time order, but a hand-fed log
+///    may go backwards);
+/// 5. the hops.
+///
+/// A simulated record takes about 7 bytes, where a [`DeliveryRecord`]
+/// takes 40. The codec writes the count and then each record through
+/// `DeliveryRecord`'s codec — the bytes a `Vec<DeliveryRecord>` writes —
+/// so a snapshot does not depend on this layout.
+#[derive(Default)]
+pub struct DeliveryLog {
+    bytes: Vec<u8>,
+    len: usize,
+    /// Subscriber `nid`s in order of first appearance, and each one's
+    /// index in that order.
+    nids: Vec<u64>,
+    nid_index: FxHashMap<u64, u64>,
+    /// The last record's event and time, which the next one is written
+    /// as deltas from.
+    last_event: u64,
+    last_time: u64,
+}
+
+impl DeliveryLog {
+    /// Appends one record.
+    pub fn push(&mut self, d: DeliveryRecord) {
+        let next = self.nids.len() as u64;
+        let nid = *self.nid_index.entry(d.subid.nid).or_insert_with(|| {
+            self.nids.push(d.subid.nid);
+            next
+        });
+        let time = d.time.as_micros();
+        for v in [
+            zigzag(d.event.wrapping_sub(self.last_event)),
+            nid,
+            u64::from(d.subid.iid),
+            zigzag(time.wrapping_sub(self.last_time)),
+            u64::from(d.hops),
+        ] {
+            put_varint(&mut self.bytes, v);
+        }
+        self.last_event = d.event;
+        self.last_time = time;
+        self.len += 1;
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no record has been pushed.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The records in arrival order.
+    pub fn iter(&self) -> impl Iterator<Item = DeliveryRecord> + '_ {
+        Records {
+            log: self,
+            at: 0,
+            left: self.len,
+            event: 0,
+            time: 0,
+        }
+    }
+}
+
+/// Decoding cursor over a [`DeliveryLog`].
+struct Records<'a> {
+    log: &'a DeliveryLog,
+    at: usize,
+    left: usize,
+    event: u64,
+    time: u64,
+}
+
+impl Iterator for Records<'_> {
+    type Item = DeliveryRecord;
+
+    fn next(&mut self) -> Option<DeliveryRecord> {
+        if self.left == 0 {
+            return None;
+        }
+        let (bytes, at) = (&self.log.bytes[..], &mut self.at);
+        self.event = self.event.wrapping_add(unzigzag(varint(bytes, at)));
+        let nid = self.log.nids[varint(bytes, at) as usize];
+        let iid = varint(bytes, at) as u32;
+        self.time = self.time.wrapping_add(unzigzag(varint(bytes, at)));
+        let hops = varint(bytes, at) as u32;
+        self.left -= 1;
+        Some(DeliveryRecord {
+            event: self.event,
+            subid: SubId { nid, iid },
+            time: SimTime::from_micros(self.time),
+            hops,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+/// Maps a two's-complement difference to one that is small when the
+/// difference is small in either direction: 0, −1, 1, −2, … → 0, 1, 2, 3, ….
+fn zigzag(d: u64) -> u64 {
+    (d << 1) ^ ((d as i64 >> 63) as u64)
+}
+
+fn unzigzag(z: u64) -> u64 {
+    (z >> 1) ^ (z & 1).wrapping_neg()
+}
+
+/// Appends `v` as an LEB128 varint: seven bits a byte, low bits first,
+/// the high bit set on every byte but the last.
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Reads the varint at `*at` and moves past it. The log is written only
+/// by [`put_varint`], so it is well formed.
+fn varint(bytes: &[u8], at: &mut usize) -> u64 {
+    let mut v = 0;
+    let mut shift = 0;
+    loop {
+        let b = bytes[*at];
+        *at += 1;
+        v |= u64::from(b & 0x7f) << shift;
+        if b < 0x80 {
+            return v;
+        }
+        shift += 7;
+    }
+}
+
+impl PartialEq for DeliveryLog {
+    /// Equal logs hold the same records in the same order: the bytes and
+    /// the interned `nid`s are a function of that sequence, and give it
+    /// back.
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.bytes == other.bytes && self.nids == other.nids
+    }
+}
+
+impl fmt::Debug for DeliveryLog {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl FromIterator<DeliveryRecord> for DeliveryLog {
+    fn from_iter<I: IntoIterator<Item = DeliveryRecord>>(records: I) -> Self {
+        let mut log = DeliveryLog::default();
+        records.into_iter().for_each(|d| log.push(d));
+        log
+    }
+}
+
+impl Encode for DeliveryLog {
+    fn encode(&self, w: &mut Writer) {
+        w.put_u64(self.len as u64);
+        self.iter().for_each(|d| d.encode(w));
+    }
+}
+
+impl Decode for DeliveryLog {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
+        // The count is untrusted: nothing is sized from it, and a short
+        // input fails at the record it runs out in.
+        let n = usize::decode(r)?;
+        let mut log = DeliveryLog::default();
+        for _ in 0..n {
+            log.push(DeliveryRecord::decode(r)?);
+        }
+        Ok(log)
+    }
+}
 
 /// A named per-node counter that grows on demand (the world does not know
 /// the network size up front). Index by simulator node index.
@@ -240,7 +431,7 @@ impl ProtoMetrics {
 #[derive(Debug, Default)]
 pub struct Metrics {
     publishes: HashMap<u64, PublishRecord>,
-    deliveries: Vec<DeliveryRecord>,
+    deliveries: DeliveryLog,
     /// Protocol counters and histograms (see [`ProtoMetrics`]).
     pub proto: ProtoMetrics,
 }
@@ -272,8 +463,8 @@ impl Metrics {
         });
     }
 
-    /// Raw delivery records.
-    pub fn deliveries(&self) -> &[DeliveryRecord] {
+    /// Raw delivery records, in arrival order.
+    pub fn deliveries(&self) -> &DeliveryLog {
         &self.deliveries
     }
 
@@ -285,32 +476,30 @@ impl Metrics {
     /// Aggregates per-event statistics, sorted by event id. `total_subs`
     /// is the number of subscriptions in the system (for the matched
     /// fraction); `net` supplies the per-flow bandwidth.
+    ///
+    /// Two passes over the log in arrival order: the first finds each
+    /// published event's last record, the second folds the records into
+    /// their event's row, keeping a set of the event's subscriptions until
+    /// that last record. Deliveries of an event never published are
+    /// skipped.
     pub fn event_stats(&self, total_subs: usize, net: &NetStats) -> Vec<EventStats> {
-        // The records grouped by event, and by subscription inside an
-        // event, as indices: four bytes a delivery, where a map of lists
-        // of references cost twice that and a table and a list per event.
-        let records = &self.deliveries;
-        let len = u32::try_from(records.len()).expect("fewer than 2³² delivery records");
-        let key = |i: u32| {
-            let d = &records[i as usize];
-            (d.event, d.subid)
-        };
-        let mut order: Vec<u32> = (0..len).collect();
-        order.sort_unstable_by_key(|&i| key(i));
         let mut published: Vec<(u64, &PublishRecord)> =
             self.publishes.iter().map(|(&e, p)| (e, p)).collect();
         published.sort_unstable_by_key(|&(e, _)| e);
+        let slot = |event| published.binary_search_by_key(&event, |&(e, _)| e).ok();
 
-        let mut rest = order.as_slice();
-        published
-            .into_iter()
-            .map(|(event, p)| {
-                // Deliveries of an event never published are skipped.
-                let start = rest.partition_point(|&i| key(i).0 < event);
-                let end = start + rest[start..].partition_point(|&i| key(i).0 == event);
-                let group = &rest[start..end];
-                rest = &rest[end..];
-                let mut stats = EventStats {
+        let mut last = vec![0; published.len()];
+        for (i, d) in self.deliveries.iter().enumerate() {
+            if let Some(s) = slot(d.event) {
+                last[s] = i;
+            }
+        }
+
+        let mut stats: Vec<EventStats> = published
+            .iter()
+            .map(|&(event, p)| {
+                let flow = net.flow(event);
+                EventStats {
                     event,
                     publish_time: p.time,
                     publish_node: p.node,
@@ -319,35 +508,39 @@ impl Metrics {
                     duplicates: 0,
                     max_hops: 0,
                     max_latency: SimTime::ZERO,
-                    bandwidth_bytes: 0,
-                    messages: 0,
+                    bandwidth_bytes: flow.bytes,
+                    messages: flow.msgs,
                     matched_fraction: if total_subs == 0 {
                         0.0
                     } else {
                         p.expected as f64 / total_subs as f64
                     },
-                };
-                let mut last = None;
-                for &i in group {
-                    let d = &records[i as usize];
-                    // Distinct subscriber subids (defensive: a second
-                    // delivery to one would mean a protocol bug, surfaced
-                    // by `duplicates`). Sorted, so a repeat is adjacent.
-                    if last == Some(d.subid) {
-                        stats.duplicates += 1;
-                    } else {
-                        stats.delivered += 1;
-                    }
-                    last = Some(d.subid);
-                    stats.max_hops = stats.max_hops.max(d.hops);
-                    stats.max_latency = stats.max_latency.max(d.time.saturating_sub(p.time));
                 }
-                let flow = net.flow(event);
-                stats.bandwidth_bytes = flow.bytes;
-                stats.messages = flow.msgs;
-                stats
             })
-            .collect()
+            .collect();
+        // The subscriptions each event has reached so far, dropped at its
+        // last record: what is held at once is the events whose
+        // deliveries overlap, not the whole log.
+        let mut reached: Vec<FxHashSet<SubId>> = vec![FxHashSet::default(); published.len()];
+        for (i, d) in self.deliveries.iter().enumerate() {
+            let Some(s) = slot(d.event) else {
+                continue;
+            };
+            let row = &mut stats[s];
+            // Distinct subscriber subids (defensive: a second delivery to
+            // one would mean a protocol bug, surfaced by `duplicates`).
+            if reached[s].insert(d.subid) {
+                row.delivered += 1;
+            } else {
+                row.duplicates += 1;
+            }
+            row.max_hops = row.max_hops.max(d.hops);
+            row.max_latency = row.max_latency.max(d.time.saturating_sub(row.publish_time));
+            if i == last[s] {
+                reached[s] = FxHashSet::default();
+            }
+        }
+        stats
     }
 }
 
@@ -467,10 +660,11 @@ mod tests {
     }
 
     /// The per-event map of record lists `event_stats` used to build,
-    /// kept as the reference its folding over sorted indices must equal.
+    /// kept as the reference its two passes over the log must equal.
     fn event_stats_by_map(m: &Metrics, total_subs: usize, net: &NetStats) -> Vec<EventStats> {
         let mut by_event: HashMap<u64, Vec<&DeliveryRecord>> = HashMap::new();
-        for d in &m.deliveries {
+        let records: Vec<DeliveryRecord> = m.deliveries.iter().collect();
+        for d in &records {
             by_event.entry(d.event).or_default().push(d);
         }
         let mut out: Vec<EventStats> = m
@@ -512,8 +706,8 @@ mod tests {
 
     /// A shuffled log: forty published events, one in four with no
     /// delivery, the rest with up to six subscribers, some delivered
-    /// twice, and deliveries of two events never published. Folding
-    /// sorted indices gives what the map of lists gave, field for field.
+    /// twice, and deliveries of two events never published. The two passes
+    /// give what the map of lists gave, field for field.
     #[test]
     fn event_stats_folds_a_shuffled_log_like_the_map_of_lists() {
         let mut rng = 0x9e37_79b9_7f4a_7c15u64;
@@ -559,6 +753,81 @@ mod tests {
         );
         assert!(got.iter().filter(|s| s.delivered == 0).count() >= 10);
         assert!(got.iter().all(|s| s.messages == 1 && s.bandwidth_bytes > 0));
+    }
+
+    /// A record field drawn from `r`: mostly small and recurring, so that
+    /// `(event, subid)` pairs repeat and times go back as well as forward;
+    /// otherwise the field's largest values (`max` is all ones), or any.
+    fn drawn(sel: u8, r: u64, max: u64) -> u64 {
+        match sel {
+            0 => max,
+            1 => max - r % 4,
+            2 => r & max,
+            _ => r % 6,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig {
+            cases: 256,
+            ..proptest::test_runner::ProptestConfig::default()
+        })]
+
+        /// Random record sequences — times that go backwards, repeated
+        /// `(event, subid)` pairs, `u64::MAX` events, times and `nid`s,
+        /// `u32::MAX` iids and hops, deliveries of events never
+        /// published: the log gives back the records pushed, writes the
+        /// bytes the plain vector writes, decodes to an equal log, and
+        /// `event_stats` equals the map-of-lists reference field for field.
+        #[test]
+        fn prop_delivery_log_holds_what_the_vector_held(
+            ops in proptest::prop::collection::vec(
+                (0u8..8, 0u8..8, 0u8..8, 0u8..8, 0u8..8, proptest::any::<u64>()),
+                0..64,
+            ),
+        ) {
+            let records: Vec<DeliveryRecord> = ops
+                .iter()
+                .map(|&(e, n, i, t, h, r)| DeliveryRecord {
+                    event: drawn(e, r, u64::MAX),
+                    subid: SubId {
+                        nid: drawn(n, r.rotate_left(13), u64::MAX),
+                        iid: drawn(i, r.rotate_left(26), u32::MAX.into()) as u32,
+                    },
+                    time: SimTime::from_micros(drawn(t, r.rotate_left(39), u64::MAX)),
+                    hops: drawn(h, r.rotate_left(52), u32::MAX.into()) as u32,
+                })
+                .collect();
+            let mut m = Metrics::default();
+            let mut net = NetStats::new(2);
+            let mut events: Vec<u64> = records.iter().map(|d| d.event).collect();
+            events.push(1 << 40);
+            events.sort_unstable();
+            events.dedup();
+            // Two events in three are published; one of them, 2⁴⁰, is
+            // never delivered.
+            for &event in events.iter().filter(|&&e| e % 3 != 1) {
+                m.record_publish(event, SimTime::from_micros(event % 5), 0, (event % 7) as usize);
+                net.record_out(0, 50, Some(event));
+            }
+            for d in &records {
+                m.record_delivery(d.event, d.subid, d.time, d.hops);
+            }
+            let log = m.deliveries();
+
+            proptest::prop_assert_eq!(log.len(), records.len());
+            proptest::prop_assert_eq!(log.iter().collect::<Vec<_>>(), records.clone());
+            let mut w = Writer::new();
+            log.encode(&mut w);
+            let bytes = w.into_vec();
+            let mut w = Writer::new();
+            records.encode(&mut w);
+            proptest::prop_assert_eq!(&bytes, &w.into_vec());
+            let mut r = Reader::new(&bytes);
+            proptest::prop_assert_eq!(&DeliveryLog::decode(&mut r).unwrap(), log);
+            proptest::prop_assert_eq!(r.remaining(), 0);
+            proptest::prop_assert_eq!(m.event_stats(9, &net), event_stats_by_map(&m, 9, &net));
+        }
     }
 
     #[test]

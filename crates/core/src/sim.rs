@@ -5,7 +5,7 @@
 use crate::config::SystemConfig;
 use crate::error::{HyperSubError, Result};
 use crate::heal::LEASE_PERIOD;
-use crate::metrics::{DeliveryRecord, EventStats, Metrics};
+use crate::metrics::{DeliveryLog, EventStats, Metrics};
 use crate::model::{Event, Registry, SchemeId, SubId, Subscription};
 use crate::msg::HyperMsg;
 use crate::node::{
@@ -526,7 +526,7 @@ impl<N: PubSubNode> Net<N> {
 
     /// Raw per-subscriber delivery records, in delivery order — the trace
     /// the run digest is computed over.
-    pub fn deliveries(&self) -> &[DeliveryRecord] {
+    pub fn deliveries(&self) -> &DeliveryLog {
         self.sim.world().metrics.deliveries()
     }
 

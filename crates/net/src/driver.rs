@@ -40,6 +40,14 @@ const DIAL_TIMEOUT: Duration = Duration::from_millis(500);
 /// sleep is read.
 const IDLE_SLEEP: Duration = Duration::from_millis(1);
 
+/// How long an inbound connection may go without a byte while its
+/// handshake or a frame is incomplete before it is dropped. A peer that
+/// stops partway would otherwise pin a socket and up to `MAX_FRAME` bytes
+/// of buffer for good; an honest dialer writes each frame whole, so a
+/// frame that stays incomplete this long is from a stalled or hostile
+/// peer. A connection idle between whole frames is kept.
+const STALL_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// Configuration for one live node's transport.
 pub struct LiveConfig {
     /// This node's index into `peers`.
@@ -117,6 +125,16 @@ struct Inbound {
     buf: Vec<u8>,
     /// The dialer's node index, once its handshake frame has arrived.
     from: Option<usize>,
+    /// When the connection was accepted or last delivered a byte.
+    heard: Instant,
+}
+
+impl Inbound {
+    /// Whether the peer stopped partway through its handshake or a frame
+    /// and has been silent for [`STALL_TIMEOUT`].
+    fn stalled(&self) -> bool {
+        (self.from.is_none() || !self.buf.is_empty()) && self.heard.elapsed() >= STALL_TIMEOUT
+    }
 }
 
 /// One live node: the protocol state machine and its world, plus
@@ -171,8 +189,9 @@ where
 
     /// One pass: fire the timers that are due, accept new connections,
     /// then read every inbound connection until it would block, entering
-    /// each whole message as it is split off. A connection that closes or
-    /// sends a frame that is not ours is dropped; the node and its other
+    /// each whole message as it is split off. A connection that closes,
+    /// sends a frame that is not ours, or stalls partway through a frame
+    /// (silent for `STALL_TIMEOUT`, 2 s) is dropped; the node and its other
     /// connections go on. Returns whether the pass did anything.
     pub fn poll(&mut self) -> bool {
         let mut busy = false;
@@ -186,6 +205,7 @@ where
                     stream,
                     buf: Vec::new(),
                     from: None,
+                    heard: Instant::now(),
                 });
             }
             busy = true;
@@ -194,7 +214,7 @@ where
         inbound.retain_mut(|conn| {
             let read = self.read_from(conn);
             busy |= !matches!(read, Ok(false));
-            read.is_ok()
+            read.is_ok() && !conn.stalled()
         });
         self.inbound = inbound;
         busy
@@ -216,6 +236,7 @@ where
                 Err(e) => return Err(e),
             };
             read = true;
+            conn.heard = Instant::now();
             conn.buf.extend_from_slice(&chunk[..n]);
             let mut at = 0;
             while let Some((frame, len)) = split_frame(&conn.buf[at..])? {

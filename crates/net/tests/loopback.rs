@@ -279,6 +279,40 @@ fn hostile_peer_loses_only_its_own_connection() {
     assert_eq!(nodes[0].world.pings, vec![1, 2]);
 }
 
+/// A peer that handshakes, sends 3 bytes of a frame and goes silent, and
+/// one that connects and sends nothing, are dropped once the driver's
+/// stall timeout (2 s) passes. A raw connection idle for as long between
+/// whole frames stays open, and the real peer is still served.
+#[test]
+fn a_peer_stalled_partway_through_a_frame_is_dropped() {
+    let (mut nodes, peers) = ring(2, || PingPong);
+    nodes[1].call(|_n, ctx| ctx.send(0, TestMsg::Ping(1)));
+    wait_until(&mut nodes, |n| n[1].world.pongs == [1]);
+
+    let mut stalled = TcpStream::connect(peers[0]).unwrap();
+    write_frame(&mut stalled, &handshake(1)).unwrap();
+    stalled.write_all(&[9, 0, 0]).unwrap();
+    let silent = TcpStream::connect(peers[0]).unwrap();
+    let mut idle = TcpStream::connect(peers[0]).unwrap();
+    write_frame(&mut idle, &handshake(1)).unwrap();
+    write_frame(&mut idle, &TestMsg::Pong(5).to_wire_bytes()).unwrap();
+    for client in [&stalled, &silent, &idle] {
+        client.set_nonblocking(true).unwrap();
+    }
+    let start = Instant::now();
+    wait_until(&mut nodes, |_| closed(&stalled) && closed(&silent));
+    assert!(
+        start.elapsed() >= Duration::from_secs(2),
+        "dropped before the timeout"
+    );
+    assert!(!closed(&idle), "a connection idle between frames is kept");
+
+    nodes[1].call(|_n, ctx| ctx.send(0, TestMsg::Ping(2)));
+    wait_until(&mut nodes, |n| n[1].world.pongs == [1, 2]);
+    assert_eq!(nodes[0].world.pings, vec![1, 2]);
+    assert_eq!(nodes[0].world.pongs, vec![5], "the idle peer's frame");
+}
+
 /// One thread hosts four nodes; every node pings every other.
 #[test]
 fn four_nodes_on_one_thread_ping_all_to_all() {

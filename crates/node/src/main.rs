@@ -383,6 +383,106 @@ mod tests {
         assert_eq!(reply, "ok deliveries 1");
     }
 
+    /// Feeds `handle_command` each line and checks what every reply must
+    /// hold: no panic, an `ok ` or `err ` prefix, and an event id spent
+    /// only by an `ok pub`, which names the id it spent.
+    fn feed_hostile(live: &mut Live, next_event: &mut u64, lines: &[String]) {
+        for line in lines {
+            let before = *next_event;
+            let (reply, _) = handle_command(live, line.trim(), next_event);
+            assert!(
+                reply.starts_with("ok ") || reply.starts_with("err "),
+                "{line:?} → {reply:?}"
+            );
+            if reply.starts_with("ok pub ") {
+                assert_eq!(reply, format!("ok pub {before}"), "{line:?}");
+                assert_eq!(*next_event, before + 1, "{line:?}");
+            } else {
+                assert_eq!(*next_event, before, "{line:?} → {reply:?}");
+            }
+        }
+    }
+
+    /// Every truncation and token-level mutation of each valid command,
+    /// then seeded random lines (non-UTF-8 bytes through the same lossy
+    /// conversion `Control::serve` applies): none panics, every reply is
+    /// `ok …` or `err …`, and only an `ok pub` spends an event id.
+    #[test]
+    fn hostile_control_lines_are_answered_without_panicking() {
+        let valid = [
+            "sub 10 10 30 30",
+            "pub 20 20",
+            "deliveries",
+            "status",
+            "quit",
+        ];
+        // The domain's edges ([0, 100] on both axes), the float parser's
+        // specials, and near misses. (An empty token is a missing one.)
+        let odd: Vec<&str> = "NaN nan -NaN inf +inf -inf infinity -0 +0 -0.0 0 100 \
+             100.00000000000001 1e308 -1e308 1e309 5e-324 -5e-324 \
+             2.2250738585072009e-308 1e-310 0x10 1_0"
+            .split_whitespace()
+            .collect();
+        let mut lines: Vec<String> = Vec::new();
+        for cmd in valid {
+            // Every truncation.
+            lines.extend((0..=cmd.len()).map(|n| cmd[..n].to_string()));
+            let tokens: Vec<&str> = cmd.split(' ').collect();
+            // A missing, a repeated and an extra token.
+            for i in 0..tokens.len() {
+                let mut t = tokens.clone();
+                t.remove(i);
+                lines.push(t.join(" "));
+                let mut t = tokens.clone();
+                t.insert(i, tokens[i]);
+                lines.push(t.join(" "));
+            }
+            // Each token, and each pair of tokens, replaced by an odd one;
+            // an odd one appended.
+            for &o in &odd {
+                lines.push(format!("{cmd} {o}"));
+                for i in 0..tokens.len() {
+                    let mut t = tokens.clone();
+                    t[i] = o;
+                    lines.push(t.join(" "));
+                    for j in i + 1..tokens.len() {
+                        for &o2 in &odd {
+                            let mut t = t.clone();
+                            t[j] = o2;
+                            lines.push(t.join(" "));
+                        }
+                    }
+                }
+            }
+        }
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |bound: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng as usize % bound
+        };
+        for _ in 0..2000 {
+            let line: Vec<u8> = if next(2) == 0 {
+                (0..next(40)).map(|_| next(256) as u8).collect()
+            } else {
+                let words: Vec<&str> = (0..next(7))
+                    .map(|_| match next(3) {
+                        0 => valid[next(valid.len())].split(' ').next().unwrap(),
+                        _ => odd[next(odd.len())],
+                    })
+                    .collect();
+                words.join(" ").into_bytes()
+            };
+            lines.push(String::from_utf8_lossy(&line).into_owned());
+        }
+
+        let mut live = one_node();
+        let mut next_event = 1;
+        feed_hostile(&mut live, &mut next_event, &lines);
+        assert!(next_event > 1, "some mutation was an in-domain publish");
+    }
+
     /// A connection that sends more than `MAX_LINE` bytes without a
     /// newline is answered and dropped; one whose line is exactly
     /// `MAX_LINE` long with its newline is served, and keeps being served.

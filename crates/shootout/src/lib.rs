@@ -167,9 +167,13 @@ fn ordinal(ordinals: &Ordinals, sid: &SubId) -> u32 {
 /// `(event, ordinal)` pairs among `deliveries`; `folds` is sorted by
 /// event. This is the fold `drive` applies to a settled network's
 /// deliveries.
-pub fn fold_delivered(folds: &mut [EventFold], ordinals: &Ordinals, deliveries: &[DeliveryRecord]) {
+pub fn fold_delivered(
+    folds: &mut [EventFold],
+    ordinals: &Ordinals,
+    deliveries: impl IntoIterator<Item = DeliveryRecord>,
+) {
     let mut pairs: Vec<(u64, u32)> = deliveries
-        .iter()
+        .into_iter()
         .map(|d| (d.event, ordinal(ordinals, &d.subid)))
         .collect();
     pairs.sort_unstable();
@@ -405,7 +409,7 @@ pub fn drive<N: PubSubNode>(
         })
         .collect();
     settle(&mut net, end + SimTime::from_secs(120));
-    fold_delivered(&mut folds, &ordinals, net.deliveries());
+    fold_delivered(&mut folds, &ordinals, net.deliveries().iter());
     Ok(SystemRun {
         system: name,
         subs_per_node: p.spec.subs_per_node,

@@ -90,7 +90,7 @@ fn one_wrong_delivery_fails_the_oracle_and_names_its_event() {
     gen.schedule(&mut net, p.spec.events);
     net.run_to_quiescence();
     let ordinals: Ordinals = sub_ids.iter().copied().zip(0..).collect();
-    let deliveries = net.deliveries().to_vec();
+    let deliveries: Vec<DeliveryRecord> = net.deliveries().iter().collect();
 
     let check = |deliveries: &[DeliveryRecord]| {
         let mut metrics = Metrics::default();
@@ -102,7 +102,7 @@ fn one_wrong_delivery_fails_the_oracle_and_names_its_event() {
         }
         let mut run = real.clone();
         run.event_stats = metrics.event_stats(sub_ids.len(), net.net());
-        fold_delivered(&mut run.folds, &ordinals, deliveries);
+        fold_delivered(&mut run.folds, &ordinals, deliveries.iter().copied());
         equivalence_failures(&[real.clone(), run])
     };
     assert_eq!(check(&deliveries), Vec::<String>::new(), "the replay");

@@ -909,6 +909,62 @@ mod tests {
         let _ = subid;
     }
 
+    /// On a single-subscheme network a subscription's rect is one heap
+    /// block from the caller to the repository: the caller's copy, the
+    /// subscriber's `local_subs` record and the stored entry's `full` and
+    /// `proj` share it, and each chain link's surrogate entry shares the
+    /// block its parent recorded in `pushed`.
+    #[test]
+    fn an_installed_subscription_is_one_shared_block() {
+        use crate::repo::StoredSub;
+        let mut net = small_net(16, 1);
+        let mut subs = Vec::new();
+        for (i, lo) in [10.0, 30.0, 45.0, 70.0].into_iter().enumerate() {
+            let sub = Subscription::new(Rect::new(vec![lo, lo], vec![lo + 12.0, lo + 9.0]));
+            subs.push((net.subscribe(i * 3, 0, sub.clone()), i * 3, sub));
+        }
+        net.run_to_quiescence();
+        for (subid, node, sub) in &subs {
+            let local = &net.nodes()[*node].local_subs[&subid.iid].1.rect;
+            assert!(local.shares_block(&sub.rect));
+            let stored: Vec<&StoredSub> = net
+                .nodes()
+                .iter()
+                .flat_map(|n| n.repos.values())
+                .filter_map(|repo| repo.entries.get(subid))
+                .collect();
+            let [StoredSub::Real { full, proj }] = stored[..] else {
+                panic!("one real entry for {subid:?}, found {stored:?}");
+            };
+            assert!(full.shares_block(local) && proj.shares_block(local));
+        }
+        let mut links = 0;
+        for parent in net.nodes() {
+            for (&(scheme, ss, zone), repo) in &parent.repos {
+                let owner = SubId {
+                    nid: parent.chord().id,
+                    iid: repo.iid,
+                };
+                for child in zone.children(&parent.cfg.zone) {
+                    let Some(pushed) = repo.pushed.get(&child) else {
+                        continue;
+                    };
+                    let stored = net
+                        .nodes()
+                        .iter()
+                        .filter_map(|n| n.repos.get(&(scheme, ss, child)))
+                        .find_map(|r| r.entries.get(&owner));
+                    let Some(StoredSub::Surrogate { proj }) = stored else {
+                        panic!("no surrogate entry at {child:?} for {owner:?}");
+                    };
+                    assert!(proj.shares_block(pushed));
+                    links += 1;
+                }
+            }
+        }
+        assert!(links > 0, "some summary crossed a node boundary");
+    }
+
     #[test]
     fn non_matching_event_delivers_nothing() {
         let mut net = small_net(8, 2);

@@ -12,6 +12,7 @@
 //! such closed ranges).
 
 use hypersub_snapshot::{codec, Decode, Encode, Error, Reader, Writer};
+use std::sync::Arc;
 
 /// The domain of one attribute: the closed interval `[lo, hi]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,7 +78,22 @@ impl ContentSpace {
 
     /// Does `p` lie inside the space (all coordinates within domain)?
     pub fn contains_point(&self, p: &Point) -> bool {
-        p.0.len() == self.dims() && self.bounding_rect().contains_point(p)
+        p.0.len() == self.dims()
+            && self
+                .dims
+                .iter()
+                .zip(&p.0)
+                .all(|(d, &v)| d.lo <= v && v <= d.hi)
+    }
+
+    /// Does `r` lie inside the space (every range within its domain)?
+    pub fn contains_rect(&self, r: &Rect) -> bool {
+        r.dims() == self.dims()
+            && self
+                .dims
+                .iter()
+                .zip(r.lo().iter().zip(r.hi()))
+                .all(|(d, (&lo, &hi))| d.lo <= lo && hi <= d.hi)
     }
 }
 
@@ -100,12 +116,15 @@ impl Point {
 /// equality predicates and as boundary-touching intersections during
 /// summary-filter subdivision.
 ///
-/// Stored as one heap block `[lo₀ … lo_{d−1}, hi₀ … hi_{d−1}]`: a rect is
-/// 16 bytes inline and one allocation, and zone repositories hold one
-/// or more per entry. [`Self::lo`] and [`Self::hi`] are its two halves.
+/// Stored as one shared heap block `[lo₀ … lo_{d−1}, hi₀ … hi_{d−1}]`
+/// behind an [`Arc`]: a rect is 16 bytes inline, and a clone is a
+/// reference-count bump, not a copy, so a subscriber's rect and the
+/// repository entries stored from it are one block. [`Self::lo`] and
+/// [`Self::hi`] are its two halves; [`Self::bounds_mut`] copies the
+/// block first only when it is shared.
 #[derive(Clone, PartialEq)]
 pub struct Rect {
-    bounds: Box<[f64]>,
+    bounds: Arc<[f64]>,
 }
 
 impl Rect {
@@ -130,11 +149,10 @@ impl Rect {
     ///
     /// # Panics
     /// Panics if `lo` and `hi` differ in length.
-    pub fn unchecked(mut lo: Vec<f64>, hi: Vec<f64>) -> Self {
+    pub fn unchecked(lo: Vec<f64>, hi: Vec<f64>) -> Self {
         assert_eq!(lo.len(), hi.len(), "rect bound arity mismatch");
-        lo.extend_from_slice(&hi);
         Self {
-            bounds: lo.into_boxed_slice(),
+            bounds: lo.iter().chain(&hi).copied().collect(),
         }
     }
 
@@ -153,15 +171,26 @@ impl Rect {
         &self.bounds[self.dims()..]
     }
 
-    /// Both halves, writable in place.
+    /// Both halves, writable in place. A block other rects share is
+    /// copied first (copy on write), so they keep their bounds; a rect
+    /// that shares nothing is written where it is.
     pub fn bounds_mut(&mut self) -> (&mut [f64], &mut [f64]) {
         let d = self.dims();
-        self.bounds.split_at_mut(d)
+        Arc::make_mut(&mut self.bounds).split_at_mut(d)
+    }
+
+    /// Whether `self` and `other` are one shared block (not merely equal).
+    pub fn shares_block(&self, other: &Rect) -> bool {
+        Arc::ptr_eq(&self.bounds, &other.bounds)
     }
 
     /// The rect over dimensions `axes` of this one, in that order (a
-    /// subscheme projection).
+    /// subscheme projection). Onto the identity axes it is this rect,
+    /// sharing its block.
     pub fn project(&self, axes: &[usize]) -> Rect {
+        if axes.len() == self.dims() && axes.iter().enumerate().all(|(i, &a)| a == i) {
+            return self.clone();
+        }
         let (lo, hi) = (self.lo(), self.hi());
         let lo = axes.iter().map(|&a| lo[a]);
         Rect {
@@ -351,6 +380,53 @@ mod tests {
             format!("{rect:?}"),
             "Rect { lo: [0.0, 1.5], hi: [2.0, 3.0] }"
         );
+    }
+
+    #[test]
+    fn bounds_mut_on_a_clone_leaves_the_others_alone() {
+        let original = r(&[0.0, 1.0], &[2.0, 3.0]);
+        let (mut a, b) = (original.clone(), original.clone());
+        assert!(a.shares_block(&original) && b.shares_block(&original));
+        let (lo, hi) = a.bounds_mut();
+        lo[0] = 0.5;
+        hi[1] = 2.5;
+        assert_eq!(a, r(&[0.5, 1.0], &[2.0, 2.5]));
+        assert!(!a.shares_block(&original));
+        assert_eq!(original, r(&[0.0, 1.0], &[2.0, 3.0]));
+        assert_eq!(b, original);
+        assert!(
+            b.shares_block(&original),
+            "the untouched clones still share"
+        );
+
+        // A block nothing else holds is written where it is.
+        let before = a.lo().as_ptr();
+        a.bounds_mut().0[1] = 1.5;
+        assert_eq!(a.lo().as_ptr(), before);
+        assert_eq!(a, r(&[0.5, 1.5], &[2.0, 2.5]));
+    }
+
+    #[test]
+    fn identity_projection_shares_the_block() {
+        let rect = r(&[0.0, 1.0, 2.0], &[3.0, 4.0, 5.0]);
+        let same = rect.project(&[0, 1, 2]);
+        assert_eq!(same, rect);
+        assert!(same.shares_block(&rect));
+    }
+
+    #[test]
+    fn any_other_projection_is_a_fresh_block() {
+        let rect = r(&[0.0, 1.0, 2.0], &[3.0, 4.0, 5.0]);
+        for (axes, lo, hi) in [
+            (&[0, 1][..], &[0.0, 1.0][..], &[3.0, 4.0][..]),
+            (&[1, 2], &[1.0, 2.0], &[4.0, 5.0]),
+            (&[2, 1, 0], &[2.0, 1.0, 0.0], &[5.0, 4.0, 3.0]),
+            (&[0, 0, 2], &[0.0, 0.0, 2.0], &[3.0, 3.0, 5.0]),
+        ] {
+            let p = rect.project(axes);
+            assert_eq!(p, r(lo, hi), "axes {axes:?}");
+            assert!(!p.shares_block(&rect), "axes {axes:?}");
+        }
     }
 
     /// The two-`Vec` rect semantics, over plain slices: the reference the

@@ -291,7 +291,7 @@ fn handle_command(live: &mut Live, line: &str, next_event: &mut u64) -> (String,
                 return ("err empty rectangle".into(), false);
             }
             let rect = Rect::unchecked(vec![v[0], v[1]], vec![v[2], v[3]]);
-            if !space.bounding_rect().contains_rect(&rect) {
+            if !space.contains_rect(&rect) {
                 return out_of_domain();
             }
             let subid = live.call(|node, ctx| node.subscribe(ctx, 0, Subscription::new(rect)));

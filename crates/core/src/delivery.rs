@@ -253,7 +253,7 @@ impl HyperSubNode {
             // the visit-once invariant that makes delivery idempotent
             // under retransmission and fault-injected duplication.
             Some(iid) if self.dedup.insert(msg.event.id, iid, ctx.now()) => {
-                match self.iids.get(&iid).copied() {
+                match self.iid_target(iid) {
                     Some(IidTarget::Local) => {
                         // Deliver to the local application/user.
                         let now = ctx.now();
@@ -297,6 +297,7 @@ impl HyperSubNode {
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
+    use crate::model::Subscription;
     use crate::node::test_registry;
     use crate::repo::{StoredSub, ZoneRepo};
     use crate::world::HyperWorld;
@@ -402,7 +403,7 @@ mod tests {
     #[test]
     fn seen_set_is_untouched_unless_a_match_merges() {
         let (mut node, mut rt) = node();
-        let local = node.alloc_iid(IidTarget::Local);
+        let local = node.add_local(0, Subscription::new(Rect::new(vec![0.0; 2], vec![1.0; 2])));
         let empty = add_repo(&mut node, 0, &[]);
         // Transit only, local delivery only, and a match that finds nothing.
         deliver(&mut node, &mut rt, vec![remote(1), remote(2)]);

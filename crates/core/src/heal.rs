@@ -48,7 +48,7 @@
 
 use crate::model::SubId;
 use crate::msg::{HyperMsg, ReplicaBatch};
-use crate::node::{Cx, HyperSubNode, IidTarget, TOKEN_LB, TOKEN_LEASE};
+use crate::node::{Cx, HyperSubNode, TOKEN_LB, TOKEN_LEASE};
 use crate::repo::{RepoKey, StoredSub};
 use hypersub_chord::Peer;
 use hypersub_simnet::{FxHashMap, ProtoEvent, SimTime};
@@ -132,7 +132,7 @@ impl HyperSubNode {
         // neighborhood (see `MaintState::rejoin_reset`).
         self.maint.rejoin_reset();
         self.repos.clear();
-        self.iids.retain(|_, t| matches!(t, IidTarget::Local));
+        self.iids.clear();
         if let Some(planes) = self.planes.as_deref_mut() {
             planes.hosted.clear();
             planes.replicas.clear();

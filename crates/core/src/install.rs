@@ -26,12 +26,11 @@ impl HyperSubNode {
     /// Algorithm 2: install a subscription originating at this node.
     /// Returns the new subscription's id.
     pub fn subscribe(&mut self, ctx: &mut Cx<'_>, scheme_id: SchemeId, sub: Subscription) -> SubId {
-        let iid = self.alloc_iid(IidTarget::Local);
+        let iid = self.add_local(scheme_id, sub.clone());
         let subid = SubId {
             nid: self.maint.chord.id,
             iid,
         };
-        self.local_subs.insert(iid, (scheme_id, sub.clone()));
         self.install(ctx, scheme_id, sub, iid);
         subid
     }
@@ -91,7 +90,6 @@ impl HyperSubNode {
         let Some((scheme_id, sub)) = self.local_subs.remove(&iid) else {
             return false;
         };
-        self.iids.remove(&iid);
         let subid = SubId {
             nid: self.maint.chord.id,
             iid,

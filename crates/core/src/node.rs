@@ -301,7 +301,9 @@ impl Default for EventDedup {
 /// What a node-local internal id refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IidTarget {
-    /// A subscription made by this node's application.
+    /// A subscription made by this node's application. Its iid is its
+    /// `local_subs` key and is not held in `iids`; a snapshot writes it
+    /// there (see [`HyperSubNode::snapshot_encode`]).
     Local,
     /// One of this node's zone repositories.
     Repo(RepoKey),
@@ -376,10 +378,12 @@ pub struct HyperSubNode {
     /// iteration site sorts collected keys before acting, so order can
     /// never leak into message traffic.
     pub repos: FxHashMap<RepoKey, ZoneRepo>,
-    /// Reverse index: internal id → meaning. Same hot-lookup/sorted-
-    /// iteration regime as `repos`.
+    /// Reverse index: internal id → meaning, for the ids that are not
+    /// local subscriptions (those are `local_subs`' keys; read both
+    /// through [`Self::iid_target`]). Same hot-lookup/sorted-iteration
+    /// regime as `repos`.
     pub iids: FxHashMap<u32, IidTarget>,
-    /// Subscriptions made by this node's application.
+    /// Subscriptions made by this node's application, by internal id.
     pub local_subs: FxHashMap<u32, (SchemeId, Subscription)>,
     /// The opt-in planes' state, once one has written any: read it
     /// through [`Self::planes`].
@@ -444,12 +448,40 @@ impl HyperSubNode {
         ctx.set_timer(hypersub_chord::proto::FIX_FINGERS_PERIOD, TOKEN_FIX_FINGERS);
     }
 
-    /// Allocates a fresh internal id bound to `target`.
+    /// Allocates a fresh internal id bound to `target`, a repository or
+    /// a hosted one.
+    ///
+    /// # Panics
+    /// Panics on [`IidTarget::Local`]: a local subscription's id is
+    /// its `local_subs` key, allocated by [`Self::subscribe`].
     pub fn alloc_iid(&mut self, target: IidTarget) -> u32 {
-        let iid = self.next_iid;
-        self.next_iid += 1;
+        assert_ne!(target, IidTarget::Local, "a local iid is a local_subs key");
+        let iid = self.fresh_iid();
         self.iids.insert(iid, target);
         iid
+    }
+
+    /// Records a subscription of this node's application under a fresh
+    /// internal id, and returns the id.
+    pub(crate) fn add_local(&mut self, scheme: SchemeId, sub: Subscription) -> u32 {
+        let iid = self.fresh_iid();
+        self.local_subs.insert(iid, (scheme, sub));
+        iid
+    }
+
+    fn fresh_iid(&mut self) -> u32 {
+        let iid = self.next_iid;
+        self.next_iid += 1;
+        iid
+    }
+
+    /// What internal id `iid` refers to: `iids`, then `local_subs`.
+    pub fn iid_target(&self, iid: u32) -> Option<IidTarget> {
+        self.iids.get(&iid).copied().or_else(|| {
+            self.local_subs
+                .contains_key(&iid)
+                .then_some(IidTarget::Local)
+        })
     }
 
     /// This node's load: the number of subscriptions it stores (its own
@@ -713,7 +745,16 @@ impl HyperSubNode {
         let planes = self.planes();
         self.maint.encode(w);
         self.repos.encode(w);
-        self.iids.encode(w);
+        // The id table as one map, local subscriptions included, in key
+        // order: the bytes of a table that held them too.
+        let mut iids: Vec<(u32, IidTarget)> = self
+            .iids
+            .iter()
+            .map(|(&iid, &t)| (iid, t))
+            .chain(self.local_subs.keys().map(|&iid| (iid, IidTarget::Local)))
+            .collect();
+        iids.sort_unstable_by_key(|&(iid, _)| iid);
+        iids.encode(w);
         self.local_subs.encode(w);
         planes.hosted.encode(w);
         planes.lb.encode(w);
@@ -735,8 +776,22 @@ impl HyperSubNode {
     ) -> Result<Self, Error> {
         let maint = MaintState::decode(r)?;
         let repos = Decode::decode(r)?;
-        let iids = Decode::decode(r)?;
-        let local_subs = Decode::decode(r)?;
+        let mut iids: FxHashMap<u32, IidTarget> = Decode::decode(r)?;
+        let local_subs: FxHashMap<u32, (SchemeId, Subscription)> = Decode::decode(r)?;
+        // The local ids are written out of `local_subs`, so they must be
+        // its keys, neither more nor fewer.
+        let locals = iids.values().filter(|&&t| t == IidTarget::Local).count();
+        if locals != local_subs.len()
+            || local_subs
+                .keys()
+                .any(|iid| iids.get(iid) != Some(&IidTarget::Local))
+        {
+            return Err(Error::InvalidValue(
+                "local subscription ids differ from their records",
+            ));
+        }
+        iids.retain(|_, &mut t| t != IidTarget::Local);
+        iids.shrink_to_fit();
         let hosted = Decode::decode(r)?;
         let lb = Decode::decode(r)?;
         let maintenance = bool::decode(r)?;
@@ -790,12 +845,19 @@ mod tests {
     fn iid_allocation_is_dense_and_tracked() {
         let chord = ChordState::new(42, 0, 4);
         let mut n = HyperSubNode::new(chord, test_registry(), Arc::new(SystemConfig::default()));
-        let a = n.alloc_iid(IidTarget::Local);
+        let sub = Subscription::new(hypersub_lph::Rect::new(vec![1.0; 2], vec![2.0; 2]));
+        let a = n.add_local(0, sub);
         let b = n.alloc_iid(IidTarget::Hosted);
         assert_eq!(a, 1);
         assert_eq!(b, 2);
-        assert_eq!(n.iids[&a], IidTarget::Local);
-        assert_eq!(n.iids[&b], IidTarget::Hosted);
+        assert_eq!(n.iid_target(a), Some(IidTarget::Local));
+        assert_eq!(n.iid_target(b), Some(IidTarget::Hosted));
+        assert_eq!(n.iid_target(3), None);
+        assert_eq!(
+            n.iids.len(),
+            1,
+            "a local subscription's id is its record's key"
+        );
     }
 
     #[test]

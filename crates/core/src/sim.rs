@@ -874,6 +874,7 @@ fn check_queue(
 mod tests {
     use super::*;
     use crate::model::SchemeDef;
+    use crate::node::IidTarget;
     use hypersub_lph::Rect;
     use hypersub_simnet::FxHashMap;
 
@@ -911,9 +912,9 @@ mod tests {
 
     /// On a single-subscheme network a subscription's rect is one heap
     /// block from the caller to the repository: the caller's copy, the
-    /// subscriber's `local_subs` record and the stored entry's `full` and
-    /// `proj` share it, and each chain link's surrogate entry shares the
-    /// block its parent recorded in `pushed`.
+    /// subscriber's `local_subs` record, the oracle's slot and the stored
+    /// entry's `full` and `proj` share it, and each chain link's
+    /// surrogate entry shares the block its parent recorded in `pushed`.
     #[test]
     fn an_installed_subscription_is_one_shared_block() {
         use crate::repo::StoredSub;
@@ -927,6 +928,8 @@ mod tests {
         for (subid, node, sub) in &subs {
             let local = &net.nodes()[*node].local_subs[&subid.iid].1.rect;
             assert!(local.shares_block(&sub.rect));
+            let oracle = net.oracle.rect(*subid).expect("the oracle holds it");
+            assert!(oracle.shares_block(&sub.rect) && oracle.shares_block(local));
             let stored: Vec<&StoredSub> = net
                 .nodes()
                 .iter()
@@ -1810,43 +1813,58 @@ mod tests {
 
     /// A count and its entries are stated separately, so a snapshot can
     /// claim a map larger than the distinct keys it lists. Every map and
-    /// set refuses the repeated key; none keeps the last writer.
+    /// set refuses the repeated key; none keeps the last writer. The
+    /// oracle is a map of subscriptions by id too.
     #[test]
     fn a_key_stated_twice_is_an_error() {
-        /// `sealed` with `map`'s bytes — which must occur in it once —
-        /// restated as one entry more: its smallest key a second time.
-        fn repeat_a_key<K, V>(sealed: &[u8], map: &FxHashMap<K, V>) -> Vec<u8>
-        where
-            K: Encode + Ord + Copy + std::hash::Hash,
-            V: Encode + Clone,
-        {
-            let bytes = |m: &FxHashMap<K, V>| {
-                let mut w = Writer::new();
-                m.encode(&mut w);
-                w.into_vec()
-            };
-            let smallest = *map.keys().min().expect("a non-empty map");
-            let again = bytes(&[(smallest, map[&smallest].clone())].into_iter().collect());
-            let honest = bytes(map);
+        fn bytes<T: Encode>(value: &T) -> Vec<u8> {
+            let mut w = Writer::new();
+            value.encode(&mut w);
+            w.into_vec()
+        }
+        /// `sealed` with `honest` — a count and the entries it counts,
+        /// which must occur in it once — restated as one entry more:
+        /// `again`, also a count (of one) and its entry.
+        fn repeat(sealed: &[u8], honest: &[u8], again: &[u8]) -> Vec<u8> {
             let payload = hypersub_snapshot::unseal(sealed).unwrap();
             let at: Vec<usize> = (0..=payload.len() - honest.len())
-                .filter(|&i| payload[i..].starts_with(&honest))
+                .filter(|&i| payload[i..].starts_with(honest))
                 .collect();
             assert_eq!(at.len(), 1, "the map's bytes occur once in the snapshot");
+            let count = u64::from_le_bytes(honest[..8].try_into().unwrap());
             let mut hostile = payload[..at[0]].to_vec();
-            hostile.extend_from_slice(&(map.len() as u64 + 1).to_le_bytes());
+            hostile.extend_from_slice(&(count + 1).to_le_bytes());
             hostile.extend_from_slice(&honest[8..]);
             hostile.extend_from_slice(&again[8..]);
             hostile.extend_from_slice(&payload[at[0] + honest.len()..]);
             hypersub_snapshot::seal(hostile)
         }
+        /// `map` with its smallest key stated a second time.
+        fn repeat_a_key<K, V>(sealed: &[u8], map: &FxHashMap<K, V>) -> Vec<u8>
+        where
+            K: Encode + Ord + Copy + std::hash::Hash,
+            V: Encode + Clone,
+        {
+            let smallest = *map.keys().min().expect("a non-empty map");
+            let again: FxHashMap<K, V> = [(smallest, map[&smallest].clone())].into_iter().collect();
+            repeat(sealed, &bytes(map), &bytes(&again))
+        }
 
         let net = net_after_one_delivery();
         let sealed = net.snapshot();
         let host = net.nodes().iter().find(|n| !n.repos.is_empty()).unwrap();
+        let subscriber = &net.nodes()[1];
+        let (&iid, (scheme, sub)) = subscriber.local_subs.iter().next().unwrap();
+        let subid = SubId {
+            nid: subscriber.chord().id,
+            iid,
+        };
+        let mut again = Oracle::default();
+        again.add(*scheme, subid, sub);
         for hostile in [
             repeat_a_key(&sealed, &host.repos),
             repeat_a_key(&sealed, net.net().flows()),
+            repeat(&sealed, &bytes(&net.oracle), &bytes(&again)),
         ] {
             assert_eq!(
                 Network::restore(&hostile).map(|_| ()),
@@ -1855,6 +1873,55 @@ mod tests {
                 ))
             );
         }
+    }
+
+    /// A node's local subscription ids are written into its id table out
+    /// of `local_subs`, and read back out of it: a table whose local ids
+    /// are not exactly `local_subs`' keys, in either direction, is
+    /// refused rather than losing a record or an id.
+    #[test]
+    fn local_ids_that_differ_from_local_subscriptions_are_refused() {
+        let net = net_after_one_delivery();
+        let sealed = net.snapshot();
+        let node = &net.nodes()[1];
+        let (&iid, _) = node.local_subs.iter().next().expect("a local subscription");
+        let table = |edit: &dyn Fn(&mut FxHashMap<u32, IidTarget>)| {
+            let mut iids = node.iids.clone();
+            iids.extend(node.local_subs.keys().map(|&k| (k, IidTarget::Local)));
+            edit(&mut iids);
+            (iids, node.local_subs.clone())
+        };
+        let honest = table(&|_| {});
+        let refused = Err(HyperSubError::Snapshot(
+            hypersub_snapshot::Error::InvalidValue(
+                "local subscription ids differ from their records",
+            ),
+        ));
+        for hostile in [
+            // A local id without a record.
+            table(&|iids| {
+                iids.insert(iid + 100, IidTarget::Local);
+            }),
+            // A record without its id, or with its id naming another.
+            table(&|iids| {
+                iids.remove(&iid);
+            }),
+            table(&|iids| {
+                iids.insert(iid, IidTarget::Hosted);
+            }),
+            // As many local ids as records, one of them the wrong one.
+            table(&|iids| {
+                iids.remove(&iid);
+                iids.insert(iid + 100, IidTarget::Local);
+            }),
+        ] {
+            let restated = restate(&sealed, &honest, &hostile);
+            assert_eq!(Network::restore(&restated).map(|_| ()), refused);
+        }
+        let restored = Network::restore(&restate(&sealed, &honest, &honest)).unwrap();
+        let node = &restored.nodes()[1];
+        assert_eq!(node.iid_target(iid), Some(IidTarget::Local));
+        assert!(!node.iids.contains_key(&iid), "restored as a record alone");
     }
 
     #[test]

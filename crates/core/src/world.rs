@@ -4,7 +4,7 @@
 
 use crate::metrics::Metrics;
 use crate::model::{Event, SchemeId, SubId, Subscription};
-use hypersub_lph::Point;
+use hypersub_lph::{Point, Rect};
 use hypersub_simnet::FxHashMap;
 use hypersub_snapshot::{Decode, Encode, Error, Reader, Writer};
 use std::borrow::Borrow;
@@ -14,11 +14,12 @@ use std::borrow::Borrow;
 /// The driver owns it and is its only writer.
 ///
 /// The publish path asks it for a count once per event, so it is laid out
-/// for that question: bounds in one flat array, a grid of candidate lists
-/// kept up to date as subscriptions come and go, removal by tombstone.
-/// The candidate lists name bounds, not slots, and a removed
-/// subscription's bounds are overwritten with NaN, so the count reads one
-/// array and never learns which subscription a candidate was.
+/// for that question: a slot per subscription holding the caller's rect (a
+/// clone, so one more reference to the block the subscriber and the
+/// repository entry hold), an exact-size grid of candidate slots built by
+/// a query and rebuilt once the subscriptions drift, removal by tombstone.
+/// A removed slot keeps its place without a rect until the next
+/// compaction, so a candidate list naming it counts nothing.
 /// It shares no code with [`crate::index`] — it is the reference the
 /// delivery check compares the protocol against.
 ///
@@ -27,43 +28,60 @@ use std::borrow::Borrow;
 /// Re-adding an id replaces its subscription.
 #[derive(Debug, Default)]
 pub struct Oracle {
-    /// Registration order; a removed subscription stays as a dead slot
-    /// until the next compaction.
+    /// Registration order, dead slots included.
     slots: Vec<Slot>,
-    /// Slot `s` owns `bounds[s.at..][..2 * s.arity]`, laid out
-    /// `[lo₀, hi₀, lo₁, hi₁, …]`.
-    bounds: Vec<f64>,
     by_id: FxHashMap<SubId, u32>,
     dead: usize,
     /// One grid per `(scheme, arity)` queried so far.
     grids: FxHashMap<(SchemeId, usize), Grid>,
 }
 
+/// 32 B: the id's two halves sit beside the scheme, where a `SubId`
+/// field would pad to 16 B and the slot to 40.
 #[derive(Debug)]
 struct Slot {
-    id: SubId,
+    nid: u64,
+    iid: u32,
     scheme: SchemeId,
-    arity: u32,
-    at: u32,
-    live: bool,
+    /// `None` once removed.
+    rect: Option<Rect>,
 }
 
-/// Is `p` inside the interleaved `[lo, hi]` pairs of `b`? Same arity
-/// assumed; false under any NaN. Every axis is compared, with no early
-/// exit: which axis rejects a grid candidate is unpredictable, and the
-/// mispredicted branch cost more than the comparisons it saved.
-fn inside(b: &[f64], p: &[f64]) -> bool {
-    b.chunks_exact(2)
+impl Slot {
+    fn id(&self) -> SubId {
+        SubId {
+            nid: self.nid,
+            iid: self.iid,
+        }
+    }
+
+    /// The slot's rect, if it is live in `scheme` at `arity`.
+    fn live_in(&self, scheme: SchemeId, arity: usize) -> Option<&Rect> {
+        self.rect
+            .as_ref()
+            .filter(|r| self.scheme == scheme && r.dims() == arity)
+    }
+}
+
+/// Is `p` inside `r`? Same arity assumed; false under any NaN. Every axis
+/// is compared, with no early exit: which axis rejects a grid candidate
+/// is unpredictable, and the mispredicted branch cost more than the
+/// comparisons it saved.
+fn inside(r: &Rect, p: &[f64]) -> bool {
+    r.lo()
+        .iter()
+        .zip(r.hi())
         .zip(p)
-        .fold(true, |ok, (b, &x)| ok & (b[0] <= x) & (x <= b[1]))
+        .fold(true, |ok, ((&lo, &hi), &x)| ok & (lo <= x) & (x <= hi))
 }
 
-/// Buckets subscriptions — by the offset of their bounds, [`Slot::at`] —
-/// on their intervals on up to four leading axes. A
-/// point query reads one cell plus the `wide` list, so a subscription
-/// registered in several cells is never counted twice. Coordinates
-/// outside the build-time box clamp to the edge cells, for rects and
-/// points alike, so the cell read is always a superset of the matches.
+/// Buckets subscriptions — by slot index — on their intervals on up to
+/// four leading axes, in one exact-size table of cells (compressed sparse
+/// rows). A point query reads one cell plus the `wide` and `added` lists,
+/// so a subscription registered in several cells is never counted twice.
+/// Coordinates outside the build-time box clamp to the edge cells, for
+/// rects and points alike, so the cell read is always a superset of the
+/// matches.
 #[derive(Debug)]
 struct Grid {
     /// Active axes; the rest have a single cell.
@@ -71,15 +89,41 @@ struct Grid {
     lo: [f64; Grid::MAX_DIMS],
     /// Cells per unit length (0 on an axis with no finite positive span).
     scale: [f64; Grid::MAX_DIMS],
-    cells: Vec<Vec<u32>>,
+    /// Cell `c` holds `members[starts[c]..starts[c + 1]]`.
+    starts: Vec<u32>,
+    members: Vec<u32>,
     /// Subscriptions spanning more than [`Grid::MAX_CELLS`] cells: always
     /// scanned instead of registered everywhere.
     wide: Vec<u32>,
-    /// Subscriptions registered so far and when the grid was built: at
-    /// twice as many the box no longer describes them and `add` drops the
+    /// Subscriptions added since the build: always scanned. At a quarter
+    /// of `built` the box no longer describes them and `add` drops the
     /// grid for the next query to rebuild.
-    members: usize,
+    added: Vec<u32>,
+    /// Subscriptions the grid was built over.
     built: usize,
+}
+
+/// The cells a rect overlaps: a range on each axis (inactive axes get the
+/// one-cell range `0..=0`) and the cells per axis.
+#[derive(Clone, Copy)]
+struct Span {
+    range: [(usize, usize); Grid::MAX_DIMS],
+    n: [usize; Grid::MAX_DIMS],
+}
+
+impl Span {
+    fn for_each(self, mut f: impl FnMut(usize)) {
+        let (range, n) = (self.range, self.n);
+        for x in range[0].0..=range[0].1 {
+            for y in range[1].0..=range[1].1 {
+                for z in range[2].0..=range[2].1 {
+                    for w in range[3].0..=range[3].1 {
+                        f(((x * n[1] + y) * n[2] + z) * n[3] + w);
+                    }
+                }
+            }
+        }
+    }
 }
 
 impl Grid {
@@ -89,32 +133,36 @@ impl Grid {
     /// Most cells one subscription may be registered in.
     const MAX_CELLS: usize = 256;
 
-    /// A grid over the box of the live `(scheme, arity)` slots.
-    fn build(slots: &[Slot], bounds: &[f64], scheme: SchemeId, arity: usize) -> Grid {
-        let members: Vec<(u32, &[f64])> = slots
-            .iter()
-            .filter(|s| s.live && s.scheme == scheme && s.arity as usize == arity)
-            .map(|s| (s.at, &bounds[s.at as usize..][..2 * arity]))
-            .collect();
+    /// A grid over the box of the live `(scheme, arity)` slots, its table
+    /// allocated once at its final size: a count pass, a prefix sum,
+    /// then a fill pass.
+    fn build(slots: &[Slot], scheme: SchemeId, arity: usize) -> Grid {
+        let live = || {
+            slots
+                .iter()
+                .enumerate()
+                .filter_map(|(i, s)| Some((i as u32, s.live_in(scheme, arity)?)))
+        };
         let dims = arity.min(Grid::MAX_DIMS);
         let per_axis = Grid::AXIS_CELLS[dims];
         let mut grid = Grid {
             dims,
             lo: [0.0; Grid::MAX_DIMS],
             scale: [0.0; Grid::MAX_DIMS],
-            cells: vec![Vec::new(); per_axis.pow(dims as u32)],
+            starts: vec![0; per_axis.pow(dims as u32) + 1],
+            members: Vec::new(),
             wide: Vec::new(),
-            members: 0,
-            built: members.len(),
+            added: Vec::new(),
+            built: live().count(),
         };
         for d in 0..dims {
             let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-            for (_, b) in &members {
-                if b[2 * d].is_finite() {
-                    lo = lo.min(b[2 * d]);
+            for (_, r) in live() {
+                if r.lo()[d].is_finite() {
+                    lo = lo.min(r.lo()[d]);
                 }
-                if b[2 * d + 1].is_finite() {
-                    hi = hi.max(b[2 * d + 1]);
+                if r.hi()[d].is_finite() {
+                    hi = hi.max(r.hi()[d]);
                 }
             }
             let scale = per_axis as f64 / (hi - lo);
@@ -122,8 +170,31 @@ impl Grid {
                 (grid.lo[d], grid.scale[d]) = (lo, scale);
             }
         }
-        for (at, b) in members {
-            grid.register(at, b);
+        // Each cell's count, summed up to it: `starts[c]` is where cell
+        // `c` ends, and the last entry is the table's size.
+        for (i, r) in live() {
+            match grid.span(r) {
+                Some(span) => span.for_each(|c| grid.starts[c] += 1),
+                None => grid.wide.push(i),
+            }
+        }
+        let mut sum = 0u32;
+        for s in &mut grid.starts {
+            sum = sum
+                .checked_add(*s)
+                .expect("oracle grid exceeds u32 entries");
+            *s = sum;
+        }
+        // Filled back to front, so each cell lists its slots in order and
+        // `starts[c]` ends where cell `c` begins.
+        grid.members = vec![0; sum as usize];
+        for (i, r) in live().rev() {
+            if let Some(span) = grid.span(r) {
+                span.for_each(|c| {
+                    grid.starts[c] -= 1;
+                    grid.members[grid.starts[c] as usize] = i;
+                });
+            }
         }
         grid
     }
@@ -145,106 +216,75 @@ impl Grid {
         (0..self.dims).fold(0, |i, d| i * self.per_axis() + self.coord(d, p[d]))
     }
 
-    /// Adds the subscription whose interleaved bounds `b` start at offset
-    /// `at` to every cell it overlaps, or to `wide` when those are too
-    /// many.
-    fn register(&mut self, at: u32, b: &[f64]) {
-        self.members += 1;
-        // Inactive axes get the one-cell range 0..=0 and a stride of 1.
-        let mut range = [(0, 0); Grid::MAX_DIMS];
-        let mut n = [1; Grid::MAX_DIMS];
+    /// The candidates for a point in cell `c`.
+    fn candidates(&self, c: usize) -> impl Iterator<Item = &u32> {
+        self.members[self.starts[c] as usize..self.starts[c + 1] as usize]
+            .iter()
+            .chain(&self.wide)
+            .chain(&self.added)
+    }
+
+    /// The cells `r` overlaps, or `None` when they are too many.
+    fn span(&self, r: &Rect) -> Option<Span> {
+        let mut span = Span {
+            range: [(0, 0); Grid::MAX_DIMS],
+            n: [1; Grid::MAX_DIMS],
+        };
         let mut count = 1;
         for d in 0..self.dims {
-            range[d] = (self.coord(d, b[2 * d]), self.coord(d, b[2 * d + 1]));
-            n[d] = self.per_axis();
-            // Empty when a NaN bound inverts the range: matches nothing.
-            count *= (range[d].1 + 1).saturating_sub(range[d].0);
+            span.range[d] = (self.coord(d, r.lo()[d]), self.coord(d, r.hi()[d]));
+            span.n[d] = self.per_axis();
+            // Empty when the bounds are inverted (a decoded rect's may
+            // be, or a NaN upper one): such a rect matches nothing.
+            count *= (span.range[d].1 + 1).saturating_sub(span.range[d].0);
         }
-        if count > Grid::MAX_CELLS {
-            self.wide.push(at);
-            return;
-        }
-        for x in range[0].0..=range[0].1 {
-            for y in range[1].0..=range[1].1 {
-                for z in range[2].0..=range[2].1 {
-                    for w in range[3].0..=range[3].1 {
-                        self.cells[((x * n[1] + y) * n[2] + z) * n[3] + w].push(at);
-                    }
-                }
-            }
-        }
+        (count <= Grid::MAX_CELLS).then_some(span)
     }
 }
 
 impl Oracle {
-    /// Registers a subscription.
+    /// Registers a subscription, keeping a clone of its rect.
     pub fn add(&mut self, scheme: SchemeId, subid: SubId, sub: impl Borrow<Subscription>) {
-        let sub = sub.borrow();
+        let rect = sub.borrow().rect.clone();
         self.remove(subid);
         let i = u32::try_from(self.slots.len()).expect("oracle slot index exceeds u32");
-        let at = u32::try_from(self.bounds.len()).expect("oracle bounds offset exceeds u32");
-        for (&lo, &hi) in sub.rect.lo().iter().zip(sub.rect.hi()) {
-            self.bounds.extend([lo, hi]);
-        }
-        let arity = (self.bounds.len() - at as usize) / 2;
+        let key = (scheme, rect.dims());
         self.slots.push(Slot {
-            id: subid,
+            nid: subid.nid,
+            iid: subid.iid,
             scheme,
-            arity: arity as u32,
-            at,
-            live: true,
+            rect: Some(rect),
         });
         self.by_id.insert(subid, i);
-        if let Some(grid) = self.grids.get_mut(&(scheme, arity)) {
-            grid.register(at, &self.bounds[at as usize..]);
-            if grid.members >= 2 * grid.built.max(1) {
-                self.grids.remove(&(scheme, arity));
+        if let Some(grid) = self.grids.get_mut(&key) {
+            grid.added.push(i);
+            if 4 * grid.added.len() >= grid.built.max(1) {
+                self.grids.remove(&key);
             }
         }
     }
 
     /// Removes a subscription (unsubscribe). Returns whether it existed.
+    ///
+    /// Its slot loses its rect, which is how the grid cells naming it
+    /// learn of it. Once a quarter of the slots are dead, the live ones
+    /// close ranks in registration order and the grids are dropped
+    /// (their cells hold slot indices), to be rebuilt by the next query.
     pub fn remove(&mut self, subid: SubId) -> bool {
         let Some(i) = self.by_id.remove(&subid) else {
             return false;
         };
-        self.bury(i);
-        true
-    }
-
-    /// Marks slot `i` dead and poisons its bounds, which is how the grid
-    /// cells naming them learn of it: `inside` is false under any NaN.
-    /// Once a quarter of the slots are dead, the live ones close ranks in
-    /// registration order and the grids are dropped (their cells hold
-    /// bounds offsets), to be rebuilt by the next query.
-    fn bury(&mut self, i: u32) {
-        let s = &mut self.slots[i as usize];
-        s.live = false;
-        self.bounds[s.at as usize..][..2 * s.arity as usize].fill(f64::NAN);
-        if s.arity == 0 {
-            // No bound to poison, and a point of no coordinates is inside
-            // bounds of none: drop the grid, to be rebuilt without it.
-            self.grids.remove(&(s.scheme, 0));
-        }
+        self.slots[i as usize].rect = None;
         self.dead += 1;
-        if self.dead * 4 <= self.slots.len() {
-            return;
-        }
-        let old = std::mem::take(&mut self.bounds);
-        self.slots.retain_mut(|s| {
-            if s.live {
-                let at = self.bounds.len() as u32;
-                self.bounds
-                    .extend_from_slice(&old[s.at as usize..][..2 * s.arity as usize]);
-                s.at = at;
+        if self.dead * 4 > self.slots.len() {
+            self.slots.retain(|s| s.rect.is_some());
+            for (i, s) in self.slots.iter().enumerate() {
+                self.by_id.insert(s.id(), i as u32);
             }
-            s.live
-        });
-        for (i, s) in self.slots.iter().enumerate() {
-            self.by_id.insert(s.id, i as u32);
+            self.dead = 0;
+            self.grids.clear();
         }
-        self.dead = 0;
-        self.grids.clear();
+        true
     }
 
     /// Total subscriptions across all schemes.
@@ -265,9 +305,11 @@ impl Oracle {
         let mut out: Vec<SubId> = self
             .slots
             .iter()
-            .filter(|s| s.live && s.scheme == scheme && s.arity as usize == arity)
-            .filter(|s| inside(&self.bounds[s.at as usize..][..2 * arity], &point.0))
-            .map(|s| s.id)
+            .filter(|s| {
+                s.live_in(scheme, arity)
+                    .is_some_and(|r| inside(r, &point.0))
+            })
+            .map(Slot::id)
             .collect();
         out.sort_unstable();
         out
@@ -279,16 +321,23 @@ impl Oracle {
     /// only because a grid is built on its first use.
     pub fn expected_count(&mut self, scheme: SchemeId, point: &Point) -> usize {
         let arity = point.0.len();
-        let (slots, bounds) = (&self.slots, &self.bounds);
+        let slots = &self.slots;
         let grid = self
             .grids
             .entry((scheme, arity))
-            .or_insert_with(|| Grid::build(slots, bounds, scheme, arity));
-        grid.cells[grid.cell(&point.0)]
-            .iter()
-            .chain(&grid.wide)
-            .filter(|&&at| inside(&bounds[at as usize..][..2 * arity], &point.0))
+            .or_insert_with(|| Grid::build(slots, scheme, arity));
+        grid.candidates(grid.cell(&point.0))
+            .filter(|&&i| {
+                let rect = slots[i as usize].rect.as_ref();
+                rect.is_some_and(|r| inside(r, &point.0))
+            })
             .count()
+    }
+
+    /// The rect the oracle holds for live subscription `subid`.
+    #[cfg(test)]
+    pub(crate) fn rect(&self, subid: SubId) -> Option<&Rect> {
+        self.slots[*self.by_id.get(&subid)? as usize].rect.as_ref()
     }
 
     /// Whether live subscription `subid` matches `point` in `scheme`: the
@@ -296,10 +345,9 @@ impl Oracle {
     /// for an id the oracle does not hold.
     pub(crate) fn covers(&self, subid: SubId, scheme: SchemeId, point: &Point) -> bool {
         self.by_id.get(&subid).is_some_and(|&i| {
-            let s = &self.slots[i as usize];
-            s.scheme == scheme
-                && s.arity as usize == point.0.len()
-                && inside(&self.bounds[s.at as usize..][..2 * point.0.len()], &point.0)
+            self.slots[i as usize]
+                .live_in(scheme, point.0.len())
+                .is_some_and(|r| inside(r, &point.0))
         })
     }
 }
@@ -359,22 +407,19 @@ impl HyperWorld {
     }
 }
 
-// Hand-written codec: the decoder derives state (slots, offsets and grids
-// are rebuilt through `add`).
+// Hand-written codec: the decoder derives state (slots and grids are
+// rebuilt through `add`).
 impl Encode for Oracle {
     fn encode(&self, w: &mut Writer) {
         // The live subscriptions in registration order, as they were
-        // handed to `add`; slots, offsets and grids are derived.
+        // handed to `add`; a `Subscription` is its rect on the wire.
         w.put_u64(self.len() as u64);
-        for s in self.slots.iter().filter(|s| s.live) {
-            w.put_u32(s.scheme);
-            s.id.encode(w);
-            let b = &self.bounds[s.at as usize..][..2 * s.arity as usize];
-            let rect = hypersub_lph::Rect::unchecked(
-                b.iter().step_by(2).copied().collect(),
-                b.iter().skip(1).step_by(2).copied().collect(),
-            );
-            Subscription { rect }.encode(w);
+        for s in &self.slots {
+            if let Some(rect) = &s.rect {
+                w.put_u32(s.scheme);
+                s.id().encode(w);
+                rect.encode(w);
+            }
         }
     }
 }
@@ -386,7 +431,12 @@ impl Decode for Oracle {
         for _ in 0..n {
             let scheme = r.take_u32()?;
             let subid = SubId::decode(r)?;
-            oracle.add(scheme, subid, Subscription::decode(r)?);
+            let sub = Subscription::decode(r)?;
+            // `add` would replace it, and re-encode one entry fewer.
+            if oracle.by_id.contains_key(&subid) {
+                return Err(Error::InvalidValue("duplicate map key"));
+            }
+            oracle.add(scheme, subid, sub);
         }
         Ok(oracle)
     }
@@ -395,7 +445,7 @@ impl Decode for Oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hypersub_lph::{ContentSpace, Rect};
+    use hypersub_lph::ContentSpace;
     use proptest::prelude::*;
 
     #[test]
@@ -502,6 +552,9 @@ mod tests {
         /// compactions: the grid count equals the scan for points
         /// inside, on the edge of and outside the box, in both schemes,
         /// and the encoding is that of a fresh oracle fed the survivors.
+        /// Each add is queried at its rect's corner too, so counts read
+        /// the `added` list of a built grid and see it dropped at a
+        /// quarter of what it was built over.
         #[test]
         fn prop_count_equals_scan_across_compactions(
             subs in prop::collection::vec(arb_sub(), 40..160),
@@ -511,11 +564,21 @@ mod tests {
             let id = |i: usize| SubId { nid: i as u64, iid: 1 };
             let mut o = Oracle::default();
             let mut alive: Vec<usize> = Vec::new();
-            let mut compactions = 0;
+            let (mut compactions, mut read_added, mut drops) = (0, 0, 0);
             let mut removes = removes.into_iter();
             for (i, (scheme, sub)) in subs.iter().enumerate() {
+                let key = (*scheme, sub.rect.dims());
+                let had_grid = o.grids.contains_key(&key);
                 o.add(*scheme, id(i), sub.clone());
                 alive.push(i);
+                match o.grids.get(&key) {
+                    Some(grid) => read_added += usize::from(!grid.added.is_empty()),
+                    None => drops += usize::from(had_grid),
+                }
+                let corner = Point(sub.rect.hi().to_vec());
+                let listed = o.expected_matches(*scheme, &corner).len();
+                prop_assert!(listed > 0);
+                prop_assert_eq!(o.expected_count(*scheme, &corner), listed);
                 if i % 2 == 1 {
                     if let Some(r) = removes.next() {
                         let slots = o.slots.len();
@@ -554,6 +617,8 @@ mod tests {
                 }
             }
             prop_assert!(compactions > 0, "the history never compacted");
+            prop_assert!(read_added > 0, "no count read an added subscription");
+            prop_assert!(drops > 0, "no grid was dropped for its added list");
             alive.sort_unstable();
             let mut fresh = Oracle::default();
             for &j in &alive {
@@ -579,28 +644,62 @@ mod tests {
         }
         let p = Point(vec![55.0; 4]);
         assert_eq!(o.expected_count(0, &p), o.expected_matches(0, &p).len());
-        // Added after the grid exists: the incremental path, same cap.
-        o.add(0, SubId { nid: 500, iid: 1 }, Subscription::new(whole));
+        // Added after the grid exists: scanned from the `added` list.
+        o.add(
+            0,
+            SubId { nid: 500, iid: 1 },
+            Subscription::new(whole.clone()),
+        );
+        assert_eq!(o.expected_count(0, &p), o.expected_matches(0, &p).len());
+        let grid = &o.grids[&(0, 4)];
+        assert_eq!(
+            (grid.wide.as_slice(), grid.added.as_slice()),
+            (&[0][..], &[200][..])
+        );
+        // A quarter of what it was built over, added: the grid is dropped,
+        // and the next query rebuilds it with all three domain-spanning
+        // ones in `wide`.
+        for i in 0..48u64 {
+            let r = Rect::new(vec![1.0; 4], vec![2.0; 4]);
+            o.add(
+                0,
+                SubId {
+                    nid: 600 + i,
+                    iid: 1,
+                },
+                Subscription::new(r),
+            );
+            assert!(
+                o.grids.contains_key(&(0, 4)),
+                "dropped after {} adds",
+                i + 2
+            );
+        }
+        o.add(0, SubId { nid: 700, iid: 1 }, Subscription::new(whole));
+        assert!(!o.grids.contains_key(&(0, 4)));
         assert_eq!(o.expected_count(0, &p), o.expected_matches(0, &p).len());
 
         let grid = &o.grids[&(0, 4)];
-        assert_eq!(grid.cells.len(), 8 * 8 * 8 * 8);
-        assert_eq!(grid.wide.len(), 2, "the two domain-spanning ones");
-        // Cells name bounds offsets; every slot here owns 2 × 4 bounds.
+        assert_eq!(grid.starts.len(), 8 * 8 * 8 * 8 + 1);
+        assert_eq!(grid.members.len(), *grid.starts.last().unwrap() as usize);
+        assert_eq!(grid.wide, [0, 200, 249], "the three domain-spanning ones");
+        assert!(grid.added.is_empty());
         let mut per_slot = vec![0usize; o.slots.len()];
-        for cell in &grid.cells {
-            for &at in cell {
-                per_slot[at as usize / 8] += 1;
+        for cell in grid.starts.windows(2) {
+            let members = &grid.members[cell[0] as usize..cell[1] as usize];
+            assert!(members.windows(2).all(|w| w[0] < w[1]), "in slot order");
+            for &i in members {
+                per_slot[i as usize] += 1;
             }
         }
-        assert_eq!((per_slot[0], per_slot[200]), (0, 0));
+        assert_eq!((per_slot[0], per_slot[200], per_slot[249]), (0, 0, 0));
         assert!(per_slot.iter().all(|&n| n <= Grid::MAX_CELLS));
         assert!(per_slot[1..200].iter().all(|&n| n > 0));
     }
 
     /// One history through every state a candidate list can be in: grid
     /// built, entry removed under it, same id re-added, the ¼-dead
-    /// compaction that moves every bounds offset, an add after it.
+    /// compaction that moves every slot, an add after it.
     #[test]
     fn count_follows_remove_readd_and_compaction() {
         let id = |n: u64| SubId { nid: n, iid: 1 };
@@ -638,7 +737,8 @@ mod tests {
     }
 
     /// A subscription of no attributes (`Rect::new` refuses one, a decoded
-    /// snapshot may hold one) has no bound to poison.
+    /// snapshot may hold one) holds the point of no coordinates, and stops
+    /// being counted when it is removed.
     #[test]
     fn removed_subscription_of_no_attributes_is_not_counted() {
         let mut o = Oracle::default();
@@ -652,6 +752,11 @@ mod tests {
         assert!(o.remove(SubId { nid: 1, iid: 1 }));
         assert_eq!(o.expected_matches(0, &p), [SubId { nid: 2, iid: 1 }]);
         assert_eq!(o.expected_count(0, &p), 1);
+    }
+
+    #[test]
+    fn a_slot_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Slot>(), 32);
     }
 
     #[test]

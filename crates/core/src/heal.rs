@@ -194,7 +194,7 @@ impl HyperSubNode {
         if self.maint.chord.predecessor.is_none() {
             return;
         }
-        let mut stale: Vec<RepoKey> = self
+        let stale: Vec<RepoKey> = self
             .repos
             .keys()
             .copied()
@@ -207,7 +207,6 @@ impl HyperSubNode {
         if stale.is_empty() {
             return;
         }
-        stale.sort_unstable();
         let mut dropped = 0u64;
         for k in &stale {
             if let Some(repo) = self.repos.remove(k) {
@@ -230,14 +229,12 @@ impl HyperSubNode {
         if targets.is_empty() || self.repos.is_empty() {
             return;
         }
-        // Sorted: replica message contents must be a function of state,
-        // not of hash iteration order.
-        let mut keys: Vec<RepoKey> = self.repos.keys().copied().collect();
-        keys.sort_unstable();
-        let batches: Vec<ReplicaBatch> = keys
-            .into_iter()
-            .filter_map(|key| {
-                let repo = &self.repos[&key];
+        // In key order, as `repos` iterates, and each batch's entries
+        // sorted: replica message contents are a function of state.
+        let batches: Vec<ReplicaBatch> = self
+            .repos
+            .iter()
+            .filter_map(|(&key, repo)| {
                 if repo.entries.is_empty() {
                     return None;
                 }

@@ -168,6 +168,7 @@ impl BitsetIndex {
     /// bounds. The rows are the caller's business.
     fn store(&mut self, id: SubId, r: &Rect) -> u32 {
         let s = self.free.pop().unwrap_or_else(|| {
+            self.reserve_slot();
             self.ids.push(id);
             self.bounds.resize(self.ids.len() * 2 * self.dims, 0.0);
             self.ids.len() as u32 - 1
@@ -176,6 +177,22 @@ impl BitsetIndex {
         self.set_bounds(s, &self.leading(r));
         self.by_id.insert(id, s);
         s
+    }
+
+    /// Room in `ids` and `bounds` for one slot more. They are built at
+    /// the entries' count and grow to the slots the rows hold — to twice
+    /// that when the new slot is the one that makes `insert` double the
+    /// rows — so they never hold more slots than the rows do.
+    fn reserve_slot(&mut self) {
+        let held = self.ids.len();
+        if held < self.ids.capacity() {
+            return;
+        }
+        let rows = 64 * self.words;
+        let slots = if held < rows { rows } else { 2 * rows.max(64) };
+        self.ids.reserve_exact(slots - held);
+        self.bounds
+            .reserve_exact(slots * 2 * self.dims - self.bounds.len());
     }
 
     fn set_bounds(&mut self, s: u32, leading: &[f64; 2 * MAX_DIMS]) {
@@ -577,6 +594,36 @@ mod tests {
         insert_far(&mut ix, 64);
         assert_eq!(ix.words, 2, "the 65th slot doubled the capacity");
         assert!(ix.for_candidates(&probe(4000.5), |_| {}) <= 2);
+    }
+
+    /// `ids` and `bounds` start at the built entries' count and grow to
+    /// the rows' slots, doubling only with the rows: at no point do they
+    /// hold room for a slot the rows have no bit for.
+    #[test]
+    fn slot_tables_never_outgrow_the_rows() {
+        let entries: Vec<(SubId, Rect)> = (0..100)
+            .map(|i| (sid(i), rect1(i as f64 % 90.0, i as f64 % 90.0 + 5.0)))
+            .collect();
+        let mut ix = build(&entries);
+        assert_eq!((ix.words, ix.ids.capacity()), (2, 100), "built exact");
+        assert_eq!(ix.bounds.capacity(), 100 * 2 * ix.dims);
+        let within = |ix: &BitsetIndex| {
+            let slots = 64 * ix.words;
+            assert!(ix.ids.capacity() <= slots, "{} ids", ix.ids.capacity());
+            assert!(ix.bounds.capacity() <= slots * 2 * ix.dims);
+        };
+        for i in 100..300 {
+            ix.insert(sid(i), &rect1(i as f64 % 90.0, i as f64 % 90.0 + 5.0));
+            within(&ix);
+            if i == 100 {
+                assert_eq!(ix.ids.capacity(), 128, "grown to the rows' slots");
+            }
+            if i % 3 == 0 {
+                ix.remove(&sid(i - 50));
+                within(&ix);
+            }
+        }
+        assert_eq!((ix.words, ix.ids.capacity()), (4, 256));
     }
 
     #[test]

@@ -15,8 +15,8 @@
 
 use crate::model::{SchemeId, SubId, SubTarget, SubschemeId, Subscription};
 use crate::msg::{HyperMsg, Routed};
-use crate::node::{Cx, HyperSubNode, IidTarget};
-use crate::repo::{RepoKey, StoredSub, ZoneRepo};
+use crate::node::{Cx, HyperSubNode};
+use crate::repo::{RepoKey, StoredSub};
 use hypersub_chord::routing::{next_hop, NextHop};
 use hypersub_lph::{lph_rect, rotation::rotate_key, Rect, ZoneCode};
 use hypersub_simnet::ProtoEvent;
@@ -140,15 +140,12 @@ impl HyperSubNode {
     /// successors, and surrogate chains through those zones must be
     /// re-established there.
     pub fn rebuild_chains(&mut self, ctx: &mut Cx<'_>) {
-        // Sorted for the same reason as `refresh_subscriptions`: push-down
-        // message order must be a function of state, not of hashing.
-        let mut keys: Vec<RepoKey> = self.repos.keys().copied().collect();
-        keys.sort_unstable();
-        for k in &keys {
-            if let Some(repo) = self.repos.get_mut(k) {
-                repo.pushed.clear();
-            }
+        // In key order, as `repos` iterates: push-down message order is a
+        // function of state.
+        for repo in self.repos.values_mut() {
+            repo.pushed.clear();
         }
+        let keys: Vec<RepoKey> = self.repos.keys().copied().collect();
         for k in keys {
             self.push_down(ctx, k);
         }
@@ -270,11 +267,7 @@ impl HyperSubNode {
         id: SubId,
         sub: StoredSub,
     ) {
-        if !self.repos.contains_key(&repo_key) {
-            let iid = self.alloc_iid(IidTarget::Repo(repo_key));
-            self.repos.insert(repo_key, ZoneRepo::new(iid));
-        }
-        let repo = self.repos.get_mut(&repo_key).expect("just inserted");
+        let repo = self.repo_or_new(repo_key);
         let is_new = !repo.entries.contains_key(&id);
         let summary_grew = repo.insert(id, sub);
         let me = ctx.me();
@@ -312,16 +305,14 @@ impl HyperSubNode {
         if zone.level >= zone_params.max_level() {
             return; // leaf zones have no children
         }
-        let (summary, my_repo_iid) = {
-            let repo = &self.repos[&repo_key];
-            let Some(summary) = repo.summary().cloned() else {
-                return;
-            };
-            (summary, repo.iid)
+        // One lookup for the whole descent, which only reads `self`.
+        let repo = &self.repos[&repo_key];
+        let Some(summary) = repo.summary().cloned() else {
+            return;
         };
         let owner = SubId {
             nid: self.maint.chord.id,
-            iid: my_repo_iid,
+            iid: repo.iid,
         };
         // The registry is shared and immutable: a handle to it lets the
         // loop below borrow the space while it reads `self`.
@@ -347,7 +338,6 @@ impl HyperSubNode {
                 if !self.maint.chord.responsible_for(key) {
                     // Crossing a node boundary: register remotely if the
                     // subdivision changed since we last pushed it.
-                    let repo = &self.repos[&repo_key];
                     if repo.pushed.get(&child) != Some(&sf_c) {
                         to_send.push((child, sf_c));
                     }

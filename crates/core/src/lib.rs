@@ -92,6 +92,7 @@ pub mod report;
 pub mod retry;
 pub mod sim;
 pub mod strings;
+pub mod table;
 pub mod world;
 
 /// Escape hatches for tests, benchmarks, and tooling that need the raw

@@ -213,13 +213,11 @@ impl HyperSubNode {
         let per_target = (budget / k as u64).max(1);
 
         // Candidate pool: (source repo key, local origin, subid, full rect),
-        // deterministic order.
+        // deterministic order: repositories in key order, as `repos`
+        // iterates, then hosted ones by id.
         let mut pool: Vec<(RepoKey, SubOrigin, SubId, Rect)> = Vec::new();
         let planes = self.planes();
-        let mut repo_keys: Vec<RepoKey> = self.repos.keys().copied().collect();
-        repo_keys.sort_unstable();
-        for rk in repo_keys {
-            let repo = &self.repos[&rk];
+        for (&rk, repo) in &self.repos {
             let mut ids: Vec<SubId> = repo
                 .entries
                 .iter()

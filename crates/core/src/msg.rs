@@ -394,10 +394,15 @@ mod tests {
     /// holds tens of thousands of repositories, so these sizes are
     /// per-node memory: a rect is one pointer to one heap block, an
     /// absent summary costs nothing beyond it, and the pushed children
-    /// are one pointer to exactly as many slots.
+    /// are one pointer to exactly as many slots. A node's own tables are
+    /// such slices too, and Algorithm 5's buffers are the thread's, not
+    /// the node's, so 4 096 nodes hold 4 096 of these structs and no
+    /// more.
     #[test]
     fn rect_and_repository_stay_within_their_layout_budget() {
-        use crate::repo::{Pushed, RepoEntries, ZoneRepo};
+        use crate::node::HyperSubNode;
+        use crate::repo::{RepoEntries, ZoneRepo};
+        use crate::table::SortedTable;
         use std::mem::size_of;
         assert_eq!(size_of::<Rect>(), 16);
         assert_eq!(size_of::<Option<Rect>>(), 16);
@@ -405,8 +410,9 @@ mod tests {
         assert_eq!(size_of::<(SubId, StoredSub)>(), 48);
         assert_eq!(size_of::<(ZoneCode, Rect)>(), 32);
         assert_eq!(size_of::<RepoEntries>(), 56);
-        assert_eq!(size_of::<Pushed>(), 16);
+        assert_eq!(size_of::<SortedTable<ZoneCode, Rect>>(), 16);
         assert!(size_of::<ZoneRepo>() <= 104);
+        assert_eq!(size_of::<HyperSubNode>(), 408);
         assert!(size_of::<Routed>() <= 72);
         assert!(size_of::<HyperMsg>() <= 72);
     }

@@ -20,6 +20,7 @@
 
 use crate::index::{BitsetIndex, IndexDiag, IndexMode, INDEX_THRESHOLD};
 use crate::model::{SchemeId, SubId, SubschemeId};
+use crate::table::SortedTable;
 use hypersub_lph::{Point, Rect, ZoneCode};
 use hypersub_simnet::FxHashMap;
 use hypersub_snapshot::{codec, Decode, Encode, Error, Reader, Writer};
@@ -220,70 +221,6 @@ impl Decode for RepoEntries {
     }
 }
 
-/// What a repository last registered at each child zone, sorted by
-/// child, in a slice exactly as long as the children. The children are
-/// those of one zone, so there are few of them, and most repositories
-/// have none: on a routing workload four in five chain links push
-/// nothing and most of the rest push to several children, where a hash
-/// table holds twice the slots it fills and its control bytes besides.
-#[derive(Debug, Clone, Default)]
-pub struct Pushed(Box<[(ZoneCode, Rect)]>);
-
-impl Pushed {
-    /// Number of children registered at.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether nothing was registered.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// What was last registered at `child`.
-    pub fn get(&self, child: &ZoneCode) -> Option<&Rect> {
-        let at = self.0.binary_search_by(|(c, _)| c.cmp(child)).ok()?;
-        Some(&self.0[at].1)
-    }
-
-    /// Records `rect` as registered at `child`.
-    pub fn insert(&mut self, child: ZoneCode, rect: Rect) {
-        match self.0.binary_search_by(|(c, _)| c.cmp(&child)) {
-            Ok(at) => self.0[at].1 = rect,
-            Err(at) => {
-                let mut grown = Vec::with_capacity(self.0.len() + 1);
-                let mut old = std::mem::take(&mut self.0).into_vec().into_iter();
-                grown.extend(old.by_ref().take(at));
-                grown.push((child, rect));
-                grown.extend(old);
-                self.0 = grown.into_boxed_slice();
-            }
-        }
-    }
-
-    /// Forgets every child.
-    pub fn clear(&mut self) {
-        self.0 = Box::default();
-    }
-}
-
-// Hand-written codec: a map's bytes (the count, then the entries sorted
-// by key); the decoder reads a map and sorts it into the slice.
-impl Encode for Pushed {
-    fn encode(&self, w: &mut Writer) {
-        self.0.encode(w);
-    }
-}
-
-impl Decode for Pushed {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        let map = FxHashMap::<ZoneCode, Rect>::decode(r)?;
-        let mut children: Vec<(ZoneCode, Rect)> = map.into_iter().collect();
-        children.sort_unstable_by_key(|&(c, _)| c);
-        Ok(Self(children.into_boxed_slice()))
-    }
-}
-
 /// Whether two rects are the same bit for bit: `==` would take `-0.0`
 /// for `0.0`, and the bytes a snapshot writes tell them apart.
 fn same_bits(a: &Rect, b: &Rect) -> bool {
@@ -315,8 +252,10 @@ pub struct ZoneRepo {
     /// [`Self::summary`].
     summary: Option<Rect>,
     /// What we last registered at each child zone (the "changed
-    /// subdivision" dedup of Algorithm 3).
-    pub pushed: Pushed,
+    /// subdivision" dedup of Algorithm 3). The children are those of one
+    /// zone, so there are few of them, and four chain links in five on a
+    /// routing workload push to none.
+    pub pushed: SortedTable<ZoneCode, Rect>,
     /// Local matching index (§3.3), built once the repository is large
     /// and kept in step with `entries` from then on. Boxed: most
     /// repositories (every link of a surrogate chain) never build one,
@@ -331,7 +270,7 @@ impl ZoneRepo {
             iid,
             entries: RepoEntries::default(),
             summary: None,
-            pushed: Pushed::default(),
+            pushed: SortedTable::default(),
             index: None,
         }
     }
@@ -1150,7 +1089,7 @@ mod tests {
         let entries: FxHashMap<SubId, StoredSub> = [(sid(1), surrogate(1.0))].into_iter().collect();
         entries.encode(&mut w);
         None::<Rect>.encode(&mut w);
-        Pushed::default().encode(&mut w);
+        SortedTable::<ZoneCode, Rect>::default().encode(&mut w);
         assert!(matches!(
             ZoneRepo::decode(&mut Reader::new(&w.into_vec())),
             Err(Error::InvalidValue("repository entries without a summary"))

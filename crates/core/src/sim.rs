@@ -875,6 +875,7 @@ mod tests {
     use super::*;
     use crate::model::SchemeDef;
     use crate::node::IidTarget;
+    use crate::table::SortedTable;
     use hypersub_lph::Rect;
     use hypersub_simnet::FxHashMap;
 
@@ -1861,8 +1862,11 @@ mod tests {
         };
         let mut again = Oracle::default();
         again.add(*scheme, subid, sub);
+        let (&first, repo) = host.repos.iter().next().unwrap();
+        let mut one_repo = SortedTable::default();
+        one_repo.insert(first, repo.clone());
         for hostile in [
-            repeat_a_key(&sealed, &host.repos),
+            repeat(&sealed, &bytes(&host.repos), &bytes(&one_repo)),
             repeat_a_key(&sealed, net.net().flows()),
             repeat(&sealed, &bytes(&net.oracle), &bytes(&again)),
         ] {
@@ -1886,7 +1890,8 @@ mod tests {
         let node = &net.nodes()[1];
         let (&iid, _) = node.local_subs.iter().next().expect("a local subscription");
         let table = |edit: &dyn Fn(&mut FxHashMap<u32, IidTarget>)| {
-            let mut iids = node.iids.clone();
+            let mut iids: FxHashMap<u32, IidTarget> =
+                node.iids.iter().map(|(&k, &t)| (k, t)).collect();
             iids.extend(node.local_subs.keys().map(|&k| (k, IidTarget::Local)));
             edit(&mut iids);
             (iids, node.local_subs.clone())

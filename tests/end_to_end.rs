@@ -214,3 +214,44 @@ fn king_topology_latencies_accumulate() {
     );
     assert!(s.max_hops >= 1);
 }
+
+/// After the pinned `hotpath --quick` install (192 King-like nodes, 4
+/// subscriptions a node), every node's repository table, id table and
+/// each repository's pushed children are in key order, and the id table
+/// names exactly the node's repositories, each under its own key — never
+/// a local subscription's id.
+#[test]
+fn installed_node_tables_are_sorted_and_name_their_repositories() {
+    use hypersub_core::node::IidTarget;
+    use hypersub_workload::{WorkloadGen, WorkloadSpec};
+    const SEED: u64 = 0xbe9c_2007;
+    let spec = WorkloadSpec::paper_table1();
+    let mut net = Network::builder(192)
+        .registry(Registry::new(vec![spec.scheme_def(0)]))
+        .king_like(SimTime::from_millis(180))
+        .seed(SEED)
+        .build()
+        .expect("valid pinned configuration");
+    let mut gen = WorkloadGen::new(spec, SEED ^ 0xabcd);
+    gen.install(&mut net, 4);
+    net.run_to_quiescence();
+    let (mut repos, mut pushed) = (0, 0);
+    for node in net.nodes() {
+        assert!(node.repos.keys().is_sorted() && node.iids.keys().is_sorted());
+        assert_eq!(node.iids.len(), node.repos.len());
+        for (key, repo) in &node.repos {
+            assert_eq!(node.iids.get(&repo.iid), Some(&IidTarget::Repo(*key)));
+            assert!(repo.pushed.keys().is_sorted());
+            pushed += repo.pushed.len();
+        }
+        assert!(node
+            .local_subs
+            .keys()
+            .all(|iid| !node.iids.contains_key(iid)));
+        repos += node.repos.len();
+    }
+    assert!(
+        repos > 0 && pushed > 0,
+        "{repos} repositories, {pushed} pushed"
+    );
+}

@@ -182,22 +182,6 @@ impl MaintState {
         }
     }
 
-    /// Records a peer observed alive (piggybacked maintenance): offers it
-    /// as a predecessor and successor candidate and lifts any tombstone —
-    /// direct evidence of liveness outranks past timeouts.
-    pub fn observe_peer(&mut self, peer: Peer) {
-        if peer.idx == self.chord.idx {
-            return;
-        }
-        // Nearly every delivery message lands here with no tombstone to
-        // lift: skip the hash.
-        if !self.dead.is_empty() {
-            self.dead.remove(&peer.idx);
-        }
-        self.chord.consider_predecessor(peer);
-        self.chord.add_successor(peer);
-    }
-
     /// Forgets every past liveness observation: tombstones and in-flight
     /// probe strikes. Call when this node itself rejoins after downtime —
     /// its observations predate the failure and are stale, and a stale
@@ -697,28 +681,6 @@ mod tests {
                 "node {i} still lists dead successor"
             );
         }
-    }
-
-    #[test]
-    fn observe_peer_piggyback_updates_state() {
-        let mut m = MaintState::new(ChordState::new(100, 0, 4));
-        let p = Peer { id: 90, idx: 3 };
-        // Tombstoned peer comes back via a piggybacked observation.
-        m.note_dead(3);
-        m.observe_peer(p);
-        assert_eq!(m.chord.predecessor, Some(p));
-        // And it is a successor candidate again.
-        m.handle(
-            3,
-            ChordMsg::NeighborsReply {
-                pred: None,
-                succs: vec![p],
-            },
-        );
-        assert!(m.chord.successors().contains(&p));
-        // Self-observation is a no-op.
-        m.observe_peer(Peer { id: 100, idx: 0 });
-        assert_eq!(m.chord.predecessor, Some(p));
     }
 
     #[test]

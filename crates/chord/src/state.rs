@@ -24,9 +24,9 @@ pub const NUM_FINGERS: usize = 64;
 ///   contains `id` itself;
 /// * `fingers[i]`, when set, is the node the protocol currently believes
 ///   to be `successor(id + 2^i)`;
-/// * `route_table` and `succ_reach` are derived from the two. Both lists
-///   are private so that only this module's mutators, each of which ends
-///   in `rebuild_derived`, can change them: neither can go stale.
+/// * `route_table` is derived from the two. Both lists are private so
+///   that only this module's mutators, each of which ends in
+///   `rebuild_derived`, can change them: it cannot go stale.
 #[derive(Debug, Clone)]
 pub struct ChordState {
     /// This node's ring identifier.
@@ -45,11 +45,6 @@ pub struct ChordState {
     /// the successor list (see [`Self::route_table`]): one exact-size
     /// allocation.
     route_table: Box<[Peer]>,
-    /// The farthest clockwise distance a new successor may have: one short
-    /// of the tail's once the list is full. Kept beside `id` so that
-    /// turning a candidate away reads nothing the node does not already
-    /// have in cache.
-    succ_reach: u64,
 }
 
 impl ChordState {
@@ -90,7 +85,6 @@ impl ChordState {
             fingers: FingerRuns::compress(&fingers),
             succ_list_len,
             route_table: Box::default(),
-            succ_reach: u64::MAX,
         };
         st.rebuild_derived();
         st
@@ -122,12 +116,6 @@ impl ChordState {
 
     fn rebuild_derived(&mut self) {
         let dist = |p: &Peer| clockwise_distance(self.id, p.id);
-        self.succ_reach = match self.successors.last() {
-            Some(tail) if self.successors.len() >= self.succ_list_len => {
-                dist(tail).saturating_sub(1)
-            }
-            _ => u64::MAX,
-        };
         // An insertion sort in scan order, so an id already placed wins.
         // It searches from the back because on a stabilized ring both
         // lists arrive in clockwise order: a finger repeats or extends the
@@ -184,27 +172,19 @@ impl ChordState {
     /// Inserts `peer` into the successor list, keeping it sorted by
     /// clockwise distance, deduplicated and truncated to `succ_list_len`.
     pub fn add_successor(&mut self, peer: Peer) {
-        if peer.id == self.id {
+        if peer.id == self.id || self.successors.contains(&peer) {
             return;
         }
         let me = self.id;
-        // Full list and `peer` no closer than the current tail: the
-        // push/sort/truncate below would drop it again, so skip the work
-        // (distances from `me` are unique per id, making this exact).
-        // This turns away nearly every sender a delivery message names,
-        // so it comes first and does not look at the list; a member at
-        // the tail's distance is the tail, so the order changes no result.
-        if clockwise_distance(me, peer.id) > self.succ_reach {
-            return;
-        }
-        if self.successors.contains(&peer) {
-            return;
-        }
         self.successors.push(peer);
         self.successors
             .sort_by_key(|p| clockwise_distance(me, p.id));
         self.successors.truncate(self.succ_list_len);
-        self.rebuild_derived();
+        // A peer no closer than a full list's tail is truncated away
+        // again, and the list is as it was.
+        if self.successors.contains(&peer) {
+            self.rebuild_derived();
+        }
     }
 
     /// Empties the successor list (stabilize adopts its successor's list
@@ -368,7 +348,6 @@ impl Decode for ChordState {
             fingers: FingerRuns::compress(&fingers),
             succ_list_len,
             route_table: Box::default(),
-            succ_reach: u64::MAX,
         };
         st.rebuild_derived();
         Ok(st)

@@ -109,12 +109,7 @@ impl HyperSubNode {
     }
 
     /// Algorithm 5: process an event message.
-    pub(crate) fn handle_delivery(&mut self, ctx: &mut Cx<'_>, mut msg: DeliveryMsg) {
-        // Piggybacked DHT maintenance: the forwarding node is evidently
-        // alive and a valid routing candidate.
-        if let Some(sender) = msg.sender.take() {
-            self.maint.observe_peer(sender);
-        }
+    pub(crate) fn handle_delivery(&mut self, ctx: &mut Cx<'_>, msg: DeliveryMsg) {
         let scheme = self.registry.scheme(msg.scheme);
         let proj_owned;
         let proj = if scheme.projection_is_identity(msg.ss, msg.event.point.0.len()) {
@@ -318,6 +313,7 @@ mod tests {
     use crate::node::test_registry;
     use crate::repo::{StoredSub, ZoneRepo};
     use crate::world::HyperWorld;
+    use hypersub_chord::proto::ChordMsg;
     use hypersub_chord::{ChordState, Peer};
     use hypersub_lph::{Point, Rect, ZoneCode};
     use hypersub_simnet::{Ctx, SimTime};
@@ -377,6 +373,15 @@ mod tests {
     }
 
     fn deliver(node: &mut HyperSubNode, rt: &mut Recording, targets: Vec<SubTarget>) {
+        deliver_from(node, rt, None, targets);
+    }
+
+    fn deliver_from(
+        node: &mut HyperSubNode,
+        rt: &mut Recording,
+        sender: Option<Peer>,
+        targets: Vec<SubTarget>,
+    ) {
         let msg = DeliveryMsg {
             scheme: 0,
             ss: 0,
@@ -385,7 +390,7 @@ mod tests {
                 point: Point(vec![50.0, 50.0]),
             }),
             hops: 1,
-            sender: None,
+            sender,
             targets,
         };
         let mut timers = Vec::new();
@@ -416,6 +421,29 @@ mod tests {
             [(1, HyperMsg::Delivery(d))] => &d.targets,
             other => panic!("expected one message to node 1, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_delivery_from_a_tombstoned_peer_writes_no_routing_state() {
+        let (mut node, mut rt) = node();
+        // X sits between this node's predecessor and itself, so it would
+        // be adopted as predecessor and as a successor candidate alike.
+        let x = Peer { id: 800, idx: 3 };
+        node.maint.note_dead(x.idx);
+        deliver_from(&mut node, &mut rt, Some(x), vec![remote(1)]);
+        assert_eq!(rt.sent.len(), 1, "the delivery itself goes on");
+        let chord = &node.maint.chord;
+        assert_eq!(chord.predecessor, Some(Peer { id: 500, idx: 9 }));
+        assert_eq!(chord.successors(), [Peer { id: 2000, idx: 1 }]);
+        // The tombstone still holds: gossip naming X is refused.
+        node.maint.handle(
+            1,
+            ChordMsg::NeighborsReply {
+                pred: None,
+                succs: vec![x],
+            },
+        );
+        assert!(!node.maint.chord.successors().contains(&x));
     }
 
     #[test]

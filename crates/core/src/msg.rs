@@ -113,11 +113,10 @@ pub struct DeliveryMsg {
     pub event: Arc<Event>,
     /// Network hops this copy has traversed.
     pub hops: u32,
-    /// The forwarding node — piggybacked DHT maintenance (§3.2: "the
-    /// maintenance of DHT links can be piggybacked onto the event
-    /// delivery message"): receivers treat the sender as a live routing
-    /// candidate, refreshing predecessor/successor knowledge for free.
-    /// Fits in the 20-byte packet header, so it adds no modeled bytes.
+    /// The forwarding node, written but read by nothing: a delivery
+    /// never writes routing state (DESIGN.md "Piggybacked maintenance").
+    /// Kept until the next `WIRE_VERSION` bump, as the wire and snapshot
+    /// layouts hold it; it fits in the 20-byte header, adding no bytes.
     pub sender: Option<Peer>,
     /// The SubID list.
     pub targets: Vec<SubTarget>,
@@ -412,7 +411,7 @@ mod tests {
         assert_eq!(size_of::<RepoEntries>(), 56);
         assert_eq!(size_of::<SortedTable<ZoneCode, Rect>>(), 16);
         assert!(size_of::<ZoneRepo>() <= 104);
-        assert_eq!(size_of::<HyperSubNode>(), 408);
+        assert_eq!(size_of::<HyperSubNode>(), 400);
         assert!(size_of::<Routed>() <= 72);
         assert!(size_of::<HyperMsg>() <= 72);
     }

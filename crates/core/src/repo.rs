@@ -176,6 +176,16 @@ impl RepoEntries {
     pub fn values(&self) -> impl Iterator<Item = &StoredSub> {
         self.iter().map(|(_, v)| v)
     }
+
+    /// Every entry, writable, in no particular order.
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = (&SubId, &mut StoredSub)> {
+        let (one, many) = match &mut self.0 {
+            Slots::Empty => (None, None),
+            Slots::One(k, v) => (Some((&*k, v)), None),
+            Slots::Many(m) => (None, Some(m.iter_mut())),
+        };
+        one.into_iter().chain(many.into_iter().flatten())
+    }
 }
 
 impl From<FxHashMap<SubId, StoredSub>> for RepoEntries {
@@ -223,7 +233,7 @@ impl Decode for RepoEntries {
 
 /// Whether two rects are the same bit for bit: `==` would take `-0.0`
 /// for `0.0`, and the bytes a snapshot writes tell them apart.
-fn same_bits(a: &Rect, b: &Rect) -> bool {
+pub(crate) fn same_bits(a: &Rect, b: &Rect) -> bool {
     fn bits(r: &Rect) -> impl Iterator<Item = u64> + '_ {
         r.lo().iter().chain(r.hi()).map(|x| x.to_bits())
     }

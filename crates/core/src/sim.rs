@@ -11,6 +11,7 @@ use crate::msg::HyperMsg;
 use crate::node::{
     HyperSubNode, DEDUP_WINDOW, TOKEN_LB, TOKEN_LEASE, TOKEN_PUBLISH_BASE, TOKEN_RETRY_BASE,
 };
+use crate::repo::StoredSub;
 use crate::retry::last_copy_leaves;
 use crate::world::{HyperWorld, Oracle, Scripted};
 use hypersub_chord::builder::{build_ring, RingConfig};
@@ -725,6 +726,7 @@ impl Net<HyperSubNode> {
         let next_event_id = r.take_u64()?;
         let scheduled_events = r.take_u64()?;
         r.finish().map_err(HyperSubError::Snapshot)?;
+        share_rects(&mut nodes, &oracle);
         let world = HyperWorld { metrics, script };
         let sim = Sim::from_snapshot(desc.build(), nodes, world, snap);
         Ok(Network {
@@ -735,6 +737,28 @@ impl Net<HyperSubNode> {
             scheduled_events,
             topo_desc: desc,
         })
+    }
+}
+
+/// Points each subscription's roles at one rect block again, as
+/// installing it did: `Decode` builds one block per rect. The subscriber's
+/// `local_subs` record and each stored `StoredSub::Real`'s `full` and
+/// `proj` take the oracle's block, each only where the bits are the
+/// same, so no value, byte or digest moves.
+fn share_rects(nodes: &mut [HyperSubNode], oracle: &Oracle) {
+    for node in nodes {
+        let nid = node.chord().id;
+        for (&iid, (_, sub)) in &mut node.local_subs {
+            oracle.share_into(SubId { nid, iid }, &mut sub.rect);
+        }
+        for repo in node.repos.values_mut() {
+            for (&id, stored) in repo.entries.iter_mut() {
+                if let StoredSub::Real { full, proj } = stored {
+                    oracle.share_into(id, full);
+                    oracle.share_into(id, proj);
+                }
+            }
+        }
     }
 }
 
@@ -784,9 +808,9 @@ fn check_peers(node: &HyperSubNode, nodes: usize) -> Result<()> {
 }
 
 /// The peers a message names in its payload, which its receiver may
-/// send to: a delivery's sender, a probe's, migration's or replica
-/// update's origin, an acknowledging acceptor, and every peer a Chord
-/// message carries.
+/// send to: a probe's, migration's or replica update's origin, an
+/// acknowledging acceptor, and every peer a Chord message carries — and
+/// a delivery's sender, which nothing reads but the bytes still carry.
 fn payload_peers(msg: &HyperMsg) -> Vec<Peer> {
     match msg {
         HyperMsg::Delivery(d) => d.sender.into_iter().collect(),
@@ -916,9 +940,10 @@ mod tests {
     /// subscriber's `local_subs` record, the oracle's slot and the stored
     /// entry's `full` and `proj` share it, and each chain link's
     /// surrogate entry shares the block its parent recorded in `pushed`.
+    /// A restored network shares each subscription's block again (the
+    /// caller's copy aside); its chain links hold one copy each.
     #[test]
     fn an_installed_subscription_is_one_shared_block() {
-        use crate::repo::StoredSub;
         let mut net = small_net(16, 1);
         let mut subs = Vec::new();
         for (i, lo) in [10.0, 30.0, 45.0, 70.0].into_iter().enumerate() {
@@ -926,21 +951,26 @@ mod tests {
             subs.push((net.subscribe(i * 3, 0, sub.clone()), i * 3, sub));
         }
         net.run_to_quiescence();
+        let restored = Network::restore(&net.snapshot()).expect("a network restores");
         for (subid, node, sub) in &subs {
-            let local = &net.nodes()[*node].local_subs[&subid.iid].1.rect;
-            assert!(local.shares_block(&sub.rect));
-            let oracle = net.oracle.rect(*subid).expect("the oracle holds it");
-            assert!(oracle.shares_block(&sub.rect) && oracle.shares_block(local));
-            let stored: Vec<&StoredSub> = net
-                .nodes()
-                .iter()
-                .flat_map(|n| n.repos.values())
-                .filter_map(|repo| repo.entries.get(subid))
-                .collect();
-            let [StoredSub::Real { full, proj }] = stored[..] else {
-                panic!("one real entry for {subid:?}, found {stored:?}");
-            };
-            assert!(full.shares_block(local) && proj.shares_block(local));
+            for (net, caller) in [(&net, Some(&sub.rect)), (&restored, None)] {
+                let local = &net.nodes()[*node].local_subs[&subid.iid].1.rect;
+                if let Some(caller) = caller {
+                    assert!(local.shares_block(caller));
+                }
+                let oracle = net.oracle.rect(*subid).expect("the oracle holds it");
+                assert!(oracle.shares_block(local));
+                let stored: Vec<&StoredSub> = net
+                    .nodes()
+                    .iter()
+                    .flat_map(|n| n.repos.values())
+                    .filter_map(|repo| repo.entries.get(subid))
+                    .collect();
+                let [StoredSub::Real { full, proj }] = stored[..] else {
+                    panic!("one real entry for {subid:?}, found {stored:?}");
+                };
+                assert!(full.shares_block(local) && proj.shares_block(local));
+            }
         }
         let mut links = 0;
         for parent in net.nodes() {
@@ -1064,6 +1094,8 @@ mod tests {
         net.run_to_quiescence();
         let e1 = net.publish(7, 0, Point(vec![50.0, 50.0])).unwrap();
         net.run_to_quiescence();
+        let stored = |net: &Network| net.node_loads().iter().sum::<u64>();
+        let stored_before = stored(&net);
         assert_eq!(net.unsubscribe(5, cancel), Ok(()));
         assert_eq!(
             net.unsubscribe(5, cancel),
@@ -1079,6 +1111,15 @@ mod tests {
         assert_eq!(s1.delivered, 2, "before unsubscribe both fire");
         assert_eq!(s2.delivered, 1, "after unsubscribe only one fires");
         assert_eq!(s2.expected, 1);
+        // The repository forgot it too: the `Unregister` arrived.
+        assert!(
+            net.nodes()
+                .iter()
+                .flat_map(|n| n.repos.values())
+                .all(|repo| repo.entries.get(&cancel).is_none()),
+            "a repository still stores the cancelled subscription"
+        );
+        assert_eq!(stored(&net), stored_before - 1);
         let _ = keep;
     }
 

@@ -4,6 +4,7 @@
 
 use crate::metrics::Metrics;
 use crate::model::{Event, SchemeId, SubId, Subscription};
+use crate::repo::same_bits;
 use hypersub_lph::{Point, Rect};
 use hypersub_simnet::FxHashMap;
 use hypersub_snapshot::{Decode, Encode, Error, Reader, Writer};
@@ -335,9 +336,16 @@ impl Oracle {
     }
 
     /// The rect the oracle holds for live subscription `subid`.
-    #[cfg(test)]
     pub(crate) fn rect(&self, subid: SubId) -> Option<&Rect> {
         self.slots[*self.by_id.get(&subid)? as usize].rect.as_ref()
+    }
+
+    /// Points `rect` at the block the oracle holds for live subscription
+    /// `subid`, if the two are the same bit for bit.
+    pub(crate) fn share_into(&self, subid: SubId, rect: &mut Rect) {
+        if let Some(held) = self.rect(subid).filter(|held| same_bits(held, rect)) {
+            *rect = held.clone();
+        }
     }
 
     /// Whether live subscription `subid` matches `point` in `scheme`: the

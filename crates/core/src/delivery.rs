@@ -59,6 +59,15 @@ thread_local! {
     static SCRATCH: Cell<DeliveryScratch> = Cell::default();
 }
 
+/// Frees this thread's scratch buffers, Algorithm 5's and the push-down's,
+/// leaving them at zero capacity. A dropped network calls it: the buffers
+/// would otherwise keep what its largest message grew them to for the
+/// thread's lifetime, past the network.
+pub(crate) fn release_thread_scratch() {
+    drop(SCRATCH.take());
+    drop(crate::install::DESCENT.take());
+}
+
 impl DeliveryScratch {
     /// Hands the buffers back, emptied, for the next message. Clearing
     /// the set costs its capacity, not its length, so only a set that was
@@ -557,6 +566,28 @@ mod tests {
                 (s.seen.capacity(), s.matches.capacity(), s.hops.capacity()),
                 grown
             );
+        });
+    }
+
+    /// A dropped network takes the thread's grown buffers with it.
+    #[test]
+    fn dropping_a_network_frees_the_threads_scratch() {
+        let (mut node, mut rt) = two_link_node();
+        let incoming = split_message(&mut node);
+        deliver(&mut node, &mut rt, incoming);
+        assert!(scratch(|s| s.seen.capacity() > 0 && s.hops.capacity() > 0));
+        drop(
+            crate::sim::Network::builder(2)
+                .registry((*test_registry()).clone())
+                .build()
+                .expect("a two-node network"),
+        );
+        scratch(|s| {
+            assert_eq!(
+                (s.seen.capacity(), s.hops.capacity(), s.matches.capacity()),
+                (0, 0, 0),
+                "{s:?}"
+            )
         });
     }
 

@@ -18,9 +18,32 @@ use crate::msg::{HyperMsg, Routed};
 use crate::node::{Cx, HyperSubNode};
 use crate::repo::{RepoKey, StoredSub};
 use hypersub_chord::routing::{next_hop, NextHop};
-use hypersub_lph::{lph_rect, rotation::rotate_key, Rect, ZoneCode};
+use hypersub_lph::zone::narrow_extent;
+use hypersub_lph::{lph_rect, rotation::rotate_key, Rect, ZoneCode, ZoneParams};
 use hypersub_simnet::ProtoEvent;
+use std::cell::Cell;
 use std::sync::Arc;
+
+/// Algorithm 3's push-down buffers, one set per thread (as Algorithm 5's
+/// are): taken for one descent and handed back empty, capacity retained,
+/// so a descent allocates nothing once the thread has walked one as deep.
+/// The descent reads only `self`, so nothing re-enters it while it holds
+/// them.
+#[derive(Debug, Default)]
+pub(crate) struct Descent {
+    /// Zones still to expand, deepest last.
+    zones: Vec<ZoneCode>,
+    /// One frame per stacked zone: its covering rect's bounds, then its
+    /// extent's, each laid out `[lo…, hi…]`.
+    frames: Vec<f64>,
+    /// The frame being expanded, then the child frame being built.
+    work: Vec<f64>,
+}
+
+thread_local! {
+    /// This thread's [`Descent`] buffers, while no descent holds them.
+    pub(crate) static DESCENT: Cell<Descent> = Cell::default();
+}
 
 impl HyperSubNode {
     /// Algorithm 2: install a subscription originating at this node.
@@ -155,33 +178,39 @@ impl HyperSubNode {
     /// when this node is already responsible. Boxes it only to forward.
     pub(crate) fn route_or_local(&mut self, ctx: &mut Cx<'_>, key: u64, inner: Routed) {
         match self.route_hop(key) {
-            Some(idx) => {
-                let inner = Box::new(inner);
-                self.send_reliable(ctx, idx, HyperMsg::Route { key, inner })
-            }
+            Some(idx) => self.send_reliable(ctx, idx, HyperMsg::route(key, Box::new(inner))),
             None => self.handle_routed(ctx, inner),
         }
     }
 
     /// Handles an incoming `Route` message: consume or forward greedily,
-    /// in the box it arrived in.
-    pub(crate) fn handle_route(&mut self, ctx: &mut Cx<'_>, key: u64, inner: Box<Routed>) {
+    /// in the box it arrived in and under the size it was sent with.
+    pub(crate) fn handle_route(
+        &mut self,
+        ctx: &mut Cx<'_>,
+        key: u64,
+        bytes: u32,
+        inner: Box<Routed>,
+    ) {
         match self.route_hop(key) {
-            Some(idx) => self.send_reliable(ctx, idx, HyperMsg::Route { key, inner }),
-            None => self.handle_routed(ctx, *inner),
+            Some(idx) => self.send_reliable(ctx, idx, HyperMsg::Route { key, bytes, inner }),
+            None => {
+                debug_assert_eq!(
+                    bytes as usize,
+                    inner.body_size(),
+                    "a Route states its body's size"
+                );
+                self.handle_routed(ctx, *inner)
+            }
         }
     }
 
     /// The neighbor a payload routed to `key` leaves through, or `None`
-    /// when this node handles it.
+    /// when this node handles it: `next_hop` starts with the
+    /// responsibility check, and a singleton ring handles every key.
     fn route_hop(&self, key: u64) -> Option<usize> {
-        if self.maint.chord.responsible_for(key) {
-            return None;
-        }
         match next_hop(&self.maint.chord, key) {
             NextHop::Forward(p) => Some(p.idx),
-            // `responsible_for` was false, so a Local verdict can only
-            // mean a singleton/degenerate ring: handle locally.
             NextHop::Local => None,
         }
     }
@@ -243,15 +272,15 @@ impl HyperSubNode {
                     self.send_reliable(
                         ctx,
                         acceptor.idx,
-                        HyperMsg::Route {
-                            key: acceptor.id,
-                            inner: Box::new(Routed::Unregister {
+                        HyperMsg::route(
+                            acceptor.id,
+                            Box::new(Routed::Unregister {
                                 scheme,
                                 ss,
                                 zone,
                                 subid,
                             }),
-                        },
+                        ),
                     );
                 }
             }
@@ -307,7 +336,7 @@ impl HyperSubNode {
         }
         // One lookup for the whole descent, which only reads `self`.
         let repo = &self.repos[&repo_key];
-        let Some(summary) = repo.summary().cloned() else {
+        let Some(summary) = repo.summary() else {
             return;
         };
         let owner = SubId {
@@ -321,35 +350,58 @@ impl HyperSubNode {
         let rotation = ssdef.rotation;
         let space = &ssdef.space;
 
-        // Iterative descent with an explicit stack of (zone, covering
-        // rect) pairs; only boundary-straddling local zones recurse.
+        // Iterative descent over (zone, covering rect, zone extent)
+        // frames; only boundary-straddling local zones are stacked. The
+        // rects live in the thread's flat buffers, so the walk allocates
+        // only the rect of a subdivision it sends.
+        let d = summary.dims();
+        let mut s = DESCENT.take();
+        debug_assert!(s.zones.is_empty() && s.frames.is_empty());
+        s.work.resize(8 * d, 0.0);
+        s.zones.push(zone);
+        s.frames.extend_from_slice(summary.lo());
+        s.frames.extend_from_slice(summary.hi());
+        s.frames.resize(4 * d, 0.0);
+        let (lo, hi) = s.frames[2 * d..].split_at_mut(d);
+        zone.extent_into(&zone_params, space, lo, hi);
         let mut to_send: Vec<(ZoneCode, Rect)> = Vec::new();
-        let mut stack: Vec<(ZoneCode, Rect)> = vec![(zone, summary)];
-        while let Some((z, sf)) = stack.pop() {
+        while let Some(z) = s.zones.pop() {
+            // `work` is the popped frame, then its child's:
+            // [rect lo, rect hi, extent lo, extent hi] each.
+            let top = s.frames.len() - 4 * d;
+            let (parent, kid) = s.work.split_at_mut(4 * d);
+            parent.copy_from_slice(&s.frames[top..]);
+            s.frames.truncate(top);
             if z.level >= zone_params.max_level() {
                 continue;
             }
-            for child in z.children(&zone_params) {
-                let ext = child.extent(&zone_params, space);
-                let Some(sf_c) = sf.intersect(&ext) else {
+            let (sf, ext) = parent.split_at(2 * d);
+            for p in 0..zone_params.base() {
+                let child = z.child(&zone_params, p);
+                if child_frame(&zone_params, z.level, p, sf, ext, kid) {
                     continue;
-                };
+                }
                 let key = self.zone_key(child, rotation);
                 if !self.maint.chord.responsible_for(key) {
                     // Crossing a node boundary: register remotely if the
                     // subdivision changed since we last pushed it.
-                    if repo.pushed.get(&child) != Some(&sf_c) {
-                        to_send.push((child, sf_c));
+                    let sf_c = &kid[..2 * d];
+                    let pushed = repo.pushed.get(&child);
+                    if !pushed.is_some_and(|r| r.lo() == &sf_c[..d] && r.hi() == &sf_c[d..]) {
+                        to_send.push((child, Rect::from_bounds(sf_c)));
                     }
                 } else if !self.subtree_fully_local(child, rotation) {
                     // Our key, but part of the subtree maps elsewhere:
                     // keep descending (virtually — no local repo).
-                    stack.push((child, sf_c));
+                    s.zones.push(child);
+                    s.frames.extend_from_slice(kid);
                 }
                 // else: entire subtree local — rendezvous ancestor walk
                 // covers it, nothing to materialize or send.
             }
         }
+        s.work.clear();
+        DESCENT.set(s);
         if to_send.is_empty() {
             return;
         }
@@ -422,4 +474,30 @@ impl HyperSubNode {
         let key = self.zone_key(leaf, ssdef.rotation);
         (leaf, SubTarget::rendezvous(key))
     }
+}
+
+/// Fills `kid` with the frame of the child by digit `p` of a zone at
+/// `level` whose frame is `(sf, ext)`: the extent narrowed by one digit,
+/// then the covering rect intersected with it as `Rect::intersect` does.
+/// Returns whether they are disjoint (the child gets nothing).
+fn child_frame(
+    params: &ZoneParams,
+    level: u8,
+    p: u64,
+    sf: &[f64],
+    ext: &[f64],
+    kid: &mut [f64],
+) -> bool {
+    let d = sf.len() / 2;
+    let (sf_c, ext_c) = kid.split_at_mut(2 * d);
+    ext_c.copy_from_slice(ext);
+    let (lo, hi) = ext_c.split_at_mut(d);
+    narrow_extent(params, level, p, lo, hi);
+    let mut disjoint = false;
+    for j in 0..d {
+        let (l, h) = (sf[j].max(lo[j]), sf[d + j].min(hi[j]));
+        (sf_c[j], sf_c[d + j]) = (l, h);
+        disjoint |= l > h;
+    }
+    disjoint
 }

@@ -84,7 +84,8 @@ codec!(enum Routed as "routed tag" {
 });
 
 impl Routed {
-    fn body_size(&self) -> usize {
+    /// The modelled size of the payload, past the `Route` header and key.
+    pub(crate) fn body_size(&self) -> usize {
         match self {
             Routed::Register { full, proj, .. } => {
                 4 + 1 + ZONE_BYTES + SUBID_BYTES + rect_bytes(full) + rect_bytes(proj)
@@ -163,6 +164,11 @@ pub enum HyperMsg {
     Route {
         /// Destination key (already rotation-adjusted).
         key: u64,
+        /// `inner`'s modelled size ([`Routed`]'s `body_size`), taken once
+        /// where the payload is boxed ([`HyperMsg::route`]) and again by
+        /// the decoder, so a forward hop never reads the box. Not on the
+        /// wire.
+        bytes: u32,
         /// The payload. Boxed: it is the one fat variant (72 B), and
         /// unboxed it would size every message the queue moves.
         inner: Box<Routed>,
@@ -228,23 +234,122 @@ pub enum HyperMsg {
         token: u64,
     },
 }
-codec!(enum HyperMsg as "hypermsg tag" {
-    0 => Route { key, inner },
-    1 => Delivery(d),
-    2 => LoadProbe { origin, ttl },
-    3 => LoadReply { load },
-    4 => Migrate { origin, batches },
-    5 => MigrateAck { me, acks },
-    6 => ReplicaUpdate { origin, full, repos },
-    7 => Chord(m),
-    8 => Reliable { token, inner },
-    9 => Ack { token },
-});
+impl HyperMsg {
+    /// A `Route` carrying `inner` toward `key`, its size taken here.
+    pub fn route(key: u64, inner: Box<Routed>) -> HyperMsg {
+        let bytes = u32::try_from(inner.body_size()).expect("a routed body under 4 GiB");
+        HyperMsg::Route { key, bytes, inner }
+    }
+}
+
+// Hand-written codec: a variant is its tag, then its fields in order, and
+// `Route`'s `bytes` is not written: the decoder takes it from the body.
+impl Encode for HyperMsg {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            HyperMsg::Route { key, inner, .. } => {
+                w.put_u8(0);
+                key.encode(w);
+                inner.encode(w);
+            }
+            HyperMsg::Delivery(d) => {
+                w.put_u8(1);
+                d.encode(w);
+            }
+            HyperMsg::LoadProbe { origin, ttl } => {
+                w.put_u8(2);
+                origin.encode(w);
+                ttl.encode(w);
+            }
+            HyperMsg::LoadReply { load } => {
+                w.put_u8(3);
+                load.encode(w);
+            }
+            HyperMsg::Migrate { origin, batches } => {
+                w.put_u8(4);
+                origin.encode(w);
+                batches.encode(w);
+            }
+            HyperMsg::MigrateAck { me, acks } => {
+                w.put_u8(5);
+                me.encode(w);
+                acks.encode(w);
+            }
+            HyperMsg::ReplicaUpdate {
+                origin,
+                full,
+                repos,
+            } => {
+                w.put_u8(6);
+                origin.encode(w);
+                full.encode(w);
+                repos.encode(w);
+            }
+            HyperMsg::Chord(m) => {
+                w.put_u8(7);
+                m.encode(w);
+            }
+            HyperMsg::Reliable { token, inner } => {
+                w.put_u8(8);
+                token.encode(w);
+                inner.encode(w);
+            }
+            HyperMsg::Ack { token } => {
+                w.put_u8(9);
+                token.encode(w);
+            }
+        }
+    }
+}
+
+impl Decode for HyperMsg {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
+        Ok(match r.take_u8()? {
+            0 => {
+                let key = Decode::decode(r)?;
+                let inner: Box<Routed> = Decode::decode(r)?;
+                let bytes = u32::try_from(inner.body_size())
+                    .map_err(|_| Error::InvalidValue("routed body size"))?;
+                HyperMsg::Route { key, bytes, inner }
+            }
+            1 => HyperMsg::Delivery(Decode::decode(r)?),
+            2 => HyperMsg::LoadProbe {
+                origin: Decode::decode(r)?,
+                ttl: Decode::decode(r)?,
+            },
+            3 => HyperMsg::LoadReply {
+                load: Decode::decode(r)?,
+            },
+            4 => HyperMsg::Migrate {
+                origin: Decode::decode(r)?,
+                batches: Decode::decode(r)?,
+            },
+            5 => HyperMsg::MigrateAck {
+                me: Decode::decode(r)?,
+                acks: Decode::decode(r)?,
+            },
+            6 => HyperMsg::ReplicaUpdate {
+                origin: Decode::decode(r)?,
+                full: Decode::decode(r)?,
+                repos: Decode::decode(r)?,
+            },
+            7 => HyperMsg::Chord(Decode::decode(r)?),
+            8 => HyperMsg::Reliable {
+                token: Decode::decode(r)?,
+                inner: Decode::decode(r)?,
+            },
+            9 => HyperMsg::Ack {
+                token: Decode::decode(r)?,
+            },
+            _ => return Err(Error::InvalidValue("hypermsg tag")),
+        })
+    }
+}
 
 impl Payload for HyperMsg {
     fn wire_size(&self) -> usize {
         match self {
-            HyperMsg::Route { inner, .. } => HEADER_BYTES + 8 + inner.body_size(),
+            HyperMsg::Route { bytes, .. } => HEADER_BYTES + 8 + *bytes as usize,
             HyperMsg::Delivery(d) => HEADER_BYTES + EVENT_BYTES + SUBID_BYTES * d.targets.len(),
             HyperMsg::LoadProbe { .. } => HEADER_BYTES + 13,
             HyperMsg::LoadReply { .. } => HEADER_BYTES + 8,
@@ -363,9 +468,9 @@ mod tests {
     #[test]
     fn register_size_scales_with_dims() {
         let r4 = Rect::new(vec![0.0; 4], vec![1.0; 4]);
-        let msg = HyperMsg::Route {
-            key: 0,
-            inner: Box::new(Routed::Register {
+        let msg = HyperMsg::route(
+            0,
+            Box::new(Routed::Register {
                 scheme: 0,
                 ss: 0,
                 zone: ZoneCode::ROOT,
@@ -373,9 +478,49 @@ mod tests {
                 full: r4.clone(),
                 proj: r4,
             }),
-        };
+        );
         // 20 + 8 + (4 + 1 + 9 + 9 + 64 + 64)
         assert_eq!(msg.wire_size(), 179);
+    }
+
+    /// A decoded `Route` carries its body's size for every payload kind,
+    /// though the size is not on the wire.
+    #[test]
+    fn a_decoded_route_carries_its_body_size() {
+        let r2 = Rect::new(vec![0.0, 1.0], vec![2.0, 3.0]);
+        let r3 = Rect::new(vec![0.0; 3], vec![1.0; 3]);
+        let (zone, subid) = (ZoneCode { code: 5, level: 3 }, SubId { nid: 1, iid: 2 });
+        for inner in [
+            Routed::Register {
+                scheme: 1,
+                ss: 0,
+                zone,
+                subid,
+                full: r3,
+                proj: r2.clone(),
+            },
+            Routed::Unregister {
+                scheme: 1,
+                ss: 0,
+                zone,
+                subid,
+            },
+            Routed::RegisterSurrogate {
+                scheme: 1,
+                ss: 0,
+                zone,
+                owner: subid,
+                proj: r2.clone(),
+            },
+        ] {
+            let sent = HyperMsg::route(7, Box::new(inner));
+            let decoded = HyperMsg::from_wire_bytes(&sent.to_wire_bytes()).expect("own encoding");
+            let HyperMsg::Route { key, bytes, inner } = &decoded else {
+                panic!("decoded {decoded:?}");
+            };
+            assert_eq!((*key, *bytes as usize), (7, inner.body_size()));
+            assert_eq!(decoded.wire_size(), sent.wire_size());
+        }
     }
 
     /// Every hop moves a message about six times (send, queue push, sift,

@@ -547,7 +547,7 @@ impl Node<HyperMsg, HyperWorld> for HyperSubNode {
                 self.on_send_failed(ctx, dst, *inner);
             }
             HyperMsg::Delivery(d) => self.handle_delivery(ctx, d),
-            HyperMsg::Route { key, inner } => self.handle_route(ctx, key, inner),
+            HyperMsg::Route { key, bytes, inner } => self.handle_route(ctx, key, bytes, inner),
             // A later round retries with a live target.
             HyperMsg::Migrate { batches, .. } => {
                 if let Some(planes) = self.planes.as_deref_mut() {
@@ -561,7 +561,7 @@ impl Node<HyperMsg, HyperWorld> for HyperSubNode {
 
     fn on_message(&mut self, ctx: &mut Cx<'_>, from: usize, msg: HyperMsg) {
         match msg {
-            HyperMsg::Route { key, inner } => self.handle_route(ctx, key, inner),
+            HyperMsg::Route { key, bytes, inner } => self.handle_route(ctx, key, bytes, inner),
             HyperMsg::Delivery(d) => self.handle_delivery(ctx, d),
             HyperMsg::LoadProbe { origin, .. } => self.handle_load_probe(ctx, origin),
             HyperMsg::LoadReply { load } => self.handle_load_reply(from, load),

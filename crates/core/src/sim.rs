@@ -359,6 +359,14 @@ pub struct Net<N: PubSubNode> {
 /// A running HyperSub network.
 pub type Network = Net<HyperSubNode>;
 
+/// The network's messages grew the thread's scratch buffers; its end
+/// gives them back (`delivery::release_thread_scratch`).
+impl<N: PubSubNode> Drop for Net<N> {
+    fn drop(&mut self) {
+        crate::delivery::release_thread_scratch();
+    }
+}
+
 impl<N: PubSubNode> Net<N> {
     /// Installs a subscription from `node` (for HyperSub, Algorithm 2
     /// starts here). Run the network afterwards to let registration

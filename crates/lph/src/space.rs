@@ -156,6 +156,18 @@ impl Rect {
         }
     }
 
+    /// Creates a rect from one block laid out `[lo…, hi…]`, copied into
+    /// one allocation and, like [`Self::unchecked`], not validated.
+    ///
+    /// # Panics
+    /// Panics if `bounds` has an odd length.
+    pub fn from_bounds(bounds: &[f64]) -> Self {
+        assert_eq!(bounds.len() % 2, 0, "rect bound arity mismatch");
+        Self {
+            bounds: Arc::from(bounds),
+        }
+    }
+
     /// Number of dimensions.
     pub fn dims(&self) -> usize {
         self.bounds.len() / 2

@@ -131,19 +131,47 @@ impl ZoneCode {
     /// splits dimension `i mod d` into β equal parts and keeps part
     /// `digit(i)`.
     pub fn extent(&self, params: &ZoneParams, space: &ContentSpace) -> Rect {
-        let d = space.dims();
         let mut rect = space.bounding_rect();
         let (lo, hi) = rect.bounds_mut();
-        for i in 0..self.level {
-            let j = i as usize % d;
-            let p = self.digit(params, i);
-            let width = (hi[j] - lo[j]) / params.base() as f64;
-            let new_lo = lo[j] + width * p as f64;
-            hi[j] = new_lo + width;
-            lo[j] = new_lo;
-        }
+        self.narrow_from_root(params, lo, hi);
         rect
     }
+
+    /// [`Self::extent`] written into `lo` and `hi` (one slot a dimension),
+    /// allocating nothing.
+    pub fn extent_into(
+        &self,
+        params: &ZoneParams,
+        space: &ContentSpace,
+        lo: &mut [f64],
+        hi: &mut [f64],
+    ) {
+        for (j, (lo, hi)) in lo.iter_mut().zip(hi.iter_mut()).enumerate() {
+            let domain = space.domain(j);
+            (*lo, *hi) = (domain.lo, domain.hi);
+        }
+        self.narrow_from_root(params, lo, hi);
+    }
+
+    /// Narrows the whole space's bounds to this zone, one division a digit.
+    fn narrow_from_root(&self, params: &ZoneParams, lo: &mut [f64], hi: &mut [f64]) {
+        for i in 0..self.level {
+            narrow_extent(params, i, self.digit(params, i), lo, hi);
+        }
+    }
+}
+
+/// One division of the zone tree: narrows the extent `[lo, hi]` of a zone
+/// at `level` to that of its child by digit `p`, in place. Division
+/// `level` splits dimension `level mod d` into β equal parts and keeps
+/// part `p`. [`ZoneCode::extent`] is this step folded from the root, so a
+/// descent that narrows a parent's extent reads the child's bit for bit.
+pub fn narrow_extent(params: &ZoneParams, level: u8, p: u64, lo: &mut [f64], hi: &mut [f64]) {
+    let j = level as usize % lo.len();
+    let width = (hi[j] - lo[j]) / params.base() as f64;
+    let new_lo = lo[j] + width * p as f64;
+    hi[j] = new_lo + width;
+    lo[j] = new_lo;
 }
 
 // Hand-written codec: the decoder validates (the bounds `new` asserts).
@@ -290,6 +318,47 @@ mod tests {
             vol += ce.volume();
         }
         assert!((vol - pe.volume()).abs() < 1e-9 * pe.volume());
+    }
+
+    /// Narrowing a parent's extent by one digit reads the child's extent
+    /// bit for bit, for every zone to level 10 in base 2 and to level 5
+    /// in base 4, over Table 1's space.
+    #[test]
+    fn one_digit_step_equals_extent_bit_for_bit() {
+        // Table 1: four attributes over [0, 10 000].
+        let space = ContentSpace::uniform(4, 0.0, 10_000.0);
+        let bits = |r: &Rect| {
+            r.lo()
+                .iter()
+                .chain(r.hi())
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        for (params, depth) in [(ZoneParams::new(1, 20), 10u8), (ZoneParams::new(2, 20), 5)] {
+            let mut level = vec![(ZoneCode::ROOT, space.bounding_rect())];
+            let mut zones = 1;
+            for _ in 0..depth {
+                let mut next = Vec::new();
+                for (z, ext) in &level {
+                    for p in 0..params.base() {
+                        let child = z.child(&params, p);
+                        let mut narrowed = ext.clone();
+                        let (lo, hi) = narrowed.bounds_mut();
+                        narrow_extent(&params, z.level, p, lo, hi);
+                        let extent = child.extent(&params, &space);
+                        assert_eq!(bits(&narrowed), bits(&extent), "{child:?}");
+                        let (mut lo, mut hi) = (vec![f64::NAN; 4], vec![f64::NAN; 4]);
+                        child.extent_into(&params, &space, &mut lo, &mut hi);
+                        assert_eq!(bits(&Rect::unchecked(lo, hi)), bits(&extent), "{child:?}");
+                        next.push((child, narrowed));
+                    }
+                }
+                zones += next.len();
+                level = next;
+            }
+            let beta = params.base() as usize;
+            assert_eq!(zones, (beta.pow(depth as u32 + 1) - 1) / (beta - 1));
+        }
     }
 
     #[test]

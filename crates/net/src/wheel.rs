@@ -2,39 +2,36 @@
 //!
 //! Semantically identical to the simulator's timer handling: timers armed
 //! with the same deadline fire in arming order (the `seq` tiebreaker), and
-//! `pop_due` never fires a timer early.
+//! `pop_due` never fires a timer early. It is the simulator's radix queue
+//! over timer tokens: live deadlines are monotone, since `pop_due` pops
+//! only at or before `now` and a handler arms at `now + delay` from a
+//! clock that never goes back.
 
+use hypersub_simnet::queue::RadixQueue;
 use hypersub_simnet::SimTime;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Pending timers ordered by absolute deadline, FIFO within a deadline.
 #[derive(Default)]
 pub struct TimerWheel {
-    heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
-    seq: u64,
+    timers: RadixQueue<u64>,
 }
 
 impl TimerWheel {
-    /// Arms a timer to fire at absolute time `at`.
+    /// Arms a timer to fire at absolute time `at`, which may not be before
+    /// the deadline of a timer already popped.
     pub fn arm(&mut self, at: SimTime, token: u64) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse((at, seq, token)));
+        self.timers.push(at, token);
     }
 
     /// The earliest pending deadline, if any.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse((at, _, _))| *at)
+        self.timers.peek_time()
     }
 
     /// Pops the earliest timer whose deadline is `<= now`.
     pub fn pop_due(&mut self, now: SimTime) -> Option<u64> {
-        match self.heap.peek() {
-            Some(Reverse((at, _, _))) if *at <= now => {
-                let Reverse((_, _, token)) = self.heap.pop().unwrap();
-                Some(token)
-            }
+        match self.timers.peek_time() {
+            Some(at) if at <= now => self.timers.pop().map(|(_, token)| token),
             _ => None,
         }
     }

@@ -5,8 +5,8 @@
 //! p2psim is C++ and its King-dataset input is not redistributable, so this
 //! crate provides the equivalent substrate:
 //!
-//! * a binary-heap event queue with deterministic tie-breaking
-//!   ([`engine::Sim`]),
+//! * a radix-heap event queue with deterministic tie-breaking
+//!   ([`engine::Sim`], [`queue::RadixQueue`]),
 //! * pluggable latency models ([`topology`]), including a synthetic
 //!   *King-like* model calibrated to the dataset's published mean RTT
 //!   (~180 ms over 1740 Internet DNS servers),

@@ -203,8 +203,19 @@ impl Topology for KingLikeTopology {
         // cache; a table of all pairs (8 MB at 1 024 nodes) costs a miss
         // per send instead.
         let us = self.jittered_distance(src, dst) * self.scale;
-        SimTime::from_micros(us.round().max(1.0) as u64)
+        SimTime::from_micros(round_micros(us).max(1))
     }
+}
+
+/// `us.round() as u64` (halves away from zero) without `f64::round`, a
+/// library call on targets without a rounding instruction. The integer
+/// part is exact below 2⁵³, and so is `us - t`; at or above 2⁵³ every
+/// `f64` is a whole number and the difference is 0. NaN reads 0, as the
+/// cast does. The carry is added, not branched on: a fraction's half is a
+/// coin toss to a branch predictor.
+fn round_micros(us: f64) -> u64 {
+    let t = us as u64;
+    t.saturating_add(u64::from(us - t as f64 >= 0.5))
 }
 
 #[cfg(test)]
@@ -271,6 +282,46 @@ mod tests {
             let avg = t.avg_rtt_sampled(20_000, 7).as_micros() as f64;
             let err = (avg - target.as_micros() as f64).abs() / target.as_micros() as f64;
             assert!(err < 0.05, "n={n}: mean RTT {avg} us too far from {target}");
+        }
+    }
+
+    /// The rounding without `f64::round` reads what `round` read on every
+    /// ordered pair of a 1 024-node topology, and at and just below the
+    /// halves.
+    #[test]
+    fn latency_rounds_as_f64_round_did() {
+        let old = |us: f64| SimTime::from_micros(us.round().max(1.0) as u64);
+        let t = KingLikeTopology::generate(1024, SimTime::from_millis(180), 5);
+        for a in 0..t.len() {
+            for b in 0..t.len() {
+                if a != b {
+                    let us = t.jittered_distance(a, b) * t.scale;
+                    assert_eq!(t.latency(a, b), old(us), "pair ({a}, {b}), {us} us");
+                }
+            }
+        }
+        let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+        for us in [
+            0.0,
+            0.25,
+            0.5,
+            below(0.5),
+            1.5,
+            below(1.5),
+            2.5,
+            below(2.5),
+            12_345.5,
+            below(12_345.5),
+            4_503_599_627_370_495.5,
+            9_007_199_254_740_992.0,
+            1e300,
+            f64::NAN,
+        ] {
+            assert_eq!(
+                SimTime::from_micros(round_micros(us).max(1)),
+                old(us),
+                "{us} us"
+            );
         }
     }
 

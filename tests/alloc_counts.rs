@@ -77,7 +77,7 @@ const QUICK: (usize, usize, usize) = (192, 4, 600);
 const QUICK_DIGEST: u64 = 0x420a_6a1e_f640_8bbe;
 
 /// `[install, publish]`, each `(allocs, reallocs)`.
-const PINNED: [(u64, u64); 2] = [(101_984, 4_019), (22_785, 543)];
+const PINNED: [(u64, u64); 2] = [(19_933, 4_121), (22_811, 599)];
 
 #[test]
 fn hotpath_quick_allocates_exactly_the_pinned_counts() {

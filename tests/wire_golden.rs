@@ -39,10 +39,7 @@ fn event() -> Arc<Event> {
 }
 
 fn route(inner: Routed) -> HyperMsg {
-    HyperMsg::Route {
-        key: 0x0123_4567_89ab_cdef,
-        inner: Box::new(inner),
-    }
+    HyperMsg::route(0x0123_4567_89ab_cdef, Box::new(inner))
 }
 
 /// One message per `HyperMsg` variant, per `Routed` variant and per

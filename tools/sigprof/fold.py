@@ -7,8 +7,12 @@ Each return address is mapped back to its ELF file through the dumped
 
   fold.py sigprof.1234.txt --keep 'engine::Sim<.*>::run' --drop 'handle_routed'
 
---keep keeps a sample when some function on its stack matches; --drop
-discards it when some function or file:line on its stack matches.
+--keep keeps a sample when some function or file:line on its stack
+matches; --drop discards it when some function or file:line on its stack
+matches. Both match a location, so one phase can be kept alone by the
+line that calls it:
+
+  fold.py sigprof.1234.txt --keep 'perf/src/rep\.rs:145$'
 """
 import argparse
 import bisect
@@ -52,7 +56,7 @@ def resolve(path, vaddrs):
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("dump")
-    ap.add_argument("--keep", help="keep samples with a matching function")
+    ap.add_argument("--keep", help="keep samples with a matching function or location")
     ap.add_argument("--drop", help="drop samples with a matching function or location")
     ap.add_argument("--top", type=int, default=25)
     args = ap.parse_args()
@@ -110,7 +114,7 @@ def main():
         fs = list(frames(stack))
         if not fs:
             continue
-        if keep and not any(keep.search(fn) for fn, _ in fs):
+        if keep and not any(keep.search(fn) or keep.search(loc) for fn, loc in fs):
             continue
         if drop and any(drop.search(fn) or drop.search(loc) for fn, loc in fs):
             continue
